@@ -40,8 +40,7 @@ impl CollectorNode {
     }
 
     fn respond(&self, to_node: NodeId, to_ip: u32, pkt: &RocePacket) -> Emission {
-        let udp = UdpPacket::frame(self.my_ip, ROCE_UDP_PORT, to_ip, ROCE_UDP_PORT, pkt.encode());
-        Emission::now(Packet::rdma(self.my_id, to_node, udp.encode()))
+        Emission::now(Packet::rdma(self.my_id, to_node, pkt.encode_framed(self.my_ip, to_ip)))
     }
 }
 

@@ -95,10 +95,8 @@ impl Ipv4Header {
 
     /// RFC 1071 header checksum over the encoded header.
     pub fn checksum(&self) -> u16 {
-        let mut buf = BytesMut::with_capacity(Self::LEN);
-        self.encode_with_checksum(&mut buf, 0);
+        let b = self.wire_bytes(0);
         let mut sum = 0u32;
-        let b = &buf[..];
         for i in (0..Self::LEN).step_by(2) {
             sum += u16::from_be_bytes([b[i], b[i + 1]]) as u32;
         }
@@ -108,22 +106,26 @@ impl Ipv4Header {
         !(sum as u16)
     }
 
-    fn encode_with_checksum<B: BufMut>(&self, buf: &mut B, csum: u16) {
-        buf.put_u8(0x45); // version 4, IHL 5
-        buf.put_u8(self.tos);
-        buf.put_u16(self.total_len);
-        buf.put_u16(self.ident);
-        buf.put_u16(0x4000); // DF, no fragmentation
-        buf.put_u8(self.ttl);
-        buf.put_u8(self.proto);
-        buf.put_u16(csum);
-        buf.put_u32(self.src);
-        buf.put_u32(self.dst);
+    /// The encoded header with `csum` in the checksum field — on the stack,
+    /// because the checksum pass runs once per encoded and decoded packet.
+    fn wire_bytes(&self, csum: u16) -> [u8; Self::LEN] {
+        let mut b = [0u8; Self::LEN];
+        b[0] = 0x45; // version 4, IHL 5
+        b[1] = self.tos;
+        b[2..4].copy_from_slice(&self.total_len.to_be_bytes());
+        b[4..6].copy_from_slice(&self.ident.to_be_bytes());
+        b[6..8].copy_from_slice(&0x4000u16.to_be_bytes()); // DF, no fragmentation
+        b[8] = self.ttl;
+        b[9] = self.proto;
+        b[10..12].copy_from_slice(&csum.to_be_bytes());
+        b[12..16].copy_from_slice(&self.src.to_be_bytes());
+        b[16..20].copy_from_slice(&self.dst.to_be_bytes());
+        b
     }
 
     /// Serialize with a valid checksum.
     pub fn encode<B: BufMut>(&self, buf: &mut B) {
-        self.encode_with_checksum(buf, self.checksum());
+        buf.put_slice(&self.wire_bytes(self.checksum()));
     }
 
     /// Deserialize, verifying version/IHL and the header checksum.
@@ -214,14 +216,40 @@ impl UdpPacket {
     /// Frame `payload` from `src_ip:src_port` to `dst_ip:dst_port` with
     /// placeholder MACs (the simulator routes on IP).
     pub fn frame(src_ip: u32, src_port: u16, dst_ip: u32, dst_port: u16, payload: Bytes) -> Self {
-        let udp = UdpHeader::new(src_port, dst_port, payload.len());
+        let (eth, ip, udp) = Self::headers(src_ip, src_port, dst_ip, dst_port, payload.len());
+        UdpPacket { eth, ip, udp, payload }
+    }
+
+    /// The headers [`UdpPacket::frame`] puts in front of `payload_len` bytes.
+    fn headers(
+        src_ip: u32,
+        src_port: u16,
+        dst_ip: u32,
+        dst_port: u16,
+        payload_len: usize,
+    ) -> (EthHeader, Ipv4Header, UdpHeader) {
+        let udp = UdpHeader::new(src_port, dst_port, payload_len);
         let ip = Ipv4Header::udp(src_ip, dst_ip, udp.len as usize);
-        UdpPacket {
-            eth: EthHeader::ipv4([0x02, 0, 0, 0, 0, 1], [0x02, 0, 0, 0, 0, 2]),
-            ip,
-            udp,
-            payload,
-        }
+        (EthHeader::ipv4([0x02, 0, 0, 0, 0, 1], [0x02, 0, 0, 0, 0, 2]), ip, udp)
+    }
+
+    /// Append the Eth/IPv4/UDP headers of a framed datagram whose
+    /// `payload_len` payload bytes the caller writes into `buf` next: the
+    /// same leading [`UDP_FRAME_OVERHEAD`] bytes as
+    /// `UdpPacket::frame(.., payload).encode()`, without materializing the
+    /// payload first.
+    pub fn put_headers<B: BufMut>(
+        buf: &mut B,
+        src_ip: u32,
+        src_port: u16,
+        dst_ip: u32,
+        dst_port: u16,
+        payload_len: usize,
+    ) {
+        let (eth, ip, udp) = Self::headers(src_ip, src_port, dst_ip, dst_port, payload_len);
+        eth.encode(buf);
+        ip.encode(buf);
+        udp.encode(buf);
     }
 
     /// Wire size in bytes.
@@ -271,6 +299,24 @@ mod tests {
         let mut buf = BytesMut::new();
         ip.encode(&mut buf);
         assert!(Ipv4Header::decode(&mut buf.freeze()).is_ok());
+    }
+
+    #[test]
+    fn ipv4_checksum_matches_known_header() {
+        // 4500 0073 0000 4000 4011 b861 c0a8 0001 c0a8 00c7
+        let ip = Ipv4Header {
+            tos: 0,
+            total_len: 0x73,
+            ident: 0,
+            ttl: 0x40,
+            proto: Ipv4Header::PROTO_UDP,
+            src: 0xC0A8_0001,
+            dst: 0xC0A8_00C7,
+        };
+        assert_eq!(ip.checksum(), 0xB861);
+        let mut buf = BytesMut::new();
+        ip.encode(&mut buf);
+        assert_eq!(&buf[8..12], &[0x40, 0x11, 0xB8, 0x61]);
     }
 
     #[test]

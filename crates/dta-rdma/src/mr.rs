@@ -618,30 +618,30 @@ impl SnapshotBuf {
         self.written.push((start as u32, end as u32));
     }
 
-    /// Byte-wise OR `other` into this image.
+    /// OR `other`'s written ranges into this image.
     ///
     /// The collector-fleet memory merge: when every key's slots are
     /// written on exactly one collector (write-once Key-Write, slot-
     /// disjoint key pools), OR-ing the per-collector images is a union of
     /// the written bytes, and the merged image is comparable byte-for-byte
-    /// against a single-image run. Panics if the lengths differ.
-    pub fn or_with(&mut self, other: &[u8]) {
-        assert_eq!(other.len(), self.len, "cannot OR differently sized region images");
+    /// against a single-image run. Bytes outside `other`'s written ranges
+    /// are zero by the pool invariant, so only those ranges are visited
+    /// (and recorded here, which keeps drop and clone proportional to the
+    /// dirty bytes too). Panics if the lengths differ.
+    pub fn or_with(&mut self, other: &SnapshotBuf) {
+        assert_eq!(other.len, self.len, "cannot OR differently sized region images");
         // SAFETY: the buffer is exclusively owned; plain-byte writes.
         let dst = unsafe {
             std::slice::from_raw_parts_mut(self.data.as_ptr() as *mut u8, self.len)
         };
-        let (mut lo, mut hi) = (usize::MAX, 0usize);
-        for (i, (d, &s)) in dst.iter_mut().zip(other).enumerate() {
-            if s != 0 {
-                *d |= s;
-                lo = lo.min(i);
-                hi = hi.max(i + 1);
+        let src = other.as_bytes();
+        for &(s, e) in &other.written {
+            let range = s as usize..e as usize;
+            for (d, &b) in dst[range.clone()].iter_mut().zip(&src[range]) {
+                *d |= b;
             }
         }
-        if lo < hi {
-            self.written.push((lo as u32, hi as u32));
-        }
+        self.written.extend_from_slice(&other.written);
     }
 
     /// The full image bytes.
@@ -855,6 +855,46 @@ mod tests {
         let mut merged = a.snapshot();
         merged.or_with(&b.snapshot());
         assert_eq!(&*merged, &*both.snapshot());
+    }
+
+    /// Three stripes and a ragged tail; no other test pools this length.
+    const OR_LEN: usize = STRIPE_BYTES * 3 + 123;
+
+    proptest::proptest! {
+        /// The range-based merge against the byte-wise OR it replaced, on
+        /// random sparse images — and pool hygiene after it: a merged
+        /// buffer records ranges it did not write itself, so its drop must
+        /// still hand a fully zeroed buffer back to `stripe_pool` (a dirty
+        /// one would silently corrupt a later run's region or snapshot).
+        #[test]
+        fn or_with_equals_bytewise_or_and_recycles_zeroed(
+            writes in proptest::collection::vec(
+                (proptest::prelude::any::<bool>(), 0usize..OR_LEN - 16, 1usize..16, 1u8..255),
+                0..40,
+            ),
+        ) {
+            let a = MemoryRegion::new(0, OR_LEN, 1, MrAccess::WRITE);
+            let b = MemoryRegion::new(0, OR_LEN, 1, MrAccess::WRITE);
+            for &(into_a, at, len, byte) in &writes {
+                let region = if into_a { &a } else { &b };
+                region.write(at as u64, &vec![byte; len]).unwrap();
+            }
+            let (sa, sb) = (a.snapshot(), b.snapshot());
+            let expected: Vec<u8> = sa.iter().zip(sb.iter()).map(|(x, y)| x | y).collect();
+            let mut merged = sa.clone();
+            merged.or_with(&sb);
+            proptest::prop_assert_eq!(merged.as_bytes(), &expected[..]);
+            let copy = merged.clone();
+            proptest::prop_assert_eq!(copy.as_bytes(), &expected[..]);
+
+            // Six buffers of this (test-private) length go back to the pool;
+            // hold as many fresh ones at once so each is a distinct buffer.
+            drop((a, b, sa, sb, merged, copy));
+            let fresh: Vec<SnapshotBuf> = (0..6).map(|_| SnapshotBuf::zeroed(OR_LEN)).collect();
+            for buf in &fresh {
+                proptest::prop_assert!(buf.iter().all(|&x| x == 0), "dirty buffer in the zeroed pool");
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! matters).
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use dta_core::framing::UdpPacket;
 use dta_core::report::ReportError;
 use dta_hash_icrc::icrc32;
 
@@ -416,24 +417,50 @@ impl RocePacket {
 
     /// Serialize including trailing ICRC.
     pub fn encode(&self) -> Bytes {
+        let mut buf = BytesMut::with_capacity(self.pdu_len());
+        self.put_pdu(&mut buf);
+        buf.freeze()
+    }
+
+    /// Serialize the whole Ethernet frame — Eth/IPv4/UDP headers between
+    /// `src_ip` and `dst_ip` on the RoCEv2 port, then the transport PDU —
+    /// into one buffer: the bytes of
+    /// `UdpPacket::frame(src_ip, ROCE_UDP_PORT, dst_ip, ROCE_UDP_PORT, self.encode()).encode()`
+    /// without the intermediate PDU buffer.
+    pub fn encode_framed(&self, src_ip: u32, dst_ip: u32) -> Bytes {
+        let mut buf = BytesMut::with_capacity(self.wire_len());
+        UdpPacket::put_headers(
+            &mut buf,
+            src_ip,
+            ROCE_UDP_PORT,
+            dst_ip,
+            ROCE_UDP_PORT,
+            self.pdu_len(),
+        );
+        self.put_pdu(&mut buf);
+        buf.freeze()
+    }
+
+    /// Append the transport PDU (headers, payload, ICRC over exactly those
+    /// appended bytes) to `buf`.
+    fn put_pdu(&self, buf: &mut BytesMut) {
         debug_assert_eq!(self.reth.is_some(), self.bth.opcode.has_reth());
         debug_assert_eq!(self.atomic.is_some(), self.bth.opcode.has_atomic_eth());
         debug_assert_eq!(self.imm.is_some(), self.bth.opcode.has_imm());
-        let mut buf = BytesMut::with_capacity(self.pdu_len());
-        self.bth.encode(&mut buf);
+        let start = buf.len();
+        self.bth.encode(buf);
         if let Some(r) = &self.reth {
-            r.encode(&mut buf);
+            r.encode(buf);
         }
         if let Some(a) = &self.atomic {
-            a.encode(&mut buf);
+            a.encode(buf);
         }
         if let Some(ImmDt(v)) = self.imm {
             buf.put_u32(v);
         }
         buf.put_slice(&self.payload);
-        let crc = icrc32(&buf);
+        let crc = icrc32(&buf[start..]);
         buf.put_u32(crc);
-        buf.freeze()
     }
 
     /// Deserialize and verify the ICRC.
@@ -581,6 +608,46 @@ mod tests {
             Bytes::from_static(&[0; 4]),
         );
         assert_eq!(p.wire_len(), 78);
+    }
+
+    /// Everything the translator and collector nodes put on the wire — a
+    /// slot write, a write with immediate, a full-MTU write and an over-MTU
+    /// write as FIRST/MIDDLE/LAST segments, fetch-add, the migration read
+    /// request and its response, ACK and NAK — frames to the same bytes in
+    /// one buffer as through `UdpPacket::frame(.., encode()).encode()`, and
+    /// decodes back (ICRC verified) through both layers.
+    #[test]
+    fn encode_framed_equals_two_step_framing_and_roundtrips() {
+        use crate::segment::{segment_write, MTU_1024};
+        let (src_ip, dst_ip) = (0x0A00_0063, 0x0A00_0901);
+        let reth = Reth { va: 0x1_0000_0040, rkey: 0x10, dma_len: 8 };
+        let bulk = |n: usize| Bytes::from((0..n).map(|i| i as u8).collect::<Vec<u8>>());
+        let mut qp = crate::qp::QueuePair::new(0x100);
+        qp.to_rtr(0x200, 0);
+        qp.to_rts(0);
+        let mut packets = vec![
+            RocePacket::write(0x21, 7, reth, bulk(8)),
+            RocePacket::write_imm(0x21, 8, reth, 0xCAFE, bulk(8)),
+            RocePacket::write(0x21, 9, Reth { dma_len: MTU_1024 as u32, ..reth }, bulk(MTU_1024)),
+            RocePacket::fetch_add(0x22, 10, 0x2000, 0x11, 5),
+            RocePacket::read_request(0x23, 11, reth),
+            RocePacket::read_response(0x7102, 11, bulk(8)),
+            RocePacket::ack(0x7100, 12),
+            RocePacket::nak(0x7100, 13),
+        ];
+        packets.extend(segment_write(&mut qp, 0x10, 0x4000, bulk(2 * MTU_1024 + 100), MTU_1024));
+        assert_eq!(packets.len(), 11, "three segments for the over-MTU write");
+        for p in &packets {
+            let framed = p.encode_framed(src_ip, dst_ip);
+            let two_step =
+                UdpPacket::frame(src_ip, ROCE_UDP_PORT, dst_ip, ROCE_UDP_PORT, p.encode()).encode();
+            assert_eq!(framed, two_step, "{:?}", p.bth.opcode);
+            assert_eq!(framed.len(), p.wire_len());
+            let udp = UdpPacket::decode(framed).unwrap();
+            assert_eq!((udp.ip.src, udp.ip.dst), (src_ip, dst_ip));
+            assert_eq!((udp.udp.src_port, udp.udp.dst_port), (ROCE_UDP_PORT, ROCE_UDP_PORT));
+            assert_eq!(&RocePacket::decode(udp.payload).unwrap(), p);
+        }
     }
 
     #[test]

@@ -642,16 +642,17 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
     };
     mark(6, &mut __t);
     let (memory, fleet_memory) = if let Some(table) = &table {
-        // Unmerged per-collector snapshots, plus the byte-wise OR over the
-        // collectors the final table considers alive. Under the fleet
-        // preconditions (write-once KW, slot-disjoint key pools) each byte
-        // is written by at most one collector, so the OR is a union and is
-        // comparable across runs with different fault schedules.
+        // Unmerged per-collector snapshots, plus the OR of their dirty
+        // ranges over the collectors the final table considers alive.
+        // Under the fleet preconditions (write-once KW, slot-disjoint key
+        // pools) each byte is written by at most one collector, so the OR
+        // is a union and is comparable across runs with different fault
+        // schedules.
         let fleet_memory: Vec<Vec<(u32, SnapshotBuf)>> =
             collector_nodes.iter().map(|n| snapshot_regions(&n.service)).collect();
         let mut alive = (0..fleet_size as u32).filter(|&c| table.is_alive(c));
         let first = alive.next().expect("at least one live collector") as usize;
-        let mut merged = snapshot_regions(&collector_nodes[first].service);
+        let mut merged = fleet_memory[first].clone();
         for c in alive {
             for ((rkey, buf), (other_rkey, other)) in
                 merged.iter_mut().zip(&fleet_memory[c as usize])

@@ -40,6 +40,7 @@ use std::sync::{Arc, Mutex};
 
 use dta_collector::layout::{CmsLayout, KwLayout};
 use dta_collector::service::{CollectorService, SERVICE_CMS, SERVICE_KW};
+use bytes::Bytes;
 use dta_core::framing::UdpPacket;
 use dta_core::{DtaReport, PrimitiveHeader, TelemetryKey, DTA_UDP_PORT};
 use dta_hash::scratch::KeyScratch;
@@ -467,6 +468,8 @@ struct FleetRebalance {
     driver: RebalanceDriver,
     /// Indexed by [`link_of`]; `None` when the service is disabled.
     links: Vec<Option<MigLink>>,
+    /// Payload every zero-write slices (see [`zero_payload`]).
+    zeros: Bytes,
     emission_buf: Vec<WireEmission>,
     replay_buf: Vec<(DtaReport, ReportOrigin)>,
 }
@@ -482,8 +485,17 @@ struct ShardedRebalance {
     regions: Vec<(Option<MemoryRegion>, Option<MemoryRegion>)>,
     /// Per-link responder expected PSN (indexed by [`link_of`]).
     expected_psn: Vec<u32>,
+    /// Payload every zero-write slices (see [`zero_payload`]).
+    zeros: Bytes,
     emission_buf: Vec<WireEmission>,
     replay_buf: Vec<(DtaReport, ReportOrigin)>,
+}
+
+/// One zero buffer as long as the longest migration zero-write (a KW slot
+/// or a CMS counter), shared by every [`WireKind::WriteZero`] of a run.
+fn zero_payload(kw: Option<KwLayout>) -> Bytes {
+    let len = kw.map_or(0, |l| l.slot_bytes()).max(CmsLayout::SLOT_BYTES);
+    Bytes::from(vec![0u8; len as usize])
 }
 
 /// `(primitive, key, redundancy)` of a migratable report (KW / INC only;
@@ -651,6 +663,7 @@ impl FleetTranslatorNode {
         let rebalance = config.rebalance.map(|rb| FleetRebalance {
             driver: RebalanceDriver::new(rb, mig_layouts.0, mig_layouts.1),
             links: mig_links,
+            zeros: zero_payload(mig_layouts.0),
             emission_buf: Vec::new(),
             replay_buf: Vec::new(),
         });
@@ -681,27 +694,32 @@ impl FleetTranslatorNode {
         &self.table
     }
 
-    /// `(current owner, primary owner)` for a report.
-    fn route(&mut self, report: &DtaReport) -> (u32, u32) {
+    /// `(current owner, primary owner, key checksum)` for a report. The
+    /// checksum is digested here once and handed to every later step on
+    /// the report (fence record, deferral, double-write lookup); Append
+    /// routes by list id and has none.
+    fn route(&mut self, report: &DtaReport) -> (u32, u32, Option<u32>) {
         let key = match &report.primitive {
             PrimitiveHeader::KeyWrite(h) => &h.key,
             PrimitiveHeader::KeyIncrement(h) => &h.key,
             PrimitiveHeader::Postcarding(h) => &h.key,
             PrimitiveHeader::Append(h) => {
                 let primary = collector_route_list(h.list_id, self.table.len());
-                return (self.table.owner_list(h.list_id), primary);
+                return (self.table.owner_list(h.list_id), primary, None);
             }
         };
         let checksum = self.key_scratch.digests(key.as_bytes(), 0).checksum;
-        (self.table.owner_checksum(checksum), self.table.primary_checksum(checksum))
+        (self.table.owner_checksum(checksum), self.table.primary_checksum(checksum), Some(checksum))
     }
 
     /// Record a reroute in the migration fence (reroute sites: receive,
     /// fail-time window replay, NAK replay).
-    fn record_fence(&mut self, report: &DtaReport, fallback_owner: u32) {
+    fn record_fence(&mut self, report: &DtaReport, checksum: Option<u32>, fallback_owner: u32) {
         let Some(rb) = self.rebalance.as_mut() else { return };
-        let Some((primitive, key, redundancy)) = migratable(report) else { return };
-        let checksum = self.key_scratch.digests(key.as_bytes(), 0).checksum;
+        let (Some((primitive, key, redundancy)), Some(checksum)) = (migratable(report), checksum)
+        else {
+            return;
+        };
         rb.driver.fence_record(primitive, key, checksum, redundancy, fallback_owner);
     }
 
@@ -723,8 +741,7 @@ impl FleetTranslatorNode {
         ep.translator.process_batch(now_ns, std::slice::from_ref(report), &mut translated);
         debug_assert!(translated.nacked.is_empty(), "fleet specs carry no rate limiter");
         for p in &translated.packets {
-            let udp = UdpPacket::frame(my_ip, ROCE_UDP_PORT, ep.ip, ROCE_UDP_PORT, p.encode());
-            out.push(Emission::now(Packet::rdma(my_id, ep.node, udp.encode())));
+            out.push(Emission::now(Packet::rdma(my_id, ep.node, p.encode_framed(my_ip, ep.ip))));
         }
         // Sends below the outstanding floor re-anchor the completion
         // timeout: the silence clock starts at the floor crossing.
@@ -765,10 +782,10 @@ impl FleetTranslatorNode {
             if entry.acked {
                 self.failover.replayed_acked += 1;
             }
-            let (owner, primary) = self.route(&entry.report);
+            let (owner, primary, checksum) = self.route(&entry.report);
             debug_assert_ne!(owner, c, "table must not route to a dead collector");
             if owner != primary {
-                self.record_fence(&entry.report, owner);
+                self.record_fence(&entry.report, checksum, owner);
             }
             self.translate_to(owner, now_ns, &entry.report, entry.origin, out);
         }
@@ -829,16 +846,14 @@ impl FleetTranslatorNode {
         emissions.clear();
         rb.driver.pump(now_ns, &mut emissions);
         for e in &emissions {
-            let Some(link) = self.rebalance.as_ref().unwrap().links[e.link as usize] else {
-                continue;
-            };
+            let Some(link) = rb.links[e.link as usize] else { continue };
             let ep = &self.endpoints[e.collector() as usize];
             let reth = Reth { va: e.va, rkey: link.rkey, dma_len: e.len };
             let pkt = match e.kind {
                 WireKind::Read => RocePacket::read_request(link.dest_qpn, e.psn, reth),
                 WireKind::WriteZero => {
-                    let mut p =
-                        RocePacket::write(link.dest_qpn, e.psn, reth, vec![0u8; e.len as usize].into());
+                    let zeros = rb.zeros.slice(..e.len as usize);
+                    let mut p = RocePacket::write(link.dest_qpn, e.psn, reth, zeros);
                     // Solicit an immediate ACK: migration completion must
                     // not wait out the service-QP coalescing window.
                     p.bth.solicited = true;
@@ -851,16 +866,16 @@ impl FleetTranslatorNode {
                     p
                 }
             };
-            let udp = UdpPacket::frame(self.my_ip, ROCE_UDP_PORT, ep.ip, ROCE_UDP_PORT, pkt.encode());
-            out.push(Emission::now(Packet::rdma(self.my_id, ep.node, udp.encode())));
+            let wire = pkt.encode_framed(self.my_ip, ep.ip);
+            out.push(Emission::now(Packet::rdma(self.my_id, ep.node, wire)));
         }
-        self.rebalance.as_mut().unwrap().emission_buf = emissions;
+        rb.emission_buf = emissions;
         // Drained state and released deferrals re-enter the report path.
         let mut replays = std::mem::take(&mut self.rebalance.as_mut().unwrap().replay_buf);
         replays.clear();
         self.rebalance.as_mut().unwrap().driver.take_replays(&mut replays);
         for (report, origin) in replays.drain(..) {
-            let (owner, _) = self.route(&report);
+            let (owner, _, _) = self.route(&report);
             self.translate_to(owner, now_ns, &report, origin, out);
         }
         self.rebalance.as_mut().unwrap().replay_buf = replays;
@@ -902,17 +917,15 @@ impl NetNode for FleetTranslatorNode {
                     ip: udp.ip.src,
                     port: udp.udp.src_port,
                 };
-                let (owner, primary) = self.route(&report);
+                let (owner, primary, checksum) = self.route(&report);
                 if owner != primary {
                     self.failover.rerouted += 1;
-                    self.record_fence(&report, owner);
-                } else if self.rebalance.is_some() {
+                    self.record_fence(&report, checksum, owner);
+                } else if let Some(rb) = self.rebalance.as_mut() {
                     // Post-rejoin live traffic for a still-fenced key:
                     // defer INC until its baseline lands, double-write KW
                     // to the fallback owner until its copy is zeroed.
-                    if let Some((primitive, key, _)) = migratable(&report) {
-                        let checksum = self.key_scratch.digests(key.as_bytes(), 0).checksum;
-                        let rb = self.rebalance.as_mut().unwrap();
+                    if let (Some((primitive, _, _)), Some(checksum)) = (migratable(&report), checksum) {
                         if rb.driver.try_defer(primitive, checksum, &report, origin) {
                             return; // re-emerges via take_replays
                         }
@@ -971,9 +984,9 @@ impl NetNode for FleetTranslatorNode {
                     self.ledger.drain_nak(c as u32, qpn, roce.bth.psn, &mut suffix);
                     for entry in suffix.drain(..) {
                         self.failover.nak_replayed += 1;
-                        let (owner, primary) = self.route(&entry.report);
+                        let (owner, primary, checksum) = self.route(&entry.report);
                         if owner != primary {
-                            self.record_fence(&entry.report, owner);
+                            self.record_fence(&entry.report, checksum, owner);
                         }
                         self.translate_to(owner, now.as_nanos(), &entry.report, entry.origin, out);
                     }
@@ -1029,7 +1042,8 @@ impl NetNode for FleetTranslatorNode {
             self.fail(now_ns, c, out);
         }
         // 3. Flush live endpoints (batched state; a no-op for KW/INC-only
-        // fleet traffic, kept for parity with the single-collector node).
+        // fleet traffic — each flush costs what is staged, never the cache
+        // capacity — kept for parity with the single-collector node).
         let my_id = self.my_id;
         let my_ip = self.my_ip;
         let min_unacked = self.min_unacked;
@@ -1045,8 +1059,7 @@ impl NetNode for FleetTranslatorNode {
             }
             ep.sends_since_response += flushed.packets.len() as u64;
             for p in &flushed.packets {
-                let udp = UdpPacket::frame(my_ip, ROCE_UDP_PORT, ep.ip, ROCE_UDP_PORT, p.encode());
-                out.push(Emission::now(Packet::rdma(my_id, ep.node, udp.encode())));
+                out.push(Emission::now(Packet::rdma(my_id, ep.node, p.encode_framed(my_ip, ep.ip))));
             }
         }
         // 4. Migration progress (release check, wire ops, replays).
@@ -1113,6 +1126,7 @@ impl FleetShardedNode {
             ShardedRebalance {
                 driver: RebalanceDriver::new(rb, kw, cms),
                 expected_psn: vec![0; regions.len() * 2],
+                zeros: zero_payload(kw),
                 regions,
                 emission_buf: Vec::new(),
                 replay_buf: Vec::new(),
@@ -1154,27 +1168,32 @@ impl FleetShardedNode {
         }
     }
 
-    /// `(current owner, primary owner)` for a report.
-    fn route(&mut self, report: &DtaReport) -> (u32, u32) {
+    /// `(current owner, primary owner, key checksum)` for a report. The
+    /// checksum is digested here once and handed to every later step on
+    /// the report (fence record, deferral, double-write lookup); Append
+    /// routes by list id and has none.
+    fn route(&mut self, report: &DtaReport) -> (u32, u32, Option<u32>) {
         let key = match &report.primitive {
             PrimitiveHeader::KeyWrite(h) => &h.key,
             PrimitiveHeader::KeyIncrement(h) => &h.key,
             PrimitiveHeader::Postcarding(h) => &h.key,
             PrimitiveHeader::Append(h) => {
                 let primary = collector_route_list(h.list_id, self.table.len());
-                return (self.table.owner_list(h.list_id), primary);
+                return (self.table.owner_list(h.list_id), primary, None);
             }
         };
         let checksum = self.key_scratch.digests(key.as_bytes(), 0).checksum;
-        (self.table.owner_checksum(checksum), self.table.primary_checksum(checksum))
+        (self.table.owner_checksum(checksum), self.table.primary_checksum(checksum), Some(checksum))
     }
 
     /// Record a reroute in the migration fence (mirrors the single-node
     /// reroute sites; the sharded node has no NAK path).
-    fn record_fence(&mut self, report: &DtaReport, fallback_owner: u32) {
+    fn record_fence(&mut self, report: &DtaReport, checksum: Option<u32>, fallback_owner: u32) {
         let Some(rb) = self.rebalance.as_mut() else { return };
-        let Some((primitive, key, redundancy)) = migratable(report) else { return };
-        let checksum = self.key_scratch.digests(key.as_bytes(), 0).checksum;
+        let (Some((primitive, key, redundancy)), Some(checksum)) = (migratable(report), checksum)
+        else {
+            return;
+        };
         rb.driver.fence_record(primitive, key, checksum, redundancy, fallback_owner);
     }
 
@@ -1209,10 +1228,10 @@ impl FleetShardedNode {
             if entry.acked {
                 self.failover.replayed_acked += 1;
             }
-            let (owner, primary) = self.route(&entry.report);
+            let (owner, primary, checksum) = self.route(&entry.report);
             debug_assert_ne!(owner, c, "table must not route to a dead collector");
             if owner != primary {
-                self.record_fence(&entry.report, owner);
+                self.record_fence(&entry.report, checksum, owner);
             }
             self.ledger.record(LedgerEntry { collector: owner, acked: true, ..entry.clone() });
             self.pipelines[owner as usize].ingest_from(now_ns, entry.report, entry.origin);
@@ -1284,7 +1303,7 @@ impl FleetShardedNode {
                     rb.driver.on_read_response(e.link, e.psn, &data);
                 }
                 WireKind::WriteZero => {
-                    region.write(e.va, &vec![0u8; e.len as usize]).expect("migration zero write");
+                    region.write(e.va, &rb.zeros[..e.len as usize]).expect("migration zero write");
                     rb.driver.on_ack(e.link, e.psn);
                 }
                 WireKind::FetchAdd => {
@@ -1299,7 +1318,7 @@ impl FleetShardedNode {
         replays.clear();
         self.rebalance.as_mut().unwrap().driver.take_replays(&mut replays);
         for (report, origin) in replays.drain(..) {
-            let (owner, _) = self.route(&report);
+            let (owner, _, _) = self.route(&report);
             self.ingest_to(owner, now_ns, report, origin);
         }
         self.rebalance.as_mut().unwrap().replay_buf = replays;
@@ -1351,14 +1370,12 @@ impl NetNode for FleetShardedNode {
                     ip: udp.ip.src,
                     port: udp.udp.src_port,
                 };
-                let (owner, primary) = self.route(&report);
+                let (owner, primary, checksum) = self.route(&report);
                 if owner != primary {
                     self.failover.rerouted += 1;
-                    self.record_fence(&report, owner);
-                } else if self.rebalance.is_some() {
-                    if let Some((primitive, key, _)) = migratable(&report) {
-                        let checksum = self.key_scratch.digests(key.as_bytes(), 0).checksum;
-                        let rb = self.rebalance.as_mut().unwrap();
+                    self.record_fence(&report, checksum, owner);
+                } else if let Some(rb) = self.rebalance.as_mut() {
+                    if let (Some((primitive, _, _)), Some(checksum)) = (migratable(&report), checksum) {
                         if rb.driver.try_defer(primitive, checksum, &report, origin) {
                             return; // re-emerges via take_replays
                         }

@@ -70,14 +70,8 @@ impl TranslatorNode {
     }
 
     fn roce_to_emission(&self, roce: &RocePacket) -> Emission {
-        let udp = UdpPacket::frame(
-            self.my_ip,
-            ROCE_UDP_PORT,
-            self.collector_ip,
-            ROCE_UDP_PORT,
-            roce.encode(),
-        );
-        Emission::now(Packet::rdma(self.my_id, self.collector_id, udp.encode()))
+        let wire = roce.encode_framed(self.my_ip, self.collector_ip);
+        Emission::now(Packet::rdma(self.my_id, self.collector_id, wire))
     }
 }
 

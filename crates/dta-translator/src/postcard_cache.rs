@@ -62,7 +62,12 @@ pub struct CacheStats {
 #[derive(Debug)]
 pub struct PostcardCache {
     rows: RegisterArray<Row>,
-    occupied: Vec<bool>,
+    /// Occupancy bitmap: bit `idx % 64` of word `idx / 64` is set while row
+    /// `idx` holds an in-flight flow.
+    occupied: Vec<u64>,
+    /// Number of set bits in `occupied`, so the timer path can return
+    /// without looking at the bitmap when nothing is staged.
+    live: usize,
     /// Journal of row indexes that ever became occupied, so drop can
     /// return the row storage to the recycling pool after zeroing only the
     /// rows a run actually touched. `u32::MAX` capacity sentinel: when the
@@ -81,8 +86,8 @@ pub struct PostcardCache {
 /// zeroed allocations of that size degrade to explicit memsets once
 /// glibc's adaptive mmap threshold rises.
 #[allow(clippy::type_complexity)] // pooled pair, not worth a named struct
-fn row_pool() -> &'static std::sync::Mutex<Vec<(Vec<Row>, Vec<bool>)>> {
-    static POOL: std::sync::OnceLock<std::sync::Mutex<Vec<(Vec<Row>, Vec<bool>)>>> =
+fn row_pool() -> &'static std::sync::Mutex<Vec<(Vec<Row>, Vec<u64>)>> {
+    static POOL: std::sync::OnceLock<std::sync::Mutex<Vec<(Vec<Row>, Vec<u64>)>>> =
         std::sync::OnceLock::new();
     POOL.get_or_init(|| std::sync::Mutex::new(Vec::new()))
 }
@@ -107,11 +112,12 @@ impl PostcardCache {
             Some((cells, occupied)) => (RegisterArray::from_cells(cells), occupied),
             // SAFETY: `Row`'s default is the all-zero pattern (zero key,
             // zero words, nothing present).
-            None => (unsafe { RegisterArray::new_zeroed(slots) }, vec![false; slots]),
+            None => (unsafe { RegisterArray::new_zeroed(slots) }, vec![0; slots.div_ceil(64)]),
         };
         PostcardCache {
             rows,
             occupied,
+            live: 0,
             touched: Vec::new(),
             touched_overflow: false,
             index: Crc32::new(CrcParams::IEEE),
@@ -139,6 +145,20 @@ impl PostcardCache {
         (self.index.compute(key.as_bytes()) as usize) % self.rows.len()
     }
 
+    fn is_occupied(&self, idx: usize) -> bool {
+        self.occupied[idx / 64] & (1 << (idx % 64)) != 0
+    }
+
+    fn occupy(&mut self, idx: usize) {
+        self.occupied[idx / 64] |= 1 << (idx % 64);
+        self.live += 1;
+    }
+
+    fn vacate(&mut self, idx: usize) {
+        self.occupied[idx / 64] &= !(1 << (idx % 64));
+        self.live -= 1;
+    }
+
     /// Insert one postcard's encoded `word`. Returns any emission this
     /// insertion triggered (a completed row, a collision eviction, or both a
     /// collision eviction followed later by the new flow's completion).
@@ -158,16 +178,15 @@ impl PostcardCache {
         let mut out = Vec::new();
 
         let mut row = self.rows.read(idx);
-        if self.occupied[idx] && row.key != *key {
+        if self.is_occupied(idx) && row.key != *key {
             // Collision: evict the current occupant early.
             self.stats.early_emissions += 1;
             out.push(self.emission_from(&row, false));
-            self.occupied[idx] = false;
-            row = Row::default();
+            self.vacate(idx);
         }
-        if !self.occupied[idx] {
+        if !self.is_occupied(idx) {
             row = Row { key: *key, ..Row::default() };
-            self.occupied[idx] = true;
+            self.occupy(idx);
             if self.touched_overflow || self.touched.len() >= self.journal_cap() {
                 self.touched_overflow = true;
             } else {
@@ -188,7 +207,7 @@ impl PostcardCache {
         if have >= needed && (row.present as u16 & full_mask) == full_mask {
             self.stats.complete_emissions += 1;
             out.push(self.emission_from(&row, true));
-            self.occupied[idx] = false;
+            self.vacate(idx);
             self.rows.write(idx, Row::default());
         } else {
             self.rows.write(idx, row);
@@ -203,19 +222,26 @@ impl PostcardCache {
         CacheEmission { key: row.key, words, complete }
     }
 
-    /// Flush every occupied row (shutdown / timer path). All flushed rows
-    /// count as early emissions.
+    /// Flush every occupied row (shutdown / timer path), in ascending row
+    /// order. All flushed rows count as early emissions. An empty cache
+    /// costs one comparison; otherwise the walk is O(slots/64 + occupied).
     pub fn flush(&mut self) -> Vec<CacheEmission> {
-        let mut out = Vec::new();
-        for idx in 0..self.rows.len() {
-            if self.occupied[idx] {
+        if self.live == 0 {
+            return Vec::new();
+        }
+        let mut out = Vec::with_capacity(self.live);
+        for w in 0..self.occupied.len() {
+            let mut bits = std::mem::take(&mut self.occupied[w]);
+            while bits != 0 {
+                let idx = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
                 let row = self.rows.read(idx);
                 self.stats.early_emissions += 1;
                 out.push(self.emission_from(&row, false));
-                self.occupied[idx] = false;
                 self.rows.write(idx, Row::default());
             }
         }
+        self.live = 0;
         out
     }
 
@@ -241,7 +267,7 @@ impl Drop for PostcardCache {
                 cells[idx as usize] = Row::default();
             }
         }
-        self.occupied.fill(false);
+        self.occupied.fill(0);
         if let Ok(mut pool) = row_pool().lock() {
             if pool.len() < ROW_POOL_MAX {
                 pool.push((cells, std::mem::take(&mut self.occupied)));
@@ -350,6 +376,124 @@ mod tests {
         let em = c.insert(&k, 4, 0, 4);
         assert_eq!(em.len(), 1);
         assert!(em[0].complete);
+    }
+
+    /// The pre-bitmap cache kept as the reference model: one flag per row,
+    /// and a flush that scans every row in index order.
+    struct NaiveCache {
+        rows: Vec<Row>,
+        occupied: Vec<bool>,
+        index: Crc32,
+        hops: u8,
+        stats: CacheStats,
+    }
+
+    impl NaiveCache {
+        fn new(slots: usize, hops: u8) -> Self {
+            NaiveCache {
+                rows: vec![Row::default(); slots],
+                occupied: vec![false; slots],
+                index: Crc32::new(CrcParams::IEEE),
+                hops,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn emission(&self, row: &Row, complete: bool) -> CacheEmission {
+            let words = (0..self.hops)
+                .map(|h| (row.present & (1 << h) != 0).then(|| row.words[h as usize]))
+                .collect();
+            CacheEmission { key: row.key, words, complete }
+        }
+
+        fn insert(&mut self, key: &TelemetryKey, hop: u8, path_len: u8, word: u32) -> Vec<CacheEmission> {
+            self.stats.postcards += 1;
+            let idx = (self.index.compute(key.as_bytes()) as usize) % self.rows.len();
+            let mut out = Vec::new();
+            if self.occupied[idx] && self.rows[idx].key != *key {
+                self.stats.early_emissions += 1;
+                out.push(self.emission(&self.rows[idx], false));
+                self.occupied[idx] = false;
+            }
+            if !self.occupied[idx] {
+                self.rows[idx] = Row { key: *key, ..Row::default() };
+                self.occupied[idx] = true;
+            }
+            let row = &mut self.rows[idx];
+            row.words[hop as usize] = word;
+            row.present |= 1 << hop;
+            if path_len > 0 {
+                row.path_len = path_len;
+            }
+            let needed = if row.path_len > 0 { row.path_len } else { self.hops };
+            let full_mask = (1u16 << needed) - 1;
+            if row.present as u16 & full_mask == full_mask {
+                self.stats.complete_emissions += 1;
+                out.push(self.emission(&self.rows[idx], true));
+                self.occupied[idx] = false;
+                self.rows[idx] = Row::default();
+            }
+            out
+        }
+
+        fn flush(&mut self) -> Vec<CacheEmission> {
+            let mut out = Vec::new();
+            for idx in 0..self.rows.len() {
+                if self.occupied[idx] {
+                    self.stats.early_emissions += 1;
+                    out.push(self.emission(&self.rows[idx], false));
+                    self.occupied[idx] = false;
+                    self.rows[idx] = Row::default();
+                }
+            }
+            out
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Seeded insert/flush interleavings against [`NaiveCache`]: same
+        /// emissions in the same order, same counters, and the live count
+        /// tracks the bitmap after every step. 70 rows are two bitmap
+        /// words, the second partial; 150 cold flows over them force row
+        /// collisions, 8 hot flows complete rows, and `path_len` 0
+        /// exercises the unknown-length completion rule.
+        #[test]
+        fn bitmap_cache_matches_flag_per_row_model(
+            ops in proptest::collection::vec(
+                (0u8..24, 0u8..6, 0u64..150, 0u8..5, 0usize..3, any::<u32>()),
+                1..400,
+            ),
+        ) {
+            const SLOTS: usize = 70;
+            let mut cache = PostcardCache::new(SLOTS, 5);
+            let mut model = NaiveCache::new(SLOTS, 5);
+            for &(kind, cold, flow, hop, len_idx, word) in &ops {
+                let flow = if cold == 0 { flow } else { flow % 8 };
+                if kind == 0 {
+                    prop_assert_eq!(cache.flush(), model.flush());
+                } else {
+                    let path_len = [0u8, 3, 5][len_idx];
+                    prop_assert_eq!(
+                        cache.insert(&key(flow), hop, path_len, word),
+                        model.insert(&key(flow), hop, path_len, word)
+                    );
+                }
+                prop_assert_eq!(cache.stats, model.stats);
+                let popcount: u32 = cache.occupied.iter().map(|w| w.count_ones()).sum();
+                prop_assert_eq!(cache.live, popcount as usize);
+                prop_assert_eq!(cache.live, model.occupied.iter().filter(|o| **o).count());
+            }
+            // Dropped with rows still staged; the storage the next cache of
+            // this size takes from `row_pool` must come back empty.
+            drop(cache);
+            let mut recycled = PostcardCache::new(SLOTS, 5);
+            prop_assert_eq!(recycled.live, 0);
+            prop_assert!(recycled.occupied.iter().all(|w| *w == 0));
+            prop_assert!((0..SLOTS).all(|i| recycled.rows.read(i) == Row::default()));
+            prop_assert!(recycled.flush().is_empty());
+        }
     }
 
     #[test]

@@ -468,8 +468,9 @@ impl Translator {
     }
 
     /// Flush translator-held state (cache rows, partial batches) — the
-    /// periodic timer path. Only lists with a partial batch are visited
-    /// (via the batcher's dirty set), not the full list id space.
+    /// periodic timer path. The cost follows what is staged, not what could
+    /// be: occupied cache rows (bitmap walk, nothing at all when the cache
+    /// is empty) and lists with a partial batch (the batcher's dirty set).
     pub fn flush(&mut self, now_ns: u64) -> TranslatorOutput {
         let mut out = TranslatorOutput::default();
         for emission in self.cache.flush() {
