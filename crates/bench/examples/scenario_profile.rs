@@ -4,7 +4,7 @@
 use std::time::Instant;
 
 fn main() {
-    let spec = dta_sim::ScenarioSpec::smoke(dta_sim::TranslatorMode::SingleThreaded);
+    let spec = dta_sim::ScenarioSpec::preset("smoke", dta_sim::TranslatorMode::SingleThreaded);
     // Whole-run baseline: per-run min/median so CPU-steal spikes on shared
     // hosts don't swamp the signal.
     let runs = 40;

@@ -309,103 +309,58 @@ pub fn translator_suite_filtered(window: Duration, only: Option<&str>) -> Vec<Pe
         ));
     }
 
-    // End-to-end scenarios: the K=4 fat-tree smoke deployment through both
-    // translator modes (see dta-sim). Tracks the full reporter→fabric→
-    // translator→collector path commit-to-commit.
-    if wants("scenario/k4_single") {
-        let spec = dta_sim::ScenarioSpec::smoke(dta_sim::TranslatorMode::SingleThreaded);
-        results.push(run_loop_scenario("scenario/k4_single", window, &spec));
-    }
-    if wants("scenario/k4_sharded4") {
-        let spec = dta_sim::ScenarioSpec::smoke(dta_sim::TranslatorMode::Sharded { shards: 4 });
-        results.push(run_loop_scenario("scenario/k4_sharded4", window, &spec));
-    }
-
-    // Congestion loop: the K=4 deployment under a translator rate limit
-    // that drops ~a third of the offered load, with NACK-driven reporter
-    // retransmission closing the loop (see ScenarioSpec::congested). The
-    // ns/report prices the whole recovery cycle — drop, NACK hop back
-    // across the fabric, paced retransmit, re-translation — on top of the
-    // normal path; in sharded mode it additionally covers the per-tick
-    // queue barrier the deterministic NACK drain requires.
-    if wants("scenario_congested/k4_congested_single") {
-        let spec = dta_sim::ScenarioSpec::congested(dta_sim::TranslatorMode::SingleThreaded);
-        results.push(run_loop_scenario("scenario_congested/k4_congested_single", window, &spec));
-    }
-    if wants("scenario_congested/k4_congested_sharded4") {
-        let spec =
-            dta_sim::ScenarioSpec::congested(dta_sim::TranslatorMode::Sharded { shards: 4 });
-        results.push(run_loop_scenario(
+    // End-to-end scenarios, each preset (`scenarios/<preset>.toml`) through
+    // both translator modes; every ns/report prices the full reporter →
+    // fabric → translator → collector path plus what the preset adds:
+    //
+    // * smoke — the K=4 fat-tree deployment, nothing added.
+    // * congested — the whole recovery cycle under a rate limit that drops
+    //   ~a third of the offered load: drop, NACK hop back across the
+    //   fabric, paced retransmit, re-translation; in sharded mode also the
+    //   per-tick queue barrier the deterministic NACK drain requires.
+    // * failover — collector 1 of 3 killed mid-run: fail-stop detection,
+    //   routing-table epoch bump, ledger replay through the survivors, and
+    //   the fleet-wide query fan-out.
+    // * rebalance — on top of failover, the epoch-fenced handoff after the
+    //   rejoin: fence recording and double-writes/deferrals on the live
+    //   path, the per-key drain (migration-QP reads, KW replays, per-slot
+    //   INC delta fetch-adds, fallback zeroing), and the release scan.
+    // * query_under_load — a 16 queries/epoch snapshot-read stream spanning
+    //   the emission window: per-epoch snapshot captures, the sharded-mode
+    //   quiesce barriers at every epoch boundary, and the plurality/poll/
+    //   CMS/cache reads against the images.
+    // * large — K=8, 1008 paced reporters (8 lanes per host): ~13k reports
+    //   over 80 switches, the workload the PR 4 engine rewrite (dense
+    //   arenas + timing wheel) exists for.
+    for (preset, single, sharded) in [
+        ("smoke", "scenario/k4_single", "scenario/k4_sharded4"),
+        (
+            "congested",
+            "scenario_congested/k4_congested_single",
             "scenario_congested/k4_congested_sharded4",
-            window,
-            &spec,
-        ));
-    }
-
-    // Failover: the K=4 deployment with a fleet of 3 collectors and
-    // collector 1 killed mid-run (see ScenarioSpec::failover). The
-    // ns/report prices the whole robustness cycle on top of the normal
-    // path — fail-stop detection, routing-table epoch bump, ledger
-    // replay through the survivors, and the fleet-wide query fan-out.
-    if wants("scenario_failover/k4_failover_single") {
-        let spec = dta_sim::ScenarioSpec::failover(dta_sim::TranslatorMode::SingleThreaded);
-        results.push(run_loop_scenario("scenario_failover/k4_failover_single", window, &spec));
-    }
-    if wants("scenario_failover/k4_failover_sharded4") {
-        let spec = dta_sim::ScenarioSpec::failover(dta_sim::TranslatorMode::Sharded { shards: 4 });
-        results.push(run_loop_scenario(
+        ),
+        (
+            "failover",
+            "scenario_failover/k4_failover_single",
             "scenario_failover/k4_failover_sharded4",
-            window,
-            &spec,
-        ));
-    }
-
-    // Rebalance: the failover deployment with collector 1 rejoining and a
-    // RebalancePlan migrating its stranded key range home mid-traffic (see
-    // ScenarioSpec::rebalance). On top of the failover cycle, the
-    // ns/report prices the epoch-fenced handoff — fence recording and
-    // double-writes/deferrals on the live path, the per-key drain
-    // (migration-QP reads, KW replays, per-slot INC delta fetch-adds,
-    // fallback zeroing), and the release scan.
-    if wants("scenario_rebalance/k4_rebalance_single") {
-        let spec = dta_sim::ScenarioSpec::rebalance(dta_sim::TranslatorMode::SingleThreaded);
-        results.push(run_loop_scenario("scenario_rebalance/k4_rebalance_single", window, &spec));
-    }
-    if wants("scenario_rebalance/k4_rebalance_sharded4") {
-        let spec = dta_sim::ScenarioSpec::rebalance(dta_sim::TranslatorMode::Sharded { shards: 4 });
-        results.push(run_loop_scenario(
+        ),
+        (
+            "rebalance",
+            "scenario_rebalance/k4_rebalance_single",
             "scenario_rebalance/k4_rebalance_sharded4",
-            window,
-            &spec,
-        ));
-    }
-
-    // Query serving under write load: the smoke deployment with a 16
-    // queries/epoch snapshot-read stream spanning the emission window (see
-    // ScenarioSpec::query_under_load). On top of the normal path, the
-    // ns/report prices the per-epoch snapshot captures, the sharded-mode
-    // quiesce barriers at every epoch boundary, and the plurality/poll/
-    // CMS/cache reads the stream performs against the images.
-    if wants("scenario_query/k4_single") {
-        let spec = dta_sim::ScenarioSpec::query_under_load(dta_sim::TranslatorMode::SingleThreaded);
-        results.push(run_loop_scenario("scenario_query/k4_single", window, &spec));
-    }
-    if wants("scenario_query/k4_sharded4") {
-        let spec =
-            dta_sim::ScenarioSpec::query_under_load(dta_sim::TranslatorMode::Sharded { shards: 4 });
-        results.push(run_loop_scenario("scenario_query/k4_sharded4", window, &spec));
-    }
-
-    // Datacenter scale: K=8 fat tree, 1008 paced reporters (8 lanes per
-    // host). One run is ~13k reports over 80 switches — the workload the
-    // PR 4 engine rewrite (dense arenas + timing wheel) exists for.
-    if wants("scenario_large/k8_single") {
-        let spec = dta_sim::ScenarioSpec::large(dta_sim::TranslatorMode::SingleThreaded);
-        results.push(run_loop_scenario("scenario_large/k8_single", window, &spec));
-    }
-    if wants("scenario_large/k8_sharded4") {
-        let spec = dta_sim::ScenarioSpec::large(dta_sim::TranslatorMode::Sharded { shards: 4 });
-        results.push(run_loop_scenario("scenario_large/k8_sharded4", window, &spec));
+        ),
+        ("query_under_load", "scenario_query/k4_single", "scenario_query/k4_sharded4"),
+        ("large", "scenario_large/k8_single", "scenario_large/k8_sharded4"),
+    ] {
+        for (name, mode) in [
+            (single, dta_sim::TranslatorMode::SingleThreaded),
+            (sharded, dta_sim::TranslatorMode::Sharded { shards: 4 }),
+        ] {
+            if wants(name) {
+                let spec = dta_sim::ScenarioSpec::preset(preset, mode);
+                results.push(run_loop_scenario(name, window, &spec));
+            }
+        }
     }
 
     results

@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 
 use config::{parse_allowlist, AllowEntry, ConfigError};
 use report::{Finding, Outcome};
-use rules::{analyze, Diagnostic, FileKind, Rule, SourceFile};
+use rules::{analyze, code_lines, Diagnostic, FileKind, Rule, SourceFile};
 
 /// What to run: which rules, against which tree, under which allowlist.
 #[derive(Debug, Clone)]
@@ -81,7 +81,9 @@ pub fn run(opts: &RunOptions) -> Result<Outcome, RunError> {
         _ => Vec::new(),
     };
 
-    Ok(resolve(analyze(&files), &allows, &opts.enabled, files_scanned))
+    let mut outcome = resolve(analyze(&files), &allows, &opts.enabled, files_scanned);
+    outcome.code_lines = code_lines(&files);
+    Ok(outcome)
 }
 
 /// Allowlist resolution, separated from I/O so tests can drive it with
@@ -124,6 +126,7 @@ pub fn resolve(
         findings,
         stale,
         allow_entries: allows.len(),
+        code_lines: Default::default(),
     }
 }
 

@@ -37,6 +37,9 @@ pub struct Outcome {
     /// exemption was kept. Fails `--check`.
     pub stale: Vec<AllowEntry>,
     pub allow_entries: usize,
+    /// Shipped code lines per crate ([`crate::rules::code_lines`]): the
+    /// number the "least code" aim watches.
+    pub code_lines: BTreeMap<String, usize>,
 }
 
 impl Outcome {
@@ -82,6 +85,11 @@ impl Outcome {
                 allowed,
             ));
         }
+        out.push_str("  code lines (non-blank, non-comment, outside #[cfg(test)]):\n");
+        for (krate, lines) in &self.code_lines {
+            out.push_str(&format!("    {krate:<16} {lines:>6}\n"));
+        }
+        out.push_str(&format!("    {:<16} {:>6}\n", "total", self.code_lines.values().sum::<usize>()));
         out
     }
 
@@ -116,6 +124,14 @@ impl Outcome {
             ));
         }
         s.push_str("\n  },\n");
+        s.push_str(&format!(
+            "  \"code_lines\": {{{}}},\n",
+            self.code_lines
+                .iter()
+                .map(|(krate, lines)| format!("{}: {lines}", json_str(krate)))
+                .collect::<Vec<_>>()
+                .join(", ")
+        ));
         s.push_str("  \"diagnostics\": [\n");
         for (i, f) in self.findings.iter().enumerate() {
             s.push_str(&format!(
@@ -184,6 +200,7 @@ mod tests {
             findings: vec![],
             stale: vec![],
             allow_entries: 0,
+            code_lines: BTreeMap::new(),
         };
         let s = o.summary();
         for r in Rule::ALL {

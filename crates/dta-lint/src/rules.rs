@@ -8,7 +8,7 @@
 //! deliberate exception. The full catalogue with rationale lives in
 //! DESIGN.md, "Static analysis".
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::lex::{lex, Lexed, Token};
@@ -205,6 +205,23 @@ pub fn analyze(files: &[SourceFile]) -> Vec<Diagnostic> {
         (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule))
     });
     diags
+}
+
+/// Per-crate `code_lines`: source lines of `src/` files that carry at
+/// least one code token (identifier or punctuation) outside `#[cfg(test)]`
+/// items. Blank lines, comment-only lines, the interior lines of a
+/// multi-line literal, and unit-test modules all count for nothing, so the
+/// number moves only when shipped code is added or removed.
+pub fn code_lines(files: &[SourceFile]) -> BTreeMap<String, usize> {
+    let mut per_crate = BTreeMap::new();
+    for f in files.iter().filter(|f| f.kind == FileKind::Analyzed) {
+        let lx = lex(&f.src);
+        let in_test = test_regions(&lx.tokens);
+        let lines: BTreeSet<usize> =
+            lx.tokens.iter().zip(&in_test).filter(|(_, t)| !**t).map(|(t, _)| t.line).collect();
+        *per_crate.entry(f.crate_dir.clone()).or_insert(0) += lines.len();
+    }
+    per_crate
 }
 
 fn is_closes_name(s: &str) -> bool {
@@ -697,6 +714,17 @@ mod tests {
         let src = "use std::time::Instant;\nfn f() { let t = Instant::now(); }\n";
         assert_eq!(rules_hit("dta-collector", src), vec![Rule::D1, Rule::D1]);
         assert_eq!(rules_hit("bench", src), vec![]);
+    }
+
+    #[test]
+    fn code_lines_skip_blanks_comments_and_test_modules() {
+        let src = "// header\n\nfn f() {\n    g(); // trailing\n}\n/* block\n   comment */\n\
+                   #[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
+        let mut t = file("dta-sim", src);
+        t.kind = FileKind::TestOnly;
+        let counts = code_lines(&[file("dta-sim", src), file("dta-net", "fn h() {}\n"), t]);
+        assert_eq!(counts["dta-sim"], 3, "fn f, its body line, its closing brace");
+        assert_eq!(counts["dta-net"], 1);
     }
 
     #[test]

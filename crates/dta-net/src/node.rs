@@ -56,6 +56,12 @@ pub trait NetNode: std::any::Any {
     fn tick(&mut self, _now: SimTime, _out: &mut Vec<Emission>) -> bool {
         true
     }
+
+    /// Barrier any work the node does off the engine thread: when this
+    /// returns, the effects of every packet received so far are visible to
+    /// an outside observer (a harness snapshotting memory mid-run). Default:
+    /// nothing to wait for.
+    fn quiesce(&mut self) {}
 }
 
 /// A node that sinks every packet and counts them; useful as a stub and for

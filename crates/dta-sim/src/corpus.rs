@@ -1093,6 +1093,35 @@ pub fn load_str(file: &str, text: &str) -> Result<CorpusDoc, ParseError> {
     Ok(doc)
 }
 
+/// The checked-in `scenarios/<name>.toml` files the suites and benches run
+/// by name, embedded at build time. The files are the only source of
+/// these deployments; `corpus_suite` validates every one of them.
+const PRESETS: [(&str, &str); 6] = [
+    ("smoke", include_str!("../../../scenarios/smoke.toml")),
+    ("congested", include_str!("../../../scenarios/congested.toml")),
+    ("failover", include_str!("../../../scenarios/failover.toml")),
+    ("rebalance", include_str!("../../../scenarios/rebalance.toml")),
+    ("query_under_load", include_str!("../../../scenarios/query_under_load.toml")),
+    ("large", include_str!("../../../scenarios/large.toml")),
+];
+
+impl ScenarioSpec {
+    /// The base spec of the preset scenario `name` (see [`PRESETS`]; each
+    /// file's header says what the deployment is for), run under `mode`.
+    ///
+    /// # Panics
+    /// Panics on a name that is not a preset, or if the embedded file does
+    /// not parse — both are bugs in this repository, not input errors.
+    pub fn preset(name: &str, mode: TranslatorMode) -> ScenarioSpec {
+        let (_, text) = PRESETS
+            .iter()
+            .find(|(n, _)| *n == name)
+            .unwrap_or_else(|| panic!("no preset scenario named {name:?}"));
+        let doc = parse_str(name, text).unwrap_or_else(|e| panic!("preset scenario: {e}"));
+        ScenarioSpec { mode, ..doc.spec }
+    }
+}
+
 /// [`load_str`] over a file on disk.
 pub fn load_file(path: &std::path::Path) -> Result<CorpusDoc, ParseError> {
     let name = path.display().to_string();
@@ -1295,21 +1324,12 @@ mod tests {
 
     #[test]
     fn presets_render_and_reparse_identically() {
-        let presets: Vec<(&str, ScenarioSpec)> = vec![
-            ("default", ScenarioSpec::default()),
-            ("smoke", ScenarioSpec::smoke(TranslatorMode::SingleThreaded)),
-            ("smoke4", ScenarioSpec::smoke(TranslatorMode::Sharded { shards: 4 })),
-            ("congested", ScenarioSpec::congested(TranslatorMode::SingleThreaded)),
-            ("failover", ScenarioSpec::failover(TranslatorMode::Sharded { shards: 4 })),
-            ("rebalance", ScenarioSpec::rebalance(TranslatorMode::SingleThreaded)),
-            ("query_under_load", ScenarioSpec::query_under_load(TranslatorMode::SingleThreaded)),
-            (
-                "query_under_load4",
-                ScenarioSpec::query_under_load(TranslatorMode::Sharded { shards: 4 }),
-            ),
-            ("large", ScenarioSpec::large(TranslatorMode::SingleThreaded)),
-        ];
-        for (name, spec) in presets {
+        let modes = [TranslatorMode::SingleThreaded, TranslatorMode::Sharded { shards: 4 }];
+        let mut specs = vec![("default", ScenarioSpec::default())];
+        for (name, _) in PRESETS {
+            specs.extend(modes.map(|mode| (name, ScenarioSpec::preset(name, mode))));
+        }
+        for (name, spec) in specs {
             let text = render_spec(&spec);
             let doc = parse_str(name, &text)
                 .unwrap_or_else(|e| panic!("{name} failed to reparse: {e}"));
@@ -1430,7 +1450,7 @@ victim = [0, 2]
 kill_at_ns = [9_000, 12_000]
 ";
         let doc = load_str("fo.toml", text).unwrap();
-        assert_eq!(doc.spec, ScenarioSpec::failover(TranslatorMode::SingleThreaded));
+        assert_eq!(doc.spec, ScenarioSpec::preset("failover", TranslatorMode::SingleThreaded));
         let cells = doc.cells();
         assert_eq!(cells.len(), 4);
         let f = cells[3].spec.collectors.fault.unwrap();

@@ -32,9 +32,9 @@ use dta_rdma::mr::SnapshotBuf;
 use dta_reporter::{PacedReporterNode, Reporter, ReporterConfig, ReporterFleetNode, RetxStats};
 use dta_translator::node::TranslatorNodeStats;
 use dta_translator::{
-    FailoverStats, FleetAdmin, FleetConfig, FleetEvent, FleetQueryEngine, FleetShardedNode,
-    FleetTranslatorNode, RebalanceConfig, RebalanceStats, ShardedConfig, ShardedTranslatorNode,
-    Translator, TranslatorNode, TranslatorStats,
+    FailoverStats, FleetAdmin, FleetConfig, FleetEvent, FleetNode, FleetQueryEngine, LinkKind,
+    RebalanceConfig, RebalanceStats, ShardedConfig, ShardedTranslatorNode, Translator,
+    TranslatorNode, TranslatorStats,
 };
 
 use crate::query::{CollectorReaders, QueryService, QueryStats};
@@ -305,7 +305,8 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
     // Reader clones for the online query service, captured before the
     // services move into their network nodes (both branches below).
     let mut query_readers: Vec<CollectorReaders> = Vec::new();
-    let sharded_tor = if fleet {
+    let sharded_tor = matches!(spec.mode, TranslatorMode::Sharded { .. });
+    if fleet {
         let mut services: Vec<CollectorService> =
             (0..fleet_size).map(|_| CollectorService::new(spec.service.clone())).collect();
         let mut peers: Vec<(NodeId, u32, &mut CollectorService)> = services
@@ -324,40 +325,25 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
             faults: rb.faults,
             seed: splitmix64(spec.seed ^ 0x5EBA_1A4C),
         });
-        let sharded = match spec.mode {
-            TranslatorMode::Sharded { shards } => {
-                let (node, admin) = FleetShardedNode::connect(
-                    &ShardedConfig {
-                        shards,
-                        translator: translator_config,
-                        ..ShardedConfig::default()
-                    },
-                    spec.collectors.ledger_capacity,
-                    rebalance_cfg,
-                    &mut peers,
-                );
-                fleet_admin = Some(admin);
-                net.add_interceptor(tor, Box::new(node));
-                true
-            }
-            TranslatorMode::SingleThreaded => {
-                let (node, admin) = FleetTranslatorNode::connect(
-                    &FleetConfig {
-                        translator: translator_config,
-                        timeout_ns: spec.collectors.timeout_ns,
-                        min_unacked: spec.collectors.min_unacked,
-                        ledger_capacity: spec.collectors.ledger_capacity,
-                        rebalance: rebalance_cfg,
-                    },
-                    &mut peers,
-                    tor,
-                    TRANSLATOR_IP,
-                );
-                fleet_admin = Some(admin);
-                net.add_interceptor(tor, Box::new(node));
-                false
-            }
+        // The translator mode picks the link the fleet node's RDMA rides
+        // on; nothing inside the node branches on the mode again.
+        let link = match spec.mode {
+            TranslatorMode::Sharded { shards } => LinkKind::InProcess { shards },
+            TranslatorMode::SingleThreaded => LinkKind::Roce { my_id: tor, my_ip: TRANSLATOR_IP },
         };
+        let (node, admin) = FleetNode::connect(
+            &FleetConfig {
+                translator: translator_config,
+                timeout_ns: spec.collectors.timeout_ns,
+                min_unacked: spec.collectors.min_unacked,
+                ledger_capacity: spec.collectors.ledger_capacity,
+                rebalance: rebalance_cfg,
+            },
+            link,
+            &mut peers,
+        );
+        fleet_admin = Some(admin);
+        net.add_interceptor(tor, Box::new(node));
         drop(peers);
         // Fleet ticks drive admin-event consumption, completion-timeout
         // detection, and periodic endpoint flushes.
@@ -372,10 +358,9 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
             let (host, _) = collector_sites[c];
             net.add_node(host, Box::new(CollectorNode::new(svc, host, COLLECTOR_IP + c as u32)));
         }
-        sharded
     } else {
         let mut svc = CollectorService::new(spec.service.clone());
-        let sharded = match spec.mode {
+        match spec.mode {
             TranslatorMode::Sharded { shards } => {
                 let mut node = ShardedTranslatorNode::connect(
                     ShardedConfig {
@@ -394,7 +379,6 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
                     net.add_tick(tor, spec.tick_ns);
                 }
                 net.add_interceptor(tor, Box::new(node));
-                true
             }
             TranslatorMode::SingleThreaded => {
                 let mut translator = Translator::new(translator_config);
@@ -432,9 +416,8 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
                         COLLECTOR_IP,
                     )),
                 );
-                false
             }
-        };
+        }
         if spec.query.is_some() {
             query_readers = vec![CollectorReaders::from_service(&svc, spec.service.max_redundancy)];
         }
@@ -442,8 +425,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
             collector_host,
             Box::new(CollectorNode::new(svc, collector_host, COLLECTOR_IP)),
         );
-        sharded
-    };
+    }
 
     mark(2, &mut __t);
     // --- Fleet nodes and pacing ------------------------------------------
@@ -541,15 +523,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
         let mut epoch = qs.first_epoch();
         while epoch * spec.tick_ns < stop_ns {
             net.run_until(SimTime::from_nanos(epoch * spec.tick_ns));
-            if sharded_tor {
-                let node = net.node_mut(tor).expect("translator node");
-                let node: &mut dyn std::any::Any = node;
-                if let Some(n) = node.downcast_mut::<FleetShardedNode>() {
-                    n.quiesce();
-                } else if let Some(n) = node.downcast_mut::<ShardedTranslatorNode>() {
-                    n.quiesce();
-                }
-            }
+            net.node_mut(tor).expect("translator node").quiesce();
             qs.run_epoch(epoch, emit_end);
             epoch += 1;
         }
@@ -574,26 +548,18 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
     let tor_node: Box<dyn std::any::Any> = net.remove_node(tor).expect("translator node");
     let (translator_stats, translator_node_stats, per_shard, sharded_executed, failover, rebalance, table) =
         if fleet {
-            if sharded_tor {
-                let mut node =
-                    tor_node.downcast::<FleetShardedNode>().expect("fleet sharded node");
-                let node_stats = node.stats;
-                let rep = node.finish().expect("pipelines not yet finished");
-                let mut translator = TranslatorStats::default();
-                let mut per_shard = Vec::new();
-                let mut executed = 0u64;
-                for run in &rep.runs {
-                    translator.merge(&run.translator);
-                    per_shard.extend(run.shards.iter().map(|s| s.translator.reports_in));
-                    executed += run.executed;
-                }
-                (translator, node_stats, per_shard, Some(executed), rep.failover, rep.rebalance, Some(rep.table))
-            } else {
-                let mut node = tor_node.downcast::<FleetTranslatorNode>().expect("fleet node");
-                let node_stats = node.stats;
-                let rep = node.finish();
-                (rep.translator, node_stats, Vec::new(), None, rep.failover, rep.rebalance, Some(rep.table))
-            }
+            let node = tor_node.downcast::<FleetNode>().expect("fleet node");
+            let node_stats = node.stats;
+            let rep = node.finish();
+            (
+                rep.translator,
+                node_stats,
+                rep.per_shard_reports_in,
+                rep.executed,
+                rep.failover,
+                rep.rebalance,
+                Some(rep.table),
+            )
         } else if sharded_tor {
             let mut node = tor_node.downcast::<ShardedTranslatorNode>().expect("sharded node");
             let node_stats = node.stats;

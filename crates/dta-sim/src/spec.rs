@@ -730,153 +730,6 @@ impl ScenarioSpec {
         }
         Ok(())
     }
-
-    /// Small smoke-test preset: K=4 fat tree, mixed traffic, no faults —
-    /// also the workload the `scenario` bench phase in
-    /// `BENCH_translator.json` measures. Pools are slot-disjoint so the
-    /// preset is bit-reproducible in *both* translator modes (see
-    /// [`TrafficMix::slot_disjoint_keys`]).
-    pub fn smoke(mode: TranslatorMode) -> Self {
-        ScenarioSpec {
-            mode,
-            traffic: TrafficMix { slot_disjoint_keys: true, ..TrafficMix::default() },
-            ..ScenarioSpec::default()
-        }
-    }
-
-    /// Congestion-loop preset: the K=4 fabric under a translator rate
-    /// limit tight enough to drop a third or more of the offered load,
-    /// with NACKs and reporter retransmission closing the loop — the
-    /// `scenario_congested` bench phase and the congestion-recovery test
-    /// workload. Traffic is Key-Write + Key-Increment only: Append batch
-    /// slots and Postcarding cache rows do not survive single-report
-    /// retransmission (a dropped batch write loses `B` entries but NACKs
-    /// one seq), so a recovery scenario that must converge to the
-    /// unthrottled run's memory excludes them; Key-Writes are write-once
-    /// ([`TrafficMix::kw_write_once`]) so a retransmitted write cannot
-    /// land behind a newer value for the same key, and Key-Increments
-    /// commute. Under those two conditions recovery is *guaranteed*
-    /// byte-identical for every seed, not pinned per seed.
-    pub fn congested(mode: TranslatorMode) -> Self {
-        ScenarioSpec {
-            ops_per_reporter: 24,
-            traffic: TrafficMix {
-                key_write: 1,
-                append: 0,
-                key_increment: 1,
-                postcarding: 0,
-                kw_keys: 2048,
-                slot_disjoint_keys: true,
-                kw_write_once: true,
-                ..TrafficMix::default()
-            },
-            congestion: CongestionPlan::closed_loop(
-                RateLimiterConfig { msgs_per_sec: 10e6, burst: 64 },
-                RetransmitPolicy { window: 1024, max_retries: 8, pace_ns: 20_000 },
-            ),
-            mode,
-            // Headroom for the retransmit waves (each paced 20us apart)
-            // to land before the run's deadline.
-            drain_ns: 600_000,
-            ..ScenarioSpec::default()
-        }
-    }
-
-    /// Collector-failover preset: the K=4 fabric with a 3-collector fleet
-    /// and a fail-stop kill of collector 1 mid-emission — the
-    /// `scenario_failover` bench phase and the failover-suite workload.
-    /// Traffic is Key-Write + Key-Increment only (the two primitives whose
-    /// replay is order-invariant: write-once KW is idempotent by value,
-    /// increments commute), with *both* key pools slot-disjoint so the
-    /// surviving fleet's merged memory is byte-comparable against a
-    /// same-seed run that never had the failure. The collector NICs ACK
-    /// every 8th packet (instead of the BlueField default 64) so the
-    /// completion-timeout detector works against a tight backlog bound:
-    /// `min_unacked = 24 > 2 service QPs × 7 coalesced`.
-    pub fn failover(mode: TranslatorMode) -> Self {
-        let mut spec = ScenarioSpec {
-            ops_per_reporter: 48,
-            traffic: TrafficMix {
-                key_write: 1,
-                append: 0,
-                key_increment: 1,
-                postcarding: 0,
-                kw_keys: 2048,
-                slot_disjoint_keys: true,
-                kw_write_once: true,
-                inc_slot_disjoint: true,
-                ..TrafficMix::default()
-            },
-            collectors: CollectorPlan {
-                // Kill 1 of 3 at 12us — mid-way through the ~28us emission
-                // window, so reports for the victim's key range are in
-                // flight on both sides of the fail-stop. The 8us timeout
-                // puts single-threaded detection around 20-24us, still
-                // inside the window: the suite wants both live re-routing
-                // *and* ledger replay in the same run. `min_unacked` alone
-                // keeps quiet-but-live collectors safe, so the short
-                // horizon cannot false-positive a healthy node.
-                fault: Some(CollectorFaultPlan::kill(1, 12_000)),
-                timeout_ns: 8_000,
-                ..CollectorPlan::fleet(3)
-            },
-            mode,
-            // Headroom for detection (timeout_ns past the kill) and the
-            // replayed writes to land before the flush.
-            drain_ns: 600_000,
-            ..ScenarioSpec::default()
-        };
-        spec.service.nic = spec.service.nic.with_ack_coalesce(8);
-        spec
-    }
-
-    /// Rebalance preset: the failover fleet with a rejoin and a scheduled
-    /// key-range migration back to the victim — the `scenario_rebalance`
-    /// bench phase and the rebalance-suite workload. Timeline: kill at
-    /// 12us, rejoin at 28us, fence up at 36us; `ops_per_reporter` is
-    /// doubled versus the failover preset so emission (~52us of paced
-    /// traffic) is still live through the whole fence/drain window — the
-    /// suite wants double-writes and increment deferral exercised by real
-    /// concurrent load, not a quiesced handoff.
-    pub fn rebalance(mode: TranslatorMode) -> Self {
-        let mut spec = ScenarioSpec::failover(mode);
-        spec.ops_per_reporter = 96;
-        if let Some(fault) = &mut spec.collectors.fault {
-            fault.rejoin_at_ns = Some(28_000);
-        }
-        spec.rebalance = Some(RebalancePlan::default());
-        spec
-    }
-
-    /// Query-under-load preset: the smoke deployment with an online query
-    /// service issuing 16 queries per tick across all four primitives
-    /// while the reporters write — the `scenario_query` bench phases and
-    /// the query-suite workload. The query window `[4us, 32us)` spans the
-    /// whole ~20us emission window plus early drain, so most epochs read
-    /// memory that is actively being written. Slot-disjoint pools (from
-    /// the smoke preset) keep it bit-reproducible in both translator
-    /// modes.
-    pub fn query_under_load(mode: TranslatorMode) -> Self {
-        ScenarioSpec { query: Some(QueryPlan::default()), ..ScenarioSpec::smoke(mode) }
-    }
-
-    /// Datacenter-scale preset: a K=8 fat tree (80 switches, 128 hosts)
-    /// carrying a 1008-reporter fleet — 8 lanes on each of the 127
-    /// non-collector hosts — with the default mixed traffic blend. This is
-    /// the `scenario_large` bench phase and the CI K=8 smoke workload.
-    /// Slot-disjoint pools keep it bit-reproducible in both translator
-    /// modes; `ops_per_reporter` is small because the fleet, not the
-    /// per-reporter depth, is what this scenario scales.
-    pub fn large(mode: TranslatorMode) -> Self {
-        ScenarioSpec {
-            fat_tree_k: 8,
-            reporters: 1008,
-            ops_per_reporter: 4,
-            mode,
-            traffic: TrafficMix { slot_disjoint_keys: true, ..TrafficMix::default() },
-            ..ScenarioSpec::default()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -886,7 +739,7 @@ mod tests {
     #[test]
     fn default_spec_validates() {
         assert_eq!(ScenarioSpec::default().validate(), Ok(()));
-        assert_eq!(ScenarioSpec::smoke(TranslatorMode::Sharded { shards: 4 }).validate(), Ok(()));
+        assert_eq!(ScenarioSpec::preset("smoke", TranslatorMode::Sharded { shards: 4 }).validate(), Ok(()));
     }
 
     #[test]
@@ -918,9 +771,9 @@ mod tests {
         use dta_reporter::RetransmitPolicy;
         use dta_translator::RateLimiterConfig;
         // The shipped congested preset is internally consistent.
-        assert_eq!(ScenarioSpec::congested(TranslatorMode::SingleThreaded).validate(), Ok(()));
+        assert_eq!(ScenarioSpec::preset("congested", TranslatorMode::SingleThreaded).validate(), Ok(()));
         assert_eq!(
-            ScenarioSpec::congested(TranslatorMode::Sharded { shards: 4 }).validate(),
+            ScenarioSpec::preset("congested", TranslatorMode::Sharded { shards: 4 }).validate(),
             Ok(())
         );
         // Retransmit without NACKs can never trigger.
@@ -941,7 +794,7 @@ mod tests {
         s.congestion.nack_on_drop = true;
         assert!(s.validate().is_err());
         // Write-once pools must cover the worst-case op count.
-        let mut s = ScenarioSpec::congested(TranslatorMode::SingleThreaded);
+        let mut s = ScenarioSpec::preset("congested", TranslatorMode::SingleThreaded);
         s.traffic.kw_keys = 8;
         assert!(s.validate().is_err());
     }
@@ -964,9 +817,9 @@ mod tests {
     fn collector_plans_validate() {
         // The shipped failover preset is internally consistent in both
         // modes.
-        assert_eq!(ScenarioSpec::failover(TranslatorMode::SingleThreaded).validate(), Ok(()));
+        assert_eq!(ScenarioSpec::preset("failover", TranslatorMode::SingleThreaded).validate(), Ok(()));
         assert_eq!(
-            ScenarioSpec::failover(TranslatorMode::Sharded { shards: 4 }).validate(),
+            ScenarioSpec::preset("failover", TranslatorMode::Sharded { shards: 4 }).validate(),
             Ok(())
         );
         // A fault needs survivors.
@@ -1006,7 +859,7 @@ mod tests {
         s.collectors.fault = Some(f);
         assert_eq!(s.validate(), Ok(()));
         // The fleet nodes opt out of the congestion loop.
-        let mut s = ScenarioSpec::failover(TranslatorMode::SingleThreaded);
+        let mut s = ScenarioSpec::preset("failover", TranslatorMode::SingleThreaded);
         s.congestion.rate_limit =
             Some(dta_translator::RateLimiterConfig { msgs_per_sec: 10e6, burst: 64 });
         assert!(s.validate().is_err());
@@ -1022,35 +875,35 @@ mod tests {
     fn rebalance_plans_validate() {
         // The shipped rebalance preset is internally consistent in both
         // modes.
-        assert_eq!(ScenarioSpec::rebalance(TranslatorMode::SingleThreaded).validate(), Ok(()));
+        assert_eq!(ScenarioSpec::preset("rebalance", TranslatorMode::SingleThreaded).validate(), Ok(()));
         assert_eq!(
-            ScenarioSpec::rebalance(TranslatorMode::Sharded { shards: 4 }).validate(),
+            ScenarioSpec::preset("rebalance", TranslatorMode::Sharded { shards: 4 }).validate(),
             Ok(())
         );
         // A rebalance without any collector fault has no churn to heal.
-        let mut s = ScenarioSpec::rebalance(TranslatorMode::SingleThreaded);
+        let mut s = ScenarioSpec::preset("rebalance", TranslatorMode::SingleThreaded);
         s.collectors.fault = None;
         let err = s.validate().unwrap_err();
         assert!(err.contains("collectors.fault"), "unexpected error: {err}");
         // ...and without a rejoin there is no migration target.
-        let mut s = ScenarioSpec::rebalance(TranslatorMode::SingleThreaded);
+        let mut s = ScenarioSpec::preset("rebalance", TranslatorMode::SingleThreaded);
         s.collectors.fault.as_mut().unwrap().rejoin_at_ns = None;
         let err = s.validate().unwrap_err();
         assert!(err.contains("rejoin_at_ns"), "unexpected error: {err}");
         // The fence cannot go up before the victim is back.
-        let mut s = ScenarioSpec::rebalance(TranslatorMode::SingleThreaded);
+        let mut s = ScenarioSpec::preset("rebalance", TranslatorMode::SingleThreaded);
         s.rebalance.as_mut().unwrap().start_at_ns = 28_000;
         assert!(s.validate().is_err());
         s.rebalance.as_mut().unwrap().start_at_ns = 28_001;
         assert_eq!(s.validate(), Ok(()));
         // Zero-sized migration bounds would evict everything on arrival.
-        let mut s = ScenarioSpec::rebalance(TranslatorMode::SingleThreaded);
+        let mut s = ScenarioSpec::preset("rebalance", TranslatorMode::SingleThreaded);
         s.rebalance.as_mut().unwrap().fence_capacity = 0;
         assert!(s.validate().is_err());
-        let mut s = ScenarioSpec::rebalance(TranslatorMode::SingleThreaded);
+        let mut s = ScenarioSpec::preset("rebalance", TranslatorMode::SingleThreaded);
         s.rebalance.as_mut().unwrap().ledger_capacity = 0;
         assert!(s.validate().is_err());
-        let mut s = ScenarioSpec::rebalance(TranslatorMode::SingleThreaded);
+        let mut s = ScenarioSpec::preset("rebalance", TranslatorMode::SingleThreaded);
         s.rebalance.as_mut().unwrap().drain_batch = 0;
         assert!(s.validate().is_err());
     }
@@ -1058,33 +911,33 @@ mod tests {
     #[test]
     fn query_plans_validate() {
         // The shipped preset is internally consistent in both modes.
-        assert_eq!(ScenarioSpec::query_under_load(TranslatorMode::SingleThreaded).validate(), Ok(()));
+        assert_eq!(ScenarioSpec::preset("query_under_load", TranslatorMode::SingleThreaded).validate(), Ok(()));
         assert_eq!(
-            ScenarioSpec::query_under_load(TranslatorMode::Sharded { shards: 4 }).validate(),
+            ScenarioSpec::preset("query_under_load", TranslatorMode::Sharded { shards: 4 }).validate(),
             Ok(())
         );
         // Degenerate rates and empty windows fail loudly.
-        let mut s = ScenarioSpec::query_under_load(TranslatorMode::SingleThreaded);
+        let mut s = ScenarioSpec::preset("query_under_load", TranslatorMode::SingleThreaded);
         s.query.as_mut().unwrap().rate = 0;
         assert!(s.validate().is_err());
-        let mut s = ScenarioSpec::query_under_load(TranslatorMode::SingleThreaded);
+        let mut s = ScenarioSpec::preset("query_under_load", TranslatorMode::SingleThreaded);
         s.query.as_mut().unwrap().stop_ns = s.query.unwrap().start_ns;
         assert!(s.validate().is_err());
         // An all-zero mix never queries anything.
-        let mut s = ScenarioSpec::query_under_load(TranslatorMode::SingleThreaded);
+        let mut s = ScenarioSpec::preset("query_under_load", TranslatorMode::SingleThreaded);
         s.query.as_mut().unwrap().mix =
             QueryMix { key_write: 0, append: 0, key_increment: 0, postcarding: 0 };
         assert!(s.validate().is_err());
         // Querying a primitive the traffic never writes samples an empty
         // pool.
-        let mut s = ScenarioSpec::query_under_load(TranslatorMode::SingleThreaded);
+        let mut s = ScenarioSpec::preset("query_under_load", TranslatorMode::SingleThreaded);
         s.traffic.postcarding = 0;
         let err = s.validate().unwrap_err();
         assert!(err.contains("postcarding"), "unexpected error: {err}");
         s.query.as_mut().unwrap().mix.postcarding = 0;
         assert_eq!(s.validate(), Ok(()));
         // The reader routes with the epoch-0 table: no collector faults.
-        let mut s = ScenarioSpec::query_under_load(TranslatorMode::SingleThreaded);
+        let mut s = ScenarioSpec::preset("query_under_load", TranslatorMode::SingleThreaded);
         s.traffic.append = 0;
         s.traffic.postcarding = 0;
         s.query.as_mut().unwrap().mix.append = 0;
@@ -1100,7 +953,7 @@ mod tests {
         s.collectors.fault = None;
         assert_eq!(s.validate(), Ok(()), "fleet-without-fault query runs are legal");
         // Sharded query runs need collision-free pools.
-        let mut s = ScenarioSpec::query_under_load(TranslatorMode::Sharded { shards: 4 });
+        let mut s = ScenarioSpec::preset("query_under_load", TranslatorMode::Sharded { shards: 4 });
         s.traffic.slot_disjoint_keys = false;
         let err = s.validate().unwrap_err();
         assert!(err.contains("slot_disjoint_keys"), "unexpected error: {err}");

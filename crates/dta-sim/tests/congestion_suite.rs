@@ -31,7 +31,7 @@ use proptest::prelude::*;
 
 /// The congested preset at a pinned seed, per mode.
 fn congested(mode: TranslatorMode, seed: u64) -> ScenarioSpec {
-    ScenarioSpec { seed, ..ScenarioSpec::congested(mode) }
+    ScenarioSpec { seed, ..ScenarioSpec::preset("congested", mode) }
 }
 
 #[test]
@@ -125,7 +125,7 @@ fn pfc_lossless_rdma_hop_pauses_without_dropping() {
     };
     let mut spec = ScenarioSpec {
         seed: 0x9FC_0001,
-        ..ScenarioSpec::smoke(TranslatorMode::SingleThreaded)
+        ..ScenarioSpec::preset("smoke", TranslatorMode::SingleThreaded)
     };
     spec.congestion.rdma_link = squeezed;
     spec.drain_ns = 2_000_000; // the 1G hop needs longer to serialize
@@ -186,7 +186,7 @@ proptest! {
             ops_per_reporter: ops,
             faults,
             seed,
-            ..ScenarioSpec::congested(TranslatorMode::SingleThreaded)
+            ..ScenarioSpec::preset("congested", TranslatorMode::SingleThreaded)
         };
         let mut specs = vec![base.clone()];
         specs.push(ScenarioSpec { mode: TranslatorMode::Sharded { shards: 4 }, ..base });

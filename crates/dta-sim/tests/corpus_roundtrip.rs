@@ -46,11 +46,11 @@ proptest! {
         };
         let mut spec = match base {
             0 => ScenarioSpec { mode, ..ScenarioSpec::default() },
-            1 => ScenarioSpec::smoke(mode),
-            2 => ScenarioSpec::congested(mode),
-            3 => ScenarioSpec::failover(mode),
-            4 => ScenarioSpec::rebalance(mode),
-            _ => ScenarioSpec::query_under_load(mode),
+            1 => ScenarioSpec::preset("smoke", mode),
+            2 => ScenarioSpec::preset("congested", mode),
+            3 => ScenarioSpec::preset("failover", mode),
+            4 => ScenarioSpec::preset("rebalance", mode),
+            _ => ScenarioSpec::preset("query_under_load", mode),
         };
         spec.seed = seed;
         spec.tick_ns = tick_ns;

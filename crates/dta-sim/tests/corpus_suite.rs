@@ -1,19 +1,17 @@
 //! Corpus conformance: the `scenarios/` tree is a first-class test input.
 //!
-//! Always-on (debug) checks parse + validate every corpus file and pin
-//! the preset ports byte-for-byte against their Rust constructors; the
-//! release-gated half actually runs cells — per-file smoke cells twice
+//! Always-on (debug) checks parse + validate every corpus file (the
+//! presets `ScenarioSpec::preset` embeds included) and pin the empty
+//! `default.toml` to `ScenarioSpec::default()`; the release-gated half
+//! actually runs cells — per-file smoke cells twice
 //! for bit-reproducibility, and every cell of files tagged
 //! `cross_mode_identical` for single-vs-sharded memory equality.
 
 use std::path::{Path, PathBuf};
 
-use dta_sim::{load_dir, load_file, Axis, CorpusDoc, ScenarioSpec, TranslatorMode};
+use dta_sim::{load_dir, Axis, CorpusDoc, ScenarioSpec};
 #[cfg(not(debug_assertions))]
 use dta_sim::{memory_fingerprint, run_scenario};
-
-/// `(corpus file, expected base preset, optional sharded cell check)`.
-type PresetCase = (&'static str, ScenarioSpec, Option<(&'static str, ScenarioSpec)>);
 
 fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
@@ -25,75 +23,18 @@ fn load_corpus() -> Vec<CorpusDoc> {
     docs
 }
 
-fn cell_spec(doc: &CorpusDoc, id: &str) -> ScenarioSpec {
-    doc.cells()
-        .into_iter()
-        .find(|c| c.id() == id)
-        .unwrap_or_else(|| panic!("{}: no cell [{id}]", doc.file))
-        .spec
-}
-
-/// Every Rust preset exists as a corpus file whose base spec — and, via
-/// the mode axis, whose sharded cell — is *identical* to the constructor's
-/// output. This is the acceptance criterion that keeps the corpus and the
-/// code from drifting apart.
-#[test]
-fn preset_ports_parse_to_identical_specs() {
-    let sharded4 = TranslatorMode::Sharded { shards: 4 };
-    let cases: Vec<PresetCase> = vec![
-        ("default.toml", ScenarioSpec::default(), None),
-        (
-            "smoke.toml",
-            ScenarioSpec::smoke(TranslatorMode::SingleThreaded),
-            Some(("seed=1,mode=sharded4", ScenarioSpec::smoke(sharded4))),
-        ),
-        (
-            "congested.toml",
-            ScenarioSpec::congested(TranslatorMode::SingleThreaded),
-            Some(("seed=1,mode=sharded4", ScenarioSpec::congested(sharded4))),
-        ),
-        (
-            "failover.toml",
-            ScenarioSpec::failover(TranslatorMode::SingleThreaded),
-            Some(("seed=1,victim=1,mode=sharded4", ScenarioSpec::failover(sharded4))),
-        ),
-        (
-            "rebalance.toml",
-            ScenarioSpec::rebalance(TranslatorMode::SingleThreaded),
-            Some(("seed=1,mode=sharded4", ScenarioSpec::rebalance(sharded4))),
-        ),
-        (
-            "query_under_load.toml",
-            ScenarioSpec::query_under_load(TranslatorMode::SingleThreaded),
-            Some(("seed=1,mode=sharded4", ScenarioSpec::query_under_load(sharded4))),
-        ),
-        (
-            "large.toml",
-            ScenarioSpec::large(TranslatorMode::SingleThreaded),
-            Some(("mode=sharded4", ScenarioSpec::large(sharded4))),
-        ),
-    ];
-    for (file, want, sharded) in cases {
-        let doc = load_file(&corpus_dir().join(file))
-            .unwrap_or_else(|e| panic!("{file}: {e}"));
-        assert_eq!(doc.spec, want, "{file} base spec drifted from its preset");
-        if let Some((cell_id, want_sharded)) = sharded {
-            assert_eq!(
-                cell_spec(&doc, cell_id),
-                want_sharded,
-                "{file} cell [{cell_id}] drifted from the sharded preset"
-            );
-        }
-    }
-}
-
 /// Every file parses, validates (`load_dir` runs `validate()` on the base
 /// spec and every expanded cell), declares at least one invariant, and
 /// the corpus carries the acceptance grid: one file expanding to a
 /// >= 64-cell seed×fault×mode sweep.
+///
+/// `default.toml` is empty of overrides and must stay equal to the Rust
+/// default every other file is a delta from.
 #[test]
 fn corpus_conforms() {
     let docs = load_corpus();
+    let default = docs.iter().find(|d| d.file.ends_with("default.toml")).expect("default.toml");
+    assert_eq!(default.spec, ScenarioSpec::default(), "default.toml overrides a default");
     for doc in &docs {
         assert!(
             doc.invariants.any(),

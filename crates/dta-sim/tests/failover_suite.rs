@@ -42,7 +42,7 @@ const BOTH_MODES: [TranslatorMode; 2] =
 
 /// The failover preset (kill collector 1 of 3 at 12us) at a pinned seed.
 fn failover(mode: TranslatorMode, seed: u64) -> ScenarioSpec {
-    ScenarioSpec { seed, ..ScenarioSpec::failover(mode) }
+    ScenarioSpec { seed, ..ScenarioSpec::preset("failover", mode) }
 }
 
 /// The same deployment and workload with the fault schedule removed.

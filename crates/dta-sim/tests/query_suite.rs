@@ -31,7 +31,7 @@ fn twin(spec: &ScenarioSpec) -> ScenarioSpec {
 #[test]
 fn query_stream_leaves_writer_memory_byte_identical() {
     for mode in MODES {
-        let spec = ScenarioSpec::query_under_load(mode);
+        let spec = ScenarioSpec::preset("query_under_load", mode);
         let queried = run_scenario(&spec);
         let bare = run_scenario(&twin(&spec));
 
@@ -60,7 +60,7 @@ fn query_stream_leaves_writer_memory_byte_identical() {
 #[test]
 fn query_stats_are_bit_reproducible_and_live() {
     for mode in MODES {
-        let spec = ScenarioSpec::query_under_load(mode);
+        let spec = ScenarioSpec::preset("query_under_load", mode);
         let a = run_scenario(&spec);
         let b = run_scenario(&spec);
         assert_eq!(a.report, b.report, "{mode:?}: report must be a pure function of the spec");
@@ -86,7 +86,7 @@ fn query_stats_are_bit_reproducible_and_live() {
 fn query_stream_serves_a_collector_fleet() {
     // Fleet-without-fault: three collectors, owner-first routing on the
     // epoch-0 table. KW + INC only (the fleet preconditions).
-    let mut spec = ScenarioSpec::query_under_load(TranslatorMode::SingleThreaded);
+    let mut spec = ScenarioSpec::preset("query_under_load", TranslatorMode::SingleThreaded);
     spec.traffic.append = 0;
     spec.traffic.postcarding = 0;
     let mix = &mut spec.query.as_mut().unwrap().mix;

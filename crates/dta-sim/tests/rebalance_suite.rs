@@ -29,8 +29,9 @@
 //! 5. **Membership purity** — the `FAILOVER_SALT` redistribution is a
 //!    pure function of the alive-set: event history and epoch bumps
 //!    cannot move keys between survivors.
-//! 6. **Idempotence** — duplicate Kill/Rejoin signals for the same
-//!    collector are counted no-ops in both fleet node types.
+//! 6. **Idempotence and totality** — duplicate Kill/Rejoin signals for
+//!    the same collector, out-of-range collector indices, and a kill of
+//!    the last survivor are counted no-ops on both collector links.
 
 use dta_collector::{CollectorService, ServiceConfig};
 use dta_net::{NetNode, NodeId, SimTime};
@@ -38,8 +39,8 @@ use dta_sim::{
     run_scenario, CollectorPlan, ScenarioOutcome, ScenarioSpec, TranslatorMode, TRANSLATOR_IP,
 };
 use dta_translator::{
-    CollectorRoutingTable, FleetConfig, FleetEvent, FleetShardedNode, FleetTranslatorNode,
-    MigrationFaults, ShardedConfig,
+    CollectorRoutingTable, FleetAdmin, FleetConfig, FleetEvent, FleetNode, LinkKind,
+    MigrationFaults,
 };
 use proptest::prelude::*;
 
@@ -49,7 +50,7 @@ const BOTH_MODES: [TranslatorMode; 2] =
 /// The rebalance preset (kill 1 of 3 at 12us, rejoin 28us, fence 36us) at
 /// a pinned seed.
 fn rebalance(mode: TranslatorMode, seed: u64) -> ScenarioSpec {
-    ScenarioSpec { seed, ..ScenarioSpec::rebalance(mode) }
+    ScenarioSpec { seed, ..ScenarioSpec::preset("rebalance", mode) }
 }
 
 /// The same deployment and workload with the fault schedule — and with it
@@ -271,18 +272,15 @@ fn fleet_services() -> Vec<CollectorService> {
     (0..3).map(|_| CollectorService::new(ServiceConfig::default())).collect()
 }
 
-/// Satellite: duplicate Kill/Rejoin signals for the same collector in the
-/// same epoch are idempotent no-ops, visible in `duplicate_events` — the
-/// wire-driving fleet node.
-#[test]
-fn duplicate_fleet_events_are_noops_in_the_translator_node() {
-    let mut services = fleet_services();
+/// A 3-collector fleet node over `kind`, ledger capacity 64, no rebalance.
+/// `services` stay with the caller (the RoCE link's responders live there).
+fn fleet_node(kind: LinkKind, services: &mut [CollectorService]) -> (FleetNode, FleetAdmin) {
     let mut peers: Vec<(NodeId, u32, &mut CollectorService)> = services
         .iter_mut()
         .enumerate()
         .map(|(c, svc)| (NodeId(100 + c as u32), 0x0A00_0900 + c as u32, svc))
         .collect();
-    let (mut node, admin) = FleetTranslatorNode::connect(
+    FleetNode::connect(
         &FleetConfig {
             translator: Default::default(),
             timeout_ns: 8_000,
@@ -290,49 +288,79 @@ fn duplicate_fleet_events_are_noops_in_the_translator_node() {
             ledger_capacity: 64,
             rebalance: None,
         },
+        kind,
         &mut peers,
-        NodeId(1),
-        TRANSLATOR_IP,
-    );
-    for _ in 0..2 {
-        admin.signal(FleetEvent::ForceFailover { collector: 1 });
-    }
-    for _ in 0..2 {
-        admin.signal(FleetEvent::Rejoin { collector: 1 });
-    }
-    let mut out = Vec::new();
-    node.tick(SimTime::from_nanos(1_000), &mut out);
-    let rep = node.finish();
-    assert_eq!(rep.failover.failovers, 1, "second kill re-fired the failover");
-    assert_eq!(rep.failover.rejoins, 1, "second rejoin re-admitted twice");
-    assert_eq!(rep.failover.duplicate_events, 2, "duplicates must be counted");
-    assert_eq!(rep.table.epoch(), 2, "duplicate events bumped the epoch");
+    )
 }
 
-/// Same claim for the in-process sharded fleet node.
+const BOTH_LINKS: [LinkKind; 2] = [
+    LinkKind::Roce { my_id: NodeId(1), my_ip: TRANSLATOR_IP },
+    LinkKind::InProcess { shards: 2 },
+];
+
+/// Satellite: duplicate Kill/Rejoin signals for the same collector in the
+/// same epoch are idempotent no-ops, visible in `duplicate_events` — on
+/// both links, for both kill-class events.
 #[test]
-fn duplicate_fleet_events_are_noops_in_the_sharded_node() {
-    let mut services = fleet_services();
-    let mut peers: Vec<(NodeId, u32, &mut CollectorService)> = services
-        .iter_mut()
-        .enumerate()
-        .map(|(c, svc)| (NodeId(100 + c as u32), 0x0A00_0900 + c as u32, svc))
-        .collect();
-    let (mut node, admin) =
-        FleetShardedNode::connect(&ShardedConfig::default(), 64, None, &mut peers);
-    for _ in 0..2 {
+fn duplicate_fleet_events_are_noops() {
+    let kills: [fn(u32) -> FleetEvent; 2] = [
+        |collector| FleetEvent::Teardown { collector },
+        |collector| FleetEvent::ForceFailover { collector },
+    ];
+    for kind in BOTH_LINKS {
+        for kill in kills {
+            let mut services = fleet_services();
+            let (mut node, admin) = fleet_node(kind, &mut services);
+            for _ in 0..2 {
+                admin.signal(kill(1));
+            }
+            for _ in 0..2 {
+                admin.signal(FleetEvent::Rejoin { collector: 1 });
+            }
+            let mut out = Vec::new();
+            node.tick(SimTime::from_nanos(1_000), &mut out);
+            let rep = node.finish();
+            let case = format!("{kind:?} / {:?}", kill(1));
+            assert_eq!(rep.failover.failovers, 1, "second kill re-fired the failover: {case}");
+            assert_eq!(rep.failover.rejoins, 1, "second rejoin re-admitted twice: {case}");
+            assert_eq!(rep.failover.duplicate_events, 2, "duplicates must be counted: {case}");
+            assert_eq!(rep.table.epoch(), 2, "duplicate events bumped the epoch: {case}");
+        }
+    }
+}
+
+/// Admin events are total: `FleetAdmin::signal` is public and takes any
+/// index, so an index outside the fleet (every event variant) and a kill
+/// of the last live collector must be counted no-ops — not an unchecked
+/// table index or the last-survivor assert — on both links.
+#[test]
+fn out_of_range_and_last_survivor_events_are_counted_noops() {
+    for kind in BOTH_LINKS {
+        let mut services = fleet_services();
+        let (mut node, admin) = fleet_node(kind, &mut services);
+        let mut out = Vec::new();
+        for collector in [3, u32::MAX] {
+            admin.signal(FleetEvent::Teardown { collector });
+            admin.signal(FleetEvent::ForceFailover { collector });
+            admin.signal(FleetEvent::Rejoin { collector });
+            admin.signal(FleetEvent::Rebalance { collector });
+        }
+        node.tick(SimTime::from_nanos(1_000), &mut out);
+        assert_eq!(node.failover.epoch, 0, "an out-of-range event bumped the epoch: {kind:?}");
+        assert_eq!(node.failover.duplicate_events, 8, "{kind:?}");
+        // Kill down to one survivor, then try to kill it both ways.
+        admin.signal(FleetEvent::Teardown { collector: 0 });
+        admin.signal(FleetEvent::ForceFailover { collector: 1 });
         admin.signal(FleetEvent::Teardown { collector: 2 });
+        admin.signal(FleetEvent::ForceFailover { collector: 2 });
+        node.tick(SimTime::from_nanos(2_000), &mut out);
+        let rep = node.finish();
+        assert_eq!(rep.table.epoch(), 2, "the last survivor's kill bumped the epoch: {kind:?}");
+        assert!(rep.table.is_alive(2), "{kind:?}");
+        assert_eq!(rep.failover.failovers, 2, "{kind:?}");
+        assert_eq!(rep.failover.detected_teardown + rep.failover.spurious, 2, "{kind:?}");
+        assert_eq!(rep.failover.duplicate_events, 10, "{kind:?}");
     }
-    for _ in 0..2 {
-        admin.signal(FleetEvent::Rejoin { collector: 2 });
-    }
-    let mut out = Vec::new();
-    node.tick(SimTime::from_nanos(1_000), &mut out);
-    let rep = node.finish().expect("pipelines not yet finished");
-    assert_eq!(rep.failover.failovers, 1, "second teardown re-fired the failover");
-    assert_eq!(rep.failover.rejoins, 1, "second rejoin re-admitted twice");
-    assert_eq!(rep.failover.duplicate_events, 2, "duplicates must be counted");
-    assert_eq!(rep.table.epoch(), 2, "duplicate events bumped the epoch");
 }
 
 proptest! {

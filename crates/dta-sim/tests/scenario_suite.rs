@@ -140,7 +140,7 @@ fn sharded_k4_convergence_matches_send_counts() {
 /// answers for all of it. `large_` tests are the CI K=8 smoke step.
 #[test]
 fn large_k8_single_converges() {
-    let spec = ScenarioSpec { seed: 0x1A26_0001, ..ScenarioSpec::large(TranslatorMode::SingleThreaded) };
+    let spec = ScenarioSpec { seed: 0x1A26_0001, ..ScenarioSpec::preset("large", TranslatorMode::SingleThreaded) };
     let outcome = run_scenario(&spec);
     let r = &outcome.report;
     assert_eq!(r.reports_unsent, 0, "emission window must cover the schedule");
@@ -162,7 +162,7 @@ fn large_k8_sharded_is_bit_reproducible() {
     let spec = ScenarioSpec {
         mode: TranslatorMode::Sharded { shards: 4 },
         seed: 0x1A26_0002,
-        ..ScenarioSpec::large(TranslatorMode::SingleThreaded)
+        ..ScenarioSpec::preset("large", TranslatorMode::SingleThreaded)
     };
     let a = run_scenario(&spec);
     assert_eq!(a.report.reports_unsent, 0);
@@ -186,7 +186,7 @@ fn large_k8_faulted_report_path_accounts_for_loss() {
     let spec = ScenarioSpec {
         faults: FaultPlan::unreliable_report_path(0.05, 0.05, 0.05),
         seed: 0x1A26_0003,
-        ..ScenarioSpec::large(TranslatorMode::SingleThreaded)
+        ..ScenarioSpec::preset("large", TranslatorMode::SingleThreaded)
     };
     let outcome = run_scenario(&spec);
     let r = &outcome.report;

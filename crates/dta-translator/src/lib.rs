@@ -31,6 +31,7 @@ pub mod append;
 pub mod extensions;
 pub mod failover;
 pub mod fleet_query;
+mod link;
 pub mod node;
 pub mod partition;
 mod pool;
@@ -45,10 +46,11 @@ pub mod translator;
 pub use append::AppendBatcher;
 pub use extensions::{LatencyMatch, LatencySumQuery};
 pub use failover::{
-    CollectorRoutingTable, FailoverStats, FleetAdmin, FleetConfig, FleetEvent, FleetRunReport,
-    FleetShardedNode, FleetShardedRunReport, FleetTranslatorNode, LedgerEntry, ReplayLedger,
+    CollectorRoutingTable, FailoverStats, FleetAdmin, FleetConfig, FleetEvent, FleetNode,
+    FleetRunReport, LedgerEntry, ReplayLedger,
 };
 pub use fleet_query::FleetQueryEngine;
+pub use link::LinkKind;
 pub use node::{ShardedTranslatorNode, TranslatorNode};
 pub use partition::Partitioner;
 pub use postcard_cache::{CacheEmission, PostcardCache};

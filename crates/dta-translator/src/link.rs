@@ -1,0 +1,552 @@
+//! The collector link: the transport under [`crate::FleetNode`], which
+//! owns routing, the replay ledger, and the whole recovery state machine.
+//! [`RoceLink`] sends RDMA as RoCE packets over the simulated network, one
+//! [`Translator`] endpoint per collector; [`InProcessLink`] executes it
+//! in-process, one [`ShardedTranslator`] pipeline per collector. DESIGN.md
+//! "Failover" tabulates the two column by column.
+
+use bytes::Bytes;
+use dta_collector::layout::{CmsLayout, KwLayout};
+use dta_collector::service::{CollectorService, SERVICE_CMS, SERVICE_KW};
+use dta_core::DtaReport;
+use dta_net::{Emission, NodeId, Packet};
+use dta_rdma::cm::CmRequester;
+use dta_rdma::mr::MemoryRegion;
+use dta_rdma::packet::{Opcode, Reth, RocePacket};
+
+use crate::failover::{FleetConfig, LedgerEntry};
+use crate::rebalance::{link_of, MigPrimitive, RebalanceDriver, WireEmission, WireKind};
+use crate::shard::{ReportOrigin, ShardedConfig, ShardedTranslator};
+use crate::translator::{Translator, TranslatorOutput, TranslatorStats};
+
+/// Which collector link a fleet node runs over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LinkKind {
+    /// RDMA as RoCE packets over the simulated network, sourced from the
+    /// translator at `my_id`/`my_ip`.
+    Roce {
+        /// The translator's node id (RoCE source).
+        my_id: NodeId,
+        /// The translator's IP (RoCE source).
+        my_ip: u32,
+    },
+    /// RDMA executed in-process by `shards` worker shards per collector.
+    InProcess {
+        /// Worker shards per collector pipeline (≥ 1).
+        shards: usize,
+    },
+}
+
+/// What a RoCE response from the network leaves for the fleet node to do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LinkResponse {
+    /// Nothing: liveness credit only (unknown sender, repeat of a handled
+    /// NAK), or a migration completion already fed to the driver.
+    Consumed,
+    /// Cumulative ACK on a service QP.
+    Ack { collector: u32, qpn: u32, psn: u32 },
+    /// First NAK for `(qpn, expected_psn)`: the QP is resynchronized and
+    /// the un-acked ledger suffix from `expected_psn` must be replayed.
+    Nak { collector: u32, qpn: u32, expected_psn: u32 },
+}
+
+/// Per-link run totals, folded into [`crate::FleetRunReport`].
+#[derive(Debug, Default)]
+pub(crate) struct LinkRun {
+    pub translator: TranslatorStats,
+    pub per_shard_reports_in: Vec<u64>,
+    pub executed: Option<u64>,
+}
+
+/// The transport seam under [`crate::FleetNode`]. `alive` arguments are
+/// the routing table's fleet-indexed alive bitmap; the defaults are the
+/// answers of a link that has nothing to do at that hook.
+pub(crate) trait CollectorLink: std::fmt::Debug {
+    /// Translate `report` toward collector `c` and stamp it for the replay
+    /// ledger. `None` when nothing was sent (so nothing is to be ledgered).
+    fn post_report(
+        &mut self,
+        c: u32,
+        now_ns: u64,
+        report: DtaReport,
+        origin: ReportOrigin,
+        out: &mut Vec<Emission>,
+    ) -> Option<LedgerEntry>;
+
+    /// Put one migration verb on the wire. A link that executes it on the
+    /// spot feeds the completion to `driver` before returning.
+    fn post_wire(&mut self, e: &WireEmission, driver: &mut RebalanceDriver, out: &mut Vec<Emission>);
+
+    /// A RoCE datagram from node `from` reached the translator; migration
+    /// completions go to `driver`. `None` when it is malformed for this
+    /// link — always, for a link that puts no RoCE on the network.
+    fn take_response(
+        &mut self,
+        _now_ns: u64,
+        _from: NodeId,
+        _payload: Bytes,
+        _driver: Option<&mut RebalanceDriver>,
+    ) -> Option<LinkResponse> {
+        None
+    }
+
+    /// Collector `c` was declared dead; returns the connections torn down.
+    fn on_fail(&mut self, c: u32) -> u64;
+
+    /// Collector `c` was re-admitted.
+    fn on_rejoin(&mut self, _c: u32, _now_ns: u64) {}
+
+    /// Live collectors this link's own detector declares dead at `now_ns`.
+    fn timed_out(&self, _now_ns: u64, _alive: &[bool]) -> Vec<u32> {
+        Vec::new()
+    }
+
+    /// Tick-time flush of translator-held state toward live collectors.
+    fn flush(&mut self, _now_ns: u64, _alive: &[bool], _out: &mut Vec<Emission>) {}
+
+    /// Barrier: every report posted so far is executed into collector
+    /// memory when this returns.
+    fn quiesce(&mut self) {}
+
+    /// Shut the link down and return its totals.
+    fn finish(self: Box<Self>) -> LinkRun;
+}
+
+/// One zero buffer as long as the longest migration zero-write (a KW slot
+/// or a CMS counter), shared by every [`WireKind::WriteZero`] of a run.
+fn zero_payload(kw: Option<KwLayout>) -> Bytes {
+    let len = kw.map_or(0, |l| l.slot_bytes()).max(CmsLayout::SLOT_BYTES);
+    Bytes::from(vec![0u8; len as usize])
+}
+
+/// One migration QP's addressing on the RoCE link.
+#[derive(Debug, Clone, Copy)]
+struct MigLink {
+    /// Requester-side QPN (responses and ACKs name it).
+    req_qpn: u32,
+    /// Responder QPN at the collector.
+    dest_qpn: u32,
+    /// Remote key of the target region.
+    rkey: u32,
+}
+
+/// One collector's connection state on the RoCE link.
+#[derive(Debug)]
+struct Endpoint {
+    node: NodeId,
+    ip: u32,
+    translator: Translator,
+    /// `(requester QPN, responder QPN)` per connected service. Outgoing
+    /// RDMA names the responder QPN; ACKs come back naming the requester
+    /// QPN — this is the bridge between the two for ledger bookkeeping.
+    links: Vec<(u32, u32)>,
+    /// Completion-timeout anchor: the later of the last RoCE response and
+    /// the send that pushed `sends_since_response` across the
+    /// `min_unacked` floor. Measuring silence from the *crossing* (not
+    /// from connect, nor from an arbitrary earlier send) is what makes the
+    /// timeout safe for far collectors: once the floor is crossed, one QP
+    /// necessarily holds a full ACK-coalescing window, so a live collector
+    /// has a response back within one fabric RTT of the anchor.
+    last_progress_ns: u64,
+    /// RDMA packets sent since the last response.
+    sends_since_response: u64,
+    /// `(requester QPN, expected PSN)` of the last NAK acted on, per QP.
+    /// A responder NAKs *every* out-of-sequence arrival, so one loss
+    /// yields a train of identical NAKs; only the first may trigger a
+    /// resync + ledger replay (the retransmit for the rest is already in
+    /// flight, and PSNs never repeat within a run, so an identical
+    /// expected PSN always means a stale duplicate).
+    naks_handled: Vec<(u32, u32)>,
+}
+
+impl Endpoint {
+    fn req_qpn_for(&self, resp_qpn: u32) -> u32 {
+        self.links.iter().find(|(_, r)| *r == resp_qpn).map(|(q, _)| *q).unwrap_or(resp_qpn)
+    }
+}
+
+/// RoCE over the simulated network (see the module docs).
+#[derive(Debug)]
+pub(crate) struct RoceLink {
+    endpoints: Vec<Endpoint>,
+    /// Dedicated migration QPs (slots 2/3 per collector, separate from the
+    /// report-path service QPs so migration traffic never perturbs report
+    /// PSNs or the completion-timeout accounting), indexed by [`link_of`];
+    /// `None` when the service is disabled, empty without a rebalance.
+    mig_links: Vec<Option<MigLink>>,
+    /// Payload every zero-write slices.
+    zeros: Bytes,
+    timeout_ns: u64,
+    min_unacked: u64,
+    my_id: NodeId,
+    my_ip: u32,
+    scratch: TranslatorOutput,
+}
+
+impl RoceLink {
+    /// Connect one endpoint per collector, each with KW + CMS service
+    /// connections. The handshake runs against each service's CM before
+    /// the services move into their own network nodes.
+    pub(crate) fn connect(
+        config: &FleetConfig,
+        peers: &mut [(NodeId, u32, &mut CollectorService)],
+        my_id: NodeId,
+        my_ip: u32,
+        kw: Option<KwLayout>,
+    ) -> Self {
+        let mut endpoints = Vec::with_capacity(peers.len());
+        let mut mig_links = Vec::new();
+        if config.rebalance.is_some() {
+            mig_links.resize(peers.len() * 2, None);
+        }
+        for (c, (node, ip, svc)) in peers.iter_mut().enumerate() {
+            let c = c as u32;
+            let mut translator = Translator::new(config.translator.clone());
+            let mut links = Vec::new();
+            // Slots 0/1 are the report-path service QPs; 2/3 are migration
+            // QPs, connected only when a rebalance is planned: reads +
+            // zero-writes ride their own PSN spaces.
+            for slot in 0..if config.rebalance.is_some() { 4 } else { 2 } {
+                let (service, primitive) = [
+                    (SERVICE_KW, MigPrimitive::KeyWrite),
+                    (SERVICE_CMS, MigPrimitive::KeyIncrement),
+                ][slot % 2];
+                // Requester QPNs sit clear of the single-collector (0x700+)
+                // and shard (0x4000+) ranges.
+                let requester = CmRequester::new(0x7100 + c * 16 + slot as u32, 0);
+                let request = requester.request(service);
+                // A dedicated responder QP per migration link: re-accepting
+                // the service's published QP would splice this requester
+                // into the service connection's PSN stream (and repoint its
+                // ACKs here).
+                let reply =
+                    if slot < 2 { svc.handle_cm(&request) } else { svc.handle_cm_dedicated(&request) };
+                let Ok((qp, params)) = requester.complete(&reply) else {
+                    continue; // service disabled on this collector
+                };
+                if slot >= 2 {
+                    mig_links[link_of(c, primitive) as usize] =
+                        Some(MigLink { req_qpn: qp.qpn, dest_qpn: params.qpn, rkey: params.rkey });
+                    continue;
+                }
+                links.push((qp.qpn, params.qpn));
+                match primitive {
+                    MigPrimitive::KeyWrite => translator.connect_key_write(qp, params),
+                    MigPrimitive::KeyIncrement => translator.connect_key_increment(qp, params),
+                }
+            }
+            endpoints.push(Endpoint {
+                node: *node,
+                ip: *ip,
+                translator,
+                links,
+                last_progress_ns: 0,
+                sends_since_response: 0,
+                naks_handled: Vec::new(),
+            });
+        }
+        RoceLink {
+            endpoints,
+            mig_links,
+            zeros: zero_payload(kw),
+            timeout_ns: config.timeout_ns,
+            min_unacked: config.min_unacked,
+            my_id,
+            my_ip,
+            scratch: TranslatorOutput::default(),
+        }
+    }
+
+    /// Emit `packets` toward collector `c` and charge them to its
+    /// completion-timeout accounting. Sends below the outstanding floor
+    /// re-anchor the timeout: the silence clock starts at the floor
+    /// crossing.
+    fn send(&mut self, c: u32, now_ns: u64, packets: &[RocePacket], out: &mut Vec<Emission>) {
+        let ep = &mut self.endpoints[c as usize];
+        if ep.sends_since_response < self.min_unacked {
+            ep.last_progress_ns = now_ns;
+        }
+        ep.sends_since_response += packets.len() as u64;
+        for p in packets {
+            let wire = p.encode_framed(self.my_ip, ep.ip);
+            out.push(Emission::now(Packet::rdma(self.my_id, ep.node, wire)));
+        }
+    }
+}
+
+impl CollectorLink for RoceLink {
+    fn post_report(
+        &mut self,
+        c: u32,
+        now_ns: u64,
+        report: DtaReport,
+        origin: ReportOrigin,
+        out: &mut Vec<Emission>,
+    ) -> Option<LedgerEntry> {
+        let mut translated = std::mem::take(&mut self.scratch);
+        let ep = &mut self.endpoints[c as usize];
+        ep.translator.process_batch(now_ns, std::slice::from_ref(&report), &mut translated);
+        debug_assert!(translated.nacked.is_empty(), "fleet specs carry no rate limiter");
+        self.send(c, now_ns, &translated.packets, out);
+        let entry = translated.packets.last().map(|last| LedgerEntry {
+            collector: c,
+            qpn: self.endpoints[c as usize].req_qpn_for(last.bth.dest_qp),
+            last_psn: last.bth.psn,
+            acked: false,
+            report,
+            origin,
+        });
+        self.scratch = translated;
+        entry
+    }
+
+    fn post_wire(&mut self, e: &WireEmission, _: &mut RebalanceDriver, out: &mut Vec<Emission>) {
+        let Some(link) = self.mig_links[e.link as usize] else { return };
+        let reth = Reth { va: e.va, rkey: link.rkey, dma_len: e.len };
+        let mut pkt = match e.kind {
+            WireKind::Read => RocePacket::read_request(link.dest_qpn, e.psn, reth),
+            WireKind::WriteZero => {
+                let zeros = self.zeros.slice(..e.len as usize);
+                RocePacket::write(link.dest_qpn, e.psn, reth, zeros)
+            }
+            WireKind::FetchAdd => {
+                RocePacket::fetch_add(link.dest_qpn, e.psn, e.va, link.rkey, e.arg)
+            }
+        };
+        // Solicit an immediate ACK: migration completion must not wait out
+        // the service-QP coalescing window.
+        pkt.bth.solicited = e.kind != WireKind::Read;
+        let ep = &self.endpoints[e.collector() as usize];
+        let wire = pkt.encode_framed(self.my_ip, ep.ip);
+        out.push(Emission::now(Packet::rdma(self.my_id, ep.node, wire)));
+    }
+
+    fn take_response(
+        &mut self,
+        now_ns: u64,
+        from: NodeId,
+        payload: Bytes,
+        driver: Option<&mut RebalanceDriver>,
+    ) -> Option<LinkResponse> {
+        let roce = RocePacket::decode(payload).ok()?;
+        let Some(c) = self.endpoints.iter().position(|ep| ep.node == from) else {
+            return Some(LinkResponse::Consumed); // response from an unknown node: drop
+        };
+        let ep = &mut self.endpoints[c];
+        ep.last_progress_ns = now_ns;
+        ep.sends_since_response = 0;
+        // ACKs and NAKs both name the *requester* QPN.
+        let qpn = roce.bth.dest_qp;
+        let psn = roce.bth.psn;
+        // Migration-QP traffic has its own completion protocol.
+        let mig = self.mig_links.iter().position(|l| matches!(l, Some(l) if l.req_qpn == qpn));
+        if let (Some(link), Some(driver)) = (mig.map(|i| i as u32), driver) {
+            if roce.bth.opcode == Opcode::ReadResponseOnly {
+                driver.on_read_response(link, psn, &roce.payload);
+            } else if roce.is_nak() {
+                driver.on_nak(link, psn);
+            } else {
+                driver.on_ack(link, psn);
+            }
+            return Some(LinkResponse::Consumed);
+        }
+        let collector = c as u32;
+        if !roce.is_nak() {
+            return Some(LinkResponse::Ack { collector, qpn, psn });
+        }
+        // The responder NAKs *every* out-of-sequence arrival, so one gap
+        // produces a train of identical NAKs. Only the first for a given
+        // (qpn, expected-psn) resynchronizes and replays — a repeat resync
+        // would rewind the send PSN mid-recovery. PSNs never repeat within
+        // a run, so remembering the pair is sufficient.
+        if ep.naks_handled.contains(&(qpn, psn)) {
+            return Some(LinkResponse::Consumed);
+        }
+        ep.naks_handled.push((qpn, psn));
+        ep.translator.on_roce_response(&roce);
+        Some(LinkResponse::Nak { collector, qpn, expected_psn: psn })
+    }
+
+    /// DREQ each service connection; the DREP may never come (the node is
+    /// presumed gone), which is fine — CM teardown is stateless.
+    fn on_fail(&mut self, c: u32) -> u64 {
+        self.endpoints[c as usize].links.len() as u64
+    }
+
+    /// The endpoint QPs are stale by however many PSNs were sunk while the
+    /// collector was dead; the first post-rejoin write is NAK'd, which
+    /// resynchronizes the QP and replays the NAK'd suffix from the ledger.
+    fn on_rejoin(&mut self, c: u32, now_ns: u64) {
+        let ep = &mut self.endpoints[c as usize];
+        ep.last_progress_ns = now_ns;
+        ep.sends_since_response = 0;
+        // A readmitted node starts a fresh recovery round; its resync
+        // NAKs must be handled anew.
+        ep.naks_handled.clear();
+    }
+
+    fn timed_out(&self, now_ns: u64, alive: &[bool]) -> Vec<u32> {
+        let silent = |ep: &Endpoint| {
+            ep.sends_since_response >= self.min_unacked
+                && now_ns.saturating_sub(ep.last_progress_ns) >= self.timeout_ns
+        };
+        (0..self.endpoints.len() as u32)
+            .filter(|&c| alive[c as usize] && silent(&self.endpoints[c as usize]))
+            .collect()
+    }
+
+    /// Batched state; a no-op for KW/INC-only fleet traffic — each flush
+    /// costs what is staged, never the cache capacity — kept for parity
+    /// with the single-collector node.
+    fn flush(&mut self, now_ns: u64, alive: &[bool], out: &mut Vec<Emission>) {
+        for c in (0..self.endpoints.len()).filter(|&c| alive[c]) {
+            let flushed = self.endpoints[c].translator.flush(now_ns);
+            self.send(c as u32, now_ns, &flushed.packets, out);
+        }
+    }
+
+    fn finish(self: Box<Self>) -> LinkRun {
+        let mut run = LinkRun::default();
+        for ep in &self.endpoints {
+            run.translator.merge(&ep.translator.stats);
+        }
+        run
+    }
+}
+
+/// In-process execution (see the module docs): reports route
+/// collector-first (the node's table, salt 0), then shard-partition inside
+/// the owning pipeline (`SHARD_SALT`) — the two-level domain separation
+/// the adversarial routing test pins. Replay contents stay a pure function
+/// of the delivered stream because a failover barriers the victim's
+/// pipeline before its window is drained. There is no wire: nothing to
+/// time out on (the CM teardown, [`crate::FleetEvent::Teardown`], is the
+/// detection signal), nothing to flush at a tick, a rejoin is purely a
+/// routing change, and RoCE arriving over the network is a wiring error.
+#[derive(Debug)]
+pub(crate) struct InProcessLink {
+    pipelines: Vec<ShardedTranslator>,
+    /// Per-collector `(KW, CMS)` region clones migration verbs execute
+    /// against; empty without a rebalance.
+    regions: Vec<(Option<MemoryRegion>, Option<MemoryRegion>)>,
+    /// Per-link responder expected PSN (indexed by [`link_of`]): the check
+    /// mirrors the RoCE responder, so injected duplicates and reorders
+    /// exercise the same dup-drop / NAK recovery.
+    expected_psn: Vec<u32>,
+    /// Payload every zero-write slices.
+    zeros: Bytes,
+}
+
+impl InProcessLink {
+    /// Build one sharded pipeline per collector. Call before moving the
+    /// services into their own network nodes: shard NIC endpoints clone
+    /// each collector's region registry (as do the migration region
+    /// handles when a rebalance is planned).
+    pub(crate) fn connect(
+        config: &FleetConfig,
+        shards: usize,
+        peers: &mut [(NodeId, u32, &mut CollectorService)],
+        kw: Option<KwLayout>,
+    ) -> Self {
+        let mut regions = Vec::new();
+        if config.rebalance.is_some() {
+            regions.extend(peers.iter().map(|(_, _, svc)| {
+                (
+                    svc.keywrite.as_ref().map(|s| s.region().clone()),
+                    svc.key_increment.as_ref().map(|s| s.region().clone()),
+                )
+            }));
+        }
+        let sharded =
+            ShardedConfig { shards, translator: config.translator.clone(), ..ShardedConfig::default() };
+        InProcessLink {
+            pipelines: peers
+                .iter_mut()
+                .map(|(_, _, svc)| ShardedTranslator::connect(sharded.clone(), svc))
+                .collect(),
+            expected_psn: vec![0; regions.len() * 2],
+            regions,
+            zeros: zero_payload(kw),
+        }
+    }
+}
+
+impl CollectorLink for InProcessLink {
+    /// Execution is in-process and ordered behind this ingest, so the
+    /// entry is born acked.
+    fn post_report(
+        &mut self,
+        c: u32,
+        now_ns: u64,
+        report: DtaReport,
+        origin: ReportOrigin,
+        _out: &mut Vec<Emission>,
+    ) -> Option<LedgerEntry> {
+        self.pipelines[c as usize].ingest_from(now_ns, report.clone(), origin);
+        Some(LedgerEntry { collector: c, qpn: 0, last_psn: 0, acked: true, report, origin })
+    }
+
+    /// Each emission faces the same expected-PSN responder discipline as a
+    /// RoCE NIC (dup → silent drop, gap → NAK), then executes against the
+    /// region clone.
+    fn post_wire(&mut self, e: &WireEmission, driver: &mut RebalanceDriver, _: &mut Vec<Emission>) {
+        let expected = self.expected_psn[e.link as usize];
+        if e.psn < expected {
+            return; // duplicate: the responder PSN-drops it silently
+        }
+        if e.psn > expected {
+            return driver.on_nak(e.link, expected); // gap: NAK names the expected PSN
+        }
+        let collector = e.collector() as usize;
+        let region = match e.primitive() {
+            MigPrimitive::KeyWrite => &self.regions[collector].0,
+            MigPrimitive::KeyIncrement => &self.regions[collector].1,
+        };
+        let Some(region) = region else { return };
+        // Barrier the target pipeline: in-process "RDMA" must observe
+        // every ingested report, like a wire op behind FIFO delivery.
+        self.pipelines[collector].wait_idle();
+        match e.kind {
+            WireKind::Read => {
+                let data = region.peek(e.va, e.len as usize).expect("migration read in region");
+                driver.on_read_response(e.link, e.psn, &data);
+            }
+            WireKind::WriteZero => {
+                region.write(e.va, &self.zeros[..e.len as usize]).expect("migration zero write");
+                driver.on_ack(e.link, e.psn);
+            }
+            WireKind::FetchAdd => {
+                region.fetch_add(e.va, e.arg).expect("migration fetch-add");
+                driver.on_ack(e.link, e.psn);
+            }
+        }
+        self.expected_psn[e.link as usize] = e.psn + 1;
+    }
+
+    /// Barrier the victim's pipeline so its ledger window is complete
+    /// before the node replays it.
+    fn on_fail(&mut self, c: u32) -> u64 {
+        self.pipelines[c as usize].wait_idle();
+        1
+    }
+
+    fn quiesce(&mut self) {
+        for p in &mut self.pipelines {
+            p.wait_idle();
+        }
+    }
+
+    fn finish(self: Box<Self>) -> LinkRun {
+        let mut run = LinkRun::default();
+        let mut executed = 0;
+        for mut p in self.pipelines {
+            p.wait_idle();
+            let rep = p.flush_and_join();
+            run.translator.merge(&rep.translator);
+            run.per_shard_reports_in.extend(rep.shards.iter().map(|s| s.translator.reports_in));
+            executed += rep.executed;
+        }
+        run.executed = Some(executed);
+        run
+    }
+}

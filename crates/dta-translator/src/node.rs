@@ -6,6 +6,7 @@
 //! (UDP port 4791) feed queue-pair resynchronization, and everything else is
 //! forwarded untouched ("basic user-traffic forwarding", §5.2).
 
+use bytes::Bytes;
 use dta_collector::service::CollectorService;
 use dta_core::framing::UdpPacket;
 use dta_core::{DtaReport, DTA_UDP_PORT};
@@ -30,6 +31,48 @@ pub struct TranslatorNodeStats {
     pub forwarded: u64,
     /// RoCE responses consumed.
     pub roce_responses: u64,
+}
+
+/// What a ToR interceptor must act on in one transiting packet.
+#[derive(Debug)]
+pub(crate) enum Ingress {
+    /// A DTA report and its return address.
+    Report(DtaReport, ReportOrigin),
+    /// A RoCE datagram (UDP payload) sent by node `from`.
+    Roce { from: NodeId, payload: Bytes },
+}
+
+/// The ingress preamble every translator node shares: undecodable packets
+/// count as malformed, DTA reports (UDP port 40080) are decoded and
+/// counted, RoCE (UDP port 4791) is handed back raw, and anything else is
+/// user traffic, forwarded toward its destination untouched.
+pub(crate) fn ingress(
+    packet: Packet,
+    stats: &mut TranslatorNodeStats,
+    out: &mut Vec<Emission>,
+) -> Option<Ingress> {
+    let Ok(udp) = UdpPacket::decode(packet.payload.clone()) else {
+        stats.malformed += 1;
+        return None;
+    };
+    match udp.udp.dst_port {
+        DTA_UDP_PORT => {
+            let Ok(report) = DtaReport::decode(udp.payload) else {
+                stats.malformed += 1;
+                return None;
+            };
+            stats.dta_in += 1;
+            let origin =
+                ReportOrigin { node: packet.src.0, ip: udp.ip.src, port: udp.udp.src_port };
+            Some(Ingress::Report(report, origin))
+        }
+        ROCE_UDP_PORT => Some(Ingress::Roce { from: packet.src, payload: udp.payload }),
+        _ => {
+            stats.forwarded += 1;
+            out.push(Emission::now(packet));
+            None
+        }
+    }
 }
 
 /// The translator wrapped as a [`NetNode`].
@@ -77,19 +120,8 @@ impl TranslatorNode {
 
 impl NetNode for TranslatorNode {
     fn receive(&mut self, now: SimTime, packet: Packet, out: &mut Vec<Emission>) {
-        let Ok(udp) = UdpPacket::decode(packet.payload.clone()) else {
-            self.stats.malformed += 1;
-            return;
-        };
-        match udp.udp.dst_port {
-            DTA_UDP_PORT => {
-                let Ok(report) = DtaReport::decode(udp.payload.clone()) else {
-                    self.stats.malformed += 1;
-                    return;
-                };
-                self.stats.dta_in += 1;
-                let reporter_ip = udp.ip.src;
-                let reporter_node = packet.src;
+        match ingress(packet, &mut self.stats, out) {
+            Some(Ingress::Report(report, origin)) => {
                 let mut translated = std::mem::take(&mut self.scratch);
                 self.translator
                     .process_batch(now.as_nanos(), std::slice::from_ref(&report), &mut translated);
@@ -98,28 +130,25 @@ impl NetNode for TranslatorNode {
                     let nack = UdpPacket::frame(
                         self.my_ip,
                         DTA_NACK_PORT,
-                        reporter_ip,
-                        udp.udp.src_port,
+                        origin.ip,
+                        origin.port,
                         encode_nack(seq),
                     );
-                    out.push(Emission::now(Packet::new(self.my_id, reporter_node, nack.encode())));
+                    let to = NodeId(origin.node);
+                    out.push(Emission::now(Packet::new(self.my_id, to, nack.encode())));
                 }
                 self.scratch = translated;
             }
-            ROCE_UDP_PORT => {
+            Some(Ingress::Roce { payload, .. }) => {
                 // A response from the collector (ACK/NAK).
-                if let Ok(roce) = RocePacket::decode(udp.payload.clone()) {
+                if let Ok(roce) = RocePacket::decode(payload) {
                     self.stats.roce_responses += 1;
                     self.translator.on_roce_response(&roce);
                 } else {
                     self.stats.malformed += 1;
                 }
             }
-            _ => {
-                // User traffic: forward toward its destination untouched.
-                self.stats.forwarded += 1;
-                out.push(Emission::now(packet));
-            }
+            None => {}
         }
     }
 
@@ -202,17 +231,6 @@ impl ShardedTranslatorNode {
         self.sharded.as_ref().map_or(0, |s| s.shards())
     }
 
-    /// Barrier the shard queues without shutting the pipeline down: after
-    /// this returns, every report delivered so far has been fully executed
-    /// into collector memory. The scenario harness calls this before
-    /// taking a mid-run snapshot so that what the snapshot holds is a pure
-    /// function of the delivered stream, not of worker scheduling.
-    pub fn quiesce(&mut self) {
-        if let Some(sharded) = self.sharded.as_mut() {
-            sharded.wait_idle();
-        }
-    }
-
     /// Drain the queues, flush translator-held state (postcard cache rows,
     /// partial append batches) through the shard NIC endpoints, join the
     /// workers, and return the aggregated counters. Returns `None` if
@@ -229,38 +247,19 @@ impl NetNode for ShardedTranslatorNode {
         let Some(sharded) = self.sharded.as_mut() else {
             return; // finished: sink
         };
-        let Ok(udp) = UdpPacket::decode(packet.payload.clone()) else {
-            self.stats.malformed += 1;
-            return;
-        };
-        match udp.udp.dst_port {
-            DTA_UDP_PORT => {
-                let Ok(report) = DtaReport::decode(udp.payload.clone()) else {
-                    self.stats.malformed += 1;
-                    return;
-                };
-                self.stats.dta_in += 1;
-                // Routes on the ingest thread, enqueues to the owning
-                // shard's SPSC ring (yielding on a full ring), and returns;
-                // translation + RDMA execution happen on the worker
-                // threads. The return address rides along so a worker-side
-                // rate-limit drop can still be NACKed to the reporter.
-                let origin = ReportOrigin {
-                    node: packet.src.0,
-                    ip: udp.ip.src,
-                    port: udp.udp.src_port,
-                };
-                sharded.ingest_from(now.as_nanos(), report, origin);
+        match ingress(packet, &mut self.stats, out) {
+            // Routes on the ingest thread, enqueues to the owning shard's
+            // SPSC ring (yielding on a full ring), and returns; translation
+            // + RDMA execution happen on the worker threads. The return
+            // address rides along so a worker-side rate-limit drop can
+            // still be NACKed to the reporter.
+            Some(Ingress::Report(report, origin)) => {
+                sharded.ingest_from(now.as_nanos(), report, origin)
             }
-            ROCE_UDP_PORT => {
-                // Shard endpoints handle their responses in-process; a RoCE
-                // packet arriving over the network is a wiring error.
-                self.stats.malformed += 1;
-            }
-            _ => {
-                self.stats.forwarded += 1;
-                out.push(Emission::now(packet));
-            }
+            // Shard endpoints handle their responses in-process; a RoCE
+            // packet arriving over the network is a wiring error.
+            Some(Ingress::Roce { .. }) => self.stats.malformed += 1,
+            None => {}
         }
     }
 
@@ -295,6 +294,17 @@ impl NetNode for ShardedTranslatorNode {
             out.push(Emission::now(Packet::new(my_id, NodeId(rec.origin.node), nack.encode())));
         }
         true
+    }
+
+    /// Barrier the shard queues without shutting the pipeline down: after
+    /// this returns, every report delivered so far has been fully executed
+    /// into collector memory. The scenario harness calls this before
+    /// taking a mid-run snapshot so that what the snapshot holds is a pure
+    /// function of the delivered stream, not of worker scheduling.
+    fn quiesce(&mut self) {
+        if let Some(sharded) = self.sharded.as_mut() {
+            sharded.wait_idle();
+        }
     }
 }
 
