@@ -5,116 +5,44 @@
 //! repro --exp f7a        # one experiment
 //! repro --all --quick    # reduced trial counts
 //! repro --list           # experiment inventory
-//! repro --json           # sustained translator throughput ->
-//!                        #   BENCH_translator.json (phase: current)
-//! repro --json --label optimized   # record under a custom phase label
-//! repro --check --baseline BENCH_translator.json
-//!                        # perf-regression gate: re-run the quick suite
-//!                        # and fail (exit 1) if any benchmark regressed
-//!                        # >25% vs its committed value, after dividing
-//!                        # out the host-speed factor (median ratio)
 //! ```
+//!
+//! Performance numbers are not this binary's job: `benchmark/` is the one
+//! harness (see `benchmark/README.md`).
 
 use dta_bench::{all_experiments, run_experiment, ExperimentId};
 
+const USAGE: &str = "usage: repro (--all | --exp <id> | --list) [--quick]";
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let list = args.iter().any(|a| a == "--list");
-    let all = args.iter().any(|a| a == "--all");
-    let json = args.iter().any(|a| a == "--json");
-    let label = args
-        .iter()
-        .position(|a| a == "--label")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.as_str())
-        .unwrap_or("current");
-
-    let only = args
-        .iter()
-        .position(|a| a == "--only")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.as_str());
-
-    if args.iter().any(|a| a == "--check") {
-        let baseline = args
-            .iter()
-            .position(|a| a == "--baseline")
-            .and_then(|i| args.get(i + 1))
-            .map(|s| s.as_str())
-            .unwrap_or("BENCH_translator.json");
-        let tolerance = args
-            .iter()
-            .position(|a| a == "--tolerance")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0.25);
-        let repeat = args
-            .iter()
-            .position(|a| a == "--repeat")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(3);
-        let (outcomes, ok) = dta_bench::perf::check_against_baseline(
-            baseline,
-            std::time::Duration::from_millis(100),
-            only,
-            repeat,
-            tolerance,
-        );
-        println!(
-            "perf gate vs {baseline} (tolerance {:.0}%, host-normalized):",
-            tolerance * 100.0
-        );
-        for o in &outcomes {
-            println!(
-                "  {:<12} {:<26} fresh {:>9.1} ns  baseline {:>9.1} ns  normalized x{:.2}",
-                if o.regressed { "REGRESSED" } else { "ok" },
-                o.name,
-                o.fresh_ns,
-                o.baseline_ns,
-                o.normalized_ratio
-            );
+    let mut quick = false;
+    let mut list = false;
+    let mut targets: Vec<ExperimentId> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--list" => list = true,
+            "--all" => targets = all_experiments().to_vec(),
+            "--exp" => {
+                let name = args.next().unwrap_or_else(|| usage_error("--exp needs an id"));
+                match ExperimentId::parse(&name) {
+                    Some(id) => targets = vec![id],
+                    None => usage_error(&format!("unknown experiment '{name}' (try --list)")),
+                }
+            }
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return;
+            }
+            other => usage_error(&format!("unknown argument '{other}'")),
         }
-        if !ok {
-            eprintln!("perf gate FAILED");
-            std::process::exit(1);
-        }
-        println!("perf gate passed ({} benchmarks)", outcomes.len());
-        return;
     }
-
-    if json {
-        let window = std::time::Duration::from_millis(if quick { 100 } else { 500 });
-        let repeat = args
-            .iter()
-            .position(|a| a == "--repeat")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(if quick { 1 } else { 5 });
-        let results = dta_bench::perf::record_phase_filtered(
-            "BENCH_translator.json",
-            label,
-            window,
-            only,
-            repeat,
-        );
-        println!("phase '{label}' -> BENCH_translator.json");
-        for e in &results {
-            println!(
-                "  translator_e2e/{:<20} {:>10.1} ns/report  {:>12.3} M reports/s",
-                e.name,
-                e.ns_per_report,
-                e.reports_per_sec / 1e6
-            );
-        }
-        return;
-    }
-    let exp = args
-        .iter()
-        .position(|a| a == "--exp")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.as_str());
 
     if list {
         println!("available experiments:");
@@ -123,21 +51,9 @@ fn main() {
         }
         return;
     }
-
-    let targets: Vec<ExperimentId> = if all {
-        all_experiments().to_vec()
-    } else if let Some(name) = exp {
-        match ExperimentId::parse(name) {
-            Some(id) => vec![id],
-            None => {
-                eprintln!("unknown experiment '{name}' (try --list)");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        eprintln!("usage: repro [--all | --exp <id>] [--quick] [--list]");
-        std::process::exit(1);
-    };
+    if targets.is_empty() {
+        usage_error("nothing to run");
+    }
 
     for id in targets {
         let start = std::time::Instant::now();

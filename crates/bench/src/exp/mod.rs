@@ -4,6 +4,7 @@ pub mod ablations;
 pub mod analysis;
 pub mod harness;
 pub mod motivation;
+pub mod parallel;
 pub mod primitives;
 pub mod system;
 

@@ -1,4 +1,4 @@
-//! Multi-core query execution.
+//! Multi-core query execution: the Figure 11a / 16a thread harnesses.
 //!
 //! "Key-Write query processing can be easily parallelized, and we found the
 //! query performance to scale near-linearly when we allocated more cores"
@@ -8,11 +8,11 @@
 
 use std::time::{Duration, Instant};
 
+use dta_collector::{
+    AppendReader, KeyWriteStore, QueryEngine, QueryPolicy, QueryRequest, QueryResult,
+    StoreQueryEngine,
+};
 use dta_core::TelemetryKey;
-
-use crate::append::AppendReader;
-use crate::engine::{QueryEngine, QueryRequest, QueryResult, StoreQueryEngine};
-use crate::keywrite::{KeyWriteStore, QueryPolicy};
 
 /// Outcome of a parallel query run.
 #[derive(Debug, Clone, Copy)]
@@ -113,7 +113,7 @@ pub fn parallel_append_poll(readers: &mut [AppendReader], polls_per_list: u64) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::{AppendLayout, KwLayout};
+    use dta_collector::layout::{AppendLayout, KwLayout};
     use dta_rdma::mr::{MemoryRegion, MrAccess};
 
     #[test]

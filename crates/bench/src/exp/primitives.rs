@@ -1,17 +1,48 @@
 //! Per-primitive experiments: Figures 10–16.
 
+use std::hint::black_box;
+use std::time::Instant;
+
 use dta_analysis::montecarlo::{simulate_keywrite, simulate_keywrite_aging};
 use dta_analysis::table::{fmt_pct, fmt_rate};
 use dta_analysis::Table;
 use dta_collector::layout::{AppendLayout, KwLayout};
-use dta_collector::query::{parallel_append_poll, parallel_kw_query};
-use dta_collector::{AppendReader, KeyWriteStore, KwQueryBreakdown, PollBreakdown, QueryPolicy};
+use dta_collector::{AppendReader, KeyWriteStore, QueryPolicy};
 use dta_core::TelemetryKey;
+use dta_hash::Checksummer;
 use dta_rdma::mr::{MemoryRegion, MrAccess};
 use dta_rdma::nic::{NicConfig, NicPerfModel};
 use dta_translator::PostcardCache;
 
+use super::parallel::{parallel_append_poll, parallel_kw_query};
 use super::system::{append_wire_bytes, kw_wire_bytes, postcard_wire_bytes};
+
+/// Mean wall-clock nanoseconds per call of `body` over `iters` calls.
+fn ns_per_call(iters: usize, mut body: impl FnMut(usize)) -> f64 {
+    let start = Instant::now();
+    for i in 0..iters {
+        body(i);
+    }
+    start.elapsed().as_nanos() as f64 / iters as f64
+}
+
+/// The two-row Figure 11b / 16b table: `part` timed alone, the rest of the
+/// operation by difference (clamped: on a noisy host the two loops can
+/// cross). Timing whole loops, not each ~ns step, keeps the timer's own
+/// cost out of the small row.
+fn breakdown_table(
+    title: &str,
+    unit: &str,
+    part: &str,
+    part_ns: f64,
+    rest: &str,
+    whole_ns: f64,
+) -> Table {
+    let mut t = Table::new(title, &["Component", unit]);
+    t.row(&[part.to_string(), format!("{part_ns:.1}")]);
+    t.row(&[rest.to_string(), format!("{:.1}", (whole_ns - part_ns).max(0.0))]);
+    t
+}
 
 /// Figure 10: Key-Write collection rate vs redundancy, 4 B vs 20 B.
 pub fn figure10() -> Table {
@@ -62,23 +93,22 @@ pub fn figure11(quick: bool) -> Vec<Table> {
         rate_table.row(&row);
     }
 
-    let mut breakdown = KwQueryBreakdown::default();
-    let sample = keys.len().min(20_000);
-    for k in &keys[..sample] {
-        store.query_with_breakdown(k, 2, QueryPolicy::Plurality, &mut breakdown);
-    }
-    let mut bd_table = Table::new(
+    let sample = &keys[..keys.len().min(20_000)];
+    let csum = Checksummer::new();
+    let checksum_ns = ns_per_call(sample.len(), |i| {
+        black_box(csum.checksum32(black_box(sample[i].as_bytes())));
+    });
+    let query_ns = ns_per_call(sample.len(), |i| {
+        black_box(store.query(&sample[i], 2, QueryPolicy::Plurality));
+    });
+    let bd_table = breakdown_table(
         "Figure 11b — Per-query execution breakdown (N=2)",
-        &["Component", "ns/query"],
+        "ns/query",
+        "Checksum",
+        checksum_ns,
+        "Get Slot(s)",
+        query_ns,
     );
-    bd_table.row(&[
-        "Checksum".to_string(),
-        format!("{:.1}", breakdown.checksum_ns as f64 / sample as f64),
-    ]);
-    bd_table.row(&[
-        "Get Slot(s)".to_string(),
-        format!("{:.1}", breakdown.get_slots_ns as f64 / sample as f64),
-    ]);
     vec![rate_table, bd_table]
 }
 
@@ -255,23 +285,23 @@ pub fn figure16(quick: bool) -> Vec<Table> {
 
     let region = MemoryRegion::new(0, layout.region_len() as usize, 1, MrAccess::WRITE);
     let mut reader = AppendReader::new(layout, region);
-    let mut bd = PollBreakdown::default();
-    let polls = entries.min(100_000);
-    for _ in 0..polls {
-        reader.poll_with_breakdown(0, &mut bd);
-    }
-    let mut bd_table = Table::new(
+    let polls = entries.min(100_000) as usize;
+    // The wrap-around advance `poll` performs, on a tail of its own.
+    let mut tail = 0u64;
+    let increment_ns = ns_per_call(polls, |_| {
+        tail = (black_box(tail) + 1) % black_box(entries);
+    });
+    let poll_ns = ns_per_call(polls, |_| {
+        black_box(reader.poll(0));
+    });
+    let bd_table = breakdown_table(
         "Figure 16b — Per-poll execution breakdown",
-        &["Component", "ns/poll"],
+        "ns/poll",
+        "Increment Tail",
+        increment_ns,
+        "Retrieval",
+        poll_ns,
     );
-    bd_table.row(&[
-        "Increment Tail".to_string(),
-        format!("{:.1}", bd.increment_tail_ns as f64 / polls as f64),
-    ]);
-    bd_table.row(&[
-        "Retrieval".to_string(),
-        format!("{:.1}", bd.retrieval_ns as f64 / polls as f64),
-    ]);
     vec![rate_table, bd_table]
 }
 
@@ -316,11 +346,32 @@ mod tests {
         assert!(last.contains('B'), "batch 16 should exceed 1B rps: {last}");
     }
 
+    /// A figure's `--quick` output: a non-empty rate table, then the two
+    /// named breakdown components, both finite and non-negative.
+    fn assert_rate_and_breakdown(tables: &[Table], components: [&str; 2]) {
+        assert_eq!(tables.len(), 2);
+        assert!(!tables[0].is_empty(), "rate table has a row per core count");
+        let csv = tables[1].to_csv();
+        let rows: Vec<(&str, f64)> = csv
+            .lines()
+            .skip(1)
+            .map(|l| l.rsplit_once(',').expect("two columns"))
+            .map(|(name, ns)| (name, ns.parse().expect("a number")))
+            .collect();
+        assert_eq!(rows.len(), 2, "{csv}");
+        for ((name, ns), want) in rows.into_iter().zip(components) {
+            assert_eq!(name, want);
+            assert!(ns.is_finite() && ns >= 0.0, "{name}: {ns}");
+        }
+    }
+
     #[test]
-    fn figure11_and_16_run_quick() {
-        let t11 = figure11(true);
-        assert_eq!(t11.len(), 2);
-        let t16 = figure16(true);
-        assert_eq!(t16.len(), 2);
+    fn figure11_quick_prints_rates_and_checksum_vs_slots() {
+        assert_rate_and_breakdown(&figure11(true), ["Checksum", "Get Slot(s)"]);
+    }
+
+    #[test]
+    fn figure16_quick_prints_rates_and_tail_vs_retrieval() {
+        assert_rate_and_breakdown(&figure16(true), ["Increment Tail", "Retrieval"]);
     }
 }

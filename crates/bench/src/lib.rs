@@ -5,10 +5,9 @@
 //! Experiments that would need the authors' testbed scale (4 GiB stores,
 //! 100M-key sweeps) run at a reduced scale with identical dimensionless
 //! parameters (load factor α, redundancy N, batch size B) — the quantities
-//! the results actually depend on. EXPERIMENTS.md records scale choices and
-//! paper-vs-measured numbers.
+//! the results actually depend on; each experiment's doc comment records
+//! its scale choice.
 
 pub mod exp;
-pub mod perf;
 
 pub use exp::{all_experiments, run_experiment, ExperimentId};

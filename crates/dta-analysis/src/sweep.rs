@@ -7,9 +7,7 @@
 //! Monte-Carlo cross-check that ties an observed Key-Write audit back to
 //! the abstract-store prediction of [`crate::montecarlo`].
 //!
-//! The JSON renderer is hand-rolled like the `BENCH_translator.json`
-//! writer in `crates/bench/src/perf.rs` — the build environment has no
-//! serde.
+//! The JSON renderer is hand-rolled — the build environment has no serde.
 
 use crate::montecarlo::simulate_keywrite;
 

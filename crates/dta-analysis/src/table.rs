@@ -1,7 +1,7 @@
 //! Experiment table emission.
 //!
 //! The `repro` harness prints every reproduced table/figure as rows; this
-//! module renders them as aligned markdown (for EXPERIMENTS.md) and CSV
+//! module renders them as aligned markdown (what `repro` prints) and CSV
 //! (for plotting).
 
 /// A simple column-oriented table.

@@ -7,22 +7,10 @@
 //! lightweight process, requiring a pointer increment, possibly rolling back
 //! to the start of the buffer, and then reading the memory location" (§6.7.1).
 
-use std::time::Instant;
-
 use dta_rdma::mr::MemoryRegion;
 
 use crate::engine::SlotSource;
 use crate::layout::AppendLayout;
-
-/// Timing attribution for one poll (Figure 16b's "Increment Tail" vs
-/// "Retrieval").
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PollBreakdown {
-    /// Nanoseconds advancing (and wrapping) the tail pointer.
-    pub increment_tail_ns: u64,
-    /// Nanoseconds reading the entry from memory.
-    pub retrieval_ns: u64,
-}
 
 /// The collector-side reader over the Append region.
 #[derive(Debug)]
@@ -67,24 +55,6 @@ impl AppendReader {
     /// is reader state, so progress carries across epochs).
     pub fn poll_from(&mut self, src: &dyn SlotSource, list: u32) -> Vec<u8> {
         poll_at(&self.layout, &mut self.tails, src, list)
-    }
-
-    /// Poll with wall-clock attribution for Figure 16b.
-    pub fn poll_with_breakdown(&mut self, list: u32, breakdown: &mut PollBreakdown) -> Vec<u8> {
-        let t0 = Instant::now();
-        let tail = self.tails[list as usize];
-        let next = (tail + 1) % self.layout.entries_per_list;
-        self.tails[list as usize] = next;
-        breakdown.increment_tail_ns += t0.elapsed().as_nanos() as u64;
-
-        let t1 = Instant::now();
-        let va = self.layout.entry_va(list, tail);
-        let data = self
-            .region
-            .read(va, self.layout.entry_bytes as usize)
-            .expect("entry within region");
-        breakdown.retrieval_ns += t1.elapsed().as_nanos() as u64;
-        data
     }
 
     /// Poll `n` entries from `list`.
@@ -190,19 +160,6 @@ mod tests {
         assert_eq!(r.tail(0), 0);
         w.append(0, &9u32.to_be_bytes());
         assert_eq!(r.poll(0), 9u32.to_be_bytes().to_vec());
-    }
-
-    #[test]
-    fn breakdown_accumulates() {
-        let (mut w, mut r) = setup(1, 1024);
-        for i in 0..100u32 {
-            w.append(0, &i.to_be_bytes());
-        }
-        let mut b = PollBreakdown::default();
-        for _ in 0..100 {
-            r.poll_with_breakdown(0, &mut b);
-        }
-        assert!(b.retrieval_ns > 0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! the fabric keeps writing into it (§6.5). Before this module, every
 //! read-side consumer hand-rolled its own per-primitive calls — the
 //! scenario audit, the fleet audit with its owner-miss fan-out, and the
-//! multi-core harnesses in [`crate::query`] each duplicated the dispatch.
+//! multi-core Figure 11a/16a harnesses each duplicated the dispatch.
 //! [`QueryEngine`] collapses them into one code path:
 //!
 //! * [`QueryRequest`] / [`QueryResponse`] — a primitive-tagged request and
@@ -207,9 +207,13 @@ fn dispatch(
             ),
             None => QueryResponse::local(QueryResult::Unavailable, 0),
         },
+        // A list the reader does not have is answered like a primitive
+        // with no store, not by indexing past the tails.
         QueryRequest::AppendPoll { list } => match append {
-            Some(r) => QueryResponse::local(QueryResult::Append(r.poll_from(src, *list)), 1),
-            None => QueryResponse::local(QueryResult::Unavailable, 0),
+            Some(r) if *list < r.layout().lists => {
+                QueryResponse::local(QueryResult::Append(r.poll_from(src, *list)), 1)
+            }
+            _ => QueryResponse::local(QueryResult::Unavailable, 0),
         },
         QueryRequest::Increment { key, redundancy } => match cms {
             Some(s) => QueryResponse::local(
@@ -411,6 +415,28 @@ mod tests {
         let miss = poll(&mut reader);
         assert_eq!(miss.result, QueryResult::Append(vec![0; 4]));
         assert!(!miss.result.is_hit());
+    }
+
+    #[test]
+    fn poll_of_a_list_the_collector_does_not_have_is_unavailable() {
+        let layout = AppendLayout { base_va: 0, lists: 1, entries_per_list: 8, entry_bytes: 4 };
+        let region = MemoryRegion::new(0, layout.region_len() as usize, 1, MrAccess::WRITE);
+        let mut reader = AppendReader::new(layout, region.clone());
+        let req = QueryRequest::AppendPoll { list: 5 };
+        let unavailable = QueryResponse::local(QueryResult::Unavailable, 0);
+
+        assert_eq!(StoreQueryEngine::for_append(&mut reader).execute(&req), unavailable);
+
+        let snap = region.snapshot();
+        let view = SnapshotView { base_va: region.base_va, bytes: snap.as_bytes() };
+        let mut eng = SnapshotQueryEngine {
+            keywrite: None,
+            postcarding: None,
+            append: Some((&mut reader, view)),
+            key_increment: None,
+        };
+        assert_eq!(eng.execute(&req), unavailable);
+        assert_eq!(reader.tail(0), 0, "no tail moved");
     }
 
     #[test]

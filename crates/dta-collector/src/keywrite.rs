@@ -5,8 +5,6 @@
 //! entries at `N` hash-derived locations; queries validate the 32-bit key
 //! checksum and take a plurality vote among matching slots.
 
-use std::time::Instant;
-
 use dta_core::TelemetryKey;
 use dta_hash::{Checksummer, HashFamily};
 use dta_rdma::mr::MemoryRegion;
@@ -45,15 +43,6 @@ impl QueryOutcome {
     pub fn is_found(&self) -> bool {
         matches!(self, QueryOutcome::Found(_))
     }
-}
-
-/// Timing breakdown of a query (Figure 11b's "Checksum" vs "Get Slot(s)").
-#[derive(Debug, Clone, Copy, Default)]
-pub struct KwQueryBreakdown {
-    /// Nanoseconds computing the key checksum.
-    pub checksum_ns: u64,
-    /// Nanoseconds computing slot addresses and reading slots.
-    pub get_slots_ns: u64,
 }
 
 /// The collector-side Key-Write store.
@@ -124,7 +113,7 @@ impl KeyWriteStore {
 
     /// Query `key`, reading all `redundancy` candidate slots (Algorithm 2).
     pub fn query(&self, key: &TelemetryKey, redundancy: usize, policy: QueryPolicy) -> QueryOutcome {
-        self.query_inner(&self.region, key, redundancy, policy, None)
+        self.query_inner(&self.region, key, redundancy, policy)
     }
 
     /// [`KeyWriteStore::query`] reading slot bytes from `src` instead of
@@ -136,18 +125,7 @@ impl KeyWriteStore {
         redundancy: usize,
         policy: QueryPolicy,
     ) -> QueryOutcome {
-        self.query_inner(src, key, redundancy, policy, None)
-    }
-
-    /// Query with wall-clock attribution for Figure 11b.
-    pub fn query_with_breakdown(
-        &self,
-        key: &TelemetryKey,
-        redundancy: usize,
-        policy: QueryPolicy,
-        breakdown: &mut KwQueryBreakdown,
-    ) -> QueryOutcome {
-        self.query_inner(&self.region, key, redundancy, policy, Some(breakdown))
+        self.query_inner(src, key, redundancy, policy)
     }
 
     fn query_inner(
@@ -156,15 +134,8 @@ impl KeyWriteStore {
         key: &TelemetryKey,
         redundancy: usize,
         policy: QueryPolicy,
-        mut breakdown: Option<&mut KwQueryBreakdown>,
     ) -> QueryOutcome {
-        let t0 = breakdown.is_some().then(Instant::now);
         let want = self.csum.checksum32(key.as_bytes());
-        if let (Some(b), Some(t0)) = (breakdown.as_deref_mut(), t0) {
-            b.checksum_ns += t0.elapsed().as_nanos() as u64;
-        }
-
-        let t1 = breakdown.is_some().then(Instant::now);
         let w = self.layout.value_bytes as usize;
         let n = redundancy.min(self.family.len());
         let mut candidates: Vec<(Vec<u8>, u8)> = Vec::with_capacity(n);
@@ -180,9 +151,6 @@ impl KeyWriteStore {
                     None => candidates.push((value, 1)),
                 }
             }
-        }
-        if let (Some(b), Some(t1)) = (breakdown, t1) {
-            b.get_slots_ns += t1.elapsed().as_nanos() as u64;
         }
 
         if candidates.is_empty() {
@@ -309,19 +277,6 @@ mod tests {
         s.insert_direct(&k, &[1; 4], 2);
         s.insert_direct(&k, &[2; 4], 2);
         assert_eq!(s.query(&k, 2, QueryPolicy::Plurality), QueryOutcome::Found(vec![2; 4]));
-    }
-
-    #[test]
-    fn breakdown_accumulates() {
-        let s = store(1024, 4);
-        let k = TelemetryKey::from_u64(8);
-        s.insert_direct(&k, &[1; 4], 2);
-        let mut b = KwQueryBreakdown::default();
-        for _ in 0..100 {
-            s.query_with_breakdown(&k, 2, QueryPolicy::Plurality, &mut b);
-        }
-        assert!(b.checksum_ns > 0);
-        assert!(b.get_slots_ns > 0);
     }
 
     #[test]

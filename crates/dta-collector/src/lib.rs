@@ -21,8 +21,6 @@
 //! * [`engine`] — the unified [`engine::QueryEngine`] read API over all
 //!   four primitives, serving either live regions or pooled snapshot
 //!   images through one dispatch path.
-//! * [`query`] — multi-core query execution (Figure 11 / 16 harness),
-//!   routed through the engine.
 
 // Lint floor (enforced by `dta-lint` + clippy -D warnings, see DESIGN.md
 // "Static analysis"): unsafe operations must be explicitly scoped even
@@ -37,16 +35,15 @@ pub mod keywrite;
 pub mod layout;
 pub mod node;
 pub mod postcarding;
-pub mod query;
 pub mod service;
 
-pub use append::{AppendReader, PollBreakdown};
+pub use append::AppendReader;
 pub use cms::KeyIncrementStore;
 pub use engine::{
     QueryEngine, QueryRequest, QueryResponse, QueryResult, SlotSource, SnapshotQueryEngine,
     SnapshotView, StoreQueryEngine,
 };
-pub use keywrite::{KeyWriteStore, KwQueryBreakdown, QueryOutcome, QueryPolicy};
+pub use keywrite::{KeyWriteStore, QueryOutcome, QueryPolicy};
 pub use layout::{AppendLayout, CmsLayout, KwLayout, PostcardLayout};
 pub use node::{CollectorNode, CollectorNodeStats};
 pub use postcarding::{hop_checksum, PostcardQueryOutcome, PostcardStore, ValueCodec};

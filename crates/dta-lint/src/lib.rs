@@ -16,8 +16,8 @@
 //! same command in the `tier1` job and uploads `LINT_report.json`).
 //!
 //! No crates.io dependencies: the lexer, TOML-subset config parser, and
-//! JSON report writer are all local, following the `dta-sim::corpus` and
-//! `crates/bench/src/perf.rs` precedents.
+//! JSON report writer are all local, following the `dta-sim::corpus`
+//! precedent.
 
 pub mod config;
 pub mod lex;

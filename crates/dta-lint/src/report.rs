@@ -1,8 +1,7 @@
 //! Human summary + machine-readable `LINT_report.json`.
 //!
-//! The JSON writer is hand-rolled (the `BENCH_translator.json` writer in
-//! `crates/bench/src/perf.rs` is the precedent — no serde_json in this
-//! build environment). Key order is fixed and diagnostics arrive sorted,
+//! The JSON writer is hand-rolled (no serde_json in this build
+//! environment). Key order is fixed and diagnostics arrive sorted,
 //! so the report is byte-stable for a given tree: diffable in CI
 //! artifacts.
 

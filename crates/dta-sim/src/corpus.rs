@@ -20,9 +20,8 @@
 //! * optional **`tags`** — free-form labels tests select on (e.g.
 //!   `cross_mode_identical` drives the differential corpus test).
 //!
-//! The parser is hand-rolled (the build environment has no crates.io; the
-//! `BENCH_translator.json` reader in `crates/bench/src/perf.rs` is the
-//! precedent) and *strict*: unknown sections or keys, type mismatches, and
+//! The parser is hand-rolled (the build environment has no crates.io) and
+//! *strict*: unknown sections or keys, type mismatches, and
 //! out-of-range values are errors carrying the offending file, line, and
 //! key — a corpus typo fails loudly, never silently half-applies.
 //! [`load_str`] additionally validates the base spec and **every expanded

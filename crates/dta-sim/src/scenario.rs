@@ -173,31 +173,13 @@ fn link_seed(seed: u64, from: NodeId, to: NodeId) -> u64 {
     splitmix64(seed ^ ((from.0 as u64) << 32 | to.0 as u64))
 }
 
-thread_local! {
-    /// Cumulative per-phase wall time of every [`run_scenario`] call on
-    /// this thread, in nanoseconds: generate, fabric build, collector +
-    /// translator build, fleet placement, engine loop, extraction, audit,
-    /// snapshot. A profiling hook for the bench examples — the eight
-    /// `Instant::now` calls per run are noise next to the run itself.
-    pub static PHASE_NS: std::cell::RefCell<[u128; 8]> = const { std::cell::RefCell::new([0; 8]) };
-}
-
-/// Charge the time since `*t` to phase `i` and reset the mark.
-fn mark(i: usize, t: &mut std::time::Instant) {
-    let now = std::time::Instant::now();
-    PHASE_NS.with(|p| p.borrow_mut()[i] += (now - *t).as_nanos());
-    *t = now;
-}
-
 /// Build, run, audit. See the module docs for the determinism contract.
 ///
 /// # Panics
 /// Panics if the spec fails [`ScenarioSpec::validate`].
 pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
     spec.validate().unwrap_or_else(|e| panic!("invalid scenario spec: {e}"));
-    let mut __t = std::time::Instant::now();
     let workload = generate(spec);
-    mark(0, &mut __t);
 
     // --- Fabric -----------------------------------------------------------
     let ft = FatTree::new(spec.fat_tree_k);
@@ -290,7 +272,6 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
         );
     }
 
-    mark(1, &mut __t);
     // --- Collector + translator ------------------------------------------
     // The congestion plan's rate limiter overlays the translator sizing
     // (both modes; the sharded pipeline divides the budget across shards).
@@ -427,7 +408,6 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
         );
     }
 
-    mark(2, &mut __t);
     // --- Fleet nodes and pacing ------------------------------------------
     let mut max_ticks = 0u64;
     let mut fleet_nodes: Vec<ReporterFleetNode> = (0..hosts_used)
@@ -473,7 +453,6 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
         net.add_tick(tor, flush_at);
     }
     let deadline = flush_at + spec.drain_ns;
-    mark(3, &mut __t);
     // Fleet fault schedule: run up to the kill time, take the victim off
     // the fabric (or, for a spurious failover, just slander it to the
     // translator), optionally re-seat it at the rejoin time, then run out
@@ -529,7 +508,6 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
         }
     }
     net.run_until(SimTime::from_nanos(deadline));
-    mark(4, &mut __t);
 
     // --- Extract ----------------------------------------------------------
     let net_stats = net.stats;
@@ -592,7 +570,6 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
     }
     let executed = sharded_executed.unwrap_or(collector_stats.executed);
 
-    mark(5, &mut __t);
     // Both deployment shapes audit through the one QueryEngine API: the
     // single collector via its live store engine, the fleet via the same
     // engines wrapped in owner-first fan-out routing over the *final*
@@ -606,7 +583,6 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
     } else {
         audit_with(&mut collector_nodes[0].service.engine(), spec, &workload)
     };
-    mark(6, &mut __t);
     let (memory, fleet_memory) = if let Some(table) = &table {
         // Unmerged per-collector snapshots, plus the OR of their dirty
         // ranges over the collectors the final table considers alive.
@@ -631,7 +607,6 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
     } else {
         (snapshot_regions(&collector_nodes[0].service), Vec::new())
     };
-    mark(7, &mut __t);
 
     ScenarioOutcome {
         report: ScenarioReport {
