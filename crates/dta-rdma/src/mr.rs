@@ -533,6 +533,7 @@ impl MemoryRegion {
     /// access. Hot paths should prefer [`MemoryRegion::read_into`] /
     /// [`MemoryRegion::with_slice`], which do not allocate.
     pub fn read(&self, va: u64, len: usize) -> Result<Vec<u8>, MrError> {
+        self.offset(va, len)?; // bound the request before allocating for it
         let mut out = vec![0u8; len];
         self.read_into(va, &mut out)?;
         Ok(out)
@@ -540,6 +541,7 @@ impl MemoryRegion {
 
     /// Read without counting (test/diagnostic use).
     pub fn peek(&self, va: u64, len: usize) -> Result<Vec<u8>, MrError> {
+        self.offset(va, len)?; // bound the request before allocating for it
         let mut out = vec![0u8; len];
         self.peek_into(va, &mut out)?;
         Ok(out)
@@ -964,6 +966,10 @@ mod tests {
         assert!(matches!(mr.write(0x0FFF, &[0]), Err(MrError::OutOfBounds { .. })));
         // Boundary-exact write succeeds.
         mr.write(0x103C, &[0; 4]).unwrap();
+        // A wire-supplied 4 GiB read length is refused by the bounds check,
+        // not by the allocator.
+        assert!(matches!(mr.peek(0x1000, 0xFFFF_FFFF), Err(MrError::OutOfBounds { .. })));
+        assert!(matches!(mr.read(0x1000, 0xFFFF_FFFF), Err(MrError::OutOfBounds { .. })));
     }
 
     #[test]

@@ -306,16 +306,23 @@ impl RdmaNic {
                 // Start of a segmented write: execute this fragment and
                 // remember the cursor for the continuations.
                 let reth = pkt.reth.as_ref().expect("decoded WRITE FIRST has RETH");
-                self.memory
-                    .write(reth.rkey, reth.va, &pkt.payload)
-                    .map_err(NicError::Mr)
-                    .map(|_| {
-                        let done = pkt.payload.len() as u32;
-                        self.in_progress.insert(
-                            qpn,
-                            (reth.rkey, reth.va + done as u64, reth.dma_len - done),
-                        );
-                    })
+                let done = pkt.payload.len() as u64;
+                if done > u64::from(reth.dma_len) {
+                    // A fragment longer than the RETH length it opens: the
+                    // continuations would be bounded by a wrapped length.
+                    self.in_progress.remove(&qpn);
+                    Err(NicError::Malformed)
+                } else {
+                    self.memory
+                        .write(reth.rkey, reth.va, &pkt.payload)
+                        .map_err(NicError::Mr)
+                        .map(|_| {
+                            self.in_progress.insert(
+                                qpn,
+                                (reth.rkey, reth.va + done, reth.dma_len - done as u32),
+                            );
+                        })
+                }
             }
             Opcode::WriteMiddle | Opcode::WriteLast => {
                 match self.in_progress.get_mut(&qpn) {
@@ -622,6 +629,49 @@ mod tests {
             nic.ingress(&req),
             RxOutcome::Error(NicError::Mr(MrError::BadRkey(0xFF)))
         ));
+    }
+
+    /// A 64-byte WRITE FIRST whose RETH announces 4 bytes, round-tripped
+    /// through the wire codec: decodable, not a hand-built impossibility.
+    fn oversized_write_first() -> RocePacket {
+        let mut first = RocePacket::write(
+            5,
+            0,
+            Reth { va: 0x10000, rkey: 0xAB, dma_len: 4 },
+            Bytes::from(vec![0xEE; 64]),
+        );
+        first.bth.opcode = Opcode::WriteFirst;
+        RocePacket::decode(first.encode()).expect("decodable WRITE FIRST")
+    }
+
+    #[test]
+    fn write_first_longer_than_its_reth_is_malformed() {
+        let mut nic = nic_with_qp();
+        assert!(matches!(
+            nic.ingress(&oversized_write_first()),
+            RxOutcome::Error(NicError::Malformed)
+        ));
+        assert_eq!((nic.stats.errors, nic.stats.executed), (1, 0));
+        // Rejected before the region write.
+        let region = nic.memory.lookup(0xAB).unwrap();
+        assert_eq!(region.peek(0x10000, 64).unwrap(), vec![0; 64]);
+    }
+
+    #[test]
+    fn continuation_cannot_ride_a_rejected_write_first() {
+        // The rejected FIRST used to leave a cursor whose remaining length
+        // had wrapped to ~4 GiB, so any MIDDLE/LAST after it was written.
+        let mut nic = nic_with_qp();
+        nic.ingress(&oversized_write_first());
+        for (psn, opcode) in [(1, Opcode::WriteMiddle), (2, Opcode::WriteLast)] {
+            let mut pkt = write_pkt(psn, 0, &[0xEE; 64]);
+            pkt.bth.opcode = opcode;
+            pkt.reth = None;
+            assert!(matches!(nic.ingress(&pkt), RxOutcome::Error(NicError::Malformed)));
+        }
+        let region = nic.memory.lookup(0xAB).unwrap();
+        assert_eq!(region.peek(0x10000, 192).unwrap(), vec![0; 192]);
+        assert_eq!((nic.stats.errors, nic.stats.executed), (3, 0));
     }
 
     #[test]

@@ -64,6 +64,11 @@ pub struct QueuePair {
     /// ACK-eligible packets received since this QP last emitted an ACK
     /// (responder-side ACK coalescing state — per-QP, as on real HCAs).
     unacked: u32,
+    /// Expected PSN the last send-side rewind answered.
+    rewound_to: u32,
+    /// Repeats of that NAK still owed by packets that were already in
+    /// flight at the rewind (see [`QueuePair::resync_send`]).
+    stale_naks: u32,
 }
 
 impl QueuePair {
@@ -79,6 +84,8 @@ impl QueuePair {
             duplicates: 0,
             accepted: 0,
             unacked: 0,
+            rewound_to: 0,
+            stale_naks: 0,
         }
     }
 
@@ -151,12 +158,32 @@ impl QueuePair {
         self.expect_psn = psn & PSN_MASK;
     }
 
-    /// Resynchronize the send side to `psn` — used by the requester when a
-    /// NAK reports the responder's expected PSN. DTA is best-effort: the
-    /// lost operations are not replayed, but the PSN stream realigns so the
-    /// connection keeps flowing.
-    pub fn resync_send(&mut self, psn: u32) {
-        self.send_psn = psn & PSN_MASK;
+    /// Resynchronize the send side to `psn`, the expected PSN a NAK
+    /// reported, and say whether the send PSN was rewound. DTA is
+    /// best-effort: the lost operations are not replayed here, but the PSN
+    /// stream realigns so the connection keeps flowing.
+    ///
+    /// A responder NAKs *every* out-of-sequence arrival, so a rewind from
+    /// send PSN `S` to `E` is followed by one more NAK for `E` per packet
+    /// past `E` that was already in flight — `S − E − 2` of them, the first
+    /// having caused this rewind. Those repeats are stale: acting on one
+    /// would rewind mid-recovery and re-use PSNs the responder has since
+    /// consumed. They are counted off here and ignored; any other NAK
+    /// rewinds. Fewer repeats than predicted may arrive (they can be lost
+    /// too), and the leftover count then swallows that many genuine NAKs
+    /// for `E` — it delays the next resync, never prevents it, so the rule
+    /// converges from any counter value.
+    pub fn resync_send(&mut self, psn: u32) -> bool {
+        let psn = psn & PSN_MASK;
+        if psn == self.rewound_to && self.stale_naks > 0 {
+            self.stale_naks -= 1;
+            return false;
+        }
+        let in_flight = self.send_psn.wrapping_sub(psn) & PSN_MASK;
+        self.stale_naks = if in_flight < PSN_HALF { in_flight.saturating_sub(2) } else { 0 };
+        self.rewound_to = psn;
+        self.send_psn = psn;
+        true
     }
 }
 
@@ -217,6 +244,64 @@ mod tests {
         assert!(b.receive(p2).is_ok());
         let p3 = a.next_send_psn();
         assert!(b.receive(p3).is_ok());
+    }
+
+    #[test]
+    fn rewind_swallows_only_the_repeats_it_predicts() {
+        // S = 60, E = 50: PSNs 51..=59 were in flight, the first of their
+        // nine NAKs rewinds, the other S - E - 2 = 8 are stale.
+        let (mut a, _) = connected_pair();
+        for _ in 0..10 {
+            a.next_send_psn();
+        }
+        assert!(a.resync_send(50));
+        assert_eq!(a.next_send_psn(), 50);
+        for repeat in 0..8 {
+            assert!(!a.resync_send(50), "repeat {repeat} is predicted, not a new loss");
+        }
+        assert_eq!(a.next_send_psn(), 51, "stale NAKs must not move the send PSN");
+        // The ninth is one more than the rewind predicted: 50 was lost again.
+        assert!(a.resync_send(50));
+        assert_eq!(a.next_send_psn(), 50);
+    }
+
+    #[test]
+    fn nak_for_another_psn_always_rewinds() {
+        let (mut a, _) = connected_pair();
+        for _ in 0..10 {
+            a.next_send_psn();
+        }
+        assert!(a.resync_send(50));
+        // Credit for 50 is outstanding, but the responder now expects 53.
+        for _ in 0..5 {
+            a.next_send_psn();
+        }
+        assert!(a.resync_send(53));
+        assert_eq!(a.next_send_psn(), 53);
+        // A NAK naming a PSN ahead of the send PSN predicts no repeats.
+        assert!(a.resync_send(70));
+        assert!(a.resync_send(70));
+    }
+
+    #[test]
+    fn arbitrary_leftover_credit_delays_a_resync_but_cannot_prevent_it() {
+        // Start from a corrupt state: credit for 1000 repeats of a NAK
+        // that will never repeat that often.
+        let (mut a, _) = connected_pair();
+        a.rewound_to = 50;
+        a.stale_naks = 1000;
+        for _ in 0..3 {
+            a.next_send_psn();
+        }
+        let naks_until_resync = (1..).find(|_| a.resync_send(50)).unwrap();
+        assert_eq!(naks_until_resync, 1001);
+        assert_eq!(a.next_send_psn(), 50);
+        // That rewind (S = 53) predicted one repeat. Once it is counted
+        // off, the same PSN lost again still resyncs — where a grow-only
+        // "first NAK per PSN wins" history wedged the QP for good.
+        assert!(!a.resync_send(50));
+        a.next_send_psn();
+        assert!(a.resync_send(50));
     }
 
     #[test]

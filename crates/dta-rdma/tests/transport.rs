@@ -51,9 +51,9 @@ proptest! {
                 }
                 RxOutcome::Nak(nak) => {
                     // Requester resynchronizes to the responder's expected
-                    // PSN; subsequent packets flow again.
-                    requester.resync_send(nak.bth.psn);
-                    resynced = true;
+                    // PSN, unless it counts this NAK as a stale repeat (then
+                    // the gap stays open until a later NAK rewinds).
+                    resynced = requester.resync_send(nak.bth.psn);
                 }
                 other => prop_assert!(false, "unexpected outcome {:?}", other),
             }

@@ -14,7 +14,6 @@ pub mod reporter;
 pub mod resources;
 
 pub use reporter::{
-    PacedReporterNode, Reporter, ReporterConfig, ReporterFleetNode, ReporterNode,
-    RetransmitPolicy, RetxStats,
+    Reporter, ReporterConfig, ReporterFleetNode, RetransmitPolicy, RetxStats,
 };
 pub use resources::{reporter_footprint, ReporterKind};

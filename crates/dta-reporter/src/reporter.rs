@@ -132,8 +132,7 @@ struct WindowEntry {
     report: DtaReport,
 }
 
-/// The bounded in-flight window shared by [`PacedReporterNode`] and each
-/// [`ReporterFleetNode`] lane.
+/// The bounded in-flight window of one [`ReporterFleetNode`] lane.
 struct RetxWindow {
     policy: RetransmitPolicy,
     entries: VecDeque<WindowEntry>,
@@ -190,138 +189,6 @@ fn decode_inbound(packet: &Packet) -> Option<(u32, u32)> {
     Some((udp.ip.dst, seq))
 }
 
-/// A reporter wrapped as a network node that forwards nothing (leaf switch
-/// role); exposed for harnesses that drive reporters via ticks.
-pub struct ReporterNode {
-    /// The reporter.
-    pub reporter: Reporter,
-    /// Reports queued for the next tick.
-    pub outbox: Vec<DtaReport>,
-}
-
-impl ReporterNode {
-    /// Node wrapper.
-    pub fn new(reporter: Reporter) -> Self {
-        ReporterNode { reporter, outbox: Vec::new() }
-    }
-
-    /// Queue a report for emission at the next tick.
-    pub fn enqueue(&mut self, report: DtaReport) {
-        self.outbox.push(report);
-    }
-}
-
-impl NetNode for ReporterNode {
-    fn receive(&mut self, _now: SimTime, _packet: Packet, _out: &mut Vec<Emission>) {
-        // NACKs and user traffic terminate here.
-    }
-
-    fn tick(&mut self, _now: SimTime, out: &mut Vec<Emission>) -> bool {
-        let reports: Vec<DtaReport> = self.outbox.drain(..).collect();
-        out.extend(reports.iter().map(|r| Emission::now(self.reporter.frame(r))));
-        true // the outbox can refill at any time
-    }
-}
-
-/// A reporter driving a fixed schedule of reports at a bounded rate — the
-/// scenario harness's fleet member.
-///
-/// [`ReporterNode`] dumps its whole outbox on one tick, which models a
-/// one-shot export; a fleet scenario needs *pacing* so thousands of
-/// reporters don't serialize their entire run into a single burst that
-/// tail-drops at the first ToR queue. `PacedReporterNode` emits at most
-/// `reports_per_tick` reports per tick until its schedule is exhausted,
-/// then goes quiet (its ticks become no-ops). All state is handed over at
-/// construction, so a simulation owns the node completely — the engine's
-/// tick events are the only driver, keeping runs deterministic on the
-/// simulated clock.
-pub struct PacedReporterNode {
-    /// The underlying framer.
-    pub reporter: Reporter,
-    schedule: Vec<DtaReport>,
-    cursor: usize,
-    reports_per_tick: usize,
-    /// In-flight window, when retransmission is enabled.
-    retx: Option<RetxWindow>,
-    /// Congestion-loop counters (NACK/stray split, retransmissions).
-    pub retx_stats: RetxStats,
-    /// Packets delivered *to* this node — always
-    /// `retx_stats.nacks_received + retx_stats.stray_received` (kept as
-    /// the sum for golden compatibility).
-    pub received: u64,
-}
-
-impl PacedReporterNode {
-    /// A fleet reporter that will emit `schedule` in order, at most
-    /// `reports_per_tick` per tick.
-    pub fn new(reporter: Reporter, schedule: Vec<DtaReport>, reports_per_tick: usize) -> Self {
-        PacedReporterNode {
-            reporter,
-            schedule,
-            cursor: 0,
-            reports_per_tick: reports_per_tick.max(1),
-            retx: None,
-            retx_stats: RetxStats::default(),
-            received: 0,
-        }
-    }
-
-    /// Enable NACK-driven retransmission from a bounded in-flight window.
-    pub fn with_retransmit(mut self, policy: RetransmitPolicy) -> Self {
-        self.retx = Some(RetxWindow::new(policy));
-        self
-    }
-
-    /// Reports not yet emitted.
-    pub fn pending(&self) -> usize {
-        self.schedule.len() - self.cursor
-    }
-
-    /// Ticks needed to drain a schedule of `len` reports at
-    /// `reports_per_tick` — the scenario harness sizes its emission window
-    /// from this.
-    pub fn ticks_to_drain(len: usize, reports_per_tick: usize) -> u64 {
-        (len as u64).div_ceil(reports_per_tick.max(1) as u64)
-    }
-}
-
-impl NetNode for PacedReporterNode {
-    fn receive(&mut self, _now: SimTime, packet: Packet, out: &mut Vec<Emission>) {
-        self.received += 1;
-        let Some((_dst_ip, seq)) = decode_inbound(&packet) else {
-            self.retx_stats.stray_received += 1;
-            return;
-        };
-        self.retx_stats.nacks_received += 1;
-        let Some(window) = self.retx.as_mut() else {
-            // NACKs decode and count even with retransmission disabled;
-            // without a window the report is simply not recoverable.
-            self.retx_stats.nacks_unmatched += 1;
-            return;
-        };
-        if let Some(report) = window.on_nack(seq, &mut self.retx_stats) {
-            let pace = window.policy.pace_ns;
-            out.push(Emission::after(self.reporter.frame(&report), pace));
-        }
-    }
-
-    fn tick(&mut self, _now: SimTime, out: &mut Vec<Emission>) -> bool {
-        let end = (self.cursor + self.reports_per_tick).min(self.schedule.len());
-        for r in &self.schedule[self.cursor..end] {
-            if let Some(window) = self.retx.as_mut() {
-                window.record(r);
-            }
-            out.push(Emission::now(self.reporter.frame(r)));
-        }
-        self.cursor = end;
-        // A drained schedule never refills: cancel the tick series instead
-        // of burning an engine event every period for the rest of the run.
-        // (NACK-driven retransmits ride on `receive`, not on ticks, so the
-        // cancellation cannot strand them.)
-        self.cursor < self.schedule.len()
-    }
-}
-
 /// One co-located reporter of a [`ReporterFleetNode`]: its framer, its
 /// paced schedule, and (when enabled) its in-flight retransmit window.
 struct Lane {
@@ -331,15 +198,19 @@ struct Lane {
     retx: Option<RetxWindow>,
 }
 
-/// Several paced reporters sharing one host node (and its uplink).
+/// Paced reporters sharing one host node (and its uplink) — the scenario
+/// harness's fleet member.
 ///
 /// A K=8 fat tree has 128 hosts; a thousand-reporter fleet therefore needs
 /// reporters co-located on hosts — each *lane* is a full [`Reporter`] with
-/// its own source IP and schedule, paced independently at
-/// `reports_per_tick`, all multiplexed onto the host's single network
-/// attachment. With one lane this is exactly [`PacedReporterNode`]
-/// (emission order and framing byte-identical), which is what lets the
-/// scenario harness use it unconditionally.
+/// its own source IP and schedule, all multiplexed onto the host's single
+/// network attachment. Lanes are *paced*: each emits at most
+/// `reports_per_tick` reports per tick until its schedule is exhausted, so
+/// thousands of reporters don't serialize their entire run into a single
+/// burst that tail-drops at the first ToR queue. All state is handed over
+/// before the run, so a simulation owns the node completely — the engine's
+/// tick events are the only driver, keeping runs deterministic on the
+/// simulated clock.
 pub struct ReporterFleetNode {
     lanes: Vec<Lane>,
     reports_per_tick: usize,
@@ -385,6 +256,13 @@ impl ReporterFleetNode {
     pub fn add_lane(&mut self, reporter: Reporter, schedule: Vec<DtaReport>) {
         let retx = self.retx_policy.map(RetxWindow::new);
         self.lanes.push(Lane { reporter, schedule, cursor: 0, retx });
+    }
+
+    /// Ticks needed to drain a schedule of `len` reports at
+    /// `reports_per_tick` — the scenario harness sizes its emission window
+    /// from this.
+    pub fn ticks_to_drain(len: usize, reports_per_tick: usize) -> u64 {
+        (len as u64).div_ceil(reports_per_tick.max(1) as u64)
     }
 
     /// Number of co-located reporters.
@@ -499,13 +377,28 @@ mod tests {
         assert_eq!(dta_len - legacy_len, 8 + 4 /* Append sub-header */);
     }
 
+    /// A host with one reporter at `config()`, pacing `schedule` at
+    /// `per_tick`, retransmitting under `policy` when given.
+    fn one_lane(
+        schedule: Vec<DtaReport>,
+        per_tick: usize,
+        policy: Option<RetransmitPolicy>,
+    ) -> ReporterFleetNode {
+        let mut node = ReporterFleetNode::new(per_tick);
+        if let Some(policy) = policy {
+            node.set_retransmit(policy);
+        }
+        node.add_lane(Reporter::new(config()), schedule);
+        node
+    }
+
     #[test]
     fn paced_node_emits_at_most_n_per_tick_then_goes_quiet() {
         let schedule: Vec<DtaReport> =
             (0..7u32).map(|i| DtaReport::append(i, 1, i.to_be_bytes().to_vec())).collect();
-        let mut node = PacedReporterNode::new(Reporter::new(config()), schedule, 3);
+        let mut node = one_lane(schedule, 3, None);
         assert_eq!(node.pending(), 7);
-        assert_eq!(PacedReporterNode::ticks_to_drain(7, 3), 3);
+        assert_eq!(ReporterFleetNode::ticks_to_drain(7, 3), 3);
         let sizes: Vec<usize> = (0..5)
             .map(|_| {
                 let mut out = Vec::new();
@@ -515,15 +408,7 @@ mod tests {
             .collect();
         assert_eq!(sizes, [3, 3, 1, 0, 0]);
         assert_eq!(node.pending(), 0);
-        assert_eq!(node.reporter.exported, 7);
-        // Inbound non-NACK packets terminate, counted as stray.
-        let pkt = legacy_udp_frame(&config(), Bytes::from_static(b"nack"));
-        let mut out = Vec::new();
-        node.receive(SimTime::ZERO, pkt, &mut out);
-        assert!(out.is_empty());
-        assert_eq!(node.received, 1);
-        assert_eq!(node.retx_stats.stray_received, 1);
-        assert_eq!(node.retx_stats.nacks_received, 0);
+        assert_eq!(node.exported(), 7);
     }
 
     #[test]
@@ -580,8 +465,7 @@ mod tests {
         let schedule: Vec<DtaReport> =
             (0..3u32).map(|i| DtaReport::append(i, 1, i.to_be_bytes().to_vec())).collect();
         let policy = RetransmitPolicy { window: 8, max_retries: 1, pace_ns: 500 };
-        let mut node = PacedReporterNode::new(Reporter::new(config()), schedule.clone(), 8)
-            .with_retransmit(policy);
+        let mut node = one_lane(schedule.clone(), 8, Some(policy));
         let mut out = Vec::new();
         node.tick(SimTime::ZERO, &mut out);
         assert_eq!(out.len(), 3);
@@ -614,8 +498,7 @@ mod tests {
         let schedule: Vec<DtaReport> =
             (0..4u32).map(|i| DtaReport::append(i, 1, i.to_be_bytes().to_vec())).collect();
         let policy = RetransmitPolicy { window: 2, max_retries: 8, pace_ns: 0 };
-        let mut node = PacedReporterNode::new(Reporter::new(config()), schedule, 8)
-            .with_retransmit(policy);
+        let mut node = one_lane(schedule, 8, Some(policy));
         let mut out = Vec::new();
         node.tick(SimTime::ZERO, &mut out);
         // Seqs 0 and 1 were evicted by 2 and 3 (window of 2).
@@ -665,8 +548,7 @@ mod tests {
         // comes from the translator's NACK port — anything else must not
         // trigger a retransmission.
         let schedule = vec![DtaReport::append(0, 1, vec![1; 4])];
-        let mut node = PacedReporterNode::new(Reporter::new(config()), schedule, 8)
-            .with_retransmit(RetransmitPolicy::default());
+        let mut node = one_lane(schedule, 8, Some(RetransmitPolicy::default()));
         let mut out = Vec::new();
         node.tick(SimTime::ZERO, &mut out);
         out.clear();
@@ -728,7 +610,7 @@ mod tests {
 
     #[test]
     fn nack_without_retransmit_policy_still_splits_counters() {
-        let mut node = PacedReporterNode::new(Reporter::new(config()), Vec::new(), 1);
+        let mut node = one_lane(Vec::new(), 1, None);
         let mut out = Vec::new();
         node.receive(SimTime::ZERO, nack_packet(config().my_ip, 5), &mut out);
         assert!(out.is_empty(), "no policy, no retransmit");
@@ -740,12 +622,13 @@ mod tests {
 
     #[test]
     fn node_emits_queued_reports_on_tick() {
-        let mut node = ReporterNode::new(Reporter::new(config()));
-        node.enqueue(DtaReport::append(0, 1, vec![1; 4]));
-        node.enqueue(DtaReport::append(1, 1, vec![2; 4]));
+        // A one-shot export is a lane paced wider than its schedule.
+        let queued =
+            vec![DtaReport::append(0, 1, vec![1; 4]), DtaReport::append(1, 1, vec![2; 4])];
+        let mut node = one_lane(queued.clone(), 8, None);
         let mut emissions = Vec::new();
         node.tick(SimTime::ZERO, &mut emissions);
-        assert_eq!(emissions.len(), 2);
+        assert_eq!(emissions.iter().map(emitted_report).collect::<Vec<_>>(), queued);
         emissions.clear();
         node.tick(SimTime::ZERO, &mut emissions);
         assert!(emissions.is_empty(), "outbox drained");

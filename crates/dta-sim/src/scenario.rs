@@ -27,14 +27,12 @@ use dta_net::{
     FatTree, FaultInjector, LinkConfig, LinkStats, FaultTotals, NetNode, Network, NetworkStats,
     NodeId, SimTime,
 };
-use dta_rdma::cm::CmRequester;
 use dta_rdma::mr::SnapshotBuf;
-use dta_reporter::{PacedReporterNode, Reporter, ReporterConfig, ReporterFleetNode, RetxStats};
+use dta_reporter::{Reporter, ReporterConfig, ReporterFleetNode, RetxStats};
 use dta_translator::node::TranslatorNodeStats;
 use dta_translator::{
-    FailoverStats, FleetAdmin, FleetConfig, FleetEvent, FleetNode, FleetQueryEngine, LinkKind,
-    RebalanceConfig, RebalanceStats, ShardedConfig, ShardedTranslatorNode, Translator,
-    TranslatorNode, TranslatorStats,
+    FailoverStats, FleetConfig, FleetEvent, FleetNode, FleetQueryEngine, LinkKind,
+    RebalanceConfig, RebalanceStats, TranslatorStats,
 };
 
 use crate::query::{CollectorReaders, QueryService, QueryStats};
@@ -272,7 +270,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
         );
     }
 
-    // --- Collector + translator ------------------------------------------
+    // --- Collectors + translator -----------------------------------------
     // The congestion plan's rate limiter overlays the translator sizing
     // (both modes; the sharded pipeline divides the budget across shards).
     let translator_config = {
@@ -282,130 +280,69 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
         }
         c
     };
-    let mut fleet_admin: Option<FleetAdmin> = None;
-    // Reader clones for the online query service, captured before the
-    // services move into their network nodes (both branches below).
-    let mut query_readers: Vec<CollectorReaders> = Vec::new();
+    let mut services: Vec<CollectorService> =
+        (0..fleet_size).map(|_| CollectorService::new(spec.service.clone())).collect();
+    let mut peers: Vec<(NodeId, u32, &mut CollectorService)> = services
+        .iter_mut()
+        .enumerate()
+        .map(|(c, svc)| (collector_sites[c].0, COLLECTOR_IP + c as u32, svc))
+        .collect();
+    // The migration path rolls its own fault dice (there is no simulated
+    // link between the fence and the fallback's memory), so it gets a
+    // domain-separated stream off the scenario seed.
+    let rebalance_cfg = spec.rebalance.as_ref().map(|rb| RebalanceConfig {
+        fence_capacity: rb.fence_capacity,
+        ledger_capacity: rb.ledger_capacity,
+        drain_batch: rb.drain_batch,
+        retry_ns: rb.retry_ns,
+        faults: rb.faults,
+        seed: splitmix64(spec.seed ^ 0x5EBA_1A4C),
+    });
+    // The translator mode picks the link the ToR node's RDMA rides on;
+    // nothing inside the node branches on the mode again.
     let sharded_tor = matches!(spec.mode, TranslatorMode::Sharded { .. });
-    if fleet {
-        let mut services: Vec<CollectorService> =
-            (0..fleet_size).map(|_| CollectorService::new(spec.service.clone())).collect();
-        let mut peers: Vec<(NodeId, u32, &mut CollectorService)> = services
-            .iter_mut()
-            .enumerate()
-            .map(|(c, svc)| (collector_sites[c].0, COLLECTOR_IP + c as u32, svc))
-            .collect();
-        // The migration path rolls its own fault dice (there is no
-        // simulated link between the fence and the fallback's memory), so
-        // it gets a domain-separated stream off the scenario seed.
-        let rebalance_cfg = spec.rebalance.as_ref().map(|rb| RebalanceConfig {
-            fence_capacity: rb.fence_capacity,
-            ledger_capacity: rb.ledger_capacity,
-            drain_batch: rb.drain_batch,
-            retry_ns: rb.retry_ns,
-            faults: rb.faults,
-            seed: splitmix64(spec.seed ^ 0x5EBA_1A4C),
-        });
-        // The translator mode picks the link the fleet node's RDMA rides
-        // on; nothing inside the node branches on the mode again.
-        let link = match spec.mode {
-            TranslatorMode::Sharded { shards } => LinkKind::InProcess { shards },
-            TranslatorMode::SingleThreaded => LinkKind::Roce { my_id: tor, my_ip: TRANSLATOR_IP },
-        };
-        let (node, admin) = FleetNode::connect(
-            &FleetConfig {
-                translator: translator_config,
-                timeout_ns: spec.collectors.timeout_ns,
-                min_unacked: spec.collectors.min_unacked,
-                ledger_capacity: spec.collectors.ledger_capacity,
-                rebalance: rebalance_cfg,
-            },
-            link,
-            &mut peers,
-        );
-        fleet_admin = Some(admin);
-        net.add_interceptor(tor, Box::new(node));
-        drop(peers);
-        // Fleet ticks drive admin-event consumption, completion-timeout
-        // detection, and periodic endpoint flushes.
+    let link = match spec.mode {
+        TranslatorMode::Sharded { shards } => {
+            LinkKind::InProcess { my_id: tor, my_ip: TRANSLATOR_IP, shards }
+        }
+        TranslatorMode::SingleThreaded => LinkKind::Roce { my_id: tor, my_ip: TRANSLATOR_IP },
+    };
+    let (node, admin) = FleetNode::connect(
+        &FleetConfig {
+            translator: translator_config,
+            timeout_ns: spec.collectors.timeout_ns,
+            min_unacked: spec.collectors.min_unacked,
+            ledger_capacity: spec.collectors.ledger_capacity,
+            rebalance: rebalance_cfg,
+        },
+        link,
+        &mut peers,
+    );
+    net.add_interceptor(tor, Box::new(node));
+    drop(peers);
+    // Periodic ToR ticks. A fleet needs them for admin-event consumption,
+    // completion-timeout detection and endpoint flushes; a single
+    // in-process collector needs them to emit the NACKs for worker-side
+    // rate-limit drops (each tick barriers on the shard queues, so the
+    // drained set is deterministic). A single RoCE collector NACKs inline
+    // and gets one flush, below: a periodic one would early-flush
+    // Postcarding cache rows.
+    if fleet || (sharded_tor && spec.congestion.nack_on_drop) {
         net.add_tick(tor, spec.tick_ns);
-        if spec.query.is_some() {
-            query_readers = services
-                .iter()
-                .map(|svc| CollectorReaders::from_service(svc, spec.service.max_redundancy))
-                .collect();
-        }
-        for (c, svc) in services.into_iter().enumerate() {
-            let (host, _) = collector_sites[c];
-            net.add_node(host, Box::new(CollectorNode::new(svc, host, COLLECTOR_IP + c as u32)));
-        }
+    }
+    // Reader clones for the online query service, captured before the
+    // services move into their network nodes.
+    let query_readers: Vec<CollectorReaders> = if spec.query.is_some() {
+        services
+            .iter()
+            .map(|svc| CollectorReaders::from_service(svc, spec.service.max_redundancy))
+            .collect()
     } else {
-        let mut svc = CollectorService::new(spec.service.clone());
-        match spec.mode {
-            TranslatorMode::Sharded { shards } => {
-                let mut node = ShardedTranslatorNode::connect(
-                    ShardedConfig {
-                        shards,
-                        translator: translator_config,
-                        ..ShardedConfig::default()
-                    },
-                    &mut svc,
-                );
-                if spec.congestion.nack_on_drop {
-                    // Worker-side rate-limit drops are NACKed from the engine
-                    // thread on this node's ticks (period = the reporter pacing
-                    // period; each tick barriers on the shard queues, so the
-                    // drained set is deterministic).
-                    node.enable_nacks(tor, TRANSLATOR_IP);
-                    net.add_tick(tor, spec.tick_ns);
-                }
-                net.add_interceptor(tor, Box::new(node));
-            }
-            TranslatorMode::SingleThreaded => {
-                let mut translator = Translator::new(translator_config);
-                for (i, service) in [
-                    dta_collector::SERVICE_KW,
-                    dta_collector::SERVICE_POSTCARD,
-                    dta_collector::SERVICE_APPEND,
-                    dta_collector::SERVICE_CMS,
-                ]
-                .into_iter()
-                .enumerate()
-                {
-                    let req = CmRequester::new(0x700 + i as u32, 0);
-                    let reply = svc.handle_cm(&req.request(service));
-                    let Ok((qp, params)) = req.complete(&reply) else {
-                        continue; // primitive disabled at the collector
-                    };
-                    match service {
-                        dta_collector::SERVICE_KW => translator.connect_key_write(qp, params),
-                        dta_collector::SERVICE_POSTCARD => {
-                            translator.connect_postcarding(qp, params)
-                        }
-                        dta_collector::SERVICE_APPEND => translator.connect_append(qp, params),
-                        dta_collector::SERVICE_CMS => translator.connect_key_increment(qp, params),
-                        _ => unreachable!(),
-                    }
-                }
-                net.add_interceptor(
-                    tor,
-                    Box::new(TranslatorNode::new(
-                        translator,
-                        tor,
-                        TRANSLATOR_IP,
-                        collector_host,
-                        COLLECTOR_IP,
-                    )),
-                );
-            }
-        }
-        if spec.query.is_some() {
-            query_readers = vec![CollectorReaders::from_service(&svc, spec.service.max_redundancy)];
-        }
-        net.add_node(
-            collector_host,
-            Box::new(CollectorNode::new(svc, collector_host, COLLECTOR_IP)),
-        );
+        Vec::new()
+    };
+    for (c, svc) in services.into_iter().enumerate() {
+        let (host, _) = collector_sites[c];
+        net.add_node(host, Box::new(CollectorNode::new(svc, host, COLLECTOR_IP + c as u32)));
     }
 
     // --- Fleet nodes and pacing ------------------------------------------
@@ -423,7 +360,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
         let (host, _) = placements[r % hosts_used];
         let lane = (r / hosts_used) as u32;
         max_ticks =
-            max_ticks.max(PacedReporterNode::ticks_to_drain(stream.len(), spec.reports_per_tick));
+            max_ticks.max(ReporterFleetNode::ticks_to_drain(stream.len(), spec.reports_per_tick));
         let reporter = Reporter::new(ReporterConfig {
             my_id: host,
             // Lane 0 keeps the historical per-host IP; co-located lanes
@@ -447,9 +384,9 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
     if !sharded_tor && !fleet {
         // One translator flush inside the run (postcard cache rows, partial
         // append batches): the first tick of this series fires at
-        // `flush_at`, the second lands past the deadline. The sharded
-        // pipeline instead flushes at shutdown, below; the fleet node
-        // flushes on its periodic ticks.
+        // `flush_at`, the second lands past the deadline. The in-process
+        // link instead flushes at shutdown, below; a fleet flushes on its
+        // periodic ticks.
         net.add_tick(tor, flush_at);
     }
     let deadline = flush_at + spec.drain_ns;
@@ -459,8 +396,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
     // the clock. Packets addressed to a removed node are dropped by the
     // engine — exactly a fail-stop host.
     let mut parked_victim: Option<(NodeId, Box<dyn NetNode>)> = None;
-    if let (true, Some(f)) = (fleet, spec.collectors.fault) {
-        let admin = fleet_admin.as_ref().expect("fleet admin");
+    if let Some(f) = spec.collectors.fault {
         let victim_host = collector_sites[f.victim as usize].0;
         net.run_until(SimTime::from_nanos(f.kill_at_ns.min(deadline)));
         if f.spurious {
@@ -495,8 +431,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
     // serve the epoch's query stream against per-epoch snapshot images.
     // Query plans exclude collector faults, so this never interleaves
     // with the fault schedule above.
-    let mut query_service =
-        spec.query.map(|_| QueryService::new(spec, &workload, std::mem::take(&mut query_readers)));
+    let mut query_service = spec.query.map(|_| QueryService::new(spec, &workload, query_readers));
     if let (Some(qs), Some(plan)) = (query_service.as_mut(), spec.query) {
         let stop_ns = plan.stop_ns.min(deadline);
         let mut epoch = qs.first_epoch();
@@ -524,30 +459,9 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
     }
 
     let tor_node: Box<dyn std::any::Any> = net.remove_node(tor).expect("translator node");
-    let (translator_stats, translator_node_stats, per_shard, sharded_executed, failover, rebalance, table) =
-        if fleet {
-            let node = tor_node.downcast::<FleetNode>().expect("fleet node");
-            let node_stats = node.stats;
-            let rep = node.finish();
-            (
-                rep.translator,
-                node_stats,
-                rep.per_shard_reports_in,
-                rep.executed,
-                rep.failover,
-                rep.rebalance,
-                Some(rep.table),
-            )
-        } else if sharded_tor {
-            let mut node = tor_node.downcast::<ShardedTranslatorNode>().expect("sharded node");
-            let node_stats = node.stats;
-            let run = node.finish().expect("pipeline not yet finished");
-            let per_shard = run.shards.iter().map(|s| s.translator.reports_in).collect();
-            (run.translator, node_stats, per_shard, Some(run.executed), FailoverStats::default(), None, None)
-        } else {
-            let node = tor_node.downcast::<TranslatorNode>().expect("translator type");
-            (node.translator.stats, node.stats, Vec::new(), None, FailoverStats::default(), None, None)
-        };
+    let tor_node = tor_node.downcast::<FleetNode>().expect("translator type");
+    let translator_node_stats = tor_node.stats;
+    let tor_run = tor_node.finish();
 
     // The victim of a genuine kill lives in `parked_victim`, not the
     // engine; everyone else comes off the fabric here. Fleet order.
@@ -568,31 +482,29 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
         collector_stats.dropped += node.stats.dropped;
         collector_nodes.push(node);
     }
-    let executed = sharded_executed.unwrap_or(collector_stats.executed);
+    let executed = tor_run.executed.unwrap_or(collector_stats.executed);
 
-    // Both deployment shapes audit through the one QueryEngine API: the
-    // single collector via its live store engine, the fleet via the same
-    // engines wrapped in owner-first fan-out routing over the *final*
-    // routing table — the same checksum digest and table reduction the
-    // translators used on the wire, so a key rerouted by a failover is
+    // The audit goes through the one QueryEngine API: each collector's
+    // live store engine, wrapped in owner-first fan-out routing over the
+    // *final* routing table — the same checksum digest and table reduction
+    // the translator used on the wire, so a key rerouted by a failover is
     // queried at its surviving owner.
-    let queries = if let Some(table) = &table {
+    let queries = {
         let engines: Vec<StoreQueryEngine<'_>> =
             collector_nodes.iter_mut().map(|n| n.service.engine()).collect();
-        audit_with(&mut FleetQueryEngine::new(engines, table), spec, &workload)
-    } else {
-        audit_with(&mut collector_nodes[0].service.engine(), spec, &workload)
+        audit_with(&mut FleetQueryEngine::new(engines, &tor_run.table), spec, &workload)
     };
-    let (memory, fleet_memory) = if let Some(table) = &table {
-        // Unmerged per-collector snapshots, plus the OR of their dirty
-        // ranges over the collectors the final table considers alive.
-        // Under the fleet preconditions (write-once KW, slot-disjoint key
-        // pools) each byte is written by at most one collector, so the OR
-        // is a union and is comparable across runs with different fault
-        // schedules.
-        let fleet_memory: Vec<Vec<(u32, SnapshotBuf)>> =
-            collector_nodes.iter().map(|n| snapshot_regions(&n.service)).collect();
-        let mut alive = (0..fleet_size as u32).filter(|&c| table.is_alive(c));
+    // Unmerged per-collector snapshots, and their merged view: the OR of
+    // the dirty ranges over the collectors the final table considers
+    // alive. Under the fleet preconditions (write-once KW, slot-disjoint
+    // key pools) each byte is written by at most one collector, so the OR
+    // is a union and is comparable across runs with different fault
+    // schedules. The merged view of one collector is its only snapshot,
+    // moved rather than copied.
+    let mut fleet_memory: Vec<Vec<(u32, SnapshotBuf)>> =
+        collector_nodes.iter().map(|n| snapshot_regions(&n.service)).collect();
+    let memory = if fleet {
+        let mut alive = (0..fleet_size as u32).filter(|&c| tor_run.table.is_alive(c));
         let first = alive.next().expect("at least one live collector") as usize;
         let mut merged = fleet_memory[first].clone();
         for c in alive {
@@ -603,9 +515,9 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
                 buf.or_with(other);
             }
         }
-        (merged, fleet_memory)
+        merged
     } else {
-        (snapshot_regions(&collector_nodes[0].service), Vec::new())
+        fleet_memory.pop().expect("one collector")
     };
 
     ScenarioOutcome {
@@ -615,14 +527,14 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
             net: net_stats,
             faults: fault_totals,
             links: link_totals,
-            translator: translator_stats,
+            translator: tor_run.translator,
             translator_node: translator_node_stats,
             reporter: reporter_totals,
-            per_shard_reports_in: per_shard,
+            per_shard_reports_in: tor_run.per_shard_reports_in,
             executed,
             collector: collector_stats,
-            failover,
-            rebalance,
+            failover: tor_run.failover,
+            rebalance: tor_run.rebalance,
             queries,
             query: query_service.map(QueryService::into_stats),
         },

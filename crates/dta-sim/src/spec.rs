@@ -16,12 +16,14 @@ use dta_translator::{MigrationFaults, RateLimiterConfig, TranslatorConfig};
 /// Which translator pipeline fronts the collector's ToR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TranslatorMode {
-    /// The single-threaded [`dta_translator::TranslatorNode`]: reports
-    /// translate inline and the resulting RoCE packets traverse the
-    /// simulated ToR→collector link (lossless, PFC).
+    /// [`dta_translator::FleetNode`] over [`dta_translator::LinkKind::Roce`]:
+    /// reports translate inline, one [`dta_translator::Translator`] per
+    /// collector, and the resulting RoCE packets traverse the simulated
+    /// ToR→collector link (lossless, PFC).
     SingleThreaded,
-    /// The multi-threaded [`dta_translator::ShardedTranslatorNode`]: the
-    /// PR 2 pipeline (SPSC rings, per-shard translators, dedicated NIC
+    /// [`dta_translator::FleetNode`] over
+    /// [`dta_translator::LinkKind::InProcess`]: per collector, the PR 2
+    /// pipeline (SPSC rings, per-shard translators, dedicated NIC
     /// endpoints) executes RDMA directly into the collector's striped
     /// memory — the intra-rack RoCE hop modeled at the memory level.
     Sharded {
@@ -563,7 +565,9 @@ impl ScenarioSpec {
                      across a failover"
                     .into());
             }
-            // The fleet nodes do not implement the reporter NACK loop.
+            // The reporter NACK loop runs on the collector link, so a
+            // fleet could carry it, but nothing has checked NACK-driven
+            // retransmission against ledger replay: still rejected.
             if self.congestion.rate_limit.is_some()
                 || self.congestion.nack_on_drop
                 || self.congestion.retransmit.is_some()
@@ -858,7 +862,7 @@ mod tests {
         f.rejoin_at_ns = None;
         s.collectors.fault = Some(f);
         assert_eq!(s.validate(), Ok(()));
-        // The fleet nodes opt out of the congestion loop.
+        // Fleets opt out of the congestion loop.
         let mut s = ScenarioSpec::preset("failover", TranslatorMode::SingleThreaded);
         s.congestion.rate_limit =
             Some(dta_translator::RateLimiterConfig { msgs_per_sec: 10e6, burst: 64 });

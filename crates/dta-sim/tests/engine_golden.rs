@@ -87,7 +87,7 @@ fn k4_sharded_clean_matches_pre_rewrite_engine() {
 fn fleet_failover_single_matches_two_node_fleet() {
     assert_fleet_golden(
         ScenarioSpec::preset("failover", TranslatorMode::SingleThreaded),
-        "ScenarioReport { sent: PrimitiveCounts { key_write: 188, append: 0, key_increment: 196, postcard: 0 }, reports_unsent: 0, net: NetworkStats { delivered: 916, forwarded: 2334, dropped: 136, intercepted: 384 }, faults: FaultTotals { dropped: 0, corrupted: 0, reordered: 0, duplicated: 0 }, links: LinkStats { enqueued: 3770, dropped: 0, transmitted: 3770, bytes_tx: 291540, pauses: 0 }, translator: TranslatorStats { reports_in: 476, rdma_out: 952, rate_limited: 0, nacks_sent: 0, no_service: 0, resyncs: 0 }, translator_node: TranslatorNodeStats { dta_in: 384, malformed: 0, forwarded: 0, roce_responses: 100 }, reporter: RetxStats { nacks_received: 0, stray_received: 0, retransmitted: 0, retries_exhausted: 0, nacks_unmatched: 0 }, per_shard_reports_in: [], executed: 816, collector: CollectorNodeStats { executed: 816, naks: 0, dropped: 0 }, failover: FailoverStats { failovers: 1, spurious: 0, rejoins: 0, detected_timeout: 1, detected_teardown: 0, cm_disconnects: 2, rerouted: 42, replayed: 92, replayed_acked: 20, nak_replayed: 0, ledger_recorded: 476, ledger_evicted: 0, ledger_resident: 384, epoch: 1, duplicate_events: 0 }, rebalance: None, queries: QueryOutcomes { kw_found: 188, kw_ambiguous: 0, kw_missing: 0, pc_found: 0, pc_missing: 0, append_entries: 0, inc_estimate_total: 9659, fanout_lookups: 0 }, query: None }",
+        "ScenarioReport { sent: PrimitiveCounts { key_write: 188, append: 0, key_increment: 196, postcard: 0 }, reports_unsent: 0, net: NetworkStats { delivered: 916, forwarded: 2334, dropped: 136, intercepted: 384 }, faults: FaultTotals { dropped: 0, corrupted: 0, reordered: 0, duplicated: 0 }, links: LinkStats { enqueued: 3770, dropped: 0, transmitted: 3770, bytes_tx: 291540, pauses: 0 }, translator: TranslatorStats { reports_in: 476, rdma_out: 952, rate_limited: 0, nacks_sent: 0, no_service: 0, resyncs: 0 }, translator_node: TranslatorNodeStats { dta_in: 384, malformed: 0, forwarded: 0, roce_responses: 100 }, reporter: RetxStats { nacks_received: 0, stray_received: 0, retransmitted: 0, retries_exhausted: 0, nacks_unmatched: 0 }, per_shard_reports_in: [], executed: 816, collector: CollectorNodeStats { executed: 816, naks: 0, dropped: 0 }, failover: FailoverStats { failovers: 1, spurious: 0, rejoins: 0, detected_timeout: 1, detected_teardown: 0, cm_disconnects: 4, rerouted: 42, replayed: 92, replayed_acked: 20, nak_replayed: 0, ledger_recorded: 476, ledger_evicted: 0, ledger_resident: 384, epoch: 1, duplicate_events: 0 }, rebalance: None, queries: QueryOutcomes { kw_found: 188, kw_ambiguous: 0, kw_missing: 0, pc_found: 0, pc_missing: 0, append_entries: 0, inc_estimate_total: 9659, fanout_lookups: 0 }, query: None }",
         0x7bba398b4230cd9d,
         &[0xd9f243decf890731, 0x8a942d130766d301, 0x3f9ab708c2ee3145],
     );
@@ -107,7 +107,7 @@ fn fleet_failover_sharded_matches_two_node_fleet() {
 fn fleet_rebalance_single_matches_two_node_fleet() {
     assert_fleet_golden(
         ScenarioSpec::preset("rebalance", TranslatorMode::SingleThreaded),
-        "ScenarioReport { sent: PrimitiveCounts { key_write: 386, append: 0, key_increment: 382, postcard: 0 }, reports_unsent: 0, net: NetworkStats { delivered: 2720, forwarded: 4834, dropped: 144, intercepted: 768 }, faults: FaultTotals { dropped: 0, corrupted: 0, reordered: 0, duplicated: 0 }, links: LinkStats { enqueued: 8466, dropped: 0, transmitted: 8466, bytes_tx: 642908, pauses: 0 }, translator: TranslatorStats { reports_in: 941, rdma_out: 1882, rate_limited: 0, nacks_sent: 0, no_service: 0, resyncs: 2 }, translator_node: TranslatorNodeStats { dta_in: 768, malformed: 0, forwarded: 0, roce_responses: 615 }, reporter: RetxStats { nacks_received: 0, stray_received: 0, retransmitted: 0, retries_exhausted: 0, nacks_unmatched: 0 }, per_shard_reports_in: [], executed: 2067, collector: CollectorNodeStats { executed: 2067, naks: 38, dropped: 0 }, failover: FailoverStats { failovers: 1, spurious: 0, rejoins: 1, detected_timeout: 1, detected_teardown: 0, cm_disconnects: 2, rerouted: 42, replayed: 93, replayed_acked: 16, nak_replayed: 19, ledger_recorded: 941, ledger_evicted: 0, ledger_resident: 829, epoch: 4, duplicate_events: 0 }, rebalance: Some(RebalanceStats { scanned: 84, transferred: 84, skipped: 0, resident: 0, fence_evicted: 0, skipped_empty: 0, skipped_mismatch: 0, abandoned: 0, kw_fenced: 61, inc_fenced: 23, armed: 23, deferred: 17, deferred_flushed: 17, double_writes: 0, replays: 61, transfer_adds: 46, ops_sent: 367, ops_completed: 367, retransmits: 0, injected_drops: 0, injected_dups: 0, injected_reorders: 0, naks: 0, fence_epoch: 3, release_epoch: 4, released: 1 }), queries: QueryOutcomes { kw_found: 386, kw_ambiguous: 0, kw_missing: 0, pc_found: 0, pc_missing: 0, append_entries: 0, inc_estimate_total: 20034, fanout_lookups: 0 }, query: None }",
+        "ScenarioReport { sent: PrimitiveCounts { key_write: 386, append: 0, key_increment: 382, postcard: 0 }, reports_unsent: 0, net: NetworkStats { delivered: 2720, forwarded: 4834, dropped: 144, intercepted: 768 }, faults: FaultTotals { dropped: 0, corrupted: 0, reordered: 0, duplicated: 0 }, links: LinkStats { enqueued: 8466, dropped: 0, transmitted: 8466, bytes_tx: 642908, pauses: 0 }, translator: TranslatorStats { reports_in: 941, rdma_out: 1882, rate_limited: 0, nacks_sent: 0, no_service: 0, resyncs: 2 }, translator_node: TranslatorNodeStats { dta_in: 768, malformed: 0, forwarded: 0, roce_responses: 615 }, reporter: RetxStats { nacks_received: 0, stray_received: 0, retransmitted: 0, retries_exhausted: 0, nacks_unmatched: 0 }, per_shard_reports_in: [], executed: 2067, collector: CollectorNodeStats { executed: 2067, naks: 38, dropped: 0 }, failover: FailoverStats { failovers: 1, spurious: 0, rejoins: 1, detected_timeout: 1, detected_teardown: 0, cm_disconnects: 4, rerouted: 42, replayed: 93, replayed_acked: 16, nak_replayed: 19, ledger_recorded: 941, ledger_evicted: 0, ledger_resident: 829, epoch: 4, duplicate_events: 0 }, rebalance: Some(RebalanceStats { scanned: 84, transferred: 84, skipped: 0, resident: 0, fence_evicted: 0, skipped_empty: 0, skipped_mismatch: 0, abandoned: 0, kw_fenced: 61, inc_fenced: 23, armed: 23, deferred: 17, deferred_flushed: 17, double_writes: 0, replays: 61, transfer_adds: 46, ops_sent: 367, ops_completed: 367, retransmits: 0, injected_drops: 0, injected_dups: 0, injected_reorders: 0, naks: 0, fence_epoch: 3, release_epoch: 4, released: 1 }), queries: QueryOutcomes { kw_found: 386, kw_ambiguous: 0, kw_missing: 0, pc_found: 0, pc_missing: 0, append_entries: 0, inc_estimate_total: 20034, fanout_lookups: 0 }, query: None }",
         0x9336a6210d4b8371,
         &[0x0b6aa96124886c5d, 0x7140a1b660bd7ab9, 0x882e1feadcb68605],
     );

@@ -295,7 +295,7 @@ fn fleet_node(kind: LinkKind, services: &mut [CollectorService]) -> (FleetNode, 
 
 const BOTH_LINKS: [LinkKind; 2] = [
     LinkKind::Roce { my_id: NodeId(1), my_ip: TRANSLATOR_IP },
-    LinkKind::InProcess { shards: 2 },
+    LinkKind::InProcess { my_id: NodeId(1), my_ip: TRANSLATOR_IP, shards: 2 },
 ];
 
 /// Satellite: duplicate Kill/Rejoin signals for the same collector in the

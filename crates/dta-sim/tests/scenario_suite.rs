@@ -201,6 +201,41 @@ fn large_k8_faulted_report_path_accounts_for_loss() {
     );
 }
 
+/// RoCE-hop loss on `smoke`/single/seed 7: the translator's only remedy is
+/// the requester QP's stale-NAK rule. No duplication is injected, so every
+/// PSN-duplicate drop at the collector would be a rewind the translator
+/// inflicted on itself by acting on a repeat of a NAK it already answered;
+/// and one loss opens one gap, so it can justify at most one rewind.
+#[test]
+fn roce_hop_loss_resyncs_once_per_gap_and_never_duplicates() {
+    // Verbs the collector executed before the rule moved into the QP, when
+    // every repeat of a NAK rewound the send PSN again.
+    for (p, naive_executed) in [(0.01, 287), (0.05, 219), (0.2, 84)] {
+        let spec = ScenarioSpec {
+            faults: FaultPlan {
+                rdma_hop: dta_net::FaultConfig::unreliable(p, 0.0, 0.0),
+                ..FaultPlan::none()
+            },
+            seed: 7,
+            ..ScenarioSpec::preset("smoke", TranslatorMode::SingleThreaded)
+        };
+        let r = run_scenario(&spec).report;
+        assert!(r.faults.dropped > 0, "p={p}: the hop must lose something");
+        assert_eq!(r.collector.dropped, 0, "p={p}: self-inflicted PSN duplicates");
+        assert!(
+            r.translator.resyncs <= r.faults.dropped,
+            "p={p}: {} rewinds for {} losses",
+            r.translator.resyncs,
+            r.faults.dropped
+        );
+        assert!(
+            r.collector.executed > naive_executed,
+            "p={p}: executed {} verbs, no better than rewinding on every NAK",
+            r.collector.executed
+        );
+    }
+}
+
 proptest! {
     /// The acceptance property: identical fault schedules (loss + reorder
     /// + duplication on the report path of a K=4 fat tree) leave the

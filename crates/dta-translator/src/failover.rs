@@ -408,8 +408,8 @@ pub struct FleetConfig {
     pub timeout_ns: u64,
     /// Outstanding-send floor for the timeout rule. Must exceed the
     /// worst-case *live* backlog from per-QP ACK coalescing — with the two
-    /// service QPs a fleet endpoint opens (KW + CMS), that bound is
-    /// `2 * (ack_coalesce - 1)` — or a quiet-but-live collector gets
+    /// service QPs replayable fleet traffic rides (KW + CMS), that bound
+    /// is `2 * (ack_coalesce - 1)` — or a quiet-but-live collector gets
     /// declared dead.
     pub min_unacked: u64,
     /// Per-collector replay-window capacity.
@@ -458,7 +458,8 @@ fn migratable(report: &DtaReport) -> Option<(MigPrimitive, &TelemetryKey, u8)> {
     }
 }
 
-/// The multi-collector translator as an intercepting [`NetNode`].
+/// The translator as an intercepting [`NetNode`], in front of a collector
+/// tier of any size — one collector is a fleet of one.
 ///
 /// Reports route collector-first through the [`CollectorRoutingTable`],
 /// are posted toward the owner over the collector link ([`LinkKind`])
@@ -476,7 +477,7 @@ pub struct FleetNode {
     event_buf: Vec<FleetEvent>,
     replay_buf: Vec<LedgerEntry>,
     rebalance: Option<Migration>,
-    /// Per-node counters (shared shape with the single-collector node).
+    /// Per-node counters.
     pub stats: TranslatorNodeStats,
     /// Failover counters.
     pub failover: FailoverStats,
@@ -507,14 +508,18 @@ impl FleetNode {
                 LinkKind::Roce { my_id, my_ip } => {
                     Box::new(RoceLink::connect(config, peers, my_id, my_ip, kw))
                 }
-                LinkKind::InProcess { shards } => {
-                    Box::new(InProcessLink::connect(config, shards, peers, kw))
+                LinkKind::InProcess { my_id, my_ip, shards } => {
+                    Box::new(InProcessLink::connect(config, shards, peers, my_id, my_ip, kw))
                 }
             },
             table: CollectorRoutingTable::new(n),
-            ledger: ReplayLedger::new(n, config.ledger_capacity),
+            // Unused by a fleet of one (see `post`), whose config may
+            // leave the capacity zero.
+            ledger: ReplayLedger::new(n, config.ledger_capacity.max(1)),
             admin: admin.clone(),
-            key_scratch: KeyScratch::new(16 * 1024, 1),
+            // A fleet of one never digests (see `route`): the minimum table,
+            // not a pooled ~1 MB one.
+            key_scratch: KeyScratch::new(if n > 1 { 16 * 1024 } else { 0 }, 1),
             event_buf: Vec::new(),
             replay_buf: Vec::new(),
             rebalance: config.rebalance.map(|rb| Migration {
@@ -531,8 +536,12 @@ impl FleetNode {
     /// `(current owner, primary owner, key checksum)` for a report. The
     /// checksum is digested here once and handed to every later step on
     /// the report (fence record, deferral, double-write lookup); Append
-    /// routes by list id and has none.
+    /// routes by list id and has none. A fleet of one has nothing to
+    /// decide, so nothing is digested.
     fn route(&mut self, report: &DtaReport) -> (u32, u32, Option<u32>) {
+        if self.table.len() == 1 {
+            return (0, 0, None);
+        }
         let key = match &report.primitive {
             PrimitiveHeader::KeyWrite(h) => &h.key,
             PrimitiveHeader::KeyIncrement(h) => &h.key,
@@ -558,7 +567,8 @@ impl FleetNode {
     }
 
     /// Post `report` toward collector `owner` and ledger it against that
-    /// owner.
+    /// owner — unless the fleet is one collector, which has no survivor to
+    /// replay to.
     fn post(
         &mut self,
         owner: u32,
@@ -568,7 +578,9 @@ impl FleetNode {
         out: &mut Vec<Emission>,
     ) {
         if let Some(entry) = self.link.post_report(owner, now_ns, report, origin, out) {
-            self.ledger.record(entry);
+            if self.table.len() > 1 {
+                self.ledger.record(entry);
+            }
         }
     }
 
@@ -784,7 +796,102 @@ impl NetNode for FleetNode {
 mod tests {
     use super::*;
     use crate::partition::Partitioner;
-    use dta_core::TelemetryKey;
+    use bytes::Bytes;
+    use dta_collector::service::ServiceConfig;
+    use dta_collector::{CollectorNode, QueryOutcome, QueryPolicy};
+    use dta_core::framing::UdpPacket;
+    use dta_core::{TelemetryKey, DTA_UDP_PORT};
+    use dta_net::{LinkConfig, Network, Topology};
+
+    /// A fleet of one over the in-process link, `shards` workers.
+    fn in_process_node(shards: usize, svc: &mut CollectorService) -> FleetNode {
+        let config = FleetConfig {
+            translator: TranslatorConfig::default(),
+            timeout_ns: 1,
+            min_unacked: 1,
+            ledger_capacity: 1,
+            rebalance: None,
+        };
+        let kind = LinkKind::InProcess { my_id: NodeId(1), my_ip: 0x0A00_0001, shards };
+        FleetNode::connect(&config, kind, &mut [(NodeId(2), 0x0A00_0900, svc)]).0
+    }
+
+    /// Reports over the simulated network → sharded ingest → worker shards →
+    /// shard NICs → collector memory: the PR 2 pipeline driven from the node
+    /// layer.
+    #[test]
+    fn in_process_node_translates_network_reports_into_collector_memory() {
+        let mut topo = Topology::new(3);
+        topo.connect(NodeId(0), NodeId(1));
+        topo.connect(NodeId(1), NodeId(2));
+        let mut net = Network::new(topo.shortest_path_routing());
+        net.add_duplex_link(NodeId(0), NodeId(1), LinkConfig::dc_100g());
+        net.add_duplex_link(NodeId(1), NodeId(2), LinkConfig::dc_100g());
+
+        let mut svc = CollectorService::new(ServiceConfig::default());
+        net.add_interceptor(NodeId(1), Box::new(in_process_node(2, &mut svc)));
+        net.add_node(NodeId(2), Box::new(CollectorNode::new(svc, NodeId(2), 0x0A00_0900)));
+
+        for i in 0..100u64 {
+            let report =
+                DtaReport::key_write(i as u32, TelemetryKey::from_u64(i), 2, vec![i as u8; 4]);
+            let udp = UdpPacket::frame(
+                0x0A00_0002,
+                4000,
+                0x0A00_0900,
+                DTA_UDP_PORT,
+                report.encode().unwrap(),
+            );
+            net.send_from(NodeId(0), Packet::new(NodeId(0), NodeId(2), udp.encode()));
+        }
+        net.run_to_idle();
+
+        let tor: Box<dyn std::any::Any> = net.remove_node(NodeId(1)).unwrap();
+        let tor = tor.downcast::<FleetNode>().unwrap();
+        assert_eq!(tor.stats.dta_in, 100);
+        let run = tor.finish();
+        assert_eq!(run.translator.reports_in, 100);
+        assert_eq!(run.executed, Some(200), "N=2 -> 2 RDMA writes per report");
+        assert_eq!(run.per_shard_reports_in.len(), 2);
+        assert!(run.per_shard_reports_in.iter().all(|&n| n > 0), "both shards loaded");
+        assert_eq!(run.failover, FailoverStats::default(), "a fleet of one keeps no ledger");
+
+        let col: Box<dyn std::any::Any> = net.remove_node(NodeId(2)).unwrap();
+        let col = col.downcast::<CollectorNode>().unwrap();
+        // No RoCE traffic crossed the network: shard endpoints wrote memory
+        // directly.
+        assert_eq!(col.stats.executed, 0);
+        let kw = col.service.keywrite.as_ref().unwrap();
+        for i in 0..100u64 {
+            assert_eq!(
+                kw.query(&TelemetryKey::from_u64(i), 2, QueryPolicy::Plurality),
+                QueryOutcome::Found(vec![i as u8; 4]),
+                "key {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn in_process_node_forwards_user_traffic_and_rejects_garbage() {
+        let mut svc = CollectorService::new(ServiceConfig::default());
+        let mut node = in_process_node(1, &mut svc);
+        // User traffic (non-DTA UDP port) forwards untouched.
+        let user = UdpPacket::frame(1, 1234, 9, 80, Bytes::from_static(b"http"));
+        let mut out = Vec::new();
+        node.receive(SimTime::ZERO, Packet::new(NodeId(0), NodeId(9), user.encode()), &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(node.stats.forwarded, 1);
+        // Garbage is malformed, not a crash.
+        out.clear();
+        node.receive(
+            SimTime::ZERO,
+            Packet::new(NodeId(0), NodeId(9), Bytes::from_static(b"???")),
+            &mut out,
+        );
+        assert!(out.is_empty());
+        assert_eq!(node.stats.malformed, 1);
+        node.finish();
+    }
 
     #[test]
     fn routing_table_owner_is_primary_while_alive() {

@@ -59,11 +59,18 @@ impl<'t, E: QueryEngine> FleetQueryEngine<'t, E> {
             table.len() as usize,
             "one engine per fleet slot"
         );
-        FleetQueryEngine { engines, table, scratch: KeyScratch::new(16 * 1024, 1) }
+        // A fleet of one never digests (see `owner_of`): the minimum table,
+        // not a pooled ~1 MB one.
+        let entries = if table.len() > 1 { 16 * 1024 } else { 0 };
+        FleetQueryEngine { engines, table, scratch: KeyScratch::new(entries, 1) }
     }
 
-    /// The key's current owner per the routing table.
+    /// The key's current owner per the routing table (a fleet of one has
+    /// nothing to decide, so nothing is digested — as on the wire side).
     fn owner_of(&mut self, key: &TelemetryKey) -> u32 {
+        if self.table.len() == 1 {
+            return 0;
+        }
         self.table.owner_checksum(self.scratch.digests(key.as_bytes(), 0).checksum)
     }
 }

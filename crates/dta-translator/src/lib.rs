@@ -51,7 +51,6 @@ pub use failover::{
 };
 pub use fleet_query::FleetQueryEngine;
 pub use link::LinkKind;
-pub use node::{ShardedTranslatorNode, TranslatorNode};
 pub use partition::Partitioner;
 pub use postcard_cache::{CacheEmission, PostcardCache};
 pub use ratelimit::{RateLimiter, RateLimiterConfig};

@@ -7,7 +7,9 @@
 
 use bytes::Bytes;
 use dta_collector::layout::{CmsLayout, KwLayout};
-use dta_collector::service::{CollectorService, SERVICE_CMS, SERVICE_KW};
+use dta_collector::service::{
+    CollectorService, SERVICE_APPEND, SERVICE_CMS, SERVICE_KW, SERVICE_POSTCARD,
+};
 use dta_core::DtaReport;
 use dta_net::{Emission, NodeId, Packet};
 use dta_rdma::cm::CmRequester;
@@ -15,23 +17,29 @@ use dta_rdma::mr::MemoryRegion;
 use dta_rdma::packet::{Opcode, Reth, RocePacket};
 
 use crate::failover::{FleetConfig, LedgerEntry};
+use crate::node::nack_emission;
 use crate::rebalance::{link_of, MigPrimitive, RebalanceDriver, WireEmission, WireKind};
-use crate::shard::{ReportOrigin, ShardedConfig, ShardedTranslator};
+use crate::shard::{NackRecord, ReportOrigin, ShardedConfig, ShardedTranslator};
 use crate::translator::{Translator, TranslatorOutput, TranslatorStats};
 
-/// Which collector link a fleet node runs over.
+/// Which collector link a fleet node runs over. Both name the translator's
+/// own address, `my_id`/`my_ip`, the source of its reporter NACKs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkKind {
-    /// RDMA as RoCE packets over the simulated network, sourced from the
-    /// translator at `my_id`/`my_ip`.
+    /// RDMA as RoCE packets over the simulated network, also sourced from
+    /// the translator's address.
     Roce {
-        /// The translator's node id (RoCE source).
+        /// The translator's node id.
         my_id: NodeId,
-        /// The translator's IP (RoCE source).
+        /// The translator's IP.
         my_ip: u32,
     },
     /// RDMA executed in-process by `shards` worker shards per collector.
     InProcess {
+        /// The translator's node id.
+        my_id: NodeId,
+        /// The translator's IP.
+        my_ip: u32,
         /// Worker shards per collector pipeline (≥ 1).
         shards: usize,
     },
@@ -40,13 +48,14 @@ pub enum LinkKind {
 /// What a RoCE response from the network leaves for the fleet node to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LinkResponse {
-    /// Nothing: liveness credit only (unknown sender, repeat of a handled
-    /// NAK), or a migration completion already fed to the driver.
+    /// Nothing: liveness credit only (unknown sender, a NAK the requester
+    /// QP counted as a stale repeat), or a migration completion already fed
+    /// to the driver.
     Consumed,
     /// Cumulative ACK on a service QP.
     Ack { collector: u32, qpn: u32, psn: u32 },
-    /// First NAK for `(qpn, expected_psn)`: the QP is resynchronized and
-    /// the un-acked ledger suffix from `expected_psn` must be replayed.
+    /// A NAK that rewound the QP's send PSN to `expected_psn`: the un-acked
+    /// ledger suffix from there must be replayed.
     Nak { collector: u32, qpn: u32, expected_psn: u32 },
 }
 
@@ -64,6 +73,8 @@ pub(crate) struct LinkRun {
 pub(crate) trait CollectorLink: std::fmt::Debug {
     /// Translate `report` toward collector `c` and stamp it for the replay
     /// ledger. `None` when nothing was sent (so nothing is to be ledgered).
+    /// A rate-limit drop that asked for one is NACKed back to `origin` —
+    /// here, or at the next [`CollectorLink::flush`].
     fn post_report(
         &mut self,
         c: u32,
@@ -101,7 +112,8 @@ pub(crate) trait CollectorLink: std::fmt::Debug {
         Vec::new()
     }
 
-    /// Tick-time flush of translator-held state toward live collectors.
+    /// Tick-time flush of translator-held state: batched RDMA toward live
+    /// collectors, owed NACKs toward reporters.
     fn flush(&mut self, _now_ns: u64, _alive: &[bool], _out: &mut Vec<Emission>) {}
 
     /// Barrier: every report posted so far is executed into collector
@@ -150,13 +162,6 @@ struct Endpoint {
     last_progress_ns: u64,
     /// RDMA packets sent since the last response.
     sends_since_response: u64,
-    /// `(requester QPN, expected PSN)` of the last NAK acted on, per QP.
-    /// A responder NAKs *every* out-of-sequence arrival, so one loss
-    /// yields a train of identical NAKs; only the first may trigger a
-    /// resync + ledger replay (the retransmit for the rest is already in
-    /// flight, and PSNs never repeat within a run, so an identical
-    /// expected PSN always means a stale duplicate).
-    naks_handled: Vec<(u32, u32)>,
 }
 
 impl Endpoint {
@@ -169,9 +174,9 @@ impl Endpoint {
 #[derive(Debug)]
 pub(crate) struct RoceLink {
     endpoints: Vec<Endpoint>,
-    /// Dedicated migration QPs (slots 2/3 per collector, separate from the
-    /// report-path service QPs so migration traffic never perturbs report
-    /// PSNs or the completion-timeout accounting), indexed by [`link_of`];
+    /// Dedicated migration QPs (separate from the report-path service QPs
+    /// so migration traffic never perturbs report PSNs or the
+    /// completion-timeout accounting), indexed by [`link_of`];
     /// `None` when the service is disabled, empty without a rebalance.
     mig_links: Vec<Option<MigLink>>,
     /// Payload every zero-write slices.
@@ -184,9 +189,9 @@ pub(crate) struct RoceLink {
 }
 
 impl RoceLink {
-    /// Connect one endpoint per collector, each with KW + CMS service
-    /// connections. The handshake runs against each service's CM before
-    /// the services move into their own network nodes.
+    /// Connect one endpoint per collector, with a connection to every
+    /// service it offers. The handshake runs against each service's CM
+    /// before the services move into their own network nodes.
     pub(crate) fn connect(
         config: &FleetConfig,
         peers: &mut [(NodeId, u32, &mut CollectorService)],
@@ -201,38 +206,40 @@ impl RoceLink {
         }
         for (c, (node, ip, svc)) in peers.iter_mut().enumerate() {
             let c = c as u32;
+            // Requester QPNs sit clear of the shard (0x4000+) range: 16 per
+            // collector, report path at the service id, migration 8 above.
+            let qpn_base = 0x7100 + c * 16;
             let mut translator = Translator::new(config.translator.clone());
             let mut links = Vec::new();
-            // Slots 0/1 are the report-path service QPs; 2/3 are migration
-            // QPs, connected only when a rebalance is planned: reads +
-            // zero-writes ride their own PSN spaces.
-            for slot in 0..if config.rebalance.is_some() { 4 } else { 2 } {
-                let (service, primitive) = [
-                    (SERVICE_KW, MigPrimitive::KeyWrite),
-                    (SERVICE_CMS, MigPrimitive::KeyIncrement),
-                ][slot % 2];
-                // Requester QPNs sit clear of the single-collector (0x700+)
-                // and shard (0x4000+) ranges.
-                let requester = CmRequester::new(0x7100 + c * 16 + slot as u32, 0);
-                let request = requester.request(service);
-                // A dedicated responder QP per migration link: re-accepting
-                // the service's published QP would splice this requester
-                // into the service connection's PSN stream (and repoint its
-                // ACKs here).
-                let reply =
-                    if slot < 2 { svc.handle_cm(&request) } else { svc.handle_cm_dedicated(&request) };
+            for service in [SERVICE_KW, SERVICE_POSTCARD, SERVICE_APPEND, SERVICE_CMS] {
+                let requester = CmRequester::new(qpn_base + u32::from(service), 0);
+                let reply = svc.handle_cm(&requester.request(service));
                 let Ok((qp, params)) = requester.complete(&reply) else {
                     continue; // service disabled on this collector
                 };
-                if slot >= 2 {
-                    mig_links[link_of(c, primitive) as usize] =
-                        Some(MigLink { req_qpn: qp.qpn, dest_qpn: params.qpn, rkey: params.rkey });
-                    continue;
-                }
                 links.push((qp.qpn, params.qpn));
-                match primitive {
-                    MigPrimitive::KeyWrite => translator.connect_key_write(qp, params),
-                    MigPrimitive::KeyIncrement => translator.connect_key_increment(qp, params),
+                translator.connect(service, qp, params);
+            }
+            // Migration QPs, connected only when a rebalance is planned:
+            // reads + zero-writes ride their own PSN spaces.
+            if config.rebalance.is_some() {
+                for (service, primitive) in [
+                    (SERVICE_KW, MigPrimitive::KeyWrite),
+                    (SERVICE_CMS, MigPrimitive::KeyIncrement),
+                ] {
+                    let requester = CmRequester::new(qpn_base + 8 + u32::from(service), 0);
+                    // A dedicated responder QP per migration link:
+                    // re-accepting the service's published QP would splice
+                    // this requester into the service connection's PSN
+                    // stream (and repoint its ACKs here).
+                    let reply = svc.handle_cm_dedicated(&requester.request(service));
+                    if let Ok((qp, params)) = requester.complete(&reply) {
+                        mig_links[link_of(c, primitive) as usize] = Some(MigLink {
+                            req_qpn: qp.qpn,
+                            dest_qpn: params.qpn,
+                            rkey: params.rkey,
+                        });
+                    }
                 }
             }
             endpoints.push(Endpoint {
@@ -242,7 +249,6 @@ impl RoceLink {
                 links,
                 last_progress_ns: 0,
                 sends_since_response: 0,
-                naks_handled: Vec::new(),
             });
         }
         RoceLink {
@@ -286,8 +292,10 @@ impl CollectorLink for RoceLink {
         let mut translated = std::mem::take(&mut self.scratch);
         let ep = &mut self.endpoints[c as usize];
         ep.translator.process_batch(now_ns, std::slice::from_ref(&report), &mut translated);
-        debug_assert!(translated.nacked.is_empty(), "fleet specs carry no rate limiter");
         self.send(c, now_ns, &translated.packets, out);
+        out.extend(
+            translated.nacked.iter().map(|&seq| nack_emission(self.my_id, self.my_ip, seq, origin)),
+        );
         let entry = translated.packets.last().map(|last| LedgerEntry {
             collector: c,
             qpn: self.endpoints[c as usize].req_qpn_for(last.bth.dest_qp),
@@ -355,16 +363,13 @@ impl CollectorLink for RoceLink {
             return Some(LinkResponse::Ack { collector, qpn, psn });
         }
         // The responder NAKs *every* out-of-sequence arrival, so one gap
-        // produces a train of identical NAKs. Only the first for a given
-        // (qpn, expected-psn) resynchronizes and replays — a repeat resync
-        // would rewind the send PSN mid-recovery. PSNs never repeat within
-        // a run, so remembering the pair is sufficient.
-        if ep.naks_handled.contains(&(qpn, psn)) {
-            return Some(LinkResponse::Consumed);
+        // produces a train of identical NAKs; which of them is news is the
+        // requester QP's call, and only a real rewind replays.
+        if ep.translator.on_roce_response(&roce) {
+            Some(LinkResponse::Nak { collector, qpn, expected_psn: psn })
+        } else {
+            Some(LinkResponse::Consumed)
         }
-        ep.naks_handled.push((qpn, psn));
-        ep.translator.on_roce_response(&roce);
-        Some(LinkResponse::Nak { collector, qpn, expected_psn: psn })
     }
 
     /// DREQ each service connection; the DREP may never come (the node is
@@ -380,9 +385,6 @@ impl CollectorLink for RoceLink {
         let ep = &mut self.endpoints[c as usize];
         ep.last_progress_ns = now_ns;
         ep.sends_since_response = 0;
-        // A readmitted node starts a fresh recovery round; its resync
-        // NAKs must be handled anew.
-        ep.naks_handled.clear();
     }
 
     fn timed_out(&self, now_ns: u64, alive: &[bool]) -> Vec<u32> {
@@ -395,9 +397,9 @@ impl CollectorLink for RoceLink {
             .collect()
     }
 
-    /// Batched state; a no-op for KW/INC-only fleet traffic — each flush
-    /// costs what is staged, never the cache capacity — kept for parity
-    /// with the single-collector node.
+    /// Postcard cache rows and partial Append batches; nothing for
+    /// KW/INC-only traffic — each flush costs what is staged, never the
+    /// cache capacity.
     fn flush(&mut self, now_ns: u64, alive: &[bool], out: &mut Vec<Emission>) {
         for c in (0..self.endpoints.len()).filter(|&c| alive[c]) {
             let flushed = self.endpoints[c].translator.flush(now_ns);
@@ -421,11 +423,18 @@ impl CollectorLink for RoceLink {
 /// of the delivered stream because a failover barriers the victim's
 /// pipeline before its window is drained. There is no wire: nothing to
 /// time out on (the CM teardown, [`crate::FleetEvent::Teardown`], is the
-/// detection signal), nothing to flush at a tick, a rejoin is purely a
-/// routing change, and RoCE arriving over the network is a wiring error.
+/// detection signal), no RDMA to flush at a tick (postcard rows and partial
+/// Append batches go out when the pipelines shut down), a rejoin is purely
+/// a routing change, and RoCE arriving over the network is a wiring error.
 #[derive(Debug)]
 pub(crate) struct InProcessLink {
     pipelines: Vec<ShardedTranslator>,
+    /// Reporter-NACK source address, when the translator config carries a
+    /// rate limiter: without one no worker ever records a NACK, and a tick
+    /// has no reason to barrier the pipelines.
+    nack_from: Option<(NodeId, u32)>,
+    /// Recycled drain buffer for tick-time NACK emission.
+    nack_buf: Vec<NackRecord>,
     /// Per-collector `(KW, CMS)` region clones migration verbs execute
     /// against; empty without a rebalance.
     regions: Vec<(Option<MemoryRegion>, Option<MemoryRegion>)>,
@@ -446,6 +455,8 @@ impl InProcessLink {
         config: &FleetConfig,
         shards: usize,
         peers: &mut [(NodeId, u32, &mut CollectorService)],
+        my_id: NodeId,
+        my_ip: u32,
         kw: Option<KwLayout>,
     ) -> Self {
         let mut regions = Vec::new();
@@ -464,6 +475,8 @@ impl InProcessLink {
                 .iter_mut()
                 .map(|(_, _, svc)| ShardedTranslator::connect(sharded.clone(), svc))
                 .collect(),
+            nack_from: config.translator.rate_limit.map(|_| (my_id, my_ip)),
+            nack_buf: Vec::new(),
             expected_psn: vec![0; regions.len() * 2],
             regions,
             zeros: zero_payload(kw),
@@ -528,6 +541,25 @@ impl CollectorLink for InProcessLink {
     fn on_fail(&mut self, c: u32) -> u64 {
         self.pipelines[c as usize].wait_idle();
         1
+    }
+
+    /// Emit the reporter NACKs the workers recorded: a rate-limit decision
+    /// happens on a worker thread after the ingest already returned to the
+    /// engine, so the drop surfaces here, on the engine thread's next tick.
+    ///
+    /// Determinism rule: the barrier comes first, so the records drained
+    /// at this tick are exactly the rate-limited `nack_on_drop` reports
+    /// delivered before it, in seq order — independent of worker thread
+    /// scheduling.
+    fn flush(&mut self, _now_ns: u64, _alive: &[bool], out: &mut Vec<Emission>) {
+        let Some((my_id, my_ip)) = self.nack_from else { return };
+        for p in &mut self.pipelines {
+            p.wait_idle();
+            p.take_nacks(&mut self.nack_buf);
+        }
+        out.extend(
+            self.nack_buf.drain(..).map(|rec| nack_emission(my_id, my_ip, rec.seq, rec.origin)),
+        );
     }
 
     fn quiesce(&mut self) {

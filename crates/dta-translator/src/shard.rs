@@ -233,13 +233,7 @@ impl ShardedTranslator {
                 let Ok((qp, params)) = req.complete(&reply) else {
                     continue; // service disabled at the collector
                 };
-                match service {
-                    SERVICE_KW => tr.connect_key_write(qp, params),
-                    SERVICE_POSTCARD => tr.connect_postcarding(qp, params),
-                    SERVICE_APPEND => tr.connect_append(qp, params),
-                    SERVICE_CMS => tr.connect_key_increment(qp, params),
-                    _ => unreachable!(),
-                }
+                tr.connect(service, qp, params);
             }
             let (tx, rx) = spsc::channel::<ShardItem>(config.queue_depth);
             let (nack_tx, nack_rx) = spsc::channel::<NackRecord>(config.queue_depth);
@@ -347,7 +341,7 @@ impl ShardedTranslator {
     /// [`ShardedTranslator::take_nacks`]; every engine-side loop that can
     /// block on a worker calls this so a worker blocked pushing a record
     /// always makes progress.
-    pub(crate) fn drain_nack_rings(&mut self) {
+    fn drain_nack_rings(&mut self) {
         for lane in &mut self.lanes {
             while let Some(rec) = lane.nack_rx.pop() {
                 self.pending_nacks.push(rec);

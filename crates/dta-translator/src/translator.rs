@@ -15,11 +15,12 @@
 use bytes::{BufMut, Bytes, BytesMut};
 use dta_collector::layout::{AppendLayout, CmsLayout, KwLayout, PostcardLayout};
 use dta_collector::postcarding::{hop_checksum, ValueCodec};
+use dta_collector::service::{SERVICE_APPEND, SERVICE_CMS, SERVICE_KW, SERVICE_POSTCARD};
 use dta_core::{DtaReport, PrimitiveHeader};
 #[cfg(test)]
 use dta_core::TelemetryKey;
 use dta_hash::scratch::KeyScratch;
-use dta_rdma::cm::ConnectionParams;
+use dta_rdma::cm::{ConnectionParams, ServiceId};
 use dta_rdma::packet::RocePacket;
 use dta_rdma::qp::QueuePair;
 use dta_rdma::verbs::RdmaOp;
@@ -265,12 +266,29 @@ impl Translator {
         self.cms = Some((ServiceConn { qp, params }, layout));
     }
 
+    /// Attach the service `service` names, one of the collector's four
+    /// `SERVICE_*` ids.
+    ///
+    /// # Panics
+    /// Panics on any other id: no translation path exists for it.
+    pub fn connect(&mut self, service: ServiceId, qp: QueuePair, params: ConnectionParams) {
+        match service {
+            SERVICE_KW => self.connect_key_write(qp, params),
+            SERVICE_POSTCARD => self.connect_postcarding(qp, params),
+            SERVICE_APPEND => self.connect_append(qp, params),
+            SERVICE_CMS => self.connect_key_increment(qp, params),
+            other => panic!("service {other} has no translation path"),
+        }
+    }
+
     /// Handle a RoCE response from the collector (ACK or NAK). On NAK, the
     /// matching QP's send PSN resynchronizes to the collector's expected
-    /// PSN (§5.2's queue-pair resynchronization).
-    pub fn on_roce_response(&mut self, pkt: &RocePacket) {
+    /// PSN (§5.2's queue-pair resynchronization) unless the QP counts it
+    /// as a stale repeat ([`QueuePair::resync_send`]). True when a send
+    /// PSN was rewound.
+    pub fn on_roce_response(&mut self, pkt: &RocePacket) -> bool {
         if !pkt.is_nak() {
-            return;
+            return false;
         }
         let qpn = pkt.bth.dest_qp;
         for conn in [
@@ -283,11 +301,12 @@ impl Translator {
         .flatten()
         {
             if conn.qp.qpn == qpn {
-                conn.qp.resync_send(pkt.bth.psn);
-                self.stats.resyncs += 1;
-                return;
+                let rewound = conn.qp.resync_send(pkt.bth.psn);
+                self.stats.resyncs += u64::from(rewound);
+                return rewound;
             }
         }
+        false
     }
 
     /// Translate one DTA report into RoCE packets (the ingress→egress
@@ -574,10 +593,7 @@ impl Translator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dta_collector::service::{
-        CollectorService, ServiceConfig, SERVICE_APPEND, SERVICE_CMS, SERVICE_KW,
-        SERVICE_POSTCARD,
-    };
+    use dta_collector::service::{CollectorService, ServiceConfig};
     use dta_core::DtaFlags;
     use dta_rdma::cm::CmRequester;
     use dta_rdma::nic::RxOutcome;
@@ -599,13 +615,7 @@ mod tests {
             let req = CmRequester::new(qpn, 0);
             let reply = svc.handle_cm(&req.request(service));
             let (qp, params) = req.complete(&reply).unwrap();
-            match service {
-                SERVICE_KW => tr.connect_key_write(qp, params),
-                SERVICE_POSTCARD => tr.connect_postcarding(qp, params),
-                SERVICE_APPEND => tr.connect_append(qp, params),
-                SERVICE_CMS => tr.connect_key_increment(qp, params),
-                _ => unreachable!(),
-            }
+            tr.connect(service, qp, params);
         }
         (svc, tr)
     }

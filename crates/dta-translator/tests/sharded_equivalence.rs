@@ -148,13 +148,7 @@ fn run_single(reports: &[DtaReport]) -> Vec<(u32, Vec<u8>)> {
         let req = CmRequester::new(qpn, 0);
         let reply = svc.handle_cm(&req.request(service));
         let (qp, params) = req.complete(&reply).unwrap();
-        match service {
-            SERVICE_KW => tr.connect_key_write(qp, params),
-            SERVICE_POSTCARD => tr.connect_postcarding(qp, params),
-            SERVICE_APPEND => tr.connect_append(qp, params),
-            SERVICE_CMS => tr.connect_key_increment(qp, params),
-            _ => unreachable!(),
-        }
+        tr.connect(service, qp, params);
     }
     for r in reports {
         for pkt in tr.process(0, r).packets {

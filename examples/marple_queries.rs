@@ -39,11 +39,7 @@ fn main() {
         let req = CmRequester::new(0x30 + service as u32, 0);
         let reply = collector.handle_cm(&req.request(service));
         let (qp, params) = req.complete(&reply).expect("published");
-        match service {
-            SERVICE_KW => translator.connect_key_write(qp, params),
-            SERVICE_APPEND => translator.connect_append(qp, params),
-            _ => unreachable!(),
-        }
+        translator.connect(service, qp, params);
     }
 
     // The three Marple queries on the switch.

@@ -7,16 +7,15 @@
 //! cargo run --example network_wide_view
 //! ```
 
-use dta::collector::service::{CollectorService, ServiceConfig, SERVICE_KW};
+use dta::collector::service::{CollectorService, ServiceConfig};
 use dta::collector::{CollectorNode, QueryOutcome, QueryPolicy};
 use dta::core::TelemetryKey;
 use dta::net::{FatTree, FaultConfig, FaultInjector, LinkConfig, Network, SimTime};
-use dta::rdma::cm::CmRequester;
 use dta::reporter::reporter::Reporter;
 use dta::reporter::ReporterConfig;
 use dta::telemetry::int::IntPathTracing;
 use dta::telemetry::traces::{TraceConfig, TraceGenerator};
-use dta::translator::{Translator, TranslatorConfig, TranslatorNode};
+use dta::translator::{FleetConfig, FleetNode, LinkKind, TranslatorConfig};
 
 fn main() {
     // A k=4 fat tree: 20 switches, 16 hosts. The collector is host (0,0,0);
@@ -42,34 +41,32 @@ fn main() {
         FaultInjector::new(FaultConfig::lossy(0.005), 99),
     );
 
-    // Collector service + CM handshake with the translator (out of band, as
-    // the switch-CPU control plane does in §5.2).
+    // Collector service + CM handshakes with the translator (out of band,
+    // as the switch-CPU control plane does in §5.2): the ToR node connects
+    // to every service its one collector offers.
     let mut service = CollectorService::new(ServiceConfig {
         kw_bytes: 32 << 20,
         kw_value_bytes: 20,
         ..ServiceConfig::default()
     });
-    let mut translator = Translator::new(TranslatorConfig::default());
-    let req = CmRequester::new(0x88, 0);
-    let reply = service.handle_cm(&req.request(SERVICE_KW));
-    let (qp, params) = req.complete(&reply).expect("kw published");
-    translator.connect_key_write(qp, params);
-
     let collector_ip = 0x0A00_0900;
     let translator_ip = 0x0A00_0001;
+    let (translator, _admin) = FleetNode::connect(
+        // One collector: the failover knobs are never consulted.
+        &FleetConfig {
+            translator: TranslatorConfig::default(),
+            timeout_ns: 40_000,
+            min_unacked: 24,
+            ledger_capacity: 1,
+            rebalance: None,
+        },
+        LinkKind::Roce { my_id: translator_switch, my_ip: translator_ip },
+        &mut [(collector_host, collector_ip, &mut service)],
+    );
+    net.add_interceptor(translator_switch, Box::new(translator));
     net.add_node(
         collector_host,
         Box::new(CollectorNode::new(service, collector_host, collector_ip)),
-    );
-    net.add_interceptor(
-        translator_switch,
-        Box::new(TranslatorNode::new(
-            translator,
-            translator_switch,
-            translator_ip,
-            collector_host,
-            collector_ip,
-        )),
     );
 
     // Every *other* edge switch is an INT sink reporting 5-hop paths for

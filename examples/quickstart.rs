@@ -33,13 +33,7 @@ fn main() {
         let req = CmRequester::new(qpn, 0);
         let reply = collector.handle_cm(&req.request(service));
         let (qp, params) = req.complete(&reply).expect("service published");
-        match service {
-            SERVICE_KW => translator.connect_key_write(qp, params),
-            SERVICE_POSTCARD => translator.connect_postcarding(qp, params),
-            SERVICE_APPEND => translator.connect_append(qp, params),
-            SERVICE_CMS => translator.connect_key_increment(qp, params),
-            _ => unreachable!(),
-        }
+        translator.connect(service, qp, params);
     }
 
     // Helper: run a report through translation + the collector NIC.

@@ -120,13 +120,7 @@ fn stress_all_primitives_counter_consistency() {
         let req = CmRequester::new(qpn, 0);
         let reply = c.handle_cm(&req.request(sid));
         let (qp, params) = req.complete(&reply).unwrap();
-        match sid {
-            SERVICE_KW => t.connect_key_write(qp, params),
-            SERVICE_POSTCARD => t.connect_postcarding(qp, params),
-            SERVICE_APPEND => t.connect_append(qp, params),
-            SERVICE_CMS => t.connect_key_increment(qp, params),
-            _ => unreachable!(),
-        }
+        t.connect(sid, qp, params);
     }
 
     // 40K mixed reports.

@@ -1,24 +1,41 @@
 //! End-to-end integration: reporters → simulated fabric → translator
 //! (intercepting ToR) → RoCE → collector NIC → queryable stores.
 
-use dta::collector::service::{CollectorService, ServiceConfig, SERVICE_APPEND, SERVICE_KW};
+use dta::collector::service::{CollectorService, ServiceConfig};
 use dta::collector::{CollectorNode, QueryOutcome, QueryPolicy};
 use dta::core::{DtaReport, TelemetryKey};
 use dta::net::{FatTree, FaultConfig, FaultInjector, LinkConfig, Network, NodeId, Routing, SimTime};
-use dta::rdma::cm::CmRequester;
 use dta::reporter::reporter::Reporter;
 use dta::reporter::ReporterConfig;
-use dta::translator::{RateLimiterConfig, Translator, TranslatorConfig, TranslatorNode};
+use dta::translator::{
+    FleetConfig, FleetNode, FleetRunReport, LinkKind, RateLimiterConfig, TranslatorConfig,
+};
 
 const COLLECTOR_IP: u32 = 0x0A00_0900;
 const TRANSLATOR_IP: u32 = 0x0A00_0001;
 
-/// Minimal line topology: reporter(0) -- translator(1) -- collector(2).
-fn line_setup(
-    svc: ServiceConfig,
+/// The ToR translator at node `tor`, fronting the one collector `service`
+/// at node `collector` over RoCE, connected to every service it offers.
+fn tor_node(
     tr: TranslatorConfig,
-    services: &[u16],
-) -> (Network, Reporter) {
+    tor: NodeId,
+    collector: NodeId,
+    service: &mut CollectorService,
+) -> FleetNode {
+    // One collector: the failover knobs are never consulted.
+    let config = FleetConfig {
+        translator: tr,
+        timeout_ns: 40_000,
+        min_unacked: 24,
+        ledger_capacity: 1,
+        rebalance: None,
+    };
+    let kind = LinkKind::Roce { my_id: tor, my_ip: TRANSLATOR_IP };
+    FleetNode::connect(&config, kind, &mut [(collector, COLLECTOR_IP, service)]).0
+}
+
+/// Minimal line topology: reporter(0) -- translator(1) -- collector(2).
+fn line_setup(svc: ServiceConfig, tr: TranslatorConfig) -> (Network, Reporter) {
     let mut topo = dta::net::Topology::new(3);
     topo.connect(NodeId(0), NodeId(1));
     topo.connect(NodeId(1), NodeId(2));
@@ -27,28 +44,8 @@ fn line_setup(
     net.add_duplex_link(NodeId(1), NodeId(2), LinkConfig::dc_100g());
 
     let mut service = CollectorService::new(svc);
-    let mut translator = Translator::new(tr);
-    for (i, &sid) in services.iter().enumerate() {
-        let req = CmRequester::new(0x70 + i as u32, 0);
-        let reply = service.handle_cm(&req.request(sid));
-        let (qp, params) = req.complete(&reply).expect("service");
-        match sid {
-            SERVICE_KW => translator.connect_key_write(qp, params),
-            SERVICE_APPEND => translator.connect_append(qp, params),
-            s if s == dta::collector::SERVICE_POSTCARD => {
-                translator.connect_postcarding(qp, params)
-            }
-            s if s == dta::collector::SERVICE_CMS => {
-                translator.connect_key_increment(qp, params)
-            }
-            _ => unreachable!(),
-        }
-    }
+    net.add_interceptor(NodeId(1), Box::new(tor_node(tr, NodeId(1), NodeId(2), &mut service)));
     net.add_node(NodeId(2), Box::new(CollectorNode::new(service, NodeId(2), COLLECTOR_IP)));
-    net.add_interceptor(
-        NodeId(1),
-        Box::new(TranslatorNode::new(translator, NodeId(1), TRANSLATOR_IP, NodeId(2), COLLECTOR_IP)),
-    );
     let reporter = Reporter::new(ReporterConfig {
         my_id: NodeId(0),
         my_ip: 0x0A00_0002,
@@ -64,15 +61,16 @@ fn take_collector(net: &mut Network) -> Box<CollectorNode> {
     node.downcast::<CollectorNode>().expect("collector type")
 }
 
-fn take_translator(net: &mut Network) -> Box<TranslatorNode> {
+/// Take the translator off the fabric and close out its run counters.
+fn take_translator(net: &mut Network) -> FleetRunReport {
     let node: Box<dyn std::any::Any> = net.remove_node(NodeId(1)).expect("translator");
-    node.downcast::<TranslatorNode>().expect("translator type")
+    node.downcast::<FleetNode>().expect("translator type").finish()
 }
 
 #[test]
 fn key_write_survives_the_network_path() {
     let (mut net, mut reporter) =
-        line_setup(ServiceConfig::default(), TranslatorConfig::default(), &[SERVICE_KW]);
+        line_setup(ServiceConfig::default(), TranslatorConfig::default());
     for i in 0..100u64 {
         let r = DtaReport::key_write(i as u32, TelemetryKey::from_u64(i), 2, vec![i as u8; 4]);
         let pkt = reporter.frame(&r);
@@ -101,7 +99,6 @@ fn append_ordering_preserved_across_network() {
     let (mut net, mut reporter) = line_setup(
         ServiceConfig::default(),
         TranslatorConfig { append_batch: 4, ..TranslatorConfig::default() },
-        &[SERVICE_APPEND],
     );
     for i in 0..64u32 {
         let pkt = reporter.frame(&DtaReport::append(i, 5, i.to_be_bytes().to_vec()));
@@ -118,7 +115,7 @@ fn append_ordering_preserved_across_network() {
 #[test]
 fn report_loss_degrades_gracefully() {
     let (mut net, mut reporter) =
-        line_setup(ServiceConfig::default(), TranslatorConfig::default(), &[SERVICE_KW]);
+        line_setup(ServiceConfig::default(), TranslatorConfig::default());
     // 30% loss between reporter and translator: DTA is best-effort.
     net.add_faults(NodeId(0), NodeId(1), FaultInjector::new(FaultConfig::lossy(0.3), 7));
     let n = 500u64;
@@ -149,7 +146,7 @@ fn duplicated_key_write_reports_are_idempotent_at_the_collector() {
     // the same slots — last-writer-wins makes the duplicate a no-op. This
     // is the RoCE-retransmit-shaped fault the primitives must absorb.
     let (mut net, mut reporter) =
-        line_setup(ServiceConfig::default(), TranslatorConfig::default(), &[SERVICE_KW]);
+        line_setup(ServiceConfig::default(), TranslatorConfig::default());
     net.add_faults(
         NodeId(0),
         NodeId(1),
@@ -165,7 +162,7 @@ fn duplicated_key_write_reports_are_idempotent_at_the_collector() {
     }
     net.run_to_idle();
     let translator = take_translator(&mut net);
-    assert_eq!(translator.translator.stats.reports_in, 2 * n, "every report seen twice");
+    assert_eq!(translator.translator.reports_in, 2 * n, "every report seen twice");
     let collector = take_collector(&mut net);
     // 2 writes per copy, 2 copies per report — and every key still reads
     // back exactly its own value.
@@ -186,7 +183,7 @@ fn duplicated_roce_packets_are_dropped_by_psn_discipline() {
     // already-consumed PSN and the collector NIC silently drops it —
     // memory is written exactly once per report.
     let (mut net, mut reporter) =
-        line_setup(ServiceConfig::default(), TranslatorConfig::default(), &[SERVICE_KW]);
+        line_setup(ServiceConfig::default(), TranslatorConfig::default());
     net.add_faults(
         NodeId(1),
         NodeId(2),
@@ -217,7 +214,7 @@ fn duplicated_roce_packets_are_dropped_by_psn_discipline() {
 #[test]
 fn corrupted_roce_packets_are_rejected_by_icrc() {
     let (mut net, mut reporter) =
-        line_setup(ServiceConfig::default(), TranslatorConfig::default(), &[SERVICE_KW]);
+        line_setup(ServiceConfig::default(), TranslatorConfig::default());
     // Corruption on the translator->collector RDMA hop.
     net.add_faults(
         NodeId(1),
@@ -246,7 +243,7 @@ fn corrupted_roce_packets_are_rejected_by_icrc() {
 #[test]
 fn nak_resynchronizes_translator_after_rdma_loss() {
     let (mut net, mut reporter) =
-        line_setup(ServiceConfig::default(), TranslatorConfig::default(), &[SERVICE_KW]);
+        line_setup(ServiceConfig::default(), TranslatorConfig::default());
     // Loss on the RDMA hop creates PSN gaps at the collector. Reports flow
     // one at a time so NAKs can resynchronize between them.
     net.add_faults(NodeId(1), NodeId(2), FaultInjector::new(FaultConfig::lossy(0.2), 11));
@@ -258,10 +255,7 @@ fn nak_resynchronizes_translator_after_rdma_loss() {
     let translator = take_translator(&mut net);
     let collector = take_collector(&mut net);
     assert!(collector.stats.naks > 0, "PSN gaps must trigger NAKs");
-    assert!(
-        translator.translator.stats.resyncs > 0,
-        "translator must resync after NAKs"
-    );
+    assert!(translator.translator.resyncs > 0, "translator must resync after NAKs");
     // Post-resync traffic keeps executing: most packets landed.
     assert!(collector.stats.executed > 150);
 }
@@ -274,7 +268,6 @@ fn rate_limited_translator_nacks_reporters() {
             rate_limit: Some(RateLimiterConfig { msgs_per_sec: 1.0, burst: 10 }),
             ..TranslatorConfig::default()
         },
-        &[SERVICE_KW],
     );
     for i in 0..50u64 {
         let r = DtaReport::key_write(i as u32, TelemetryKey::from_u64(i), 1, vec![4; 4])
@@ -283,8 +276,8 @@ fn rate_limited_translator_nacks_reporters() {
     }
     net.run_to_idle();
     let translator = take_translator(&mut net);
-    assert_eq!(translator.translator.stats.rate_limited, 40);
-    assert_eq!(translator.translator.stats.nacks_sent, 40);
+    assert_eq!(translator.translator.rate_limited, 40);
+    assert_eq!(translator.translator.nacks_sent, 40);
     // NACKs travelled back to the reporter node (delivered to node 0).
     assert!(net.stats.delivered >= 40);
 }
@@ -299,16 +292,9 @@ fn fat_tree_reporters_from_every_pod_reach_the_collector() {
         net.add_duplex_link(a, b, LinkConfig::dc_100g());
     }
     let mut service = CollectorService::new(ServiceConfig::default());
-    let mut translator = Translator::new(TranslatorConfig::default());
-    let req = CmRequester::new(1, 0);
-    let reply = service.handle_cm(&req.request(SERVICE_KW));
-    let (qp, params) = req.complete(&reply).unwrap();
-    translator.connect_key_write(qp, params);
+    let translator = tor_node(TranslatorConfig::default(), tor, collector_host, &mut service);
+    net.add_interceptor(tor, Box::new(translator));
     net.add_node(collector_host, Box::new(CollectorNode::new(service, collector_host, COLLECTOR_IP)));
-    net.add_interceptor(
-        tor,
-        Box::new(TranslatorNode::new(translator, tor, TRANSLATOR_IP, collector_host, COLLECTOR_IP)),
-    );
 
     let mut key_id = 0u64;
     for pod in 0..4 {

@@ -40,13 +40,7 @@ fn pair() -> (CollectorService, Translator) {
         let req = CmRequester::new(qpn, 0);
         let reply = collector.handle_cm(&req.request(service));
         let (qp, params) = req.complete(&reply).unwrap();
-        match service {
-            SERVICE_KW => translator.connect_key_write(qp, params),
-            SERVICE_POSTCARD => translator.connect_postcarding(qp, params),
-            SERVICE_APPEND => translator.connect_append(qp, params),
-            SERVICE_CMS => translator.connect_key_increment(qp, params),
-            _ => unreachable!(),
-        }
+        translator.connect(service, qp, params);
     }
     (collector, translator)
 }
