@@ -121,26 +121,35 @@ impl CollectorService {
     pub fn new(config: ServiceConfig) -> Self {
         let mut nic = RdmaNic::new(config.nic);
         let mut cm = CmManager::new();
+        // One primitive's region: allocated, registered on the NIC, and
+        // advertised under its CM service.
+        let mut host = |service, rkey, access, base_va, region_len: u64, slots, slot_bytes| {
+            let region = MemoryRegion::new(base_va, region_len as usize, rkey, access);
+            nic.memory.register(region.clone());
+            cm.publish(ConnectionParams {
+                service,
+                qpn: 0,
+                start_psn: 0,
+                rkey,
+                base_va,
+                region_len,
+                slots,
+                slot_bytes,
+            });
+            region
+        };
 
         let keywrite = (config.kw_bytes > 0).then(|| {
             let layout = KwLayout::with_capacity(VA_KW, config.kw_bytes, config.kw_value_bytes);
-            let region = MemoryRegion::new(
-                layout.base_va,
-                layout.region_len() as usize,
+            let region = host(
+                SERVICE_KW,
                 RKEY_KW,
                 MrAccess::WRITE,
+                layout.base_va,
+                layout.region_len(),
+                layout.slots,
+                layout.slot_bytes(),
             );
-            nic.memory.register(region.clone());
-            cm.publish(ConnectionParams {
-                service: SERVICE_KW,
-                qpn: 0,
-                start_psn: 0,
-                rkey: RKEY_KW,
-                base_va: layout.base_va,
-                region_len: layout.region_len(),
-                slots: layout.slots,
-                slot_bytes: layout.slot_bytes(),
-            });
             KeyWriteStore::new(layout, region, config.max_redundancy)
         });
 
@@ -151,23 +160,15 @@ impl CollectorService {
                 config.postcard_hops,
                 config.postcard_bits,
             );
-            let region = MemoryRegion::new(
-                layout.base_va,
-                layout.region_len() as usize,
+            let region = host(
+                SERVICE_POSTCARD,
                 RKEY_POSTCARD,
                 MrAccess::WRITE,
+                layout.base_va,
+                layout.region_len(),
+                layout.chunks,
+                layout.chunk_stride() as u32,
             );
-            nic.memory.register(region.clone());
-            cm.publish(ConnectionParams {
-                service: SERVICE_POSTCARD,
-                qpn: 0,
-                start_psn: 0,
-                rkey: RKEY_POSTCARD,
-                base_va: layout.base_va,
-                region_len: layout.region_len(),
-                slots: layout.chunks,
-                slot_bytes: layout.chunk_stride() as u32,
-            });
             let codec = ValueCodec::switch_ids(config.postcard_values, config.postcard_bits);
             PostcardStore::new(layout, region, codec, config.max_redundancy)
         });
@@ -179,70 +180,42 @@ impl CollectorService {
                 entries_per_list: config.append_entries,
                 entry_bytes: config.append_entry_bytes,
             };
-            let region = MemoryRegion::new(
-                layout.base_va,
-                layout.region_len() as usize,
+            let region = host(
+                SERVICE_APPEND,
                 RKEY_APPEND,
                 MrAccess::WRITE,
+                layout.base_va,
+                layout.region_len(),
+                layout.entries_per_list,
+                layout.entry_bytes,
             );
-            nic.memory.register(region.clone());
-            cm.publish(ConnectionParams {
-                service: SERVICE_APPEND,
-                qpn: 0,
-                start_psn: 0,
-                rkey: RKEY_APPEND,
-                base_va: layout.base_va,
-                region_len: layout.region_len(),
-                slots: layout.entries_per_list,
-                slot_bytes: layout.entry_bytes,
-            });
             AppendReader::new(layout, region)
         });
 
         let key_increment = (config.cms_slots > 0).then(|| {
             let layout = CmsLayout { base_va: VA_CMS, slots: config.cms_slots };
-            let region = MemoryRegion::new(
-                layout.base_va,
-                layout.region_len() as usize,
+            let region = host(
+                SERVICE_CMS,
                 RKEY_CMS,
                 MrAccess::ATOMIC,
+                layout.base_va,
+                layout.region_len(),
+                layout.slots,
+                CmsLayout::SLOT_BYTES,
             );
-            nic.memory.register(region.clone());
-            cm.publish(ConnectionParams {
-                service: SERVICE_CMS,
-                qpn: 0,
-                start_psn: 0,
-                rkey: RKEY_CMS,
-                base_va: layout.base_va,
-                region_len: layout.region_len(),
-                slots: layout.slots,
-                slot_bytes: CmsLayout::SLOT_BYTES,
-            });
             KeyIncrementStore::new(layout, region, config.max_redundancy)
         });
 
         CollectorService { nic, cm, keywrite, postcarding, append, key_increment }
     }
 
-    /// Handle a CM request: install the responder QP on accept and return
-    /// the reply for the requester.
+    /// Handle a CM request: install the connection's own responder QP on
+    /// accept and return the reply for the requester. Connections to one
+    /// service do not share sequence state, so control-plane channels
+    /// (e.g. a rebalance migration channel reading and zeroing region
+    /// slots) connect beside live service traffic the same way.
     pub fn handle_cm(&mut self, event: &CmEvent) -> CmEvent {
         let (reply, qp) = self.cm.handle(event);
-        if let Some(qp) = qp {
-            self.nic.add_qp(qp);
-        }
-        reply
-    }
-
-    /// Handle a CM request by minting a **dedicated** responder QP (its own
-    /// PSN domain) on this collector's main NIC. [`handle_cm`] re-accepts a
-    /// service's published QP, which is right for the one dataplane
-    /// connection per service but would splice a second requester into the
-    /// same PSN stream. Control-plane connections that coexist with live
-    /// service traffic — e.g. a rebalance migration channel reading and
-    /// zeroing region slots — need their own responder.
-    pub fn handle_cm_dedicated(&mut self, event: &CmEvent) -> CmEvent {
-        let (reply, qp) = self.cm.handle_dedicated(event);
         if let Some(qp) = qp {
             self.nic.add_qp(qp);
         }
@@ -259,11 +232,11 @@ impl CollectorService {
         RdmaNic::with_registry(self.nic.perf.config(), self.nic.memory.clone())
     }
 
-    /// Handle a CM request for a shard connection: mint a dedicated
-    /// responder QP (own PSN domain) and install it into the shard's NIC
-    /// endpoint instead of the collector's main NIC.
+    /// [`CollectorService::handle_cm`] for a shard connection: the
+    /// responder QP is installed into the shard's NIC endpoint instead of
+    /// the collector's main NIC.
     pub fn handle_cm_shard(&mut self, event: &CmEvent, shard: &mut RdmaNic) -> CmEvent {
-        let (reply, qp) = self.cm.handle_dedicated(event);
+        let (reply, qp) = self.cm.handle(event);
         if let Some(qp) = qp {
             shard.add_qp(qp);
         }
@@ -412,6 +385,46 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn two_requesters_on_one_service_keep_their_own_psn_and_ack_streams() {
+        use bytes::Bytes;
+        use dta_rdma::packet::{Reth, RocePacket};
+
+        let mut svc = CollectorService::new(ServiceConfig {
+            nic: NicConfig::bluefield2().with_ack_coalesce(1),
+            ..ServiceConfig::default()
+        });
+        // Different starting PSNs: a shared responder QP would expect only
+        // the second requester's and NAK the first.
+        let mut conns: Vec<_> = [(0x70u32, 100u32), (0x71, 5000)]
+            .into_iter()
+            .map(|(qpn, start_psn)| {
+                let requester = CmRequester::new(qpn, start_psn);
+                let reply = svc.handle_cm(&requester.request(SERVICE_KW));
+                requester.complete(&reply).expect("accept")
+            })
+            .collect();
+        for round in 0..8u64 {
+            for (i, (qp, params)) in conns.iter_mut().enumerate() {
+                let psn = qp.next_send_psn();
+                let va = params.base_va + (round * 2 + i as u64) * 8;
+                let pkt = RocePacket::write(
+                    qp.dest_qpn,
+                    psn,
+                    Reth { va, rkey: params.rkey, dma_len: 8 },
+                    Bytes::from(vec![i as u8 + 1; 8]),
+                );
+                match svc.nic_ingress(&pkt) {
+                    RxOutcome::Executed(Some(ack)) => {
+                        assert_eq!((ack.bth.dest_qp, ack.bth.psn), (qp.qpn, psn), "round {round}");
+                    }
+                    other => panic!("requester {i} round {round}: {other:?}"),
+                }
+            }
+        }
+        assert_eq!((svc.nic.stats.executed, svc.nic.stats.naks), (16, 0));
     }
 
     #[test]

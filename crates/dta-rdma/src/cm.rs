@@ -71,7 +71,7 @@ pub enum CmEvent {
 
 /// Collector-side connection manager.
 ///
-/// Owns the service table and mints responder QPs on demand.
+/// Owns the service table and mints one responder QP per connection.
 #[derive(Debug, Default)]
 pub struct CmManager {
     services: Vec<ConnectionParams>,
@@ -84,55 +84,32 @@ impl CmManager {
         CmManager { services: Vec::new(), next_qpn: 0x100 }
     }
 
-    /// Publish a service. `params.qpn` is overwritten with a freshly
-    /// allocated responder QPN; the completed record is returned.
-    pub fn publish(&mut self, mut params: ConnectionParams) -> ConnectionParams {
+    /// Publish a service. `params.qpn` is a placeholder: each accepted
+    /// connection gets a responder QPN of its own in [`CmManager::handle`].
+    pub fn publish(&mut self, params: ConnectionParams) {
         assert!(
             self.services.iter().all(|s| s.service != params.service),
             "service {} already published",
             params.service
         );
-        params.qpn = self.next_qpn;
-        self.next_qpn += 1;
         self.services.push(params);
-        params
     }
 
     /// Handle a CM request, returning the reply and (on accept) the
-    /// responder QP to install into the collector NIC.
-    pub fn handle(&self, event: &CmEvent) -> (CmEvent, Option<QueuePair>) {
-        self.accept(event, None)
-    }
-
-    /// Handle a CM request, minting a **dedicated** responder QPN for this
-    /// connection instead of the service's published one.
+    /// responder QP to install into a collector NIC.
     ///
-    /// A sharded translator opens one connection per (shard, service) pair;
-    /// dedicating a responder QP to each gives every shard its own PSN
-    /// domain (the property that lets shard threads issue RDMA concurrently
-    /// without serializing on a shared sequence-number stream — the same
-    /// reason the paper gives each translator pipe its own queue pairs).
-    pub fn handle_dedicated(&mut self, event: &CmEvent) -> (CmEvent, Option<QueuePair>) {
-        let minted = self.next_qpn;
-        let (reply, qp) = self.accept(event, Some(minted));
-        if qp.is_some() {
-            self.next_qpn += 1;
-        }
-        (reply, qp)
-    }
-
-    /// Shared handshake body: look up the service, build the responder QP
-    /// (at `qpn_override` when given, else the service's published QPN),
-    /// and cross-wire both PSN domains.
-    fn accept(&self, event: &CmEvent, qpn_override: Option<u32>) -> (CmEvent, Option<QueuePair>) {
+    /// Every accept mints a fresh responder QPN, so every connection owns
+    /// its PSN domain and its ACK stream: two requesters on one service
+    /// (shards, a migration channel beside the dataplane) never splice
+    /// into each other's sequence numbers — the same reason the paper gives
+    /// each translator pipe its own queue pairs.
+    pub fn handle(&mut self, event: &CmEvent) -> (CmEvent, Option<QueuePair>) {
         match event {
             CmEvent::ConnectRequest { service, qpn, start_psn } => {
                 match self.services.iter().find(|s| s.service == *service) {
                     Some(params) => {
-                        let mut params = *params;
-                        if let Some(minted) = qpn_override {
-                            params.qpn = minted;
-                        }
+                        let params = ConnectionParams { qpn: self.next_qpn, ..*params };
+                        self.next_qpn += 1;
                         let mut qp = QueuePair::new(params.qpn);
                         qp.to_rtr(*qpn, *start_psn);
                         qp.to_rts(params.start_psn);
@@ -223,16 +200,17 @@ mod tests {
     }
 
     #[test]
-    fn dedicated_handshakes_mint_unique_responder_qpns() {
-        // Two shards connecting to the same service must land on distinct
-        // responder QPs (independent PSN domains), and each reply must
-        // advertise the QPN actually minted for that connection.
+    fn every_handshake_mints_its_own_responder_qpn() {
+        // Requesters connecting to the same service or to different ones
+        // must land on distinct responder QPs (independent PSN domains),
+        // and each reply must advertise the QPN minted for that connection.
         let mut cm = CmManager::new();
         cm.publish(kv_params());
+        cm.publish(ConnectionParams { service: 2, ..kv_params() });
         let mut qpns = Vec::new();
         for shard in 0..4u32 {
             let requester = CmRequester::new(0x1000 + shard, 0);
-            let (reply, responder) = cm.handle_dedicated(&requester.request(1));
+            let (reply, responder) = cm.handle(&requester.request(1 + (shard % 2) as u16));
             let responder = responder.expect("accepted");
             let (req_qp, params) = requester.complete(&reply).unwrap();
             assert_eq!(responder.qpn, params.qpn, "reply advertises minted QPN");
@@ -242,16 +220,16 @@ mod tests {
         }
         qpns.sort_unstable();
         qpns.dedup();
-        assert_eq!(qpns.len(), 4, "responder QPNs not unique per shard");
+        assert_eq!(qpns.len(), 4, "responder QPNs not unique per connection");
     }
 
     #[test]
     fn disconnect_echoes_drep_for_the_same_qp() {
         let mut cm = CmManager::new();
-        let published = cm.publish(kv_params());
-        let (reply, qp) = cm.handle(&CmEvent::Disconnect { qpn: published.qpn });
+        cm.publish(kv_params());
+        let (reply, qp) = cm.handle(&CmEvent::Disconnect { qpn: 0x100 });
         assert!(qp.is_none(), "a teardown mints no QP");
-        assert_eq!(reply, CmEvent::Disconnect { qpn: published.qpn });
+        assert_eq!(reply, CmEvent::Disconnect { qpn: 0x100 });
         // Connecting again after a disconnect still works: teardown is
         // stateless at the manager.
         let requester = CmRequester::new(0x56, 0);
@@ -262,7 +240,7 @@ mod tests {
 
     #[test]
     fn unknown_service_rejected() {
-        let cm = CmManager::new();
+        let mut cm = CmManager::new();
         let requester = CmRequester::new(1, 0);
         let (reply, qp) = cm.handle(&requester.request(9));
         assert!(qp.is_none());
@@ -275,13 +253,5 @@ mod tests {
         let mut cm = CmManager::new();
         cm.publish(kv_params());
         cm.publish(kv_params());
-    }
-
-    #[test]
-    fn qpns_are_unique_per_service() {
-        let mut cm = CmManager::new();
-        let a = cm.publish(ConnectionParams { service: 1, ..kv_params() });
-        let b = cm.publish(ConnectionParams { service: 2, ..kv_params() });
-        assert_ne!(a.qpn, b.qpn);
     }
 }

@@ -716,26 +716,15 @@ unsafe impl Sync for SnapshotBuf {}
 
 /// The per-NIC table of registered regions, keyed by rkey.
 ///
-/// Lookup is a hash-indexed probe (fibonacci-hashed rkey, linear probing
-/// over a power-of-two table), so a collector hosting many regions pays
-/// O(1) per validated op instead of the old linear scan. Cloning a registry
-/// clones the region *handles* only — the striped backing stores are
-/// shared, which is how per-shard NIC endpoints all land in the same
-/// collector memory.
+/// Lookup scans the region vector: a collector registers one region per
+/// primitive (at most four), and at that size a dense scan beats hashing
+/// the rkey on every validated op — the same trade as `RdmaNic`'s QP
+/// table. Cloning a registry clones the region *handles* only — the
+/// striped backing stores are shared, which is how per-shard NIC endpoints
+/// all land in the same collector memory.
 #[derive(Debug, Default, Clone)]
 pub struct MemoryRegistry {
     regions: Vec<MemoryRegion>,
-    /// Open-addressed rkey index: `(rkey, region_index + 1)`, 0 = empty.
-    index: Vec<(u32, u32)>,
-    index_mask: usize,
-}
-
-/// Fibonacci mix of an rkey into the index table. rkeys are often small
-/// sequential constants; the multiply spreads them across the table so
-/// probes stay short.
-#[inline]
-fn rkey_hash(rkey: u32) -> usize {
-    rkey.wrapping_mul(0x9E37_79B9) as usize
 }
 
 impl MemoryRegistry {
@@ -755,49 +744,12 @@ impl MemoryRegistry {
             region.rkey
         );
         self.regions.push(region);
-        // Keep the load factor at most 1/2 so probe chains stay short.
-        if self.index.len() < self.regions.len() * 2 {
-            self.rebuild_index();
-        } else {
-            let idx = self.regions.len() - 1;
-            self.index_insert(self.regions[idx].rkey, idx as u32);
-        }
-    }
-
-    fn rebuild_index(&mut self) {
-        let cap = (self.regions.len() * 4).next_power_of_two().max(8);
-        self.index = vec![(0, 0); cap];
-        self.index_mask = cap - 1;
-        for i in 0..self.regions.len() {
-            self.index_insert(self.regions[i].rkey, i as u32);
-        }
-    }
-
-    fn index_insert(&mut self, rkey: u32, region_idx: u32) {
-        let mut at = rkey_hash(rkey) & self.index_mask;
-        while self.index[at].1 != 0 {
-            at = (at + 1) & self.index_mask;
-        }
-        self.index[at] = (rkey, region_idx + 1);
     }
 
     /// Find a region by rkey.
     #[inline]
     pub fn lookup(&self, rkey: u32) -> Option<&MemoryRegion> {
-        if self.index.is_empty() {
-            return None;
-        }
-        let mut at = rkey_hash(rkey) & self.index_mask;
-        loop {
-            let (k, v) = self.index[at];
-            if v == 0 {
-                return None;
-            }
-            if k == rkey {
-                return Some(&self.regions[(v - 1) as usize]);
-            }
-            at = (at + 1) & self.index_mask;
-        }
+        self.regions.iter().find(|r| r.rkey == rkey)
     }
 
     /// Number of registered regions.
@@ -1019,9 +971,9 @@ mod tests {
 
     #[test]
     fn registry_indexes_many_regions() {
-        // The hash index must stay exact through repeated growth/rehash:
-        // register several hundred regions with awkward (clustered and
-        // wide-spread) rkeys, then find every one and miss on neighbours.
+        // Lookup must stay exact however many regions there are: register
+        // several hundred with awkward (clustered and wide-spread) rkeys,
+        // then find every one and miss on neighbours.
         let mut reg = MemoryRegistry::new();
         let rkeys: Vec<u32> = (0..512u32)
             .map(|i| if i % 2 == 0 { i * 2 } else { 0x8000_0000 | (i * 3) })
@@ -1037,12 +989,12 @@ mod tests {
         assert_eq!(reg.len(), 512);
         for (i, &rk) in rkeys.iter().enumerate() {
             let r = reg.lookup(rk).unwrap_or_else(|| panic!("rkey {rk:#x} lost"));
-            assert_eq!(r.base_va, (i as u64) << 16, "index returned wrong region");
+            assert_eq!(r.base_va, (i as u64) << 16, "lookup returned wrong region");
         }
         for missing in [1u32, 5, 0x7FFF_FFFF, u32::MAX] {
             assert!(reg.lookup(missing).is_none(), "phantom hit for {missing:#x}");
         }
-        // And the indexed regions execute.
+        // And the registered regions execute.
         assert!(reg.write(rkeys[300], (300u64) << 16, &[1, 2, 3]).is_ok());
     }
 

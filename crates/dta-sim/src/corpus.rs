@@ -30,13 +30,15 @@
 //!
 //! [`render_spec`] is the inverse of the spec-table parser: it emits a
 //! complete document (every field, every section) that re-parses to an
-//! identical spec. The round-trip property test pins parser and renderer
-//! against each other, so a new plan field cannot be added to one side
-//! only.
+//! identical spec. Both walk one table, `KEYS`, in which every spec key is
+//! declared once with how it reads and how it renders — so a new plan
+//! field is one `key!` line and cannot be added to one side only. The
+//! round-trip property test checks what the table cannot: that what a key
+//! renders is what it reads back.
 
 use std::fmt;
 
-use dta_net::{FaultConfig, LinkConfig, QueueDiscipline};
+use dta_net::{LinkConfig, QueueDiscipline};
 use dta_reporter::RetransmitPolicy;
 use dta_translator::RateLimiterConfig;
 
@@ -512,66 +514,82 @@ fn scan(file: &str, text: &str) -> Result<Vec<Item>, ParseError> {
 // Typed field extraction
 // ---------------------------------------------------------------------------
 
-fn want_u64(file: &str, it: &Item) -> Result<u64, ParseError> {
-    match &it.value {
-        Value::Int(v) => Ok(*v),
-        other => Err(err(
-            file,
-            it.line,
-            format!("key `{}` wants an integer, got {}", it.key, other.type_name()),
-        )),
+/// A field type the grammar can carry: how it reads from an [`Item`] (the
+/// error names the key) and how it renders (`None` omits the line).
+trait Scalar: Sized {
+    fn read(it: &Item) -> Result<Self, String>;
+    fn show(&self) -> Option<String>;
+}
+
+impl Scalar for u64 {
+    fn read(it: &Item) -> Result<Self, String> {
+        match &it.value {
+            Value::Int(v) => Ok(*v),
+            other => {
+                Err(format!("key `{}` wants an integer, got {}", it.key, other.type_name()))
+            }
+        }
+    }
+    fn show(&self) -> Option<String> {
+        Some(self.to_string())
     }
 }
 
-fn want_u32(file: &str, it: &Item) -> Result<u32, ParseError> {
-    let v = want_u64(file, it)?;
-    u32::try_from(v)
-        .map_err(|_| err(file, it.line, format!("key `{}` out of range: {v}", it.key)))
+macro_rules! narrowed_scalar {
+    ($($t:ty),*) => {$(
+        impl Scalar for $t {
+            fn read(it: &Item) -> Result<Self, String> {
+                let v = u64::read(it)?;
+                <$t>::try_from(v).map_err(|_| format!("key `{}` out of range: {v}", it.key))
+            }
+            fn show(&self) -> Option<String> {
+                Some(self.to_string())
+            }
+        }
+    )*};
 }
+narrowed_scalar!(u32, u8, usize);
 
-fn want_u8(file: &str, it: &Item) -> Result<u8, ParseError> {
-    let v = want_u64(file, it)?;
-    u8::try_from(v)
-        .map_err(|_| err(file, it.line, format!("key `{}` out of range: {v}", it.key)))
-}
-
-fn want_usize(file: &str, it: &Item) -> Result<usize, ParseError> {
-    let v = want_u64(file, it)?;
-    usize::try_from(v)
-        .map_err(|_| err(file, it.line, format!("key `{}` out of range: {v}", it.key)))
-}
-
-fn want_f64(file: &str, it: &Item) -> Result<f64, ParseError> {
-    match &it.value {
-        Value::Float(v) => Ok(*v),
-        Value::Int(v) => Ok(*v as f64), // integer literals coerce to float
-        other => Err(err(
-            file,
-            it.line,
-            format!("key `{}` wants a number, got {}", it.key, other.type_name()),
-        )),
+impl Scalar for f64 {
+    fn read(it: &Item) -> Result<Self, String> {
+        match &it.value {
+            Value::Float(v) => Ok(*v),
+            Value::Int(v) => Ok(*v as f64), // integer literals coerce to float
+            other => Err(format!("key `{}` wants a number, got {}", it.key, other.type_name())),
+        }
+    }
+    /// `{:?}` keeps the `.0` on whole numbers, so the value re-parses as a float.
+    fn show(&self) -> Option<String> {
+        Some(format!("{self:?}"))
     }
 }
 
-fn want_bool(file: &str, it: &Item) -> Result<bool, ParseError> {
-    match &it.value {
-        Value::Bool(v) => Ok(*v),
-        other => Err(err(
-            file,
-            it.line,
-            format!("key `{}` wants a boolean, got {}", it.key, other.type_name()),
-        )),
+impl Scalar for bool {
+    fn read(it: &Item) -> Result<Self, String> {
+        match &it.value {
+            Value::Bool(v) => Ok(*v),
+            other => Err(format!("key `{}` wants a boolean, got {}", it.key, other.type_name())),
+        }
+    }
+    fn show(&self) -> Option<String> {
+        Some(self.to_string())
     }
 }
 
-fn want_str<'a>(file: &str, it: &'a Item) -> Result<&'a str, ParseError> {
+/// An optional field: naming the key sets it, `None` renders nothing.
+impl<T: Scalar> Scalar for Option<T> {
+    fn read(it: &Item) -> Result<Self, String> {
+        T::read(it).map(Some)
+    }
+    fn show(&self) -> Option<String> {
+        self.as_ref().and_then(T::show)
+    }
+}
+
+fn want_str(it: &Item) -> Result<&str, String> {
     match &it.value {
         Value::Str(v) => Ok(v),
-        other => Err(err(
-            file,
-            it.line,
-            format!("key `{}` wants a string, got {}", it.key, other.type_name()),
-        )),
+        other => Err(format!("key `{}` wants a string, got {}", it.key, other.type_name())),
     }
 }
 
@@ -590,6 +608,229 @@ fn want_list<'a>(file: &str, it: &'a Item) -> Result<&'a [Value], ParseError> {
 }
 
 // ---------------------------------------------------------------------------
+// The key table: every spec key, declared once
+// ---------------------------------------------------------------------------
+
+/// One spec key: [`render_spec`] calls `show`, [`parse_str`] calls `read`.
+struct Key {
+    /// Section path as written between `[` `]`; `""` is the top of the file.
+    section: &'static str,
+    name: &'static str,
+    /// The value as document text; `None` omits the line (an absent plan,
+    /// an unset optional field).
+    show: fn(&ScenarioSpec) -> Option<String>,
+    /// Store the item's value; the error names the key.
+    read: fn(&mut Draft, &Item) -> Result<(), String>,
+}
+
+/// The spec under assembly, plus the five keys that only mean something
+/// together (`mode` + `shards`, `discipline` + `xoff_bytes`/`xon_bytes`):
+/// they may come in any order, so their values wait here, with the line
+/// an error would point at, until [`parse_str`] has read the whole document.
+#[derive(Default)]
+struct Draft {
+    spec: ScenarioSpec,
+    mode: Option<(usize, String)>,
+    shards: Option<(usize, u64)>,
+    discipline: Option<(usize, String)>,
+    xoff_bytes: Option<usize>,
+    xon_bytes: Option<usize>,
+}
+
+/// `key!(section, name, path.to.field)` is a field that always exists;
+/// `key!(section, name, path.to.plan ? init => field)` is a field of an
+/// optional plan: naming any key of the plan creates it from `init`, and
+/// an absent plan renders nothing.
+macro_rules! key {
+    ($section:literal, $name:ident, $($plan:ident).+ ? $init:expr => $($field:ident).+) => {
+        Key {
+            section: $section,
+            name: stringify!($name),
+            show: |s| s.$($plan).+.as_ref().and_then(|p| p.$($field).+.show()),
+            read: |d, it| {
+                let plan = d.spec.$($plan).+.get_or_insert_with(|| $init);
+                Scalar::read(it).map(|v| plan.$($field).+ = v)
+            },
+        }
+    };
+    ($section:literal, $name:ident, $($field:ident).+) => {
+        Key {
+            section: $section,
+            name: stringify!($name),
+            show: |s| s.$($field).+.show(),
+            read: |d, it| Scalar::read(it).map(|v| d.spec.$($field).+ = v),
+        }
+    };
+}
+
+/// The keys of one `[faults.*]` section, over the link class at `$cfg`.
+macro_rules! fault_keys {
+    ($section:literal, $($cfg:ident).+) => {
+        [
+            key!($section, drop_chance, $($cfg).+.drop_chance),
+            key!($section, corrupt_chance, $($cfg).+.corrupt_chance),
+            key!($section, reorder_chance, $($cfg).+.reorder_chance),
+            key!($section, duplicate_chance, $($cfg).+.duplicate_chance),
+            key!($section, size_limit, $($cfg).+.size_limit),
+        ]
+    };
+}
+
+/// Every spec key, in the order [`render_spec`] emits them (the table is
+/// in pieces only so the `[faults.*]` group can be spliced in; read it
+/// through [`keys`]). `tags`, `[sweep]` and `[invariants]` are file
+/// metadata, not spec keys, and are read by [`parse_str`] itself.
+static KEYS: &[&[Key]] = &[
+    &[
+        key!("", fat_tree_k, fat_tree_k),
+        key!("", reporters, reporters),
+        key!("", ops_per_reporter, ops_per_reporter),
+        key!("", seed, seed),
+        key!("", tick_ns, tick_ns),
+        key!("", reports_per_tick, reports_per_tick),
+        key!("", drain_ns, drain_ns),
+        Key {
+            section: "",
+            name: "mode",
+            show: |s| match s.mode {
+                TranslatorMode::SingleThreaded => Some("\"single\"".into()),
+                TranslatorMode::Sharded { .. } => Some("\"sharded\"".into()),
+            },
+            read: |d, it| want_str(it).map(|m| d.mode = Some((it.line, m.to_string()))),
+        },
+        Key {
+            section: "",
+            name: "shards",
+            show: |s| match s.mode {
+                TranslatorMode::SingleThreaded => None,
+                TranslatorMode::Sharded { shards } => shards.show(),
+            },
+            read: |d, it| u64::read(it).map(|n| d.shards = Some((it.line, n))),
+        },
+        key!("traffic", key_write, traffic.key_write),
+        key!("traffic", append, traffic.append),
+        key!("traffic", key_increment, traffic.key_increment),
+        key!("traffic", postcarding, traffic.postcarding),
+        key!("traffic", kw_redundancy, traffic.kw_redundancy),
+        key!("traffic", inc_redundancy, traffic.inc_redundancy),
+        key!("traffic", kw_keys, traffic.kw_keys),
+        key!("traffic", inc_keys, traffic.inc_keys),
+        key!("traffic", append_lists, traffic.append_lists),
+        key!("traffic", slot_disjoint_keys, traffic.slot_disjoint_keys),
+        key!("traffic", kw_write_once, traffic.kw_write_once),
+        key!("traffic", inc_slot_disjoint, traffic.inc_slot_disjoint),
+    ],
+    &fault_keys!("faults.report_uplinks", faults.report_uplinks),
+    &fault_keys!("faults.fabric", faults.fabric),
+    &fault_keys!("faults.rdma_hop", faults.rdma_hop),
+    &[
+        key!("congestion", nack_on_drop, congestion.nack_on_drop),
+        key!("congestion.rate_limit", msgs_per_sec,
+            congestion.rate_limit ? RateLimiterConfig::bluefield2() => msgs_per_sec),
+        key!("congestion.rate_limit", burst,
+            congestion.rate_limit ? RateLimiterConfig::bluefield2() => burst),
+        key!("congestion.retransmit", window,
+            congestion.retransmit ? RetransmitPolicy::default() => window),
+        key!("congestion.retransmit", max_retries,
+            congestion.retransmit ? RetransmitPolicy::default() => max_retries),
+        key!("congestion.retransmit", pace_ns,
+            congestion.retransmit ? RetransmitPolicy::default() => pace_ns),
+        key!("congestion.rdma_link", bandwidth_bps, congestion.rdma_link.bandwidth_bps),
+        key!("congestion.rdma_link", latency_ns, congestion.rdma_link.latency_ns),
+        key!("congestion.rdma_link", queue_bytes, congestion.rdma_link.queue_bytes),
+        Key {
+            section: "congestion.rdma_link",
+            name: "discipline",
+            show: |s| match s.congestion.rdma_link.discipline {
+                QueueDiscipline::Lossy => Some("\"lossy\"".into()),
+                QueueDiscipline::Lossless { .. } => Some("\"lossless\"".into()),
+            },
+            read: |d, it| want_str(it).map(|v| d.discipline = Some((it.line, v.to_string()))),
+        },
+        Key {
+            section: "congestion.rdma_link",
+            name: "xoff_bytes",
+            show: |s| match s.congestion.rdma_link.discipline {
+                QueueDiscipline::Lossy => None,
+                QueueDiscipline::Lossless { xoff_bytes, .. } => xoff_bytes.show(),
+            },
+            read: |d, it| usize::read(it).map(|v| d.xoff_bytes = Some(v)),
+        },
+        Key {
+            section: "congestion.rdma_link",
+            name: "xon_bytes",
+            show: |s| match s.congestion.rdma_link.discipline {
+                QueueDiscipline::Lossy => None,
+                QueueDiscipline::Lossless { xon_bytes, .. } => xon_bytes.show(),
+            },
+            read: |d, it| usize::read(it).map(|v| d.xon_bytes = Some(v)),
+        },
+        key!("collectors", count, collectors.count),
+        key!("collectors", timeout_ns, collectors.timeout_ns),
+        key!("collectors", min_unacked, collectors.min_unacked),
+        key!("collectors", ledger_capacity, collectors.ledger_capacity),
+        key!("collectors.fault", victim,
+            collectors.fault ? CollectorFaultPlan::kill(0, 0) => victim),
+        key!("collectors.fault", kill_at_ns,
+            collectors.fault ? CollectorFaultPlan::kill(0, 0) => kill_at_ns),
+        key!("collectors.fault", rejoin_at_ns,
+            collectors.fault ? CollectorFaultPlan::kill(0, 0) => rejoin_at_ns),
+        key!("collectors.fault", spurious,
+            collectors.fault ? CollectorFaultPlan::kill(0, 0) => spurious),
+        key!("rebalance", start_at_ns, rebalance ? RebalancePlan::default() => start_at_ns),
+        key!("rebalance", fence_capacity, rebalance ? RebalancePlan::default() => fence_capacity),
+        key!("rebalance", ledger_capacity, rebalance ? RebalancePlan::default() => ledger_capacity),
+        key!("rebalance", drain_batch, rebalance ? RebalancePlan::default() => drain_batch),
+        key!("rebalance", retry_ns, rebalance ? RebalancePlan::default() => retry_ns),
+        key!("rebalance.faults", drop_chance,
+            rebalance ? RebalancePlan::default() => faults.drop_chance),
+        key!("rebalance.faults", duplicate_chance,
+            rebalance ? RebalancePlan::default() => faults.duplicate_chance),
+        key!("rebalance.faults", reorder_chance,
+            rebalance ? RebalancePlan::default() => faults.reorder_chance),
+        key!("query", rate, query ? QueryPlan::default() => rate),
+        key!("query", start_ns, query ? QueryPlan::default() => start_ns),
+        key!("query", stop_ns, query ? QueryPlan::default() => stop_ns),
+        key!("query", seed, query ? QueryPlan::default() => seed),
+        key!("query.mix", key_write, query ? QueryPlan::default() => mix.key_write),
+        key!("query.mix", append, query ? QueryPlan::default() => mix.append),
+        key!("query.mix", key_increment, query ? QueryPlan::default() => mix.key_increment),
+        key!("query.mix", postcarding, query ? QueryPlan::default() => mix.postcarding),
+        key!("translator", postcard_cache_slots, translator.postcard_cache_slots),
+        key!("translator", postcard_hops, translator.postcard_hops),
+        key!("translator", postcard_bits, translator.postcard_bits),
+        key!("translator", postcard_values, translator.postcard_values),
+        key!("translator", postcard_redundancy, translator.postcard_redundancy),
+        key!("translator", append_batch, translator.append_batch),
+        key!("translator", mtu, translator.mtu),
+        key!("translator", key_scratch_entries, translator.key_scratch_entries),
+        key!("translator.rate_limit", msgs_per_sec,
+            translator.rate_limit ? RateLimiterConfig::bluefield2() => msgs_per_sec),
+        key!("translator.rate_limit", burst,
+            translator.rate_limit ? RateLimiterConfig::bluefield2() => burst),
+        key!("service", kw_bytes, service.kw_bytes),
+        key!("service", kw_value_bytes, service.kw_value_bytes),
+        key!("service", postcard_bytes, service.postcard_bytes),
+        key!("service", postcard_hops, service.postcard_hops),
+        key!("service", postcard_bits, service.postcard_bits),
+        key!("service", postcard_values, service.postcard_values),
+        key!("service", append_lists, service.append_lists),
+        key!("service", append_entries, service.append_entries),
+        key!("service", append_entry_bytes, service.append_entry_bytes),
+        key!("service", cms_slots, service.cms_slots),
+        key!("service", max_redundancy, service.max_redundancy),
+        key!("service.nic", msg_rate, service.nic.msg_rate),
+        key!("service.nic", line_rate_bps, service.nic.line_rate_bps),
+        key!("service.nic", num_nics, service.nic.num_nics),
+        key!("service.nic", ack_coalesce, service.nic.ack_coalesce),
+    ],
+];
+
+fn keys() -> impl Iterator<Item = &'static Key> {
+    KEYS.iter().copied().flatten()
+}
+
+// ---------------------------------------------------------------------------
 // Document assembly
 // ---------------------------------------------------------------------------
 
@@ -599,29 +840,10 @@ fn want_list<'a>(file: &str, it: &'a Item) -> Result<&'a [Value], ParseError> {
 /// exercise the parser on specs `validate()` would reject).
 pub fn parse_str(file: &str, text: &str) -> Result<CorpusDoc, ParseError> {
     let items = scan(file, text)?;
-    let mut spec = ScenarioSpec::default();
+    let mut draft = Draft::default();
     let mut tags = Vec::new();
     let mut sweep: Vec<Axis> = Vec::new();
     let mut invariants = InvariantSet::default();
-
-    // Deferred multi-key state.
-    let mut mode_str: Option<(usize, String)> = None;
-    let mut shards: Option<(usize, u64)> = None;
-    let mut link_discipline: Option<(usize, String)> = None;
-    let mut link_xoff: Option<usize> = None;
-    let mut link_xon: Option<usize> = None;
-
-    let fault_cfg = |cfg: &mut FaultConfig, file: &str, it: &Item| -> Result<bool, ParseError> {
-        match it.key.as_str() {
-            "drop_chance" => cfg.drop_chance = want_f64(file, it)?,
-            "corrupt_chance" => cfg.corrupt_chance = want_f64(file, it)?,
-            "reorder_chance" => cfg.reorder_chance = want_f64(file, it)?,
-            "duplicate_chance" => cfg.duplicate_chance = want_f64(file, it)?,
-            "size_limit" => cfg.size_limit = Some(want_usize(file, it)?),
-            _ => return Ok(false),
-        }
-        Ok(true)
-    };
 
     for it in &items {
         let unknown = || {
@@ -632,223 +854,23 @@ pub fn parse_str(file: &str, text: &str) -> Result<CorpusDoc, ParseError> {
             };
             Err(err(file, it.line, format!("unknown key `{whole}`")))
         };
+        if let Some(key) = keys().find(|k| k.section == it.section && k.name == it.key) {
+            (key.read)(&mut draft, it).map_err(|m| err(file, it.line, m))?;
+            continue;
+        }
         match it.section.as_str() {
-            "" => match it.key.as_str() {
-                "fat_tree_k" => spec.fat_tree_k = want_u32(file, it)?,
-                "reporters" => spec.reporters = want_u32(file, it)?,
-                "ops_per_reporter" => spec.ops_per_reporter = want_u32(file, it)?,
-                "seed" => spec.seed = want_u64(file, it)?,
-                "tick_ns" => spec.tick_ns = want_u64(file, it)?,
-                "reports_per_tick" => spec.reports_per_tick = want_usize(file, it)?,
-                "drain_ns" => spec.drain_ns = want_u64(file, it)?,
-                "mode" => mode_str = Some((it.line, want_str(file, it)?.to_string())),
-                "shards" => shards = Some((it.line, want_u64(file, it)?)),
-                "tags" => {
-                    for v in want_list(file, it)? {
-                        match v {
-                            Value::Str(s) => tags.push(s.clone()),
-                            other => {
-                                return Err(err(
-                                    file,
-                                    it.line,
-                                    format!("tags must be strings, got {}", other.type_name()),
-                                ))
-                            }
+            "" if it.key == "tags" => {
+                for v in want_list(file, it)? {
+                    match v {
+                        Value::Str(s) => tags.push(s.clone()),
+                        other => {
+                            return Err(err(
+                                file,
+                                it.line,
+                                format!("tags must be strings, got {}", other.type_name()),
+                            ))
                         }
                     }
-                }
-                _ => return unknown(),
-            },
-            "traffic" => {
-                let t = &mut spec.traffic;
-                match it.key.as_str() {
-                    "key_write" => t.key_write = want_u32(file, it)?,
-                    "append" => t.append = want_u32(file, it)?,
-                    "key_increment" => t.key_increment = want_u32(file, it)?,
-                    "postcarding" => t.postcarding = want_u32(file, it)?,
-                    "kw_redundancy" => t.kw_redundancy = want_u8(file, it)?,
-                    "inc_redundancy" => t.inc_redundancy = want_u8(file, it)?,
-                    "kw_keys" => t.kw_keys = want_usize(file, it)?,
-                    "inc_keys" => t.inc_keys = want_usize(file, it)?,
-                    "append_lists" => t.append_lists = want_u32(file, it)?,
-                    "slot_disjoint_keys" => t.slot_disjoint_keys = want_bool(file, it)?,
-                    "kw_write_once" => t.kw_write_once = want_bool(file, it)?,
-                    "inc_slot_disjoint" => t.inc_slot_disjoint = want_bool(file, it)?,
-                    _ => return unknown(),
-                }
-            }
-            "faults.report_uplinks" => {
-                if !fault_cfg(&mut spec.faults.report_uplinks, file, it)? {
-                    return unknown();
-                }
-            }
-            "faults.fabric" => {
-                if !fault_cfg(&mut spec.faults.fabric, file, it)? {
-                    return unknown();
-                }
-            }
-            "faults.rdma_hop" => {
-                if !fault_cfg(&mut spec.faults.rdma_hop, file, it)? {
-                    return unknown();
-                }
-            }
-            "congestion" => match it.key.as_str() {
-                "nack_on_drop" => spec.congestion.nack_on_drop = want_bool(file, it)?,
-                _ => return unknown(),
-            },
-            "congestion.rate_limit" => {
-                let rl = spec
-                    .congestion
-                    .rate_limit
-                    .get_or_insert(RateLimiterConfig::bluefield2());
-                match it.key.as_str() {
-                    "msgs_per_sec" => rl.msgs_per_sec = want_f64(file, it)?,
-                    "burst" => rl.burst = want_u64(file, it)?,
-                    _ => return unknown(),
-                }
-            }
-            "congestion.retransmit" => {
-                let rx = spec
-                    .congestion
-                    .retransmit
-                    .get_or_insert(RetransmitPolicy::default());
-                match it.key.as_str() {
-                    "window" => rx.window = want_usize(file, it)?,
-                    "max_retries" => rx.max_retries = want_u32(file, it)?,
-                    "pace_ns" => rx.pace_ns = want_u64(file, it)?,
-                    _ => return unknown(),
-                }
-            }
-            "congestion.rdma_link" => {
-                let l = &mut spec.congestion.rdma_link;
-                match it.key.as_str() {
-                    "bandwidth_bps" => l.bandwidth_bps = want_u64(file, it)?,
-                    "latency_ns" => l.latency_ns = want_u64(file, it)?,
-                    "queue_bytes" => l.queue_bytes = want_usize(file, it)?,
-                    "discipline" => {
-                        link_discipline = Some((it.line, want_str(file, it)?.to_string()))
-                    }
-                    "xoff_bytes" => link_xoff = Some(want_usize(file, it)?),
-                    "xon_bytes" => link_xon = Some(want_usize(file, it)?),
-                    _ => return unknown(),
-                }
-            }
-            "collectors" => {
-                let c = &mut spec.collectors;
-                match it.key.as_str() {
-                    "count" => c.count = want_u32(file, it)?,
-                    "timeout_ns" => c.timeout_ns = want_u64(file, it)?,
-                    "min_unacked" => c.min_unacked = want_u64(file, it)?,
-                    "ledger_capacity" => c.ledger_capacity = want_usize(file, it)?,
-                    _ => return unknown(),
-                }
-            }
-            "collectors.fault" => {
-                let f = spec
-                    .collectors
-                    .fault
-                    .get_or_insert(CollectorFaultPlan::kill(0, 0));
-                match it.key.as_str() {
-                    "victim" => f.victim = want_u32(file, it)?,
-                    "kill_at_ns" => f.kill_at_ns = want_u64(file, it)?,
-                    "rejoin_at_ns" => f.rejoin_at_ns = Some(want_u64(file, it)?),
-                    "spurious" => f.spurious = want_bool(file, it)?,
-                    _ => return unknown(),
-                }
-            }
-            "rebalance" => {
-                let rb = spec.rebalance.get_or_insert(RebalancePlan::default());
-                match it.key.as_str() {
-                    "start_at_ns" => rb.start_at_ns = want_u64(file, it)?,
-                    "fence_capacity" => rb.fence_capacity = want_usize(file, it)?,
-                    "ledger_capacity" => rb.ledger_capacity = want_usize(file, it)?,
-                    "drain_batch" => rb.drain_batch = want_usize(file, it)?,
-                    "retry_ns" => rb.retry_ns = want_u64(file, it)?,
-                    _ => return unknown(),
-                }
-            }
-            "rebalance.faults" => {
-                let mf = &mut spec
-                    .rebalance
-                    .get_or_insert(RebalancePlan::default())
-                    .faults;
-                match it.key.as_str() {
-                    "drop_chance" => mf.drop_chance = want_f64(file, it)?,
-                    "duplicate_chance" => mf.duplicate_chance = want_f64(file, it)?,
-                    "reorder_chance" => mf.reorder_chance = want_f64(file, it)?,
-                    _ => return unknown(),
-                }
-            }
-            "query" => {
-                let q = spec.query.get_or_insert(QueryPlan::default());
-                match it.key.as_str() {
-                    "rate" => q.rate = want_u32(file, it)?,
-                    "start_ns" => q.start_ns = want_u64(file, it)?,
-                    "stop_ns" => q.stop_ns = want_u64(file, it)?,
-                    "seed" => q.seed = want_u64(file, it)?,
-                    _ => return unknown(),
-                }
-            }
-            "query.mix" => {
-                let m = &mut spec.query.get_or_insert(QueryPlan::default()).mix;
-                match it.key.as_str() {
-                    "key_write" => m.key_write = want_u32(file, it)?,
-                    "append" => m.append = want_u32(file, it)?,
-                    "key_increment" => m.key_increment = want_u32(file, it)?,
-                    "postcarding" => m.postcarding = want_u32(file, it)?,
-                    _ => return unknown(),
-                }
-            }
-            "translator" => {
-                let t = &mut spec.translator;
-                match it.key.as_str() {
-                    "postcard_cache_slots" => t.postcard_cache_slots = want_usize(file, it)?,
-                    "postcard_hops" => t.postcard_hops = want_u8(file, it)?,
-                    "postcard_bits" => t.postcard_bits = want_u32(file, it)?,
-                    "postcard_values" => t.postcard_values = want_u32(file, it)?,
-                    "postcard_redundancy" => t.postcard_redundancy = want_usize(file, it)?,
-                    "append_batch" => t.append_batch = want_usize(file, it)?,
-                    "mtu" => t.mtu = want_usize(file, it)?,
-                    "key_scratch_entries" => t.key_scratch_entries = want_usize(file, it)?,
-                    _ => return unknown(),
-                }
-            }
-            "translator.rate_limit" => {
-                let rl = spec
-                    .translator
-                    .rate_limit
-                    .get_or_insert(RateLimiterConfig::bluefield2());
-                match it.key.as_str() {
-                    "msgs_per_sec" => rl.msgs_per_sec = want_f64(file, it)?,
-                    "burst" => rl.burst = want_u64(file, it)?,
-                    _ => return unknown(),
-                }
-            }
-            "service" => {
-                let s = &mut spec.service;
-                match it.key.as_str() {
-                    "kw_bytes" => s.kw_bytes = want_u64(file, it)?,
-                    "kw_value_bytes" => s.kw_value_bytes = want_u32(file, it)?,
-                    "postcard_bytes" => s.postcard_bytes = want_u64(file, it)?,
-                    "postcard_hops" => s.postcard_hops = want_u8(file, it)?,
-                    "postcard_bits" => s.postcard_bits = want_u32(file, it)?,
-                    "postcard_values" => s.postcard_values = want_u32(file, it)?,
-                    "append_lists" => s.append_lists = want_u32(file, it)?,
-                    "append_entries" => s.append_entries = want_u64(file, it)?,
-                    "append_entry_bytes" => s.append_entry_bytes = want_u32(file, it)?,
-                    "cms_slots" => s.cms_slots = want_u64(file, it)?,
-                    "max_redundancy" => s.max_redundancy = want_usize(file, it)?,
-                    _ => return unknown(),
-                }
-            }
-            "service.nic" => {
-                let n = &mut spec.service.nic;
-                match it.key.as_str() {
-                    "msg_rate" => n.msg_rate = want_f64(file, it)?,
-                    "line_rate_bps" => n.line_rate_bps = want_f64(file, it)?,
-                    "num_nics" => n.num_nics = want_u32(file, it)?,
-                    "ack_coalesce" => n.ack_coalesce = want_u32(file, it)?,
-                    _ => return unknown(),
                 }
             }
             "sweep" => {
@@ -939,7 +961,7 @@ pub fn parse_str(file: &str, text: &str) -> Result<CorpusDoc, ParseError> {
                 sweep.push(axis);
             }
             "invariants" => {
-                let on = want_bool(file, it)?;
+                let on = bool::read(it).map_err(|m| err(file, it.line, m))?;
                 match it.key.as_str() {
                     "bit_reproducible" => invariants.bit_reproducible = on,
                     "cross_mode_memory_equal" => invariants.cross_mode_memory_equal = on,
@@ -953,6 +975,7 @@ pub fn parse_str(file: &str, text: &str) -> Result<CorpusDoc, ParseError> {
                     _ => return unknown(),
                 }
             }
+            s if keys().any(|k| k.section == s) => return unknown(),
             _ => {
                 return Err(err(
                     file,
@@ -962,9 +985,10 @@ pub fn parse_str(file: &str, text: &str) -> Result<CorpusDoc, ParseError> {
             }
         }
     }
+    let Draft { mut spec, mode, shards, discipline, xoff_bytes, xon_bytes } = draft;
 
     // Finalize the translator mode.
-    match (mode_str, shards) {
+    match (mode, shards) {
         (None, None) => {}
         (None, Some((line, _))) => {
             return Err(err(file, line, "`shards` without `mode = \"sharded\"`"));
@@ -992,16 +1016,17 @@ pub fn parse_str(file: &str, text: &str) -> Result<CorpusDoc, ParseError> {
         }
     }
 
-    // Finalize the RoCE-hop queue discipline.
-    if link_discipline.is_some() || link_xoff.is_some() || link_xon.is_some() {
+    // Finalize the RoCE-hop queue discipline. Nothing else sets it, so
+    // thresholds named without a `discipline` adjust the default hop,
+    // which is lossless.
+    if discipline.is_some() || xoff_bytes.is_some() || xon_bytes.is_some() {
         let dflt = match LinkConfig::dc_100g_lossless().discipline {
             QueueDiscipline::Lossless { xoff_bytes, xon_bytes } => (xoff_bytes, xon_bytes),
             QueueDiscipline::Lossy => unreachable!(),
         };
-        match link_discipline {
-            Some((_, ref d)) if d == "lossy" => {
-                if link_xoff.is_some() || link_xon.is_some() {
-                    let line = link_discipline.map(|(l, _)| l).unwrap_or(0);
+        match discipline {
+            Some((line, d)) if d == "lossy" => {
+                if xoff_bytes.is_some() || xon_bytes.is_some() {
                     return Err(err(
                         file,
                         line,
@@ -1010,13 +1035,7 @@ pub fn parse_str(file: &str, text: &str) -> Result<CorpusDoc, ParseError> {
                 }
                 spec.congestion.rdma_link.discipline = QueueDiscipline::Lossy;
             }
-            Some((_, ref d)) if d == "lossless" => {
-                spec.congestion.rdma_link.discipline = QueueDiscipline::Lossless {
-                    xoff_bytes: link_xoff.unwrap_or(dflt.0),
-                    xon_bytes: link_xon.unwrap_or(dflt.1),
-                };
-            }
-            Some((line, d)) => {
+            Some((line, d)) if d != "lossless" => {
                 return Err(err(
                     file,
                     line,
@@ -1025,25 +1044,11 @@ pub fn parse_str(file: &str, text: &str) -> Result<CorpusDoc, ParseError> {
                     ),
                 ));
             }
-            None => {
-                // xoff/xon against the current discipline (must be lossless).
-                match &mut spec.congestion.rdma_link.discipline {
-                    QueueDiscipline::Lossless { xoff_bytes, xon_bytes } => {
-                        if let Some(x) = link_xoff {
-                            *xoff_bytes = x;
-                        }
-                        if let Some(x) = link_xon {
-                            *xon_bytes = x;
-                        }
-                    }
-                    QueueDiscipline::Lossy => {
-                        return Err(err(
-                            file,
-                            0,
-                            "xoff_bytes/xon_bytes only apply to discipline = \"lossless\"",
-                        ));
-                    }
-                }
+            _ => {
+                spec.congestion.rdma_link.discipline = QueueDiscipline::Lossless {
+                    xoff_bytes: xoff_bytes.unwrap_or(dflt.0),
+                    xon_bytes: xon_bytes.unwrap_or(dflt.1),
+                };
             }
         }
     }
@@ -1147,161 +1152,22 @@ pub fn load_dir(dir: &std::path::Path) -> Result<Vec<CorpusDoc>, ParseError> {
 // Rendering: ScenarioSpec -> document text
 // ---------------------------------------------------------------------------
 
-/// Render `spec` as a complete corpus document body: every field of every
-/// section, explicitly. [`parse_str`] on the output yields `spec` exactly
-/// (the round-trip property test pins this). Sweep/invariant/tag sections
+/// Render `spec` as a complete corpus document body: every key of `KEYS`
+/// that has a value, in table order, explicitly. [`parse_str`] on the
+/// output yields `spec` exactly (the round-trip property test pins this). Sweep/invariant/tag sections
 /// are corpus-file metadata, not spec state, so they are not emitted —
 /// append them to the returned string when authoring a corpus file.
 pub fn render_spec(spec: &ScenarioSpec) -> String {
-    use std::fmt::Write;
     let mut s = String::new();
-    let f = |v: f64| format!("{v:?}");
-    writeln!(s, "fat_tree_k = {}", spec.fat_tree_k).unwrap();
-    writeln!(s, "reporters = {}", spec.reporters).unwrap();
-    writeln!(s, "ops_per_reporter = {}", spec.ops_per_reporter).unwrap();
-    writeln!(s, "seed = {}", spec.seed).unwrap();
-    writeln!(s, "tick_ns = {}", spec.tick_ns).unwrap();
-    writeln!(s, "reports_per_tick = {}", spec.reports_per_tick).unwrap();
-    writeln!(s, "drain_ns = {}", spec.drain_ns).unwrap();
-    match spec.mode {
-        TranslatorMode::SingleThreaded => writeln!(s, "mode = \"single\"").unwrap(),
-        TranslatorMode::Sharded { shards } => {
-            writeln!(s, "mode = \"sharded\"").unwrap();
-            writeln!(s, "shards = {shards}").unwrap();
+    let mut section = "";
+    for key in keys() {
+        let Some(value) = (key.show)(spec) else { continue };
+        if key.section != section {
+            section = key.section;
+            s.push_str(&format!("\n[{section}]\n"));
         }
+        s.push_str(&format!("{} = {value}\n", key.name));
     }
-
-    let t = &spec.traffic;
-    writeln!(s, "\n[traffic]").unwrap();
-    writeln!(s, "key_write = {}", t.key_write).unwrap();
-    writeln!(s, "append = {}", t.append).unwrap();
-    writeln!(s, "key_increment = {}", t.key_increment).unwrap();
-    writeln!(s, "postcarding = {}", t.postcarding).unwrap();
-    writeln!(s, "kw_redundancy = {}", t.kw_redundancy).unwrap();
-    writeln!(s, "inc_redundancy = {}", t.inc_redundancy).unwrap();
-    writeln!(s, "kw_keys = {}", t.kw_keys).unwrap();
-    writeln!(s, "inc_keys = {}", t.inc_keys).unwrap();
-    writeln!(s, "append_lists = {}", t.append_lists).unwrap();
-    writeln!(s, "slot_disjoint_keys = {}", t.slot_disjoint_keys).unwrap();
-    writeln!(s, "kw_write_once = {}", t.kw_write_once).unwrap();
-    writeln!(s, "inc_slot_disjoint = {}", t.inc_slot_disjoint).unwrap();
-
-    for (name, cfg) in [
-        ("report_uplinks", &spec.faults.report_uplinks),
-        ("fabric", &spec.faults.fabric),
-        ("rdma_hop", &spec.faults.rdma_hop),
-    ] {
-        writeln!(s, "\n[faults.{name}]").unwrap();
-        writeln!(s, "drop_chance = {}", f(cfg.drop_chance)).unwrap();
-        writeln!(s, "corrupt_chance = {}", f(cfg.corrupt_chance)).unwrap();
-        writeln!(s, "reorder_chance = {}", f(cfg.reorder_chance)).unwrap();
-        writeln!(s, "duplicate_chance = {}", f(cfg.duplicate_chance)).unwrap();
-        if let Some(limit) = cfg.size_limit {
-            writeln!(s, "size_limit = {limit}").unwrap();
-        }
-    }
-
-    let c = &spec.congestion;
-    writeln!(s, "\n[congestion]").unwrap();
-    writeln!(s, "nack_on_drop = {}", c.nack_on_drop).unwrap();
-    if let Some(rl) = &c.rate_limit {
-        writeln!(s, "\n[congestion.rate_limit]").unwrap();
-        writeln!(s, "msgs_per_sec = {}", f(rl.msgs_per_sec)).unwrap();
-        writeln!(s, "burst = {}", rl.burst).unwrap();
-    }
-    if let Some(rx) = &c.retransmit {
-        writeln!(s, "\n[congestion.retransmit]").unwrap();
-        writeln!(s, "window = {}", rx.window).unwrap();
-        writeln!(s, "max_retries = {}", rx.max_retries).unwrap();
-        writeln!(s, "pace_ns = {}", rx.pace_ns).unwrap();
-    }
-    writeln!(s, "\n[congestion.rdma_link]").unwrap();
-    writeln!(s, "bandwidth_bps = {}", c.rdma_link.bandwidth_bps).unwrap();
-    writeln!(s, "latency_ns = {}", c.rdma_link.latency_ns).unwrap();
-    writeln!(s, "queue_bytes = {}", c.rdma_link.queue_bytes).unwrap();
-    match c.rdma_link.discipline {
-        QueueDiscipline::Lossy => writeln!(s, "discipline = \"lossy\"").unwrap(),
-        QueueDiscipline::Lossless { xoff_bytes, xon_bytes } => {
-            writeln!(s, "discipline = \"lossless\"").unwrap();
-            writeln!(s, "xoff_bytes = {xoff_bytes}").unwrap();
-            writeln!(s, "xon_bytes = {xon_bytes}").unwrap();
-        }
-    }
-
-    let cp = &spec.collectors;
-    writeln!(s, "\n[collectors]").unwrap();
-    writeln!(s, "count = {}", cp.count).unwrap();
-    writeln!(s, "timeout_ns = {}", cp.timeout_ns).unwrap();
-    writeln!(s, "min_unacked = {}", cp.min_unacked).unwrap();
-    writeln!(s, "ledger_capacity = {}", cp.ledger_capacity).unwrap();
-    if let Some(fault) = &cp.fault {
-        writeln!(s, "\n[collectors.fault]").unwrap();
-        writeln!(s, "victim = {}", fault.victim).unwrap();
-        writeln!(s, "kill_at_ns = {}", fault.kill_at_ns).unwrap();
-        if let Some(rejoin) = fault.rejoin_at_ns {
-            writeln!(s, "rejoin_at_ns = {rejoin}").unwrap();
-        }
-        writeln!(s, "spurious = {}", fault.spurious).unwrap();
-    }
-    if let Some(rb) = &spec.rebalance {
-        writeln!(s, "\n[rebalance]").unwrap();
-        writeln!(s, "start_at_ns = {}", rb.start_at_ns).unwrap();
-        writeln!(s, "fence_capacity = {}", rb.fence_capacity).unwrap();
-        writeln!(s, "ledger_capacity = {}", rb.ledger_capacity).unwrap();
-        writeln!(s, "drain_batch = {}", rb.drain_batch).unwrap();
-        writeln!(s, "retry_ns = {}", rb.retry_ns).unwrap();
-        writeln!(s, "\n[rebalance.faults]").unwrap();
-        writeln!(s, "drop_chance = {}", f(rb.faults.drop_chance)).unwrap();
-        writeln!(s, "duplicate_chance = {}", f(rb.faults.duplicate_chance)).unwrap();
-        writeln!(s, "reorder_chance = {}", f(rb.faults.reorder_chance)).unwrap();
-    }
-    if let Some(q) = &spec.query {
-        writeln!(s, "\n[query]").unwrap();
-        writeln!(s, "rate = {}", q.rate).unwrap();
-        writeln!(s, "start_ns = {}", q.start_ns).unwrap();
-        writeln!(s, "stop_ns = {}", q.stop_ns).unwrap();
-        writeln!(s, "seed = {}", q.seed).unwrap();
-        writeln!(s, "\n[query.mix]").unwrap();
-        writeln!(s, "key_write = {}", q.mix.key_write).unwrap();
-        writeln!(s, "append = {}", q.mix.append).unwrap();
-        writeln!(s, "key_increment = {}", q.mix.key_increment).unwrap();
-        writeln!(s, "postcarding = {}", q.mix.postcarding).unwrap();
-    }
-
-    let tc = &spec.translator;
-    writeln!(s, "\n[translator]").unwrap();
-    writeln!(s, "postcard_cache_slots = {}", tc.postcard_cache_slots).unwrap();
-    writeln!(s, "postcard_hops = {}", tc.postcard_hops).unwrap();
-    writeln!(s, "postcard_bits = {}", tc.postcard_bits).unwrap();
-    writeln!(s, "postcard_values = {}", tc.postcard_values).unwrap();
-    writeln!(s, "postcard_redundancy = {}", tc.postcard_redundancy).unwrap();
-    writeln!(s, "append_batch = {}", tc.append_batch).unwrap();
-    writeln!(s, "mtu = {}", tc.mtu).unwrap();
-    writeln!(s, "key_scratch_entries = {}", tc.key_scratch_entries).unwrap();
-    if let Some(rl) = &tc.rate_limit {
-        writeln!(s, "\n[translator.rate_limit]").unwrap();
-        writeln!(s, "msgs_per_sec = {}", f(rl.msgs_per_sec)).unwrap();
-        writeln!(s, "burst = {}", rl.burst).unwrap();
-    }
-
-    let sv = &spec.service;
-    writeln!(s, "\n[service]").unwrap();
-    writeln!(s, "kw_bytes = {}", sv.kw_bytes).unwrap();
-    writeln!(s, "kw_value_bytes = {}", sv.kw_value_bytes).unwrap();
-    writeln!(s, "postcard_bytes = {}", sv.postcard_bytes).unwrap();
-    writeln!(s, "postcard_hops = {}", sv.postcard_hops).unwrap();
-    writeln!(s, "postcard_bits = {}", sv.postcard_bits).unwrap();
-    writeln!(s, "postcard_values = {}", sv.postcard_values).unwrap();
-    writeln!(s, "append_lists = {}", sv.append_lists).unwrap();
-    writeln!(s, "append_entries = {}", sv.append_entries).unwrap();
-    writeln!(s, "append_entry_bytes = {}", sv.append_entry_bytes).unwrap();
-    writeln!(s, "cms_slots = {}", sv.cms_slots).unwrap();
-    writeln!(s, "max_redundancy = {}", sv.max_redundancy).unwrap();
-    writeln!(s, "\n[service.nic]").unwrap();
-    writeln!(s, "msg_rate = {}", f(sv.nic.msg_rate)).unwrap();
-    writeln!(s, "line_rate_bps = {}", f(sv.nic.line_rate_bps)).unwrap();
-    writeln!(s, "num_nics = {}", sv.nic.num_nics).unwrap();
-    writeln!(s, "ack_coalesce = {}", sv.nic.ack_coalesce).unwrap();
     s
 }
 
@@ -1388,6 +1254,91 @@ mod tests {
         assert!(e.message.contains("turbo") && e.message.contains("mode"), "{e}");
         let e = load_str("bad.toml", "reporters = \"eight\"\n").unwrap_err();
         assert!(e.message.contains("reporters") && e.message.contains("integer"), "{e}");
+    }
+
+    #[test]
+    fn section_prefixes_are_not_sections() {
+        // `[faults]` and `[congestion.rate]` only exist as prefixes of real
+        // sections: naming them is an unknown *section*, while a misspelt
+        // key inside a real one is an unknown *key*.
+        for (text, want) in [
+            ("[faults]\ndrop_chance = 0.1\n", "unknown section `[faults]`"),
+            ("[congestion.rate]\nburst = 4\n", "unknown section `[congestion.rate]`"),
+            ("[faults.fabric]\ndrop = 0.1\n", "unknown key `faults.fabric.drop`"),
+            ("[congestion.rate_limit]\nbursts = 4\n", "unknown key `congestion.rate_limit.bursts`"),
+            ("[sweep]\nseeds = [1]\n", "unknown key `sweep.seeds`"),
+            ("[invariants]\nno_unsnet = true\n", "unknown key `invariants.no_unsnet`"),
+        ] {
+            let e = parse_str("p.toml", text).unwrap_err();
+            assert_eq!((e.line, e.message.as_str()), (2, want));
+        }
+    }
+
+    #[test]
+    fn keys_that_mean_something_together_resolve_in_any_order() {
+        let dflt = LinkConfig::dc_100g_lossless().discipline;
+        let QueueDiscipline::Lossless { xoff_bytes, xon_bytes } = dflt else { unreachable!() };
+        let link = |text: &str| {
+            let text = format!("[congestion.rdma_link]\n{text}");
+            parse_str("l.toml", &text).map(|d| d.spec.congestion.rdma_link.discipline)
+        };
+        assert_eq!(
+            parse_str("m.toml", "shards = 4\nmode = \"sharded\"\n").unwrap().spec.mode,
+            TranslatorMode::Sharded { shards: 4 }
+        );
+        assert_eq!(
+            link("xon_bytes = 5\ndiscipline = \"lossless\"\n"),
+            Ok(QueueDiscipline::Lossless { xoff_bytes, xon_bytes: 5 })
+        );
+        // Thresholds alone adjust the default (lossless) hop.
+        assert_eq!(
+            link("xoff_bytes = 9\n"),
+            Ok(QueueDiscipline::Lossless { xoff_bytes: 9, xon_bytes })
+        );
+        assert_eq!(link("discipline = \"lossy\"\n"), Ok(QueueDiscipline::Lossy));
+        // The errors point at the key that decides: `discipline`, `shards`.
+        let e = link("xoff_bytes = 9\ndiscipline = \"lossy\"\n").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("only apply to discipline = \"lossless\""), "{e}");
+        let e = parse_str("m.toml", "seed = 3\nshards = 2\n").unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (2, "`shards` without `mode = \"sharded\"`"));
+    }
+
+    #[test]
+    fn key_table_has_no_duplicate_keys() {
+        let mut seen = std::collections::BTreeSet::new();
+        for key in keys() {
+            assert!(seen.insert((key.section, key.name)), "[{}] {} twice", key.section, key.name);
+        }
+    }
+
+    #[test]
+    fn full_spec_renders_every_key_and_reparses() {
+        // Every optional plan present, every optional field set, both
+        // two-key enums in their wider variant: each key of the table has
+        // a value, so each renders one line and must read back.
+        let rate_limit = Some(RateLimiterConfig { msgs_per_sec: 2.5e6, burst: 9 });
+        let mut spec = ScenarioSpec {
+            mode: TranslatorMode::Sharded { shards: 3 },
+            rebalance: Some(RebalancePlan { drain_batch: 5, ..RebalancePlan::default() }),
+            query: Some(QueryPlan { rate: 3, ..QueryPlan::default() }),
+            ..ScenarioSpec::default()
+        };
+        for cfg in [&mut spec.faults.report_uplinks, &mut spec.faults.fabric, &mut spec.faults.rdma_hop] {
+            cfg.size_limit = Some(1500);
+        }
+        spec.congestion.rate_limit = rate_limit;
+        spec.congestion.retransmit = Some(RetransmitPolicy::default());
+        spec.congestion.rdma_link.discipline =
+            QueueDiscipline::Lossless { xoff_bytes: 7000, xon_bytes: 3000 };
+        spec.collectors.fault =
+            Some(CollectorFaultPlan { rejoin_at_ns: Some(9_000), ..CollectorFaultPlan::kill(1, 5_000) });
+        spec.translator.rate_limit = rate_limit;
+
+        let text = render_spec(&spec);
+        let assignments = text.lines().filter(|l| l.contains(" = ")).count();
+        assert_eq!(assignments, keys().count(), "{text}");
+        assert_eq!(parse_str("full.toml", &text).unwrap().spec, spec);
     }
 
     #[test]

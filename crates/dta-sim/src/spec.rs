@@ -408,6 +408,11 @@ impl Default for CongestionPlan {
 /// Most reporters one host will co-host as fleet lanes.
 pub const MAX_LANES_PER_HOST: u32 = 64;
 
+/// Largest fabric the harness can address: a reporter's source IP carries
+/// its host's node id in the low 16 bits, and K=62 is the last fat-tree
+/// whose node ids (switches + hosts) fit there.
+const MAX_FAT_TREE_K: u32 = 62;
+
 /// A complete end-to-end deployment description.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
@@ -491,6 +496,12 @@ impl ScenarioSpec {
     pub fn validate(&self) -> Result<(), String> {
         if self.fat_tree_k < 2 || !self.fat_tree_k.is_multiple_of(2) {
             return Err(format!("fat_tree_k must be even and >= 2, got {}", self.fat_tree_k));
+        }
+        if self.fat_tree_k > MAX_FAT_TREE_K {
+            return Err(format!(
+                "fat_tree_k must be <= {MAX_FAT_TREE_K}, got {}",
+                self.fat_tree_k
+            ));
         }
         let hosts = self.fat_tree_k * (self.fat_tree_k / 2) * (self.fat_tree_k / 2);
         if self.collectors.count == 0 {
@@ -589,8 +600,9 @@ impl ScenarioSpec {
             // A healthy collector may legitimately sit on `ack_coalesce - 1`
             // unanswered sends per service QP (KW + INC = 2 QPs). A floor
             // at or below that backlog turns ordinary coalescing silence
-            // into a false fail-stop verdict.
-            let coalesce_backlog = 2 * (u64::from(self.service.nic.ack_coalesce) - 1);
+            // into a false fail-stop verdict. (The NIC reads an
+            // `ack_coalesce` of 0 as 1: every packet acknowledged.)
+            let coalesce_backlog = 2 * (u64::from(self.service.nic.ack_coalesce.max(1)) - 1);
             if self.collectors.min_unacked <= coalesce_backlog {
                 return Err(format!(
                     "collectors.min_unacked ({}) must exceed the worst-case \
@@ -750,6 +762,13 @@ mod tests {
     fn bad_specs_are_rejected() {
         let mut s = ScenarioSpec { fat_tree_k: 3, ..ScenarioSpec::default() };
         assert!(s.validate().is_err());
+        // Past the addressable fabric (and, far enough, past u32 host math).
+        for k in [MAX_FAT_TREE_K + 2, 100_000] {
+            s.fat_tree_k = k;
+            assert!(s.validate().unwrap_err().contains("fat_tree_k"));
+        }
+        s.fat_tree_k = MAX_FAT_TREE_K;
+        assert_eq!(s.validate(), Ok(()));
         s.fat_tree_k = 4;
         s.reporters = 0;
         assert!(s.validate().is_err());
@@ -842,6 +861,12 @@ mod tests {
         assert!(err.contains("min_unacked"), "unexpected error: {err}");
         s.service.nic = s.service.nic.with_ack_coalesce(8);
         assert_eq!(s.validate(), Ok(()));
+        // A NIC that acknowledges every packet (0 reads as 1) has no
+        // coalescing backlog: any positive floor clears it.
+        let mut every = s.clone();
+        every.service.nic.ack_coalesce = 0;
+        every.collectors.min_unacked = 1;
+        assert_eq!(every.validate(), Ok(()));
         // Victim must be in range, the kill must be scheduled, and a
         // rejoin must follow it.
         s.collectors.fault = Some(CollectorFaultPlan::kill(3, 1_000));

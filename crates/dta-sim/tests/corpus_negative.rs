@@ -26,6 +26,8 @@ const EXPECTATIONS: &[(&str, &[&str])] = &[
     ("victim_axis_without_fault.toml", &["victim", "collectors.fault"]),
     ("cross_mode_without_axis.toml", &["cross_mode_memory_equal", "mode"]),
     ("invalid_sweep_cell.toml", &["mode=sharded4", "rdma_hop"]),
+    ("fat_tree_k_overflow.toml", &["fat_tree_k", "100000"]),
+    ("zero_ack_coalesce_victim.toml", &["victim 7", "fleet of 3"]),
 ];
 
 #[test]

@@ -228,11 +228,7 @@ impl RoceLink {
                     (SERVICE_CMS, MigPrimitive::KeyIncrement),
                 ] {
                     let requester = CmRequester::new(qpn_base + 8 + u32::from(service), 0);
-                    // A dedicated responder QP per migration link:
-                    // re-accepting the service's published QP would splice
-                    // this requester into the service connection's PSN
-                    // stream (and repoint its ACKs here).
-                    let reply = svc.handle_cm_dedicated(&requester.request(service));
+                    let reply = svc.handle_cm(&requester.request(service));
                     if let Ok((qp, params)) = requester.complete(&reply) {
                         mig_links[link_of(c, primitive) as usize] = Some(MigLink {
                             req_qpn: qp.qpn,

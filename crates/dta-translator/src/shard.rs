@@ -29,7 +29,7 @@
 //! [`KeyScratch`]: dta_hash::scratch::KeyScratch
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use dta_collector::service::{
@@ -93,6 +93,10 @@ struct Shared {
     /// timestamp (see [`ShardItem::now_ns`]) so admission decisions are a
     /// pure function of the delivered stream, not of worker scheduling.
     now_ns: AtomicU64,
+    /// Rate-limited `nack_on_drop` reports recorded by the workers and not
+    /// yet taken by the engine thread. A worker locks this once per
+    /// drained batch, and only when the limiter dropped something in it.
+    nacks: Mutex<Vec<NackRecord>>,
 }
 
 /// Where a report came from — everything the translator needs to address a
@@ -117,7 +121,7 @@ struct ShardItem {
 }
 
 /// A rate-limited report whose `nack_on_drop` flag requests a reporter
-/// NACK: recorded by the shard worker, drained and emitted by the owning
+/// NACK: recorded by the shard worker, taken and emitted by the owning
 /// node on the engine thread (workers have no network handle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NackRecord {
@@ -127,14 +131,14 @@ pub struct NackRecord {
     pub origin: ReportOrigin,
 }
 
-/// Ingest-side handle to one shard.
+/// Ingest-side handle to one shard. The ingest thread writes it on every
+/// push (ring cursor, `enqueued`), so it gets cache lines of its own:
+/// whatever the allocator puts next to the lane table — worker-written
+/// state included — cannot false-share with the dispatch loop.
 #[derive(Debug)]
+#[repr(align(64))]
 struct Lane {
-    /// Report producer; taken (dropped) at shutdown while the NACK
-    /// consumer below stays alive for a final post-join drain.
-    tx: Option<spsc::Producer<ShardItem>>,
-    /// Rate-limited seqs flowing back from the worker (engine-thread side).
-    nack_rx: spsc::Consumer<NackRecord>,
+    tx: spsc::Producer<ShardItem>,
     /// Reports pushed (ingest thread private).
     enqueued: u64,
     /// Reports fully processed by the worker (written by the worker).
@@ -170,8 +174,8 @@ pub struct ShardedRunReport {
     /// Total ingest-side yields on full rings.
     pub backpressure_yields: u64,
     /// NACK records still undelivered at shutdown (recorded by workers but
-    /// never drained via [`ShardedTranslator::take_nacks`]). Zero in any
-    /// correctly sized scenario: the owning node drains on every tick.
+    /// never taken via [`ShardedTranslator::take_nacks`]). Zero in any
+    /// correctly sized scenario: the owning node takes them on every tick.
     pub nacks_pending: u64,
 }
 
@@ -189,10 +193,6 @@ pub struct ShardedTranslator {
     lanes: Vec<Lane>,
     workers: Vec<JoinHandle<ShardRunReport>>,
     shared: Arc<Shared>,
-    /// NACK records drained off the worker rings but not yet taken by the
-    /// caller (the rings are drained opportunistically inside `wait_idle`
-    /// so a blocked worker can always make progress).
-    pending_nacks: Vec<NackRecord>,
 }
 
 impl ShardedTranslator {
@@ -204,6 +204,7 @@ impl ShardedTranslator {
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
             now_ns: AtomicU64::new(0),
+            nacks: Mutex::new(Vec::new()),
         });
         let mut lanes = Vec::with_capacity(config.shards);
         let mut workers = Vec::with_capacity(config.shards);
@@ -236,11 +237,9 @@ impl ShardedTranslator {
                 tr.connect(service, qp, params);
             }
             let (tx, rx) = spsc::channel::<ShardItem>(config.queue_depth);
-            let (nack_tx, nack_rx) = spsc::channel::<NackRecord>(config.queue_depth);
             let processed = Arc::new(AtomicU64::new(0));
             lanes.push(Lane {
-                tx: Some(tx),
-                nack_rx,
+                tx,
                 enqueued: 0,
                 processed: processed.clone(),
                 backpressure_yields: 0,
@@ -250,9 +249,7 @@ impl ShardedTranslator {
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("dta-shard-{shard}"))
-                    .spawn(move || {
-                        worker_loop(shard, rx, tr, nic, nack_tx, processed, shared, drain)
-                    })
+                    .spawn(move || worker_loop(shard, rx, tr, nic, processed, shared, drain))
                     .expect("spawn shard worker"),
             );
         }
@@ -265,7 +262,6 @@ impl ShardedTranslator {
             lanes,
             workers,
             shared,
-            pending_nacks: Vec::new(),
         }
     }
 
@@ -298,7 +294,7 @@ impl ShardedTranslator {
         let mut spins = 0u32;
         loop {
             let lane = &mut self.lanes[shard];
-            match lane.tx.as_mut().expect("dispatch after shutdown").push(item) {
+            match lane.tx.push(item) {
                 Ok(()) => break,
                 Err(back) => {
                     // A worker exits before shutdown only by panicking;
@@ -311,11 +307,6 @@ impl ShardedTranslator {
                     spins += 1;
                     if spins > 16 {
                         lane.backpressure_yields += 1;
-                        // Same rule as every other engine-side blocking
-                        // loop: keep the NACK return rings draining, or a
-                        // worker blocked pushing a record and this thread
-                        // blocked pushing a report deadlock each other.
-                        self.drain_nack_rings();
                         std::thread::yield_now();
                     } else {
                         std::hint::spin_loop();
@@ -335,38 +326,22 @@ impl ShardedTranslator {
         }
     }
 
-    /// Pop every queued NACK record off the worker rings into
-    /// `pending_nacks` (shard order, FIFO within a shard — deterministic
-    /// once the workers are idle). Records stay parked until
-    /// [`ShardedTranslator::take_nacks`]; every engine-side loop that can
-    /// block on a worker calls this so a worker blocked pushing a record
-    /// always makes progress.
-    fn drain_nack_rings(&mut self) {
-        for lane in &mut self.lanes {
-            while let Some(rec) = lane.nack_rx.pop() {
-                self.pending_nacks.push(rec);
-            }
-        }
-    }
-
     /// Take every NACK recorded so far, in ascending seq order. Call after
     /// a barrier ([`ShardedTranslator::wait_idle`]) to get a deterministic
     /// *set*: all rate-limited `nack_on_drop` reports ingested before the
-    /// barrier. The seq sort makes the *order* deterministic too — the
-    /// barrier's opportunistic ring drains interleave shards by thread
-    /// timing, so raw arrival order is not reproducible (identical-seq
-    /// duplicates are identical records, so their relative order is moot).
+    /// barrier. The seq sort makes the *order* deterministic too — shards
+    /// record by thread timing, so raw arrival order is not reproducible
+    /// (identical-seq duplicates are identical records, so their relative
+    /// order is moot).
     pub fn take_nacks(&mut self, out: &mut Vec<NackRecord>) {
-        self.drain_nack_rings();
-        self.pending_nacks.sort_by_key(|r| r.seq);
-        out.append(&mut self.pending_nacks);
+        let mut nacks = self.shared.nacks.lock().expect("shard worker panicked");
+        nacks.sort_by_key(|r| r.seq);
+        out.append(&mut nacks);
     }
 
     /// Block until every report ingested so far has been translated and
     /// executed (queues empty, workers idle). The barrier benchmarks use to
-    /// close a measurement window. Drains the NACK return rings while
-    /// waiting — a worker blocked on a full NACK ring must be able to make
-    /// progress, or this barrier would deadlock.
+    /// close a measurement window.
     pub fn wait_idle(&mut self) {
         for shard in 0..self.lanes.len() {
             loop {
@@ -378,7 +353,6 @@ impl ShardedTranslator {
                     !self.workers[shard].is_finished(),
                     "shard {shard} worker died with reports still queued"
                 );
-                self.drain_nack_rings();
                 std::thread::yield_now();
             }
         }
@@ -393,12 +367,6 @@ impl ShardedTranslator {
         let handles = std::mem::take(&mut self.workers);
         let mut shards: Vec<ShardRunReport> = Vec::with_capacity(handles.len());
         for h in handles {
-            // Keep the NACK rings draining while waiting: a worker blocked
-            // pushing a record must be able to finish, or this join hangs.
-            while !h.is_finished() {
-                self.drain_nack_rings();
-                std::thread::yield_now();
-            }
             shards.push(h.join().expect("shard worker panicked"));
         }
         shards.sort_by_key(|s| s.shard);
@@ -408,11 +376,9 @@ impl ShardedTranslator {
             translator.merge(&s.translator);
             executed += s.nic.executed;
         }
-        // Anything left on the NACK rings (or parked in `pending_nacks`)
-        // can never be emitted now: surface the count instead of silently
-        // dropping the records.
-        self.drain_nack_rings();
-        let nacks_pending = self.pending_nacks.len() as u64;
+        // Records nobody took can never be emitted now: surface the count
+        // instead of silently dropping them.
+        let nacks_pending = self.shared.nacks.lock().expect("shard worker panicked").len() as u64;
         ShardedRunReport {
             shards,
             translator,
@@ -423,16 +389,11 @@ impl ShardedTranslator {
     }
 
     /// Signal stop and drop the report producers so workers drain and
-    /// exit. NACK consumers stay alive: `flush_and_join` reads the rings
-    /// one last time after the workers are gone.
+    /// exit.
     fn shutdown(&mut self) {
         // Producers must drop before (or with) the stop signal so a worker
-        // that observes `stop` and then sees an empty ring can trust it;
-        // dropping the whole lane would also drop its NACK consumer, so
-        // only the report producers are taken here.
-        for lane in &mut self.lanes {
-            lane.tx = None;
-        }
+        // that observes `stop` and then sees an empty ring can trust it.
+        self.lanes.clear();
         self.shared.stop.store(true, Ordering::Release);
     }
 }
@@ -444,10 +405,6 @@ impl Drop for ShardedTranslator {
         if !self.workers.is_empty() {
             self.shutdown();
             for h in std::mem::take(&mut self.workers) {
-                while !h.is_finished() {
-                    self.drain_nack_rings(); // unblock workers mid-push
-                    std::thread::yield_now();
-                }
                 let _ = h.join();
             }
         }
@@ -456,15 +413,13 @@ impl Drop for ShardedTranslator {
 
 /// One shard's event loop: drain the ring in batches, translate (each
 /// report at its own ingest timestamp), execute at the shard NIC endpoint,
-/// feed NAKs back, record rate-limited `nack_on_drop` seqs onto the NACK
-/// return ring, and flush on shutdown.
-#[allow(clippy::too_many_arguments)] // thread entry: each arg is one owned channel/handle
+/// feed NAKs back, record rate-limited `nack_on_drop` seqs on the shared
+/// NACK list, and flush on shutdown.
 fn worker_loop(
     shard: usize,
     mut rx: spsc::Consumer<ShardItem>,
     mut tr: Translator,
     mut nic: RdmaNic,
-    mut nack_tx: spsc::Producer<NackRecord>,
     processed: Arc<AtomicU64>,
     shared: Arc<Shared>,
     drain_batch: usize,
@@ -514,25 +469,18 @@ fn worker_loop(
             }
         }
         // Hand rate-limited seqs back to the engine thread with their
-        // return addresses (looked up in the batch just processed).
-        for &seq in &out.nacked {
-            let origin = batch
-                .iter()
-                .find(|it| it.report.header.seq == seq)
-                .map(|it| it.origin)
-                .unwrap_or_default();
-            let mut rec = NackRecord { seq, origin };
-            loop {
-                match nack_tx.push(rec) {
-                    Ok(()) => break,
-                    Err(back) => {
-                        // The engine drains this ring on node ticks and
-                        // inside `wait_idle`; yield until there is room.
-                        rec = back;
-                        std::thread::yield_now();
-                    }
-                }
-            }
+        // return addresses (looked up in the batch just processed) — before
+        // `processed` moves, so a barrier that saw the batch sees these.
+        if !out.nacked.is_empty() {
+            let mut nacks = shared.nacks.lock().expect("nack list poisoned");
+            nacks.extend(out.nacked.iter().map(|&seq| {
+                let origin = batch
+                    .iter()
+                    .find(|it| it.report.header.seq == seq)
+                    .map(|it| it.origin)
+                    .unwrap_or_default();
+                NackRecord { seq, origin }
+            }));
         }
         processed.fetch_add(n as u64, Ordering::Release);
     }
@@ -752,14 +700,12 @@ mod tests {
         assert_eq!(report.nacks_pending, 0, "all records were taken before shutdown");
     }
 
-    /// Regression: tiny rings + every report rate-limited-with-nack. The
-    /// worker blocks pushing NackRecords once its return ring (capacity =
-    /// queue_depth) fills and stops draining reports; the ingest loop
-    /// must drain the return rings while backpressured, or the two block
-    /// each other forever. Without the dispatch-side drain this test
-    /// hangs rather than fails.
+    /// Tiny rings + every report rate-limited-with-nack: 500 drops surface
+    /// through 4-slot report rings. Recording a drop never waits on the
+    /// engine thread, so a backpressured ingest loop and a worker full of
+    /// drops have nothing to deadlock on.
     #[test]
-    fn dispatch_backpressure_drains_nack_rings_instead_of_deadlocking() {
+    fn every_drop_surfaces_through_tiny_report_rings() {
         use crate::ratelimit::RateLimiterConfig;
         use dta_core::DtaFlags;
         let mut col = CollectorService::new(ServiceConfig::default());
