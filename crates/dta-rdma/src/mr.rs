@@ -82,8 +82,6 @@ impl MrAccess {
 /// RMW at all.
 #[derive(Debug, Default)]
 pub struct MrStats {
-    /// FETCH_ADD operations executed.
-    pub atomics: AtomicU64,
     /// Local read operations (collector-side queries).
     pub local_reads: AtomicU64,
 }
@@ -94,9 +92,17 @@ pub struct MrStats {
 struct StripeMeta {
     writes: u64,
     bytes_written: u64,
-    /// Whether any write-locked access ever happened (RDMA WRITE, atomic,
-    /// or reset). Clean stripes are still all-zero, so snapshots skip them.
-    dirty: bool,
+    /// FETCH_ADD operations executed.
+    atomics: u64,
+}
+
+impl StripeMeta {
+    /// Whether any WRITE or atomic ever landed here. A stripe without one
+    /// is still all-zero (a reset only zeroes), so snapshots and recycling
+    /// skip it.
+    fn dirty(&self) -> bool {
+        self.writes | self.bytes_written | self.atomics != 0
+    }
 }
 
 /// A minimal spin rwlock specialized for stripe access: slot-sized
@@ -111,6 +117,11 @@ struct StripeLock {
 }
 
 const WRITER: u32 = u32::MAX;
+
+// Two locks to a cache line, none straddling one: a 64 MiB region's lock
+// array is 512 KiB, and both the write and the query path touch exactly one
+// lock line per op.
+const _: () = assert!(std::mem::size_of::<StripeLock>() == 32);
 
 impl StripeLock {
     fn new() -> Self {
@@ -256,9 +267,7 @@ impl Stripes {
         let r = unsafe {
             let buf =
                 std::slice::from_raw_parts_mut(self.data[s..e].as_ptr() as *mut u8, e - s);
-            let meta = &mut *lock.meta.get();
-            meta.dirty = true;
-            f(buf, meta)
+            f(buf, &mut *lock.meta.get())
         };
         lock.release_write();
         r
@@ -272,7 +281,7 @@ impl Stripes {
         }
         for i in 0..self.locks.len() {
             // SAFETY: `&mut self` in drop — no other access possible.
-            if unsafe { &*self.locks[i].meta.get() }.dirty {
+            if unsafe { &*self.locks[i].meta.get() }.dirty() {
                 let (s, e) = self.range(i);
                 // SAFETY: same exclusivity as the meta read above (`&mut
                 // self` in drop), and the slice covers only stripe `i`'s
@@ -370,6 +379,24 @@ impl MemoryRegion {
         Ok((va - self.base_va) as usize)
     }
 
+    /// Hint the cache line of the byte at `va` — the data line a verb a few
+    /// packets down the burst will touch ([`crate::nic::RdmaNic::
+    /// ingress_burst`]). Total, and not an access: an address outside the
+    /// region hints nothing, and no lock, counter or dirty bit moves. The
+    /// stripe-lock word is deliberately not hinted — the lock arrays are
+    /// cache-resident, and a read-intent pull of a line a concurrent
+    /// reader CASes only adds coherence traffic.
+    #[inline]
+    pub fn prefetch(&self, va: u64) {
+        let byte = va
+            .checked_sub(self.base_va)
+            .and_then(|off| usize::try_from(off).ok())
+            .and_then(|off| self.mem.data.get(off));
+        if let Some(byte) = byte {
+            dta_hash::prefetch_read(byte.get());
+        }
+    }
+
     /// Execute an RDMA WRITE of `data` at `va`.
     #[inline]
     pub fn write(&self, va: u64, data: &[u8]) -> Result<(), MrError> {
@@ -420,20 +447,25 @@ impl MemoryRegion {
     /// RDMA WRITE operations executed (summed from the per-stripe
     /// counters).
     pub fn writes(&self) -> u64 {
-        (0..self.mem.locks.len()).map(|i| self.mem.with_read(i, |_, m| m.writes)).sum()
+        self.sum_stripes(|m| m.writes)
     }
 
     /// Total bytes written into the region (summed from the per-stripe
     /// counters).
     pub fn bytes_written(&self) -> u64 {
-        (0..self.mem.locks.len()).map(|i| self.mem.with_read(i, |_, m| m.bytes_written)).sum()
+        self.sum_stripes(|m| m.bytes_written)
     }
 
     /// Total memory instructions executed against this region (one per
     /// RDMA op, as in Figure 8: the NIC's DMA engine issues one memory
     /// transaction per operation).
     pub fn memory_instructions(&self) -> u64 {
-        self.writes() + self.stats.atomics.load(Ordering::Relaxed)
+        self.sum_stripes(|m| m.writes + m.atomics)
+    }
+
+    /// Sum a per-stripe counter, each stripe read under its own lock.
+    fn sum_stripes(&self, counter: impl Fn(&StripeMeta) -> u64) -> u64 {
+        (0..self.mem.locks.len()).map(|i| self.mem.with_read(i, |_, m| counter(m))).sum()
     }
 
     /// Execute a FETCH_ADD of `add` at `va` (8-byte, per the IB spec).
@@ -454,14 +486,13 @@ impl MemoryRegion {
         }
         let stripe = off >> STRIPE_SHIFT;
         let within = off & (STRIPE_BYTES - 1);
-        let old = self.mem.with_write(stripe, |buf, _| {
+        Ok(self.mem.with_write(stripe, |buf, m| {
             let word = &mut buf[within..within + 8];
             let old = u64::from_be_bytes(word.as_ref().try_into().unwrap());
             word.copy_from_slice(&old.wrapping_add(add).to_be_bytes());
+            m.atomics += 1;
             old
-        });
-        self.stats.atomics.fetch_add(1, Ordering::Relaxed);
-        Ok(old)
+        }))
     }
 
     /// Copy `dst.len()` bytes at `va` into a caller-provided buffer — the
@@ -566,7 +597,7 @@ impl MemoryRegion {
         for i in 0..self.mem.locks.len() {
             let (s, _) = self.mem.range(i);
             self.mem.with_read(i, |buf, m| {
-                if m.dirty {
+                if m.dirty() {
                     out.write_range(s, buf);
                 }
             });

@@ -16,8 +16,9 @@
 //!   [`KeyScratch`] digest cache, image pool, postcard cache, append
 //!   batcher) and a private NIC endpoint with dedicated QPs
 //!   (`CollectorService::shard_nic` / `handle_cm_shard`), draining its ring
-//!   in batches through [`Translator::process_batch`] and issuing the RDMA
-//!   writes concurrently into the collector's lock-striped memory.
+//!   in batches through the loop behind [`Translator::process_batch`] and
+//!   issuing the RDMA writes concurrently into the collector's lock-striped
+//!   memory.
 //!
 //! Because all reports for a key hash to one shard and each shard is a
 //! FIFO, **per-key write order is preserved** — the property the Key-Write
@@ -454,13 +455,10 @@ fn worker_loop(
             continue;
         }
         idle = 0;
-        out.clear();
-        for item in &batch {
-            // Per-item timestamps: admission (rate limiting) must see the
-            // report's arrival time, not the time this worker happened to
-            // drain it, or the decision would depend on thread scheduling.
-            tr.process_into(item.now_ns, &item.report, &mut out);
-        }
+        // Per-item timestamps: admission (rate limiting) must see the
+        // report's arrival time, not the time this worker happened to
+        // drain it, or the decision would depend on thread scheduling.
+        tr.translate_batch(&batch, |item| (item.now_ns, &item.report), &mut out);
         responses.clear();
         nic.ingress_burst(&out.packets, &mut responses);
         for r in &responses {

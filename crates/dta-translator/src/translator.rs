@@ -10,7 +10,9 @@
 //!   16-byte compare instead of `1 + N` CRC passes;
 //! * [`Translator::process_batch`] reuses the caller's
 //!   [`TranslatorOutput`] so steady-state batch translation does not grow
-//!   or reallocate the packet vector.
+//!   or reallocate the packet vector, and hints the [`KeyScratch`] set a
+//!   few reports ahead, so a key stream wider than the scratch overlaps its
+//!   table misses (a hint is never a lookup: same hits, same evictions).
 
 use bytes::{BufMut, Bytes, BytesMut};
 use dta_collector::layout::{AppendLayout, CmsLayout, KwLayout, PostcardLayout};
@@ -30,6 +32,12 @@ use crate::append::AppendBatcher;
 use crate::pool::{ImagePool, IMG_POOL_BUF, IMG_POOL_DEPTH};
 use crate::postcard_cache::{CacheEmission, PostcardCache};
 use crate::ratelimit::{RateLimiter, RateLimiterConfig};
+
+/// How many reports ahead the batch loop hints the key scratch: a set miss
+/// is one DRAM round-trip, a translated report ~100 ns, so a handful
+/// suffices and the hinted sets are still in L1 when reached. Not a knob —
+/// sized once on `ingest-wide`.
+const BATCH_LOOKAHEAD: usize = 6;
 
 /// Translator sizing and behaviour knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -331,23 +339,55 @@ impl Translator {
         reports: &[DtaReport],
         out: &mut TranslatorOutput,
     ) {
+        self.translate_batch(reports, |report| (now_ns, report), out);
+    }
+
+    /// The one batch loop, behind [`Translator::process_batch`] and the
+    /// shard workers alike: `view` yields each item's own ingest time and
+    /// report (rate limiting must see arrival timestamps, not the
+    /// batch-drain time, to stay a pure function of the delivered stream).
+    ///
+    /// Equal to [`Translator::process`] report by report, except that it
+    /// uses the batch: while report `i` translates, the [`KeyScratch`] set
+    /// of report `i + BATCH_LOOKAHEAD` is hinted, so a key stream wider
+    /// than the scratch overlaps its table misses instead of taking them
+    /// one at a time.
+    pub(crate) fn translate_batch<T>(
+        &mut self,
+        items: &[T],
+        view: impl Fn(&T) -> (u64, &DtaReport),
+        out: &mut TranslatorOutput,
+    ) {
         out.clear();
-        for report in reports {
+        // Item 0 translates next: too late to hint (and a batch of one,
+        // the scenario nodes' shape, takes no hint at all).
+        for item in items.iter().take(BATCH_LOOKAHEAD).skip(1) {
+            self.hint(view(item).1);
+        }
+        for (i, item) in items.iter().enumerate() {
+            if let Some(ahead) = items.get(i + BATCH_LOOKAHEAD) {
+                self.hint(view(ahead).1);
+            }
+            let (now_ns, report) = view(item);
             self.process_into(now_ns, report, out);
         }
     }
 
+    /// Hint the scratch set a keyed report will look up. Append carries no
+    /// key and a postcard reaches the scratch only when its cache row
+    /// completes, so neither is hinted.
+    #[inline]
+    fn hint(&self, report: &DtaReport) {
+        match &report.primitive {
+            PrimitiveHeader::KeyWrite(h) => self.scratch.prefetch(h.key.as_bytes()),
+            PrimitiveHeader::KeyIncrement(h) => self.scratch.prefetch(h.key.as_bytes()),
+            PrimitiveHeader::Append(_) | PrimitiveHeader::Postcarding(_) => {}
+        }
+    }
+
     /// Translate one report, appending packets to `out` without clearing it
-    /// first — the per-item entry point shard workers use to stamp each
-    /// report with its own ingest time (rate limiting must see arrival
-    /// timestamps, not the batch-drain time, to stay a pure function of the
-    /// delivered stream).
-    pub(crate) fn process_into(
-        &mut self,
-        now_ns: u64,
-        report: &DtaReport,
-        out: &mut TranslatorOutput,
-    ) {
+    /// first.
+    fn process_into(&mut self, now_ns: u64, report: &DtaReport, out: &mut TranslatorOutput) {
         self.stats.reports_in += 1;
         let packets_before = out.packets.len();
         let immediate = report.header.flags.immediate.then_some(report.header.seq);
@@ -837,6 +877,57 @@ mod tests {
             assert!(kw
                 .query(&TelemetryKey::from_u64(k), 2, dta_collector::QueryPolicy::Plurality)
                 .is_found());
+        }
+    }
+
+    #[test]
+    fn process_batch_equals_process_report_by_report() {
+        // All four primitives interleaved, keys both repeating and fresh,
+        // one immediate-flagged report: the batch loop's lookahead must not
+        // show in any packet or counter.
+        let reports: Vec<DtaReport> = (0..96u32)
+            .map(|i| {
+                let key = |v: u32| TelemetryKey::from_u64(u64::from(v));
+                let k = key(if i % 5 == 0 { i % 10 } else { 1000 + i });
+                match i % 4 {
+                    0 => DtaReport::key_write(i, k, 2, vec![i as u8; 4]),
+                    1 => DtaReport::append(i, i % 3, vec![i as u8; 4]),
+                    2 => DtaReport::key_increment(i, k, 3, u64::from(i)),
+                    // Flow i/20 over hops 0..5: every fifth completes a row.
+                    _ => DtaReport::postcard(i, key(i / 20), (i / 4 % 5) as u8, 5, i),
+                }
+            })
+            .map(|r| match r.header.seq {
+                8 => r.with_flags(DtaFlags { immediate: true, ..DtaFlags::default() }),
+                _ => r,
+            })
+            .collect();
+        let wire =
+            |pkts: &[RocePacket]| -> Vec<Bytes> { pkts.iter().map(RocePacket::encode).collect() };
+
+        let (_, mut single) = connected();
+        let mut expected = Vec::new();
+        for report in &reports {
+            expected.extend(single.process(0, report).packets);
+        }
+        assert!(single.key_scratch_stats().hits > 0 && expected.len() > reports.len());
+
+        for batch_len in
+            [1, BATCH_LOOKAHEAD - 1, BATCH_LOOKAHEAD, BATCH_LOOKAHEAD + 1, reports.len()]
+        {
+            let (_, mut batched) = connected();
+            let mut out = TranslatorOutput::default();
+            let mut got = Vec::new();
+            batched.process_batch(0, &[], &mut out);
+            assert!(out.packets.is_empty());
+            for batch in reports.chunks(batch_len) {
+                batched.process_batch(0, batch, &mut out);
+                got.append(&mut out.packets);
+            }
+            // PSN, rkey, va and payload bytes, in order.
+            assert_eq!(wire(&got), wire(&expected), "batch length {batch_len}");
+            assert_eq!(batched.stats, single.stats, "batch length {batch_len}");
+            assert_eq!(batched.key_scratch_stats(), single.key_scratch_stats());
         }
     }
 
