@@ -56,6 +56,7 @@ fn main() {
     }
 
     for id in targets {
+        #[expect(clippy::disallowed_types, reason = "progress line on stderr; no table reads it")]
         let start = std::time::Instant::now();
         for table in run_experiment(id, quick) {
             println!("{}", table.to_markdown());

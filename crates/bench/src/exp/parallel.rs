@@ -6,6 +6,8 @@
 //! region), so queries shard trivially across threads — each worker runs
 //! its own [`StoreQueryEngine`] over the shared store.
 
+#![expect(clippy::disallowed_types, reason = "Figures 11a/16a report host queries per second")]
+
 use std::time::{Duration, Instant};
 
 use dta_collector::{

@@ -1,7 +1,6 @@
 //! Per-primitive experiments: Figures 10–16.
 
 use std::hint::black_box;
-use std::time::Instant;
 
 use dta_analysis::montecarlo::{simulate_keywrite, simulate_keywrite_aging};
 use dta_analysis::table::{fmt_pct, fmt_rate};
@@ -18,8 +17,9 @@ use super::parallel::{parallel_append_poll, parallel_kw_query};
 use super::system::{append_wire_bytes, kw_wire_bytes, postcard_wire_bytes};
 
 /// Mean wall-clock nanoseconds per call of `body` over `iters` calls.
+#[expect(clippy::disallowed_types, reason = "Figures 11b/16b report host ns per call")]
 fn ns_per_call(iters: usize, mut body: impl FnMut(usize)) -> f64 {
-    let start = Instant::now();
+    let start = std::time::Instant::now();
     for i in 0..iters {
         body(i);
     }

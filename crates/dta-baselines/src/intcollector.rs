@@ -6,7 +6,7 @@
 //! InfluxDB in the original). It is "to the best of our knowledge the only
 //! open source INT collector" (§6.1).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use dta_core::FlowTuple;
 
@@ -37,7 +37,7 @@ pub struct IntCollector {
     pub flush_interval_ns: u64,
     state: HashMap<FlowTuple, FlowState>,
     /// The "TSDB": flushed points, queryable per flow.
-    tsdb: HashMap<FlowTuple, Vec<TsdbPoint>>,
+    tsdb: BTreeMap<FlowTuple, Vec<TsdbPoint>>,
     /// Reports seen.
     pub reports: u64,
     /// Events (threshold crossings) detected.
@@ -52,7 +52,7 @@ impl IntCollector {
             event_threshold,
             flush_interval_ns,
             state: HashMap::new(),
-            tsdb: HashMap::new(),
+            tsdb: BTreeMap::new(),
             reports: 0,
             events: 0,
         }

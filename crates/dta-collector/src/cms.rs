@@ -109,7 +109,7 @@ mod tests {
     #[test]
     fn count_min_never_underestimates() {
         let s = store(64); // tiny: force collisions
-        let mut truth = std::collections::HashMap::new();
+        let mut truth = std::collections::BTreeMap::new();
         for i in 0..200u64 {
             let k = TelemetryKey::from_u64(i % 50);
             s.increment_direct(&k, 1, 2);

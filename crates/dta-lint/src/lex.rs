@@ -1,20 +1,19 @@
 //! A minimal Rust lexer: just enough structure for the lint rules.
 //!
 //! The rules only ever reason about *identifier and punctuation tokens
-//! outside comments and literals*, plus the comment text itself (for the
-//! `// SAFETY:` rule). So the lexer does not classify keywords, parse
-//! numbers, or build a syntax tree — it produces a flat token stream with
-//! line numbers, and a per-line comment map. Brace-level structure
+//! outside comments and literals*. So the lexer does not classify keywords,
+//! parse numbers, or build a syntax tree — it produces a flat token stream
+//! with line numbers. Brace-level structure
 //! (`#[cfg(test)]` regions, `impl` blocks) is recovered from the token
 //! stream by [`crate::rules`].
 //!
-//! Handled correctly because getting them wrong produces false positives
-//! in exactly the files this tool exists to police:
+//! Handled correctly because getting them wrong miscounts `code_lines` and
+//! loses `#[cfg(test)]` regions in exactly the files this tool reads:
 //!
 //! * nested block comments (`/* /* */ */` — legal Rust),
 //! * cooked strings with escapes, byte strings, raw strings `r#"…"#` of
 //!   any hash depth (the corpus renderer and JSON writers are full of
-//!   quoted banned tokens),
+//!   quoted braces and `#[cfg(test)]`-looking text),
 //! * char literals vs. lifetimes (`'a'` vs. `'static` — a naive quote
 //!   matcher would swallow code after `&'static str`).
 
@@ -38,22 +37,6 @@ impl Token {
     }
 }
 
-/// A comment's text and position, kept for the `// SAFETY:` rule.
-#[derive(Debug, Clone)]
-pub struct Comment {
-    /// 1-based line the comment starts on.
-    pub line: usize,
-    /// Full text including the `//` / `/*` introducer.
-    pub text: String,
-}
-
-/// Lexer output: code tokens plus the comments that were skipped over.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    pub tokens: Vec<Token>,
-    pub comments: Vec<Comment>,
-}
-
 fn is_ident_start(c: char) -> bool {
     c.is_ascii_alphabetic() || c == '_'
 }
@@ -62,12 +45,12 @@ fn is_ident_continue(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
 }
 
-/// Lex `src` into tokens + comments. Never fails: unterminated literals
+/// Lex `src` into tokens. Never fails: unterminated literals
 /// or comments simply consume to end-of-file (the compiler, not the
 /// linter, is the arbiter of well-formedness).
-pub fn lex(src: &str) -> Lexed {
+pub fn lex(src: &str) -> Vec<Token> {
     let b: Vec<char> = src.chars().collect();
-    let mut out = Lexed::default();
+    let mut out = Vec::new();
     let mut i = 0;
     let mut line = 1;
     while i < b.len() {
@@ -78,16 +61,11 @@ pub fn lex(src: &str) -> Lexed {
                 i += 1;
             }
             '/' if b.get(i + 1) == Some(&'/') => {
-                let start = i;
                 while i < b.len() && b[i] != '\n' {
                     i += 1;
                 }
-                out.comments
-                    .push(Comment { line, text: b[start..i].iter().collect() });
             }
             '/' if b.get(i + 1) == Some(&'*') => {
-                let start = i;
-                let start_line = line;
                 let mut depth = 1usize;
                 i += 2;
                 while i < b.len() && depth > 0 {
@@ -104,10 +82,6 @@ pub fn lex(src: &str) -> Lexed {
                         i += 1;
                     }
                 }
-                out.comments.push(Comment {
-                    line: start_line,
-                    text: b[start..i.min(b.len())].iter().collect(),
-                });
             }
             '"' => i = skip_cooked_string(&b, i, &mut line),
             '\'' => {
@@ -162,7 +136,7 @@ pub fn lex(src: &str) -> Lexed {
                         continue;
                     }
                 }
-                out.tokens.push(Token { text, line });
+                out.push(Token { text, line });
             }
             _ if c.is_ascii_digit() => {
                 // Numbers (including 0x…, 1_000u64, 1.5e-3): consume the
@@ -177,7 +151,7 @@ pub fn lex(src: &str) -> Lexed {
             }
             _ if c.is_whitespace() => i += 1,
             _ => {
-                out.tokens.push(Token { text: c.to_string(), line });
+                out.push(Token { text: c.to_string(), line });
                 i += 1;
             }
         }
@@ -226,7 +200,6 @@ mod tests {
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)
-            .tokens
             .into_iter()
             .filter(|t| t.text.chars().next().is_some_and(is_ident_start))
             .map(|t| t.text)
@@ -266,21 +239,13 @@ mod tests {
     #[test]
     fn line_numbers_track() {
         let lx = lex("a\nb\n\nc");
-        let lines: Vec<usize> = lx.tokens.iter().map(|t| t.line).collect();
+        let lines: Vec<usize> = lx.iter().map(|t| t.line).collect();
         assert_eq!(lines, vec![1, 2, 4]);
-    }
-
-    #[test]
-    fn comments_carry_text_and_line() {
-        let lx = lex("x();\n// SAFETY: fine\nunsafe_thing();");
-        assert_eq!(lx.comments.len(), 1);
-        assert_eq!(lx.comments[0].line, 2);
-        assert!(lx.comments[0].text.contains("SAFETY:"));
     }
 
     #[test]
     fn numeric_float_dot_not_punct() {
         let lx = lex("let x = 1.5e3 + 2.0;");
-        assert!(!lx.tokens.iter().any(|t| t.text == "."));
+        assert!(!lx.iter().any(|t| t.text == "."));
     }
 }

@@ -1,104 +1,47 @@
 //! CLI for the workspace lint. `cargo run -p dta-lint -- --check` is the
-//! CI entry point; with no flags it reports without failing.
+//! CI entry point; without `--check` it reports without failing.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use dta_lint::rules::Rule;
-use dta_lint::{run, RunOptions};
-
 const USAGE: &str = "\
-dta-lint: workspace determinism & invariant static analysis
+dta-lint: what clippy cannot see (DESIGN.md, \"Static analysis\")
 
 USAGE: dta-lint [OPTIONS]
 
 OPTIONS:
-  --check            exit 1 on any unallowed diagnostic or stale allowlist
-                     entry (CI mode; default is report-only)
+  --check            exit 1 on any diagnostic (CI mode; default is report-only)
   --root DIR         workspace root (default: .)
-  --allow FILE       allowlist (default: <root>/lint.toml if present)
-  --no-allow         ignore the allowlist entirely
   --report FILE      machine-readable report (default: <root>/LINT_report.json)
-  --no-report        skip writing the report
-  --skip RULE        disable one rule (repeatable)
-  --only RULE        run only the named rule(s) (repeatable)
-  --list-rules       print the rule catalogue and exit
   -h, --help         this text
 
-RULES: D1 (wall-clock), D2 (hash iteration), D3 (static mut/abort/todo),
-       D4 (ambient randomness), S1 (SAFETY comments), C1 (untested
-       closure identities). Catalogue: DESIGN.md, \"Static analysis\".
+RULES: D3 (static mut outside tests), C1 (closure identities no test
+       references). Also counts code_lines per crate.
 ";
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
-    let mut allow: Option<PathBuf> = None;
-    let mut no_allow = false;
     let mut report: Option<PathBuf> = None;
-    let mut no_report = false;
     let mut check = false;
-    let mut skip: Vec<Rule> = Vec::new();
-    let mut only: Vec<Rule> = Vec::new();
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let rule_arg = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-            let v = args.next().unwrap_or_default();
-            Rule::from_id(&v).ok_or_else(|| {
-                format!(
-                    "{flag} needs a rule id (one of {}), got `{v}`",
-                    Rule::ALL.map(|r| r.id()).join(", ")
-                )
-            })
-        };
         match a.as_str() {
             "--check" => check = true,
             "--root" => root = PathBuf::from(args.next().unwrap_or_default()),
-            "--allow" => allow = Some(PathBuf::from(args.next().unwrap_or_default())),
-            "--no-allow" => no_allow = true,
             "--report" => report = Some(PathBuf::from(args.next().unwrap_or_default())),
-            "--no-report" => no_report = true,
-            "--skip" => match rule_arg(&mut args, "--skip") {
-                Ok(r) => skip.push(r),
-                Err(e) => return usage_error(&e),
-            },
-            "--only" => match rule_arg(&mut args, "--only") {
-                Ok(r) => only.push(r),
-                Err(e) => return usage_error(&e),
-            },
-            "--list-rules" => {
-                for r in Rule::ALL {
-                    println!("{}  {}", r.id(), r.title());
-                }
-                return ExitCode::SUCCESS;
-            }
             "-h" | "--help" => {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
-            other => return usage_error(&format!("unknown argument `{other}`")),
+            other => {
+                eprintln!("dta-lint: error: unknown argument `{other}`\n\n{USAGE}");
+                return ExitCode::from(2);
+            }
         }
     }
 
-    let enabled: Vec<Rule> = Rule::ALL
-        .into_iter()
-        .filter(|r| only.is_empty() || only.contains(r))
-        .filter(|r| !skip.contains(r))
-        .collect();
-    if enabled.is_empty() {
-        return usage_error("the --skip/--only combination disables every rule");
-    }
-
-    let allow_path = if no_allow {
-        None
-    } else {
-        allow.or_else(|| {
-            let p = root.join("lint.toml");
-            p.exists().then_some(p)
-        })
-    };
-
-    let outcome = match run(&RunOptions { root: root.clone(), allow_path, enabled }) {
+    let outcome = match dta_lint::run(&root) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("dta-lint: error: {e}");
@@ -106,48 +49,21 @@ fn main() -> ExitCode {
         }
     };
 
-    for f in &outcome.findings {
-        match &f.allowed_reason {
-            Some(reason) => println!("{}  [allowed: {reason}]", f.diag),
-            None => println!("{}", f.diag),
-        }
-    }
-    for e in &outcome.stale {
-        println!(
-            "lint.toml:{}: stale allowlist entry: {} {} no longer triggers — \
-             delete the entry (the allowlist only shrinks)",
-            e.decl_line,
-            e.rule.id(),
-            match e.line {
-                Some(l) => format!("{}:{l}", e.path),
-                None => e.path.clone(),
-            }
-        );
+    for d in &outcome.diagnostics {
+        println!("{d}");
     }
     print!("{}", outcome.summary());
 
-    if !no_report {
-        let path = report.unwrap_or_else(|| root.join("LINT_report.json"));
-        if let Err(e) = std::fs::write(&path, outcome.to_json()) {
-            eprintln!("dta-lint: error: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!("report: {}", path.display());
+    let path = report.unwrap_or_else(|| root.join("LINT_report.json"));
+    if let Err(e) = std::fs::write(&path, outcome.to_json()) {
+        eprintln!("dta-lint: error: cannot write {}: {e}", path.display());
+        return ExitCode::from(2);
     }
+    println!("report: {}", path.display());
 
-    let violations = outcome.violations().count();
-    if check && (violations > 0 || !outcome.stale.is_empty()) {
-        eprintln!(
-            "dta-lint: FAILED: {violations} unallowed diagnostic(s), {} stale allowlist entr{}",
-            outcome.stale.len(),
-            if outcome.stale.len() == 1 { "y" } else { "ies" }
-        );
+    if check && !outcome.diagnostics.is_empty() {
+        eprintln!("dta-lint: FAILED: {} diagnostic(s)", outcome.diagnostics.len());
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
-}
-
-fn usage_error(msg: &str) -> ExitCode {
-    eprintln!("dta-lint: error: {msg}\n\n{USAGE}");
-    ExitCode::from(2)
 }

@@ -12,10 +12,7 @@
 //! stripes proceed in parallel (like DMA channels hitting different DRAM
 //! banks), and the common one-stripe access takes exactly one uncontended
 //! lock instead of the previous whole-region `RwLock`. The accessors are
-//! allocation-free: [`MemoryRegion::read_into`] copies into a caller buffer
-//! and [`MemoryRegion::with_slice`] lends a borrowed view (zero-copy when
-//! the range stays inside one stripe, which slot-sized accesses always do
-//! in practice).
+//! allocation-free: [`MemoryRegion::read_into`] copies into a caller buffer.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -198,6 +195,8 @@ struct Stripes {
 // access to a stripe's bytes and meta happens under its rwlock — the same
 // discipline as a Vec of RwLock<[u8; STRIPE_BYTES]>.
 unsafe impl Sync for Stripes {}
+// SAFETY: `data` and `locks` are owned heap allocations with no thread
+// affinity; moving them moves the stripes and their locks together.
 unsafe impl Send for Stripes {}
 
 impl Drop for Stripes {
@@ -496,22 +495,13 @@ impl MemoryRegion {
     }
 
     /// Copy `dst.len()` bytes at `va` into a caller-provided buffer — the
-    /// allocation-free read used by every query path.
-    ///
-    /// Counted as a query-side memory access when `counted` paths call it
-    /// via [`MemoryRegion::read`]; use [`MemoryRegion::peek_into`] for
-    /// diagnostics.
+    /// allocation-free read used by every query path. Not an RDMA op;
+    /// counted (on success) as one query-side memory access. Use
+    /// [`MemoryRegion::peek`] for diagnostics.
     pub fn read_into(&self, va: u64, dst: &mut [u8]) -> Result<(), MrError> {
         self.copy_out(va, dst)?;
-        // Counted only on success, consistently with `with_slice`.
         self.stats.local_reads.fetch_add(1, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// [`MemoryRegion::read_into`] without touching the query counters
-    /// (test/diagnostic use).
-    pub fn peek_into(&self, va: u64, dst: &mut [u8]) -> Result<(), MrError> {
-        self.copy_out(va, dst)
     }
 
     fn copy_out(&self, va: u64, dst: &mut [u8]) -> Result<(), MrError> {
@@ -529,52 +519,11 @@ impl MemoryRegion {
         Ok(())
     }
 
-    /// Run `f` over the bytes at `[va, va+len)` without copying when the
-    /// range lies inside one stripe (slot-sized accesses always do unless
-    /// they straddle a stripe boundary, in which case the bytes are staged
-    /// through a small stack buffer — still allocation-free for ranges up
-    /// to 64 bytes, the largest slot any primitive uses).
-    ///
-    /// Counted as one query-side memory access.
-    pub fn with_slice<R>(
-        &self,
-        va: u64,
-        len: usize,
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> Result<R, MrError> {
-        let off = self.offset(va, len)?;
-        self.stats.local_reads.fetch_add(1, Ordering::Relaxed);
-        let stripe = off >> STRIPE_SHIFT;
-        let within = off & (STRIPE_BYTES - 1);
-        if within + len <= STRIPE_BYTES {
-            Ok(self.mem.with_read(stripe, |buf, _| f(&buf[within..within + len])))
-        } else if len <= 64 {
-            let mut buf = [0u8; 64];
-            self.copy_out(va, &mut buf[..len])?;
-            Ok(f(&buf[..len]))
-        } else {
-            let mut buf = vec![0u8; len];
-            self.copy_out(va, &mut buf)?;
-            Ok(f(&buf))
-        }
-    }
-
-    /// Local (collector-side) read of `len` bytes at `va` into a fresh
-    /// vector. Not an RDMA op; counted separately as a query-side memory
-    /// access. Hot paths should prefer [`MemoryRegion::read_into`] /
-    /// [`MemoryRegion::with_slice`], which do not allocate.
-    pub fn read(&self, va: u64, len: usize) -> Result<Vec<u8>, MrError> {
-        self.offset(va, len)?; // bound the request before allocating for it
-        let mut out = vec![0u8; len];
-        self.read_into(va, &mut out)?;
-        Ok(out)
-    }
-
     /// Read without counting (test/diagnostic use).
     pub fn peek(&self, va: u64, len: usize) -> Result<Vec<u8>, MrError> {
         self.offset(va, len)?; // bound the request before allocating for it
         let mut out = vec![0u8; len];
-        self.peek_into(va, &mut out)?;
+        self.copy_out(va, &mut out)?;
         Ok(out)
     }
 
@@ -743,6 +692,8 @@ impl core::fmt::Debug for SnapshotBuf {
 
 // SAFETY: plain bytes behind exclusive ownership.
 unsafe impl Send for SnapshotBuf {}
+// SAFETY: no interior mutability — every write goes through `&mut self`,
+// so shared references only ever read.
 unsafe impl Sync for SnapshotBuf {}
 
 /// The per-NIC table of registered regions, keyed by rkey.
@@ -822,7 +773,9 @@ mod tests {
     fn write_then_read_back() {
         let mr = MemoryRegion::new(0x1000, 64, 1, MrAccess::WRITE);
         mr.write(0x1010, &[1, 2, 3, 4]).unwrap();
-        assert_eq!(mr.read(0x1010, 4).unwrap(), vec![1, 2, 3, 4]);
+        let mut got = [0u8; 4];
+        mr.read_into(0x1010, &mut got).unwrap();
+        assert_eq!(got, [1, 2, 3, 4]);
         assert_eq!(mr.writes(), 1);
         assert_eq!(mr.bytes_written(), 4);
         assert_eq!(mr.stats().local_reads.load(Ordering::Relaxed), 1);
@@ -896,15 +849,6 @@ mod tests {
     }
 
     #[test]
-    fn with_slice_lends_written_bytes() {
-        let mr = MemoryRegion::new(0x100, 256, 1, MrAccess::WRITE);
-        mr.write(0x180, &[9, 8, 7]).unwrap();
-        let sum = mr.with_slice(0x180, 3, |s| s.iter().map(|&b| b as u32).sum::<u32>()).unwrap();
-        assert_eq!(sum, 24);
-        assert!(mr.with_slice(0x1FF, 2, |_| ()).is_err());
-    }
-
-    #[test]
     fn accesses_spanning_stripes_are_exact() {
         // Region bigger than one stripe; write across the boundary.
         let len = STRIPE_BYTES * 2 + 17;
@@ -913,9 +857,6 @@ mod tests {
         let va = (STRIPE_BYTES - 100) as u64;
         mr.write(va, &data).unwrap();
         assert_eq!(mr.peek(va, data.len()).unwrap(), data);
-        // Spanning with_slice stages through a buffer but sees the same bytes.
-        let first = mr.with_slice(va, data.len(), |s| s.to_vec()).unwrap();
-        assert_eq!(first, data);
         // Tail of the region is still addressable.
         mr.write((len - 4) as u64, &[1, 2, 3, 4]).unwrap();
         assert_eq!(mr.peek((len - 4) as u64, 4).unwrap(), vec![1, 2, 3, 4]);
@@ -952,7 +893,6 @@ mod tests {
         // A wire-supplied 4 GiB read length is refused by the bounds check,
         // not by the allocator.
         assert!(matches!(mr.peek(0x1000, 0xFFFF_FFFF), Err(MrError::OutOfBounds { .. })));
-        assert!(matches!(mr.read(0x1000, 0xFFFF_FFFF), Err(MrError::OutOfBounds { .. })));
     }
 
     #[test]

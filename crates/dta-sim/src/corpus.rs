@@ -16,9 +16,7 @@
 //!   many concrete cells;
 //! * an optional **`[invariants]` set** — per-file assertions the `sweep`
 //!   runner enforces on every cell (bit-reproducibility, cross-mode memory
-//!   equality, ledger closure, `fanout_lookups == 0`, ...);
-//! * optional **`tags`** — free-form labels tests select on (e.g.
-//!   `cross_mode_identical` drives the differential corpus test).
+//!   equality, ledger closure, `fanout_lookups == 0`, ...).
 //!
 //! The parser is hand-rolled (the build environment has no crates.io) and
 //! *strict*: unknown sections or keys, type mismatches, and
@@ -279,15 +277,13 @@ impl Cell {
     }
 }
 
-/// A parsed corpus file: base spec, tags, sweep grid, invariants.
+/// A parsed corpus file: base spec, sweep grid, invariants.
 #[derive(Debug, Clone)]
 pub struct CorpusDoc {
     /// File name the document was parsed from (error context, report key).
     pub file: String,
     /// The base scenario (defaults filled in).
     pub spec: ScenarioSpec,
-    /// Free-form labels (`cross_mode_identical`, ...).
-    pub tags: Vec<String>,
     /// Sweep axes in declaration order (empty = single-cell file).
     pub sweep: Vec<Axis>,
     /// Per-file assertions the sweep runner enforces.
@@ -295,11 +291,6 @@ pub struct CorpusDoc {
 }
 
 impl CorpusDoc {
-    /// Whether the document carries `tag`.
-    pub fn has_tag(&self, tag: &str) -> bool {
-        self.tags.iter().any(|t| t == tag)
-    }
-
     /// Total cells the sweep grid expands to (1 for a sweep-less file).
     pub fn cell_count(&self) -> usize {
         self.sweep.iter().map(Axis::len).product::<usize>().max(1)
@@ -678,7 +669,7 @@ macro_rules! fault_keys {
 
 /// Every spec key, in the order [`render_spec`] emits them (the table is
 /// in pieces only so the `[faults.*]` group can be spliced in; read it
-/// through [`keys`]). `tags`, `[sweep]` and `[invariants]` are file
+/// through [`keys`]). `[sweep]` and `[invariants]` are file
 /// metadata, not spec keys, and are read by [`parse_str`] itself.
 static KEYS: &[&[Key]] = &[
     &[
@@ -841,7 +832,6 @@ fn keys() -> impl Iterator<Item = &'static Key> {
 pub fn parse_str(file: &str, text: &str) -> Result<CorpusDoc, ParseError> {
     let items = scan(file, text)?;
     let mut draft = Draft::default();
-    let mut tags = Vec::new();
     let mut sweep: Vec<Axis> = Vec::new();
     let mut invariants = InvariantSet::default();
 
@@ -859,20 +849,6 @@ pub fn parse_str(file: &str, text: &str) -> Result<CorpusDoc, ParseError> {
             continue;
         }
         match it.section.as_str() {
-            "" if it.key == "tags" => {
-                for v in want_list(file, it)? {
-                    match v {
-                        Value::Str(s) => tags.push(s.clone()),
-                        other => {
-                            return Err(err(
-                                file,
-                                it.line,
-                                format!("tags must be strings, got {}", other.type_name()),
-                            ))
-                        }
-                    }
-                }
-            }
             "sweep" => {
                 let vals = want_list(file, it)?;
                 let ints = |vals: &[Value]| -> Result<Vec<u64>, ParseError> {
@@ -1078,7 +1054,7 @@ pub fn parse_str(file: &str, text: &str) -> Result<CorpusDoc, ParseError> {
         }
     }
 
-    Ok(CorpusDoc { file: file.to_string(), spec, tags, sweep, invariants })
+    Ok(CorpusDoc { file: file.to_string(), spec, sweep, invariants })
 }
 
 /// Parse **and validate**: the base spec and every expanded sweep cell go
@@ -1180,7 +1156,6 @@ mod tests {
     fn empty_document_is_the_default_spec() {
         let doc = load_str("empty.toml", "").unwrap();
         assert_eq!(doc.spec, ScenarioSpec::default());
-        assert!(doc.tags.is_empty());
         assert!(doc.sweep.is_empty());
         assert!(!doc.invariants.any());
         assert_eq!(doc.cell_count(), 1);
@@ -1406,14 +1381,6 @@ kill_at_ns = [9_000, 12_000]
         let f = cells[3].spec.collectors.fault.unwrap();
         assert_eq!((f.victim, f.kill_at_ns), (2, 12_000));
         assert_eq!(cells[3].id(), "victim=2,kill_at_ns=12000");
-    }
-
-    #[test]
-    fn tags_parse_and_select() {
-        let doc =
-            load_str("t.toml", "tags = [\"cross_mode_identical\", \"grid\"]\n").unwrap();
-        assert!(doc.has_tag("cross_mode_identical"));
-        assert!(!doc.has_tag("nope"));
     }
 
     #[test]

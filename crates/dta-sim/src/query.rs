@@ -225,7 +225,7 @@ impl QueryService {
             tick_ns: spec.tick_ns,
             kw_redundancy: spec.traffic.kw_redundancy as usize,
             inc_redundancy: spec.traffic.inc_redundancy as usize,
-            pc_redundancy: spec.translator.postcard_redundancy.max(1),
+            pc_redundancy: spec.translator.postcard_redundancy,
             append_lists: spec.traffic.append_lists,
             kw_pool: workload.kw_used.clone(),
             inc_pool: workload.inc_used.clone(),

@@ -586,7 +586,7 @@ fn audit_with<E: QueryEngine>(
     for key in &workload.pc_flows {
         let resp = engine.execute(&QueryRequest::Postcard {
             key: *key,
-            redundancy: spec.translator.postcard_redundancy.max(1),
+            redundancy: spec.translator.postcard_redundancy,
         });
         match resp.result {
             QueryResult::Postcard(PostcardQueryOutcome::Found(_)) => q.pc_found += 1,

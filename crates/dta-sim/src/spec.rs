@@ -9,6 +9,7 @@
 //! simulated one.
 
 use dta_collector::ServiceConfig;
+use dta_hash::polynomials::MAX_REDUNDANCY;
 use dta_net::{FaultConfig, LinkConfig};
 use dta_reporter::RetransmitPolicy;
 use dta_translator::{MigrationFaults, RateLimiterConfig, TranslatorConfig};
@@ -529,8 +530,26 @@ impl ScenarioSpec {
         if self.traffic.total_weight() == 0 {
             return Err("traffic mix has zero total weight".into());
         }
-        if self.traffic.kw_redundancy == 0 || self.traffic.inc_redundancy == 0 {
-            return Err("redundancy must be >= 1".into());
+        // The translator pre-installs redundancy groups 1..=MAX_REDUNDANCY
+        // and the hash families stop there.
+        for (key, n) in [
+            ("traffic.kw_redundancy", usize::from(self.traffic.kw_redundancy)),
+            ("traffic.inc_redundancy", usize::from(self.traffic.inc_redundancy)),
+            ("translator.postcard_redundancy", self.translator.postcard_redundancy),
+        ] {
+            if !(1..=MAX_REDUNDANCY).contains(&n) {
+                return Err(format!("{key} must be in 1..={MAX_REDUNDANCY}, got {n}"));
+            }
+        }
+        if self.translator.postcard_hops != self.service.postcard_hops {
+            return Err(format!(
+                "translator.postcard_hops ({}) must equal service.postcard_hops ({}): \
+                 both ends share one chunk stride",
+                self.translator.postcard_hops, self.service.postcard_hops
+            ));
+        }
+        if self.translator.append_batch == 0 {
+            return Err("translator.append_batch must be >= 1".into());
         }
         if self.traffic.key_write > 0 && self.traffic.kw_keys == 0 {
             return Err("key_write weight set but kw_keys is 0".into());

@@ -372,7 +372,7 @@ mod tests {
             spec.service.postcard_hops,
             spec.service.postcard_bits,
         );
-        let pc_family = HashFamily::new(spec.translator.postcard_redundancy.max(1));
+        let pc_family = HashFamily::new(spec.translator.postcard_redundancy);
         let crc = Crc32::new(CrcParams::IEEE);
         let mut chunks = HashSet::new();
         let mut rows = HashSet::new();

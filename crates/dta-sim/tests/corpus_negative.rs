@@ -28,6 +28,11 @@ const EXPECTATIONS: &[(&str, &[&str])] = &[
     ("invalid_sweep_cell.toml", &["mode=sharded4", "rdma_hop"]),
     ("fat_tree_k_overflow.toml", &["fat_tree_k", "100000"]),
     ("zero_ack_coalesce_victim.toml", &["victim 7", "fleet of 3"]),
+    ("postcard_hops_mismatch.toml", &["translator.postcard_hops (3)", "service.postcard_hops (5)"]),
+    ("postcard_redundancy_zero.toml", &["translator.postcard_redundancy", "1..=8, got 0"]),
+    ("postcard_redundancy_overflow.toml", &["translator.postcard_redundancy", "1..=8, got 9"]),
+    ("kw_redundancy_overflow.toml", &["traffic.kw_redundancy", "1..=8, got 9"]),
+    ("append_batch_zero.toml", &["translator.append_batch"]),
 ];
 
 #[test]

@@ -4,8 +4,8 @@
 //! presets `ScenarioSpec::preset` embeds included) and pin the empty
 //! `default.toml` to `ScenarioSpec::default()`; the release-gated half
 //! actually runs cells — per-file smoke cells twice
-//! for bit-reproducibility, and every cell of files tagged
-//! `cross_mode_identical` for single-vs-sharded memory equality.
+//! for bit-reproducibility, and every cell of files declaring the
+//! `cross_mode_memory_equal` invariant for single-vs-sharded memory equality.
 
 use std::path::{Path, PathBuf};
 
@@ -87,19 +87,19 @@ fn corpus_smoke_cells_are_bit_reproducible() {
     }
 }
 
-/// Release suite: for every file tagged `cross_mode_identical`, every
+/// Release suite: for every file declaring `cross_mode_memory_equal`, every
 /// group of cells differing only in the `mode` axis leaves byte-identical
 /// merged collector memory — the corpus-driven replacement for the
 /// hand-picked differential specs the suite used to carry.
 #[cfg(not(debug_assertions))]
 #[test]
-fn cross_mode_tagged_corpus_leaves_identical_memory() {
-    let mut tagged = 0;
+fn cross_mode_corpus_leaves_identical_memory() {
+    let mut declared = 0;
     for doc in load_corpus() {
-        if !doc.has_tag("cross_mode_identical") {
+        if !doc.invariants.cross_mode_memory_equal {
             continue;
         }
-        tagged += 1;
+        declared += 1;
         let mut groups: Vec<(String, Vec<(String, u64)>)> = Vec::new();
         for cell in doc.cells() {
             let fp = memory_fingerprint(&run_scenario(&cell.spec).memory);
@@ -125,5 +125,5 @@ fn cross_mode_tagged_corpus_leaves_identical_memory() {
             }
         }
     }
-    assert!(tagged >= 4, "expected the preset ports to carry the tag, got {tagged}");
+    assert!(declared >= 4, "expected the preset ports to declare the invariant, got {declared}");
 }

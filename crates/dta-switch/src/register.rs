@@ -30,6 +30,8 @@ impl<T: Copy + Default> RegisterArray<T> {
     /// `T` must be valid (and equal to `T::default()`) as the all-zero bit
     /// pattern.
     pub unsafe fn new_zeroed(size: usize) -> Self {
+        // SAFETY: the caller guarantees all-zero bytes are a valid `T`, so
+        // the zeroed slice is fully initialized.
         let cells = unsafe { Box::<[T]>::new_zeroed_slice(size).assume_init() }.into_vec();
         RegisterArray { cells, accesses: 0 }
     }

@@ -15,7 +15,7 @@
 //!
 //! Host counters map to Key-Increment (Table 2).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use dta_core::{DtaReport, FlowTuple, TelemetryKey};
 use rand::rngs::StdRng;
@@ -197,7 +197,7 @@ pub struct MarpleHostCounters {
     pub cache_slots: usize,
     /// Redundancy requested per report.
     pub redundancy: u8,
-    cache: HashMap<u32, u64>,
+    cache: BTreeMap<u32, u64>,
     seq: u32,
 }
 
@@ -205,7 +205,7 @@ impl MarpleHostCounters {
     /// Host-counter tracker.
     pub fn new(cache_slots: usize, redundancy: u8) -> Self {
         assert!(cache_slots > 0);
-        MarpleHostCounters { cache_slots, redundancy, cache: HashMap::new(), seq: 0 }
+        MarpleHostCounters { cache_slots, redundancy, cache: BTreeMap::new(), seq: 0 }
     }
 
     /// Feed one packet; an eviction (cache full, new source) exports the
@@ -217,10 +217,10 @@ impl MarpleHostCounters {
             return None;
         }
         let evict = if self.cache.len() >= self.cache_slots {
-            // Evict an arbitrary victim (hardware evicts by index collision).
-            let victim = *self.cache.keys().next().expect("cache non-empty");
-            let count = self.cache.remove(&victim).expect("victim present");
-            Some((victim, count))
+            // Evict an arbitrary victim (hardware evicts by index collision):
+            // the lowest address, so the report stream is a function of the
+            // trace alone.
+            self.cache.pop_first()
         } else {
             None
         };
@@ -233,8 +233,7 @@ impl MarpleHostCounters {
 
     /// Flush all cached counters (end of run).
     pub fn flush(&mut self) -> Vec<DtaReport> {
-        let drained: Vec<(u32, u64)> = self.cache.drain().collect();
-        drained
+        std::mem::take(&mut self.cache)
             .into_iter()
             .map(|(ip, count)| {
                 self.seq = self.seq.wrapping_add(1);

@@ -152,7 +152,7 @@ impl TraceGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     #[test]
     fn timestamps_are_monotonic() {
@@ -167,7 +167,7 @@ mod tests {
     fn flow_popularity_is_skewed() {
         let mut g = TraceGenerator::new(TraceConfig::default());
         let pkts = g.take(50_000);
-        let mut counts: HashMap<FlowTuple, u64> = HashMap::new();
+        let mut counts: BTreeMap<FlowTuple, u64> = BTreeMap::new();
         for p in &pkts {
             *counts.entry(p.flow).or_default() += 1;
         }

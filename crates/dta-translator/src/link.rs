@@ -465,7 +465,7 @@ impl InProcessLink {
             }));
         }
         let sharded =
-            ShardedConfig { shards, translator: config.translator.clone(), ..ShardedConfig::default() };
+            ShardedConfig { shards, translator: config.translator.clone() };
         InProcessLink {
             pipelines: peers
                 .iter_mut()

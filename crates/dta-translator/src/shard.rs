@@ -11,7 +11,7 @@
 //!   ([`Partitioner::route_cached`]);
 //! * **queues** — one bounded SPSC ring per shard ([`crate::spsc`]);
 //!   backpressure is a failed push, answered by yielding, so memory stays
-//!   bounded at `shards × queue_depth` reports;
+//!   bounded at `shards × QUEUE_DEPTH` reports;
 //! * **shards** — each worker owns a full [`Translator`] (its own
 //!   [`KeyScratch`] digest cache, image pool, postcard cache, append
 //!   batcher) and a private NIC endpoint with dedicated QPs
@@ -46,34 +46,29 @@ use crate::partition::Partitioner;
 use crate::spsc;
 use crate::translator::{Translator, TranslatorConfig, TranslatorOutput, TranslatorStats};
 
-/// Sizing knobs of the sharded runtime.
+/// Per-shard SPSC ring capacity. Deep enough that a descheduled worker
+/// drains big batches when it wakes; small enough that total queued memory
+/// stays bounded.
+const QUEUE_DEPTH: usize = 4096;
+/// Maximum reports a worker drains per wakeup (the
+/// [`Translator::process_batch`] batch).
+const DRAIN_BATCH: usize = 256;
+/// Dispatch-side checksum scratch entries (ingest-thread owned, independent
+/// of the per-shard digest scratches).
+const DISPATCH_SCRATCH_ENTRIES: usize = 16 * 1024;
+
+/// Shape of the sharded runtime.
 #[derive(Debug, Clone)]
 pub struct ShardedConfig {
     /// Worker shard count.
     pub shards: usize,
-    /// Per-shard SPSC ring capacity (rounded up to a power of two). Deep
-    /// enough that a descheduled worker drains big batches when it wakes;
-    /// small enough that total queued memory stays bounded.
-    pub queue_depth: usize,
-    /// Maximum reports a worker drains per wakeup (the
-    /// [`Translator::process_batch`] batch).
-    pub drain_batch: usize,
-    /// Dispatch-side checksum scratch entries (ingest-thread owned,
-    /// independent of the per-shard digest scratches).
-    pub dispatch_scratch_entries: usize,
     /// Per-shard translator configuration.
     pub translator: TranslatorConfig,
 }
 
 impl Default for ShardedConfig {
     fn default() -> Self {
-        ShardedConfig {
-            shards: 4,
-            queue_depth: 4096,
-            drain_batch: 256,
-            dispatch_scratch_entries: 16 * 1024,
-            translator: TranslatorConfig::default(),
-        }
+        ShardedConfig { shards: 4, translator: TranslatorConfig::default() }
     }
 }
 
@@ -201,6 +196,16 @@ impl ShardedTranslator {
     /// [`Translator`], a private NIC endpoint sharing the collector's
     /// striped regions, and a dedicated QP per enabled service.
     pub fn connect(config: ShardedConfig, collector: &mut CollectorService) -> Self {
+        Self::connect_sized(config, collector, QUEUE_DEPTH)
+    }
+
+    /// [`Self::connect`] with the ring capacity (rounded up to a power of
+    /// two) spelled out: the backpressure tests squeeze it.
+    fn connect_sized(
+        config: ShardedConfig,
+        collector: &mut CollectorService,
+        queue_depth: usize,
+    ) -> Self {
         assert!(config.shards >= 1, "need at least one shard");
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
@@ -237,7 +242,7 @@ impl ShardedTranslator {
                 };
                 tr.connect(service, qp, params);
             }
-            let (tx, rx) = spsc::channel::<ShardItem>(config.queue_depth);
+            let (tx, rx) = spsc::channel::<ShardItem>(queue_depth);
             let processed = Arc::new(AtomicU64::new(0));
             lanes.push(Lane {
                 tx,
@@ -246,11 +251,10 @@ impl ShardedTranslator {
                 backpressure_yields: 0,
             });
             let shared = shared.clone();
-            let drain = config.drain_batch.max(1);
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("dta-shard-{shard}"))
-                    .spawn(move || worker_loop(shard, rx, tr, nic, processed, shared, drain))
+                    .spawn(move || worker_loop(shard, rx, tr, nic, processed, shared))
                     .expect("spawn shard worker"),
             );
         }
@@ -259,7 +263,7 @@ impl ShardedTranslator {
             // routing, so a multi-collector deployment that partitions
             // upstream still spreads each collector's band over all shards.
             partitioner: Partitioner::for_shards(config.shards as u32),
-            scratch: KeyScratch::new(config.dispatch_scratch_entries, 1),
+            scratch: KeyScratch::new(DISPATCH_SCRATCH_ENTRIES, 1),
             lanes,
             workers,
             shared,
@@ -423,16 +427,15 @@ fn worker_loop(
     mut nic: RdmaNic,
     processed: Arc<AtomicU64>,
     shared: Arc<Shared>,
-    drain_batch: usize,
 ) -> ShardRunReport {
-    let mut batch: Vec<ShardItem> = Vec::with_capacity(drain_batch);
+    let mut batch: Vec<ShardItem> = Vec::with_capacity(DRAIN_BATCH);
     let mut out = TranslatorOutput::default();
     let mut responses = Vec::new();
     let mut stopping = false;
     let mut idle = 0u32;
     loop {
         batch.clear();
-        let n = rx.pop_batch(&mut batch, drain_batch);
+        let n = rx.pop_batch(&mut batch, DRAIN_BATCH);
         if n == 0 {
             if stopping {
                 // This pop started after `stop` was observed, and the
@@ -579,10 +582,7 @@ mod tests {
     #[test]
     fn tiny_queues_backpressure_without_loss() {
         let mut col = CollectorService::new(ServiceConfig::default());
-        let mut st = ShardedTranslator::connect(
-            ShardedConfig { shards: 2, queue_depth: 2, drain_batch: 1, ..ShardedConfig::default() },
-            &mut col,
-        );
+        let mut st = ShardedTranslator::connect_sized(ShardedConfig::with_shards(2), &mut col, 2);
         let reports: Vec<DtaReport> = (0..2000u64)
             .map(|i| DtaReport::key_write(0, TelemetryKey::from_u64(i % 16), 1, vec![7; 4]))
             .collect();
@@ -633,7 +633,6 @@ mod tests {
                         rate_limit: Some(RateLimiterConfig { msgs_per_sec: 1.0, burst }),
                         ..TranslatorConfig::default()
                     },
-                    ..ShardedConfig::default()
                 },
                 &mut col,
             );
@@ -668,7 +667,6 @@ mod tests {
                     rate_limit: Some(RateLimiterConfig { msgs_per_sec: 1.0, burst: 2 }),
                     ..TranslatorConfig::default()
                 },
-                ..ShardedConfig::default()
             },
             &mut col,
         );
@@ -707,18 +705,16 @@ mod tests {
         use crate::ratelimit::RateLimiterConfig;
         use dta_core::DtaFlags;
         let mut col = CollectorService::new(ServiceConfig::default());
-        let mut st = ShardedTranslator::connect(
+        let mut st = ShardedTranslator::connect_sized(
             ShardedConfig {
                 shards: 1,
-                queue_depth: 4,
-                drain_batch: 2,
                 translator: TranslatorConfig {
                     rate_limit: Some(RateLimiterConfig { msgs_per_sec: 1.0, burst: 0 }),
                     ..TranslatorConfig::default()
                 },
-                ..ShardedConfig::default()
             },
             &mut col,
+            4,
         );
         let flags = DtaFlags { immediate: false, nack_on_drop: true };
         for i in 0..500u32 {
@@ -747,7 +743,6 @@ mod tests {
                     rate_limit: Some(RateLimiterConfig { msgs_per_sec: 1.0, burst: 0 }),
                     ..TranslatorConfig::default()
                 },
-                ..ShardedConfig::default()
             },
             &mut col,
         );
@@ -777,7 +772,6 @@ mod tests {
                     rate_limit: Some(RateLimiterConfig { msgs_per_sec: 1e9, burst: 1 }),
                     ..TranslatorConfig::default()
                 },
-                ..ShardedConfig::default()
             },
             &mut col,
         );

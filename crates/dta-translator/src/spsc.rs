@@ -38,6 +38,8 @@ struct Ring<T> {
 // readers can't see it, and read only by the consumer after the producer's
 // Release store of `tail` makes the write visible.
 unsafe impl<T: Send> Sync for Ring<T> {}
+// SAFETY: the ring owns its slots and `T: Send`, so the queued items may be
+// moved (and dropped) on whichever thread ends up holding the ring.
 unsafe impl<T: Send> Send for Ring<T> {}
 
 impl<T> Drop for Ring<T> {

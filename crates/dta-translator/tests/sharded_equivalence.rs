@@ -164,11 +164,7 @@ fn run_single(reports: &[DtaReport]) -> Vec<(u32, Vec<u8>)> {
 fn run_sharded(shards: usize, reports: &[DtaReport]) -> Vec<(u32, Vec<u8>)> {
     let mut svc = CollectorService::new(service_config());
     let mut st = ShardedTranslator::connect(
-        ShardedConfig {
-            shards,
-            translator: translator_config(),
-            ..ShardedConfig::default()
-        },
+        ShardedConfig { shards, translator: translator_config() },
         &mut svc,
     );
     st.ingest_batch(0, reports.iter().cloned());

@@ -208,7 +208,7 @@ proptest! {
         let layout = CmsLayout { base_va: 0, slots: 64 };
         let region = MemoryRegion::new(0, layout.region_len() as usize, 1, MrAccess::ATOMIC);
         let store = KeyIncrementStore::new(layout, region, 2);
-        let mut truth = std::collections::HashMap::new();
+        let mut truth = std::collections::BTreeMap::new();
         for (key, delta) in &increments {
             store.increment_direct(&TelemetryKey::from_u64(*key), *delta, 2);
             *truth.entry(*key).or_insert(0u64) += delta;

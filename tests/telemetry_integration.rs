@@ -169,7 +169,7 @@ fn marple_host_counters_and_turboflow_via_key_increment() {
     let mut hosts = MarpleHostCounters::new(16, 2);
     let mut tf = TurboFlow::new(64, 2);
     let n = 20_000u64;
-    let mut host_truth = std::collections::HashMap::new();
+    let mut host_truth = std::collections::BTreeMap::new();
     for _ in 0..n {
         let pkt = gen.next_packet();
         *host_truth.entry(pkt.flow.src_ip).or_insert(0u64) += 1;
