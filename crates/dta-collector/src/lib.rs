@@ -46,5 +46,7 @@ pub use engine::{
 pub use keywrite::{KeyWriteStore, QueryOutcome, QueryPolicy};
 pub use layout::{AppendLayout, CmsLayout, KwLayout, PostcardLayout};
 pub use node::{CollectorNode, CollectorNodeStats};
-pub use postcarding::{hop_checksum, PostcardQueryOutcome, PostcardStore, ValueCodec};
+pub use postcarding::{
+    hop_checksum, hop_checksums, PostcardQueryOutcome, PostcardStore, ValueCodec,
+};
 pub use service::{CollectorService, ServiceConfig, SERVICE_APPEND, SERVICE_CMS, SERVICE_KW, SERVICE_POSTCARD};

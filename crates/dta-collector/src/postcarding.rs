@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 
 use dta_core::TelemetryKey;
-use dta_hash::{checksum_b, Crc32, CrcParams, HashFamily};
+use dta_hash::{checksum_b_from, checksum_state, Crc32, CrcParams, HashFamily};
 use dta_rdma::mr::MemoryRegion;
 
 use crate::engine::SlotSource;
@@ -21,22 +21,33 @@ use crate::layout::PostcardLayout;
 pub struct ValueCodec {
     bits: u32,
     engine: Crc32,
-    /// Shared: the table is a pure function of the value universe and
-    /// `bits`, and [`ValueCodec::switch_ids`] memoizes it process-wide
+    /// Shared: the tables are a pure function of the value universe and
+    /// `bits`, and [`ValueCodec::switch_ids`] memoizes them process-wide
     /// (populating thousands of entries per collector/translator
     /// construction cost real microseconds per scenario run).
-    decode: std::sync::Arc<HashMap<u32, Option<u32>>>,
+    tables: std::sync::Arc<CodecTables>,
+}
+
+/// Both directions of `g`, computed once per universe.
+#[derive(Debug)]
+struct CodecTables {
+    decode: HashMap<u32, Option<u32>>,
+    /// `g(v)` at index `v` for the dense universe `0..n` of
+    /// [`ValueCodec::switch_ids`] (empty for any other), so encoding a
+    /// switch id is a load, not a CRC pass.
+    encode: Vec<u32>,
+    /// `g(⊔)`.
+    blank: u32,
 }
 
 /// Byte tag distinguishing the blank value ⊔ from real values under `g`.
 const BLANK_TAG: &[u8] = b"\xFFDTA-BLANK";
 
-/// Process-wide decode-table cache for [`ValueCodec::switch_ids`].
+/// Process-wide table cache for [`ValueCodec::switch_ids`].
 #[allow(clippy::type_complexity)] // keyed-cache entry, local to this fn
-fn switch_id_cache(
-) -> &'static std::sync::Mutex<Vec<((u32, u32), std::sync::Arc<HashMap<u32, Option<u32>>>)>> {
+fn switch_id_cache() -> &'static std::sync::Mutex<Vec<((u32, u32), std::sync::Arc<CodecTables>)>> {
     static CACHE: std::sync::OnceLock<
-        std::sync::Mutex<Vec<((u32, u32), std::sync::Arc<HashMap<u32, Option<u32>>>)>>,
+        std::sync::Mutex<Vec<((u32, u32), std::sync::Arc<CodecTables>)>>,
     > = std::sync::OnceLock::new();
     CACHE.get_or_init(|| std::sync::Mutex::new(Vec::new()))
 }
@@ -45,37 +56,41 @@ impl ValueCodec {
     /// Codec over the value universe `values` (e.g., all switch IDs) with
     /// `b`-bit slots.
     pub fn new(values: impl IntoIterator<Item = u32>, bits: u32) -> Self {
+        Self::build(values, 0, bits)
+    }
+
+    /// Codec over `values` with `g` tabulated for `0..dense`.
+    fn build(values: impl IntoIterator<Item = u32>, dense: u32, bits: u32) -> Self {
         assert!((1..=32).contains(&bits));
         let engine = Crc32::new(CrcParams::CASTAGNOLI);
-        let mut codec =
-            ValueCodec { bits, engine, decode: std::sync::Arc::new(HashMap::new()) };
+        let g = |v: Option<u32>| mask_to(bits, crc_encode(&engine, v));
+        let blank = g(None);
         let mut decode = HashMap::new();
-        let blank = codec.encode(None);
         decode.insert(blank, None);
         for v in values {
-            let g = codec.encode(Some(v));
             // First writer wins on g-collisions; with b=32 and |V| <= 2^18
             // the collision probability is ~2^-14 per pair and the analysis
             // accounts for it as a wrong-output term.
-            decode.entry(g).or_insert(Some(v));
+            decode.entry(g(Some(v))).or_insert(Some(v));
         }
-        codec.decode = std::sync::Arc::new(decode);
-        codec
+        let encode = (0..dense).map(|v| g(Some(v))).collect();
+        let tables = std::sync::Arc::new(CodecTables { decode, encode, blank });
+        ValueCodec { bits, engine, tables }
     }
 
     /// Codec for a contiguous id space `0..n` (data-center switch IDs).
-    /// The decode table is memoized per `(n, bits)` process-wide.
+    /// The tables are memoized per `(n, bits)` process-wide.
     pub fn switch_ids(n: u32, bits: u32) -> Self {
         let mut cache = switch_id_cache().lock().expect("codec cache poisoned");
-        if let Some((_, decode)) = cache.iter().find(|((cn, cb), _)| (*cn, *cb) == (n, bits)) {
+        if let Some((_, tables)) = cache.iter().find(|((cn, cb), _)| (*cn, *cb) == (n, bits)) {
             return ValueCodec {
                 bits,
                 engine: Crc32::new(CrcParams::CASTAGNOLI),
-                decode: std::sync::Arc::clone(decode),
+                tables: std::sync::Arc::clone(tables),
             };
         }
-        let codec = Self::new(0..n, bits);
-        cache.push(((n, bits), std::sync::Arc::clone(&codec.decode)));
+        let codec = Self::build(0..n, n, bits);
+        cache.push(((n, bits), std::sync::Arc::clone(&codec.tables)));
         codec
     }
 
@@ -84,39 +99,58 @@ impl ValueCodec {
         self.bits
     }
 
-    /// `g(v)`, masked to `b` bits. `None` encodes the blank value ⊔.
+    /// `g(v)`, masked to `b` bits. `None` encodes the blank value ⊔. A
+    /// load for ⊔ and for the tabulated universe, a CRC pass outside it.
+    #[inline]
     pub fn encode(&self, v: Option<u32>) -> u32 {
-        let full = match v {
-            Some(v) => self.engine.compute(&v.to_be_bytes()),
-            None => self.engine.compute(BLANK_TAG),
-        };
-        self.mask(full)
+        let Some(v) = v else { return self.tables.blank };
+        match self.tables.encode.get(v as usize) {
+            Some(&g) => g,
+            None => self.mask(crc_encode(&self.engine, Some(v))),
+        }
     }
 
     /// Reverse lookup: the `v` with `g(v) == code`, if any.
     pub fn decode(&self, code: u32) -> Option<&Option<u32>> {
-        self.decode.get(&code)
+        self.tables.decode.get(&code)
     }
 
     /// Mask a word to the codec's `b` bits.
     pub fn mask(&self, v: u32) -> u32 {
-        if self.bits == 32 {
-            v
-        } else {
-            v & ((1u32 << self.bits) - 1)
-        }
+        mask_to(self.bits, v)
     }
 }
 
-/// Per-hop slot checksum `checksum(x, i)`, masked to `bits`.
+/// `g` before masking: the definition the encode table memoizes.
+fn crc_encode(engine: &Crc32, v: Option<u32>) -> u32 {
+    match v {
+        Some(v) => engine.compute(&v.to_be_bytes()),
+        None => engine.compute(BLANK_TAG),
+    }
+}
+
+fn mask_to(bits: u32, v: u32) -> u32 {
+    if bits == 32 {
+        v
+    } else {
+        v & ((1u32 << bits) - 1)
+    }
+}
+
+/// `checksum(x, ·)` for one key, masked to `bits`: the 16 key bytes are
+/// walked once and each call extends that state by its hop byte, so a
+/// chunk's `B` slot checksums cost one key walk, not `B`.
 ///
 /// A free function because writer (translator) and reader (collector)
 /// compute it independently; both must agree bit-for-bit.
+pub fn hop_checksums(key: &TelemetryKey, bits: u32) -> impl Fn(u8) -> u32 {
+    let state = checksum_state(key.as_bytes());
+    move |hop| checksum_b_from(state, &[hop], bits)
+}
+
+/// Per-hop slot checksum `checksum(x, i)`, masked to `bits`.
 pub fn hop_checksum(key: &TelemetryKey, hop: u8, bits: u32) -> u32 {
-    let mut buf = [0u8; 17];
-    buf[..16].copy_from_slice(key.as_bytes());
-    buf[16] = hop;
-    checksum_b(&buf, bits)
+    hop_checksums(key, bits)(hop)
 }
 
 /// Result of a Postcarding query.
@@ -223,11 +257,12 @@ impl PostcardStore {
         assert!(src.read_slot(va, &mut raw), "chunk within source");
         let mut values = Vec::with_capacity(self.layout.hops as usize);
         let mut blank_seen = false;
+        let checksum = hop_checksums(key, self.layout.slot_bits);
         for hop in 0..self.layout.hops {
             let off = hop as usize * 4;
             let word =
                 self.codec.mask(u32::from_be_bytes(raw[off..off + 4].try_into().unwrap()));
-            let g = word ^ self.hop_checksum(key, hop);
+            let g = word ^ checksum(hop);
             match self.codec.decode(g) {
                 Some(Some(v)) => {
                     if blank_seen {
@@ -368,6 +403,42 @@ mod tests {
         let blank = codec.encode(None);
         for v in 0..(1u32 << 12) {
             assert_ne!(codec.encode(Some(v)), blank, "value {v} aliases blank");
+        }
+    }
+
+    #[test]
+    fn codec_table_encode_equals_crc_encode() {
+        for bits in [32, 16] {
+            let n = 1 << 12;
+            let codec = ValueCodec::switch_ids(n, bits);
+            let by_crc = |v| codec.mask(crc_encode(&codec.engine, v));
+            for v in 0..n {
+                assert_eq!(codec.encode(Some(v)), by_crc(Some(v)), "value {v}, {bits} bits");
+            }
+            assert_eq!(codec.encode(None), by_crc(None));
+            // Outside the tabulated universe the CRC pass answers.
+            for v in [n, n + 1, u32::MAX] {
+                assert_eq!(codec.encode(Some(v)), by_crc(Some(v)));
+            }
+            // An arbitrary universe tabulates nothing and encodes the same.
+            let sparse = ValueCodec::new([3, 900, 70_000], bits);
+            assert_eq!(sparse.encode(Some(3)), codec.encode(Some(3)));
+            assert_eq!(sparse.encode(None), codec.encode(None));
+        }
+    }
+
+    #[test]
+    fn hop_checksums_walk_the_key_once_to_the_same_words() {
+        let k = TelemetryKey::from_u64(0xDEAD_BEEF);
+        let mut buf = [0u8; 17];
+        buf[..16].copy_from_slice(k.as_bytes());
+        for bits in [32, 12] {
+            let checksum = hop_checksums(&k, bits);
+            for hop in [0u8, 1, 4, 7, 255] {
+                buf[16] = hop;
+                assert_eq!(checksum(hop), dta_hash::checksum_b(&buf, bits));
+                assert_eq!(hop_checksum(&k, hop, bits), checksum(hop));
+            }
         }
     }
 

@@ -96,8 +96,23 @@ pub fn checksum32(key: &[u8]) -> u32 {
 /// slot widths below 32 bits trade memory for collision probability
 /// (Appendix A.6).
 pub fn checksum_b(key: &[u8], b: u32) -> u32 {
+    checksum_b_from(checksum_state(&[]), key, b)
+}
+
+/// State of the checksum engine after walking `prefix`: what
+/// [`checksum_b_from`] extends. A caller that checksums many inputs sharing
+/// a prefix (Postcarding's `key ‖ hop`, one per hop) walks the prefix once.
+pub fn checksum_state(prefix: &[u8]) -> u32 {
+    let engine = checksum_engine();
+    engine.update(engine.start(), prefix)
+}
+
+/// [`checksum_b`] of `prefix ‖ tail`, given [`checksum_state`] of `prefix`.
+#[inline]
+pub fn checksum_b_from(state: u32, tail: &[u8], b: u32) -> u32 {
     assert!((1..=32).contains(&b), "checksum width {b} out of range 1..=32");
-    let full = checksum32(key);
+    let engine = checksum_engine();
+    let full = engine.finish(engine.update(state, tail));
     if b == 32 {
         full
     } else {
@@ -172,6 +187,17 @@ mod tests {
         assert_eq!(checksum_b(key, 32), checksum32(key));
         assert_eq!(checksum_b(key, 8), checksum32(key) & 0xFF);
         assert_eq!(checksum_b(key, 1) & !1, 0);
+    }
+
+    #[test]
+    fn checksum_from_a_prefix_state_equals_the_one_shot_walk() {
+        let data = b"0123456789abcdef\x04";
+        for split in [0, 1, 8, 16, data.len()] {
+            let (prefix, tail) = data.split_at(split);
+            for b in [32, 16, 5] {
+                assert_eq!(checksum_b_from(checksum_state(prefix), tail, b), checksum_b(data, b));
+            }
+        }
     }
 
     #[test]

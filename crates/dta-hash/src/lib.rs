@@ -25,7 +25,9 @@ pub mod polynomials;
 pub mod scratch;
 
 pub use crc::{Crc32, CrcParams};
-pub use family::{checksum32, checksum_b, slot_of, Checksummer, HashFamily};
+pub use family::{
+    checksum32, checksum_b, checksum_b_from, checksum_state, slot_of, Checksummer, HashFamily,
+};
 pub use scratch::{KeyDigests, KeyScratch, ScratchStats};
 
 /// Hint the CPU to start pulling the cache line holding `*p` toward L1

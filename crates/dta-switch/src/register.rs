@@ -84,6 +84,15 @@ impl<T: Copy + Default> RegisterArray<T> {
         old
     }
 
+    /// Read-modify-write cell `i` where it lives: `f` edits the cell and its
+    /// result is the action's output. One stateful-ALU access, and a wide
+    /// cell (a cache row) is never copied out and back.
+    #[inline]
+    pub fn rmw_in_place<R>(&mut self, i: usize, f: impl FnOnce(&mut T) -> R) -> R {
+        self.accesses += 1;
+        f(&mut self.cells[i])
+    }
+
     /// Reset all cells to default (control-plane operation, not counted).
     pub fn clear(&mut self) {
         self.cells.fill(T::default());
@@ -105,6 +114,19 @@ mod tests {
         assert_eq!(r.rmw(2, |v| v + 5), 0);
         assert_eq!(r.rmw(2, |v| v * 2), 5);
         assert_eq!(r.read(2), 10);
+        assert_eq!(r.accesses, 3);
+    }
+
+    #[test]
+    fn rmw_in_place_edits_the_cell_and_returns_the_output() {
+        let mut r = RegisterArray::<[u32; 4]>::new(2);
+        let full = r.rmw_in_place(1, |cell| {
+            cell[2] = 9;
+            cell.iter().all(|w| *w != 0)
+        });
+        assert!(!full);
+        assert_eq!(r.read(1), [0, 0, 9, 0]);
+        assert_eq!(r.read(0), [0; 4]);
         assert_eq!(r.accesses, 3);
     }
 

@@ -7,37 +7,43 @@
 //! will read all stored items, and bring these to the egress pipeline where
 //! they are sent as a single RDMA Write packet." (§5.2)
 
-use std::collections::{BTreeSet, HashMap};
-
 use dta_collector::layout::AppendLayout;
 
 /// Maximum simultaneous lists ("our prototype supports tracking up to 131K
 /// simultaneous lists").
 pub const MAX_LISTS: u32 = 131 * 1024;
 
-/// A batch ready to be written: target address + concatenated entries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchWrite {
+/// A batch ready to be written: target address + concatenated entries,
+/// borrowed from the batcher's staging registers (valid until the next
+/// `push`/`flush`; the translator copies it straight into its write image).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BatchWrite<'a> {
     /// List the batch belongs to.
     pub list_id: u32,
     /// Target virtual address (start of the batch in the ring).
     pub va: u64,
     /// Concatenated entry bytes (`batch * entry_bytes`).
-    pub data: Vec<u8>,
+    pub data: &'a [u8],
 }
 
-/// Ingress batch building + egress head tracking for all lists.
+/// Ingress batch building + egress head tracking for all lists: flat
+/// register arrays indexed by list id, sized once from the layout.
 #[derive(Debug)]
 pub struct AppendBatcher {
     layout: AppendLayout,
     batch: usize,
-    /// Per-list staged entries (the "B−1 entries in SRAM registers").
-    staged: HashMap<u32, Vec<u8>>,
-    /// Lists with a non-empty partial batch. The timer flush walks only
-    /// these instead of scanning all (up to 131K) list ids.
-    dirty: BTreeSet<u32>,
+    /// The "B−1 entries in SRAM registers", one `batch * entry_bytes` row
+    /// per list. One zeroed allocation: a list nobody appends to never
+    /// touches its pages.
+    staging: Vec<u8>,
+    /// Entries staged per list.
+    fill: Vec<u32>,
     /// Per-list ring head, in entries.
-    heads: HashMap<u32, u64>,
+    heads: Vec<u64>,
+    /// Bit `list % 64` of word `list / 64` is set while `list` holds a
+    /// partial batch. The timer flush walks only these, in ascending order,
+    /// instead of scanning all (up to 131K) list ids.
+    dirty: Vec<u64>,
     /// Entries accepted.
     pub entries_in: u64,
     /// Batches emitted.
@@ -59,12 +65,18 @@ impl AppendBatcher {
             "ring capacity must be a multiple of the batch size"
         );
         assert!(layout.lists <= MAX_LISTS, "too many lists: {}", layout.lists);
+        let lists = layout.lists as usize;
+        let staging_len = batch
+            .checked_mul(layout.entry_bytes as usize)
+            .and_then(|row| row.checked_mul(lists))
+            .expect("staging for every list fits the address space");
         AppendBatcher {
             layout,
             batch,
-            staged: HashMap::new(),
-            dirty: BTreeSet::new(),
-            heads: HashMap::new(),
+            staging: vec![0; staging_len],
+            fill: vec![0; lists],
+            heads: vec![0; lists],
+            dirty: vec![0; lists.div_ceil(64)],
             entries_in: 0,
             batches_out: 0,
         }
@@ -82,77 +94,92 @@ impl AppendBatcher {
 
     /// Current head (in entries) of `list`.
     pub fn head(&self, list: u32) -> u64 {
-        self.heads.get(&list).copied().unwrap_or(0)
+        self.heads.get(list as usize).copied().unwrap_or(0)
     }
 
-    /// Normalize an entry to the layout's fixed entry width (truncate or
-    /// zero-pad — fixed-width entries are what make the ring pollable).
-    fn normalize(&self, entry: &[u8]) -> Vec<u8> {
-        let w = self.layout.entry_bytes as usize;
-        let mut e = entry[..entry.len().min(w)].to_vec();
-        e.resize(w, 0);
-        e
-    }
-
-    /// Stage one entry for `list`; returns the batch write when this entry
-    /// was the `B`-th.
+    /// Stage one entry for `list`, normalized in place to the layout's fixed
+    /// entry width (truncated or zero-padded — fixed-width entries are what
+    /// make the ring pollable); returns the batch write when this entry was
+    /// the `B`-th.
     ///
     /// Returns `None` for out-of-range lists (the ASIC would drop).
-    pub fn push(&mut self, list: u32, entry: &[u8]) -> Option<BatchWrite> {
+    pub fn push(&mut self, list: u32, entry: &[u8]) -> Option<BatchWrite<'_>> {
         if list >= self.layout.lists {
             return None;
         }
         self.entries_in += 1;
-        let entry = self.normalize(entry);
-        let staged = self.staged.entry(list).or_default();
-        staged.extend_from_slice(&entry);
-        if staged.len() < self.batch * self.layout.entry_bytes as usize {
-            self.dirty.insert(list);
+        let l = list as usize;
+        let w = self.layout.entry_bytes as usize;
+        let staged = self.fill[l] as usize;
+        let at = self.row(l).start + staged * w;
+        let slot = &mut self.staging[at..at + w];
+        let take = entry.len().min(w);
+        slot[..take].copy_from_slice(&entry[..take]);
+        slot[take..].fill(0);
+        if staged + 1 < self.batch {
+            self.fill[l] += 1;
+            self.dirty[l / 64] |= 1 << (l % 64);
             return None;
         }
-        let data = std::mem::take(staged);
-        self.dirty.remove(&list);
-        let head = self.heads.entry(list).or_insert(0);
-        let va = self.layout.entry_va(list, *head);
-        *head = (*head + self.batch as u64) % self.layout.entries_per_list;
-        self.batches_out += 1;
-        Some(BatchWrite { list_id: list, va, data })
+        Some(self.emit(list))
     }
 
     /// Entries currently staged for `list`.
     pub fn staged_entries(&self, list: u32) -> usize {
-        self.staged
-            .get(&list)
-            .map(|s| s.len() / self.layout.entry_bytes as usize)
-            .unwrap_or(0)
+        self.fill.get(list as usize).map_or(0, |&n| n as usize)
+    }
+
+    /// First list at or after `from` holding a partial batch.
+    pub fn next_dirty(&self, from: u32) -> Option<u32> {
+        let mut w = from as usize / 64;
+        let mut bits = *self.dirty.get(w)? & (u64::MAX << (from % 64));
+        while bits == 0 {
+            w += 1;
+            bits = *self.dirty.get(w)?;
+        }
+        Some((w * 64) as u32 + bits.trailing_zeros())
     }
 
     /// Lists currently holding a partial batch, in ascending order — the
     /// timer flush walks exactly these.
     pub fn dirty_lists(&self) -> impl Iterator<Item = u32> + '_ {
-        self.dirty.iter().copied()
+        std::iter::successors(self.next_dirty(0), |&list| self.next_dirty(list + 1))
     }
 
     /// Number of lists holding a partial batch.
     pub fn dirty_count(&self) -> usize {
-        self.dirty.len()
+        self.dirty.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Flush a partial batch for `list` (timer path), zero-padding the tail
     /// of the batch region.
-    pub fn flush(&mut self, list: u32) -> Option<BatchWrite> {
-        let staged = self.staged.get_mut(&list)?;
-        if staged.is_empty() {
+    pub fn flush(&mut self, list: u32) -> Option<BatchWrite<'_>> {
+        let l = list as usize;
+        let staged = *self.fill.get(l)? as usize;
+        if staged == 0 {
             return None;
         }
-        self.dirty.remove(&list);
-        let mut data = std::mem::take(staged);
-        data.resize(self.batch * self.layout.entry_bytes as usize, 0);
-        let head = self.heads.entry(list).or_insert(0);
-        let va = self.layout.entry_va(list, *head);
-        *head = (*head + self.batch as u64) % self.layout.entries_per_list;
+        let row = self.row(l);
+        self.staging[row.start + staged * self.layout.entry_bytes as usize..row.end].fill(0);
+        Some(self.emit(list))
+    }
+
+    /// Hand out `list`'s staging row as one batch: the row is clean again,
+    /// and the head moves one batch along the ring.
+    fn emit(&mut self, list: u32) -> BatchWrite<'_> {
+        let l = list as usize;
+        self.fill[l] = 0;
+        self.dirty[l / 64] &= !(1 << (l % 64));
+        let va = self.layout.entry_va(list, self.heads[l]);
+        self.heads[l] = (self.heads[l] + self.batch as u64) % self.layout.entries_per_list;
         self.batches_out += 1;
-        Some(BatchWrite { list_id: list, va, data })
+        BatchWrite { list_id: list, va, data: &self.staging[self.row(l)] }
+    }
+
+    /// Where list `l`'s staging row sits in the buffer.
+    fn row(&self, l: usize) -> std::ops::Range<usize> {
+        let bytes = self.batch * self.layout.entry_bytes as usize;
+        l * bytes..(l + 1) * bytes
     }
 }
 
@@ -210,10 +237,14 @@ mod tests {
         assert!(b.push(0, &[1, 0, 0, 0]).is_none());
         assert!(b.push(1, &[2, 0, 0, 0]).is_none());
         let w0 = b.push(0, &[3, 0, 0, 0]).unwrap();
-        let w1 = b.push(1, &[4, 0, 0, 0]).unwrap();
         assert_eq!(w0.list_id, 0);
+        // Neighbouring staging rows do not bleed into each other.
+        assert_eq!(w0.data, [1, 0, 0, 0, 3, 0, 0, 0]);
+        let va0 = w0.va;
+        let w1 = b.push(1, &[4, 0, 0, 0]).unwrap();
         assert_eq!(w1.list_id, 1);
-        assert_ne!(w0.va, w1.va);
+        assert_eq!(w1.data, [2, 0, 0, 0, 4, 0, 0, 0]);
+        assert_ne!(va0, w1.va);
     }
 
     #[test]
@@ -228,6 +259,17 @@ mod tests {
         let mut b = AppendBatcher::new(layout(1, 16), 1);
         let w = b.push(0, &[9]).unwrap();
         assert_eq!(w.data, vec![9, 0, 0, 0]);
+    }
+
+    #[test]
+    fn long_entries_truncated_and_stale_bytes_never_resurface() {
+        let mut b = AppendBatcher::new(layout(1, 16), 2);
+        b.push(0, &[1, 2, 3, 4, 5, 6]);
+        assert_eq!(b.push(0, &[7; 9]).unwrap().data, [1, 2, 3, 4, 7, 7, 7, 7]);
+        // The row is reused: a short entry and a flushed tail must read as
+        // zeros, not as the previous batch.
+        b.push(0, &[8]);
+        assert_eq!(b.flush(0).unwrap().data, [8, 0, 0, 0, 0, 0, 0, 0]);
     }
 
     #[test]

@@ -8,10 +8,10 @@
 
 use bytes::Bytes;
 
-/// Maximum slot/chunk image size served by the recycling pool; larger
-/// images fall back to a `BytesMut` build (none of the paper's primitives
-/// exceed it: Key-Write slots are `4 + value` bytes, Postcarding chunks
-/// `next_pow2(B * 4)`).
+/// Maximum slot/chunk image size served by the recycling pool; a larger
+/// image is one exact-size allocation (of the paper's shapes only an Append
+/// batch wider than `16 × 4 B` exceeds it: Key-Write slots are `4 + value`
+/// bytes, Postcarding chunks `next_pow2(B * 4)`).
 pub(crate) const IMG_POOL_BUF: usize = 64;
 
 /// Image pool depth. Buffers recycle once the NIC (or whatever consumed
@@ -29,7 +29,7 @@ pub(crate) const IMG_POOL_DEPTH: usize = 1024;
 /// otherwise it allocates a fresh buffer (graceful degradation when a
 /// consumer retains payloads indefinitely). In the steady state —
 /// translate, execute at the NIC, drop — the report hot path performs no
-/// heap allocation at all.
+/// heap allocation at all for images up to [`IMG_POOL_BUF`].
 #[derive(Debug)]
 pub(crate) struct ImagePool {
     bufs: Vec<std::sync::Arc<[u8]>>,
@@ -52,11 +52,16 @@ impl ImagePool {
         }
     }
 
-    /// Produce a `len`-byte image, letting `fill` write it. `len` must be
-    /// at most [`IMG_POOL_BUF`].
+    /// Produce a `len`-byte image, letting `fill` write it into zeroed
+    /// bytes. The handle returned is the only one made: `N` replicas of the
+    /// image cost `N` refcount bumps in all.
     #[inline]
     pub(crate) fn build(&mut self, len: usize, fill: impl FnOnce(&mut [u8])) -> Bytes {
-        debug_assert!(len <= IMG_POOL_BUF);
+        if len > IMG_POOL_BUF {
+            let mut image: std::sync::Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+            fill(std::sync::Arc::get_mut(&mut image).expect("just built, not yet shared"));
+            return Bytes::from_owner(image);
+        }
         let at = self.next;
         self.next = (self.next + 1) % self.bufs.len();
         let buf = &mut self.bufs[at];
@@ -66,16 +71,22 @@ impl ImagePool {
             bytes[..len].fill(0);
             fill(&mut bytes[..len]);
             self.recycled += 1;
-            Bytes::from_owner(buf.clone()).slice(..len)
         } else {
             // Still referenced downstream: hand out a fresh full-width
             // buffer and park it in the rotation so it can recycle later.
             let mut staged = [0u8; IMG_POOL_BUF];
             fill(&mut staged[..len]);
-            let arc: std::sync::Arc<[u8]> = std::sync::Arc::from(staged.as_slice());
             self.allocated += 1;
-            self.bufs[at] = arc.clone();
-            Bytes::from_owner(arc).slice(..len)
+            *buf = std::sync::Arc::from(staged.as_slice());
         }
+        let mut image = Bytes::from_owner(buf.clone());
+        image.truncate(len);
+        image
+    }
+
+    /// An image holding a copy of `data`.
+    #[inline]
+    pub(crate) fn copy(&mut self, data: &[u8]) -> Bytes {
+        self.build(data.len(), |buf| buf.copy_from_slice(data))
     }
 }

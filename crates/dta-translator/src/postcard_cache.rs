@@ -34,17 +34,34 @@ impl Default for Row {
     }
 }
 
+impl Row {
+    fn emission(&self, complete: bool) -> CacheEmission {
+        CacheEmission { key: self.key, words: self.words, present: self.present, complete }
+    }
+}
+
 /// An emitted aggregate: the flow key plus the hops collected so far.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Fixed-size and `Copy`, so emitting a row allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheEmission {
     /// Flow the chunk belongs to.
     pub key: TelemetryKey,
-    /// Encoded word per hop; `None` for hops never seen (the translator
-    /// fills these with blank codewords before the RDMA write).
-    pub words: Vec<Option<u32>>,
+    /// Encoded word per hop; zero where the hop's `present` bit is clear.
+    pub words: [u32; MAX_HOPS],
+    /// Bit `h` is set when hop `h` was seen (the translator fills the
+    /// others with blank codewords before the RDMA write).
+    pub present: u8,
     /// Whether the aggregate was complete (reached its path length) or was
     /// evicted early by a collision.
     pub complete: bool,
+}
+
+impl CacheEmission {
+    /// The word cached for `hop`, `None` when that hop was never seen.
+    pub fn word(&self, hop: u8) -> Option<u32> {
+        let word = self.words.get(hop as usize)?;
+        (self.present & (1 << hop) != 0).then_some(*word)
+    }
 }
 
 /// Statistics for Figure 14.
@@ -56,6 +73,9 @@ pub struct CacheStats {
     pub complete_emissions: u64,
     /// Early (collision) emissions.
     pub early_emissions: u64,
+    /// Postcards refused for a hop or path length beyond the hop bound
+    /// (well-formed on the wire, impossible for this cache's rows).
+    pub rejected: u64,
 }
 
 /// The SRAM postcard cache.
@@ -70,9 +90,9 @@ pub struct PostcardCache {
     live: usize,
     /// Journal of row indexes that ever became occupied, so drop can
     /// return the row storage to the recycling pool after zeroing only the
-    /// rows a run actually touched. `u32::MAX` capacity sentinel: when the
-    /// journal overflows [`PostcardCache::journal_cap`], it is abandoned
-    /// and drop falls back to a full wipe.
+    /// rows a run actually touched. Allocated at [`journal_cap`] up front
+    /// (it never regrows on the report path); when it fills, it is
+    /// abandoned and drop falls back to a full wipe.
     touched: Vec<u32>,
     touched_overflow: bool,
     index: Crc32,
@@ -94,6 +114,12 @@ fn row_pool() -> &'static std::sync::Mutex<Vec<(Vec<Row>, Vec<u64>)>> {
 
 /// Pooled cache-storage cap (buffers, not bytes).
 const ROW_POOL_MAX: usize = 32;
+
+/// Journal bound for a cache of `slots` rows: past this, zero-on-drop
+/// degrades to a full wipe.
+fn journal_cap(slots: usize) -> usize {
+    (slots / 8).max(64)
+}
 
 impl PostcardCache {
     /// Cache with `slots` rows for paths of up to `hops` hops.
@@ -118,17 +144,12 @@ impl PostcardCache {
             rows,
             occupied,
             live: 0,
-            touched: Vec::new(),
+            touched: Vec::with_capacity(journal_cap(slots)),
             touched_overflow: false,
             index: Crc32::new(CrcParams::IEEE),
             hops,
             stats: CacheStats::default(),
         }
-    }
-
-    /// Journal bound: past this, zero-on-drop degrades to a full wipe.
-    fn journal_cap(&self) -> usize {
-        (self.rows.len() / 8).max(64)
     }
 
     /// Number of rows.
@@ -141,85 +162,91 @@ impl PostcardCache {
         self.hops
     }
 
+    /// Row of `key`: the index hash reduced modulo the row count — a mask
+    /// when that is a power of two (the prototype's 32K), the same value
+    /// without the 64-bit division.
     fn row_index(&self, key: &TelemetryKey) -> usize {
-        (self.index.compute(key.as_bytes()) as usize) % self.rows.len()
+        let hash = self.index.compute(key.as_bytes()) as usize;
+        let slots = self.rows.len();
+        if slots.is_power_of_two() {
+            hash & (slots - 1)
+        } else {
+            hash % slots
+        }
     }
 
-    fn is_occupied(&self, idx: usize) -> bool {
-        self.occupied[idx / 64] & (1 << (idx % 64)) != 0
-    }
-
-    fn occupy(&mut self, idx: usize) {
-        self.occupied[idx / 64] |= 1 << (idx % 64);
-        self.live += 1;
-    }
-
-    fn vacate(&mut self, idx: usize) {
-        self.occupied[idx / 64] &= !(1 << (idx % 64));
-        self.live -= 1;
-    }
-
-    /// Insert one postcard's encoded `word`. Returns any emission this
-    /// insertion triggered (a completed row, a collision eviction, or both a
-    /// collision eviction followed later by the new flow's completion).
+    /// Insert one postcard's encoded `word`. Returns what the insertion
+    /// emitted: first the previous occupant of the row, evicted early when
+    /// this flow collided into it, then this flow's own row when the
+    /// postcard completed it (a one-hop path can do both at once).
     ///
     /// `path_len = 0` means the egress did not provide the length; the row
-    /// then completes only when all `B` hops are present.
+    /// then completes only when all `B` hops are present. A postcard whose
+    /// `hop` or `path_len` lies beyond the hop bound cannot belong to any
+    /// row: it is counted in [`CacheStats::rejected`] and touches nothing.
     pub fn insert(
         &mut self,
         key: &TelemetryKey,
         hop: u8,
         path_len: u8,
         word: u32,
-    ) -> Vec<CacheEmission> {
-        assert!(hop < self.hops, "hop {hop} out of bound {}", self.hops);
+    ) -> [Option<CacheEmission>; 2] {
+        if hop >= self.hops || path_len > self.hops {
+            self.stats.rejected += 1;
+            return [None, None];
+        }
         self.stats.postcards += 1;
         let idx = self.row_index(key);
-        let mut out = Vec::new();
+        let bit = 1u64 << (idx % 64);
+        let was_occupied = self.occupied[idx / 64] & bit != 0;
+        let hops = self.hops;
 
-        let mut row = self.rows.read(idx);
-        if self.is_occupied(idx) && row.key != *key {
-            // Collision: evict the current occupant early.
-            self.stats.early_emissions += 1;
-            out.push(self.emission_from(&row, false));
-            self.vacate(idx);
+        let (evicted, completed) = self.rows.rmw_in_place(idx, |row| {
+            let collided = was_occupied && row.key != *key;
+            let evicted = collided.then(|| row.emission(false));
+            if collided || !was_occupied {
+                *row = Row { key: *key, ..Row::default() };
+            }
+            row.words[hop as usize] = word;
+            row.present |= 1 << hop;
+            if path_len > 0 {
+                row.path_len = path_len;
+            }
+            // Complete when every hop below `needed` has arrived
+            // (`needed <= hops <= 8` was checked on the way in).
+            let needed = if row.path_len > 0 { row.path_len } else { hops };
+            let full_mask = ((1u16 << needed) - 1) as u8;
+            let completed = (row.present & full_mask == full_mask).then(|| {
+                let emission = row.emission(true);
+                *row = Row::default();
+                emission
+            });
+            (evicted, completed)
+        });
+
+        self.stats.early_emissions += u64::from(evicted.is_some());
+        self.stats.complete_emissions += u64::from(completed.is_some());
+        // An eviction hands the row from one flow to the next: it stays
+        // occupied (and journaled). Otherwise the bit follows the row.
+        match (was_occupied, completed.is_some()) {
+            (false, false) => {
+                self.occupied[idx / 64] |= bit;
+                self.live += 1;
+            }
+            (true, true) => {
+                self.occupied[idx / 64] &= !bit;
+                self.live -= 1;
+            }
+            (false, true) | (true, false) => {}
         }
-        if !self.is_occupied(idx) {
-            row = Row { key: *key, ..Row::default() };
-            self.occupy(idx);
-            if self.touched_overflow || self.touched.len() >= self.journal_cap() {
-                self.touched_overflow = true;
-            } else {
+        if !was_occupied {
+            if self.touched.len() < self.touched.capacity() {
                 self.touched.push(idx as u32);
+            } else {
+                self.touched_overflow = true;
             }
         }
-
-        row.words[hop as usize] = word;
-        row.present |= 1 << hop;
-        if path_len > 0 {
-            row.path_len = path_len;
-        }
-
-        let needed = if row.path_len > 0 { row.path_len } else { self.hops };
-        let have = row.present.count_ones() as u8;
-        // Complete when every hop below `needed` has arrived.
-        let full_mask = (1u16 << needed) - 1;
-        if have >= needed && (row.present as u16 & full_mask) == full_mask {
-            self.stats.complete_emissions += 1;
-            out.push(self.emission_from(&row, true));
-            self.vacate(idx);
-            self.rows.write(idx, Row::default());
-        } else {
-            self.rows.write(idx, row);
-        }
-        out
-    }
-
-    fn emission_from(&self, row: &Row, complete: bool) -> CacheEmission {
-        let words = (0..self.hops)
-            .map(|h| (row.present & (1 << h) != 0).then(|| row.words[h as usize]))
-            .collect();
-        CacheEmission { key: row.key, words, complete }
+        [evicted, completed]
     }
 
     /// Flush every occupied row (shutdown / timer path), in ascending row
@@ -235,10 +262,8 @@ impl PostcardCache {
             while bits != 0 {
                 let idx = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let row = self.rows.read(idx);
                 self.stats.early_emissions += 1;
-                out.push(self.emission_from(&row, false));
-                self.rows.write(idx, Row::default());
+                out.push(self.rows.rmw_in_place(idx, |row| std::mem::take(row).emission(false)));
             }
         }
         self.live = 0;
@@ -284,18 +309,28 @@ mod tests {
         TelemetryKey::from_u64(i)
     }
 
+    /// What an insert emitted, eviction first.
+    fn emitted(out: [Option<CacheEmission>; 2]) -> Vec<CacheEmission> {
+        out.into_iter().flatten().collect()
+    }
+
+    /// The first five hops of an emission, `None` where never seen.
+    fn words(e: &CacheEmission) -> Vec<Option<u32>> {
+        (0..5).map(|hop| e.word(hop)).collect()
+    }
+
     #[test]
     fn five_postcards_complete_a_row() {
         let mut c = PostcardCache::new(1024, 5);
         let k = key(1);
         for hop in 0..4 {
-            assert!(c.insert(&k, hop, 5, 100 + hop as u32).is_empty());
+            assert_eq!(c.insert(&k, hop, 5, 100 + hop as u32), [None, None]);
         }
-        let em = c.insert(&k, 4, 5, 104);
+        let em = emitted(c.insert(&k, 4, 5, 104));
         assert_eq!(em.len(), 1);
         assert!(em[0].complete);
         assert_eq!(
-            em[0].words,
+            words(&em[0]),
             vec![Some(100), Some(101), Some(102), Some(103), Some(104)]
         );
         assert_eq!(c.stats.complete_emissions, 1);
@@ -305,12 +340,13 @@ mod tests {
     fn short_path_completes_at_declared_length() {
         let mut c = PostcardCache::new(64, 5);
         let k = key(2);
-        assert!(c.insert(&k, 0, 3, 7).is_empty());
-        assert!(c.insert(&k, 1, 3, 8).is_empty());
-        let em = c.insert(&k, 2, 3, 9);
+        assert_eq!(c.insert(&k, 0, 3, 7), [None, None]);
+        assert_eq!(c.insert(&k, 1, 3, 8), [None, None]);
+        let em = emitted(c.insert(&k, 2, 3, 9));
         assert_eq!(em.len(), 1);
         assert!(em[0].complete);
-        assert_eq!(em[0].words, vec![Some(7), Some(8), Some(9), None, None]);
+        assert_eq!(words(&em[0]), vec![Some(7), Some(8), Some(9), None, None]);
+        assert_eq!(em[0].present, 0b111);
     }
 
     #[test]
@@ -318,9 +354,9 @@ mod tests {
         let mut c = PostcardCache::new(64, 5);
         let k = key(3);
         for hop in [4u8, 0, 3, 1] {
-            assert!(c.insert(&k, hop, 5, hop as u32).is_empty());
+            assert_eq!(c.insert(&k, hop, 5, hop as u32), [None, None]);
         }
-        let em = c.insert(&k, 2, 5, 2);
+        let em = emitted(c.insert(&k, 2, 5, 2));
         assert_eq!(em.len(), 1);
         assert!(em[0].complete);
     }
@@ -331,14 +367,62 @@ mod tests {
         let mut c = PostcardCache::new(1, 5);
         let a = key(10);
         let b = key(20);
-        assert!(c.insert(&a, 0, 5, 1).is_empty());
-        assert!(c.insert(&a, 1, 5, 2).is_empty());
-        let em = c.insert(&b, 0, 5, 9);
+        assert_eq!(c.insert(&a, 0, 5, 1), [None, None]);
+        assert_eq!(c.insert(&a, 1, 5, 2), [None, None]);
+        let em = emitted(c.insert(&b, 0, 5, 9));
         assert_eq!(em.len(), 1);
         assert!(!em[0].complete);
         assert_eq!(em[0].key, a);
-        assert_eq!(em[0].words, vec![Some(1), Some(2), None, None, None]);
+        assert_eq!(words(&em[0]), vec![Some(1), Some(2), None, None, None]);
         assert_eq!(c.stats.early_emissions, 1);
+    }
+
+    #[test]
+    fn one_insert_can_evict_and_complete() {
+        // A one-hop path colliding into an occupied row: the occupant goes
+        // out early and the newcomer's row completes, in that order, and
+        // the row is free afterwards.
+        let mut c = PostcardCache::new(1, 5);
+        let (a, b) = (key(10), key(20));
+        assert_eq!(c.insert(&a, 0, 5, 1), [None, None]);
+        let [evicted, completed] = c.insert(&b, 0, 1, 9);
+        let (evicted, completed) = (evicted.unwrap(), completed.unwrap());
+        assert_eq!((evicted.key, evicted.complete, evicted.present), (a, false, 0b1));
+        assert_eq!((completed.key, completed.complete, completed.present), (b, true, 0b1));
+        assert_eq!(completed.words[0], 9);
+        assert_eq!((c.stats.early_emissions, c.stats.complete_emissions), (1, 1));
+        assert_eq!(c.live, 0);
+        assert!(c.flush().is_empty());
+    }
+
+    #[test]
+    fn non_power_of_two_row_counts_index_by_modulo() {
+        // 70 rows take the `%` reduction, 64 the mask: both must agree with
+        // the definition `crc32(key) mod slots` that `dta-sim`'s traffic
+        // filter mirrors.
+        let crc = Crc32::new(CrcParams::IEEE);
+        for slots in [70usize, 64, 1, 3] {
+            let c = PostcardCache::new(slots, 5);
+            for i in 0..500 {
+                let k = key(i);
+                assert_eq!(c.row_index(&k), crc.compute(k.as_bytes()) as usize % slots);
+            }
+        }
+    }
+
+    #[test]
+    fn hop_or_path_length_beyond_the_bound_is_rejected_untouched() {
+        let mut c = PostcardCache::new(64, 5);
+        let k = key(6);
+        assert_eq!(c.insert(&k, 0, 5, 1), [None, None]);
+        let before = c.rows.read(c.row_index(&k));
+        for (hop, path_len) in [(6u8, 7u8), (5, 0), (0, 200), (0, 6), (255, 255)] {
+            assert_eq!(c.insert(&k, hop, path_len, 77), [None, None]);
+        }
+        assert_eq!(c.stats.rejected, 5);
+        assert_eq!(c.stats.postcards, 1);
+        assert_eq!(c.rows.read(c.row_index(&k)), before);
+        assert_eq!(c.live, 1);
     }
 
     #[test]
@@ -362,8 +446,8 @@ mod tests {
         for hop in 1..4 {
             c.insert(&k, hop, 5, 0);
         }
-        let em = c.insert(&k, 4, 5, 0);
-        assert_eq!(em[0].words[0], Some(2));
+        let em = emitted(c.insert(&k, 4, 5, 0));
+        assert_eq!(em[0].word(0), Some(2));
     }
 
     #[test]
@@ -371,9 +455,9 @@ mod tests {
         let mut c = PostcardCache::new(64, 5);
         let k = key(5);
         for hop in 0..4 {
-            assert!(c.insert(&k, hop, 0, hop as u32).is_empty());
+            assert_eq!(c.insert(&k, hop, 0, hop as u32), [None, None]);
         }
-        let em = c.insert(&k, 4, 0, 4);
+        let em = emitted(c.insert(&k, 4, 0, 4));
         assert_eq!(em.len(), 1);
         assert!(em[0].complete);
     }
@@ -399,20 +483,23 @@ mod tests {
             }
         }
 
-        fn emission(&self, row: &Row, complete: bool) -> CacheEmission {
-            let words = (0..self.hops)
-                .map(|h| (row.present & (1 << h) != 0).then(|| row.words[h as usize]))
-                .collect();
-            CacheEmission { key: row.key, words, complete }
-        }
-
-        fn insert(&mut self, key: &TelemetryKey, hop: u8, path_len: u8, word: u32) -> Vec<CacheEmission> {
+        fn insert(
+            &mut self,
+            key: &TelemetryKey,
+            hop: u8,
+            path_len: u8,
+            word: u32,
+        ) -> [Option<CacheEmission>; 2] {
+            let mut out = [None, None];
+            if hop >= self.hops || path_len > self.hops {
+                self.stats.rejected += 1;
+                return out;
+            }
             self.stats.postcards += 1;
             let idx = (self.index.compute(key.as_bytes()) as usize) % self.rows.len();
-            let mut out = Vec::new();
             if self.occupied[idx] && self.rows[idx].key != *key {
                 self.stats.early_emissions += 1;
-                out.push(self.emission(&self.rows[idx], false));
+                out[0] = Some(self.rows[idx].emission(false));
                 self.occupied[idx] = false;
             }
             if !self.occupied[idx] {
@@ -429,7 +516,7 @@ mod tests {
             let full_mask = (1u16 << needed) - 1;
             if row.present as u16 & full_mask == full_mask {
                 self.stats.complete_emissions += 1;
-                out.push(self.emission(&self.rows[idx], true));
+                out[1] = Some(self.rows[idx].emission(true));
                 self.occupied[idx] = false;
                 self.rows[idx] = Row::default();
             }
@@ -441,7 +528,7 @@ mod tests {
             for idx in 0..self.rows.len() {
                 if self.occupied[idx] {
                     self.stats.early_emissions += 1;
-                    out.push(self.emission(&self.rows[idx], false));
+                    out.push(self.rows[idx].emission(false));
                     self.occupied[idx] = false;
                     self.rows[idx] = Row::default();
                 }
@@ -457,12 +544,14 @@ mod tests {
         /// emissions in the same order, same counters, and the live count
         /// tracks the bitmap after every step. 70 rows are two bitmap
         /// words, the second partial; 150 cold flows over them force row
-        /// collisions, 8 hot flows complete rows, and `path_len` 0
-        /// exercises the unknown-length completion rule.
+        /// collisions, 8 hot flows complete rows, `path_len` 0 exercises
+        /// the unknown-length completion rule, `path_len` 1 an eviction and
+        /// a completion in one insert, and hops 5–6 / `path_len` 6 the
+        /// rejection of postcards beyond the hop bound.
         #[test]
         fn bitmap_cache_matches_flag_per_row_model(
             ops in proptest::collection::vec(
-                (0u8..24, 0u8..6, 0u64..150, 0u8..5, 0usize..3, any::<u32>()),
+                (0u8..24, 0u8..6, 0u64..150, 0u8..7, 0usize..5, any::<u32>()),
                 1..400,
             ),
         ) {
@@ -474,7 +563,7 @@ mod tests {
                 if kind == 0 {
                     prop_assert_eq!(cache.flush(), model.flush());
                 } else {
-                    let path_len = [0u8, 3, 5][len_idx];
+                    let path_len = [0u8, 1, 3, 5, 6][len_idx];
                     prop_assert_eq!(
                         cache.insert(&key(flow), hop, path_len, word),
                         model.insert(&key(flow), hop, path_len, word)

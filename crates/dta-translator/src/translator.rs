@@ -2,9 +2,10 @@
 //!
 //! Hot-path design rules (see `DESIGN.md`):
 //!
-//! * each slot/chunk image is built **once** into an exact-capacity buffer
-//!   and all `N` redundancy replicas receive zero-copy [`Bytes`] handles to
-//!   it — never one heap copy per replica;
+//! * each slot/chunk/batch image is built **once**, in a pooled buffer when
+//!   it fits one, and all `N` redundancy replicas receive zero-copy
+//!   [`bytes::Bytes`] handles to it — `N` refcount bumps, never a heap copy per
+//!   replica;
 //! * key digests (checksum + `N` slot hashes) come from the
 //!   [`KeyScratch`] cache, so a key that reported recently costs one
 //!   16-byte compare instead of `1 + N` CRC passes;
@@ -14,9 +15,10 @@
 //!   few reports ahead, so a key stream wider than the scratch overlaps its
 //!   table misses (a hint is never a lookup: same hits, same evictions).
 
-use bytes::{BufMut, Bytes, BytesMut};
+#[cfg(test)]
+use bytes::Bytes;
 use dta_collector::layout::{AppendLayout, CmsLayout, KwLayout, PostcardLayout};
-use dta_collector::postcarding::{hop_checksum, ValueCodec};
+use dta_collector::postcarding::{hop_checksums, ValueCodec};
 use dta_collector::service::{SERVICE_APPEND, SERVICE_CMS, SERVICE_KW, SERVICE_POSTCARD};
 use dta_core::{DtaReport, PrimitiveHeader};
 #[cfg(test)]
@@ -29,7 +31,7 @@ use dta_rdma::verbs::RdmaOp;
 use dta_switch::MulticastEngine;
 
 use crate::append::AppendBatcher;
-use crate::pool::{ImagePool, IMG_POOL_BUF, IMG_POOL_DEPTH};
+use crate::pool::{ImagePool, IMG_POOL_DEPTH};
 use crate::postcard_cache::{CacheEmission, PostcardCache};
 use crate::ratelimit::{RateLimiter, RateLimiterConfig};
 
@@ -330,9 +332,10 @@ impl Translator {
 
     /// Translate a batch of reports, appending all packets into `out`
     /// (cleared first, capacity retained). This is the allocation-free
-    /// steady-state entry point: after warm-up, translating a batch of
-    /// Key-Write reports performs one image build per report and no other
-    /// heap traffic in this layer.
+    /// steady-state entry point: after warm-up, translating a batch of any
+    /// of the four primitives builds its images in pooled buffers and stages
+    /// in preallocated registers — no heap traffic in this layer
+    /// (`tests/steady_state_alloc.rs`).
     pub fn process_batch(
         &mut self,
         now_ns: u64,
@@ -391,6 +394,7 @@ impl Translator {
         self.stats.reports_in += 1;
         let packets_before = out.packets.len();
         let immediate = report.header.flags.immediate.then_some(report.header.seq);
+        let nack = report.header.flags.nack_on_drop.then_some(report.header.seq);
 
         match &report.primitive {
             PrimitiveHeader::KeyWrite(h) => {
@@ -400,7 +404,7 @@ impl Translator {
                 };
                 let layout = *layout;
                 let n = h.redundancy as usize;
-                if !self.admit(now_ns, n as u64, report, out) {
+                if !admit(&mut self.limiter, &mut self.stats, now_ns, n as u64, nack, out) {
                     return;
                 }
                 // Key digests from the scratch: one lookup covers the
@@ -412,30 +416,23 @@ impl Translator {
                 // steady state).
                 let w = layout.value_bytes as usize;
                 let take = report.payload.len().min(w);
-                let img = if 4 + w <= IMG_POOL_BUF {
-                    self.images.build(4 + w, |buf| {
-                        buf[..4].copy_from_slice(&digests.checksum.to_be_bytes());
-                        buf[4..4 + take].copy_from_slice(&report.payload[..take]);
-                    })
-                } else {
-                    let mut img = BytesMut::with_capacity(4 + w);
-                    img.put_u32(digests.checksum);
-                    img.extend_from_slice(&report.payload[..take]);
-                    img.resize(4 + w, 0);
-                    img.freeze()
-                };
+                let img = self.images.build(4 + w, |buf| {
+                    buf[..4].copy_from_slice(&digests.checksum.to_be_bytes());
+                    buf[4..4 + take].copy_from_slice(&report.payload[..take]);
+                });
 
                 // The PRE replicates the packet once per redundancy copy;
-                // each replica's rid selects the hash function.
+                // each replica's rid selects the hash function. The last
+                // replica takes the image itself (`repeat_n` clones N − 1
+                // times).
                 let copies = self
                     .multicast
                     .replicate_count(n as u16)
                     .expect("redundancy groups pre-installed");
                 let (conn, _) = self.kw.as_mut().expect("checked above");
                 let rkey = conn.params.rkey;
-                for rid in 0..copies as usize {
+                for (rid, data) in std::iter::repeat_n(img, copies as usize).enumerate() {
                     let va = layout.slot_va_from_digest(digests.slots[rid]);
-                    let data = img.clone(); // refcount bump, same backing store
                     let op = match immediate {
                         Some(imm) => RdmaOp::WriteImm { rkey, va, data, imm },
                         None => RdmaOp::Write { rkey, va, data },
@@ -451,7 +448,7 @@ impl Translator {
                 };
                 let layout = *layout;
                 let n = h.redundancy as usize;
-                if !self.admit(now_ns, n as u64, report, out) {
+                if !admit(&mut self.limiter, &mut self.stats, now_ns, n as u64, nack, out) {
                     return;
                 }
                 let digests = self.scratch.digests(h.key.as_bytes(), n);
@@ -469,42 +466,33 @@ impl Translator {
             }
 
             PrimitiveHeader::Append(h) => {
-                let Some((_, _, batcher)) = &mut self.append else {
+                let Some((conn, _, batcher)) = &mut self.append else {
                     self.stats.no_service += 1;
                     return;
                 };
                 let Some(batch) = batcher.push(h.list_id, &report.payload) else {
                     return; // staged or invalid list
                 };
-                if !self.admit(now_ns, 1, report, out) {
+                if !admit(&mut self.limiter, &mut self.stats, now_ns, 1, nack, out) {
                     return;
                 }
-                let mtu = self.config.mtu;
-                let (conn, _, _) = self.append.as_mut().expect("checked above");
-                if batch.data.len() > mtu {
+                let rkey = conn.params.rkey;
+                let data = self.images.copy(batch.data);
+                if data.len() > self.config.mtu {
                     // Over-MTU batches take the segmented-write path (the
                     // immediate flag is not combinable with segmentation in
                     // this prototype; the WRITE LAST completes silently).
                     out.packets.extend(dta_rdma::segment::segment_write(
                         &mut conn.qp,
-                        conn.params.rkey,
+                        rkey,
                         batch.va,
-                        Bytes::from(batch.data),
-                        mtu,
+                        data,
+                        self.config.mtu,
                     ));
                 } else {
                     let op = match immediate {
-                        Some(imm) => RdmaOp::WriteImm {
-                            rkey: conn.params.rkey,
-                            va: batch.va,
-                            data: Bytes::from(batch.data),
-                            imm,
-                        },
-                        None => RdmaOp::Write {
-                            rkey: conn.params.rkey,
-                            va: batch.va,
-                            data: Bytes::from(batch.data),
-                        },
+                        Some(imm) => RdmaOp::WriteImm { rkey, va: batch.va, data, imm },
+                        None => RdmaOp::Write { rkey, va: batch.va, data },
                     };
                     out.packets.push(op.into_packet(&mut conn.qp));
                 }
@@ -515,11 +503,12 @@ impl Translator {
                     self.stats.no_service += 1;
                     return;
                 }
-                let word = hop_checksum(&h.key, h.hop, self.config.postcard_bits)
-                    ^ self.codec.encode(Some(h.value));
-                let emissions = self.cache.insert(&h.key, h.hop, h.path_len, word);
-                for emission in emissions {
-                    self.emit_postcard_chunk(now_ns, &emission, report, out);
+                // The row caches `g(v)`; the hop checksums go on when the
+                // row is emitted, from one walk of the key.
+                let code = self.codec.encode(Some(h.value));
+                let emissions = self.cache.insert(&h.key, h.hop, h.path_len, code);
+                for emission in emissions.iter().flatten() {
+                    self.emit_postcard_chunk(now_ns, emission, nack, out);
                 }
             }
         }
@@ -529,21 +518,21 @@ impl Translator {
     /// Flush translator-held state (cache rows, partial batches) — the
     /// periodic timer path. The cost follows what is staged, not what could
     /// be: occupied cache rows (bitmap walk, nothing at all when the cache
-    /// is empty) and lists with a partial batch (the batcher's dirty set).
+    /// is empty) and lists with a partial batch (the batcher's dirty bits).
     pub fn flush(&mut self, now_ns: u64) -> TranslatorOutput {
         let mut out = TranslatorOutput::default();
         for emission in self.cache.flush() {
-            let fake = DtaReport::postcard(0, emission.key, 0, 0, 0);
-            self.emit_postcard_chunk(now_ns, &emission, &fake, &mut out);
+            self.emit_postcard_chunk(now_ns, &emission, None, &mut out);
         }
         if let Some((conn, _, batcher)) = self.append.as_mut() {
-            let dirty: Vec<u32> = batcher.dirty_lists().collect();
-            for list in dirty {
+            let mut from = 0;
+            while let Some(list) = batcher.next_dirty(from) {
+                from = list + 1;
                 let Some(batch) = batcher.flush(list) else { continue };
                 let op = RdmaOp::Write {
                     rkey: conn.params.rkey,
                     va: batch.va,
-                    data: Bytes::from(batch.data),
+                    data: self.images.copy(batch.data),
                 };
                 out.packets.push(op.into_packet(&mut conn.qp));
             }
@@ -553,45 +542,33 @@ impl Translator {
     }
 
     /// Emit one aggregated postcard chunk (complete or early) as `N` chunk
-    /// writes sharing a single image build.
+    /// writes sharing a single image build. `nack` is the sequence number a
+    /// rate-limiter drop must NACK: that of the report that forced the
+    /// emission, when it asked for one (the timer flush owes none).
     fn emit_postcard_chunk(
         &mut self,
         now_ns: u64,
         emission: &CacheEmission,
-        report: &DtaReport,
+        nack: Option<u32>,
         out: &mut TranslatorOutput,
     ) {
         let n = self.config.postcard_redundancy;
-        if !self.admit(now_ns, n as u64, report, out) {
+        if !admit(&mut self.limiter, &mut self.stats, now_ns, n as u64, nack, out) {
             return;
         }
         let (_, layout) = self.postcard.as_ref().expect("caller checked service");
         let layout = *layout;
-        // Fill unseen hops with blank codewords so every chunk write covers
-        // all B slots (§4: "each flow always writes all B hops' values").
+        // Every slot holds `checksum(x, i) ⊕ g(v)`; unseen hops take the
+        // blank codeword, so every chunk write covers all B slots (§4:
+        // "each flow always writes all B hops' values").
         let blank = self.codec.encode(None);
-        let stride = layout.chunk_stride() as usize;
-        let img = if stride <= IMG_POOL_BUF {
-            self.images.build(stride, |buf| {
-                for hop in 0..layout.hops {
-                    let word = emission.words[hop as usize].unwrap_or_else(|| {
-                        hop_checksum(&emission.key, hop, layout.slot_bits) ^ blank
-                    });
-                    buf[hop as usize * 4..hop as usize * 4 + 4]
-                        .copy_from_slice(&word.to_be_bytes());
-                }
-            })
-        } else {
-            let mut img = BytesMut::with_capacity(stride);
-            for hop in 0..layout.hops {
-                let word = emission.words[hop as usize].unwrap_or_else(|| {
-                    hop_checksum(&emission.key, hop, layout.slot_bits) ^ blank
-                });
-                img.put_u32(word);
+        let checksum = hop_checksums(&emission.key, layout.slot_bits);
+        let img = self.images.build(layout.chunk_stride() as usize, |buf| {
+            for (hop, slot) in (0..layout.hops).zip(buf.chunks_exact_mut(4)) {
+                let word = checksum(hop) ^ emission.word(hop).unwrap_or(blank);
+                slot.copy_from_slice(&word.to_be_bytes());
             }
-            img.resize(stride, 0);
-            img.freeze()
-        };
+        });
 
         let digests = self.scratch.digests(emission.key.as_bytes(), n);
         let copies = self
@@ -600,34 +577,38 @@ impl Translator {
             .expect("redundancy groups pre-installed");
         let (conn, _) = self.postcard.as_mut().expect("caller checked service");
         let rkey = conn.params.rkey;
-        for rid in 0..copies as usize {
+        for (rid, data) in std::iter::repeat_n(img, copies as usize).enumerate() {
             let va = layout.chunk_va_from_digest(digests.slots[rid]);
-            let op = RdmaOp::Write { rkey, va, data: img.clone() };
+            let op = RdmaOp::Write { rkey, va, data };
             out.packets.push(op.into_packet(&mut conn.qp));
         }
     }
+}
 
-    /// Rate-limiter admission for `msgs` RDMA messages.
-    fn admit(
-        &mut self,
-        now_ns: u64,
-        msgs: u64,
-        report: &DtaReport,
-        out: &mut TranslatorOutput,
-    ) -> bool {
-        let Some(limiter) = &mut self.limiter else {
-            return true;
-        };
-        if limiter.admit(now_ns, msgs) {
-            return true;
-        }
-        self.stats.rate_limited += 1;
-        if report.header.flags.nack_on_drop {
-            out.nacked.push(report.header.seq);
-            self.stats.nacks_sent += 1;
-        }
-        false
+/// Rate-limiter admission for `msgs` RDMA messages. A refused report that
+/// set `nack_on_drop` passes its sequence number as `nack` and is named in
+/// `out.nacked`. Over the translator's fields rather than `&mut self`: the
+/// Append path admits while it holds a batch borrowed from the batcher.
+fn admit(
+    limiter: &mut Option<RateLimiter>,
+    stats: &mut TranslatorStats,
+    now_ns: u64,
+    msgs: u64,
+    nack: Option<u32>,
+    out: &mut TranslatorOutput,
+) -> bool {
+    let Some(limiter) = limiter else {
+        return true;
+    };
+    if limiter.admit(now_ns, msgs) {
+        return true;
     }
+    stats.rate_limited += 1;
+    if let Some(seq) = nack {
+        out.nacked.push(seq);
+        stats.nacks_sent += 1;
+    }
+    false
 }
 
 #[cfg(test)]
@@ -702,6 +683,45 @@ mod tests {
             store.query(&key, 1),
             dta_collector::PostcardQueryOutcome::Found(path.to_vec())
         );
+    }
+
+    /// A postcard as it comes off the wire: `PrimitiveHeader::decode` only
+    /// checks `hop < path_len`, so both of these decode cleanly.
+    fn postcard_off_the_wire(key: TelemetryKey, hop: u8, path_len: u8) -> DtaReport {
+        let wire = DtaReport::postcard(9, key, hop, path_len, 3).encode().unwrap();
+        DtaReport::decode(wire).expect("well-formed on the wire")
+    }
+
+    #[test]
+    fn postcard_hop_beyond_the_hop_bound_is_dropped_and_counted() {
+        let (mut svc, mut tr) = connected();
+        let key = TelemetryKey::from_u64(12);
+        // Hop 6 of a 7-hop path against `postcard_hops = 5`.
+        let out = tr.process(0, &postcard_off_the_wire(key, 6, 7));
+        assert!(out.packets.is_empty() && out.nacked.is_empty());
+        assert_eq!(tr.postcard_cache().stats.rejected, 1);
+        assert_eq!(tr.postcard_cache().stats.postcards, 0);
+        assert_eq!(tr.stats, TranslatorStats { reports_in: 1, ..TranslatorStats::default() });
+        // No row was touched: the flow's in-bound postcards still aggregate.
+        for hop in 0..5u8 {
+            run(&mut svc, tr.process(0, &DtaReport::postcard(0, key, hop, 5, 40 + u32::from(hop))));
+        }
+        assert_eq!(
+            svc.postcarding.as_ref().unwrap().query(&key, 1),
+            dta_collector::PostcardQueryOutcome::Found(vec![40, 41, 42, 43, 44])
+        );
+    }
+
+    #[test]
+    fn postcard_path_length_beyond_the_hop_bound_is_dropped_and_counted() {
+        let (_svc, mut tr) = connected();
+        let key = TelemetryKey::from_u64(13);
+        // `1 << 200` was the completion mask's shift: a panic in debug
+        // builds, a wrapped mask and a wrong completion rule in release.
+        let out = tr.process(0, &postcard_off_the_wire(key, 0, 200));
+        assert!(out.packets.is_empty());
+        assert_eq!(tr.postcard_cache().stats.rejected, 1);
+        assert!(tr.flush(0).packets.is_empty(), "nothing was staged");
     }
 
     #[test]
