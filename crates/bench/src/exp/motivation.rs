@@ -1,8 +1,8 @@
 //! §2 motivation experiments: Table 1, Figure 2, Figure 3.
 
+use dta_analysis::cpu::{CollectorKind, CpuModel};
 use dta_analysis::table::{fmt_pct, fmt_rate};
 use dta_analysis::Table;
-use dta_baselines::{CollectorKind, CpuModel};
 use dta_telemetry::{MonitoringSystem, ReportRateModel};
 
 /// Table 1: per-switch report generation rates.

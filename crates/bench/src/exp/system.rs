@@ -2,9 +2,9 @@
 //! Table 3.
 
 use bytes::Bytes;
+use dta_analysis::cpu::{CollectorKind, CpuModel};
 use dta_analysis::table::fmt_rate;
 use dta_analysis::Table;
-use dta_baselines::{CollectorKind, CpuModel};
 use dta_collector::service::ServiceConfig;
 use dta_core::{DtaReport, TelemetryKey};
 use dta_rdma::nic::{NicConfig, NicPerfModel};

@@ -4,12 +4,12 @@
 //! various network sizes": combine the Table 1 per-switch report rates with
 //! the MultiLog per-core ingestion rate, across 1 .. 10K switches.
 
-use dta_baselines::{CollectorKind, CpuModel};
 use dta_telemetry::{MonitoringSystem, ReportRateModel};
-use serde::{Deserialize, Serialize};
+
+use crate::cpu::{CollectorKind, CpuModel};
 
 /// One Figure 3 data point.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fig3Point {
     /// Network size (switch count).
     pub switches: u64,

@@ -14,10 +14,8 @@
 //! linearly (CPU-bound); Cuckoo scales linearly to ~11 cores then saturates
 //! ~81M reports/s with ~42% stalled cycles at 20 cores (memory-bound).
 
-use serde::{Deserialize, Serialize};
-
 /// Per-report ingestion cost of one collector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CycleCost {
     /// Cycles receiving the packet (I/O).
     pub io_cycles: f64,
@@ -46,7 +44,7 @@ impl CycleCost {
 }
 
 /// The software collectors evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CollectorKind {
     /// Confluo's Atomic MultiLog (the state-of-the-art the paper beats).
     MultiLog,
@@ -121,7 +119,7 @@ impl CollectorKind {
 }
 
 /// The collector server's CPU/memory resources.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CpuModel {
     /// Core frequency in Hz.
     pub freq_hz: f64,
@@ -138,7 +136,7 @@ impl Default for CpuModel {
 }
 
 /// One point of a throughput-vs-cores curve.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ThroughputPoint {
     /// Core count.
     pub cores: u32,

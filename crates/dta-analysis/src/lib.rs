@@ -8,6 +8,8 @@
 //!   primitive (§4, citing Cormode & Muthukrishnan).
 //! * [`montecarlo`] — fast abstract simulators that validate the bounds
 //!   empirically (used by tests and the A.5/A.6 repro experiments).
+//! * [`cpu`] — the CPU-collector cycle/memory model (MultiLog, Cuckoo, BTrDB,
+//!   INTCollector) behind Figures 2, 3 and 7a.
 //! * [`cost`] — the Figure 3 collection-cost model (cores vs network size).
 //! * [`table`] — markdown/CSV table emission for the `repro` harness.
 //! * [`sweep`] — corpus-sweep coverage aggregation + the Monte-Carlo
@@ -15,6 +17,7 @@
 
 pub mod cms;
 pub mod cost;
+pub mod cpu;
 pub mod keywrite;
 pub mod montecarlo;
 pub mod postcarding;

@@ -182,47 +182,63 @@ pub trait QueryEngine {
     fn execute(&mut self, req: &QueryRequest) -> QueryResponse;
 }
 
-/// Dispatch one request against a set of per-primitive stores reading via
-/// `src`. The single implementation both engine types funnel through.
-fn dispatch(
+/// What every engine answers for a primitive it has no store for.
+fn unavailable() -> QueryResponse {
+    QueryResponse::local(QueryResult::Unavailable, 0)
+}
+
+// One helper per primitive, each reading via `src`; both engine types match
+// a request once and call the helper with the store's own bytes.
+
+fn kw_query(
+    s: &KeyWriteStore,
     src: &dyn SlotSource,
-    kw: Option<&KeyWriteStore>,
-    pc: Option<&PostcardStore>,
-    append: Option<&mut AppendReader>,
-    cms: Option<&KeyIncrementStore>,
-    req: &QueryRequest,
+    key: &TelemetryKey,
+    redundancy: usize,
+    policy: QueryPolicy,
 ) -> QueryResponse {
-    match req {
-        QueryRequest::KeyWrite { key, redundancy, policy } => match kw {
-            Some(s) => QueryResponse::local(
-                QueryResult::KeyWrite(s.query_from(src, key, *redundancy, *policy)),
-                s.slot_probes(*redundancy),
-            ),
-            None => QueryResponse::local(QueryResult::Unavailable, 0),
-        },
-        QueryRequest::Postcard { key, redundancy } => match pc {
-            Some(s) => QueryResponse::local(
-                QueryResult::Postcard(s.query_from(src, key, *redundancy)),
-                s.slot_probes(*redundancy),
-            ),
-            None => QueryResponse::local(QueryResult::Unavailable, 0),
-        },
-        // A list the reader does not have is answered like a primitive
-        // with no store, not by indexing past the tails.
-        QueryRequest::AppendPoll { list } => match append {
-            Some(r) if *list < r.layout().lists => {
-                QueryResponse::local(QueryResult::Append(r.poll_from(src, *list)), 1)
-            }
-            _ => QueryResponse::local(QueryResult::Unavailable, 0),
-        },
-        QueryRequest::Increment { key, redundancy } => match cms {
-            Some(s) => QueryResponse::local(
-                QueryResult::Increment(s.query_from(src, key, *redundancy)),
-                s.slot_probes(*redundancy),
-            ),
-            None => QueryResponse::local(QueryResult::Unavailable, 0),
-        },
+    QueryResponse::local(
+        QueryResult::KeyWrite(s.query_from(src, key, redundancy, policy)),
+        s.slot_probes(redundancy),
+    )
+}
+
+fn postcard_query(
+    s: &PostcardStore,
+    src: &dyn SlotSource,
+    key: &TelemetryKey,
+    redundancy: usize,
+) -> QueryResponse {
+    QueryResponse::local(
+        QueryResult::Postcard(s.query_from(src, key, redundancy)),
+        s.slot_probes(redundancy),
+    )
+}
+
+/// `snap: None` polls the reader's own live region. A list the reader does
+/// not have is answered like a primitive with no store, not by indexing
+/// past the tails.
+fn append_poll(r: &mut AppendReader, snap: Option<&SnapshotView<'_>>, list: u32) -> QueryResponse {
+    if list >= r.layout().lists {
+        return unavailable();
     }
+    let entry = match snap {
+        Some(view) => r.poll_from(view, list),
+        None => r.poll(list),
+    };
+    QueryResponse::local(QueryResult::Append(entry), 1)
+}
+
+fn increment_query(
+    s: &KeyIncrementStore,
+    src: &dyn SlotSource,
+    key: &TelemetryKey,
+    redundancy: usize,
+) -> QueryResponse {
+    QueryResponse::local(
+        QueryResult::Increment(s.query_from(src, key, redundancy)),
+        s.slot_probes(redundancy),
+    )
 }
 
 /// The live engine over one collector's stores: every read goes through
@@ -257,25 +273,19 @@ impl QueryEngine for StoreQueryEngine<'_> {
     fn execute(&mut self, req: &QueryRequest) -> QueryResponse {
         // Each primitive reads from its own store's region.
         match req {
-            QueryRequest::KeyWrite { .. } => match self.keywrite {
-                Some(s) => dispatch(s.region(), self.keywrite, None, None, None, req),
-                None => QueryResponse::local(QueryResult::Unavailable, 0),
-            },
-            QueryRequest::Postcard { .. } => match self.postcarding {
-                Some(s) => dispatch(s.region(), None, self.postcarding, None, None, req),
-                None => QueryResponse::local(QueryResult::Unavailable, 0),
-            },
-            QueryRequest::AppendPoll { .. } => match self.append.as_deref_mut() {
-                Some(r) => {
-                    let region = r.region().clone();
-                    dispatch(&region, None, None, Some(r), None, req)
-                }
-                None => QueryResponse::local(QueryResult::Unavailable, 0),
-            },
-            QueryRequest::Increment { .. } => match self.key_increment {
-                Some(s) => dispatch(s.region(), None, None, None, self.key_increment, req),
-                None => QueryResponse::local(QueryResult::Unavailable, 0),
-            },
+            QueryRequest::KeyWrite { key, redundancy, policy } => self
+                .keywrite
+                .map_or_else(unavailable, |s| kw_query(s, s.region(), key, *redundancy, *policy)),
+            QueryRequest::Postcard { key, redundancy } => self
+                .postcarding
+                .map_or_else(unavailable, |s| postcard_query(s, s.region(), key, *redundancy)),
+            QueryRequest::AppendPoll { list } => self
+                .append
+                .as_deref_mut()
+                .map_or_else(unavailable, |r| append_poll(r, None, *list)),
+            QueryRequest::Increment { key, redundancy } => self
+                .key_increment
+                .map_or_else(unavailable, |s| increment_query(s, s.region(), key, *redundancy)),
         }
     }
 }
@@ -300,25 +310,22 @@ pub struct SnapshotQueryEngine<'a> {
 impl QueryEngine for SnapshotQueryEngine<'_> {
     fn execute(&mut self, req: &QueryRequest) -> QueryResponse {
         match req {
-            QueryRequest::KeyWrite { .. } => match &self.keywrite {
-                Some((s, view)) => dispatch(view, Some(s), None, None, None, req),
-                None => QueryResponse::local(QueryResult::Unavailable, 0),
-            },
-            QueryRequest::Postcard { .. } => match &self.postcarding {
-                Some((s, view)) => dispatch(view, None, Some(s), None, None, req),
-                None => QueryResponse::local(QueryResult::Unavailable, 0),
-            },
-            QueryRequest::AppendPoll { .. } => match &mut self.append {
-                Some((r, view)) => {
-                    let view = *view;
-                    dispatch(&view, None, None, Some(&mut **r), None, req)
-                }
-                None => QueryResponse::local(QueryResult::Unavailable, 0),
-            },
-            QueryRequest::Increment { .. } => match &self.key_increment {
-                Some((s, view)) => dispatch(view, None, None, None, Some(s), req),
-                None => QueryResponse::local(QueryResult::Unavailable, 0),
-            },
+            QueryRequest::KeyWrite { key, redundancy, policy } => self
+                .keywrite
+                .as_ref()
+                .map_or_else(unavailable, |(s, view)| kw_query(s, view, key, *redundancy, *policy)),
+            QueryRequest::Postcard { key, redundancy } => self
+                .postcarding
+                .as_ref()
+                .map_or_else(unavailable, |(s, view)| postcard_query(s, view, key, *redundancy)),
+            QueryRequest::AppendPoll { list } => self
+                .append
+                .as_mut()
+                .map_or_else(unavailable, |(r, view)| append_poll(r, Some(view), *list)),
+            QueryRequest::Increment { key, redundancy } => self
+                .key_increment
+                .as_ref()
+                .map_or_else(unavailable, |(s, view)| increment_query(s, view, key, *redundancy)),
         }
     }
 }

@@ -8,12 +8,11 @@
 
 use dta_core::TelemetryKey;
 use dta_hash::HashFamily;
-use serde::{Deserialize, Serialize};
 
 /// Geometry of a Key-Write region: `slots` slots of `4 + value_bytes` each
 /// (32-bit checksum concatenated with the value, §5.2: "a concatenated 4B
 /// checksum for Key-Write").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KwLayout {
     /// Base virtual address of the region.
     pub base_va: u64,
@@ -66,7 +65,7 @@ impl KwLayout {
 /// Geometry of a Postcarding region (Figure 5): `chunks` chunks of `B` hop
 /// slots, each slot 4 bytes, chunk stride padded to a power of two
 /// ("the chunk sizes are therefore padded from 5∗4B = 20B to 32B", §5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PostcardLayout {
     /// Base virtual address.
     pub base_va: u64,
@@ -131,7 +130,7 @@ impl PostcardLayout {
 
 /// Geometry of an Append region: `lists` ring buffers of `entries_per_list`
 /// entries of `entry_bytes` each, laid out list-major.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AppendLayout {
     /// Base virtual address.
     pub base_va: u64,
@@ -166,7 +165,7 @@ impl AppendLayout {
 /// Geometry of a Key-Increment region: a flat array of 8-byte counters
 /// addressed through `N` hash functions (count-min semantics over a single
 /// array).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CmsLayout {
     /// Base virtual address.
     pub base_va: u64,

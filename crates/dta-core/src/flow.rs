@@ -1,14 +1,12 @@
 //! Flow 5-tuples — the most common telemetry key in Table 2 of the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// An IPv4 flow 5-tuple `(src, dst, sport, dport, proto)`.
 ///
 /// Most systems in the paper's Table 2 key their telemetry on the flow
 /// 5-tuple (INT path tracing, Marple, PINT, ...). The canonical 13-byte wire
 /// encoding produced by [`FlowTuple::encode`] is what gets hashed by the
 /// translator, so it must be stable across components.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlowTuple {
     /// Source IPv4 address.
     pub src_ip: u32,

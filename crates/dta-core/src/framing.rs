@@ -7,12 +7,11 @@
 //! sizes so that byte-accurate line-rate accounting is possible.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 use crate::report::ReportError;
 
 /// Ethernet II header (no VLAN), 14 bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EthHeader {
     /// Destination MAC.
     pub dst: [u8; 6],
@@ -55,7 +54,7 @@ impl EthHeader {
 }
 
 /// IPv4 header without options, 20 bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ipv4Header {
     /// DSCP/ECN byte (DTA reports may use a dedicated traffic class).
     pub tos: u8,
@@ -156,7 +155,7 @@ impl Ipv4Header {
 
 /// UDP header, 8 bytes. The checksum is optional in IPv4 and DTA reporters
 /// skip it ("freeing them from ... associated checksums", §3), so we carry 0.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UdpHeader {
     /// Source port.
     pub src_port: u16,

@@ -15,7 +15,6 @@
 //! by design.
 
 use bytes::{Buf, BufMut};
-use serde::{Deserialize, Serialize};
 
 use crate::report::ReportError;
 
@@ -29,7 +28,7 @@ pub const DTA_VERSION: u8 = 1;
 pub const DTA_UDP_PORT: u16 = 40080;
 
 /// The collection primitive requested by a report (§4 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum DtaOpcode {
     /// Key-Write: probabilistic key-value storage with N-redundancy.
@@ -56,7 +55,7 @@ impl DtaOpcode {
 }
 
 /// DTA header flag bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DtaFlags {
     /// Report should raise an RDMA-immediate interrupt at the collector
     /// ("Push notifications", §7).
@@ -93,7 +92,7 @@ impl DtaFlags {
 }
 
 /// The fixed 8-byte DTA header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DtaHeader {
     /// Protocol version (must equal [`DTA_VERSION`]).
     pub version: u8,

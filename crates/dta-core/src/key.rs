@@ -7,7 +7,6 @@
 //! translator hashes verbatim.
 
 use crate::flow::FlowTuple;
-use serde::{Deserialize, Serialize};
 
 /// A 16-byte telemetry key.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// part of the hashed bytes, so two different-length keys with equal prefixes
 /// remain distinct only if their content differs (all constructors here embed
 /// a type tag to guarantee that).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TelemetryKey(pub [u8; 16]);
 
 /// Type tags embedded in byte 0 of structured keys, so that e.g. a flow key

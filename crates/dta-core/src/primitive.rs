@@ -5,7 +5,6 @@
 //! payload follows the sub-header.
 
 use bytes::{Buf, BufMut};
-use serde::{Deserialize, Serialize};
 
 use crate::header::DtaOpcode;
 use crate::key::TelemetryKey;
@@ -16,7 +15,7 @@ use crate::report::ReportError;
 /// "DTA also lets switches specify the importance of per-key telemetry data
 /// by including the level of redundancy, or the number of copies to store, as
 /// a field in the KW header." (§4)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeyWriteHeader {
     /// Storage key.
     pub key: TelemetryKey,
@@ -48,7 +47,7 @@ impl KeyWriteHeader {
 }
 
 /// Key-Increment sub-header: `KeyIncrement(key, counter)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeyIncrementHeader {
     /// Counter key.
     pub key: TelemetryKey,
@@ -84,7 +83,7 @@ impl KeyIncrementHeader {
 }
 
 /// Append sub-header: `Append(listID, data)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AppendHeader {
     /// Target list. The prototype translator "supports tracking up to 131K
     /// simultaneous lists" (§5.2).
@@ -112,7 +111,7 @@ impl AppendHeader {
 /// The egress switch includes the packet's path length so the translator can
 /// trigger the aggregate write before the postcard counter reaches the
 /// topology bound `B` (§4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PostcardingHeader {
     /// Flow / packet identifier the postcards aggregate under.
     pub key: TelemetryKey,
@@ -154,7 +153,7 @@ impl PostcardingHeader {
 }
 
 /// A decoded primitive sub-header of any kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrimitiveHeader {
     /// Key-Write parameters.
     KeyWrite(KeyWriteHeader),

@@ -8,7 +8,8 @@
 //! no rustc or clippy lint expresses, over a hand-rolled lexer and
 //! `#[cfg(test)]`-region recovery: closure identities referenced from a
 //! test (C1), the `static mut` ban (D3), and the per-crate `code_lines`
-//! table. DESIGN.md, "Static analysis", maps every rule to its mechanism.
+//! and `unreferenced_pub` tables. DESIGN.md, "Static analysis", maps every
+//! rule to its mechanism.
 //!
 //! Run it with `cargo run -p dta-lint -- --check` (CI does, in the `tier1`
 //! job, and uploads `LINT_report.json`). There is no escape hatch: a
@@ -22,7 +23,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use report::Outcome;
-use rules::{analyze, code_lines, FileKind, SourceFile};
+use rules::{analyze, code_lines, unreferenced_pub, FileKind, SourceFile};
 
 /// Discover and analyze every crate under `root` (the directory holding
 /// `crates/`). `Err` is an I/O failure, distinct from rule diagnostics.
@@ -39,38 +40,50 @@ pub fn run(root: &Path) -> Result<Outcome, String> {
         files_scanned: files.iter().filter(|f| f.kind == FileKind::Analyzed).count(),
         diagnostics: analyze(&files),
         code_lines: code_lines(&files),
+        unreferenced_pub: unreferenced_pub(&files),
     })
 }
 
-/// Collect every `crates/*/src/**/*.rs` (analyzed) and
-/// `crates/*/tests/**/*.rs` (C1 reference corpus) file, in sorted order.
-/// `tests/fixtures/` subtrees are excluded: lint fixtures deliberately
-/// violate the rules and must be invisible to the real run.
+/// Collect every `crates/*/src/**/*.rs` (analyzed),
+/// `crates/*/tests/**/*.rs` (C1 reference corpus) and caller file (a
+/// crate's `examples/` and `benches/`, the root package, `benchmark/src`),
+/// in sorted order. `tests/fixtures/` subtrees are excluded: lint fixtures
+/// deliberately violate the rules and must be invisible to the real run.
 fn discover(root: &Path, crates_dir: &Path) -> Result<Vec<SourceFile>, String> {
     let mut files = Vec::new();
+    let mut collect = |base: PathBuf, crate_dir: &str, kind: FileKind| -> Result<(), String> {
+        if !base.is_dir() {
+            return Ok(());
+        }
+        let mut paths = Vec::new();
+        walk_rs(&base, &mut paths)?;
+        paths.sort();
+        for p in paths {
+            let src = fs::read_to_string(&p).map_err(|e| format!("{}: {e}", p.display()))?;
+            let rel = p
+                .strip_prefix(root)
+                .unwrap_or(&p)
+                .components()
+                .map(|c| c.as_os_str().to_string_lossy())
+                .collect::<Vec<_>>()
+                .join("/");
+            files.push(SourceFile { path: rel, crate_dir: crate_dir.to_string(), kind, src });
+        }
+        Ok(())
+    };
     for crate_dir in sorted_dirs(crates_dir)? {
         let name = crate_dir.file_name().unwrap_or_default().to_string_lossy().to_string();
-        for (sub, kind) in [("src", FileKind::Analyzed), ("tests", FileKind::TestOnly)] {
-            let base = crate_dir.join(sub);
-            if !base.is_dir() {
-                continue;
-            }
-            let mut paths = Vec::new();
-            walk_rs(&base, &mut paths)?;
-            paths.sort();
-            for p in paths {
-                let src = fs::read_to_string(&p)
-                    .map_err(|e| format!("{}: {e}", p.display()))?;
-                let rel = p
-                    .strip_prefix(root)
-                    .unwrap_or(&p)
-                    .components()
-                    .map(|c| c.as_os_str().to_string_lossy())
-                    .collect::<Vec<_>>()
-                    .join("/");
-                files.push(SourceFile { path: rel, crate_dir: name.clone(), kind, src });
-            }
+        for (sub, kind) in [
+            ("src", FileKind::Analyzed),
+            ("tests", FileKind::TestOnly),
+            ("examples", FileKind::Caller),
+            ("benches", FileKind::Caller),
+        ] {
+            collect(crate_dir.join(sub), &name, kind)?;
         }
+    }
+    for outside in ["src", "examples", "benchmark/src"] {
+        collect(root.join(outside), "", FileKind::Caller)?;
     }
     Ok(files)
 }

@@ -16,7 +16,7 @@ OPTIONS:
   -h, --help         this text
 
 RULES: D3 (static mut outside tests), C1 (closure identities no test
-       references). Also counts code_lines per crate.
+       references). Also counts code_lines and unreferenced_pub per crate.
 ";
 
 fn main() -> ExitCode {

@@ -18,6 +18,9 @@ pub struct Outcome {
     /// Shipped code lines per crate ([`crate::rules::code_lines`]): the
     /// number the "least code" aim watches.
     pub code_lines: BTreeMap<String, usize>,
+    /// `pub` items per crate that no other file's shipped code names
+    /// ([`crate::rules::unreferenced_pub`]): the "least surface" number.
+    pub unreferenced_pub: BTreeMap<String, usize>,
 }
 
 impl Outcome {
@@ -48,11 +51,16 @@ impl Outcome {
                 if viol == 1 { "" } else { "s" },
             ));
         }
-        out.push_str("  code lines (non-blank, non-comment, outside #[cfg(test)]):\n");
-        for (krate, lines) in &self.code_lines {
-            out.push_str(&format!("    {krate:<16} {lines:>6}\n"));
+        for (title, table) in [
+            ("code lines (non-blank, non-comment, outside #[cfg(test)])", &self.code_lines),
+            ("unreferenced pub items (no other file's non-test code names them)", &self.unreferenced_pub),
+        ] {
+            out.push_str(&format!("  {title}:\n"));
+            for (krate, n) in table {
+                out.push_str(&format!("    {krate:<16} {n:>6}\n"));
+            }
+            out.push_str(&format!("    {:<16} {:>6}\n", "total", table.values().sum::<usize>()));
         }
-        out.push_str(&format!("    {:<16} {:>6}\n", "total", self.code_lines.values().sum::<usize>()));
         out
     }
 
@@ -69,11 +77,11 @@ impl Outcome {
                 )
             })
             .collect();
-        let code_lines: Vec<String> = self
-            .code_lines
-            .iter()
-            .map(|(krate, lines)| format!("{}: {lines}", json_str(krate)))
-            .collect();
+        let per_crate = |table: &BTreeMap<String, usize>| -> String {
+            let cells: Vec<String> =
+                table.iter().map(|(krate, n)| format!("{}: {n}", json_str(krate))).collect();
+            cells.join(", ")
+        };
         let diagnostics: Vec<String> = self
             .diagnostics
             .iter()
@@ -88,11 +96,13 @@ impl Outcome {
             })
             .collect();
         format!(
-            "{{\n  \"schema\": \"dta-lint/report-v2\",\n  \"files_scanned\": {},\n  \
-             \"rules\": {{\n{}\n  }},\n  \"code_lines\": {{{}}},\n  \"diagnostics\": [\n{}{}  ]\n}}\n",
+            "{{\n  \"schema\": \"dta-lint/report-v3\",\n  \"files_scanned\": {},\n  \
+             \"rules\": {{\n{}\n  }},\n  \"code_lines\": {{{}}},\n  \
+             \"unreferenced_pub\": {{{}}},\n  \"diagnostics\": [\n{}{}  ]\n}}\n",
             self.files_scanned,
             rules.join(",\n"),
-            code_lines.join(", "),
+            per_crate(&self.code_lines),
+            per_crate(&self.unreferenced_pub),
             diagnostics.join(",\n"),
             if diagnostics.is_empty() { "" } else { "\n" },
         )
@@ -124,7 +134,12 @@ mod tests {
 
     #[test]
     fn summary_names_both_rules_even_at_zero() {
-        let o = Outcome { files_scanned: 3, diagnostics: vec![], code_lines: BTreeMap::new() };
+        let o = Outcome {
+            files_scanned: 3,
+            diagnostics: vec![],
+            code_lines: BTreeMap::new(),
+            unreferenced_pub: BTreeMap::new(),
+        };
         let s = o.summary();
         for r in Rule::ALL {
             assert!(s.contains(r.id()), "summary missing {r}: {s}");

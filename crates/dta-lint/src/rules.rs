@@ -1,5 +1,6 @@
 //! What `dta-lint` still checks: the two properties no rustc or clippy lint
-//! can express, plus the per-crate `code_lines` count.
+//! can express, plus the per-crate `code_lines` and `unreferenced_pub`
+//! counts.
 //!
 //! Both rules are *lexical/structural*: they reason over the token stream
 //! from [`crate::lex`] plus light brace-structure recovery (`#[cfg(test)]`
@@ -57,6 +58,10 @@ pub enum FileKind {
     /// A `crates/*/tests/**/*.rs` file: scanned only as C1's test-reference
     /// corpus (integration tests are all test code by construction).
     TestOnly,
+    /// Shipped code outside `crates/*/src` (a crate's `examples/`, the root
+    /// `src/` and `examples/`, `benchmark/src`): scanned only for the names
+    /// it uses, as callers in [`unreferenced_pub`].
+    Caller,
 }
 
 /// One input file, already read.
@@ -123,6 +128,7 @@ pub fn analyze(files: &[SourceFile]) -> Vec<Diagnostic> {
                 }
                 analyze_file(f, &toks, &in_test, &mut diags, &mut closes_defs);
             }
+            FileKind::Caller => {}
         }
     }
 
@@ -160,6 +166,64 @@ pub fn code_lines(files: &[SourceFile]) -> BTreeMap<String, usize> {
         let lines: BTreeSet<usize> =
             toks.iter().zip(&in_test).filter(|(_, t)| !**t).map(|(t, _)| t.line).collect();
         *per_crate.entry(f.crate_dir.clone()).or_insert(0) += lines.len();
+    }
+    per_crate
+}
+
+/// Per-crate `unreferenced_pub`: `pub` fns, structs, enums, consts and
+/// statics declared in `src/` outside `#[cfg(test)]` whose name no *other*
+/// file's non-test code mentions — surface that only its own file (or only
+/// tests) can be using. Name-based like C1: a common name (`new`, `len`)
+/// is always "referenced", so the count is a floor, and it is the
+/// direction that matters. `pub(crate)` and `pub(super)` items are not
+/// surface; a declaration's own name token is not a mention.
+pub fn unreferenced_pub(files: &[SourceFile]) -> BTreeMap<String, usize> {
+    const ITEM: [&str; 5] = ["fn", "struct", "enum", "const", "static"];
+    const QUALIFIER: [&str; 4] = ["const", "unsafe", "async", "extern"];
+    let is_any =
+        |t: Option<&Token>, set: &[&str]| t.is_some_and(|t| set.iter().any(|k| t.is_ident(k)));
+
+    // name -> the first file mentioning it, and whether a second one does.
+    let mut mentions: BTreeMap<String, (usize, bool)> = BTreeMap::new();
+    // (file, crate, name) per `pub` declaration.
+    let mut decls: Vec<(usize, &str, String)> = Vec::new();
+    for (fi, f) in files.iter().enumerate().filter(|(_, f)| f.kind != FileKind::TestOnly) {
+        let toks = lex(&f.src);
+        let in_test = test_regions(&toks);
+        for i in (0..toks.len()).filter(|i| !in_test[*i]) {
+            let t = &toks[i];
+            if is_ident(t) && !(i > 0 && is_any(toks.get(i - 1), &ITEM)) {
+                let seen = mentions.entry(t.text.clone()).or_insert((fi, false));
+                seen.1 |= seen.0 != fi;
+            }
+            if f.kind != FileKind::Analyzed || !t.is_ident("pub") {
+                continue;
+            }
+            let mut j = i + 1;
+            while is_any(toks.get(j), &QUALIFIER)
+                && (is_any(toks.get(j + 1), &QUALIFIER) || is_any(toks.get(j + 1), &["fn"]))
+            {
+                j += 1;
+            }
+            if !is_any(toks.get(j), &ITEM) {
+                continue;
+            }
+            if let Some(name) = toks.get(j + 1).filter(|n| is_ident(n) && n.text != "_") {
+                decls.push((fi, &f.crate_dir, name.text.clone()));
+            }
+        }
+    }
+
+    let mut per_crate: BTreeMap<String, usize> = files
+        .iter()
+        .filter(|f| f.kind == FileKind::Analyzed)
+        .map(|f| (f.crate_dir.clone(), 0))
+        .collect();
+    for (fi, krate, name) in decls {
+        let elsewhere = mentions.get(&name).is_some_and(|(first, more)| *more || *first != fi);
+        if !elsewhere {
+            *per_crate.get_mut(krate).expect("every analyzed crate has a row") += 1;
+        }
     }
     per_crate
 }
@@ -407,6 +471,30 @@ mod tests {
         let counts = code_lines(&[file("dta-sim", src), file("dta-net", "fn h() {}\n"), t]);
         assert_eq!(counts["dta-sim"], 3, "fn f, its body line, its closing brace");
         assert_eq!(counts["dta-net"], 1);
+    }
+
+    #[test]
+    fn unreferenced_pub_counts_names_no_other_shipped_file_mentions() {
+        let lib = file(
+            "dta-core",
+            "pub fn used() {}\npub fn lonely() { used(); }\npub(crate) fn inner() {}\n\
+             pub const fn konst() {}\npub const LIMIT: u8 = 1;\npub struct Orphan;\n\
+             #[cfg(test)]\nmod tests { pub fn helper() {} }\n",
+        );
+        // A caller's declaration of the same name, its test module and a
+        // tests/ file are not mentions; its shipped code is.
+        let mut caller = file(
+            "bench",
+            "fn konst() {}\nfn main() { used(); let _ = LIMIT; }\n\
+             #[cfg(test)]\nmod tests { fn t() { lonely(); } }\n",
+        );
+        caller.kind = FileKind::Caller;
+        let mut t = file("dta-core", "fn t() { Orphan; }\n");
+        t.kind = FileKind::TestOnly;
+        let counts = unreferenced_pub(&[lib, caller, t, file("dta-net", "pub(crate) fn f() {}\n")]);
+        assert_eq!(counts["dta-core"], 3, "lonely, konst, Orphan");
+        assert_eq!(counts["dta-net"], 0, "every analyzed crate has a row");
+        assert!(!counts.contains_key("bench"), "callers declare no surface");
     }
 
     #[test]

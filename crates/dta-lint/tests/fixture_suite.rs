@@ -158,12 +158,14 @@ fn seeded_violations_fail_check_and_a_clean_tree_passes() {
     assert!(out.contains("C1: `MigrationStats::ledger_closes`"), "{out}");
     assert!(!out.contains("HIDDEN") && !out.contains("fixtures/bad.rs"), "{out}");
     let report = std::fs::read_to_string(root.join("LINT_report.json")).expect("report written");
-    assert!(report.contains("\"schema\": \"dta-lint/report-v2\""), "{report}");
+    assert!(report.contains("\"schema\": \"dta-lint/report-v3\""), "{report}");
     assert!(report.contains("\"D3\": {\"title\": \"static mut outside tests\", \"violations\": 1}"));
 
     std::fs::write(src.join("lib.rs"), "pub fn now_ns(clock: u64) -> u64 { clock }\n").unwrap();
     let (code, out) = check();
     assert_eq!(code, Some(0), "clean tree must pass --check:\n{out}");
     assert!(out.contains("1 files scanned, 0 diagnostics"), "{out}");
+    let report = std::fs::read_to_string(root.join("LINT_report.json")).expect("report written");
+    assert!(report.contains("\"unreferenced_pub\": {\"dta-net\": 1}"), "{report}");
     let _ = std::fs::remove_dir_all(&root);
 }

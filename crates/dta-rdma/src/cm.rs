@@ -10,15 +10,13 @@
 //! `ConnectReply` exchange QPNs, starting PSNs, and the per-primitive memory
 //! metadata (rkey, base address, slot geometry).
 
-use serde::{Deserialize, Serialize};
-
 use crate::qp::QueuePair;
 
 /// Identifier of a collector-hosted service (one per primitive instance).
 pub type ServiceId = u16;
 
 /// Memory/service metadata advertised by the collector for one primitive.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConnectionParams {
     /// Service identifier (maps to an RDMA_CM port in the paper).
     pub service: ServiceId,
@@ -39,7 +37,7 @@ pub struct ConnectionParams {
 }
 
 /// CM protocol events.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CmEvent {
     /// Requester (translator) asks to connect to a service, offering its QPN
     /// and starting PSN.

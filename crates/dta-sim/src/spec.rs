@@ -551,6 +551,9 @@ impl ScenarioSpec {
         if self.translator.append_batch == 0 {
             return Err("translator.append_batch must be >= 1".into());
         }
+        if self.translator.mtu == 0 {
+            return Err("translator.mtu must be >= 1".into());
+        }
         if self.traffic.key_write > 0 && self.traffic.kw_keys == 0 {
             return Err("key_write weight set but kw_keys is 0".into());
         }

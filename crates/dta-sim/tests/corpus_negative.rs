@@ -33,6 +33,7 @@ const EXPECTATIONS: &[(&str, &[&str])] = &[
     ("postcard_redundancy_overflow.toml", &["translator.postcard_redundancy", "1..=8, got 9"]),
     ("kw_redundancy_overflow.toml", &["traffic.kw_redundancy", "1..=8, got 9"]),
     ("append_batch_zero.toml", &["translator.append_batch"]),
+    ("mtu_zero.toml", &["translator.mtu must be >= 1"]),
 ];
 
 #[test]

@@ -13,7 +13,6 @@
 //!   constraint that shapes the Append batching design ("our
 //!   non-recirculating RDMA-generating pipeline requiring access to all B−1
 //!   entries during a single pipeline traversal", §6.4).
-//! * [`table`] — exact-match match-action tables.
 //! * [`multicast`] — the packet replication engine (PRE) used to emit the N
 //!   redundant copies for Key-Write / Key-Increment / Postcarding ("The
 //!   redundancy ... is generated by the packet replication engine through
@@ -22,9 +21,7 @@
 pub mod multicast;
 pub mod register;
 pub mod resources;
-pub mod table;
 
 pub use multicast::MulticastEngine;
 pub use register::RegisterArray;
 pub use resources::{ResourceClass, ResourceVector};
-pub use table::ExactTable;

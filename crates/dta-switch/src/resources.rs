@@ -5,10 +5,8 @@
 //! footprints as [`ResourceVector`]s; vectors add when features compose
 //! (e.g., translator base + Append batching in Table 3).
 
-use serde::{Deserialize, Serialize};
-
 /// The resource classes reported in the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceClass {
     /// Static RAM (register arrays, table entries).
     Sram,
@@ -49,7 +47,7 @@ impl ResourceClass {
 }
 
 /// A resource usage vector, in percent of the chip's capacity per class.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResourceVector {
     /// SRAM %.
     pub sram: f64,

@@ -215,47 +215,3 @@ mod tests {
         assert!(events < 1_000, "too many events: {events}");
     }
 }
-
-/// Bridge from the real INT-MD wire format to a DTA report: the sink parses
-/// the metadata stack and exports the switch-ID path as a Key-Write keyed by
-/// the flow (Table 2's "INT sinks reporting 5x4B switch IDs using flow
-/// 5-tuple keys").
-pub fn report_from_stack(
-    stack: &crate::int_wire::IntStack,
-    flow: &FlowTuple,
-    seq: u32,
-    redundancy: u8,
-) -> DtaReport {
-    let mut payload = Vec::with_capacity(stack.hops.len() * 4);
-    for id in stack.switch_path() {
-        payload.extend_from_slice(&id.to_be_bytes());
-    }
-    DtaReport::key_write(seq, TelemetryKey::flow(flow), redundancy, payload)
-}
-
-#[cfg(test)]
-mod wire_bridge_tests {
-    use super::*;
-    use crate::int_wire::{HopMetadata, IntInstructions, IntStack};
-
-    #[test]
-    fn sink_exports_parsed_stack_as_key_write() {
-        let instr = IntInstructions(IntInstructions::SWITCH_ID | IntInstructions::HOP_LATENCY);
-        let mut stack = IntStack::source(instr, 5);
-        for i in 0..5u32 {
-            stack.push_hop(HopMetadata {
-                switch_id: Some(1000 + i),
-                hop_latency: Some(50),
-                ..HopMetadata::default()
-            });
-        }
-        // The sink receives the wire bytes, parses, and reports.
-        let parsed = IntStack::decode(stack.encode()).unwrap();
-        let flow = FlowTuple::tcp(1, 2, 3, 4);
-        let report = report_from_stack(&parsed, &flow, 9, 2);
-        assert_eq!(report.payload.len(), 20);
-        assert_eq!(&report.payload[0..4], &1000u32.to_be_bytes());
-        assert_eq!(&report.payload[16..20], &1004u32.to_be_bytes());
-        assert_eq!(parsed.total_latency(), 250);
-    }
-}

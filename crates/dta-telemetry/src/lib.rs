@@ -2,37 +2,26 @@
 //!
 //! DTA is a *collection* system: the actual telemetry is produced by
 //! existing monitoring systems running on switches. Table 2 of the paper
-//! maps each state-of-the-art system onto a DTA primitive; this crate
-//! implements those producers so the end-to-end experiments run against the
-//! workloads the paper names:
+//! maps each state-of-the-art system onto a DTA primitive
+//! ([`TABLE2_INTEGRATIONS`]); this crate implements the producers the
+//! examples and `repro` experiments run, covering all four primitives:
 //!
 //! * [`int`] — In-band Network Telemetry: XD/MX postcards, MD path tracing,
 //!   congestion events.
 //! * [`marple`] — Marple queries: flowlet sizes, TCP timeouts, lossy flows,
 //!   host counters.
 //! * [`netseer`] — NetSeer loss events (18 B, Append).
-//! * [`turboflow`] — TurboFlow evicted microflow records (Key-Increment).
-//! * [`sonata`] — Sonata query results (Key-Write) and raw tuples (Append).
-//! * [`packetscope`] — PacketScope flow traversal info and pipeline-loss
-//!   events.
-//! * [`dshark`] — dShark parser-to-grouper packet summaries.
-//! * [`pint`] — PINT-style sampled per-flow reports.
+//! * [`trajectory`] — Trajectory Sampling path labels (Postcarding).
 //! * [`traces`] — synthetic data-center traffic (heavy-tailed flows, Zipf
 //!   popularity) standing in for the Benson et al. traces of §6.1.
 //! * [`rates`] — the Table 1 per-switch report-rate model.
 
-pub mod dshark;
 pub mod int;
-pub mod int_wire;
 pub mod marple;
 pub mod netseer;
-pub mod packetscope;
-pub mod pint;
 pub mod rates;
-pub mod sonata;
 pub mod traces;
 pub mod trajectory;
-pub mod turboflow;
 
 pub use rates::{MonitoringSystem, ReportRateModel};
 pub use traces::{TracePacket, TraceConfig, TraceGenerator};

@@ -6,11 +6,9 @@
 //! packet size, then applies each system's per-packet report factor. With
 //! the paper's assumptions it reproduces Table 1's published rates.
 
-use serde::{Deserialize, Serialize};
-
 /// The monitoring systems of Table 1 (plus Marple host counters used by
 /// later experiments).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MonitoringSystem {
     /// INT postcards with per-hop latency at 0.5% sampling.
     IntPostcards,
@@ -70,7 +68,7 @@ impl MonitoringSystem {
 }
 
 /// Switch-level packet/report rate model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ReportRateModel {
     /// Switch capacity in bits per second (6.4 Tb/s in Table 1).
     pub capacity_bps: f64,

@@ -28,7 +28,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod append;
-pub mod extensions;
 pub mod failover;
 pub mod fleet_query;
 mod link;
@@ -44,7 +43,6 @@ pub mod spsc;
 pub mod translator;
 
 pub use append::AppendBatcher;
-pub use extensions::{LatencyMatch, LatencySumQuery};
 pub use failover::{
     CollectorRoutingTable, FailoverStats, FleetAdmin, FleetConfig, FleetEvent, FleetNode,
     FleetRunReport, LedgerEntry, ReplayLedger,

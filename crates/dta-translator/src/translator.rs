@@ -30,7 +30,7 @@ use dta_rdma::qp::QueuePair;
 use dta_rdma::verbs::RdmaOp;
 use dta_switch::MulticastEngine;
 
-use crate::append::AppendBatcher;
+use crate::append::{AppendBatcher, BatchWrite};
 use crate::pool::{ImagePool, IMG_POOL_DEPTH};
 use crate::postcard_cache::{CacheEmission, PostcardCache};
 use crate::ratelimit::{RateLimiter, RateLimiterConfig};
@@ -476,26 +476,7 @@ impl Translator {
                 if !admit(&mut self.limiter, &mut self.stats, now_ns, 1, nack, out) {
                     return;
                 }
-                let rkey = conn.params.rkey;
-                let data = self.images.copy(batch.data);
-                if data.len() > self.config.mtu {
-                    // Over-MTU batches take the segmented-write path (the
-                    // immediate flag is not combinable with segmentation in
-                    // this prototype; the WRITE LAST completes silently).
-                    out.packets.extend(dta_rdma::segment::segment_write(
-                        &mut conn.qp,
-                        rkey,
-                        batch.va,
-                        data,
-                        self.config.mtu,
-                    ));
-                } else {
-                    let op = match immediate {
-                        Some(imm) => RdmaOp::WriteImm { rkey, va: batch.va, data, imm },
-                        None => RdmaOp::Write { rkey, va: batch.va, data },
-                    };
-                    out.packets.push(op.into_packet(&mut conn.qp));
-                }
+                emit_append_batch(conn, &mut self.images, self.config.mtu, batch, immediate, out);
             }
 
             PrimitiveHeader::Postcarding(h) => {
@@ -529,12 +510,7 @@ impl Translator {
             while let Some(list) = batcher.next_dirty(from) {
                 from = list + 1;
                 let Some(batch) = batcher.flush(list) else { continue };
-                let op = RdmaOp::Write {
-                    rkey: conn.params.rkey,
-                    va: batch.va,
-                    data: self.images.copy(batch.data),
-                };
-                out.packets.push(op.into_packet(&mut conn.qp));
+                emit_append_batch(conn, &mut self.images, self.config.mtu, batch, None, &mut out);
             }
         }
         self.stats.rdma_out += out.packets.len() as u64;
@@ -582,6 +558,36 @@ impl Translator {
             let op = RdmaOp::Write { rkey, va, data };
             out.packets.push(op.into_packet(&mut conn.qp));
         }
+    }
+}
+
+/// Put one staged Append batch on the wire — completed by a report or
+/// flushed partial by the timer, the row is full-width either way. Over
+/// the translator's fields for the reason `admit` is: the batch is still
+/// borrowed from the batcher.
+#[inline]
+fn emit_append_batch(
+    conn: &mut ServiceConn,
+    images: &mut ImagePool,
+    mtu: usize,
+    batch: BatchWrite<'_>,
+    immediate: Option<u32>,
+    out: &mut TranslatorOutput,
+) {
+    let rkey = conn.params.rkey;
+    let data = images.copy(batch.data);
+    if data.len() > mtu {
+        // Over-MTU batches take the segmented-write path (the immediate
+        // flag is not combinable with segmentation in this prototype; the
+        // WRITE LAST completes silently).
+        out.packets
+            .extend(dta_rdma::segment::segment_write(&mut conn.qp, rkey, batch.va, data, mtu));
+    } else {
+        let op = match immediate {
+            Some(imm) => RdmaOp::WriteImm { rkey, va: batch.va, data, imm },
+            None => RdmaOp::Write { rkey, va: batch.va, data },
+        };
+        out.packets.push(op.into_packet(&mut conn.qp));
     }
 }
 

@@ -16,16 +16,15 @@
 //! * [`rdma`] — the software RoCEv2 stack (verbs, QPs, memory regions, NIC).
 //! * [`switch`] — the programmable-switch pipeline model.
 //! * [`telemetry`] — monitoring systems producing reports (INT, Marple,
-//!   NetSeer, ...).
+//!   NetSeer, Trajectory Sampling).
 //! * [`reporter`] — the switch-side DTA exporter.
 //! * [`translator`] — the DTA→RDMA translator (the paper's contribution).
 //! * [`collector`] — the collector's write-only stores and query engines.
 //! * [`sim`] — the end-to-end scenario harness (reporter fleets → faulty
 //!   fat-tree fabric → translator ToR → collector, from one declarative
 //!   spec).
-//! * [`baselines`] — CPU-collector baselines (MultiLog, Cuckoo, BTrDB,
-//!   INTCollector).
-//! * [`analysis`] — closed-form error bounds and experiment tooling.
+//! * [`analysis`] — closed-form error bounds, the CPU-collector cost model
+//!   and experiment tooling.
 //!
 //! ## Quickstart
 //!
@@ -58,7 +57,6 @@
 //! ```
 
 pub use dta_analysis as analysis;
-pub use dta_baselines as baselines;
 pub use dta_collector as collector;
 pub use dta_core as core;
 pub use dta_hash as hash;

@@ -1,15 +1,15 @@
 //! Integration tests for the §7 extensions: multi-collector partitioning,
-//! PFC lossless transport, the query-enhancing translator, and trajectory
-//! sampling.
+//! PFC lossless transport, push notifications, over-MTU Append batches, and
+//! trajectory sampling.
 
-use dta::collector::service::{CollectorService, ServiceConfig, SERVICE_APPEND, SERVICE_KW};
+use dta::collector::service::{CollectorService, ServiceConfig, SERVICE_KW};
 use dta::collector::QueryPolicy;
 use dta::core::{DtaReport, TelemetryKey};
 use dta::net::{Link, LinkConfig, SimTime};
 use dta::rdma::cm::CmRequester;
 use dta::telemetry::trajectory::TrajectorySampling;
 use dta::telemetry::traces::{TraceConfig, TraceGenerator};
-use dta::translator::{LatencySumQuery, Partitioner, Translator, TranslatorConfig};
+use dta::translator::{Partitioner, Translator, TranslatorConfig};
 
 /// Connect a translator to one collector's KW service.
 fn kw_pair() -> (CollectorService, Translator) {
@@ -94,37 +94,6 @@ fn pfc_lossless_link_absorbs_burst_without_drops() {
     assert_eq!(lossless_drops, 0, "PFC link must never drop");
     assert!(lossless.is_paused(), "PFC must be asserting pause");
     assert!(lossless.stats.pauses > 0);
-}
-
-#[test]
-fn latency_sum_query_reports_through_append() {
-    // The standing query's alert reports flow through the normal Append
-    // path to the collector.
-    let mut c = CollectorService::new(ServiceConfig::default());
-    let mut t = Translator::new(TranslatorConfig { append_batch: 1, ..TranslatorConfig::default() });
-    let req = CmRequester::new(0x62, 0);
-    let reply = c.handle_cm(&req.request(SERVICE_APPEND));
-    let (qp, params) = req.complete(&reply).unwrap();
-    t.connect_append(qp, params);
-
-    let mut query = LatencySumQuery::new(1_000, 5, 7);
-    let slow_flow = TelemetryKey::from_u64(500);
-    let fast_flow = TelemetryKey::from_u64(501);
-    for hop in 0..5u8 {
-        // Slow flow: 300ns per hop -> 1500 > 1000. Fast flow: 100ns -> 500.
-        if let Some((m, report)) = query.on_postcard(&slow_flow, hop, 5, 300) {
-            assert_eq!(m.total, 1500);
-            for pkt in t.process(0, &report).packets {
-                c.nic_ingress(&pkt);
-            }
-        }
-        assert!(query.on_postcard(&fast_flow, hop, 5, 100).is_none() || hop < 4);
-    }
-    assert_eq!(query.matched, 1);
-    // The alert landed in list 7: flow key + total.
-    let reader = c.append.as_mut().unwrap();
-    let entry = reader.poll(7);
-    assert_eq!(&entry[..4], &slow_flow.as_bytes()[..4]);
 }
 
 #[test]
@@ -224,8 +193,26 @@ fn over_mtu_append_batches_segment_and_reassemble() {
     }
     // One 4KiB batch at MTU 1024 = 4 segments.
     assert_eq!(packets_out, 4, "expected a segmented 4-packet write");
+
+    // A partial batch the timer flushes is the same zero-padded 4KiB row,
+    // so it must leave as the same 4 segments, not one over-MTU WRITE-Only.
+    for i in 64..74u32 {
+        let mut entry = vec![0u8; 64];
+        entry[..4].copy_from_slice(&i.to_be_bytes());
+        assert!(t.process(0, &DtaReport::append(i, 0, entry)).packets.is_empty());
+    }
+    let flushed = t.flush(0).packets;
+    assert_eq!(flushed.len(), 4, "flushed partial batch must be segmented");
+    for pkt in &flushed {
+        assert!(pkt.payload.len() <= 1024, "segment over the MTU");
+        assert!(matches!(
+            c.nic_ingress(pkt),
+            dta::rdma::nic::RxOutcome::Executed(_)
+        ));
+    }
+
     let reader = c.append.as_mut().unwrap();
-    for i in 0..64u32 {
+    for i in 0..74u32 {
         let entry = reader.poll(0);
         assert_eq!(&entry[..4], &i.to_be_bytes(), "entry {i} corrupted");
     }

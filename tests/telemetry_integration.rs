@@ -7,17 +7,12 @@ use dta::collector::service::{
 use dta::collector::{PostcardQueryOutcome, QueryOutcome, QueryPolicy};
 use dta::core::{DtaOpcode, DtaReport, TelemetryKey};
 use dta::rdma::cm::CmRequester;
-use dta::telemetry::dshark::DsharkParser;
 use dta::telemetry::int::{synthetic_path, IntCongestionEvents, IntPathTracing, IntPostcards};
 use dta::telemetry::marple::{
     MarpleFlowletSizes, MarpleHostCounters, MarpleLossyFlows, MarpleTcpTimeouts,
 };
 use dta::telemetry::netseer::NetSeer;
-use dta::telemetry::packetscope::PacketScope;
-use dta::telemetry::pint::Pint;
-use dta::telemetry::sonata::{SonataQuery, SonataRawTransfer};
 use dta::telemetry::traces::{TraceConfig, TraceGenerator};
-use dta::telemetry::turboflow::TurboFlow;
 use dta::telemetry::TABLE2_INTEGRATIONS;
 use dta::translator::{Translator, TranslatorConfig};
 
@@ -163,22 +158,21 @@ fn marple_timeouts_via_key_write_match_ground_truth() {
 }
 
 #[test]
-fn marple_host_counters_and_turboflow_via_key_increment() {
+fn marple_host_counters_via_key_increment() {
     let (mut c, mut t) = pair();
     let mut gen = TraceGenerator::new(TraceConfig { hosts: 64, ..TraceConfig::default() });
     let mut hosts = MarpleHostCounters::new(16, 2);
-    let mut tf = TurboFlow::new(64, 2);
     let n = 20_000u64;
     let mut host_truth = std::collections::BTreeMap::new();
     for _ in 0..n {
         let pkt = gen.next_packet();
         *host_truth.entry(pkt.flow.src_ip).or_insert(0u64) += 1;
-        for r in [hosts.on_packet(&pkt), tf.on_packet(&pkt)].into_iter().flatten() {
+        if let Some(r) = hosts.on_packet(&pkt) {
             assert_eq!(r.header.opcode, DtaOpcode::KeyIncrement);
             run(&mut c, &mut t, &r);
         }
     }
-    for r in hosts.flush().iter().chain(tf.flush().iter()) {
+    for r in hosts.flush().iter() {
         run(&mut c, &mut t, r);
     }
     // Count-min: estimates are upper bounds of the truth; sum-preservation
@@ -191,34 +185,19 @@ fn marple_host_counters_and_turboflow_via_key_increment() {
 }
 
 #[test]
-fn netseer_packetscope_dshark_sonata_pint_cover_their_primitives() {
+fn netseer_loss_events_via_append() {
     let (mut c, mut t) = pair();
     let mut gen = TraceGenerator::new(TraceConfig::default());
     let mut netseer = NetSeer::new(0.01, 4, 1, 1);
-    let mut ps = PacketScope::new(3, 0.01, 4, 1, 2);
-    let mut dshark = DsharkParser::new(4, 8);
-    let mut sonata_q = SonataQuery::new(12, 1_000_000, 1);
-    let mut sonata_raw = SonataRawTransfer::new(12);
-    let mut pint = Pint::new(2, 1 << 12);
-    let mut by_opcode = std::collections::HashMap::new();
+    let mut appended = 0u64;
     for _ in 0..20_000 {
-        let pkt = gen.next_packet();
-        let mut reports: Vec<DtaReport> = Vec::new();
-        reports.extend(netseer.on_packet(&pkt));
-        let (traversal, drop) = ps.on_packet(&pkt);
-        reports.push(traversal);
-        reports.extend(drop);
-        reports.push(dshark.on_packet(&pkt));
-        reports.extend(sonata_q.on_match(&pkt));
-        reports.push(sonata_raw.on_match(&pkt));
-        reports.push(pint.on_packet(&pkt));
-        for r in reports {
-            *by_opcode.entry(r.header.opcode).or_insert(0u64) += 1;
+        if let Some(r) = netseer.on_packet(&gen.next_packet()) {
+            assert_eq!(r.header.opcode, DtaOpcode::Append);
             run(&mut c, &mut t, &r);
+            appended += 1;
         }
     }
-    assert!(by_opcode[&DtaOpcode::Append] > 1_000, "append-backed systems silent");
-    assert!(by_opcode[&DtaOpcode::KeyWrite] > 1_000, "kw-backed systems silent");
+    assert!(appended > 100, "NetSeer silent: {appended} loss events");
 }
 
 #[test]
