@@ -6,6 +6,7 @@
 use dta_analysis::keywrite::kw_wrong_return_bound;
 use dta_analysis::montecarlo::simulate_keywrite;
 use dta_analysis::postcarding::kw_vs_postcarding_wrong_output;
+use dta_analysis::resources::{translator_footprint, TranslatorFeatures};
 use dta_analysis::table::{fmt_pct, fmt_rate};
 use dta_analysis::Table;
 use dta_collector::layout::KwLayout;
@@ -13,7 +14,6 @@ use dta_collector::{KeyWriteStore, QueryPolicy};
 use dta_core::TelemetryKey;
 use dta_rdma::mr::{MemoryRegion, MrAccess};
 use dta_rdma::nic::{NicConfig, NicPerfModel};
-use dta_translator::{translator_footprint, TranslatorFeatures};
 
 use super::system::append_wire_bytes;
 

@@ -185,7 +185,7 @@ pub fn figure14(quick: bool) -> Table {
 /// (each flow's 5 postcards are spread across 5 rounds); a completed flow is
 /// immediately replaced by a fresh one. Completeness is measured from the
 /// cache's own emission counters.
-pub fn postcard_completeness(
+fn postcard_completeness(
     cache_slots: usize,
     intermediate: usize,
     target_inserts: usize,

@@ -3,18 +3,18 @@
 
 use bytes::Bytes;
 use dta_analysis::cpu::{CollectorKind, CpuModel};
+use dta_analysis::resources::{reporter_footprint, translator_footprint};
+use dta_analysis::resources::{ReporterKind, ResourceClass, TranslatorFeatures};
 use dta_analysis::table::fmt_rate;
 use dta_analysis::Table;
 use dta_collector::service::ServiceConfig;
 use dta_core::{DtaReport, TelemetryKey};
 use dta_rdma::nic::{NicConfig, NicPerfModel};
 use dta_rdma::verbs::RdmaOp;
-use dta_reporter::{reporter_footprint, ReporterKind};
-use dta_switch::ResourceClass;
 use dta_telemetry::marple::{MarpleFlowletSizes, MarpleLossyFlows, MarpleTcpTimeouts};
 use dta_telemetry::traces::{TraceConfig, TraceGenerator};
 use dta_telemetry::{ReportRateModel, TABLE2_INTEGRATIONS};
-use dta_translator::{translator_footprint, TranslatorConfig, TranslatorFeatures};
+use dta_translator::TranslatorConfig;
 
 use super::harness::Pair;
 

@@ -40,14 +40,6 @@ pub fn fig3_cores_needed(
     out
 }
 
-/// Fraction of a fat-tree's servers consumed by collection (the paper's
-/// "over 11% of the servers" for K = 28 with 16-core servers).
-pub fn server_fraction_for_collection(k: u32, cores: u64, cores_per_server: u32) -> f64 {
-    let hosts = (k as u64).pow(3) / 4;
-    let servers_needed = cores.div_ceil(cores_per_server as u64);
-    servers_needed as f64 / hosts as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,7 +60,8 @@ mod tests {
         // §2: "in a K = 28 fat tree, this would correspond to over 11% of
         // the servers (assuming 16 cores each)".
         let pts = fig3_cores_needed(&[980], &[MonitoringSystem::IntPostcards], 16);
-        let frac = server_fraction_for_collection(28, pts[0].cores, 16);
+        let hosts = 28u64.pow(3) / 4;
+        let frac = pts[0].cores.div_ceil(16) as f64 / hosts as f64;
         assert!(frac > 0.11, "fraction {frac}");
         assert!(frac < 0.20, "fraction {frac} implausibly high");
     }

@@ -148,12 +148,12 @@ pub struct ThroughputPoint {
 
 impl CpuModel {
     /// Unconstrained (CPU-only) rate for `cores` cores.
-    pub fn cpu_rate(&self, kind: CollectorKind, cores: u32) -> f64 {
+    fn cpu_rate(&self, kind: CollectorKind, cores: u32) -> f64 {
         cores as f64 * self.freq_hz / kind.cost().total_cycles()
     }
 
     /// Memory-bound ceiling.
-    pub fn memory_rate(&self, kind: CollectorKind) -> f64 {
+    fn memory_rate(&self, kind: CollectorKind) -> f64 {
         self.mem_random_per_sec / kind.cost().random_accesses
     }
 
@@ -176,17 +176,6 @@ impl CpuModel {
     /// Sweep a core range (Figure 2's x-axis).
     pub fn sweep(&self, kind: CollectorKind, cores: impl IntoIterator<Item = u32>) -> Vec<ThroughputPoint> {
         cores.into_iter().map(|c| self.throughput(kind, c)).collect()
-    }
-
-    /// Cores needed on a *single server* to ingest `reports_per_sec`.
-    /// `None` when the collector is memory-bound below the target no matter
-    /// how many cores are added.
-    pub fn cores_needed(&self, kind: CollectorKind, reports_per_sec: f64) -> Option<u64> {
-        if reports_per_sec > self.memory_rate(kind) {
-            return None;
-        }
-        let per_core = self.freq_hz / kind.cost().total_cycles();
-        Some((reports_per_sec / per_core).ceil() as u64)
     }
 
     /// Cores needed across a sharded collector fleet (Figure 3's y-axis):
@@ -270,13 +259,6 @@ mod tests {
             (9_000..=13_000).contains(&cores),
             "1000 switches -> {cores} cores (expected ~10K)"
         );
-    }
-
-    #[test]
-    fn memory_bound_target_unreachable() {
-        let m = CpuModel::default();
-        let mem_ceiling = m.memory_rate(CollectorKind::Cuckoo);
-        assert!(m.cores_needed(CollectorKind::Cuckoo, mem_ceiling * 1.01).is_none());
     }
 
     #[test]

@@ -44,12 +44,6 @@ pub fn kw_wrong_return_bound(n: u32, b: u32, alpha: f64) -> f64 {
     p_over.powi(n as i32) * nf * 2f64.powi(-(b as i32))
 }
 
-/// The probability that *all* N copies are overwritten — the dominant term,
-/// useful as the success-rate model behind Figures 12 and 13.
-pub fn kw_all_overwritten(n: u32, alpha: f64) -> f64 {
-    (1.0 - (-alpha * n as f64).exp()).powi(n as i32)
-}
-
 /// Expected query success rate at load factor `alpha` with redundancy `n`
 /// (the Figure 12 y-axis: 1 − empty-return probability).
 pub fn kw_success_rate(n: u32, b: u32, alpha: f64) -> f64 {
@@ -100,17 +94,6 @@ mod tests {
             assert!(s <= prev, "success must fall with load");
             prev = s;
         }
-    }
-
-    #[test]
-    fn redundancy_crossover_exists() {
-        // Figure 12: at low load larger N wins; at very high load N = 1
-        // degrades more slowly than N = 8 (consensus is harder when all
-        // slots churn). The *all-overwritten* term shows the crossover.
-        let low = 0.05;
-        let high = 3.0;
-        assert!(kw_all_overwritten(8, low) < kw_all_overwritten(1, low));
-        assert!(kw_all_overwritten(8, high) > kw_all_overwritten(1, high));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::choose;
 
 /// `p`: probability an overwritten chunk holds valid-looking information.
-pub fn pc_valid_info_prob(values: u64, b: u32, hops: u32) -> f64 {
+fn pc_valid_info_prob(values: u64, b: u32, hops: u32) -> f64 {
     let per_slot = ((values + 1) as f64) * 2f64.powi(-(b as i32));
     per_slot.min(1.0).powi(hops as i32)
 }

@@ -182,7 +182,7 @@ pub struct McCheck {
 /// Tolerance on `observed - predicted`: the simulation is only a few
 /// hundred trials and the scenario's hash family is not the simulator's
 /// uniform one, so this is a sanity band, not a confidence interval.
-pub const MC_SLACK: f64 = 0.05;
+const MC_SLACK: f64 = 0.05;
 
 /// Cross-check an observed Key-Write audit against the Appendix A.5
 /// abstract store: at load `alpha = keys_written / real_slots`, the

@@ -29,12 +29,6 @@ impl Table {
         self
     }
 
-    /// Append a row of displayable items.
-    pub fn row_display(&mut self, cells: &[&dyn core::fmt::Display]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()

@@ -71,11 +71,6 @@ impl KeyIncrementStore {
             .min()
             .unwrap_or(0)
     }
-
-    /// Periodic counter reset.
-    pub fn reset(&self) {
-        self.region.reset();
-    }
 }
 
 #[cfg(test)]
@@ -130,14 +125,5 @@ mod tests {
         }
         let k = TelemetryKey::from_u64(0);
         assert!(s.query(&k, 4) <= s.query(&k, 1));
-    }
-
-    #[test]
-    fn reset_clears_counters() {
-        let s = store(128);
-        let k = TelemetryKey::from_u64(1);
-        s.increment_direct(&k, 100, 2);
-        s.reset();
-        assert_eq!(s.query(&k, 2), 0);
     }
 }

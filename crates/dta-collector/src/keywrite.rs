@@ -85,7 +85,7 @@ impl KeyWriteStore {
 
     /// Serialize one slot image: `checksum || value` (zero-padded /
     /// truncated to the layout's value width).
-    pub fn slot_image(&self, key: &TelemetryKey, value: &[u8]) -> Vec<u8> {
+    fn slot_image(&self, key: &TelemetryKey, value: &[u8]) -> Vec<u8> {
         let w = self.layout.value_bytes as usize;
         let mut img = Vec::with_capacity(4 + w);
         img.extend_from_slice(&self.csum.checksum32(key.as_bytes()).to_be_bytes());

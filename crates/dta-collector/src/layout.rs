@@ -44,7 +44,7 @@ impl KwLayout {
     }
 
     /// Slot index for redundancy copy `n` of `key` (`h0(n, K) mod Buf_len`).
-    pub fn slot_index(&self, family: &HashFamily, n: usize, key: &TelemetryKey) -> u64 {
+    fn slot_index(&self, family: &HashFamily, n: usize, key: &TelemetryKey) -> u64 {
         family.slot(n, key.as_bytes(), self.slots)
     }
 
@@ -101,7 +101,7 @@ impl PostcardLayout {
     }
 
     /// Chunk index for redundancy copy `n` of flow `key` (`h_j(x)`).
-    pub fn chunk_index(&self, family: &HashFamily, n: usize, key: &TelemetryKey) -> u64 {
+    fn chunk_index(&self, family: &HashFamily, n: usize, key: &TelemetryKey) -> u64 {
         family.slot(n, key.as_bytes(), self.chunks)
     }
 

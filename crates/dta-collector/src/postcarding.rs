@@ -215,14 +215,14 @@ impl PostcardStore {
 
     /// Encode the slot word for `(key, hop, value)`:
     /// `checksum(x,i) ⊕ g(v)`.
-    pub fn slot_word(&self, key: &TelemetryKey, hop: u8, value: Option<u32>) -> u32 {
+    fn slot_word(&self, key: &TelemetryKey, hop: u8, value: Option<u32>) -> u32 {
         self.hop_checksum(key, hop) ^ self.codec.encode(value)
     }
 
     /// Build the full chunk image for a path (missing hops become blank ⊔ so
     /// "each flow always writes all B hops' values", §4). The image is
     /// padded to the chunk stride.
-    pub fn chunk_image(&self, key: &TelemetryKey, path: &[u32]) -> Vec<u8> {
+    fn chunk_image(&self, key: &TelemetryKey, path: &[u32]) -> Vec<u8> {
         assert!(path.len() <= self.layout.hops as usize, "path longer than B");
         let mut img = Vec::with_capacity(self.layout.chunk_stride() as usize);
         for hop in 0..self.layout.hops {

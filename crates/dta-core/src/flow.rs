@@ -22,7 +22,7 @@ pub struct FlowTuple {
 
 impl FlowTuple {
     /// Length of the canonical encoding.
-    pub const ENCODED_LEN: usize = 13;
+    const ENCODED_LEN: usize = 13;
 
     /// TCP flow constructor.
     pub fn tcp(src_ip: u32, src_port: u16, dst_ip: u32, dst_port: u16) -> Self {
@@ -55,17 +55,6 @@ impl FlowTuple {
             proto: buf[12],
         }
     }
-
-    /// The reverse direction of this flow.
-    pub fn reversed(&self) -> Self {
-        FlowTuple {
-            src_ip: self.dst_ip,
-            dst_ip: self.src_ip,
-            src_port: self.dst_port,
-            dst_port: self.src_port,
-            proto: self.proto,
-        }
-    }
 }
 
 impl core::fmt::Display for FlowTuple {
@@ -88,12 +77,6 @@ mod tests {
     fn encode_decode_roundtrip() {
         let f = FlowTuple::tcp(0x0A00_0001, 443, 0x0A00_0002, 8080);
         assert_eq!(FlowTuple::decode(&f.encode()), f);
-    }
-
-    #[test]
-    fn reversed_twice_is_identity() {
-        let f = FlowTuple::udp(1, 2, 3, 4);
-        assert_eq!(f.reversed().reversed(), f);
     }
 
     #[test]

@@ -25,10 +25,10 @@ impl EthHeader {
     /// Encoded size.
     pub const LEN: usize = 14;
     /// EtherType for IPv4.
-    pub const ETHERTYPE_IPV4: u16 = 0x0800;
+    const ETHERTYPE_IPV4: u16 = 0x0800;
 
     /// IPv4 frame between two MACs.
-    pub fn ipv4(src: [u8; 6], dst: [u8; 6]) -> Self {
+    fn ipv4(src: [u8; 6], dst: [u8; 6]) -> Self {
         EthHeader { dst, src, ethertype: Self::ETHERTYPE_IPV4 }
     }
 
@@ -76,7 +76,7 @@ impl Ipv4Header {
     /// Encoded size (IHL = 5).
     pub const LEN: usize = 20;
     /// Protocol number for UDP.
-    pub const PROTO_UDP: u8 = 17;
+    const PROTO_UDP: u8 = 17;
 
     /// UDP packet between two addresses carrying `payload_len` bytes of UDP
     /// (header included).

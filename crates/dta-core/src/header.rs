@@ -70,7 +70,7 @@ impl DtaFlags {
     const NACK_ON_DROP: u8 = 0b0000_0010;
 
     /// Pack into the wire byte.
-    pub fn to_byte(self) -> u8 {
+    fn to_byte(self) -> u8 {
         let mut b = 0;
         if self.immediate {
             b |= Self::IMMEDIATE;
@@ -83,7 +83,7 @@ impl DtaFlags {
 
     /// Unpack from the wire byte; unknown bits are ignored for forward
     /// compatibility.
-    pub fn from_byte(b: u8) -> Self {
+    fn from_byte(b: u8) -> Self {
         DtaFlags {
             immediate: b & Self::IMMEDIATE != 0,
             nack_on_drop: b & Self::NACK_ON_DROP != 0,

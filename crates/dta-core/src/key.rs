@@ -1,10 +1,9 @@
 //! Telemetry keys.
 //!
 //! Key-Write, Key-Increment and Postcarding all address collector memory by a
-//! key from an arbitrary domain (flow 5-tuple, source IP, query ID, a
-//! `<switchID, 5-tuple>` pair, ...). On the wire a key is a fixed 16-byte
-//! field — large enough for every key type in the paper's Table 2 — that the
-//! translator hashes verbatim.
+//! key from an arbitrary domain (flow 5-tuple, source IP, a packet ID, ...).
+//! On the wire a key is a fixed 16-byte field — large enough for every key
+//! type in the paper's Table 2 — that the translator hashes verbatim.
 
 use crate::flow::FlowTuple;
 
@@ -18,14 +17,12 @@ use crate::flow::FlowTuple;
 pub struct TelemetryKey(pub [u8; 16]);
 
 /// Type tags embedded in byte 0 of structured keys, so that e.g. a flow key
-/// can never alias a query-id key.
+/// can never alias a source-IP key.
 mod tag {
-    pub const FLOW: u8 = 1;
-    pub const SRC_IP: u8 = 2;
-    pub const QUERY_ID: u8 = 3;
-    pub const SWITCH_FLOW: u8 = 4;
-    pub const RAW: u8 = 5;
-    pub const U64: u8 = 6;
+    pub(super) const FLOW: u8 = 1;
+    pub(super) const SRC_IP: u8 = 2;
+    pub(super) const RAW: u8 = 5;
+    pub(super) const U64: u8 = 6;
 }
 
 impl TelemetryKey {
@@ -45,23 +42,6 @@ impl TelemetryKey {
         let mut k = [0u8; 16];
         k[0] = tag::SRC_IP;
         k[1..5].copy_from_slice(&ip.to_be_bytes());
-        TelemetryKey(k)
-    }
-
-    /// Key for a Sonata query result.
-    pub fn query_id(id: u32) -> Self {
-        let mut k = [0u8; 16];
-        k[0] = tag::QUERY_ID;
-        k[1..5].copy_from_slice(&id.to_be_bytes());
-        TelemetryKey(k)
-    }
-
-    /// Key for a `<switch ID, flow>` pair (PacketScope traversal info).
-    pub fn switch_flow(switch_id: u16, f: &FlowTuple) -> Self {
-        let mut k = [0u8; 16];
-        k[0] = tag::SWITCH_FLOW;
-        k[1..3].copy_from_slice(&switch_id.to_be_bytes());
-        k[3..16].copy_from_slice(&f.encode());
         TelemetryKey(k)
     }
 
@@ -113,8 +93,6 @@ mod tests {
         let keys = [
             TelemetryKey::flow(&f),
             TelemetryKey::src_ip(7),
-            TelemetryKey::query_id(7),
-            TelemetryKey::switch_flow(7, &f),
             TelemetryKey::from_u64(7),
             TelemetryKey::raw(&[7]),
         ];
@@ -137,14 +115,5 @@ mod tests {
     #[should_panic]
     fn oversized_raw_key_rejected() {
         let _ = TelemetryKey::raw(&[0u8; 16]);
-    }
-
-    #[test]
-    fn switch_flow_distinguishes_switches() {
-        let f = FlowTuple::udp(9, 9, 9, 9);
-        assert_ne!(
-            TelemetryKey::switch_flow(1, &f),
-            TelemetryKey::switch_flow(2, &f)
-        );
     }
 }

@@ -123,7 +123,7 @@ impl DtaReport {
     }
 
     /// Total encoded size in bytes (the DTA-over-UDP payload length).
-    pub fn encoded_len(&self) -> usize {
+    fn encoded_len(&self) -> usize {
         DtaHeader::LEN + self.primitive.encoded_len() + self.payload.len()
     }
 

@@ -17,7 +17,7 @@ use crate::family::HashFamily;
 use crate::polynomials::{CHECKSUM_PARAMS, MAX_REDUNDANCY};
 
 /// Fixed key width (the DTA wire key).
-pub const KEY_BYTES: usize = 16;
+const KEY_BYTES: usize = 16;
 
 /// Digests of one key: checksum plus the first `computed` slot hashes.
 #[derive(Debug, Clone, Copy)]
@@ -131,12 +131,6 @@ impl KeyScratch {
         (self.entries.len() / 8).max(64)
     }
 
-    /// Default sizing: 16K entries (≈1MB, register-file scale), full-width
-    /// family.
-    pub fn default_size() -> Self {
-        KeyScratch::new(16 * 1024, MAX_REDUNDANCY)
-    }
-
     /// The hash family backing the slot digests.
     pub fn family(&self) -> &HashFamily {
         &self.family
@@ -243,16 +237,6 @@ impl KeyScratch {
     pub fn checksum32(&mut self, key: &[u8; KEY_BYTES]) -> u32 {
         self.digests(key, 0).checksum
     }
-
-    /// Hit rate so far.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.stats.hits + self.stats.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.stats.hits as f64 / total as f64
-        }
-    }
 }
 
 impl Drop for KeyScratch {
@@ -323,7 +307,6 @@ mod tests {
             s.digests(&k, 2);
         }
         assert_eq!(s.stats, ScratchStats { hits: 10, misses: 1 });
-        assert!(s.hit_rate() > 0.9);
     }
 
     #[test]

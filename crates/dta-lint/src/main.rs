@@ -16,7 +16,8 @@ OPTIONS:
   -h, --help         this text
 
 RULES: D3 (static mut outside tests), C1 (closure identities no test
-       references). Also counts code_lines and unreferenced_pub per crate.
+       references). Also counts code_lines and unreferenced_pub per crate,
+       and prints every unreferenced name under its crate's count.
 ";
 
 fn main() -> ExitCode {

@@ -18,14 +18,15 @@ pub struct Outcome {
     /// Shipped code lines per crate ([`crate::rules::code_lines`]): the
     /// number the "least code" aim watches.
     pub code_lines: BTreeMap<String, usize>,
-    /// `pub` items per crate that no other file's shipped code names
-    /// ([`crate::rules::unreferenced_pub`]): the "least surface" number.
-    pub unreferenced_pub: BTreeMap<String, usize>,
+    /// `pub` items per crate that no other file's shipped code names, as
+    /// `(file, name)` ([`crate::rules::unreferenced_pub`]): the "least
+    /// surface" list. The report carries its lengths.
+    pub unreferenced_pub: BTreeMap<String, Vec<(String, String)>>,
 }
 
 impl Outcome {
     /// Violations per rule, zero-filled so the summary always names both.
-    pub fn per_rule(&self) -> BTreeMap<Rule, usize> {
+    fn per_rule(&self) -> BTreeMap<Rule, usize> {
         let mut m: BTreeMap<Rule, usize> = Rule::ALL.iter().map(|r| (*r, 0)).collect();
         for d in &self.diagnostics {
             *m.entry(d.rule).or_insert(0) += 1;
@@ -33,9 +34,10 @@ impl Outcome {
         m
     }
 
-    /// The per-rule violation table and the per-crate `code_lines` table
-    /// printed to the CI log, so a regression is diagnosable without
-    /// downloading the report artifact.
+    /// The per-rule violation table, the per-crate `code_lines` table and
+    /// the `unreferenced_pub` counts with every name (`crate  path  name`)
+    /// under its crate's count, printed to the CI log, so a regression is
+    /// diagnosable without downloading the report artifact.
     pub fn summary(&self) -> String {
         let mut out = format!(
             "dta-lint: {} files scanned, {} diagnostics\n",
@@ -51,16 +53,20 @@ impl Outcome {
                 if viol == 1 { "" } else { "s" },
             ));
         }
-        for (title, table) in [
-            ("code lines (non-blank, non-comment, outside #[cfg(test)])", &self.code_lines),
-            ("unreferenced pub items (no other file's non-test code names them)", &self.unreferenced_pub),
-        ] {
-            out.push_str(&format!("  {title}:\n"));
-            for (krate, n) in table {
-                out.push_str(&format!("    {krate:<16} {n:>6}\n"));
-            }
-            out.push_str(&format!("    {:<16} {:>6}\n", "total", table.values().sum::<usize>()));
+        out.push_str("  code lines (non-blank, non-comment, outside #[cfg(test)]):\n");
+        for (krate, n) in &self.code_lines {
+            out.push_str(&format!("    {krate:<16} {n:>6}\n"));
         }
+        out.push_str(&format!("    {:<16} {:>6}\n", "total", self.code_lines.values().sum::<usize>()));
+        out.push_str("  unreferenced pub items (no other file's non-test code names them):\n");
+        for (krate, names) in &self.unreferenced_pub {
+            out.push_str(&format!("    {krate:<16} {:>6}\n", names.len()));
+            for (path, name) in names {
+                out.push_str(&format!("      {krate}  {path}  {name}\n"));
+            }
+        }
+        let total: usize = self.unreferenced_pub.values().map(Vec::len).sum();
+        out.push_str(&format!("    {:<16} {total:>6}\n", "total"));
         out
     }
 
@@ -82,6 +88,8 @@ impl Outcome {
                 table.iter().map(|(krate, n)| format!("{}: {n}", json_str(krate))).collect();
             cells.join(", ")
         };
+        let unreferenced: BTreeMap<String, usize> =
+            self.unreferenced_pub.iter().map(|(krate, names)| (krate.clone(), names.len())).collect();
         let diagnostics: Vec<String> = self
             .diagnostics
             .iter()
@@ -102,7 +110,7 @@ impl Outcome {
             self.files_scanned,
             rules.join(",\n"),
             per_crate(&self.code_lines),
-            per_crate(&self.unreferenced_pub),
+            per_crate(&unreferenced),
             diagnostics.join(",\n"),
             if diagnostics.is_empty() { "" } else { "\n" },
         )

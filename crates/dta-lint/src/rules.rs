@@ -176,8 +176,10 @@ pub fn code_lines(files: &[SourceFile]) -> BTreeMap<String, usize> {
 /// tests) can be using. Name-based like C1: a common name (`new`, `len`)
 /// is always "referenced", so the count is a floor, and it is the
 /// direction that matters. `pub(crate)` and `pub(super)` items are not
-/// surface; a declaration's own name token is not a mention.
-pub fn unreferenced_pub(files: &[SourceFile]) -> BTreeMap<String, usize> {
+/// surface; a declaration's own name token is not a mention. Each crate
+/// maps to its `(file, name)` pairs in discovery order, so the summary can
+/// say which names, and the count is the list's length.
+pub fn unreferenced_pub(files: &[SourceFile]) -> BTreeMap<String, Vec<(String, String)>> {
     const ITEM: [&str; 5] = ["fn", "struct", "enum", "const", "static"];
     const QUALIFIER: [&str; 4] = ["const", "unsafe", "async", "extern"];
     let is_any =
@@ -214,15 +216,18 @@ pub fn unreferenced_pub(files: &[SourceFile]) -> BTreeMap<String, usize> {
         }
     }
 
-    let mut per_crate: BTreeMap<String, usize> = files
+    let mut per_crate: BTreeMap<String, Vec<(String, String)>> = files
         .iter()
         .filter(|f| f.kind == FileKind::Analyzed)
-        .map(|f| (f.crate_dir.clone(), 0))
+        .map(|f| (f.crate_dir.clone(), Vec::new()))
         .collect();
     for (fi, krate, name) in decls {
         let elsewhere = mentions.get(&name).is_some_and(|(first, more)| *more || *first != fi);
         if !elsewhere {
-            *per_crate.get_mut(krate).expect("every analyzed crate has a row") += 1;
+            per_crate
+                .get_mut(krate)
+                .expect("every analyzed crate has a row")
+                .push((files[fi].path.clone(), name));
         }
     }
     per_crate
@@ -491,10 +496,12 @@ mod tests {
         caller.kind = FileKind::Caller;
         let mut t = file("dta-core", "fn t() { Orphan; }\n");
         t.kind = FileKind::TestOnly;
-        let counts = unreferenced_pub(&[lib, caller, t, file("dta-net", "pub(crate) fn f() {}\n")]);
-        assert_eq!(counts["dta-core"], 3, "lonely, konst, Orphan");
-        assert_eq!(counts["dta-net"], 0, "every analyzed crate has a row");
-        assert!(!counts.contains_key("bench"), "callers declare no surface");
+        let names = unreferenced_pub(&[lib, caller, t, file("dta-net", "pub(crate) fn f() {}\n")]);
+        let listed: Vec<&str> = names["dta-core"].iter().map(|(_, name)| name.as_str()).collect();
+        assert_eq!(listed, ["lonely", "konst", "Orphan"]);
+        assert_eq!(names["dta-core"][0].0, "crates/dta-core/src/test_input.rs");
+        assert!(names["dta-net"].is_empty(), "every analyzed crate has a row");
+        assert!(!names.contains_key("bench"), "callers declare no surface");
     }
 
     #[test]

@@ -167,5 +167,7 @@ fn seeded_violations_fail_check_and_a_clean_tree_passes() {
     assert!(out.contains("1 files scanned, 0 diagnostics"), "{out}");
     let report = std::fs::read_to_string(root.join("LINT_report.json")).expect("report written");
     assert!(report.contains("\"unreferenced_pub\": {\"dta-net\": 1}"), "{report}");
+    assert!(!report.contains("now_ns"), "the report keeps counts only: {report}");
+    assert!(out.contains("      dta-net  crates/dta-net/src/lib.rs  now_ns\n"), "{out}");
     let _ = std::fs::remove_dir_all(&root);
 }

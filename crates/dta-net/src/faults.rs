@@ -56,15 +56,6 @@ impl FaultConfig {
         FaultConfig { drop_chance: p, ..Self::default() }
     }
 
-    /// The smoltcp README's "good starting value": 15% drop + 15% corrupt.
-    pub fn adverse() -> Self {
-        FaultConfig {
-            drop_chance: 0.15,
-            corrupt_chance: 0.15,
-            ..Self::default()
-        }
-    }
-
     /// The non-FIFO lossy-channel model the scenario harness's
     /// fault-equivalence tests run under: loss + reorder + duplication
     /// (corruption is left off — a flipped bit inside a DTA report yields a
@@ -324,8 +315,9 @@ mod tests {
 
     #[test]
     fn seeded_injectors_are_deterministic() {
-        let mut a = FaultInjector::new(FaultConfig::adverse(), 99);
-        let mut b = FaultInjector::new(FaultConfig::adverse(), 99);
+        let cfg = FaultConfig { drop_chance: 0.15, corrupt_chance: 0.15, ..FaultConfig::none() };
+        let mut a = FaultInjector::new(cfg, 99);
+        let mut b = FaultInjector::new(cfg, 99);
         for _ in 0..500 {
             assert_eq!(a.apply(pkt(100)), b.apply(pkt(100)));
         }

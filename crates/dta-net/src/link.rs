@@ -144,11 +144,6 @@ impl Link {
         self.paused
     }
 
-    /// Current queue occupancy in bytes.
-    pub fn occupancy(&self) -> usize {
-        self.occupancy
-    }
-
     /// Offer a packet of `bytes` at time `now`. Returns when the last bit
     /// arrives at the far end, or `Dropped`.
     pub fn enqueue(&mut self, now: SimTime, bytes: usize) -> EnqueueOutcome {
@@ -198,11 +193,6 @@ impl Link {
                 self.paused = false;
             }
         }
-    }
-
-    /// Time at which the serializer becomes idle.
-    pub fn free_at(&self) -> SimTime {
-        self.free_at
     }
 }
 

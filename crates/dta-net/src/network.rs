@@ -216,18 +216,6 @@ impl Network {
         self.now
     }
 
-    /// Counters of the `from -> to` link, if one is installed.
-    pub fn link_stats(&self, from: NodeId, to: NodeId) -> Option<crate::link::LinkStats> {
-        self.port(from, to).map(|i| self.links[i].stats)
-    }
-
-    /// Counters of the `from -> to` fault injector, if one is attached.
-    pub fn fault_stats(&self, from: NodeId, to: NodeId) -> Option<crate::faults::FaultTotals> {
-        self.port(from, to)
-            .and_then(|i| self.faults[i].as_ref())
-            .map(|inj| inj.totals())
-    }
-
     /// Sum of every attached injector's counters (order-independent, so the
     /// scenario harness can report them bit-reproducibly).
     pub fn fault_totals(&self) -> crate::faults::FaultTotals {
@@ -517,10 +505,7 @@ mod tests {
         net.run_to_idle();
         assert_eq!(net.stats.delivered, 20, "every packet must arrive twice");
         assert_eq!(net.fault_totals().duplicated, 10);
-        assert_eq!(net.fault_stats(NodeId(0), NodeId(1)).unwrap().duplicated, 10);
-        assert_eq!(net.fault_stats(NodeId(1), NodeId(2)), None);
-        // Both copies consumed link capacity on the faulted hop.
-        assert_eq!(net.link_stats(NodeId(0), NodeId(1)).unwrap().transmitted, 20);
+        // Both copies consumed link capacity on both hops.
         assert_eq!(net.link_totals().transmitted, 40);
     }
 
@@ -573,7 +558,7 @@ mod tests {
         net.run_to_idle();
         assert_eq!(net.stats.dropped, 1);
         assert_eq!(net.stats.delivered, 0);
-        assert_eq!(net.fault_stats(NodeId(1), NodeId(2)).unwrap().dropped, 0);
+        assert_eq!(net.fault_totals().dropped, 0);
     }
 
     #[test]
@@ -610,7 +595,7 @@ mod tests {
         net.send_from(NodeId(0), Packet::new(NodeId(0), NodeId(1), Bytes::from(vec![0u8; 64])));
         net.run_to_idle();
         assert_eq!(net.stats.delivered, 1, "reinstalled link must be fault-free");
-        assert_eq!(net.fault_stats(NodeId(0), NodeId(1)), None);
+        assert_eq!(net.fault_totals().dropped, 0);
     }
 
     #[test]

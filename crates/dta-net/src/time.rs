@@ -35,19 +35,9 @@ impl SimTime {
         SimTime(ns)
     }
 
-    /// Construct from microseconds.
-    pub fn from_micros(us: u64) -> Self {
-        SimTime(us * 1_000)
-    }
-
     /// Construct from milliseconds.
     pub fn from_millis(ms: u64) -> Self {
         SimTime(ms * 1_000_000)
-    }
-
-    /// Construct from seconds.
-    pub fn from_secs(s: u64) -> Self {
-        SimTime(s * 1_000_000_000)
     }
 
     /// Nanoseconds since simulation start.
@@ -58,11 +48,6 @@ impl SimTime {
     /// Seconds since simulation start as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// `self + ns` nanoseconds.
-    pub fn plus_nanos(self, ns: u64) -> SimTime {
-        SimTime(self.0 + ns)
     }
 
     /// Serialization delay of `bytes` on a link of `bits_per_sec`, in ns
@@ -433,9 +418,7 @@ mod tests {
 
     #[test]
     fn time_conversions() {
-        assert_eq!(SimTime::from_secs(1), SimTime(1_000_000_000));
         assert_eq!(SimTime::from_millis(2), SimTime(2_000_000));
-        assert_eq!(SimTime::from_micros(3), SimTime(3_000));
         assert!((SimTime::from_millis(1500).as_secs_f64() - 1.5).abs() < 1e-12);
     }
 

@@ -41,11 +41,6 @@ impl Topology {
         self.adj[b.0 as usize].push(a.0);
     }
 
-    /// Neighbors of `a`.
-    pub fn neighbors(&self, a: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.adj[a.0 as usize].iter().map(|&v| NodeId(v))
-    }
-
     /// All undirected edges (each reported once, `a < b`).
     pub fn edges(&self) -> Vec<(NodeId, NodeId)> {
         let mut out = Vec::new();

@@ -39,7 +39,7 @@ fn tick_driven_source_delivers_periodically() {
     net.add_node(NodeId(0), Box::new(TickSource { me: NodeId(0), dst: NodeId(1), size: 100, sent: 0 }));
     net.add_node(NodeId(1), Box::<SinkNode>::default());
     net.add_tick(NodeId(0), 1_000); // 1 packet/us
-    net.run_until(SimTime::from_micros(100));
+    net.run_until(SimTime::from_nanos(100_000));
     assert!(net.stats.delivered >= 95, "delivered {}", net.stats.delivered);
 }
 

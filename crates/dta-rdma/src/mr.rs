@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex};
 /// Stripe width in bytes. Power of two so stripe index and offset are a
 /// shift and a mask. 4KB keeps a slot access inside one stripe except when
 /// it straddles a 4KB boundary (rare: slots are tens of bytes).
-pub const STRIPE_BYTES: usize = 4096;
+pub(crate) const STRIPE_BYTES: usize = 4096;
 const STRIPE_SHIFT: u32 = STRIPE_BYTES.trailing_zeros();
 
 /// Errors when executing an RDMA op against registered memory.
@@ -95,8 +95,7 @@ struct StripeMeta {
 
 impl StripeMeta {
     /// Whether any WRITE or atomic ever landed here. A stripe without one
-    /// is still all-zero (a reset only zeroes), so snapshots and recycling
-    /// skip it.
+    /// is still all-zero, so snapshots and recycling skip it.
     fn dirty(&self) -> bool {
         self.writes | self.bytes_written | self.atomics != 0
     }
@@ -396,7 +395,9 @@ impl MemoryRegion {
         }
     }
 
-    /// Execute an RDMA WRITE of `data` at `va`.
+    /// Execute an RDMA WRITE of `data` at `va`. An empty write that passes
+    /// the bounds check (the region's end address included) succeeds and
+    /// touches nothing: no stripe, no counter, no dirty bit.
     #[inline]
     pub fn write(&self, va: u64, data: &[u8]) -> Result<(), MrError> {
         if !self.access.remote_write {
@@ -405,7 +406,11 @@ impl MemoryRegion {
         let off = self.offset(va, data.len())?;
         let stripe = off >> STRIPE_SHIFT;
         let within = off & (STRIPE_BYTES - 1);
-        if within + data.len() <= STRIPE_BYTES {
+        // `len - 1 < room` is `within + len <= STRIPE_BYTES` for a non-empty
+        // write and false for an empty one (the subtraction wraps), which
+        // `write_spanning` turns into no access at all: at the region's end
+        // address `stripe` is one past the last, and must not be indexed.
+        if data.len().wrapping_sub(1) < STRIPE_BYTES - within {
             // Fast path: slot-sized writes stay inside one stripe. All
             // accounting happens under the stripe lock already held — the
             // write path touches no region-global atomics.
@@ -447,12 +452,6 @@ impl MemoryRegion {
     /// counters).
     pub fn writes(&self) -> u64 {
         self.sum_stripes(|m| m.writes)
-    }
-
-    /// Total bytes written into the region (summed from the per-stripe
-    /// counters).
-    pub fn bytes_written(&self) -> u64 {
-        self.sum_stripes(|m| m.bytes_written)
     }
 
     /// Total memory instructions executed against this region (one per
@@ -525,13 +524,6 @@ impl MemoryRegion {
         let mut out = vec![0u8; len];
         self.copy_out(va, &mut out)?;
         Ok(out)
-    }
-
-    /// Zero the whole region (e.g., periodic Key-Increment counter reset).
-    pub fn reset(&self) {
-        for i in 0..self.mem.locks.len() {
-            self.mem.with_write(i, |buf, _| buf.fill(0));
-        }
     }
 
     /// Copy the whole region out into a [`SnapshotBuf`]: dirty stripes
@@ -777,7 +769,7 @@ mod tests {
         mr.read_into(0x1010, &mut got).unwrap();
         assert_eq!(got, [1, 2, 3, 4]);
         assert_eq!(mr.writes(), 1);
-        assert_eq!(mr.bytes_written(), 4);
+        assert_eq!(mr.sum_stripes(|m| m.bytes_written), 4);
         assert_eq!(mr.stats().local_reads.load(Ordering::Relaxed), 1);
     }
 
@@ -893,6 +885,21 @@ mod tests {
         // A wire-supplied 4 GiB read length is refused by the bounds check,
         // not by the allocator.
         assert!(matches!(mr.peek(0x1000, 0xFFFF_FFFF), Err(MrError::OutOfBounds { .. })));
+    }
+
+    #[test]
+    fn empty_write_is_a_bounds_checked_no_op() {
+        // The end address is in range for zero bytes and is the one offset
+        // whose stripe does not exist (8 KiB = stripes 0 and 1).
+        let mr = MemoryRegion::new(0x1000, STRIPE_BYTES * 2, 1, MrAccess::WRITE);
+        let end = 0x1000 + STRIPE_BYTES as u64 * 2;
+        for va in [0x1000, 0x1020, end] {
+            mr.write(va, &[]).unwrap();
+        }
+        assert!(matches!(mr.write(end + 1, &[]), Err(MrError::OutOfBounds { .. })));
+        // Not an access: no counter moved, no stripe went dirty.
+        assert_eq!((mr.writes(), mr.memory_instructions()), (0, 0));
+        assert!(mr.snapshot().written.is_empty());
     }
 
     #[test]
@@ -1030,13 +1037,5 @@ mod tests {
             u64::from_be_bytes(mr.peek(STRIPE_BYTES as u64, 8).unwrap().try_into().unwrap());
         assert_eq!(lo, 4000);
         assert_eq!(hi, 8000);
-    }
-
-    #[test]
-    fn reset_zeroes_region() {
-        let mr = MemoryRegion::new(0, 16, 1, MrAccess::WRITE);
-        mr.write(0, &[0xFF; 16]).unwrap();
-        mr.reset();
-        assert_eq!(mr.peek(0, 16).unwrap(), vec![0u8; 16]);
     }
 }

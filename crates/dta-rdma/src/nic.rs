@@ -38,17 +38,6 @@ impl NicConfig {
         NicConfig { msg_rate: 110e6, line_rate_bps: 100e9, num_nics: 1, ack_coalesce: 64 }
     }
 
-    /// ConnectX-6-class 200G NIC (215M msg/s claimed by the datasheet).
-    pub fn connectx6() -> Self {
-        NicConfig { msg_rate: 215e6, line_rate_bps: 200e9, num_nics: 1, ack_coalesce: 64 }
-    }
-
-    /// Multi-NIC collector.
-    pub fn with_nics(mut self, n: u32) -> Self {
-        self.num_nics = n;
-        self
-    }
-
     /// Set the ACK coalescing factor (1 = ACK every packet).
     pub fn with_ack_coalesce(mut self, every: u32) -> Self {
         self.ack_coalesce = every.max(1);
@@ -75,7 +64,7 @@ impl NicPerfModel {
 
     /// Sustainable message rate for messages of `wire_bytes` each:
     /// `min(msg_rate, line_rate / bits_per_msg)`, times the NIC count.
-    pub fn message_rate(&self, wire_bytes: usize) -> f64 {
+    fn message_rate(&self, wire_bytes: usize) -> f64 {
         let by_msgs = self.config.msg_rate;
         let by_wire = self.config.line_rate_bps / (wire_bytes as f64 * 8.0);
         by_msgs.min(by_wire) * self.config.num_nics as f64
@@ -97,11 +86,6 @@ impl NicPerfModel {
     ) -> f64 {
         assert!(reports_per_msg > 0.0 && msgs_per_report > 0.0);
         self.message_rate(wire_bytes) * reports_per_msg / msgs_per_report
-    }
-
-    /// Nanoseconds to ingest `n` messages of `wire_bytes` each.
-    pub fn ingest_time_ns(&self, n: u64, wire_bytes: usize) -> u64 {
-        (n as f64 / self.message_rate(wire_bytes) * 1e9).ceil() as u64
     }
 }
 
@@ -220,19 +204,9 @@ impl RdmaNic {
         self.qps.iter().find(|q| q.qpn == qpn)
     }
 
-    /// Mutable access to a QP (CM state transitions).
-    pub fn qp_mut(&mut self, qpn: u32) -> Option<&mut QueuePair> {
-        self.qps.iter_mut().find(|q| q.qpn == qpn)
-    }
-
     /// Pop the next completion, if any (the collector CPU's poll loop).
     pub fn poll_completion(&mut self) -> Option<WorkCompletion> {
         self.completions.pop_front()
-    }
-
-    /// Number of queued completions.
-    pub fn pending_completions(&self) -> usize {
-        self.completions.len()
     }
 
     /// DPDK-style RX burst: execute `pkts` back-to-back, appending any
@@ -541,6 +515,23 @@ mod tests {
     }
 
     #[test]
+    fn empty_write_at_the_region_end_is_executed_not_a_panic() {
+        // Off the wire: an empty WRITE ONLY whose RETH names the end address
+        // decodes, passes the ICRC and the length check, and is in bounds.
+        let mut nic = nic_with_qp();
+        let empty = RocePacket::write(
+            5,
+            0,
+            Reth { va: 0x10000 + 4096, rkey: 0xAB, dma_len: 0 },
+            Bytes::new(),
+        );
+        let decoded = RocePacket::decode(empty.encode()).expect("decodable empty WRITE");
+        assert!(matches!(nic.ingress(&decoded), RxOutcome::Executed(Some(_))));
+        assert_eq!((nic.stats.executed, nic.stats.errors), (1, 0));
+        assert_eq!(nic.memory.memory_instructions(), 0);
+    }
+
+    #[test]
     fn psn_gap_naks_without_executing() {
         let mut nic = nic_with_qp();
         match nic.ingress(&write_pkt(5, 0x10000, &[9; 4])) {
@@ -716,7 +707,6 @@ mod tests {
         let mem = (
             region.snapshot().to_vec(),
             region.writes(),
-            region.bytes_written(),
             region.memory_instructions(),
             region.stats().local_reads.load(std::sync::atomic::Ordering::Relaxed),
         );
@@ -838,7 +828,7 @@ mod tests {
 
     #[test]
     fn multi_nic_scales_rate() {
-        let m = NicPerfModel::new(NicConfig::bluefield2().with_nics(2));
+        let m = NicPerfModel::new(NicConfig { num_nics: 2, ..NicConfig::bluefield2() });
         assert!((m.message_rate(78) - 220e6).abs() < 1.0);
     }
 

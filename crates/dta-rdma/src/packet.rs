@@ -66,25 +66,20 @@ impl Opcode {
     }
 
     /// Whether this opcode carries a RETH.
-    pub fn has_reth(self) -> bool {
+    fn has_reth(self) -> bool {
         matches!(
             self,
             Opcode::WriteOnly | Opcode::WriteOnlyImm | Opcode::WriteFirst | Opcode::ReadRequest
         )
     }
 
-    /// Whether this opcode continues a multi-packet write.
-    pub fn is_write_continuation(self) -> bool {
-        matches!(self, Opcode::WriteMiddle | Opcode::WriteLast)
-    }
-
     /// Whether this opcode carries an AtomicETH.
-    pub fn has_atomic_eth(self) -> bool {
+    fn has_atomic_eth(self) -> bool {
         matches!(self, Opcode::FetchAdd)
     }
 
     /// Whether this opcode carries immediate data.
-    pub fn has_imm(self) -> bool {
+    fn has_imm(self) -> bool {
         matches!(self, Opcode::SendOnlyImm | Opcode::WriteOnlyImm)
     }
 
@@ -396,7 +391,7 @@ impl RocePacket {
 
     /// Transport PDU size (headers + payload + ICRC), i.e. the UDP payload
     /// length.
-    pub fn pdu_len(&self) -> usize {
+    fn pdu_len(&self) -> usize {
         let mut n = Bth::LEN;
         if self.reth.is_some() {
             n += Reth::LEN;
@@ -504,7 +499,7 @@ mod dta_hash_icrc {
     /// CRC32 (IEEE, reflected) over `data`, via the shared slice-by-8
     /// engine — this runs once per encoded/decoded packet, so it must not
     /// be the bit-serial walk.
-    pub fn icrc32(data: &[u8]) -> u32 {
+    pub(super) fn icrc32(data: &[u8]) -> u32 {
         static ENGINE: OnceLock<Crc32> = OnceLock::new();
         ENGINE.get_or_init(|| Crc32::new(CrcParams::IEEE)).compute(data)
     }

@@ -152,12 +152,6 @@ impl QueuePair {
         }
     }
 
-    /// Resynchronize the receive side to `psn` (the translator's "RDMA
-    /// queue-pair resynchronization" path after a loss event, §5.2).
-    pub fn resync(&mut self, psn: u32) {
-        self.expect_psn = psn & PSN_MASK;
-    }
-
     /// Resynchronize the send side to `psn`, the expected PSN a NAK
     /// reported, and say whether the send PSN was rewound. DTA is
     /// best-effort: the lost operations are not replayed here, but the PSN
@@ -231,19 +225,6 @@ mod tests {
         b.receive(psn).unwrap();
         assert!(matches!(b.receive(psn), Err(QpError::Duplicate(50))));
         assert_eq!(b.duplicates, 1);
-    }
-
-    #[test]
-    fn resync_recovers_after_loss() {
-        let (mut a, mut b) = connected_pair();
-        let _lost = a.next_send_psn();
-        let p2 = a.next_send_psn();
-        assert!(b.receive(p2).is_err());
-        // Translator resyncs the expected PSN past the hole.
-        b.resync(p2);
-        assert!(b.receive(p2).is_ok());
-        let p3 = a.next_send_psn();
-        assert!(b.receive(p3).is_ok());
     }
 
     #[test]

@@ -11,12 +11,8 @@ use bytes::Bytes;
 use crate::packet::{Bth, Opcode, Reth, RocePacket};
 use crate::qp::QueuePair;
 
-/// Standard IB path MTUs.
-pub const MTU_256: usize = 256;
-/// 1024-byte MTU (the common RoCE default).
+/// 1024-byte path MTU (the common RoCE default).
 pub const MTU_1024: usize = 1024;
-/// 4096-byte MTU.
-pub const MTU_4096: usize = 4096;
 
 /// Segment a WRITE of `payload` to `(rkey, va)` into MTU-sized packets on
 /// `qp`. Returns a single WRITE-Only when the payload fits in one MTU.

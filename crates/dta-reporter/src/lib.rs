@@ -7,13 +7,12 @@
 //! of goal #4 (minimal switch resources).
 //!
 //! * [`reporter`] — packet crafting: telemetry payload → DTA/UDP frame.
-//! * [`resources`] — the Figure 9 comparison: DTA vs RDMA-generating vs
-//!   plain-UDP reporter footprints.
+//!
+//! (The Figure 9 footprint comparison — DTA vs RDMA-generating vs plain-UDP
+//! reporters — is an analytic table: `dta_analysis::resources`.)
 
 pub mod reporter;
-pub mod resources;
 
 pub use reporter::{
     Reporter, ReporterConfig, ReporterFleetNode, RetransmitPolicy, RetxStats,
 };
-pub use resources::{reporter_footprint, ReporterKind};

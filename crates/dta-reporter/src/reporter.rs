@@ -4,7 +4,6 @@
 
 use std::collections::VecDeque;
 
-use bytes::Bytes;
 use dta_core::framing::UdpPacket;
 use dta_core::nack::decode_nack;
 use dta_core::{DtaReport, DTA_UDP_PORT};
@@ -274,11 +273,6 @@ impl ReporterFleetNode {
     pub fn pending(&self) -> usize {
         self.lanes.iter().map(|l| l.schedule.len() - l.cursor).sum()
     }
-
-    /// Total reports exported, across all lanes.
-    pub fn exported(&self) -> u64 {
-        self.lanes.iter().map(|l| l.reporter.exported).sum()
-    }
 }
 
 impl NetNode for ReporterFleetNode {
@@ -324,26 +318,28 @@ impl NetNode for ReporterFleetNode {
     }
 }
 
-/// Convenience: a raw UDP telemetry frame (the legacy export format DTA
-/// replaces) — used by resource/overhead comparisons.
-pub fn legacy_udp_frame(
-    config: &ReporterConfig,
-    telemetry_payload: Bytes,
-) -> Packet {
-    let udp = UdpPacket::frame(
-        config.my_ip,
-        config.src_port,
-        config.collector_ip,
-        DTA_UDP_PORT,
-        telemetry_payload,
-    );
-    Packet::new(config.my_id, config.collector_id, udp.encode())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use dta_core::TelemetryKey;
+
+    /// A raw UDP telemetry frame: the legacy export format DTA replaces.
+    fn legacy_udp_frame(config: &ReporterConfig, telemetry_payload: Bytes) -> Packet {
+        let udp = UdpPacket::frame(
+            config.my_ip,
+            config.src_port,
+            config.collector_ip,
+            DTA_UDP_PORT,
+            telemetry_payload,
+        );
+        Packet::new(config.my_id, config.collector_id, udp.encode())
+    }
+
+    /// Total reports exported, across all lanes.
+    fn exported(node: &ReporterFleetNode) -> u64 {
+        node.lanes.iter().map(|l| l.reporter.exported).sum()
+    }
 
     fn config() -> ReporterConfig {
         ReporterConfig {
@@ -408,7 +404,7 @@ mod tests {
             .collect();
         assert_eq!(sizes, [3, 3, 1, 0, 0]);
         assert_eq!(node.pending(), 0);
-        assert_eq!(node.exported(), 7);
+        assert_eq!(exported(&node), 7);
     }
 
     #[test]
@@ -431,7 +427,7 @@ mod tests {
         assert!(!node.tick(SimTime::ZERO, &mut out), "drained fleet cancels its ticks");
         assert_eq!(out.len(), 1 + 2);
         assert_eq!(node.pending(), 0);
-        assert_eq!(node.exported(), 9);
+        assert_eq!(exported(&node), 9);
         // Inbound non-NACK packets terminate, counted as stray.
         let pkt = legacy_udp_frame(&config(), Bytes::from_static(b"nack"));
         out.clear();

@@ -387,17 +387,6 @@ impl CongestionPlan {
             rdma_link: LinkConfig::dc_100g_lossless(),
         }
     }
-
-    /// A closed congestion loop: rate limiting at the translator, NACKs on
-    /// drop, and reporter retransmission under `policy`.
-    pub fn closed_loop(rate_limit: RateLimiterConfig, policy: RetransmitPolicy) -> Self {
-        CongestionPlan {
-            rate_limit: Some(rate_limit),
-            nack_on_drop: true,
-            retransmit: Some(policy),
-            ..CongestionPlan::none()
-        }
-    }
 }
 
 impl Default for CongestionPlan {

@@ -11,7 +11,7 @@ use dta_collector::layout::AppendLayout;
 
 /// Maximum simultaneous lists ("our prototype supports tracking up to 131K
 /// simultaneous lists").
-pub const MAX_LISTS: u32 = 131 * 1024;
+const MAX_LISTS: u32 = 131 * 1024;
 
 /// A batch ready to be written: target address + concatenated entries,
 /// borrowed from the batcher's staging registers (valid until the next

@@ -108,23 +108,18 @@ impl CollectorRoutingTable {
     }
 
     /// Number of live collectors.
-    pub fn alive_count(&self) -> u32 {
+    fn alive_count(&self) -> u32 {
         self.alive.iter().filter(|a| **a).count() as u32
     }
 
     /// The alive bitmap, fleet-indexed.
-    pub fn alive_slots(&self) -> &[bool] {
+    fn alive_slots(&self) -> &[bool] {
         &self.alive
     }
 
     /// Current table epoch (bumped once per membership change).
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Epoch at which collector `c`'s entry last changed (0 = never).
-    pub fn entry_epoch(&self, c: u32) -> u64 {
-        self.entry_epoch[c as usize]
     }
 
     /// Mark `c` dead; returns false if it already was (idempotent).
@@ -159,7 +154,7 @@ impl CollectorRoutingTable {
     }
 
     /// The always-alive-primary owner for a key checksum.
-    pub fn primary_checksum(&self, checksum: u32) -> u32 {
+    fn primary_checksum(&self, checksum: u32) -> u32 {
         collector_route(checksum, self.len())
     }
 
@@ -306,7 +301,7 @@ impl ReplayLedger {
 
     /// Apply a cumulative ACK: every entry on `(collector, qpn)` whose
     /// last PSN is covered by `psn` becomes acked.
-    pub fn mark_acked(&mut self, collector: u32, qpn: u32, psn: u32) {
+    fn mark_acked(&mut self, collector: u32, qpn: u32, psn: u32) {
         for e in self.windows[collector as usize].iter_mut() {
             if e.qpn == qpn && !e.acked && e.last_psn <= psn {
                 e.acked = true;
@@ -315,7 +310,7 @@ impl ReplayLedger {
     }
 
     /// Take the whole window of `collector` (failover replay), FIFO order.
-    pub fn drain_for(&mut self, collector: u32, into: &mut Vec<LedgerEntry>) {
+    fn drain_for(&mut self, collector: u32, into: &mut Vec<LedgerEntry>) {
         into.extend(self.windows[collector as usize].drain(..));
     }
 
@@ -324,7 +319,7 @@ impl ReplayLedger {
     /// the only loss source here is contiguous (a dead/rejoining node
     /// sinks everything from some PSN onward), so a NAK'd suffix contains
     /// no partially executed entries.
-    pub fn drain_nak(
+    fn drain_nak(
         &mut self,
         collector: u32,
         qpn: u32,
@@ -910,8 +905,8 @@ mod tests {
         assert!(table.mark_dead(2));
         assert!(!table.mark_dead(2), "second kill is a no-op");
         assert_eq!(table.epoch(), 1);
-        assert_eq!(table.entry_epoch(2), 1);
-        assert_eq!(table.entry_epoch(0), 0, "unaffected entries keep their stamp");
+        assert_eq!(table.entry_epoch[2], 1);
+        assert_eq!(table.entry_epoch[0], 0, "unaffected entries keep their stamp");
 
         let mut moved = [0u64; 4];
         for csum in 0..40_000u32 {
@@ -943,7 +938,7 @@ mod tests {
         assert!(table.mark_alive(1));
         assert!(!table.mark_alive(1));
         assert_eq!(table.epoch(), 2);
-        assert_eq!(table.entry_epoch(1), 2);
+        assert_eq!(table.entry_epoch[1], 2);
         let part = Partitioner::new(3);
         for csum in 0..10_000u32 {
             assert_eq!(table.owner_checksum(csum), part.route_checksum(csum));

@@ -6,15 +6,18 @@
 //! substituting the DTA headers with the specific RoCEv2 headers required by
 //! the DTA operation" (§5.2). Along the way it:
 //!
-//! * generates the `N`-redundant copies for Key-Write / Key-Increment /
-//!   Postcarding through the multicast engine,
+//! * emits the `N` redundant copies for Key-Write / Key-Increment /
+//!   Postcarding (the switch's multicast engine: here a loop over the
+//!   replica id),
 //! * aggregates per-flow postcards in an SRAM cache so a 5-hop path costs a
 //!   single RDMA WRITE ([`postcard_cache`]),
 //! * batches Append entries so one WRITE carries `B` reports ([`append`]),
 //! * rate-limits RDMA generation toward congested collectors, optionally
 //!   NACKing reporters ([`ratelimit`]),
-//! * keeps per-QP packet sequence numbers and resynchronizes after NAKs,
-//! * and accounts its Tofino resource footprint ([`resources`], Table 3).
+//! * and keeps per-QP packet sequence numbers, resynchronizing after NAKs.
+//!
+//! (Its Tofino resource footprint, Table 3, is an analytic table:
+//! `dta_analysis::resources`.)
 //!
 //! The single-threaded dataplane lives in [`translator`]; [`shard`] runs
 //! `N` of them as a key-partitioned multi-threaded pipeline (the software
@@ -37,7 +40,6 @@ mod pool;
 pub mod postcard_cache;
 pub mod ratelimit;
 pub mod rebalance;
-pub mod resources;
 pub mod shard;
 pub mod spsc;
 pub mod translator;
@@ -56,7 +58,6 @@ pub use rebalance::{
     MigPrimitive, MigrationFaults, MigrationLedger, RebalanceConfig, RebalanceDriver,
     RebalanceStats, WireEmission, WireKind,
 };
-pub use resources::{translator_footprint, TranslatorFeatures};
 pub use shard::{
     NackRecord, ReportOrigin, ShardRunReport, ShardedConfig, ShardedRunReport, ShardedTranslator,
 };

@@ -109,14 +109,14 @@ impl Partitioner {
     /// Target index for an already-computed key `checksum32` — the re-hash-
     /// free entry point shard dispatch uses with a scratch-cached checksum.
     #[inline]
-    pub fn route_checksum(&self, checksum: u32) -> u32 {
+    pub(crate) fn route_checksum(&self, checksum: u32) -> u32 {
         // Multiply-shift reduction (no division) over the mixed digest.
         ((mix32(checksum ^ self.salt) as u64 * self.targets as u64) >> 32) as u32
     }
 
     /// Target index for an Append list.
     #[inline]
-    pub fn route_list(&self, list_id: u32) -> u32 {
+    fn route_list(&self, list_id: u32) -> u32 {
         ((mix32(list_id ^ 0xA99D_0C95 ^ self.salt) as u64 * self.targets as u64) >> 32) as u32
     }
 

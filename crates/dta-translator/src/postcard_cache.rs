@@ -12,10 +12,9 @@
 
 use dta_core::TelemetryKey;
 use dta_hash::{Crc32, CrcParams};
-use dta_switch::RegisterArray;
 
 /// Maximum hop bound supported by a cache row.
-pub const MAX_HOPS: usize = 8;
+const MAX_HOPS: usize = 8;
 
 /// One cached row: the flow id tag, its per-hop encoded words, and progress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,7 +80,7 @@ pub struct CacheStats {
 /// The SRAM postcard cache.
 #[derive(Debug)]
 pub struct PostcardCache {
-    rows: RegisterArray<Row>,
+    rows: Vec<Row>,
     /// Occupancy bitmap: bit `idx % 64` of word `idx / 64` is set while row
     /// `idx` holds an in-flight flow.
     occupied: Vec<u64>,
@@ -134,12 +133,18 @@ impl PostcardCache {
                 .position(|(cells, _)| cells.len() == slots)
                 .map(|i| pool.swap_remove(i))
         });
-        let (rows, occupied) = match pooled {
-            Some((cells, occupied)) => (RegisterArray::from_cells(cells), occupied),
-            // SAFETY: `Row`'s default is the all-zero pattern (zero key,
-            // zero words, nothing present).
-            None => (unsafe { RegisterArray::new_zeroed(slots) }, vec![0; slots.div_ceil(64)]),
-        };
+        let (rows, occupied) = pooled.unwrap_or_else(|| {
+            // One zeroed allocation maps untouched zero pages, where an
+            // element-wise `vec![Row::default(); slots]` writes every byte —
+            // real milliseconds for SRAM-scale caches rebuilt per scenario
+            // run.
+            // SAFETY: `Row` is integers and integer arrays, for which every
+            // bit pattern is valid, and its default is the all-zero one (zero
+            // key, zero words, nothing present): the zeroed slice is fully
+            // initialized.
+            let rows = unsafe { Box::<[Row]>::new_zeroed_slice(slots).assume_init() }.into_vec();
+            (rows, vec![0; slots.div_ceil(64)])
+        });
         PostcardCache {
             rows,
             occupied,
@@ -199,29 +204,25 @@ impl PostcardCache {
         let idx = self.row_index(key);
         let bit = 1u64 << (idx % 64);
         let was_occupied = self.occupied[idx / 64] & bit != 0;
-        let hops = self.hops;
-
-        let (evicted, completed) = self.rows.rmw_in_place(idx, |row| {
-            let collided = was_occupied && row.key != *key;
-            let evicted = collided.then(|| row.emission(false));
-            if collided || !was_occupied {
-                *row = Row { key: *key, ..Row::default() };
-            }
-            row.words[hop as usize] = word;
-            row.present |= 1 << hop;
-            if path_len > 0 {
-                row.path_len = path_len;
-            }
-            // Complete when every hop below `needed` has arrived
-            // (`needed <= hops <= 8` was checked on the way in).
-            let needed = if row.path_len > 0 { row.path_len } else { hops };
-            let full_mask = ((1u16 << needed) - 1) as u8;
-            let completed = (row.present & full_mask == full_mask).then(|| {
-                let emission = row.emission(true);
-                *row = Row::default();
-                emission
-            });
-            (evicted, completed)
+        let row = &mut self.rows[idx];
+        let collided = was_occupied && row.key != *key;
+        let evicted = collided.then(|| row.emission(false));
+        if collided || !was_occupied {
+            *row = Row { key: *key, ..Row::default() };
+        }
+        row.words[hop as usize] = word;
+        row.present |= 1 << hop;
+        if path_len > 0 {
+            row.path_len = path_len;
+        }
+        // Complete when every hop below `needed` has arrived
+        // (`needed <= hops <= 8` was checked on the way in).
+        let needed = if row.path_len > 0 { row.path_len } else { self.hops };
+        let full_mask = ((1u16 << needed) - 1) as u8;
+        let completed = (row.present & full_mask == full_mask).then(|| {
+            let emission = row.emission(true);
+            *row = Row::default();
+            emission
         });
 
         self.stats.early_emissions += u64::from(evicted.is_some());
@@ -263,16 +264,11 @@ impl PostcardCache {
                 let idx = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 self.stats.early_emissions += 1;
-                out.push(self.rows.rmw_in_place(idx, |row| std::mem::take(row).emission(false)));
+                out.push(std::mem::take(&mut self.rows[idx]).emission(false));
             }
         }
         self.live = 0;
         out
-    }
-
-    /// SRAM bytes the cache occupies.
-    pub fn sram_bytes(&self) -> usize {
-        self.rows.sram_bytes()
     }
 }
 
@@ -281,7 +277,7 @@ impl Drop for PostcardCache {
         // Re-zero only the rows this cache ever occupied (rows written
         // back to `Row::default()` are zero already; re-zeroing them is an
         // idempotent handful of bytes), then recycle the storage.
-        let mut cells = self.rows.take_cells();
+        let mut cells = std::mem::take(&mut self.rows);
         if cells.is_empty() {
             return;
         }
@@ -415,13 +411,13 @@ mod tests {
         let mut c = PostcardCache::new(64, 5);
         let k = key(6);
         assert_eq!(c.insert(&k, 0, 5, 1), [None, None]);
-        let before = c.rows.read(c.row_index(&k));
+        let before = c.rows[c.row_index(&k)];
         for (hop, path_len) in [(6u8, 7u8), (5, 0), (0, 200), (0, 6), (255, 255)] {
             assert_eq!(c.insert(&k, hop, path_len, 77), [None, None]);
         }
         assert_eq!(c.stats.rejected, 5);
         assert_eq!(c.stats.postcards, 1);
-        assert_eq!(c.rows.read(c.row_index(&k)), before);
+        assert_eq!(c.rows[c.row_index(&k)], before);
         assert_eq!(c.live, 1);
     }
 
@@ -580,16 +576,8 @@ mod tests {
             let mut recycled = PostcardCache::new(SLOTS, 5);
             prop_assert_eq!(recycled.live, 0);
             prop_assert!(recycled.occupied.iter().all(|w| *w == 0));
-            prop_assert!((0..SLOTS).all(|i| recycled.rows.read(i) == Row::default()));
+            prop_assert!((0..SLOTS).all(|i| recycled.rows[i] == Row::default()));
             prop_assert!(recycled.flush().is_empty());
         }
-    }
-
-    #[test]
-    fn sram_accounting_32k_slots() {
-        let c = PostcardCache::new(32 * 1024, 5);
-        // Row is key(16) + words(32) + flags: the prototype's "32K slots
-        // storing fixed-size 32-bit payloads" maps to 32K rows here.
-        assert!(c.sram_bytes() >= 32 * 1024 * 36);
     }
 }

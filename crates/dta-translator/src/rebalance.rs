@@ -161,12 +161,12 @@ pub fn link_of(collector: u32, primitive: MigPrimitive) -> u32 {
 }
 
 /// Collector half of a link id.
-pub fn link_collector(link: u32) -> u32 {
+fn link_collector(link: u32) -> u32 {
     link / 2
 }
 
 /// Primitive half of a link id.
-pub fn link_primitive(link: u32) -> MigPrimitive {
+fn link_primitive(link: u32) -> MigPrimitive {
     if link.is_multiple_of(2) { MigPrimitive::KeyWrite } else { MigPrimitive::KeyIncrement }
 }
 

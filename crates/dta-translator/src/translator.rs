@@ -28,7 +28,6 @@ use dta_rdma::cm::{ConnectionParams, ServiceId};
 use dta_rdma::packet::RocePacket;
 use dta_rdma::qp::QueuePair;
 use dta_rdma::verbs::RdmaOp;
-use dta_switch::MulticastEngine;
 
 use crate::append::{AppendBatcher, BatchWrite};
 use crate::pool::{ImagePool, IMG_POOL_DEPTH};
@@ -151,7 +150,6 @@ pub struct Translator {
     config: TranslatorConfig,
     scratch: KeyScratch,
     codec: ValueCodec,
-    multicast: MulticastEngine,
     images: ImagePool,
 
     kw: Option<(ServiceConn, KwLayout)>,
@@ -174,10 +172,6 @@ const _: () = _assert_send::<Translator>();
 impl Translator {
     /// Translator with no connected services.
     pub fn new(config: TranslatorConfig) -> Self {
-        let mut multicast = MulticastEngine::new();
-        for n in 1..=dta_hash::polynomials::MAX_REDUNDANCY as u16 {
-            multicast.install_group(n, n);
-        }
         let cache = PostcardCache::new(config.postcard_cache_slots, config.postcard_hops);
         let codec = ValueCodec::switch_ids(config.postcard_values, config.postcard_bits);
         let limiter = config.rate_limit.map(RateLimiter::new);
@@ -189,7 +183,6 @@ impl Translator {
             config,
             scratch,
             codec,
-            multicast,
             images: ImagePool::new(IMG_POOL_DEPTH),
             kw: None,
             postcard: None,
@@ -209,11 +202,6 @@ impl Translator {
     /// The postcard aggregation cache (for Figure 14 statistics).
     pub fn postcard_cache(&self) -> &PostcardCache {
         &self.cache
-    }
-
-    /// The append batcher, when connected.
-    pub fn append_batcher(&self) -> Option<&AppendBatcher> {
-        self.append.as_ref().map(|(_, _, b)| b)
     }
 
     /// Hit/miss counters of the key digest scratch.
@@ -421,17 +409,12 @@ impl Translator {
                     buf[4..4 + take].copy_from_slice(&report.payload[..take]);
                 });
 
-                // The PRE replicates the packet once per redundancy copy;
-                // each replica's rid selects the hash function. The last
-                // replica takes the image itself (`repeat_n` clones N − 1
-                // times).
-                let copies = self
-                    .multicast
-                    .replicate_count(n as u16)
-                    .expect("redundancy groups pre-installed");
+                // One packet per redundancy copy (the switch's PRE); each
+                // replica's rid selects the hash function. The last replica
+                // takes the image itself (`repeat_n` clones N − 1 times).
                 let (conn, _) = self.kw.as_mut().expect("checked above");
                 let rkey = conn.params.rkey;
-                for (rid, data) in std::iter::repeat_n(img, copies as usize).enumerate() {
+                for (rid, data) in std::iter::repeat_n(img, n).enumerate() {
                     let va = layout.slot_va_from_digest(digests.slots[rid]);
                     let op = match immediate {
                         Some(imm) => RdmaOp::WriteImm { rkey, va, data, imm },
@@ -452,13 +435,9 @@ impl Translator {
                     return;
                 }
                 let digests = self.scratch.digests(h.key.as_bytes(), n);
-                let copies = self
-                    .multicast
-                    .replicate_count(n as u16)
-                    .expect("redundancy groups pre-installed");
                 let (conn, _) = self.cms.as_mut().expect("checked above");
                 let rkey = conn.params.rkey;
-                for rid in 0..copies as usize {
+                for rid in 0..n {
                     let va = layout.slot_va_from_digest(digests.slots[rid]);
                     let op = RdmaOp::FetchAdd { rkey, va, add: h.delta };
                     out.packets.push(op.into_packet(&mut conn.qp));
@@ -547,13 +526,9 @@ impl Translator {
         });
 
         let digests = self.scratch.digests(emission.key.as_bytes(), n);
-        let copies = self
-            .multicast
-            .replicate_count(n as u16)
-            .expect("redundancy groups pre-installed");
         let (conn, _) = self.postcard.as_mut().expect("caller checked service");
         let rkey = conn.params.rkey;
-        for (rid, data) in std::iter::repeat_n(img, copies as usize).enumerate() {
+        for (rid, data) in std::iter::repeat_n(img, n).enumerate() {
             let va = layout.chunk_va_from_digest(digests.slots[rid]);
             let op = RdmaOp::Write { rkey, va, data };
             out.packets.push(op.into_packet(&mut conn.qp));
@@ -1022,11 +997,11 @@ mod tests {
         for list in [1u32, 7, 11] {
             run(&mut svc, tr.process(0, &DtaReport::append(0, list, vec![5; 4])));
         }
-        assert_eq!(tr.append_batcher().unwrap().dirty_count(), 3);
+        assert_eq!(tr.append.as_ref().unwrap().2.dirty_count(), 3);
         let out = tr.flush(0);
         assert_eq!(out.packets.len(), 3, "exactly one write per dirty list");
         run(&mut svc, out);
-        assert_eq!(tr.append_batcher().unwrap().dirty_count(), 0);
+        assert_eq!(tr.append.as_ref().unwrap().2.dirty_count(), 0);
         assert!(tr.flush(0).packets.is_empty(), "second flush has nothing to do");
     }
 

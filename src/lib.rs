@@ -14,7 +14,6 @@
 //! * [`net`] — the event-driven network simulator (links, faults,
 //!   fat-trees).
 //! * [`rdma`] — the software RoCEv2 stack (verbs, QPs, memory regions, NIC).
-//! * [`switch`] — the programmable-switch pipeline model.
 //! * [`telemetry`] — monitoring systems producing reports (INT, Marple,
 //!   NetSeer, Trajectory Sampling).
 //! * [`reporter`] — the switch-side DTA exporter.
@@ -23,8 +22,8 @@
 //! * [`sim`] — the end-to-end scenario harness (reporter fleets → faulty
 //!   fat-tree fabric → translator ToR → collector, from one declarative
 //!   spec).
-//! * [`analysis`] — closed-form error bounds, the CPU-collector cost model
-//!   and experiment tooling.
+//! * [`analysis`] — closed-form error bounds, the CPU-collector cost model,
+//!   the Tofino resource tables and experiment tooling.
 //!
 //! ## Quickstart
 //!
@@ -64,6 +63,5 @@ pub use dta_net as net;
 pub use dta_rdma as rdma;
 pub use dta_reporter as reporter;
 pub use dta_sim as sim;
-pub use dta_switch as switch;
 pub use dta_telemetry as telemetry;
 pub use dta_translator as translator;
