@@ -88,6 +88,7 @@ impl Default for ServiceConfig {
 }
 
 /// A running collector: NIC, registered stores, CM services.
+#[derive(Debug)]
 pub struct CollectorService {
     /// The RDMA NIC (feed RoCE packets to `nic_ingress`).
     pub nic: RdmaNic,
@@ -100,19 +101,6 @@ pub struct CollectorService {
     pub append: Option<AppendReader>,
     /// Key-Increment store, when enabled.
     pub key_increment: Option<KeyIncrementStore>,
-}
-
-// Manual impl: `RdmaNic` (simulated hardware with queue state) has no
-// `Debug`; show which stores are enabled instead of the NIC internals.
-impl std::fmt::Debug for CollectorService {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CollectorService")
-            .field("keywrite", &self.keywrite.is_some())
-            .field("postcarding", &self.postcarding.is_some())
-            .field("append", &self.append.is_some())
-            .field("key_increment", &self.key_increment.is_some())
-            .finish_non_exhaustive()
-    }
 }
 
 impl CollectorService {

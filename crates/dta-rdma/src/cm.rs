@@ -185,7 +185,7 @@ mod tests {
         let requester = CmRequester::new(0x55, 1234);
         let req = requester.request(1);
         let (reply, responder_qp) = cm.handle(&req);
-        let responder_qp = responder_qp.expect("accepted");
+        let mut responder_qp = responder_qp.expect("accepted");
         let (req_qp, params) = requester.complete(&reply).unwrap();
 
         assert_eq!(req_qp.state, QpState::Rts);
@@ -194,7 +194,7 @@ mod tests {
         assert_eq!(req_qp.dest_qpn, params.qpn);
         assert_eq!(responder_qp.dest_qpn, 0x55);
         // PSN domains aligned.
-        assert_eq!(responder_qp.expected_psn(), 1234);
+        assert_eq!(responder_qp.receive(1234), Ok(()));
     }
 
     #[test]

@@ -146,6 +146,7 @@ const BURST_LOOKAHEAD: usize = 8;
 /// engine (memory writes) runs with zero CPU involvement; completions are
 /// queued only for SEND and WRITE-with-immediate, which is what the
 /// collector CPU polls.
+#[derive(Debug)]
 pub struct RdmaNic {
     /// Registered memory.
     pub memory: MemoryRegistry,

@@ -357,11 +357,11 @@ impl RocePacket {
         }
     }
 
-    /// A NAK reporting `expected_psn` (simulation convention: a NAK is an
-    /// ACK-opcode packet with the solicited bit set, standing in for the
+    /// A NAK reporting the `expected` PSN (simulation convention: a NAK is
+    /// an ACK-opcode packet with the solicited bit set, standing in for the
     /// AETH syndrome field).
-    pub fn nak(dest_qp: u32, expected_psn: u32) -> Self {
-        let mut p = Self::ack(dest_qp, expected_psn);
+    pub fn nak(dest_qp: u32, expected: u32) -> Self {
+        let mut p = Self::ack(dest_qp, expected);
         p.bth.solicited = true;
         p
     }

@@ -64,10 +64,10 @@ pub struct QueuePair {
     /// ACK-eligible packets received since this QP last emitted an ACK
     /// (responder-side ACK coalescing state — per-QP, as on real HCAs).
     unacked: u32,
-    /// Expected PSN the last send-side rewind answered.
+    /// Expected PSN of the last NAK judged news.
     rewound_to: u32,
     /// Repeats of that NAK still owed by packets that were already in
-    /// flight at the rewind (see [`QueuePair::resync_send`]).
+    /// flight when it arrived (see [`QueuePair::stale_nak`]).
     stale_naks: u32,
 }
 
@@ -124,11 +124,6 @@ impl QueuePair {
         psn
     }
 
-    /// PSN the receiver currently expects.
-    pub fn expected_psn(&self) -> u32 {
-        self.expect_psn
-    }
-
     /// Validate an inbound packet's PSN. On success the expected PSN
     /// advances.
     pub fn receive(&mut self, psn: u32) -> Result<(), QpError> {
@@ -152,31 +147,41 @@ impl QueuePair {
         }
     }
 
-    /// Resynchronize the send side to `psn`, the expected PSN a NAK
-    /// reported, and say whether the send PSN was rewound. DTA is
-    /// best-effort: the lost operations are not replayed here, but the PSN
-    /// stream realigns so the connection keeps flowing.
+    /// Whether a NAK naming expected PSN `psn` is a stale repeat. Never
+    /// moves the send PSN: the caller acts on a NAK this calls news.
     ///
-    /// A responder NAKs *every* out-of-sequence arrival, so a rewind from
+    /// A responder NAKs *every* out-of-sequence arrival, so going back from
     /// send PSN `S` to `E` is followed by one more NAK for `E` per packet
     /// past `E` that was already in flight — `S − E − 2` of them, the first
-    /// having caused this rewind. Those repeats are stale: acting on one
-    /// would rewind mid-recovery and re-use PSNs the responder has since
-    /// consumed. They are counted off here and ignored; any other NAK
-    /// rewinds. Fewer repeats than predicted may arrive (they can be lost
-    /// too), and the leftover count then swallows that many genuine NAKs
-    /// for `E` — it delays the next resync, never prevents it, so the rule
-    /// converges from any counter value.
-    pub fn resync_send(&mut self, psn: u32) -> bool {
+    /// having caused the go-back. Those repeats are stale: acting on one
+    /// would go back mid-recovery and re-send PSNs the responder has since
+    /// consumed. They are counted off here; any other NAK is news and
+    /// predicts its own repeats. Fewer repeats than predicted may arrive
+    /// (they can be lost too), and the leftover count then swallows that
+    /// many genuine NAKs for `E` — it delays the next go-back, never
+    /// prevents it, so the rule converges from any counter value.
+    pub fn stale_nak(&mut self, psn: u32) -> bool {
         let psn = psn & PSN_MASK;
         if psn == self.rewound_to && self.stale_naks > 0 {
             self.stale_naks -= 1;
-            return false;
+            return true;
         }
         let in_flight = self.send_psn.wrapping_sub(psn) & PSN_MASK;
         self.stale_naks = if in_flight < PSN_HALF { in_flight.saturating_sub(2) } else { 0 };
         self.rewound_to = psn;
-        self.send_psn = psn;
+        false
+    }
+
+    /// Resynchronize the send side to `psn`, the expected PSN a NAK
+    /// reported, unless the NAK is stale ([`QueuePair::stale_nak`]); say
+    /// whether the send PSN was rewound. DTA is best-effort: the lost
+    /// operations are not replayed here, but the PSN stream realigns so
+    /// the connection keeps flowing.
+    pub fn resync_send(&mut self, psn: u32) -> bool {
+        if self.stale_nak(psn) {
+            return false;
+        }
+        self.send_psn = psn & PSN_MASK;
         true
     }
 }
@@ -244,6 +249,16 @@ mod tests {
         // The ninth is one more than the rewind predicted: 50 was lost again.
         assert!(a.resync_send(50));
         assert_eq!(a.next_send_psn(), 50);
+
+        // `stale_nak` alone judges the same NAKs the same way, and leaves
+        // the send PSN where it was.
+        let (mut b, _) = connected_pair();
+        for _ in 0..10 {
+            b.next_send_psn();
+        }
+        let judged: Vec<bool> = (0..10).map(|_| b.stale_nak(50)).collect();
+        assert_eq!(judged, [[false].as_slice(), &[true; 8], &[false]].concat());
+        assert_eq!(b.next_send_psn(), 60);
     }
 
     #[test]

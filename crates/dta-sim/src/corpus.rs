@@ -602,14 +602,15 @@ fn want_list<'a>(file: &str, it: &'a Item) -> Result<&'a [Value], ParseError> {
 // The key table: every spec key, declared once
 // ---------------------------------------------------------------------------
 
-/// One spec key: [`render_spec`] calls `show`, [`parse_str`] calls `read`.
-struct Key {
+/// One spec key: [`render_spec`] calls `show`, [`parse_str`] calls `read`,
+/// and [`ScenarioSpec::validate`] range-checks the `*_chance` keys' `show`.
+pub(crate) struct Key {
     /// Section path as written between `[` `]`; `""` is the top of the file.
-    section: &'static str,
-    name: &'static str,
+    pub(crate) section: &'static str,
+    pub(crate) name: &'static str,
     /// The value as document text; `None` omits the line (an absent plan,
     /// an unset optional field).
-    show: fn(&ScenarioSpec) -> Option<String>,
+    pub(crate) show: fn(&ScenarioSpec) -> Option<String>,
     /// Store the item's value; the error names the key.
     read: fn(&mut Draft, &Item) -> Result<(), String>,
 }
@@ -817,7 +818,7 @@ static KEYS: &[&[Key]] = &[
     ],
 ];
 
-fn keys() -> impl Iterator<Item = &'static Key> {
+pub(crate) fn keys() -> impl Iterator<Item = &'static Key> {
     KEYS.iter().copied().flatten()
 }
 

@@ -117,8 +117,8 @@ pub struct RebalancePlan {
     /// Bound on concurrently *active* (non-terminal) fence entries.
     /// Eviction is counted, never silent (> 0).
     pub fence_capacity: usize,
-    /// Bound on drain reads in flight ([`dta_translator::MigrationLedger`],
-    /// > 0).
+    /// Bound on fence entries in drain flight (the rebalance driver's
+    /// migration ledger, > 0).
     pub ledger_capacity: usize,
     /// Entries armed / drained per pump tick.
     pub drain_batch: usize,
@@ -753,6 +753,14 @@ impl ScenarioSpec {
                     "kw_write_once needs kw_keys >= reporters*ops ({} < {})",
                     self.traffic.kw_keys, worst
                 ));
+            }
+        }
+        // Fault dice assert p ∈ [0, 1] mid-run, and a migration drop above 1
+        // never lets a rebalance release: every `*_chance` key is one.
+        for key in crate::corpus::keys().filter(|k| k.name.ends_with("_chance")) {
+            let Some(p) = (key.show)(self).and_then(|v| v.parse::<f64>().ok()) else { continue };
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("{}.{} must be in [0, 1], got {p}", key.section, key.name));
             }
         }
         Ok(())

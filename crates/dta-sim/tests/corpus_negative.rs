@@ -34,6 +34,8 @@ const EXPECTATIONS: &[(&str, &[&str])] = &[
     ("kw_redundancy_overflow.toml", &["traffic.kw_redundancy", "1..=8, got 9"]),
     ("append_batch_zero.toml", &["translator.append_batch"]),
     ("mtu_zero.toml", &["translator.mtu must be >= 1"]),
+    ("fault_chance_overflow.toml", &["faults.fabric.drop_chance", "[0, 1]"]),
+    ("sweep_chance_overflow.toml", &["invalid sweep cell [drop=2.0]"]),
 ];
 
 #[test]

@@ -42,13 +42,12 @@ use dta_collector::service::CollectorService;
 use dta_core::{DtaReport, PrimitiveHeader, TelemetryKey};
 use dta_hash::scratch::KeyScratch;
 use dta_net::{Emission, NetNode, NodeId, Packet, SimTime};
+use dta_rdma::packet::RocePacket;
 
 use crate::link::{CollectorLink, InProcessLink, LinkKind, LinkResponse, LinkRun, RoceLink};
 use crate::node::{ingress, Ingress, TranslatorNodeStats};
 use crate::partition::{collector_route, collector_route_list};
-use crate::rebalance::{
-    MigPrimitive, RebalanceConfig, RebalanceDriver, RebalanceStats, WireEmission,
-};
+use crate::rebalance::{MigPrimitive, RebalanceConfig, RebalanceDriver, RebalanceStats};
 use crate::shard::ReportOrigin;
 use crate::translator::{TranslatorConfig, TranslatorStats};
 
@@ -315,7 +314,7 @@ impl ReplayLedger {
     }
 
     /// Take the un-acked suffix a NAK proves unexecuted: entries on
-    /// `(collector, qpn)` with `last_psn >= expected_psn`. Sound because
+    /// `(collector, qpn)` with `last_psn >= expected`. Sound because
     /// the only loss source here is contiguous (a dead/rejoining node
     /// sinks everything from some PSN onward), so a NAK'd suffix contains
     /// no partially executed entries.
@@ -323,13 +322,13 @@ impl ReplayLedger {
         &mut self,
         collector: u32,
         qpn: u32,
-        expected_psn: u32,
+        expected: u32,
         into: &mut Vec<LedgerEntry>,
     ) {
         let window = &mut self.windows[collector as usize];
         let mut i = 0;
         while i < window.len() {
-            if window[i].qpn == qpn && !window[i].acked && window[i].last_psn >= expected_psn {
+            if window[i].qpn == qpn && !window[i].acked && window[i].last_psn >= expected {
                 into.push(window.remove(i).unwrap());
             } else {
                 i += 1;
@@ -437,7 +436,10 @@ pub struct FleetRunReport {
 #[derive(Debug)]
 struct Migration {
     driver: RebalanceDriver,
-    emission_buf: Vec<WireEmission>,
+    /// `(collector, request)` pairs of one pump.
+    request_buf: Vec<(u32, RocePacket)>,
+    /// Responses a link produced on the spot.
+    response_buf: Vec<RocePacket>,
     replay_buf: Vec<(DtaReport, ReportOrigin)>,
 }
 
@@ -484,8 +486,8 @@ impl FleetNode {
     /// signalling fleet events.
     ///
     /// `peers` entries are `(node id, ip, service)`. Call before the
-    /// services move into their own network nodes: the RoCE link runs its
-    /// CM handshakes against them, the in-process link clones their region
+    /// services move into their own network nodes: both links run their CM
+    /// handshakes against them, the in-process link clones their region
     /// registries.
     pub fn connect(
         config: &FleetConfig,
@@ -498,15 +500,22 @@ impl FleetNode {
         let cms = peers[0].2.key_increment.as_ref().map(|s| *s.layout());
         let n = peers.len() as u32;
         let admin = FleetAdmin::new();
+        let mut migration = Vec::new();
+        let link: Box<dyn CollectorLink> = match kind {
+            LinkKind::Roce { my_id, my_ip } => {
+                Box::new(RoceLink::connect(config, peers, my_id, my_ip, &mut migration))
+            }
+            LinkKind::InProcess { my_id, my_ip, shards } => Box::new(InProcessLink::connect(
+                config,
+                shards,
+                peers,
+                my_id,
+                my_ip,
+                &mut migration,
+            )),
+        };
         let node = FleetNode {
-            link: match kind {
-                LinkKind::Roce { my_id, my_ip } => {
-                    Box::new(RoceLink::connect(config, peers, my_id, my_ip, kw))
-                }
-                LinkKind::InProcess { my_id, my_ip, shards } => {
-                    Box::new(InProcessLink::connect(config, shards, peers, my_id, my_ip, kw))
-                }
-            },
+            link,
             table: CollectorRoutingTable::new(n),
             // Unused by a fleet of one (see `post`), whose config may
             // leave the capacity zero.
@@ -518,8 +527,9 @@ impl FleetNode {
             event_buf: Vec::new(),
             replay_buf: Vec::new(),
             rebalance: config.rebalance.map(|rb| Migration {
-                driver: RebalanceDriver::new(rb, kw, cms),
-                emission_buf: Vec::new(),
+                driver: RebalanceDriver::new(rb, kw, cms, migration),
+                request_buf: Vec::new(),
+                response_buf: Vec::new(),
                 replay_buf: Vec::new(),
             }),
             stats: TranslatorNodeStats::default(),
@@ -639,7 +649,8 @@ impl FleetNode {
         rb.driver.start_drain(epoch);
     }
 
-    /// Drive the migration: release check, wire emissions, and replays.
+    /// Drive the migration: release check, wire requests (and the answers
+    /// a link gave on the spot), and replays.
     fn pump_rebalance(&mut self, now_ns: u64, out: &mut Vec<Emission>) {
         let Some(rb) = self.rebalance.as_mut() else { return };
         if rb.driver.release_ready() {
@@ -647,13 +658,14 @@ impl FleetNode {
             self.failover.epoch = epoch;
             rb.driver.mark_released(epoch);
         }
-        let mut emissions = std::mem::take(&mut rb.emission_buf);
-        emissions.clear();
-        rb.driver.pump(now_ns, &mut emissions);
-        for e in &emissions {
-            self.link.post_wire(e, &mut rb.driver, out);
+        rb.request_buf.clear();
+        rb.driver.pump(now_ns, &mut rb.request_buf);
+        for (c, pkt) in &rb.request_buf {
+            self.link.post_wire(*c, pkt, out, &mut rb.response_buf);
         }
-        rb.emission_buf = emissions;
+        for response in rb.response_buf.drain(..) {
+            rb.driver.on_response(&response);
+        }
         // Drained state and released deferrals re-enter the report path.
         let mut replays = std::mem::take(&mut rb.replay_buf);
         replays.clear();
@@ -713,8 +725,7 @@ impl NetNode for FleetNode {
                 self.post(owner, now_ns, report, origin, out);
             }
             Some(Ingress::Roce { from, payload }) => {
-                let driver = self.rebalance.as_mut().map(|rb| &mut rb.driver);
-                let Some(response) = self.link.take_response(now_ns, from, payload, driver) else {
+                let Some(response) = self.link.take_response(now_ns, from, payload) else {
                     self.stats.malformed += 1;
                     return;
                 };
@@ -724,12 +735,17 @@ impl NetNode for FleetNode {
                     LinkResponse::Ack { collector, qpn, psn } => {
                         self.ledger.mark_acked(collector, qpn, psn)
                     }
-                    LinkResponse::Nak { collector, qpn, expected_psn } => {
+                    LinkResponse::Nak { collector, qpn, expected } => {
                         let mut suffix = std::mem::take(&mut self.replay_buf);
-                        self.ledger.drain_nak(collector, qpn, expected_psn, &mut suffix);
+                        self.ledger.drain_nak(collector, qpn, expected, &mut suffix);
                         self.failover.nak_replayed += suffix.len() as u64;
                         self.replay(now_ns, &mut suffix, out);
                         self.replay_buf = suffix;
+                    }
+                    LinkResponse::Migration(pkt) => {
+                        if let Some(rb) = self.rebalance.as_mut() {
+                            rb.driver.on_response(&pkt);
+                        }
                     }
                 }
             }

@@ -39,7 +39,7 @@ pub mod partition;
 mod pool;
 pub mod postcard_cache;
 pub mod ratelimit;
-pub mod rebalance;
+mod rebalance;
 pub mod shard;
 pub mod spsc;
 pub mod translator;
@@ -54,10 +54,7 @@ pub use link::LinkKind;
 pub use partition::Partitioner;
 pub use postcard_cache::{CacheEmission, PostcardCache};
 pub use ratelimit::{RateLimiter, RateLimiterConfig};
-pub use rebalance::{
-    MigPrimitive, MigrationFaults, MigrationLedger, RebalanceConfig, RebalanceDriver,
-    RebalanceStats, WireEmission, WireKind,
-};
+pub use rebalance::{MigrationFaults, RebalanceConfig, RebalanceStats};
 pub use shard::{
     NackRecord, ReportOrigin, ShardRunReport, ShardedConfig, ShardedRunReport, ShardedTranslator,
 };

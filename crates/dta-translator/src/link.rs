@@ -2,23 +2,26 @@
 //! owns routing, the replay ledger, and the whole recovery state machine.
 //! [`RoceLink`] sends RDMA as RoCE packets over the simulated network, one
 //! [`Translator`] endpoint per collector; [`InProcessLink`] executes it
-//! in-process, one [`ShardedTranslator`] pipeline per collector. DESIGN.md
-//! "Failover" tabulates the two column by column.
+//! in-process, one [`ShardedTranslator`] pipeline per collector. Either way
+//! a rebalance's migration requests — built and numbered by the fleet
+//! node's driver on QPs the link connected — reach the collector's own
+//! responder: over the network, or through an `RdmaNic` endpoint the link
+//! accepted them on. DESIGN.md "Failover" tabulates the two column by
+//! column.
 
 use bytes::Bytes;
-use dta_collector::layout::{CmsLayout, KwLayout};
 use dta_collector::service::{
     CollectorService, SERVICE_APPEND, SERVICE_CMS, SERVICE_KW, SERVICE_POSTCARD,
 };
 use dta_core::DtaReport;
 use dta_net::{Emission, NodeId, Packet};
-use dta_rdma::cm::CmRequester;
-use dta_rdma::mr::MemoryRegion;
-use dta_rdma::packet::{Opcode, Reth, RocePacket};
+use dta_rdma::cm::{CmEvent, CmRequester, ConnectionParams};
+use dta_rdma::nic::RdmaNic;
+use dta_rdma::packet::RocePacket;
+use dta_rdma::qp::QueuePair;
 
 use crate::failover::{FleetConfig, LedgerEntry};
 use crate::node::nack_emission;
-use crate::rebalance::{link_of, MigPrimitive, RebalanceDriver, WireEmission, WireKind};
 use crate::shard::{NackRecord, ReportOrigin, ShardedConfig, ShardedTranslator};
 use crate::translator::{Translator, TranslatorOutput, TranslatorStats};
 
@@ -46,17 +49,43 @@ pub enum LinkKind {
 }
 
 /// What a RoCE response from the network leaves for the fleet node to do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug)]
 pub(crate) enum LinkResponse {
     /// Nothing: liveness credit only (unknown sender, a NAK the requester
-    /// QP counted as a stale repeat), or a migration completion already fed
-    /// to the driver.
+    /// QP counted as a stale repeat).
     Consumed,
     /// Cumulative ACK on a service QP.
     Ack { collector: u32, qpn: u32, psn: u32 },
-    /// A NAK that rewound the QP's send PSN to `expected_psn`: the un-acked
+    /// A NAK that rewound the QP's send PSN to `expected`: the un-acked
     /// ledger suffix from there must be replayed.
-    Nak { collector: u32, qpn: u32, expected_psn: u32 },
+    Nak { collector: u32, qpn: u32, expected: u32 },
+    /// A response on a QP the report path does not own: a migration
+    /// completion (or NAK) for the rebalance driver.
+    Migration(RocePacket),
+}
+
+/// A migration connection: `(collector, requester QP, params)`, the QP and
+/// params as `CmRequester::complete` returned them.
+pub(crate) type MigrationQp = (u32, QueuePair, ConnectionParams);
+
+/// Connect collector `c`'s migration QPs through `accept`, its CM: one per
+/// store a rebalance moves (KW, CMS), beside the report path's so
+/// migration traffic never perturbs report PSNs or the completion-timeout
+/// accounting. A disabled service connects nothing. Requester QPNs sit
+/// clear of the shard (0x4000+) range: 16 per collector, the report path's
+/// at the service id, migration's 8 above.
+fn connect_migration(
+    c: u32,
+    qps: &mut Vec<MigrationQp>,
+    mut accept: impl FnMut(&CmEvent) -> CmEvent,
+) {
+    for service in [SERVICE_KW, SERVICE_CMS] {
+        let requester = CmRequester::new(0x7100 + c * 16 + 8 + u32::from(service), 0);
+        let reply = accept(&requester.request(service));
+        if let Ok((qp, params)) = requester.complete(&reply) {
+            qps.push((c, qp, params));
+        }
+    }
 }
 
 /// Per-link run totals, folded into [`crate::FleetRunReport`].
@@ -84,19 +113,25 @@ pub(crate) trait CollectorLink: std::fmt::Debug {
         out: &mut Vec<Emission>,
     ) -> Option<LedgerEntry>;
 
-    /// Put one migration verb on the wire. A link that executes it on the
-    /// spot feeds the completion to `driver` before returning.
-    fn post_wire(&mut self, e: &WireEmission, driver: &mut RebalanceDriver, out: &mut Vec<Emission>);
+    /// Put one migration request toward collector `c` on the wire. A link
+    /// that executes it on the spot appends the responder's answer, if
+    /// any, to `responses`.
+    fn post_wire(
+        &mut self,
+        c: u32,
+        pkt: &RocePacket,
+        out: &mut Vec<Emission>,
+        responses: &mut Vec<RocePacket>,
+    );
 
-    /// A RoCE datagram from node `from` reached the translator; migration
-    /// completions go to `driver`. `None` when it is malformed for this
-    /// link — always, for a link that puts no RoCE on the network.
+    /// A RoCE datagram from node `from` reached the translator. `None` when
+    /// it is malformed for this link — always, for a link that puts no
+    /// RoCE on the network.
     fn take_response(
         &mut self,
         _now_ns: u64,
         _from: NodeId,
         _payload: Bytes,
-        _driver: Option<&mut RebalanceDriver>,
     ) -> Option<LinkResponse> {
         None
     }
@@ -122,24 +157,6 @@ pub(crate) trait CollectorLink: std::fmt::Debug {
 
     /// Shut the link down and return its totals.
     fn finish(self: Box<Self>) -> LinkRun;
-}
-
-/// One zero buffer as long as the longest migration zero-write (a KW slot
-/// or a CMS counter), shared by every [`WireKind::WriteZero`] of a run.
-fn zero_payload(kw: Option<KwLayout>) -> Bytes {
-    let len = kw.map_or(0, |l| l.slot_bytes()).max(CmsLayout::SLOT_BYTES);
-    Bytes::from(vec![0u8; len as usize])
-}
-
-/// One migration QP's addressing on the RoCE link.
-#[derive(Debug, Clone, Copy)]
-struct MigLink {
-    /// Requester-side QPN (responses and ACKs name it).
-    req_qpn: u32,
-    /// Responder QPN at the collector.
-    dest_qpn: u32,
-    /// Remote key of the target region.
-    rkey: u32,
 }
 
 /// One collector's connection state on the RoCE link.
@@ -174,13 +191,6 @@ impl Endpoint {
 #[derive(Debug)]
 pub(crate) struct RoceLink {
     endpoints: Vec<Endpoint>,
-    /// Dedicated migration QPs (separate from the report-path service QPs
-    /// so migration traffic never perturbs report PSNs or the
-    /// completion-timeout accounting), indexed by [`link_of`];
-    /// `None` when the service is disabled, empty without a rebalance.
-    mig_links: Vec<Option<MigLink>>,
-    /// Payload every zero-write slices.
-    zeros: Bytes,
     timeout_ns: u64,
     min_unacked: u64,
     my_id: NodeId,
@@ -190,29 +200,25 @@ pub(crate) struct RoceLink {
 
 impl RoceLink {
     /// Connect one endpoint per collector, with a connection to every
-    /// service it offers. The handshake runs against each service's CM
-    /// before the services move into their own network nodes.
+    /// service it offers, and — when a rebalance is planned — the
+    /// collector's migration QPs onto its NIC, appended to `migration`. The
+    /// handshakes run against each service's CM before the services move
+    /// into their own network nodes.
     pub(crate) fn connect(
         config: &FleetConfig,
         peers: &mut [(NodeId, u32, &mut CollectorService)],
         my_id: NodeId,
         my_ip: u32,
-        kw: Option<KwLayout>,
+        migration: &mut Vec<MigrationQp>,
     ) -> Self {
         let mut endpoints = Vec::with_capacity(peers.len());
-        let mut mig_links = Vec::new();
-        if config.rebalance.is_some() {
-            mig_links.resize(peers.len() * 2, None);
-        }
         for (c, (node, ip, svc)) in peers.iter_mut().enumerate() {
             let c = c as u32;
-            // Requester QPNs sit clear of the shard (0x4000+) range: 16 per
-            // collector, report path at the service id, migration 8 above.
-            let qpn_base = 0x7100 + c * 16;
             let mut translator = Translator::new(config.translator.clone());
             let mut links = Vec::new();
             for service in [SERVICE_KW, SERVICE_POSTCARD, SERVICE_APPEND, SERVICE_CMS] {
-                let requester = CmRequester::new(qpn_base + u32::from(service), 0);
+                // Requester QPNs: see `connect_migration`.
+                let requester = CmRequester::new(0x7100 + c * 16 + u32::from(service), 0);
                 let reply = svc.handle_cm(&requester.request(service));
                 let Ok((qp, params)) = requester.complete(&reply) else {
                     continue; // service disabled on this collector
@@ -220,23 +226,8 @@ impl RoceLink {
                 links.push((qp.qpn, params.qpn));
                 translator.connect(service, qp, params);
             }
-            // Migration QPs, connected only when a rebalance is planned:
-            // reads + zero-writes ride their own PSN spaces.
             if config.rebalance.is_some() {
-                for (service, primitive) in [
-                    (SERVICE_KW, MigPrimitive::KeyWrite),
-                    (SERVICE_CMS, MigPrimitive::KeyIncrement),
-                ] {
-                    let requester = CmRequester::new(qpn_base + 8 + u32::from(service), 0);
-                    let reply = svc.handle_cm(&requester.request(service));
-                    if let Ok((qp, params)) = requester.complete(&reply) {
-                        mig_links[link_of(c, primitive) as usize] = Some(MigLink {
-                            req_qpn: qp.qpn,
-                            dest_qpn: params.qpn,
-                            rkey: params.rkey,
-                        });
-                    }
-                }
+                connect_migration(c, migration, |req| svc.handle_cm(req));
             }
             endpoints.push(Endpoint {
                 node: *node,
@@ -249,8 +240,6 @@ impl RoceLink {
         }
         RoceLink {
             endpoints,
-            mig_links,
-            zeros: zero_payload(kw),
             timeout_ns: config.timeout_ns,
             min_unacked: config.min_unacked,
             my_id,
@@ -304,34 +293,21 @@ impl CollectorLink for RoceLink {
         entry
     }
 
-    fn post_wire(&mut self, e: &WireEmission, _: &mut RebalanceDriver, out: &mut Vec<Emission>) {
-        let Some(link) = self.mig_links[e.link as usize] else { return };
-        let reth = Reth { va: e.va, rkey: link.rkey, dma_len: e.len };
-        let mut pkt = match e.kind {
-            WireKind::Read => RocePacket::read_request(link.dest_qpn, e.psn, reth),
-            WireKind::WriteZero => {
-                let zeros = self.zeros.slice(..e.len as usize);
-                RocePacket::write(link.dest_qpn, e.psn, reth, zeros)
-            }
-            WireKind::FetchAdd => {
-                RocePacket::fetch_add(link.dest_qpn, e.psn, e.va, link.rkey, e.arg)
-            }
-        };
-        // Solicit an immediate ACK: migration completion must not wait out
-        // the service-QP coalescing window.
-        pkt.bth.solicited = e.kind != WireKind::Read;
-        let ep = &self.endpoints[e.collector() as usize];
+    /// Migration traffic is not charged to the completion-timeout
+    /// accounting: its QPs are not the ones a dead collector silences.
+    fn post_wire(
+        &mut self,
+        c: u32,
+        pkt: &RocePacket,
+        out: &mut Vec<Emission>,
+        _: &mut Vec<RocePacket>,
+    ) {
+        let ep = &self.endpoints[c as usize];
         let wire = pkt.encode_framed(self.my_ip, ep.ip);
         out.push(Emission::now(Packet::rdma(self.my_id, ep.node, wire)));
     }
 
-    fn take_response(
-        &mut self,
-        now_ns: u64,
-        from: NodeId,
-        payload: Bytes,
-        driver: Option<&mut RebalanceDriver>,
-    ) -> Option<LinkResponse> {
+    fn take_response(&mut self, now_ns: u64, from: NodeId, payload: Bytes) -> Option<LinkResponse> {
         let roce = RocePacket::decode(payload).ok()?;
         let Some(c) = self.endpoints.iter().position(|ep| ep.node == from) else {
             return Some(LinkResponse::Consumed); // response from an unknown node: drop
@@ -342,17 +318,8 @@ impl CollectorLink for RoceLink {
         // ACKs and NAKs both name the *requester* QPN.
         let qpn = roce.bth.dest_qp;
         let psn = roce.bth.psn;
-        // Migration-QP traffic has its own completion protocol.
-        let mig = self.mig_links.iter().position(|l| matches!(l, Some(l) if l.req_qpn == qpn));
-        if let (Some(link), Some(driver)) = (mig.map(|i| i as u32), driver) {
-            if roce.bth.opcode == Opcode::ReadResponseOnly {
-                driver.on_read_response(link, psn, &roce.payload);
-            } else if roce.is_nak() {
-                driver.on_nak(link, psn);
-            } else {
-                driver.on_ack(link, psn);
-            }
-            return Some(LinkResponse::Consumed);
+        if !ep.links.iter().any(|&(q, _)| q == qpn) {
+            return Some(LinkResponse::Migration(roce));
         }
         let collector = c as u32;
         if !roce.is_nak() {
@@ -362,7 +329,7 @@ impl CollectorLink for RoceLink {
         // produces a train of identical NAKs; which of them is news is the
         // requester QP's call, and only a real rewind replays.
         if ep.translator.on_roce_response(&roce) {
-            Some(LinkResponse::Nak { collector, qpn, expected_psn: psn })
+            Some(LinkResponse::Nak { collector, qpn, expected: psn })
         } else {
             Some(LinkResponse::Consumed)
         }
@@ -431,51 +398,41 @@ pub(crate) struct InProcessLink {
     nack_from: Option<(NodeId, u32)>,
     /// Recycled drain buffer for tick-time NACK emission.
     nack_buf: Vec<NackRecord>,
-    /// Per-collector `(KW, CMS)` region clones migration verbs execute
-    /// against; empty without a rebalance.
-    regions: Vec<(Option<MemoryRegion>, Option<MemoryRegion>)>,
-    /// Per-link responder expected PSN (indexed by [`link_of`]): the check
-    /// mirrors the RoCE responder, so injected duplicates and reorders
-    /// exercise the same dup-drop / NAK recovery.
-    expected_psn: Vec<u32>,
-    /// Payload every zero-write slices.
-    zeros: Bytes,
+    /// Per collector, the NIC endpoint its migration QPs were accepted
+    /// onto; empty without a rebalance.
+    migration_nics: Vec<RdmaNic>,
 }
 
 impl InProcessLink {
-    /// Build one sharded pipeline per collector. Call before moving the
-    /// services into their own network nodes: shard NIC endpoints clone
-    /// each collector's region registry (as do the migration region
-    /// handles when a rebalance is planned).
+    /// Build one sharded pipeline per collector and — when a rebalance is
+    /// planned — accept the collector's migration QPs onto a NIC endpoint
+    /// of its own, appended to `migration`. Call before moving the services
+    /// into their own network nodes: NIC endpoints clone each collector's
+    /// region registry.
     pub(crate) fn connect(
         config: &FleetConfig,
         shards: usize,
         peers: &mut [(NodeId, u32, &mut CollectorService)],
         my_id: NodeId,
         my_ip: u32,
-        kw: Option<KwLayout>,
+        migration: &mut Vec<MigrationQp>,
     ) -> Self {
-        let mut regions = Vec::new();
-        if config.rebalance.is_some() {
-            regions.extend(peers.iter().map(|(_, _, svc)| {
-                (
-                    svc.keywrite.as_ref().map(|s| s.region().clone()),
-                    svc.key_increment.as_ref().map(|s| s.region().clone()),
-                )
-            }));
+        let sharded = ShardedConfig { shards, translator: config.translator.clone() };
+        let mut pipelines = Vec::with_capacity(peers.len());
+        let mut migration_nics = Vec::new();
+        for (c, (_, _, svc)) in peers.iter_mut().enumerate() {
+            pipelines.push(ShardedTranslator::connect(sharded.clone(), svc));
+            if config.rebalance.is_some() {
+                let mut nic = svc.shard_nic();
+                connect_migration(c as u32, migration, |req| svc.handle_cm_shard(req, &mut nic));
+                migration_nics.push(nic);
+            }
         }
-        let sharded =
-            ShardedConfig { shards, translator: config.translator.clone() };
         InProcessLink {
-            pipelines: peers
-                .iter_mut()
-                .map(|(_, _, svc)| ShardedTranslator::connect(sharded.clone(), svc))
-                .collect(),
+            pipelines,
             nack_from: config.translator.rate_limit.map(|_| (my_id, my_ip)),
             nack_buf: Vec::new(),
-            expected_psn: vec![0; regions.len() * 2],
-            regions,
-            zeros: zero_payload(kw),
+            migration_nics,
         }
     }
 }
@@ -495,41 +452,18 @@ impl CollectorLink for InProcessLink {
         Some(LedgerEntry { collector: c, qpn: 0, last_psn: 0, acked: true, report, origin })
     }
 
-    /// Each emission faces the same expected-PSN responder discipline as a
-    /// RoCE NIC (dup → silent drop, gap → NAK), then executes against the
-    /// region clone.
-    fn post_wire(&mut self, e: &WireEmission, driver: &mut RebalanceDriver, _: &mut Vec<Emission>) {
-        let expected = self.expected_psn[e.link as usize];
-        if e.psn < expected {
-            return; // duplicate: the responder PSN-drops it silently
-        }
-        if e.psn > expected {
-            return driver.on_nak(e.link, expected); // gap: NAK names the expected PSN
-        }
-        let collector = e.collector() as usize;
-        let region = match e.primitive() {
-            MigPrimitive::KeyWrite => &self.regions[collector].0,
-            MigPrimitive::KeyIncrement => &self.regions[collector].1,
-        };
-        let Some(region) = region else { return };
-        // Barrier the target pipeline: in-process "RDMA" must observe
-        // every ingested report, like a wire op behind FIFO delivery.
-        self.pipelines[collector].wait_idle();
-        match e.kind {
-            WireKind::Read => {
-                let data = region.peek(e.va, e.len as usize).expect("migration read in region");
-                driver.on_read_response(e.link, e.psn, &data);
-            }
-            WireKind::WriteZero => {
-                region.write(e.va, &self.zeros[..e.len as usize]).expect("migration zero write");
-                driver.on_ack(e.link, e.psn);
-            }
-            WireKind::FetchAdd => {
-                region.fetch_add(e.va, e.arg).expect("migration fetch-add");
-                driver.on_ack(e.link, e.psn);
-            }
-        }
-        self.expected_psn[e.link as usize] = e.psn + 1;
+    /// Barrier the target pipeline — in-process "RDMA" must observe every
+    /// ingested report, like a wire op behind FIFO delivery — then hand the
+    /// request to the collector's responder.
+    fn post_wire(
+        &mut self,
+        c: u32,
+        pkt: &RocePacket,
+        _: &mut Vec<Emission>,
+        responses: &mut Vec<RocePacket>,
+    ) {
+        self.pipelines[c as usize].wait_idle();
+        self.migration_nics[c as usize].ingress_burst(std::slice::from_ref(pkt), responses);
     }
 
     /// Barrier the victim's pipeline so its ledger window is complete

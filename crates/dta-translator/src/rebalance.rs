@@ -59,24 +59,36 @@
 //!
 //! # Migration transport
 //!
-//! Non-idempotent transfers (the replayed reports) ride the normal report
-//! path, which PR 6 already made exactly-once. The migration QPs carry
-//! *only* idempotent verbs — RDMA READs and zero-WRITEs — under a
-//! go-back-N scheme with **stable PSNs**: a PSN is bound to an op at
-//! creation and never reused, so a late response can never complete the
-//! wrong op. Loss/duplication/reordering are injected at emission (per
+//! Replayed reports ride the normal report path, which PR 6 already made
+//! exactly-once. Migration ops ride RoCE RC connections of their own, one
+//! per collector store they touch (KW, CMS), CM-issued like the report
+//! path's: the driver owns each requester [`QueuePair`], which stamps an
+//! op's PSN at creation — a PSN is never reused, so a late response can
+//! never complete the wrong op — and judges every NAK by the report path's
+//! rule ([`QueuePair::stale_nak`]). The driver builds each [`RocePacket`]
+//! itself (READ to arm or drain, FETCH_ADD to transfer, WRITE of zeros to
+//! clear), and both collector links hand it to the collector's own
+//! responder, `RdmaNic::ingress`: dup-drop, gap NAK and ACK are the NIC's.
+//! Loss/duplication/reordering are injected at emission (per
 //! [`MigrationFaults`], deterministic splitmix64 dice); recovery is
-//! NAK-triggered resend plus a retry timer, both re-sending undone ops in
-//! original PSN order. READs complete only on a matching-PSN response
-//! (the data is needed); zero-WRITEs complete on cumulative ACK.
+//! go-back-N — a NAK the QP calls news, or the retry timer, re-sends the
+//! undone ops in original PSN order. READs complete only on a matching-PSN
+//! response (the data is needed); WRITEs and FETCH_ADDs complete on
+//! cumulative ACK.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
+use bytes::Bytes;
 use dta_collector::layout::{CmsLayout, KwLayout};
+use dta_collector::service::{SERVICE_CMS, SERVICE_KW};
 use dta_core::{DtaReport, TelemetryKey};
 use dta_hash::polynomials::MAX_REDUNDANCY;
 use dta_hash::scratch::KeyScratch;
+use dta_rdma::cm::{ConnectionParams, ServiceId};
+use dta_rdma::packet::{Opcode, Reth, RocePacket};
+use dta_rdma::qp::QueuePair;
 
+use crate::link::MigrationQp;
 use crate::shard::ReportOrigin;
 
 /// Fault injection on the migration path (requests only; responses and
@@ -137,7 +149,7 @@ impl Default for RebalanceConfig {
 }
 
 /// Which collector-side store a fence entry migrates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MigPrimitive {
     /// Write-once Key-Write slots.
     KeyWrite,
@@ -146,71 +158,23 @@ pub enum MigPrimitive {
 }
 
 impl MigPrimitive {
-    fn idx(self) -> u32 {
+    /// The collector service whose region holds the primitive's slots.
+    fn service(self) -> ServiceId {
         match self {
-            MigPrimitive::KeyWrite => 0,
-            MigPrimitive::KeyIncrement => 1,
+            MigPrimitive::KeyWrite => SERVICE_KW,
+            MigPrimitive::KeyIncrement => SERVICE_CMS,
         }
     }
 }
 
-/// Flat migration-link id: one per `(collector, primitive)` pair, so PSN
-/// spaces of the two per-collector QPs never mix.
-pub fn link_of(collector: u32, primitive: MigPrimitive) -> u32 {
-    collector * 2 + primitive.idx()
-}
-
-/// Collector half of a link id.
-fn link_collector(link: u32) -> u32 {
-    link / 2
-}
-
-/// Primitive half of a link id.
-fn link_primitive(link: u32) -> MigPrimitive {
-    if link.is_multiple_of(2) { MigPrimitive::KeyWrite } else { MigPrimitive::KeyIncrement }
-}
-
-/// Wire verb of a migration op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireKind {
-    /// RDMA READ of `len` bytes at `va`.
-    Read,
-    /// RDMA WRITE of `len` zero bytes at `va`.
-    WriteZero,
-    /// RDMA FETCH_ADD of `arg` at `va` (8-byte, the per-slot INC delta).
-    FetchAdd,
-}
-
-/// One migration request the deployment must put on the wire. The driver
-/// is transport-agnostic: the single-node fleet frames these as RoCE
-/// packets, the sharded fleet executes them against region clones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireEmission {
-    /// Migration link (see [`link_of`]).
-    pub link: u32,
-    /// Stable PSN bound to the op at creation.
-    pub psn: u32,
-    /// Verb.
-    pub kind: WireKind,
-    /// Target virtual address in the collector region.
-    pub va: u64,
-    /// Byte length.
-    pub len: u32,
-    /// Verb argument: the add operand for [`WireKind::FetchAdd`], 0
-    /// otherwise.
-    pub arg: u64,
-}
-
-impl WireEmission {
-    /// Destination collector.
-    pub fn collector(&self) -> u32 {
-        link_collector(self.link)
-    }
-
-    /// Destination store.
-    pub fn primitive(&self) -> MigPrimitive {
-        link_primitive(self.link)
-    }
+/// One migration connection: the CM-issued requester QP toward
+/// `collector`'s `params.service` region. Its PSN space is the
+/// connection's own, so the two per-collector channels never mix.
+#[derive(Debug)]
+struct Channel {
+    collector: u32,
+    qp: QueuePair,
+    params: ConnectionParams,
 }
 
 /// Per-primitive fence entry lifecycle. Entries are tombstoned, never
@@ -291,43 +255,29 @@ struct FenceEntry {
 /// contract: overflow abandons the oldest in-flight entry rather than
 /// blocking, and the closure identity stays checkable.
 #[derive(Debug)]
-pub struct MigrationLedger {
+struct MigrationLedger {
     window: VecDeque<u32>,
     capacity: usize,
-    /// Entries ever recorded.
-    pub recorded: u64,
-    /// Entries evicted by capacity.
-    pub evicted: u64,
 }
 
 impl MigrationLedger {
     /// New ledger bounding `capacity` in-flight entries.
-    pub fn new(capacity: usize) -> Self {
-        MigrationLedger { window: VecDeque::new(), capacity: capacity.max(1), recorded: 0, evicted: 0 }
+    fn new(capacity: usize) -> Self {
+        MigrationLedger { window: VecDeque::new(), capacity: capacity.max(1) }
     }
 
     /// Record `id` as in flight; returns the evicted oldest id when the
     /// window was full.
-    pub fn record(&mut self, id: u32) -> Option<u32> {
-        self.recorded += 1;
-        let evicted = if self.window.len() >= self.capacity {
-            self.evicted += 1;
-            self.window.pop_front()
-        } else {
-            None
-        };
+    fn record(&mut self, id: u32) -> Option<u32> {
+        let evicted =
+            if self.window.len() >= self.capacity { self.window.pop_front() } else { None };
         self.window.push_back(id);
         evicted
     }
 
     /// Retire `id` (entry went terminal).
-    pub fn remove(&mut self, id: u32) {
+    fn remove(&mut self, id: u32) {
         self.window.retain(|&w| w != id);
-    }
-
-    /// Entries currently in flight.
-    pub fn resident(&self) -> usize {
-        self.window.len()
     }
 }
 
@@ -344,14 +294,22 @@ enum OpPurpose {
     Zero,
 }
 
+impl OpPurpose {
+    /// Whether the op is a READ, completed by its data rather than by ACK.
+    fn reads(self) -> bool {
+        matches!(self, OpPurpose::Arm | OpPurpose::Drain)
+    }
+}
+
 #[derive(Debug)]
 struct MigOp {
-    link: u32,
+    /// Index into the driver's channels.
+    channel: u32,
+    /// Stamped at creation by the channel's requester QP.
     psn: u32,
-    kind: WireKind,
+    /// Target slot address.
     va: u64,
-    len: u32,
-    /// Verb argument (FETCH_ADD operand).
+    /// FETCH_ADD operand (transfers only).
     arg: u64,
     entry: u32,
     /// Index into the entry's `vas` (per-slot arm/drain bookkeeping).
@@ -413,7 +371,8 @@ pub struct RebalanceStats {
     pub injected_dups: u64,
     /// Adjacent emission pairs the dice swapped.
     pub injected_reorders: u64,
-    /// Distinct NAKs handled on migration links.
+    /// NAKs that sent a migration channel back (news to its requester QP,
+    /// not a predicted repeat).
     pub naks: u64,
     /// Routing epoch at the fence bump (drain start).
     pub fence_epoch: u64,
@@ -448,10 +407,11 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Transport-agnostic rebalance state machine. The owning fleet node
-/// feeds it reroute events ([`RebalanceDriver::fence_record`]), rejoin,
-/// wire completions, and pumps it for emissions; it hands back DTA
-/// replays to push through the ordinary (exactly-once) report path.
+/// The rebalance state machine. The owning fleet node feeds it reroute
+/// events ([`RebalanceDriver::fence_record`]), rejoin, and every RoCE
+/// response on a migration QP, and pumps it for `(collector, request)`
+/// pairs to put on its collector link; it hands back DTA replays to push
+/// through the ordinary (exactly-once) report path.
 #[derive(Debug)]
 pub struct RebalanceDriver {
     config: RebalanceConfig,
@@ -461,18 +421,17 @@ pub struct RebalanceDriver {
     /// is width-1 and cannot derive per-copy slot digests.
     scratch: KeyScratch,
     entries: Vec<FenceEntry>,
-    /// `(primitive idx, checksum)` → entry id, dedup only (never iterated).
-    index: HashMap<(u32, u32), u32>,
+    /// `(service, checksum)` → entry id, dedup only (never iterated).
+    index: HashMap<(ServiceId, u32), u32>,
     /// Non-terminal entry count (fence capacity bounds this).
     active: usize,
     /// Oldest entry that might still be active (eviction scan cursor).
     evict_cursor: usize,
     ledger: MigrationLedger,
     ops: Vec<MigOp>,
-    /// Per-link next PSN (keyed lookup only).
-    next_psn: HashMap<u32, u32>,
-    /// NAK dedup: `(link, expected)` pairs already handled.
-    naks_seen: HashSet<(u32, u32)>,
+    channels: Vec<Channel>,
+    /// Payload every zero-write slices: as long as the widest slot.
+    zeros: Bytes,
     /// Next entry to consider for arming (INC) — monotone cursor.
     arm_cursor: usize,
     /// Next entry to consider for drain — monotone cursor.
@@ -486,10 +445,22 @@ pub struct RebalanceDriver {
 }
 
 impl RebalanceDriver {
-    /// New driver over the fleet's (uniform) collector memory geometry.
+    /// New driver over the fleet's (uniform) collector memory geometry and
+    /// its migration connections, `(collector, requester QP, params)` as
+    /// `CmRequester::complete` returned them — one per KW / CMS service.
     /// A `None` layout disables fencing for that primitive.
-    pub fn new(config: RebalanceConfig, kw: Option<KwLayout>, cms: Option<CmsLayout>) -> Self {
+    pub fn new(
+        config: RebalanceConfig,
+        kw: Option<KwLayout>,
+        cms: Option<CmsLayout>,
+        qps: Vec<MigrationQp>,
+    ) -> Self {
         let seed = config.seed;
+        let channels: Vec<Channel> = qps
+            .into_iter()
+            .map(|(collector, qp, params)| Channel { collector, qp, params })
+            .collect();
+        let widest = channels.iter().map(|ch| ch.params.slot_bytes).max().unwrap_or(0);
         RebalanceDriver {
             ledger: MigrationLedger::new(config.ledger_capacity),
             config,
@@ -501,8 +472,8 @@ impl RebalanceDriver {
             active: 0,
             evict_cursor: 0,
             ops: Vec::new(),
-            next_psn: HashMap::new(),
-            naks_seen: HashSet::new(),
+            channels,
+            zeros: Bytes::from(vec![0; widest as usize]),
             arm_cursor: 0,
             drain_cursor: 0,
             rejoined: false,
@@ -514,11 +485,6 @@ impl RebalanceDriver {
         }
     }
 
-    /// Current counters (resident not yet folded in; see [`Self::finish`]).
-    pub fn stats(&self) -> &RebalanceStats {
-        &self.stats
-    }
-
     fn roll(&mut self, chance: f64) -> bool {
         if chance <= 0.0 {
             return false;
@@ -527,11 +493,13 @@ impl RebalanceDriver {
         r < chance
     }
 
-    fn alloc_psn(&mut self, link: u32) -> u32 {
-        let next = self.next_psn.entry(link).or_insert(0);
-        let psn = *next;
-        *next += 1;
-        psn
+    /// The channel to `collector`'s `primitive` store.
+    fn channel(&self, collector: u32, primitive: MigPrimitive) -> u32 {
+        let service = primitive.service();
+        self.channels
+            .iter()
+            .position(|ch| ch.collector == collector && ch.params.service == service)
+            .expect("every fenced store has a migration QP") as u32
     }
 
     fn skip_entry(&mut self, id: u32, reason: SkipReason) {
@@ -572,7 +540,7 @@ impl RebalanceDriver {
             MigPrimitive::KeyIncrement if self.cms.is_none() => return,
             _ => {}
         }
-        let slot = (primitive.idx(), checksum);
+        let slot = (primitive.service(), checksum);
         if self.index.contains_key(&slot) {
             return;
         }
@@ -660,7 +628,7 @@ impl RebalanceDriver {
         if primitive != MigPrimitive::KeyIncrement || !self.rejoined {
             return false;
         }
-        let Some(&id) = self.index.get(&(primitive.idx(), checksum)) else {
+        let Some(&id) = self.index.get(&(primitive.service(), checksum)) else {
             return false;
         };
         let e = &mut self.entries[id as usize];
@@ -677,7 +645,7 @@ impl RebalanceDriver {
     /// zeroing begins (a late double-write could land after the zero and
     /// break twin identity).
     pub fn double_write_target(&mut self, checksum: u32) -> Option<u32> {
-        let id = *self.index.get(&(MigPrimitive::KeyWrite.idx(), checksum))?;
+        let id = *self.index.get(&(MigPrimitive::KeyWrite.service(), checksum))?;
         let e = &self.entries[id as usize];
         if matches!(e.state, EntryState::Armed | EntryState::Reading) {
             self.stats.double_writes += 1;
@@ -696,25 +664,22 @@ impl RebalanceDriver {
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // private ctor: one arg per MigOp field
+    /// Create an op on `channel`, stamped with the channel QP's next PSN.
+    /// `arg` is the FETCH_ADD operand (transfers only).
     fn push_op(
         &mut self,
-        link: u32,
-        kind: WireKind,
+        channel: u32,
+        purpose: OpPurpose,
         va: u64,
-        len: u32,
         arg: u64,
         entry: u32,
         slot: u16,
-        purpose: OpPurpose,
     ) {
-        let psn = self.alloc_psn(link);
+        let psn = self.channels[channel as usize].qp.next_send_psn();
         self.ops.push(MigOp {
-            link,
+            channel,
             psn,
-            kind,
             va,
-            len,
             arg,
             entry,
             slot,
@@ -725,11 +690,31 @@ impl RebalanceDriver {
         });
     }
 
-    /// Advance the state machine and collect wire emissions: arm reads for
-    /// fenced INC entries (once rejoined), new drain reads (once
-    /// draining, `drain_batch` per pump, ledger-bounded), and every due
-    /// (re)send — all dice-faulted per [`MigrationFaults`].
-    pub fn pump(&mut self, now_ns: u64, out: &mut Vec<WireEmission>) {
+    /// The request `op` stands for: the verb its purpose implies, on the
+    /// channel's slot at `op.va`.
+    fn request(&self, op: &MigOp) -> RocePacket {
+        let ch = &self.channels[op.channel as usize];
+        let (dest, rkey, len) = (ch.qp.dest_qpn, ch.params.rkey, ch.params.slot_bytes);
+        let reth = Reth { va: op.va, rkey, dma_len: len };
+        let mut pkt = match op.purpose {
+            OpPurpose::Arm | OpPurpose::Drain => RocePacket::read_request(dest, op.psn, reth),
+            OpPurpose::Transfer => RocePacket::fetch_add(dest, op.psn, op.va, rkey, op.arg),
+            OpPurpose::Zero => {
+                RocePacket::write(dest, op.psn, reth, self.zeros.slice(..len as usize))
+            }
+        };
+        // Solicit an immediate ACK: migration completion must not wait out
+        // the service-QP coalescing window (a READ's response is its ACK).
+        pkt.bth.solicited = !op.purpose.reads();
+        pkt
+    }
+
+    /// Advance the state machine and collect `(collector, request)` pairs
+    /// for the collector link: arm reads for fenced INC entries (once
+    /// rejoined), new drain reads (once draining, `drain_batch` per pump,
+    /// ledger-bounded), and every due (re)send — all dice-faulted per
+    /// [`MigrationFaults`].
+    pub fn pump(&mut self, now_ns: u64, out: &mut Vec<(u32, RocePacket)>) {
         if self.phase == Phase::Released {
             return;
         }
@@ -746,21 +731,12 @@ impl RebalanceDriver {
                 // One baseline read per slot: a kill can split a report's
                 // per-slot packet train, leaving non-uniform baselines.
                 let vas = e.vas.clone();
-                let link = link_of(self.victim, MigPrimitive::KeyIncrement);
+                let channel = self.channel(self.victim, MigPrimitive::KeyIncrement);
                 let e = &mut self.entries[id as usize];
                 e.state = EntryState::AwaitArm;
                 e.arm_pending = vas.len() as u32;
                 for (j, &va) in vas.iter().enumerate() {
-                    self.push_op(
-                        link,
-                        WireKind::Read,
-                        va,
-                        CmsLayout::SLOT_BYTES,
-                        0,
-                        id,
-                        j as u16,
-                        OpPurpose::Arm,
-                    );
+                    self.push_op(channel, OpPurpose::Arm, va, 0, id, j as u16);
                 }
                 started += 1;
             }
@@ -785,72 +761,49 @@ impl RebalanceDriver {
                     self.skip_entry(evicted, SkipReason::Abandoned);
                 }
                 let e = &self.entries[id as usize];
+                let channel = self.channel(e.source, e.primitive);
                 match e.primitive {
                     MigPrimitive::KeyWrite => {
                         let kw = self.kw.expect("KW entry without KW layout");
                         let va = kw.slot_va_from_digest(e.slots[0]);
-                        let len = kw.slot_bytes();
-                        let link = link_of(e.source, MigPrimitive::KeyWrite);
                         self.entries[id as usize].state = EntryState::Reading;
-                        self.push_op(link, WireKind::Read, va, len, 0, id, 0, OpPurpose::Drain);
+                        self.push_op(channel, OpPurpose::Drain, va, 0, id, 0);
                     }
                     MigPrimitive::KeyIncrement => {
                         // One drain read per slot, mirroring the arm pass.
                         let vas = e.vas.clone();
-                        let link = link_of(e.source, MigPrimitive::KeyIncrement);
                         let e = &mut self.entries[id as usize];
                         e.state = EntryState::Reading;
                         e.read_pending = vas.len() as u32;
                         for (j, &va) in vas.iter().enumerate() {
-                            self.push_op(
-                                link,
-                                WireKind::Read,
-                                va,
-                                CmsLayout::SLOT_BYTES,
-                                0,
-                                id,
-                                j as u16,
-                                OpPurpose::Drain,
-                            );
+                            self.push_op(channel, OpPurpose::Drain, va, 0, id, j as u16);
                         }
                     }
                 }
                 started += 1;
             }
         }
-        // Send pass: everything due, in creation (= per-link PSN) order.
+        // Send pass: everything due, in creation (= per-channel PSN) order.
         let batch_start = out.len();
         for i in 0..self.ops.len() {
-            let (emit, retransmit) = {
-                let op = &self.ops[i];
-                if op.done || now_ns < op.due_at_ns {
-                    continue;
-                }
-                (
-                    WireEmission {
-                        link: op.link,
-                        psn: op.psn,
-                        kind: op.kind,
-                        va: op.va,
-                        len: op.len,
-                        arg: op.arg,
-                    },
-                    op.ever_sent,
-                )
-            };
+            let op = &self.ops[i];
+            if op.done || now_ns < op.due_at_ns {
+                continue;
+            }
+            let emit = (self.channels[op.channel as usize].collector, self.request(op));
             self.stats.ops_sent += 1;
-            if retransmit {
+            if op.ever_sent {
                 self.stats.retransmits += 1;
             }
             let dropped = self.roll(self.config.faults.drop_chance);
             if dropped {
                 self.stats.injected_drops += 1;
             } else {
-                out.push(emit);
                 if self.roll(self.config.faults.duplicate_chance) {
                     self.stats.injected_dups += 1;
-                    out.push(emit);
+                    out.push(emit.clone());
                 }
+                out.push(emit);
             }
             let op = &mut self.ops[i];
             op.ever_sent = true;
@@ -867,23 +820,36 @@ impl RebalanceDriver {
         }
     }
 
-    fn find_op(&self, link: u32, psn: u32) -> Option<usize> {
-        self.ops.iter().position(|op| op.link == link && op.psn == psn && !op.done)
+    fn find_op(&self, channel: u32, psn: u32) -> Option<usize> {
+        self.ops.iter().position(|op| op.channel == channel && op.psn == psn && !op.done)
+    }
+
+    /// A RoCE response on a migration QP: READ data, a cumulative ACK, or a
+    /// NAK. A response naming no migration QP is not the driver's.
+    pub fn on_response(&mut self, pkt: &RocePacket) {
+        let Some(channel) = self.channels.iter().position(|ch| ch.qp.qpn == pkt.bth.dest_qp) else {
+            return;
+        };
+        let (channel, psn) = (channel as u32, pkt.bth.psn);
+        if pkt.bth.opcode == Opcode::ReadResponseOnly {
+            self.on_read_response(channel, psn, &pkt.payload);
+        } else if pkt.is_nak() {
+            self.on_nak(channel, psn);
+        } else {
+            self.on_ack(channel, psn);
+        }
     }
 
     /// A READ response landed (arm or drain data).
-    pub fn on_read_response(&mut self, link: u32, psn: u32, data: &[u8]) {
-        let Some(i) = self.find_op(link, psn) else {
+    fn on_read_response(&mut self, channel: u32, psn: u32, data: &[u8]) {
+        let Some(i) = self.find_op(channel, psn) else {
             return; // stale or duplicate response
         };
         self.ops[i].done = true;
         self.stats.ops_completed += 1;
-        let (entry_id, purpose, len, slot) = (
-            self.ops[i].entry,
-            self.ops[i].purpose,
-            self.ops[i].len as usize,
-            self.ops[i].slot as usize,
-        );
+        let (entry_id, purpose, slot) =
+            (self.ops[i].entry, self.ops[i].purpose, self.ops[i].slot as usize);
+        let len = self.channels[channel as usize].params.slot_bytes as usize;
         if data.len() < len {
             return; // malformed; retry timer will not fire (op done) — treat as lost entry
         }
@@ -953,11 +919,10 @@ impl RebalanceDriver {
         ));
         self.stats.replays += 1;
         let kw = self.kw.expect("KW entry without KW layout");
-        let len = kw.slot_bytes();
-        let link = link_of(source, MigPrimitive::KeyWrite);
+        let channel = self.channel(source, MigPrimitive::KeyWrite);
         for &digest in &slots {
             let va = kw.slot_va_from_digest(digest);
-            self.push_op(link, WireKind::WriteZero, va, len, 0, entry_id, 0, OpPurpose::Zero);
+            self.push_op(channel, OpPurpose::Zero, va, 0, entry_id, 0);
         }
         let e = &mut self.entries[entry_id as usize];
         e.zeroes_pending = e.redundancy as u32;
@@ -977,36 +942,18 @@ impl RebalanceDriver {
             self.skip_entry(entry_id, SkipReason::Empty);
             return;
         }
-        let victim_link = link_of(self.victim, MigPrimitive::KeyIncrement);
-        let source_link = link_of(source, MigPrimitive::KeyIncrement);
+        let to_victim = self.channel(self.victim, MigPrimitive::KeyIncrement);
+        let to_source = self.channel(source, MigPrimitive::KeyIncrement);
         let mut adds = 0u32;
         for (j, &va) in vas.iter().enumerate() {
             // See the module docs: delta[j] = x[j] - v_stale[j] absorbs the
             // fail-time double-replay and lost in-flight packets per slot.
             let delta = drained[j].wrapping_sub(baseline[j]);
             if delta != 0 {
-                self.push_op(
-                    victim_link,
-                    WireKind::FetchAdd,
-                    va,
-                    CmsLayout::SLOT_BYTES,
-                    delta,
-                    entry_id,
-                    j as u16,
-                    OpPurpose::Transfer,
-                );
+                self.push_op(to_victim, OpPurpose::Transfer, va, delta, entry_id, j as u16);
                 adds += 1;
             }
-            self.push_op(
-                source_link,
-                WireKind::WriteZero,
-                va,
-                CmsLayout::SLOT_BYTES,
-                0,
-                entry_id,
-                j as u16,
-                OpPurpose::Zero,
-            );
+            self.push_op(to_source, OpPurpose::Zero, va, 0, entry_id, j as u16);
         }
         self.stats.transfer_adds += adds as u64;
         let e = &mut self.entries[entry_id as usize];
@@ -1015,30 +962,31 @@ impl RebalanceDriver {
         e.state = EntryState::Zeroing;
     }
 
-    /// A cumulative ACK landed on a migration link: completes every
+    /// A cumulative ACK landed on a migration channel: completes every
     /// outstanding zero-write and delta FETCH_ADD with `psn <= ack` on
-    /// that link (the responder PSN-orders execution, so an ACK proves all
-    /// before it). READs still require their data and never complete here.
-    pub fn on_ack(&mut self, link: u32, ack_psn: u32) {
+    /// that channel (the responder PSN-orders execution, so an ACK proves
+    /// all before it). READs still require their data and never complete
+    /// here.
+    fn on_ack(&mut self, channel: u32, ack_psn: u32) {
         for i in 0..self.ops.len() {
-            let (entry_id, kind) = {
+            let (entry_id, purpose) = {
                 let op = &self.ops[i];
                 if op.done
-                    || op.link != link
-                    || op.kind == WireKind::Read
+                    || op.channel != channel
+                    || op.purpose.reads()
                     || op.psn > ack_psn
                 {
                     continue;
                 }
-                (op.entry, op.kind)
+                (op.entry, op.purpose)
             };
             self.ops[i].done = true;
             self.stats.ops_completed += 1;
             let e = &mut self.entries[entry_id as usize];
-            match kind {
-                WireKind::WriteZero => e.zeroes_pending = e.zeroes_pending.saturating_sub(1),
-                WireKind::FetchAdd => e.adds_pending = e.adds_pending.saturating_sub(1),
-                WireKind::Read => unreachable!(),
+            if purpose == OpPurpose::Zero {
+                e.zeroes_pending = e.zeroes_pending.saturating_sub(1);
+            } else {
+                e.adds_pending = e.adds_pending.saturating_sub(1);
             }
             if e.zeroes_pending == 0 && e.adds_pending == 0 && e.state == EntryState::Zeroing {
                 e.state = EntryState::Done;
@@ -1049,16 +997,17 @@ impl RebalanceDriver {
         }
     }
 
-    /// A NAK landed: go-back-N. Every undone op on `link` with
-    /// `psn >= expected` is due for resend (original PSNs — the send pass
-    /// re-emits them in order). Deduped per `(link, expected)`.
-    pub fn on_nak(&mut self, link: u32, expected: u32) {
-        if !self.naks_seen.insert((link, expected)) {
+    /// A NAK landed: go-back-N, unless the channel's requester QP counts it
+    /// as a predicted repeat ([`QueuePair::stale_nak`]). Every undone op on
+    /// the channel with `psn >= expected` is due for resend (original PSNs
+    /// — the send pass re-emits them in order).
+    fn on_nak(&mut self, channel: u32, expected: u32) {
+        if self.channels[channel as usize].qp.stale_nak(expected) {
             return;
         }
         self.stats.naks += 1;
         for op in &mut self.ops {
-            if !op.done && op.link == link && op.psn >= expected {
+            if !op.done && op.channel == channel && op.psn >= expected {
                 op.due_at_ns = 0;
             }
         }
@@ -1107,9 +1056,35 @@ mod tests {
         )
     }
 
+    /// A driver with KW and CMS channels to collectors 0..3. The channels
+    /// are loopbacks — each requester QP names itself as the responder —
+    /// so a test answers a request on the QPN the request carries.
     fn driver(config: RebalanceConfig) -> RebalanceDriver {
         let (kw, cms) = layouts();
-        RebalanceDriver::new(config, Some(kw), Some(cms))
+        let mut qps = Vec::new();
+        for collector in 0..3u32 {
+            for (service, slot_bytes) in
+                [(SERVICE_KW, kw.slot_bytes()), (SERVICE_CMS, CmsLayout::SLOT_BYTES)]
+            {
+                let qpn = 0x100 + collector * 8 + u32::from(service);
+                let mut qp = QueuePair::new(qpn);
+                qp.to_rtr(qpn, 0);
+                qp.to_rts(0);
+                let rkey = u32::from(service);
+                let params = ConnectionParams {
+                    service,
+                    qpn,
+                    start_psn: 0,
+                    rkey,
+                    base_va: 0,
+                    region_len: 0,
+                    slots: 0,
+                    slot_bytes,
+                };
+                qps.push((collector, qp, params));
+            }
+        }
+        RebalanceDriver::new(config, Some(kw), Some(cms), qps)
     }
 
     fn key(n: u8) -> TelemetryKey {
@@ -1135,19 +1110,34 @@ mod tests {
             .collect()
     }
 
+    /// The responder's answer to READ `req`.
+    fn read_reply(req: &RocePacket, data: &[u8]) -> RocePacket {
+        RocePacket::read_response(req.bth.dest_qp, req.bth.psn, Bytes::copy_from_slice(data))
+    }
+
+    /// The target store of a request, by the rkey it carries.
+    fn service_of(req: &RocePacket) -> ServiceId {
+        let rkey = req.reth.map_or_else(|| req.atomic.unwrap().rkey, |r| r.rkey);
+        rkey as ServiceId
+    }
+
+    fn psns(out: &[(u32, RocePacket)]) -> Vec<u32> {
+        out.iter().map(|(_, p)| p.bth.psn).collect()
+    }
+
     #[test]
     fn fence_dedups_and_evicts_oldest_active() {
         let mut d = driver(RebalanceConfig { fence_capacity: 2, ..Default::default() });
         let csums = fence_n(&mut d, MigPrimitive::KeyWrite, 3, 1);
-        assert_eq!(d.stats().scanned, 3);
-        assert_eq!(d.stats().fence_evicted, 1);
-        assert_eq!(d.stats().skipped, 1);
+        assert_eq!(d.stats.scanned, 3);
+        assert_eq!(d.stats.fence_evicted, 1);
+        assert_eq!(d.stats.skipped, 1);
         assert_eq!(d.entries[0].state, EntryState::Skipped);
         assert_eq!(d.active, 2);
         // Duplicate record is a no-op.
         let k = key(1);
         d.fence_record(MigPrimitive::KeyWrite, &k, csums[1], 2, 1);
-        assert_eq!(d.stats().scanned, 3);
+        assert_eq!(d.stats.scanned, 3);
     }
 
     #[test]
@@ -1161,27 +1151,29 @@ mod tests {
         let mut out = Vec::new();
         d.pump(1_000, &mut out);
         assert_eq!(out.len(), 1);
-        let read = out[0];
-        assert_eq!(read.kind, WireKind::Read);
-        assert_eq!(read.collector(), 1);
-        assert_eq!(read.primitive(), MigPrimitive::KeyWrite);
-        assert_eq!(read.len, 8); // 4B checksum + 4B value
+        let (collector, read) = out[0].clone();
+        assert_eq!(read.bth.opcode, Opcode::ReadRequest);
+        assert_eq!(collector, 1);
+        assert_eq!(service_of(&read), SERVICE_KW);
+        assert_eq!(read.reth.unwrap().dma_len, 8); // 4B checksum + 4B value
         // Respond with a matching slot: checksum ‖ value.
         let mut data = csum.to_be_bytes().to_vec();
         data.extend_from_slice(&0xAABB_CCDDu32.to_be_bytes());
-        d.on_read_response(read.link, read.psn, &data);
+        d.on_response(&read_reply(&read, &data));
         let mut replays = Vec::new();
         d.take_replays(&mut replays);
         assert_eq!(replays.len(), 1);
         // Zero-writes for both redundancy copies, then cumulative ACK.
         out.clear();
         d.pump(2_000, &mut out);
-        let zeros: Vec<_> = out.iter().filter(|e| e.kind == WireKind::WriteZero).collect();
+        let zeros: Vec<_> =
+            out.iter().map(|(_, p)| p).filter(|p| p.bth.opcode == Opcode::WriteOnly).collect();
         assert_eq!(zeros.len(), 2);
+        assert!(zeros.iter().all(|p| p.bth.solicited && p.payload.iter().all(|&b| b == 0)));
         assert!(!d.release_ready());
-        let last_psn = zeros.iter().map(|e| e.psn).max().unwrap();
-        d.on_ack(zeros[0].link, last_psn);
-        assert_eq!(d.stats().transferred, 1);
+        let last_psn = zeros.iter().map(|p| p.bth.psn).max().unwrap();
+        d.on_response(&RocePacket::ack(zeros[0].bth.dest_qp, last_psn));
+        assert_eq!(d.stats.transferred, 1);
         assert!(d.release_ready());
         d.mark_released(4);
         let stats = d.finish();
@@ -1200,11 +1192,11 @@ mod tests {
         d.pump(1_000, &mut out);
         assert_eq!(out.len(), 2);
         // First: all-zero slot; second: foreign checksum.
-        d.on_read_response(out[0].link, out[0].psn, &[0u8; 8]);
+        d.on_response(&read_reply(&out[0].1, &[0u8; 8]));
         let mut foreign = (csums[1] ^ 0xFFFF).to_be_bytes().to_vec();
         foreign.extend_from_slice(&[1, 2, 3, 4]);
-        d.on_read_response(out[1].link, out[1].psn, &foreign);
-        let stats = *d.stats();
+        d.on_response(&read_reply(&out[1].1, &foreign));
+        let stats = d.stats;
         assert_eq!(stats.skipped_empty, 1);
         assert_eq!(stats.skipped_mismatch, 1);
         assert_eq!(stats.replays, 0);
@@ -1226,27 +1218,27 @@ mod tests {
         d.pump(100, &mut out);
         assert!(out.is_empty());
         // Rejoin: one baseline read per redundancy slot, to the victim's
-        // CMS link.
+        // CMS channel.
         d.on_rejoin(0);
         d.pump(200, &mut out);
         assert_eq!(out.len(), 2);
-        assert!(out.iter().all(|e| e.collector() == 0));
-        assert!(out.iter().all(|e| e.primitive() == MigPrimitive::KeyIncrement));
-        assert_ne!(out[0].va, out[1].va, "per-slot reads target distinct slots");
+        assert!(out.iter().all(|(c, _)| *c == 0));
+        assert!(out.iter().all(|(_, p)| service_of(p) == SERVICE_CMS));
+        assert_ne!(out[0].1.reth, out[1].1.reth, "per-slot reads target distinct slots");
         // Live report while the baselines are in flight: deferred.
         assert!(d.try_defer(MigPrimitive::KeyIncrement, csum, &live, ReportOrigin::default()));
-        assert_eq!(d.stats().deferred, 1);
+        assert_eq!(d.stats.deferred, 1);
         // First baseline alone does not arm; the second does, and the
         // deferral flushes.
-        d.on_read_response(out[0].link, out[0].psn, &40u64.to_be_bytes());
-        assert_eq!(d.stats().armed, 0);
+        d.on_response(&read_reply(&out[0].1, &40u64.to_be_bytes()));
+        assert_eq!(d.stats.armed, 0);
         assert!(d.try_defer(MigPrimitive::KeyIncrement, csum, &live, ReportOrigin::default()));
-        d.on_read_response(out[1].link, out[1].psn, &10u64.to_be_bytes());
-        assert_eq!(d.stats().armed, 1);
+        d.on_response(&read_reply(&out[1].1, &10u64.to_be_bytes()));
+        assert_eq!(d.stats.armed, 1);
         let mut replays = Vec::new();
         d.take_replays(&mut replays);
         assert_eq!(replays.len(), 2);
-        assert_eq!(d.stats().deferred_flushed, 2);
+        assert_eq!(d.stats.deferred_flushed, 2);
         // Armed entries no longer defer.
         assert!(!d.try_defer(MigPrimitive::KeyIncrement, csum, &live, ReportOrigin::default()));
         // Drain: x = 100 at the fallback owner in both slots → per-slot
@@ -1255,29 +1247,30 @@ mod tests {
         out.clear();
         d.pump(300, &mut out);
         assert_eq!(out.len(), 2);
-        assert!(out.iter().all(|e| e.collector() == 2));
+        assert!(out.iter().all(|(c, _)| *c == 2));
         let drains = out.clone();
-        d.on_read_response(drains[0].link, drains[0].psn, &100u64.to_be_bytes());
-        d.on_read_response(drains[1].link, drains[1].psn, &100u64.to_be_bytes());
+        d.on_response(&read_reply(&drains[0].1, &100u64.to_be_bytes()));
+        d.on_response(&read_reply(&drains[1].1, &100u64.to_be_bytes()));
         replays.clear();
         d.take_replays(&mut replays);
         assert!(replays.is_empty(), "INC transfers bypass the report path");
         out.clear();
         d.pump(400, &mut out);
-        let adds: Vec<_> = out.iter().filter(|e| e.kind == WireKind::FetchAdd).collect();
+        let adds: Vec<_> = out.iter().filter(|(_, p)| p.bth.opcode == Opcode::FetchAdd).collect();
         assert_eq!(adds.len(), 2);
-        assert!(adds.iter().all(|e| e.collector() == 0));
-        let mut deltas: Vec<u64> = adds.iter().map(|e| e.arg).collect();
+        assert!(adds.iter().all(|(c, _)| *c == 0));
+        let mut deltas: Vec<u64> = adds.iter().map(|(_, p)| p.atomic.unwrap().swap_add).collect();
         deltas.sort_unstable();
         assert_eq!(deltas, vec![60, 90]);
-        assert_eq!(d.stats().transfer_adds, 2);
-        let zeros: Vec<_> = out.iter().filter(|e| e.kind == WireKind::WriteZero).collect();
+        assert_eq!(d.stats.transfer_adds, 2);
+        let zeros: Vec<_> = out.iter().filter(|(_, p)| p.bth.opcode == Opcode::WriteOnly).collect();
         assert_eq!(zeros.len(), 2);
-        assert!(zeros.iter().all(|e| e.collector() == 2));
-        // Cumulative ACKs on both links complete the entry.
-        d.on_ack(adds[0].link, adds.iter().map(|e| e.psn).max().unwrap());
-        assert_eq!(d.stats().transferred, 0, "zero-writes still outstanding");
-        d.on_ack(zeros[0].link, zeros.iter().map(|e| e.psn).max().unwrap());
+        assert!(zeros.iter().all(|(c, _)| *c == 2));
+        // Cumulative ACKs on both channels complete the entry.
+        let last = |ops: &[&(u32, RocePacket)]| ops.iter().map(|(_, p)| p.bth.psn).max().unwrap();
+        d.on_response(&RocePacket::ack(adds[0].1.bth.dest_qp, last(&adds)));
+        assert_eq!(d.stats.transferred, 0, "zero-writes still outstanding");
+        d.on_response(&RocePacket::ack(zeros[0].1.bth.dest_qp, last(&zeros)));
         let stats = d.finish();
         assert_eq!(stats.transferred, 1);
         assert!(stats.closes());
@@ -1292,11 +1285,11 @@ mod tests {
         d.on_rejoin(0);
         let mut out = Vec::new();
         d.pump(100, &mut out);
-        d.on_read_response(out[0].link, out[0].psn, &0u64.to_be_bytes());
+        d.on_response(&read_reply(&out[0].1, &0u64.to_be_bytes()));
         d.start_drain(3);
         out.clear();
         d.pump(200, &mut out);
-        d.on_read_response(out[0].link, out[0].psn, &0u64.to_be_bytes());
+        d.on_response(&read_reply(&out[0].1, &0u64.to_be_bytes()));
         let stats = d.finish();
         assert_eq!(stats.skipped_empty, 1);
         assert_eq!(stats.replays, 0);
@@ -1304,28 +1297,35 @@ mod tests {
     }
 
     #[test]
-    fn nak_resends_in_psn_order_and_dedups() {
+    fn a_psn_lost_again_resends_at_once_and_predicted_repeats_move_nothing() {
         let mut d = driver(RebalanceConfig { retry_ns: 1_000_000, ..Default::default() });
-        fence_n(&mut d, MigPrimitive::KeyWrite, 3, 1);
+        fence_n(&mut d, MigPrimitive::KeyWrite, 4, 1);
         d.on_rejoin(0);
         d.start_drain(3);
         let mut out = Vec::new();
         d.pump(1_000, &mut out);
-        assert_eq!(out.len(), 3);
-        assert_eq!(out.iter().map(|e| e.psn).collect::<Vec<_>>(), vec![0, 1, 2]);
-        // NAK(expected=1): psns 1 and 2 become due again with the SAME psns.
-        d.on_nak(out[0].link, 1);
-        assert_eq!(d.stats().naks, 1);
-        out.clear();
-        d.pump(1_001, &mut out);
-        assert_eq!(out.iter().map(|e| e.psn).collect::<Vec<_>>(), vec![1, 2]);
-        assert_eq!(d.stats().retransmits, 2);
-        // Same NAK again: deduped, nothing due.
-        d.on_nak(out[0].link, 1);
-        assert_eq!(d.stats().naks, 1);
-        out.clear();
-        d.pump(1_002, &mut out);
-        assert!(out.is_empty());
+        assert_eq!(psns(&out), [0, 1, 2, 3]);
+        let nak = RocePacket::nak(out[0].1.bth.dest_qp, 1);
+        let mut now = 1_000;
+        for lost in 1..=2u64 {
+            // PSN 1 is lost (the second time, its resend is): 2 and 3 each
+            // draw a NAK(1). The first resends 1..=3 with the SAME psns at
+            // the next pump, not at `retry_ns`; the second is the repeat
+            // the QP predicted, and moves nothing.
+            d.on_response(&nak);
+            assert_eq!(d.stats.naks, lost);
+            now += 1;
+            out.clear();
+            d.pump(now, &mut out);
+            assert_eq!(psns(&out), [1, 2, 3], "loss {lost}");
+            assert_eq!(d.stats.retransmits, 3 * lost);
+            d.on_response(&nak);
+            assert_eq!(d.stats.naks, lost);
+            now += 1;
+            out.clear();
+            d.pump(now, &mut out);
+            assert!(out.is_empty(), "loss {lost}: a predicted repeat made ops due");
+        }
     }
 
     #[test]
@@ -1342,8 +1342,8 @@ mod tests {
         assert!(out.is_empty(), "not yet due");
         d.pump(1_500, &mut out);
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].psn, 0, "retry reuses the original psn");
-        assert_eq!(d.stats().retransmits, 1);
+        assert_eq!(out[0].1.bth.psn, 0, "retry reuses the original psn");
+        assert_eq!(d.stats.retransmits, 1);
     }
 
     #[test]
@@ -1360,20 +1360,20 @@ mod tests {
         d.pump(1_000, &mut out);
         // Both drain reads issued; recording the second evicted the first.
         assert_eq!(out.len(), 2);
-        assert_eq!(d.stats().abandoned, 1);
+        assert_eq!(d.stats.abandoned, 1);
         // The abandoned entry's late response is ignored (no double count).
         let mut data = csums[0].to_be_bytes().to_vec();
         data.extend_from_slice(&[9, 9, 9, 9]);
-        d.on_read_response(out[0].link, out[0].psn, &data);
-        assert_eq!(d.stats().replays, 0);
+        d.on_response(&read_reply(&out[0].1, &data));
+        assert_eq!(d.stats.replays, 0);
         // The survivor completes normally.
         let mut data = csums[1].to_be_bytes().to_vec();
         data.extend_from_slice(&[1, 1, 1, 1]);
-        d.on_read_response(out[1].link, out[1].psn, &data);
+        d.on_response(&read_reply(&out[1].1, &data));
         out.clear();
         d.pump(2_000, &mut out);
-        let last = out.iter().map(|e| e.psn).max().unwrap();
-        d.on_ack(out[0].link, last);
+        let last = *psns(&out).iter().max().unwrap();
+        d.on_response(&RocePacket::ack(out[0].1.bth.dest_qp, last));
         let stats = d.finish();
         assert_eq!(stats.transferred, 1);
         assert_eq!(stats.skipped, 1);
@@ -1397,7 +1397,7 @@ mod tests {
             for t in 0..20u64 {
                 d.pump(t * 100, &mut all);
             }
-            (all, *d.stats())
+            (all, d.stats)
         };
         let (a1, s1) = run(42);
         let (a2, s2) = run(42);
@@ -1422,11 +1422,11 @@ mod tests {
         let k2 = key(1);
         let csum2 = checksum_of(&mut d, &k2);
         d.fence_record(MigPrimitive::KeyIncrement, &k2, csum2, 1, 2);
-        assert_eq!(d.stats().fence_evicted, 1);
+        assert_eq!(d.stats.fence_evicted, 1);
         let mut replays = Vec::new();
         d.take_replays(&mut replays);
         assert_eq!(replays.len(), 1, "deferred live report survives eviction");
-        assert_eq!(d.stats().deferred_flushed, 1);
+        assert_eq!(d.stats.deferred_flushed, 1);
     }
 
     #[test]
