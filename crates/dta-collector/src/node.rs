@@ -5,9 +5,10 @@
 //! translator), closing the reliability loop of §5.2.
 
 use dta_core::framing::UdpPacket;
+use dta_core::ImagePool;
 use dta_net::{Emission, NetNode, NodeId, Packet, SimTime};
 use dta_rdma::nic::RxOutcome;
-use dta_rdma::packet::{RocePacket, ROCE_UDP_PORT};
+use dta_rdma::packet::{RocePacket, FRAME_BYTES, FRAME_POOL_DEPTH, ROCE_UDP_PORT};
 
 use crate::service::CollectorService;
 
@@ -29,6 +30,7 @@ pub struct CollectorNode {
     pub service: CollectorService,
     my_id: NodeId,
     my_ip: u32,
+    frames: ImagePool,
     /// Counters.
     pub stats: CollectorNodeStats,
 }
@@ -36,11 +38,18 @@ pub struct CollectorNode {
 impl CollectorNode {
     /// Wrap `service` at node `my_id` / `my_ip`.
     pub fn new(service: CollectorService, my_id: NodeId, my_ip: u32) -> Self {
-        CollectorNode { service, my_id, my_ip, stats: CollectorNodeStats::default() }
+        CollectorNode {
+            service,
+            my_id,
+            my_ip,
+            frames: ImagePool::new(FRAME_BYTES, FRAME_POOL_DEPTH),
+            stats: CollectorNodeStats::default(),
+        }
     }
 
-    fn respond(&self, to_node: NodeId, to_ip: u32, pkt: &RocePacket) -> Emission {
-        Emission::now(Packet::rdma(self.my_id, to_node, pkt.encode_framed(self.my_ip, to_ip)))
+    fn respond(&mut self, to_node: NodeId, to_ip: u32, pkt: &RocePacket) -> Emission {
+        let wire = pkt.encode_framed(&mut self.frames, self.my_ip, to_ip);
+        Emission::now(Packet::rdma(self.my_id, to_node, wire))
     }
 }
 

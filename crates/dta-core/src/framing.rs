@@ -6,8 +6,9 @@
 //! network simulator, the reporter, and the RDMA layer, and use real wire
 //! sizes so that byte-accurate line-rate accounting is possible.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
+use crate::pool::build_exact;
 use crate::report::ReportError;
 
 /// Ethernet II header (no VLAN), 14 bytes.
@@ -132,22 +133,19 @@ impl Ipv4Header {
         if buf.remaining() < Self::LEN {
             return Err(ReportError::Truncated { need: Self::LEN, have: buf.remaining() });
         }
-        let vihl = buf.get_u8();
-        if vihl != 0x45 {
-            return Err(ReportError::BadVersion(vihl));
+        // One read of the whole header; the fields come out of the copy.
+        let mut b = [0u8; Self::LEN];
+        buf.copy_to_slice(&mut b);
+        if b[0] != 0x45 {
+            return Err(ReportError::BadVersion(b[0]));
         }
-        let tos = buf.get_u8();
-        let total_len = buf.get_u16();
-        let ident = buf.get_u16();
-        let _frag = buf.get_u16();
-        let ttl = buf.get_u8();
-        let proto = buf.get_u8();
-        let wire_csum = buf.get_u16();
-        let src = buf.get_u32();
-        let dst = buf.get_u32();
+        let be16 = |i: usize| u16::from_be_bytes([b[i], b[i + 1]]);
+        let be32 = |i: usize| u32::from_be_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]);
+        let (tos, total_len, ident, ttl, proto) = (b[1], be16(2), be16(4), b[8], b[9]);
+        let (wire_csum, src, dst) = (be16(10), be32(12), be32(16));
         let hdr = Ipv4Header { tos, total_len, ident, ttl, proto, src, dst };
         if wire_csum != hdr.checksum() {
-            return Err(ReportError::BadVersion(0)); // corrupt header
+            return Err(ReportError::BadChecksum);
         }
         Ok(hdr)
     }
@@ -258,15 +256,16 @@ impl UdpPacket {
 
     /// Serialize the whole packet.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_len());
-        self.eth.encode(&mut buf);
-        self.ip.encode(&mut buf);
-        self.udp.encode(&mut buf);
-        buf.put_slice(&self.payload);
-        buf.freeze()
+        build_exact(self.wire_len(), |mut buf| {
+            self.eth.encode(&mut buf);
+            self.ip.encode(&mut buf);
+            self.udp.encode(&mut buf);
+            buf.put_slice(&self.payload);
+        })
     }
 
-    /// Deserialize a whole packet.
+    /// Deserialize a whole packet. Zero-copy: the payload is `buf`'s own
+    /// view, trimmed to the datagram.
     pub fn decode(mut buf: Bytes) -> Result<Self, ReportError> {
         let eth = EthHeader::decode(&mut buf)?;
         let ip = Ipv4Header::decode(&mut buf)?;
@@ -275,14 +274,15 @@ impl UdpPacket {
         if buf.remaining() < payload_len {
             return Err(ReportError::Truncated { need: payload_len, have: buf.remaining() });
         }
-        let payload = buf.copy_to_bytes(payload_len);
-        Ok(UdpPacket { eth, ip, udp, payload })
+        buf.truncate(payload_len);
+        Ok(UdpPacket { eth, ip, udp, payload: buf })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
 
     #[test]
     fn udp_packet_roundtrip() {
@@ -318,13 +318,30 @@ mod tests {
         assert_eq!(&buf[8..12], &[0x40, 0x11, 0xB8, 0x61]);
     }
 
+    /// Any one flipped byte of a field the decoder checks reads as a
+    /// checksum failure — not as a version error — except the version byte
+    /// itself. (The fragment word, bytes 6–7, is fixed on encode and never
+    /// read back, so the check does not cover it.)
     #[test]
-    fn corrupt_ipv4_rejected() {
-        let ip = Ipv4Header::udp(1, 2, 100);
-        let mut buf = BytesMut::new();
-        ip.encode(&mut buf);
-        buf[16] ^= 0xFF; // flip a byte of the src address
-        assert!(Ipv4Header::decode(&mut buf.freeze()).is_err());
+    fn flipped_header_byte_is_a_checksum_failure() {
+        let mut clean = BytesMut::new();
+        Ipv4Header::udp(0x0A00_0001, 0x0A00_0900, 60).encode(&mut clean);
+        for i in (0..Ipv4Header::LEN).filter(|i| !(6..8).contains(i)) {
+            let mut buf = clean.clone();
+            buf[i] ^= 0xFF;
+            let want = match i {
+                0 => ReportError::BadVersion(0x45 ^ 0xFF),
+                _ => ReportError::BadChecksum,
+            };
+            assert_eq!(Ipv4Header::decode(&mut buf.freeze()), Err(want), "byte {i}");
+        }
+        let mut frame = UdpPacket::frame(1, 2, 3, 4, Bytes::from_static(b"dta")).encode().to_vec();
+        frame[EthHeader::LEN + 12] ^= 0x01; // source address
+        assert_eq!(UdpPacket::decode(Bytes::from(frame)), Err(ReportError::BadChecksum));
+        assert_eq!(
+            ReportError::BadChecksum.to_string(),
+            "checksum mismatch: frame corrupted in flight"
+        );
     }
 
     #[test]

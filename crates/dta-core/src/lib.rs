@@ -16,7 +16,8 @@
 //! with RoCEv2 headers when generating the RDMA operation.
 //!
 //! This crate is the single source of truth for the wire format. It contains
-//! no I/O and no simulation: just types, encoding, and decoding.
+//! no I/O and no simulation: just types, encoding, decoding, and the
+//! recycling [`ImagePool`] the wire path writes its buffers into.
 
 // Lint floor (enforced by `dta-lint` + clippy -D warnings, see DESIGN.md
 // "Static analysis"): unsafe operations must be explicitly scoped even
@@ -29,6 +30,7 @@ pub mod framing;
 pub mod header;
 pub mod key;
 pub mod nack;
+pub mod pool;
 pub mod primitive;
 pub mod report;
 
@@ -36,6 +38,7 @@ pub use flow::FlowTuple;
 pub use header::{DtaFlags, DtaHeader, DtaOpcode, DTA_UDP_PORT, DTA_VERSION};
 pub use nack::{decode_nack, encode_nack, DTA_NACK_PORT, NACK_MAGIC};
 pub use key::TelemetryKey;
+pub use pool::ImagePool;
 pub use primitive::{
     AppendHeader, KeyIncrementHeader, KeyWriteHeader, PostcardingHeader, PrimitiveHeader,
 };

@@ -166,6 +166,9 @@ pub enum PrimitiveHeader {
 }
 
 impl PrimitiveHeader {
+    /// The widest sub-header (Key-Increment's).
+    pub const MAX_LEN: usize = KeyIncrementHeader::LEN;
+
     /// The opcode matching this sub-header.
     pub fn opcode(&self) -> DtaOpcode {
         match self {
@@ -222,6 +225,17 @@ mod tests {
         assert_eq!(buf.len(), h.encoded_len());
         let got = PrimitiveHeader::decode(h.opcode(), &mut buf.freeze()).unwrap();
         assert_eq!(got, h);
+    }
+
+    #[test]
+    fn max_len_is_the_widest_sub_header() {
+        let lens = [
+            KeyWriteHeader::LEN,
+            AppendHeader::LEN,
+            KeyIncrementHeader::LEN,
+            PostcardingHeader::LEN,
+        ];
+        assert_eq!(PrimitiveHeader::MAX_LEN, lens.into_iter().max().unwrap());
     }
 
     #[test]

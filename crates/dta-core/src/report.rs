@@ -1,13 +1,13 @@
 //! Complete DTA reports: header + sub-header + telemetry payload.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
+use bytes::{BufMut, Bytes};
 
 use crate::header::{DtaFlags, DtaHeader, DtaOpcode};
 use crate::key::TelemetryKey;
 use crate::primitive::{
     AppendHeader, KeyIncrementHeader, KeyWriteHeader, PostcardingHeader, PrimitiveHeader,
 };
+use crate::pool::build_exact;
 use crate::MAX_TELEMETRY_PAYLOAD;
 
 /// Errors arising while decoding DTA messages.
@@ -35,6 +35,9 @@ pub enum ReportError {
     },
     /// Telemetry payload exceeds [`MAX_TELEMETRY_PAYLOAD`].
     PayloadTooLarge(usize),
+    /// A header checksum (IPv4) or the RoCE ICRC does not match the bytes
+    /// it covers: the frame was corrupted in flight.
+    BadChecksum,
 }
 
 impl core::fmt::Display for ReportError {
@@ -52,6 +55,7 @@ impl core::fmt::Display for ReportError {
             ReportError::PayloadTooLarge(n) => {
                 write!(f, "telemetry payload of {n} bytes exceeds {MAX_TELEMETRY_PAYLOAD}")
             }
+            ReportError::BadChecksum => write!(f, "checksum mismatch: frame corrupted in flight"),
         }
     }
 }
@@ -122,33 +126,44 @@ impl DtaReport {
         self
     }
 
-    /// Total encoded size in bytes (the DTA-over-UDP payload length).
-    fn encoded_len(&self) -> usize {
-        DtaHeader::LEN + self.primitive.encoded_len() + self.payload.len()
+    /// The widest encoding of any report: the fixed header, the widest
+    /// sub-header and a full telemetry payload.
+    pub const MAX_LEN: usize = DtaHeader::LEN + PrimitiveHeader::MAX_LEN + MAX_TELEMETRY_PAYLOAD;
+
+    /// Encoded size in bytes (the DTA-over-UDP payload length), or
+    /// [`ReportError::PayloadTooLarge`] for a report no encoder accepts.
+    pub fn encoded_len(&self) -> Result<usize, ReportError> {
+        if self.payload.len() > MAX_TELEMETRY_PAYLOAD {
+            return Err(ReportError::PayloadTooLarge(self.payload.len()));
+        }
+        Ok(DtaHeader::LEN + self.primitive.encoded_len() + self.payload.len())
+    }
+
+    /// Write the encoding — header, sub-header, payload — to `buf`: the one
+    /// report writer, behind [`DtaReport::encode`] and the reporter's
+    /// single-pass framing. The caller has checked [`DtaReport::encoded_len`].
+    pub fn put<B: BufMut>(&self, buf: &mut B) {
+        debug_assert_eq!(self.header.opcode, self.primitive.opcode());
+        self.header.encode(buf);
+        self.primitive.encode(buf);
+        buf.put_slice(&self.payload);
     }
 
     /// Serialize to a fresh buffer.
     pub fn encode(&self) -> Result<Bytes, ReportError> {
-        if self.payload.len() > MAX_TELEMETRY_PAYLOAD {
-            return Err(ReportError::PayloadTooLarge(self.payload.len()));
-        }
-        debug_assert_eq!(self.header.opcode, self.primitive.opcode());
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
-        self.header.encode(&mut buf);
-        self.primitive.encode(&mut buf);
-        buf.put_slice(&self.payload);
-        Ok(buf.freeze())
+        let len = self.encoded_len()?;
+        Ok(build_exact(len, |mut buf| self.put(&mut buf)))
     }
 
-    /// Deserialize a report from a UDP payload.
+    /// Deserialize a report from a UDP payload. Zero-copy: the payload is
+    /// what is left of `buf`'s own view.
     pub fn decode(mut buf: Bytes) -> Result<Self, ReportError> {
         let header = DtaHeader::decode(&mut buf)?;
         let primitive = PrimitiveHeader::decode(header.opcode, &mut buf)?;
-        let payload = buf.copy_to_bytes(buf.remaining());
-        if payload.len() > MAX_TELEMETRY_PAYLOAD {
-            return Err(ReportError::PayloadTooLarge(payload.len()));
+        if buf.len() > MAX_TELEMETRY_PAYLOAD {
+            return Err(ReportError::PayloadTooLarge(buf.len()));
         }
-        Ok(DtaReport { header, primitive, payload })
+        Ok(DtaReport { header, primitive, payload: buf })
     }
 }
 
@@ -195,7 +210,7 @@ mod tests {
         // 4B INT postcard via Key-Write: 8 (hdr) + 17 (KW sub) + 4 = 29 B of
         // DTA payload — the lightweight encapsulation the paper relies on.
         let r = DtaReport::key_write(0, TelemetryKey::from_u64(1), 1, vec![0u8; 4]);
-        assert_eq!(r.encoded_len(), 29);
+        assert_eq!(r.encoded_len(), Ok(29));
         assert_eq!(r.encode().unwrap().len(), 29);
     }
 

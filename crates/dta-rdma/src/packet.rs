@@ -7,13 +7,35 @@
 //! simulation checks integrity end-to-end which is the property that
 //! matters).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use dta_core::framing::UdpPacket;
+use bytes::{Buf, BufMut, Bytes};
+use dta_core::framing::{UdpPacket, UDP_FRAME_OVERHEAD};
+use dta_core::pool::build_exact;
 use dta_core::report::ReportError;
+use dta_core::ImagePool;
 use dta_hash_icrc::icrc32;
 
 /// UDP destination port registered for RoCEv2.
 pub const ROCE_UDP_PORT: u16 = 4791;
+
+/// Length of the ICRC trailer.
+const ICRC_LEN: usize = 4;
+
+/// The widest WRITE payload a pooled frame holds, and the width of the
+/// translator's image pool: a Key-Write slot, a Postcarding chunk, an
+/// Append batch of `16 × 4 B`.
+pub const IMAGE_BYTES: usize = 64;
+
+/// Buffer width of a pooled RoCE frame: Eth/IPv4/UDP, BTH, RETH, immediate
+/// data, a full image and the ICRC. Every ACK, NAK, FETCH_ADD and READ
+/// request fits too; a wider frame (a full-MTU segment, a migration READ
+/// response) is one exact-size allocation.
+pub const FRAME_BYTES: usize =
+    UDP_FRAME_OVERHEAD + Bth::LEN + Reth::LEN + ImmDt::LEN + IMAGE_BYTES + ICRC_LEN;
+
+/// Depth of a RoCE framer's pool (the translator's link, a collector
+/// node): its ring grows only to the frames it has in flight at once, up
+/// to this many.
+pub const FRAME_POOL_DEPTH: usize = 1024;
 
 /// IB transport opcodes (Reliable Connection class) used by DTA.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -402,90 +424,87 @@ impl RocePacket {
         if self.imm.is_some() {
             n += ImmDt::LEN;
         }
-        n + self.payload.len() + 4 // ICRC
+        n + self.payload.len() + ICRC_LEN
     }
 
     /// Full wire size including Eth/IP/UDP framing.
     pub fn wire_len(&self) -> usize {
-        dta_core::framing::UDP_FRAME_OVERHEAD + self.pdu_len()
+        UDP_FRAME_OVERHEAD + self.pdu_len()
     }
 
-    /// Serialize including trailing ICRC.
+    /// Serialize including trailing ICRC, into one exact-size buffer.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.pdu_len());
-        self.put_pdu(&mut buf);
-        buf.freeze()
+        build_exact(self.pdu_len(), |buf| self.write_pdu(buf))
     }
 
     /// Serialize the whole Ethernet frame — Eth/IPv4/UDP headers between
     /// `src_ip` and `dst_ip` on the RoCEv2 port, then the transport PDU —
-    /// into one buffer: the bytes of
+    /// in one pass into a buffer from `pool`: the bytes of
     /// `UdpPacket::frame(src_ip, ROCE_UDP_PORT, dst_ip, ROCE_UDP_PORT, self.encode()).encode()`
-    /// without the intermediate PDU buffer.
-    pub fn encode_framed(&self, src_ip: u32, dst_ip: u32) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_len());
-        UdpPacket::put_headers(
-            &mut buf,
-            src_ip,
-            ROCE_UDP_PORT,
-            dst_ip,
-            ROCE_UDP_PORT,
-            self.pdu_len(),
-        );
-        self.put_pdu(&mut buf);
-        buf.freeze()
+    /// with neither intermediate buffer. Frames that fit [`FRAME_BYTES`]
+    /// recycle once the receiver drops them.
+    pub fn encode_framed(&self, pool: &mut ImagePool, src_ip: u32, dst_ip: u32) -> Bytes {
+        let pdu_len = self.pdu_len();
+        pool.build(UDP_FRAME_OVERHEAD + pdu_len, |buf| {
+            let (mut headers, pdu) = buf.split_at_mut(UDP_FRAME_OVERHEAD);
+            let port = ROCE_UDP_PORT;
+            UdpPacket::put_headers(&mut headers, src_ip, port, dst_ip, port, pdu_len);
+            self.write_pdu(pdu);
+        })
     }
 
-    /// Append the transport PDU (headers, payload, ICRC over exactly those
-    /// appended bytes) to `buf`.
-    fn put_pdu(&self, buf: &mut BytesMut) {
+    /// Write the transport PDU — headers, payload, and the ICRC over
+    /// exactly those bytes — into `buf`, which is [`RocePacket::pdu_len`]
+    /// bytes long: the one RoCE serializer.
+    fn write_pdu(&self, buf: &mut [u8]) {
         debug_assert_eq!(self.reth.is_some(), self.bth.opcode.has_reth());
         debug_assert_eq!(self.atomic.is_some(), self.bth.opcode.has_atomic_eth());
         debug_assert_eq!(self.imm.is_some(), self.bth.opcode.has_imm());
-        let start = buf.len();
-        self.bth.encode(buf);
+        let (body, icrc) = buf.split_at_mut(buf.len() - ICRC_LEN);
+        let mut w = &mut body[..];
+        self.bth.encode(&mut w);
         if let Some(r) = &self.reth {
-            r.encode(buf);
+            r.encode(&mut w);
         }
         if let Some(a) = &self.atomic {
-            a.encode(buf);
+            a.encode(&mut w);
         }
         if let Some(ImmDt(v)) = self.imm {
-            buf.put_u32(v);
+            w.put_u32(v);
         }
-        buf.put_slice(&self.payload);
-        let crc = icrc32(&buf[start..]);
-        buf.put_u32(crc);
+        w.put_slice(&self.payload);
+        debug_assert!(w.is_empty(), "pdu_len disagrees with the writer");
+        icrc.copy_from_slice(&icrc32(body).to_be_bytes());
     }
 
-    /// Deserialize and verify the ICRC.
-    pub fn decode(buf: Bytes) -> Result<Self, ReportError> {
-        if buf.len() < Bth::LEN + 4 {
-            return Err(ReportError::Truncated { need: Bth::LEN + 4, have: buf.len() });
+    /// Deserialize and verify the ICRC. Zero-copy: the payload is the
+    /// tail of `buf`'s own view.
+    pub fn decode(mut buf: Bytes) -> Result<Self, ReportError> {
+        if buf.len() < Bth::LEN + ICRC_LEN {
+            return Err(ReportError::Truncated { need: Bth::LEN + ICRC_LEN, have: buf.len() });
         }
-        let body = buf.slice(0..buf.len() - 4);
-        let wire_crc = u32::from_be_bytes(buf[buf.len() - 4..].try_into().unwrap());
-        if icrc32(&body) != wire_crc {
-            return Err(ReportError::BadVersion(0)); // ICRC failure
+        let body_len = buf.len() - ICRC_LEN;
+        let (body, icrc) = buf.split_at(body_len);
+        if icrc32(body) != u32::from_be_bytes(icrc.try_into().expect("ICRC_LEN bytes")) {
+            return Err(ReportError::BadChecksum);
         }
-        let mut cur = body.clone();
-        let bth = Bth::decode(&mut cur)?;
-        let reth = if bth.opcode.has_reth() { Some(Reth::decode(&mut cur)?) } else { None };
+        buf.truncate(body_len);
+        let bth = Bth::decode(&mut buf)?;
+        let reth = if bth.opcode.has_reth() { Some(Reth::decode(&mut buf)?) } else { None };
         let atomic = if bth.opcode.has_atomic_eth() {
-            Some(AtomicEth::decode(&mut cur)?)
+            Some(AtomicEth::decode(&mut buf)?)
         } else {
             None
         };
         let imm = if bth.opcode.has_imm() {
-            if cur.remaining() < 4 {
-                return Err(ReportError::Truncated { need: 4, have: cur.remaining() });
+            if buf.remaining() < ImmDt::LEN {
+                return Err(ReportError::Truncated { need: ImmDt::LEN, have: buf.remaining() });
             }
-            Some(ImmDt(cur.get_u32()))
+            Some(ImmDt(buf.get_u32()))
         } else {
             None
         };
-        let payload = cur.copy_to_bytes(cur.remaining());
-        Ok(RocePacket { bth, reth, atomic, imm, payload })
+        Ok(RocePacket { bth, reth, atomic, imm, payload: buf })
     }
 }
 
@@ -532,6 +551,8 @@ mod dta_hash_icrc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::{segment_write, MTU_1024};
+    use proptest::prelude::*;
 
     #[test]
     fn write_roundtrip() {
@@ -572,17 +593,24 @@ mod tests {
         assert_eq!(got.imm, Some(ImmDt(0xCAFE)));
     }
 
+    /// One flipped byte anywhere under the ICRC — headers, payload, or
+    /// the trailer itself — reads as a checksum failure, not as a version
+    /// error.
     #[test]
-    fn corrupt_packet_fails_icrc() {
+    fn flipped_byte_fails_icrc_as_bad_checksum() {
         let p = RocePacket::write(
             1,
             1,
             Reth { va: 0, rkey: 1, dma_len: 4 },
             Bytes::from_static(&[9; 4]),
         );
-        let mut wire = BytesMut::from(&p.encode()[..]);
-        wire[14] ^= 0xFF;
-        assert!(RocePacket::decode(wire.freeze()).is_err());
+        let wire = p.encode();
+        for i in 0..wire.len() {
+            let mut corrupt = wire.to_vec();
+            corrupt[i] ^= 0xFF;
+            let got = RocePacket::decode(Bytes::from(corrupt));
+            assert_eq!(got, Err(ReportError::BadChecksum), "byte {i}");
+        }
     }
 
     #[test]
@@ -605,43 +633,63 @@ mod tests {
         assert_eq!(p.wire_len(), 78);
     }
 
-    /// Everything the translator and collector nodes put on the wire — a
-    /// slot write, a write with immediate, a full-MTU write and an over-MTU
-    /// write as FIRST/MIDDLE/LAST segments, fetch-add, the migration read
-    /// request and its response, ACK and NAK — frames to the same bytes in
-    /// one buffer as through `UdpPacket::frame(.., encode()).encode()`, and
-    /// decodes back (ICRC verified) through both layers.
-    #[test]
-    fn encode_framed_equals_two_step_framing_and_roundtrips() {
-        use crate::segment::{segment_write, MTU_1024};
-        let (src_ip, dst_ip) = (0x0A00_0063, 0x0A00_0901);
-        let reth = Reth { va: 0x1_0000_0040, rkey: 0x10, dma_len: 8 };
-        let bulk = |n: usize| Bytes::from((0..n).map(|i| i as u8).collect::<Vec<u8>>());
-        let mut qp = crate::qp::QueuePair::new(0x100);
-        qp.to_rtr(0x200, 0);
-        qp.to_rts(0);
-        let mut packets = vec![
-            RocePacket::write(0x21, 7, reth, bulk(8)),
-            RocePacket::write_imm(0x21, 8, reth, 0xCAFE, bulk(8)),
-            RocePacket::write(0x21, 9, Reth { dma_len: MTU_1024 as u32, ..reth }, bulk(MTU_1024)),
-            RocePacket::fetch_add(0x22, 10, 0x2000, 0x11, 5),
-            RocePacket::read_request(0x23, 11, reth),
-            RocePacket::read_response(0x7102, 11, bulk(8)),
-            RocePacket::ack(0x7100, 12),
-            RocePacket::nak(0x7100, 13),
-        ];
-        packets.extend(segment_write(&mut qp, 0x10, 0x4000, bulk(2 * MTU_1024 + 100), MTU_1024));
-        assert_eq!(packets.len(), 11, "three segments for the over-MTU write");
-        for p in &packets {
-            let framed = p.encode_framed(src_ip, dst_ip);
-            let two_step =
-                UdpPacket::frame(src_ip, ROCE_UDP_PORT, dst_ip, ROCE_UDP_PORT, p.encode()).encode();
-            assert_eq!(framed, two_step, "{:?}", p.bth.opcode);
-            assert_eq!(framed.len(), p.wire_len());
-            let udp = UdpPacket::decode(framed).unwrap();
-            assert_eq!((udp.ip.src, udp.ip.dst), (src_ip, dst_ip));
-            assert_eq!((udp.udp.src_port, udp.udp.dst_port), (ROCE_UDP_PORT, ROCE_UDP_PORT));
-            assert_eq!(&RocePacket::decode(udp.payload).unwrap(), p);
+    proptest! {
+        /// Everything the translator and collector nodes put on the wire —
+        /// a slot write, a write with immediate, an over-MTU write as
+        /// FIRST/MIDDLE/LAST segments, fetch-add, the migration read
+        /// request and its response, ACK and NAK — framed into a pooled
+        /// buffer is the bytes of `UdpPacket::frame(.., encode()).encode()`,
+        /// fresh or recycled, and decodes back (ICRC verified) through both
+        /// layers.
+        #[test]
+        fn pooled_frame_equals_two_step_framing_and_roundtrips(
+            src_ip in any::<u32>(),
+            dst_ip in any::<u32>(),
+            dest_qp in 0u32..=0xFF_FFFF,
+            psn in 0u32..=0xFF_FF00,
+            va in any::<u64>(),
+            rkey in any::<u32>(),
+            add in any::<u64>(),
+            imm in any::<u32>(),
+            image in prop::collection::vec(any::<u8>(), 1..=IMAGE_BYTES),
+            bulk in prop::collection::vec(any::<u8>(), 2 * MTU_1024 + 1..=3 * MTU_1024),
+        ) {
+            let reth = Reth { va, rkey, dma_len: image.len() as u32 };
+            let image = Bytes::from(image);
+            let mut qp = crate::qp::QueuePair::new(0x100);
+            qp.to_rtr(dest_qp, 0);
+            qp.to_rts(psn);
+            let mut packets = vec![
+                RocePacket::write(dest_qp, psn, reth, image.clone()),
+                RocePacket::write_imm(dest_qp, psn, reth, imm, image.clone()),
+                RocePacket::fetch_add(dest_qp, psn, va, rkey, add),
+                RocePacket::read_request(dest_qp, psn, reth),
+                RocePacket::read_response(dest_qp, psn, image),
+                RocePacket::ack(dest_qp, psn),
+                RocePacket::nak(dest_qp, psn),
+            ];
+            packets.extend(segment_write(&mut qp, rkey, va, Bytes::from(bulk), MTU_1024));
+            let opcodes: Vec<Opcode> = packets.iter().map(|p| p.bth.opcode).collect();
+            for op in [Opcode::WriteFirst, Opcode::WriteMiddle, Opcode::WriteLast] {
+                prop_assert!(opcodes.contains(&op), "no {:?} segment", op);
+            }
+            let mut pool = ImagePool::new(FRAME_BYTES, 4);
+            for p in &packets {
+                let port = ROCE_UDP_PORT;
+                let two_step = UdpPacket::frame(src_ip, port, dst_ip, port, p.encode()).encode();
+                // Twice: into a fresh buffer, then (the first one dropped)
+                // into the recycled one.
+                for _ in 0..2 {
+                    let framed = p.encode_framed(&mut pool, src_ip, dst_ip);
+                    prop_assert_eq!(&framed, &two_step, "{:?}", p.bth.opcode);
+                    prop_assert_eq!(framed.len(), p.wire_len());
+                    let udp = UdpPacket::decode(framed).unwrap();
+                    prop_assert_eq!((udp.ip.src, udp.ip.dst), (src_ip, dst_ip));
+                    prop_assert_eq!((udp.udp.src_port, udp.udp.dst_port), (port, port));
+                    prop_assert_eq!(&RocePacket::decode(udp.payload).unwrap(), p);
+                }
+            }
+            prop_assert!(pool.recycled > 0 && pool.allocated == 1, "frames that fit must recycle");
         }
     }
 

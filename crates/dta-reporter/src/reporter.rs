@@ -4,9 +4,9 @@
 
 use std::collections::VecDeque;
 
-use dta_core::framing::UdpPacket;
+use dta_core::framing::{UdpPacket, UDP_FRAME_OVERHEAD};
 use dta_core::nack::decode_nack;
-use dta_core::{DtaReport, DTA_UDP_PORT};
+use dta_core::{DtaReport, ImagePool, DTA_UDP_PORT};
 use dta_net::{Emission, NetNode, NodeId, Packet, SimTime};
 
 /// Reporter addressing configuration (the controller-populated tables of
@@ -26,10 +26,22 @@ pub struct ReporterConfig {
     pub src_port: u16,
 }
 
+/// Buffer width of a reporter's frame pool: Eth/IPv4/UDP around the
+/// widest report.
+const FRAME_BYTES: usize = UDP_FRAME_OVERHEAD + DtaReport::MAX_LEN;
+
+/// Frames a reporter keeps in rotation at most. Its pool grows only to the
+/// frames it has in flight at once — a handful for a paced fleet lane; a
+/// whole schedule framed in one burst ([`Reporter::frame_all`]) and then
+/// dropped recycles in full on the next burst, up to this many. Past it,
+/// each frame is a fresh allocation.
+const FRAME_POOL_DEPTH: usize = 1 << 14;
+
 /// The switch-side DTA report exporter.
 #[derive(Debug)]
 pub struct Reporter {
     config: ReporterConfig,
+    frames: ImagePool,
     /// Reports exported.
     pub exported: u64,
 }
@@ -37,21 +49,23 @@ pub struct Reporter {
 impl Reporter {
     /// Reporter with the given addressing.
     pub fn new(config: ReporterConfig) -> Self {
-        Reporter { config, exported: 0 }
+        Reporter { config, frames: ImagePool::new(FRAME_BYTES, FRAME_POOL_DEPTH), exported: 0 }
     }
 
-    /// Frame one DTA report for the wire.
+    /// Frame one DTA report for the wire: Eth/IPv4/UDP headers, DTA header,
+    /// sub-header and payload written in one pass into a recycled buffer
+    /// of the frame's final length — the bytes of
+    /// `UdpPacket::frame(.., report.encode()?).encode()`.
     pub fn frame(&mut self, report: &DtaReport) -> Packet {
-        let payload = report.encode().expect("report within payload bound");
-        let udp = UdpPacket::frame(
-            self.config.my_ip,
-            self.config.src_port,
-            self.config.collector_ip,
-            DTA_UDP_PORT,
-            payload,
-        );
+        let len = report.encoded_len().expect("report within payload bound");
+        let c = self.config;
+        let wire = self.frames.build(UDP_FRAME_OVERHEAD + len, |mut buf| {
+            let (src, dst) = ((c.my_ip, c.src_port), (c.collector_ip, DTA_UDP_PORT));
+            UdpPacket::put_headers(&mut buf, src.0, src.1, dst.0, dst.1, len);
+            report.put(&mut buf);
+        });
         self.exported += 1;
-        Packet::new(self.config.my_id, self.config.collector_id, udp.encode())
+        Packet::new(c.my_id, c.collector_id, wire)
     }
 
     /// Frame a batch of reports.
@@ -323,6 +337,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use dta_core::TelemetryKey;
+    use proptest::prelude::*;
 
     /// A raw UDP telemetry frame: the legacy export format DTA replaces.
     fn legacy_udp_frame(config: &ReporterConfig, telemetry_payload: Bytes) -> Packet {
@@ -360,6 +375,50 @@ mod tests {
         assert_eq!(udp.udp.dst_port, DTA_UDP_PORT);
         assert_eq!(DtaReport::decode(udp.payload).unwrap(), report);
         assert_eq!(r.exported, 1);
+    }
+
+    proptest! {
+        /// The single-pass pooled frame is the two-step framing, byte for
+        /// byte, for every primitive, every payload length up to the bound
+        /// and both flag bits — into a fresh buffer and a recycled one.
+        #[test]
+        fn frame_equals_two_step_framing(
+            primitive in 0u8..4,
+            seq in any::<u32>(),
+            key in any::<u64>(),
+            redundancy in 1u8..=dta_core::MAX_REDUNDANCY,
+            word in any::<u64>(),
+            payload in prop::collection::vec(any::<u8>(), 0..=dta_core::MAX_TELEMETRY_PAYLOAD),
+            immediate in any::<bool>(),
+            nack_on_drop in any::<bool>(),
+        ) {
+            let key = TelemetryKey::from_u64(key);
+            let mut report = match primitive {
+                0 => DtaReport::key_write(seq, key, redundancy, Bytes::new()),
+                1 => DtaReport::append(seq, word as u32, Bytes::new()),
+                2 => DtaReport::key_increment(seq, key, redundancy, word),
+                _ => DtaReport::postcard(seq, key, word as u8 % 5, 5, (word >> 8) as u32),
+            }
+            .with_flags(dta_core::DtaFlags { immediate, nack_on_drop });
+            report.payload = Bytes::from(payload);
+            let c = config();
+            let two_step = UdpPacket::frame(
+                c.my_ip,
+                c.src_port,
+                c.collector_ip,
+                DTA_UDP_PORT,
+                report.encode().unwrap(),
+            )
+            .encode();
+            let mut r = Reporter::new(c);
+            for _ in 0..2 {
+                let pkt = r.frame(&report);
+                prop_assert_eq!(&pkt.payload, &two_step);
+                prop_assert_eq!((pkt.src, pkt.dst), (c.my_id, c.collector_id));
+            }
+            let pool = (r.frames.allocated, r.frames.recycled);
+            prop_assert_eq!(pool, (1, 1), "the second frame recycles the first's buffer");
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 use std::collections::HashSet;
 
 use dta_collector::layout::{KwLayout, PostcardLayout};
-use dta_core::{DtaFlags, DtaReport, TelemetryKey};
+use bytes::Bytes;
+use dta_core::{DtaFlags, DtaReport, PrimitiveHeader, TelemetryKey};
 use dta_hash::family::slot_of;
 use dta_hash::{Crc32, CrcParams, HashFamily};
 use rand::rngs::StdRng;
@@ -141,16 +142,12 @@ impl KeyPool {
     }
 }
 
-/// Non-zero payload of `width` bytes carrying `counter` (little-endian
-/// after a fixed sentinel byte, so even entry 0 is distinguishable from
-/// never-written store memory).
-fn payload(counter: u64, width: usize) -> Vec<u8> {
-    let mut v = vec![0u8; width.max(1)];
-    v[0] = 0xA5;
-    for (i, b) in v.iter_mut().skip(1).enumerate() {
-        *b = (counter >> (8 * (i % 8))) as u8;
-    }
-    v
+/// Append a non-zero payload of `width` bytes carrying `counter`
+/// (little-endian after a fixed sentinel byte, so even entry 0 is
+/// distinguishable from never-written store memory) to `arena`.
+fn put_payload(arena: &mut Vec<u8>, counter: u64, width: usize) {
+    arena.push(0xA5);
+    arena.extend((0..width.max(1) - 1).map(|i| (counter >> (8 * (i % 8))) as u8));
 }
 
 /// Synthesize the workload for `spec`. Pure function of the spec (seeded
@@ -202,6 +199,15 @@ pub fn generate(spec: &ScenarioSpec) -> Workload {
         nack_on_drop: spec.congestion.nack_on_drop,
     };
 
+    // Every Key-Write value and Append entry lands in one arena, in
+    // generation order; each report's payload becomes its slice of it
+    // once the arena is complete (one allocation per workload, not two per
+    // report).
+    let kw_width = (spec.service.kw_value_bytes as usize).max(1);
+    let append_width = (spec.service.append_entry_bytes as usize).max(1);
+    let ops = spec.reporters as usize * spec.ops_per_reporter as usize;
+    let mut arena = Vec::with_capacity(ops * kw_width.max(append_width));
+
     let mut streams = Vec::with_capacity(spec.reporters as usize);
     let mut kw_hit = vec![false; kw_keys.len()];
     let mut inc_hit = vec![false; inc_keys.len()];
@@ -238,14 +244,10 @@ pub fn generate(spec: &ScenarioSpec) -> Workload {
                     };
                     kw_hit[idx] = true;
                     value_counter += 1;
+                    put_payload(&mut arena, value_counter, kw_width);
                     stream.push(
-                        DtaReport::key_write(
-                            seq,
-                            kw_keys[idx],
-                            mix.kw_redundancy,
-                            payload(value_counter, spec.service.kw_value_bytes as usize),
-                        )
-                        .with_flags(flags),
+                        DtaReport::key_write(seq, kw_keys[idx], mix.kw_redundancy, Bytes::new())
+                            .with_flags(flags),
                     );
                     seq += 1;
                     counts.key_write += 1;
@@ -254,14 +256,8 @@ pub fn generate(spec: &ScenarioSpec) -> Workload {
                     let list = rng.gen_range(0..mix.append_lists);
                     append_per_list[list as usize] += 1;
                     value_counter += 1;
-                    stream.push(
-                        DtaReport::append(
-                            seq,
-                            list,
-                            payload(value_counter, spec.service.append_entry_bytes as usize),
-                        )
-                        .with_flags(flags),
-                    );
+                    put_payload(&mut arena, value_counter, append_width);
+                    stream.push(DtaReport::append(seq, list, Bytes::new()).with_flags(flags));
                     seq += 1;
                     counts.append += 1;
                 }
@@ -295,6 +291,18 @@ pub fn generate(spec: &ScenarioSpec) -> Workload {
         }
         streams.push(stream);
     }
+    let arena = Bytes::from(arena);
+    let mut at = 0;
+    for report in streams.iter_mut().flatten() {
+        let width = match report.primitive {
+            PrimitiveHeader::KeyWrite(_) => kw_width,
+            PrimitiveHeader::Append(_) => append_width,
+            PrimitiveHeader::KeyIncrement(_) | PrimitiveHeader::Postcarding(_) => continue,
+        };
+        report.payload = arena.slice(at..at + width);
+        at += width;
+    }
+    debug_assert_eq!(at, arena.len());
 
     let kw_used = kw_keys
         .iter()
@@ -435,8 +443,31 @@ mod tests {
 
     #[test]
     fn payloads_are_nonzero() {
+        let payload = |counter, width| {
+            let mut v = Vec::new();
+            put_payload(&mut v, counter, width);
+            v
+        };
         assert_eq!(payload(0, 4)[0], 0xA5);
-        assert_ne!(payload(0, 1), vec![0]);
+        assert_eq!(payload(0, 0), vec![0xA5], "a zero width still carries the sentinel");
+        assert_eq!(payload(0x0102_0304, 5), vec![0xA5, 0x04, 0x03, 0x02, 0x01]);
         assert_ne!(payload(7, 4), payload(8, 4));
+    }
+
+    #[test]
+    fn payloads_are_slices_of_one_arena() {
+        let w = generate(&ScenarioSpec::default());
+        let payloads: Vec<&Bytes> = w
+            .streams
+            .iter()
+            .flatten()
+            .filter(|r| !r.payload.is_empty())
+            .map(|r| &r.payload)
+            .collect();
+        assert_eq!(payloads.len() as u64, w.counts.key_write + w.counts.append);
+        // Consecutive slices of one buffer, in stream order.
+        for pair in payloads.windows(2) {
+            assert_eq!(pair[0].as_ptr() as usize + pair[0].len(), pair[1].as_ptr() as usize);
+        }
     }
 }

@@ -36,7 +36,6 @@ pub mod fleet_query;
 mod link;
 pub mod node;
 pub mod partition;
-mod pool;
 pub mod postcard_cache;
 pub mod ratelimit;
 mod rebalance;

@@ -13,11 +13,11 @@ use bytes::Bytes;
 use dta_collector::service::{
     CollectorService, SERVICE_APPEND, SERVICE_CMS, SERVICE_KW, SERVICE_POSTCARD,
 };
-use dta_core::DtaReport;
+use dta_core::{DtaReport, ImagePool};
 use dta_net::{Emission, NodeId, Packet};
 use dta_rdma::cm::{CmEvent, CmRequester, ConnectionParams};
 use dta_rdma::nic::RdmaNic;
-use dta_rdma::packet::RocePacket;
+use dta_rdma::packet::{RocePacket, FRAME_BYTES, FRAME_POOL_DEPTH};
 use dta_rdma::qp::QueuePair;
 
 use crate::failover::{FleetConfig, LedgerEntry};
@@ -196,6 +196,8 @@ pub(crate) struct RoceLink {
     my_id: NodeId,
     my_ip: u32,
     scratch: TranslatorOutput,
+    /// Every frame the link puts on the wire, report path and migration.
+    frames: ImagePool,
 }
 
 impl RoceLink {
@@ -245,6 +247,7 @@ impl RoceLink {
             my_id,
             my_ip,
             scratch: TranslatorOutput::default(),
+            frames: ImagePool::new(FRAME_BYTES, FRAME_POOL_DEPTH),
         }
     }
 
@@ -259,7 +262,7 @@ impl RoceLink {
         }
         ep.sends_since_response += packets.len() as u64;
         for p in packets {
-            let wire = p.encode_framed(self.my_ip, ep.ip);
+            let wire = p.encode_framed(&mut self.frames, self.my_ip, ep.ip);
             out.push(Emission::now(Packet::rdma(self.my_id, ep.node, wire)));
         }
     }
@@ -303,7 +306,7 @@ impl CollectorLink for RoceLink {
         _: &mut Vec<RocePacket>,
     ) {
         let ep = &self.endpoints[c as usize];
-        let wire = pkt.encode_framed(self.my_ip, ep.ip);
+        let wire = pkt.encode_framed(&mut self.frames, self.my_ip, ep.ip);
         out.push(Emission::now(Packet::rdma(self.my_id, ep.node, wire)));
     }
 
