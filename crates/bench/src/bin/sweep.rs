@@ -26,6 +26,7 @@ use std::path::PathBuf;
 use std::process::exit;
 
 use dta_analysis::sweep::{mc_keywrite_check, FileCoverage, SweepSummary, Violation};
+use dta_net::splitmix64;
 use dta_sim::{load_dir, load_file, memory_fingerprint, run_scenario, Cell, CorpusDoc};
 
 fn main() {
@@ -360,14 +361,6 @@ fn git_head_seed() -> Option<u64> {
     }
     let hex = String::from_utf8(out.stdout).ok()?;
     u64::from_str_radix(hex.trim().get(..16)?, 16).ok()
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {

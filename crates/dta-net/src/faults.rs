@@ -82,17 +82,29 @@ impl FaultConfig {
 }
 
 /// What the injector decided for one packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultOutcome {
-    /// Deliver the (possibly rewritten) packet.
-    Deliver(Packet),
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// Deliver the (possibly corrupted) packet.
+    Deliver,
     /// Deliver, but swapped behind the next packet.
-    DeliverReordered(Packet),
+    Reorder,
     /// Deliver the packet twice, back to back (the duplicate is a verbatim
     /// copy and is not itself re-faulted).
-    DeliverDuplicated(Packet),
+    Duplicate,
     /// Silently dropped.
-    Dropped,
+    Drop,
+}
+
+/// SplitMix64: advance `state` and return its next output. It derives the
+/// seed of every injector from one scenario seed, so adjacent links never
+/// share an RNG stream; `splitmix64(&mut (x))` on a temporary is the
+/// stateless mix of `x`.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Aggregated fault counters (one injector, or a whole network's worth).
@@ -161,37 +173,48 @@ impl FaultInjector {
         }
     }
 
-    /// Apply faults to one packet.
-    pub fn apply(&mut self, mut packet: Packet) -> FaultOutcome {
-        if let Some(limit) = self.config.size_limit {
-            if packet.wire_len() > limit {
-                self.dropped += 1;
-                return FaultOutcome::Dropped;
-            }
-        }
-        if self.config.drop_chance > 0.0 && self.rng.gen_bool(self.config.drop_chance) {
+    /// Draw one packet's fate from its lengths alone, in the fixed order
+    /// size, drop, corrupt, duplicate, reorder. Corruption does not change
+    /// the fate: it comes back as the `(byte, bit)` of the payload to flip.
+    pub fn verdict(
+        &mut self,
+        wire_len: usize,
+        payload_len: usize,
+    ) -> (Verdict, Option<(usize, u8)>) {
+        if self.config.size_limit.is_some_and(|limit| wire_len > limit)
+            || (self.config.drop_chance > 0.0 && self.rng.gen_bool(self.config.drop_chance))
+        {
             self.dropped += 1;
-            return FaultOutcome::Dropped;
+            return (Verdict::Drop, None);
         }
+        let mut flip = None;
         if self.config.corrupt_chance > 0.0
-            && !packet.payload.is_empty()
+            && payload_len > 0
             && self.rng.gen_bool(self.config.corrupt_chance)
         {
-            let idx = self.rng.gen_range(0..packet.payload.len());
-            let mut buf = BytesMut::from(&packet.payload[..]);
-            buf[idx] ^= 1u8 << self.rng.gen_range(0u8..8);
-            packet.payload = Bytes::from(buf);
+            flip = Some((self.rng.gen_range(0..payload_len), self.rng.gen_range(0u8..8)));
             self.corrupted += 1;
         }
         if self.config.duplicate_chance > 0.0 && self.rng.gen_bool(self.config.duplicate_chance) {
             self.duplicated += 1;
-            return FaultOutcome::DeliverDuplicated(packet);
+            return (Verdict::Duplicate, flip);
         }
         if self.config.reorder_chance > 0.0 && self.rng.gen_bool(self.config.reorder_chance) {
             self.reordered += 1;
-            return FaultOutcome::DeliverReordered(packet);
+            return (Verdict::Reorder, flip);
         }
-        FaultOutcome::Deliver(packet)
+        (Verdict::Deliver, flip)
+    }
+
+    /// Apply faults to one packet: corrupt it in place and return its fate.
+    pub fn apply(&mut self, packet: &mut Packet) -> Verdict {
+        let (verdict, flip) = self.verdict(packet.wire_len(), packet.payload.len());
+        if let Some((idx, bit)) = flip {
+            let mut buf = BytesMut::from(&packet.payload[..]);
+            buf[idx] ^= 1u8 << bit;
+            packet.payload = Bytes::from(buf);
+        }
+        verdict
     }
 }
 
@@ -208,7 +231,7 @@ mod tests {
     fn no_faults_passes_everything() {
         let mut inj = FaultInjector::new(FaultConfig::none(), 1);
         for _ in 0..1000 {
-            assert!(matches!(inj.apply(pkt(64)), FaultOutcome::Deliver(_)));
+            assert_eq!(inj.apply(&mut pkt(64)), Verdict::Deliver);
         }
         assert_eq!(inj.totals(), FaultTotals::default());
     }
@@ -220,12 +243,9 @@ mod tests {
         let n = 20_000;
         let mut dup = 0u64;
         for _ in 0..n {
-            match inj.apply(pkt(64)) {
-                FaultOutcome::DeliverDuplicated(p) => {
-                    assert_eq!(p.payload.len(), 64, "duplicate must carry the packet");
-                    dup += 1;
-                }
-                FaultOutcome::Deliver(_) => {}
+            match inj.apply(&mut pkt(64)) {
+                Verdict::Duplicate => dup += 1,
+                Verdict::Deliver => {}
                 other => panic!("unexpected {other:?}"),
             }
         }
@@ -245,12 +265,7 @@ mod tests {
         };
         let mut inj = FaultInjector::new(cfg, 17);
         for _ in 0..2_000 {
-            match inj.apply(pkt(32)) {
-                FaultOutcome::Deliver(_)
-                | FaultOutcome::DeliverReordered(_)
-                | FaultOutcome::DeliverDuplicated(_) => {}
-                FaultOutcome::Dropped => panic!("nothing configured to drop"),
-            }
+            assert_ne!(inj.apply(&mut pkt(32)), Verdict::Drop, "nothing configured to drop");
         }
         assert!(inj.duplicated > 0 && inj.reordered > 0);
         assert_eq!(inj.dropped, 0);
@@ -280,7 +295,7 @@ mod tests {
         let mut inj = FaultInjector::new(FaultConfig::lossy(0.2), 42);
         let n = 20_000;
         for _ in 0..n {
-            inj.apply(pkt(64));
+            inj.apply(&mut pkt(64));
         }
         let rate = inj.dropped as f64 / n as f64;
         assert!((rate - 0.2).abs() < 0.02, "observed drop rate {rate}");
@@ -291,26 +306,19 @@ mod tests {
         let cfg = FaultConfig { corrupt_chance: 1.0, ..FaultConfig::none() };
         let mut inj = FaultInjector::new(cfg, 7);
         let original = pkt(32);
-        match inj.apply(original.clone()) {
-            FaultOutcome::Deliver(p) => {
-                let diff: u32 = p
-                    .payload
-                    .iter()
-                    .zip(original.payload.iter())
-                    .map(|(a, b)| (a ^ b).count_ones())
-                    .sum();
-                assert_eq!(diff, 1);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let mut p = original.clone();
+        assert_eq!(inj.apply(&mut p), Verdict::Deliver);
+        let diff: u32 =
+            p.payload.iter().zip(original.payload.iter()).map(|(a, b)| (a ^ b).count_ones()).sum();
+        assert_eq!(diff, 1);
     }
 
     #[test]
     fn size_limit_drops_jumbo() {
         let cfg = FaultConfig { size_limit: Some(1500), ..FaultConfig::none() };
         let mut inj = FaultInjector::new(cfg, 3);
-        assert!(matches!(inj.apply(pkt(1501)), FaultOutcome::Dropped));
-        assert!(matches!(inj.apply(pkt(1500)), FaultOutcome::Deliver(_)));
+        assert_eq!(inj.apply(&mut pkt(1501)), Verdict::Drop);
+        assert_eq!(inj.apply(&mut pkt(1500)), Verdict::Deliver);
     }
 
     #[test]
@@ -319,7 +327,9 @@ mod tests {
         let mut a = FaultInjector::new(cfg, 99);
         let mut b = FaultInjector::new(cfg, 99);
         for _ in 0..500 {
-            assert_eq!(a.apply(pkt(100)), b.apply(pkt(100)));
+            let (mut pa, mut pb) = (pkt(100), pkt(100));
+            assert_eq!(a.apply(&mut pa), b.apply(&mut pb));
+            assert_eq!(pa, pb);
         }
     }
 
@@ -327,7 +337,7 @@ mod tests {
     fn empty_payload_never_corrupted() {
         let cfg = FaultConfig { corrupt_chance: 1.0, ..FaultConfig::none() };
         let mut inj = FaultInjector::new(cfg, 5);
-        assert!(matches!(inj.apply(pkt(0)), FaultOutcome::Deliver(_)));
+        assert_eq!(inj.apply(&mut pkt(0)), Verdict::Deliver);
         assert_eq!(inj.corrupted, 0);
     }
 }

@@ -23,7 +23,7 @@ pub mod packet;
 pub mod time;
 pub mod topology;
 
-pub use faults::{FaultConfig, FaultInjector, FaultTotals};
+pub use faults::{splitmix64, FaultConfig, FaultInjector, FaultTotals, Verdict};
 pub use link::{Link, LinkConfig, LinkStats, QueueDiscipline};
 pub use network::{Network, NetworkStats};
 pub use node::{Emission, NetNode, NodeId};

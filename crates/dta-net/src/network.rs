@@ -7,7 +7,7 @@
 //! and the event queue is the timing wheel of [`crate::time`]. See
 //! DESIGN.md ("Engine data layout").
 
-use crate::faults::{FaultInjector, FaultOutcome};
+use crate::faults::{FaultInjector, Verdict};
 use crate::link::{EnqueueOutcome, Link, LinkConfig};
 use crate::node::{Emission, NetNode, NodeId};
 use crate::packet::Packet;
@@ -375,45 +375,46 @@ impl Network {
         let li = li as usize;
         let next = NodeId(self.link_to[li]);
         // Fault injection first (models the wire), then queueing.
-        let packet = match &mut self.faults[li] {
-            Some(inj) => match inj.apply(packet) {
-                FaultOutcome::Deliver(p) => p,
-                FaultOutcome::DeliverDuplicated(p) => {
-                    // Two back-to-back serializations of the same frame; the
-                    // copy consumes link capacity like any packet and is not
-                    // re-faulted.
-                    let link = &mut self.links[li];
-                    for copy in [p.clone(), p] {
-                        match link.enqueue(self.now, copy.wire_len()) {
-                            EnqueueOutcome::Delivered(t) => {
-                                self.events
-                                    .push(t, Event::Arrive { at_node: next, packet: copy });
-                            }
-                            EnqueueOutcome::Dropped => self.stats.dropped += 1,
-                        }
-                    }
-                    return;
-                }
-                FaultOutcome::DeliverReordered(p) => {
-                    // Penalize with one extra MTU serialization worth of
-                    // delay so a later packet can overtake it.
-                    let link = &mut self.links[li];
-                    let extra = SimTime::tx_time(1500, link.config().bandwidth_bps) * 2;
-                    match link.enqueue(self.now, p.wire_len()) {
+        let mut packet = packet;
+        let verdict = match &mut self.faults[li] {
+            Some(inj) => inj.apply(&mut packet),
+            None => Verdict::Deliver,
+        };
+        match verdict {
+            Verdict::Deliver => {}
+            Verdict::Duplicate => {
+                // Two back-to-back serializations of the same frame; the
+                // copy consumes link capacity like any packet and is not
+                // re-faulted.
+                let link = &mut self.links[li];
+                for copy in [packet.clone(), packet] {
+                    match link.enqueue(self.now, copy.wire_len()) {
                         EnqueueOutcome::Delivered(t) => {
-                            self.events.push(t + extra, Event::Arrive { at_node: next, packet: p });
+                            self.events.push(t, Event::Arrive { at_node: next, packet: copy });
                         }
                         EnqueueOutcome::Dropped => self.stats.dropped += 1,
                     }
-                    return;
                 }
-                FaultOutcome::Dropped => {
-                    self.stats.dropped += 1;
-                    return;
+                return;
+            }
+            Verdict::Reorder => {
+                // Penalize with one extra MTU serialization worth of
+                // delay so a later packet can overtake it.
+                let link = &mut self.links[li];
+                let extra = SimTime::tx_time(1500, link.config().bandwidth_bps) * 2;
+                match link.enqueue(self.now, packet.wire_len()) {
+                    EnqueueOutcome::Delivered(t) => {
+                        self.events.push(t + extra, Event::Arrive { at_node: next, packet });
+                    }
+                    EnqueueOutcome::Dropped => self.stats.dropped += 1,
                 }
-            },
-            None => packet,
-        };
+                return;
+            }
+            Verdict::Drop => {
+                self.stats.dropped += 1;
+                return;
+            }
+        }
         match self.links[li].enqueue(self.now, packet.wire_len()) {
             EnqueueOutcome::Delivered(t) => {
                 self.events.push(t, Event::Arrive { at_node: next, packet });

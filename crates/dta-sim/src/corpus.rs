@@ -770,16 +770,18 @@ static KEYS: &[&[Key]] = &[
         key!("collectors.fault", spurious,
             collectors.fault ? CollectorFaultPlan::kill(0, 0) => spurious),
         key!("rebalance", start_at_ns, rebalance ? RebalancePlan::default() => start_at_ns),
-        key!("rebalance", fence_capacity, rebalance ? RebalancePlan::default() => fence_capacity),
-        key!("rebalance", ledger_capacity, rebalance ? RebalancePlan::default() => ledger_capacity),
-        key!("rebalance", drain_batch, rebalance ? RebalancePlan::default() => drain_batch),
-        key!("rebalance", retry_ns, rebalance ? RebalancePlan::default() => retry_ns),
+        key!("rebalance", fence_capacity,
+            rebalance ? RebalancePlan::default() => driver.fence_capacity),
+        key!("rebalance", ledger_capacity,
+            rebalance ? RebalancePlan::default() => driver.ledger_capacity),
+        key!("rebalance", drain_batch, rebalance ? RebalancePlan::default() => driver.drain_batch),
+        key!("rebalance", retry_ns, rebalance ? RebalancePlan::default() => driver.retry_ns),
         key!("rebalance.faults", drop_chance,
-            rebalance ? RebalancePlan::default() => faults.drop_chance),
+            rebalance ? RebalancePlan::default() => driver.faults.drop_chance),
         key!("rebalance.faults", duplicate_chance,
-            rebalance ? RebalancePlan::default() => faults.duplicate_chance),
+            rebalance ? RebalancePlan::default() => driver.faults.duplicate_chance),
         key!("rebalance.faults", reorder_chance,
-            rebalance ? RebalancePlan::default() => faults.reorder_chance),
+            rebalance ? RebalancePlan::default() => driver.faults.reorder_chance),
         key!("query", rate, query ? QueryPlan::default() => rate),
         key!("query", start_ns, query ? QueryPlan::default() => start_ns),
         key!("query", stop_ns, query ? QueryPlan::default() => stop_ns),
@@ -1152,6 +1154,7 @@ pub fn render_spec(spec: &ScenarioSpec) -> String {
 mod tests {
     use super::*;
     use crate::spec::{CollectorPlan, FaultPlan};
+    use dta_translator::RebalanceConfig;
 
     #[test]
     fn empty_document_is_the_default_spec() {
@@ -1296,7 +1299,10 @@ mod tests {
         let rate_limit = Some(RateLimiterConfig { msgs_per_sec: 2.5e6, burst: 9 });
         let mut spec = ScenarioSpec {
             mode: TranslatorMode::Sharded { shards: 3 },
-            rebalance: Some(RebalancePlan { drain_batch: 5, ..RebalancePlan::default() }),
+            rebalance: Some(RebalancePlan {
+                driver: RebalanceConfig { drain_batch: 5, ..RebalanceConfig::default() },
+                ..RebalancePlan::default()
+            }),
             query: Some(QueryPlan { rate: 3, ..QueryPlan::default() }),
             ..ScenarioSpec::default()
         };

@@ -24,15 +24,15 @@ use dta_collector::{
     QueryOutcome, QueryPolicy, QueryRequest, QueryResult, StoreQueryEngine,
 };
 use dta_net::{
-    FatTree, FaultInjector, LinkConfig, LinkStats, FaultTotals, NetNode, Network, NetworkStats,
-    NodeId, SimTime,
+    splitmix64, FatTree, FaultInjector, LinkConfig, LinkStats, FaultTotals, NetNode, Network,
+    NetworkStats, NodeId, SimTime,
 };
 use dta_rdma::mr::SnapshotBuf;
 use dta_reporter::{Reporter, ReporterConfig, ReporterFleetNode, RetxStats};
 use dta_translator::node::TranslatorNodeStats;
 use dta_translator::{
     FailoverStats, FleetConfig, FleetEvent, FleetNode, FleetQueryEngine, LinkKind,
-    RebalanceConfig, RebalanceStats, TranslatorStats,
+    RebalanceStats, TranslatorStats,
 };
 
 use crate::query::{CollectorReaders, QueryService, QueryStats};
@@ -158,17 +158,9 @@ pub fn memory_fingerprint(memory: &[(u32, SnapshotBuf)]) -> u64 {
     hash
 }
 
-/// SplitMix64 — derives per-link injector seeds from the scenario seed so
-/// adjacent links never share an RNG stream.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
+/// The injector seed of the link `from → to`, mixed off the scenario seed.
 fn link_seed(seed: u64, from: NodeId, to: NodeId) -> u64 {
-    splitmix64(seed ^ ((from.0 as u64) << 32 | to.0 as u64))
+    splitmix64(&mut (seed ^ ((from.0 as u64) << 32 | to.0 as u64)))
 }
 
 /// Build, run, audit. See the module docs for the determinism contract.
@@ -287,17 +279,11 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
         .enumerate()
         .map(|(c, svc)| (collector_sites[c].0, COLLECTOR_IP + c as u32, svc))
         .collect();
-    // The migration path rolls its own fault dice (there is no simulated
-    // link between the fence and the fallback's memory), so it gets a
-    // domain-separated stream off the scenario seed.
-    let rebalance_cfg = spec.rebalance.as_ref().map(|rb| RebalanceConfig {
-        fence_capacity: rb.fence_capacity,
-        ledger_capacity: rb.ledger_capacity,
-        drain_batch: rb.drain_batch,
-        retry_ns: rb.retry_ns,
-        faults: rb.faults,
-        seed: splitmix64(spec.seed ^ 0x5EBA_1A4C),
-    });
+    // The migration path has a fault injector of its own (there is no
+    // simulated link between the fence and the fallback's memory), so it
+    // gets a domain-separated seed off the scenario seed.
+    let rebalance_cfg =
+        spec.rebalance.map(|rb| (rb.driver, splitmix64(&mut (spec.seed ^ 0x5EBA_1A4C))));
     // The translator mode picks the link the ToR node's RDMA rides on;
     // nothing inside the node branches on the mode again.
     let sharded_tor = matches!(spec.mode, TranslatorMode::Sharded { .. });

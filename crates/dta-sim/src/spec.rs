@@ -12,7 +12,7 @@ use dta_collector::ServiceConfig;
 use dta_hash::polynomials::MAX_REDUNDANCY;
 use dta_net::{FaultConfig, LinkConfig};
 use dta_reporter::RetransmitPolicy;
-use dta_translator::{MigrationFaults, RateLimiterConfig, TranslatorConfig};
+use dta_translator::{RateLimiterConfig, RebalanceConfig, TranslatorConfig};
 
 /// Which translator pipeline fronts the collector's ToR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,39 +106,22 @@ impl CollectorFaultPlan {
 /// A scheduled live rebalance: after the fault plan's victim rejoins, the
 /// fleet migrates the victim's key range back from its failover owner under
 /// an epoch fence (see `dta_translator::rebalance`). The plan names *when*
-/// the handoff starts and how the migration machinery is sized; the victim
-/// is always the rejoined collector of [`CollectorFaultPlan`].
+/// the handoff starts and how the migration driver is sized (capacities and
+/// `drain_batch` > 0); the victim is always the rejoined collector of
+/// [`CollectorFaultPlan`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RebalancePlan {
     /// Simulated time the fence goes up (must be after
     /// [`CollectorFaultPlan::rejoin_at_ns`] — there is nothing to migrate
     /// back to before the victim is readmitted).
     pub start_at_ns: u64,
-    /// Bound on concurrently *active* (non-terminal) fence entries.
-    /// Eviction is counted, never silent (> 0).
-    pub fence_capacity: usize,
-    /// Bound on fence entries in drain flight (the rebalance driver's
-    /// migration ledger, > 0).
-    pub ledger_capacity: usize,
-    /// Entries armed / drained per pump tick.
-    pub drain_batch: usize,
-    /// Retransmit timer for unacknowledged migration ops.
-    pub retry_ns: u64,
-    /// Fault injection on the migration path itself (drop / duplicate /
-    /// pairwise-reorder dice over migration reads and zero-writes).
-    pub faults: MigrationFaults,
+    /// Sizing, pacing and migration-path faults of the driver.
+    pub driver: RebalanceConfig,
 }
 
 impl Default for RebalancePlan {
     fn default() -> Self {
-        RebalancePlan {
-            start_at_ns: 36_000,
-            fence_capacity: 1024,
-            ledger_capacity: 256,
-            drain_batch: 16,
-            retry_ns: 8_000,
-            faults: MigrationFaults::default(),
-        }
+        RebalancePlan { start_at_ns: 36_000, driver: RebalanceConfig::default() }
     }
 }
 
@@ -666,12 +649,12 @@ impl ScenarioSpec {
                     rb.start_at_ns, rejoin
                 ));
             }
-            if rb.fence_capacity == 0 || rb.ledger_capacity == 0 {
+            if rb.driver.fence_capacity == 0 || rb.driver.ledger_capacity == 0 {
                 return Err("rebalance fence/ledger capacities must be >= 1 \
                      (a zero bound would evict every entry on arrival)"
                     .into());
             }
-            if rb.drain_batch == 0 {
+            if rb.driver.drain_batch == 0 {
                 return Err("rebalance.drain_batch must be >= 1".into());
             }
         }
@@ -946,13 +929,13 @@ mod tests {
         assert_eq!(s.validate(), Ok(()));
         // Zero-sized migration bounds would evict everything on arrival.
         let mut s = ScenarioSpec::preset("rebalance", TranslatorMode::SingleThreaded);
-        s.rebalance.as_mut().unwrap().fence_capacity = 0;
+        s.rebalance.as_mut().unwrap().driver.fence_capacity = 0;
         assert!(s.validate().is_err());
         let mut s = ScenarioSpec::preset("rebalance", TranslatorMode::SingleThreaded);
-        s.rebalance.as_mut().unwrap().ledger_capacity = 0;
+        s.rebalance.as_mut().unwrap().driver.ledger_capacity = 0;
         assert!(s.validate().is_err());
         let mut s = ScenarioSpec::preset("rebalance", TranslatorMode::SingleThreaded);
-        s.rebalance.as_mut().unwrap().drain_batch = 0;
+        s.rebalance.as_mut().unwrap().driver.drain_batch = 0;
         assert!(s.validate().is_err());
     }
 

@@ -34,13 +34,12 @@
 //!    the last survivor are counted no-ops on both collector links.
 
 use dta_collector::{CollectorService, ServiceConfig};
-use dta_net::{NetNode, NodeId, SimTime};
+use dta_net::{FaultConfig, NetNode, NodeId, SimTime};
 use dta_sim::{
     run_scenario, CollectorPlan, ScenarioOutcome, ScenarioSpec, TranslatorMode, TRANSLATOR_IP,
 };
 use dta_translator::{
     CollectorRoutingTable, FleetAdmin, FleetConfig, FleetEvent, FleetNode, LinkKind,
-    MigrationFaults,
 };
 use proptest::prelude::*;
 
@@ -167,7 +166,7 @@ fn rejoin_without_rebalance_leaves_fanout_lookups() {
 fn migration_ledger_eviction_is_accounted_not_silent() {
     for mode in BOTH_MODES {
         let mut spec = rebalance(mode, 0x4EBA_0005);
-        spec.rebalance.as_mut().unwrap().ledger_capacity = 2;
+        spec.rebalance.as_mut().unwrap().driver.ledger_capacity = 2;
         let a = run_scenario(&spec);
         let rb = a.report.rebalance.expect("rebalance stats missing");
         assert!(rb.abandoned > 0, "{mode:?}: starved ledger never abandoned an entry");
@@ -186,7 +185,7 @@ fn migration_ledger_eviction_is_accounted_not_silent() {
 fn fence_eviction_is_accounted_not_silent() {
     for mode in BOTH_MODES {
         let mut spec = rebalance(mode, 0x4EBA_0006);
-        spec.rebalance.as_mut().unwrap().fence_capacity = 8;
+        spec.rebalance.as_mut().unwrap().driver.fence_capacity = 8;
         let a = run_scenario(&spec);
         let rb = a.report.rebalance.expect("rebalance stats missing");
         assert!(rb.fence_evicted > 0, "{mode:?}: tiny fence never evicted");
@@ -205,8 +204,7 @@ fn fence_eviction_is_accounted_not_silent() {
 fn migration_path_faults_are_healed_by_retransmission() {
     for mode in BOTH_MODES {
         let mut spec = rebalance(mode, 0x4EBA_0007);
-        spec.rebalance.as_mut().unwrap().faults =
-            MigrationFaults { drop_chance: 0.15, duplicate_chance: 0.10, reorder_chance: 0.10 };
+        spec.rebalance.as_mut().unwrap().driver.faults = FaultConfig::unreliable(0.15, 0.10, 0.10);
         let twin = no_fault_twin(&spec);
         let a = run_scenario(&spec);
         let b = run_scenario(&twin);

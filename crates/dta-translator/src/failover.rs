@@ -20,14 +20,16 @@
 //!   no wire to time out on, so [`FleetNode`] instead consumes an RDMA_CM
 //!   teardown ([`crate::cm::CmEvent::Disconnect`]) surfaced through the
 //!   [`FleetAdmin`] handle.
-//! * [`ReplayLedger`] — a bounded, per-collector FIFO window of recently
-//!   translated Key-Write / Key-Increment reports. On failover the whole
-//!   window for the dead collector is replayed through the survivors.
-//!   Acked entries are *not* retired from the window (only capacity evicts
-//!   them), because a spurious failover must re-apply even acknowledged
-//!   writes at the new owner: queries route by the final table, so the
-//!   suspected node's copies stop counting the moment it is marked dead.
-//!   Write-once Key-Write and commutative Key-Increment make the replay
+//! * the replay ledger — one [`Outstanding`] window per collector of
+//!   recently translated Key-Write / Key-Increment reports, keyed by the
+//!   requester QPN and PSN of each report's last RDMA packet. On failover
+//!   the whole window for the dead collector is replayed through the
+//!   survivors; a NAK replays the un-acked suffix it proves unexecuted.
+//!   An ACK only marks entries (only capacity evicts them), because a
+//!   spurious failover must re-apply even acknowledged writes at the new
+//!   owner: queries route by the final table, so the suspected node's
+//!   copies stop counting the moment it is marked dead. Write-once
+//!   Key-Write and commutative Key-Increment make the replay
 //!   order-invariant and (per final-table routing) exactly-once.
 //!
 //! The convergence claim mirrors the PR 5 congestion loop, in the
@@ -35,7 +37,6 @@
 //! surviving fleet's merged memory is byte-identical to a same-seed run
 //! that never had the failure.
 
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use dta_collector::service::CollectorService;
@@ -46,6 +47,7 @@ use dta_rdma::packet::RocePacket;
 
 use crate::link::{CollectorLink, InProcessLink, LinkKind, LinkResponse, LinkRun, RoceLink};
 use crate::node::{ingress, Ingress, TranslatorNodeStats};
+use crate::outstanding::{Entry, Outstanding};
 use crate::partition::{collector_route, collector_route_list};
 use crate::rebalance::{MigPrimitive, RebalanceConfig, RebalanceDriver, RebalanceStats};
 use crate::shard::ReportOrigin;
@@ -239,108 +241,9 @@ impl FleetAdmin {
     }
 }
 
-/// One ledgered report: everything needed to replay it elsewhere.
-#[derive(Debug, Clone)]
-pub struct LedgerEntry {
-    /// Fleet index the report was translated toward.
-    pub collector: u32,
-    /// Requester-side QPN the resulting RDMA rode on (ACKs name it).
-    pub qpn: u32,
-    /// PSN of the last RDMA packet of this report; the entry is acked once
-    /// the cumulative ACK for its QP reaches this PSN.
-    pub last_psn: u32,
-    /// Whether the collector acknowledged the report's writes.
-    pub acked: bool,
-    /// The report itself (replay re-translates it from scratch).
-    pub report: DtaReport,
-    /// Return address (replay re-posts with it).
-    pub origin: ReportOrigin,
-}
-
-/// Bounded per-collector FIFO window of recently translated reports.
-///
-/// Capacity — not acknowledgement — is the only thing that retires an
-/// entry, so a failover can replay acked writes too (required for spurious
-/// failovers, see module docs). Accounting closes exactly:
-/// `recorded == evicted + drained + resident`, where drains are failover
-/// or NAK replays.
-#[derive(Debug)]
-pub struct ReplayLedger {
-    windows: Vec<VecDeque<LedgerEntry>>,
-    capacity: usize,
-    /// Entries ever recorded (replays re-record at the new owner).
-    pub recorded: u64,
-    /// Entries evicted by capacity before any failover needed them.
-    pub evicted: u64,
-}
-
-impl ReplayLedger {
-    /// Ledger over `collectors` windows of `capacity` entries each.
-    pub fn new(collectors: u32, capacity: usize) -> Self {
-        assert!(capacity > 0, "a zero-capacity ledger cannot replay anything");
-        ReplayLedger {
-            windows: (0..collectors).map(|_| VecDeque::new()).collect(),
-            capacity,
-            recorded: 0,
-            evicted: 0,
-        }
-    }
-
-    /// Append an entry to its collector's window, evicting the oldest
-    /// entry if the window is full.
-    pub fn record(&mut self, entry: LedgerEntry) {
-        let window = &mut self.windows[entry.collector as usize];
-        if window.len() == self.capacity {
-            window.pop_front();
-            self.evicted += 1;
-        }
-        window.push_back(entry);
-        self.recorded += 1;
-    }
-
-    /// Apply a cumulative ACK: every entry on `(collector, qpn)` whose
-    /// last PSN is covered by `psn` becomes acked.
-    fn mark_acked(&mut self, collector: u32, qpn: u32, psn: u32) {
-        for e in self.windows[collector as usize].iter_mut() {
-            if e.qpn == qpn && !e.acked && e.last_psn <= psn {
-                e.acked = true;
-            }
-        }
-    }
-
-    /// Take the whole window of `collector` (failover replay), FIFO order.
-    fn drain_for(&mut self, collector: u32, into: &mut Vec<LedgerEntry>) {
-        into.extend(self.windows[collector as usize].drain(..));
-    }
-
-    /// Take the un-acked suffix a NAK proves unexecuted: entries on
-    /// `(collector, qpn)` with `last_psn >= expected`. Sound because
-    /// the only loss source here is contiguous (a dead/rejoining node
-    /// sinks everything from some PSN onward), so a NAK'd suffix contains
-    /// no partially executed entries.
-    fn drain_nak(
-        &mut self,
-        collector: u32,
-        qpn: u32,
-        expected: u32,
-        into: &mut Vec<LedgerEntry>,
-    ) {
-        let window = &mut self.windows[collector as usize];
-        let mut i = 0;
-        while i < window.len() {
-            if window[i].qpn == qpn && !window[i].acked && window[i].last_psn >= expected {
-                into.push(window.remove(i).unwrap());
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Entries currently resident across all windows.
-    pub fn resident(&self) -> u64 {
-        self.windows.iter().map(|w| w.len() as u64).sum()
-    }
-}
+/// A ledgered report and its return address: replay re-translates it from
+/// scratch and re-posts it with the same origin.
+type Replay = (DtaReport, ReportOrigin);
 
 /// Failover counters, surfaced in `ScenarioReport`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -408,9 +311,10 @@ pub struct FleetConfig {
     pub min_unacked: u64,
     /// Per-collector replay-window capacity.
     pub ledger_capacity: usize,
-    /// Rebalance sizing; `None` disables migration (no migration QPs are
-    /// even connected).
-    pub rebalance: Option<RebalanceConfig>,
+    /// Rebalance sizing and the seed of the migration path's fault
+    /// injector; `None` disables migration (no migration QPs are even
+    /// connected).
+    pub rebalance: Option<(RebalanceConfig, u64)>,
 }
 
 /// Aggregated results of a fleet run.
@@ -440,7 +344,7 @@ struct Migration {
     request_buf: Vec<(u32, RocePacket)>,
     /// Responses a link produced on the spot.
     response_buf: Vec<RocePacket>,
-    replay_buf: Vec<(DtaReport, ReportOrigin)>,
+    replay_buf: Vec<Replay>,
 }
 
 /// `(primitive, key, redundancy)` of a migratable report (KW / INC only;
@@ -468,11 +372,12 @@ fn migratable(report: &DtaReport) -> Option<(MigPrimitive, &TelemetryKey, u8)> {
 pub struct FleetNode {
     link: Box<dyn CollectorLink>,
     table: CollectorRoutingTable,
-    ledger: ReplayLedger,
+    /// The replay ledger: one window per collector.
+    ledger: Vec<Outstanding<Replay>>,
     admin: FleetAdmin,
     key_scratch: KeyScratch,
     event_buf: Vec<FleetEvent>,
-    replay_buf: Vec<LedgerEntry>,
+    replay_buf: Vec<Entry<Replay>>,
     rebalance: Option<Migration>,
     /// Per-node counters.
     pub stats: TranslatorNodeStats,
@@ -519,15 +424,15 @@ impl FleetNode {
             table: CollectorRoutingTable::new(n),
             // Unused by a fleet of one (see `post`), whose config may
             // leave the capacity zero.
-            ledger: ReplayLedger::new(n, config.ledger_capacity.max(1)),
+            ledger: (0..n).map(|_| Outstanding::new(config.ledger_capacity.max(1))).collect(),
             admin: admin.clone(),
             // A fleet of one never digests (see `route`): the minimum table,
             // not a pooled ~1 MB one.
             key_scratch: KeyScratch::new(if n > 1 { 16 * 1024 } else { 0 }, 1),
             event_buf: Vec::new(),
             replay_buf: Vec::new(),
-            rebalance: config.rebalance.map(|rb| Migration {
-                driver: RebalanceDriver::new(rb, kw, cms, migration),
+            rebalance: config.rebalance.map(|(rb, seed)| Migration {
+                driver: RebalanceDriver::new(rb, seed, kw, cms, migration),
                 request_buf: Vec::new(),
                 response_buf: Vec::new(),
                 replay_buf: Vec::new(),
@@ -582,24 +487,23 @@ impl FleetNode {
         origin: ReportOrigin,
         out: &mut Vec<Emission>,
     ) {
-        if let Some(entry) = self.link.post_report(owner, now_ns, report, origin, out) {
-            if self.table.len() > 1 {
-                self.ledger.record(entry);
-            }
+        let posted = self.link.post_report(owner, now_ns, &report, origin, out);
+        if let Some((qpn, psn, acked)) = posted.filter(|_| self.table.len() > 1) {
+            self.ledger[owner as usize].record(qpn, psn, acked, (report, origin));
         }
     }
 
     /// Re-route entries drained from the ledger (a failed collector's
     /// window, a NAK'd suffix) through the current table, in ledger FIFO
     /// order.
-    fn replay(&mut self, now_ns: u64, entries: &mut Vec<LedgerEntry>, out: &mut Vec<Emission>) {
-        for entry in entries.drain(..) {
-            let (owner, primary, checksum) = self.route(&entry.report);
+    fn replay(&mut self, now_ns: u64, entries: &mut Vec<Entry<Replay>>, out: &mut Vec<Emission>) {
+        for Entry { item: (report, origin), .. } in entries.drain(..) {
+            let (owner, primary, checksum) = self.route(&report);
             debug_assert!(self.table.is_alive(owner), "table must not route to a dead collector");
             if owner != primary {
-                self.record_fence(&entry.report, checksum, owner);
+                self.record_fence(&report, checksum, owner);
             }
-            self.post(owner, now_ns, entry.report, entry.origin, out);
+            self.post(owner, now_ns, report, origin, out);
         }
     }
 
@@ -616,7 +520,7 @@ impl FleetNode {
         self.failover.epoch = self.table.epoch();
         self.failover.cm_disconnects += self.link.on_fail(c);
         let mut window = std::mem::take(&mut self.replay_buf);
-        self.ledger.drain_for(c, &mut window);
+        self.ledger[c as usize].take(|_| true, &mut window);
         self.failover.replayed += window.len() as u64;
         self.failover.replayed_acked += window.iter().filter(|e| e.acked).count() as u64;
         self.replay(now_ns, &mut window, out);
@@ -683,9 +587,12 @@ impl FleetNode {
     /// accounting.
     pub fn finish(mut self) -> FleetRunReport {
         let LinkRun { translator, per_shard_reports_in, executed } = self.link.finish();
-        self.failover.ledger_recorded = self.ledger.recorded;
-        self.failover.ledger_evicted = self.ledger.evicted;
-        self.failover.ledger_resident = self.ledger.resident();
+        for window in &self.ledger {
+            debug_assert!(window.closes(), "replay window leaked: {window:?}");
+            self.failover.ledger_recorded += window.recorded;
+            self.failover.ledger_evicted += window.evicted;
+            self.failover.ledger_resident += window.len() as u64;
+        }
         FleetRunReport {
             translator,
             per_shard_reports_in,
@@ -733,11 +640,16 @@ impl NetNode for FleetNode {
                 match response {
                     LinkResponse::Consumed => {}
                     LinkResponse::Ack { collector, qpn, psn } => {
-                        self.ledger.mark_acked(collector, qpn, psn)
+                        self.ledger[collector as usize].ack(qpn, psn)
                     }
                     LinkResponse::Nak { collector, qpn, expected } => {
+                        // Sound because the only loss source here is
+                        // contiguous (a dead or rejoining node sinks
+                        // everything from some PSN on), so the NAK'd suffix
+                        // holds no partially executed report.
                         let mut suffix = std::mem::take(&mut self.replay_buf);
-                        self.ledger.drain_nak(collector, qpn, expected, &mut suffix);
+                        let window = &mut self.ledger[collector as usize];
+                        window.take_unacked_from(qpn, expected, &mut suffix);
                         self.failover.nak_replayed += suffix.len() as u64;
                         self.replay(now_ns, &mut suffix, out);
                         self.replay_buf = suffix;
@@ -967,71 +879,6 @@ mod tests {
         let mut table = CollectorRoutingTable::new(2);
         table.mark_dead(0);
         table.mark_dead(1);
-    }
-
-    fn entry(collector: u32, qpn: u32, psn: u32) -> LedgerEntry {
-        LedgerEntry {
-            collector,
-            qpn,
-            last_psn: psn,
-            acked: false,
-            report: DtaReport::key_write(psn, TelemetryKey::from_u64(psn as u64), 1, vec![1; 4]),
-            origin: ReportOrigin::default(),
-        }
-    }
-
-    #[test]
-    fn ledger_cumulative_ack_covers_prefix_only() {
-        let mut ledger = ReplayLedger::new(2, 16);
-        for psn in 0..6u32 {
-            ledger.record(entry(0, 7, psn));
-        }
-        ledger.record(entry(1, 7, 100)); // other collector, same qpn: untouched
-        ledger.mark_acked(0, 7, 3);
-        let mut window = Vec::new();
-        ledger.drain_for(0, &mut window);
-        let acked: Vec<bool> = window.iter().map(|e| e.acked).collect();
-        assert_eq!(acked, [true, true, true, true, false, false]);
-        let mut other = Vec::new();
-        ledger.drain_for(1, &mut other);
-        assert!(!other[0].acked);
-        assert_eq!(ledger.resident(), 0);
-        assert_eq!(ledger.recorded, 7);
-        assert_eq!(ledger.evicted, 0);
-    }
-
-    #[test]
-    fn ledger_evicts_per_collector_fifo() {
-        let mut ledger = ReplayLedger::new(2, 3);
-        for psn in 0..5u32 {
-            ledger.record(entry(0, 1, psn));
-        }
-        ledger.record(entry(1, 1, 9)); // other window unaffected by evictions
-        assert_eq!(ledger.evicted, 2);
-        assert_eq!(ledger.resident(), 4);
-        let mut window = Vec::new();
-        ledger.drain_for(0, &mut window);
-        let psns: Vec<u32> = window.iter().map(|e| e.last_psn).collect();
-        assert_eq!(psns, [2, 3, 4], "oldest entries evicted first");
-        // Accounting identity: recorded == evicted + drained + resident.
-        assert_eq!(ledger.recorded, ledger.evicted + window.len() as u64 + ledger.resident());
-    }
-
-    #[test]
-    fn ledger_nak_drains_unacked_suffix_on_one_qp() {
-        let mut ledger = ReplayLedger::new(1, 16);
-        for psn in 0..8u32 {
-            ledger.record(entry(0, 5, psn));
-        }
-        ledger.record(entry(0, 6, 2)); // other QP: untouched by the NAK
-        ledger.mark_acked(0, 5, 3);
-        // NAK with expected PSN 4: acked prefix 0..=3 stays, suffix 4..=7
-        // drains for replay.
-        let mut suffix = Vec::new();
-        ledger.drain_nak(0, 5, 4, &mut suffix);
-        let psns: Vec<u32> = suffix.iter().map(|e| e.last_psn).collect();
-        assert_eq!(psns, [4, 5, 6, 7]);
-        assert_eq!(ledger.resident(), 5);
     }
 
     #[test]

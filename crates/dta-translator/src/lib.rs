@@ -34,6 +34,7 @@ pub mod append;
 pub mod failover;
 pub mod fleet_query;
 mod link;
+mod outstanding;
 pub mod node;
 pub mod partition;
 pub mod postcard_cache;
@@ -46,14 +47,14 @@ pub mod translator;
 pub use append::AppendBatcher;
 pub use failover::{
     CollectorRoutingTable, FailoverStats, FleetAdmin, FleetConfig, FleetEvent, FleetNode,
-    FleetRunReport, LedgerEntry, ReplayLedger,
+    FleetRunReport,
 };
 pub use fleet_query::FleetQueryEngine;
 pub use link::LinkKind;
 pub use partition::Partitioner;
 pub use postcard_cache::{CacheEmission, PostcardCache};
 pub use ratelimit::{RateLimiter, RateLimiterConfig};
-pub use rebalance::{MigrationFaults, RebalanceConfig, RebalanceStats};
+pub use rebalance::{RebalanceConfig, RebalanceStats};
 pub use shard::{
     NackRecord, ReportOrigin, ShardRunReport, ShardedConfig, ShardedRunReport, ShardedTranslator,
 };

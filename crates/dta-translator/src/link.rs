@@ -20,7 +20,7 @@ use dta_rdma::nic::RdmaNic;
 use dta_rdma::packet::{RocePacket, FRAME_BYTES, FRAME_POOL_DEPTH};
 use dta_rdma::qp::QueuePair;
 
-use crate::failover::{FleetConfig, LedgerEntry};
+use crate::failover::FleetConfig;
 use crate::node::nack_emission;
 use crate::shard::{NackRecord, ReportOrigin, ShardedConfig, ShardedTranslator};
 use crate::translator::{Translator, TranslatorOutput, TranslatorStats};
@@ -68,6 +68,10 @@ pub(crate) enum LinkResponse {
 /// params as `CmRequester::complete` returned them.
 pub(crate) type MigrationQp = (u32, QueuePair, ConnectionParams);
 
+/// Where a posted report's last RDMA packet went, `(requester QPN, PSN,
+/// acked)`: the key of its replay-ledger entry.
+pub(crate) type Posted = (u32, u32, bool);
+
 /// Connect collector `c`'s migration QPs through `accept`, its CM: one per
 /// store a rebalance moves (KW, CMS), beside the report path's so
 /// migration traffic never perturbs report PSNs or the completion-timeout
@@ -108,10 +112,10 @@ pub(crate) trait CollectorLink: std::fmt::Debug {
         &mut self,
         c: u32,
         now_ns: u64,
-        report: DtaReport,
+        report: &DtaReport,
         origin: ReportOrigin,
         out: &mut Vec<Emission>,
-    ) -> Option<LedgerEntry>;
+    ) -> Option<Posted>;
 
     /// Put one migration request toward collector `c` on the wire. A link
     /// that executes it on the spot appends the responder's answer, if
@@ -273,27 +277,22 @@ impl CollectorLink for RoceLink {
         &mut self,
         c: u32,
         now_ns: u64,
-        report: DtaReport,
+        report: &DtaReport,
         origin: ReportOrigin,
         out: &mut Vec<Emission>,
-    ) -> Option<LedgerEntry> {
+    ) -> Option<Posted> {
         let mut translated = std::mem::take(&mut self.scratch);
         let ep = &mut self.endpoints[c as usize];
-        ep.translator.process_batch(now_ns, std::slice::from_ref(&report), &mut translated);
+        ep.translator.process_batch(now_ns, std::slice::from_ref(report), &mut translated);
         self.send(c, now_ns, &translated.packets, out);
         out.extend(
             translated.nacked.iter().map(|&seq| nack_emission(self.my_id, self.my_ip, seq, origin)),
         );
-        let entry = translated.packets.last().map(|last| LedgerEntry {
-            collector: c,
-            qpn: self.endpoints[c as usize].req_qpn_for(last.bth.dest_qp),
-            last_psn: last.bth.psn,
-            acked: false,
-            report,
-            origin,
+        let posted = translated.packets.last().map(|last| {
+            (self.endpoints[c as usize].req_qpn_for(last.bth.dest_qp), last.bth.psn, false)
         });
         self.scratch = translated;
-        entry
+        posted
     }
 
     /// Migration traffic is not charged to the completion-timeout
@@ -447,12 +446,12 @@ impl CollectorLink for InProcessLink {
         &mut self,
         c: u32,
         now_ns: u64,
-        report: DtaReport,
+        report: &DtaReport,
         origin: ReportOrigin,
         _out: &mut Vec<Emission>,
-    ) -> Option<LedgerEntry> {
+    ) -> Option<Posted> {
         self.pipelines[c as usize].ingest_from(now_ns, report.clone(), origin);
-        Some(LedgerEntry { collector: c, qpn: 0, last_psn: 0, acked: true, report, origin })
+        Some((0, 0, true))
     }
 
     /// Barrier the target pipeline — in-process "RDMA" must observe every

@@ -16,9 +16,11 @@
 //!    the migration QP and replay the content to the restored primary as an
 //!    ordinary DTA report through the post-fence routing table; then zero
 //!    the fallback owner's slots so its region matches a run that never saw
-//!    the failure. A bounded [`MigrationLedger`] (counted eviction, closure
-//!    identity `scanned == transferred + skipped + resident`) caps drain
-//!    flight the way PR 6's `ReplayLedger` caps replay state.
+//!    the failure. Drain flight is bounded by `ledger_capacity`: the entries
+//!    in flight are the live ones behind the drain cursor, so the bound is
+//!    a count plus a monotone abandon cursor (overflow abandons the oldest,
+//!    counted), the way `active` and `evict_cursor` bound the fence. The
+//!    closure identity is `scanned == transferred + skipped + resident`.
 //! 3. **release** — once every fence entry is terminal and every wire op
 //!    acked, routing collapses back to single-owner at a second epoch bump
 //!    and the fence retires.
@@ -69,14 +71,15 @@
 //! itself (READ to arm or drain, FETCH_ADD to transfer, WRITE of zeros to
 //! clear), and both collector links hand it to the collector's own
 //! responder, `RdmaNic::ingress`: dup-drop, gap NAK and ACK are the NIC's.
-//! Loss/duplication/reordering are injected at emission (per
-//! [`MigrationFaults`], deterministic splitmix64 dice); recovery is
-//! go-back-N — a NAK the QP calls news, or the retry timer, re-sends the
-//! undone ops in original PSN order. READs complete only on a matching-PSN
-//! response (the data is needed); WRITEs and FETCH_ADDs complete on
-//! cumulative ACK.
+//! Every op sits in one [`Outstanding`] window from creation until it
+//! completes: READs on a full-length matching-PSN response (the data is
+//! needed), WRITEs and FETCH_ADDs on cumulative ACK. Recovery is go-back-N
+//! — a NAK the QP calls news, or the retry timer, re-sends the undone ops
+//! in original PSN order. Loss, duplication and reordering are injected at
+//! emission by a seeded [`FaultInjector`] over the config's
+//! [`FaultConfig`], the same injector the simulated links use.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use bytes::Bytes;
 use dta_collector::layout::{CmsLayout, KwLayout};
@@ -84,36 +87,14 @@ use dta_collector::service::{SERVICE_CMS, SERVICE_KW};
 use dta_core::{DtaReport, TelemetryKey};
 use dta_hash::polynomials::MAX_REDUNDANCY;
 use dta_hash::scratch::KeyScratch;
+use dta_net::{FaultConfig, FaultInjector, Verdict};
 use dta_rdma::cm::{ConnectionParams, ServiceId};
 use dta_rdma::packet::{Opcode, Reth, RocePacket};
 use dta_rdma::qp::QueuePair;
 
 use crate::link::MigrationQp;
+use crate::outstanding::{Entry, Outstanding};
 use crate::shard::ReportOrigin;
-
-/// Fault injection on the migration path (requests only; responses and
-/// ACKs ride un-faulted, as in the PR 6 fleet transport). Probabilities
-/// are evaluated per emission with a seeded splitmix64 stream, so a run is
-/// a pure function of the scenario spec.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct MigrationFaults {
-    /// Probability of silently dropping an emitted request.
-    pub drop_chance: f64,
-    /// Probability of emitting a request twice (same PSN; the responder
-    /// PSN-drops the copy).
-    pub duplicate_chance: f64,
-    /// Probability of swapping a request with its predecessor in the same
-    /// emission batch (pairwise reorder; same-link swaps exercise the
-    /// responder's NAK path).
-    pub reorder_chance: f64,
-}
-
-impl MigrationFaults {
-    /// True when any injection is configured.
-    pub fn any(&self) -> bool {
-        self.drop_chance > 0.0 || self.duplicate_chance > 0.0 || self.reorder_chance > 0.0
-    }
-}
 
 /// Sizing and pacing of one rebalance run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -129,10 +110,10 @@ pub struct RebalanceConfig {
     pub drain_batch: usize,
     /// Retransmit timeout for unacknowledged migration ops.
     pub retry_ns: u64,
-    /// Fault injection on migration requests.
-    pub faults: MigrationFaults,
-    /// Seed for the injection dice.
-    pub seed: u64,
+    /// Fault injection on migration requests (responses and ACKs ride
+    /// un-faulted). Only drop, duplicate and reorder apply: a request is
+    /// never corrupted or size-limited.
+    pub faults: FaultConfig,
 }
 
 impl Default for RebalanceConfig {
@@ -142,8 +123,7 @@ impl Default for RebalanceConfig {
             ledger_capacity: 256,
             drain_batch: 16,
             retry_ns: 8_000,
-            faults: MigrationFaults::default(),
-            seed: 0,
+            faults: FaultConfig::none(),
         }
     }
 }
@@ -175,6 +155,24 @@ struct Channel {
     collector: u32,
     qp: QueuePair,
     params: ConnectionParams,
+}
+
+impl Channel {
+    /// The request `op` stands for at `psn`: the verb its purpose implies,
+    /// on the channel's slot at `op.va`. Zero-writes slice `zeros`.
+    fn request(&self, psn: u32, op: &MigOp, zeros: &Bytes) -> RocePacket {
+        let (dest, rkey, len) = (self.qp.dest_qpn, self.params.rkey, self.params.slot_bytes);
+        let reth = Reth { va: op.va, rkey, dma_len: len };
+        let mut pkt = match op.purpose {
+            OpPurpose::Arm | OpPurpose::Drain => RocePacket::read_request(dest, psn, reth),
+            OpPurpose::Transfer => RocePacket::fetch_add(dest, psn, op.va, rkey, op.arg),
+            OpPurpose::Zero => RocePacket::write(dest, psn, reth, zeros.slice(..len as usize)),
+        };
+        // Solicit an immediate ACK: migration completion must not wait out
+        // the service-QP coalescing window (a READ's response is its ACK).
+        pkt.bth.solicited = !op.purpose.reads();
+        pkt
+    }
 }
 
 /// Per-primitive fence entry lifecycle. Entries are tombstoned, never
@@ -238,47 +236,21 @@ struct FenceEntry {
     baseline: Vec<u64>,
     /// Per-slot fallback values from the drain reads (`x[j]`).
     drained: Vec<u64>,
-    /// Outstanding arm reads (INC enters `Armed` when this hits 0).
-    arm_pending: u32,
-    /// Outstanding drain reads (INC transfers when this hits 0).
-    read_pending: u32,
-    /// Outstanding per-slot delta FETCH_ADDs.
-    adds_pending: u32,
-    /// Outstanding zero-writes.
-    zeroes_pending: u32,
     /// Live INC reports held between rejoin and baseline capture.
     deferred: Vec<(DtaReport, ReportOrigin)>,
 }
 
-/// Bounded FIFO window of fence-entry ids in drain flight — the migration
-/// mirror of PR 6's `ReplayLedger`, with the same counted-eviction
-/// contract: overflow abandons the oldest in-flight entry rather than
-/// blocking, and the closure identity stays checkable.
-#[derive(Debug)]
-struct MigrationLedger {
-    window: VecDeque<u32>,
-    capacity: usize,
-}
-
-impl MigrationLedger {
-    /// New ledger bounding `capacity` in-flight entries.
-    fn new(capacity: usize) -> Self {
-        MigrationLedger { window: VecDeque::new(), capacity: capacity.max(1) }
+/// The oldest non-terminal entry at or after `cursor`, which advances past
+/// the terminal ones (entries never leave the terminal states, so the scan
+/// is amortized O(1)).
+fn oldest_live(entries: &[FenceEntry], cursor: &mut usize) -> Option<u32> {
+    while let Some(e) = entries.get(*cursor) {
+        if !e.state.terminal() {
+            return Some(*cursor as u32);
+        }
+        *cursor += 1;
     }
-
-    /// Record `id` as in flight; returns the evicted oldest id when the
-    /// window was full.
-    fn record(&mut self, id: u32) -> Option<u32> {
-        let evicted =
-            if self.window.len() >= self.capacity { self.window.pop_front() } else { None };
-        self.window.push_back(id);
-        evicted
-    }
-
-    /// Retire `id` (entry went terminal).
-    fn remove(&mut self, id: u32) {
-        self.window.retain(|&w| w != id);
-    }
+    None
 }
 
 /// What one migration op is for (drives completion dispatch).
@@ -301,12 +273,10 @@ impl OpPurpose {
     }
 }
 
+/// One migration op; its window entry carries the channel's requester QPN
+/// and the PSN that QP stamped at creation.
 #[derive(Debug)]
 struct MigOp {
-    /// Index into the driver's channels.
-    channel: u32,
-    /// Stamped at creation by the channel's requester QP.
-    psn: u32,
     /// Target slot address.
     va: u64,
     /// FETCH_ADD operand (transfers only).
@@ -315,10 +285,14 @@ struct MigOp {
     /// Index into the entry's `vas` (per-slot arm/drain bookkeeping).
     slot: u16,
     purpose: OpPurpose,
-    done: bool,
-    /// Next (re)send time; 0 = due now.
-    due_at_ns: u64,
-    ever_sent: bool,
+}
+
+/// Put `op` in the window on `ch`, stamped with the channel QP's next PSN.
+/// Borrows only the window and the channel, so callers can walk an entry's
+/// slots while queueing its ops.
+fn push_op(ops: &mut Outstanding<MigOp>, ch: &mut Channel, op: MigOp) {
+    let psn = ch.qp.next_send_psn();
+    ops.record(ch.qp.qpn, psn, false, op);
 }
 
 /// Counters of one rebalance run. The closure identity
@@ -359,17 +333,17 @@ pub struct RebalanceStats {
     pub replays: u64,
     /// Per-slot INC delta FETCH_ADDs issued to the victim.
     pub transfer_adds: u64,
-    /// Wire emissions attempted (before fault dice; includes retries).
+    /// Wire emissions attempted (before fault injection; includes retries).
     pub ops_sent: u64,
     /// Wire ops completed (response or cumulative ACK).
     pub ops_completed: u64,
     /// Timer- or NAK-driven re-sends.
     pub retransmits: u64,
-    /// Requests the dice dropped.
+    /// Requests the fault injector dropped.
     pub injected_drops: u64,
-    /// Requests the dice duplicated.
+    /// Requests the fault injector duplicated.
     pub injected_dups: u64,
-    /// Adjacent emission pairs the dice swapped.
+    /// Requests the fault injector delayed behind their successor.
     pub injected_reorders: u64,
     /// NAKs that sent a migration channel back (news to its requester QP,
     /// not a predicted repeat).
@@ -383,7 +357,7 @@ pub struct RebalanceStats {
 }
 
 impl RebalanceStats {
-    /// The `MigrationLedger` closure identity.
+    /// The fence closure identity.
     pub fn closes(&self) -> bool {
         self.scanned == self.transferred + self.skipped + self.resident
     }
@@ -397,14 +371,6 @@ enum Phase {
     Draining,
     /// Fence retired; routing is single-owner again.
     Released,
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The rebalance state machine. The owning fleet node feeds it reroute
@@ -427,8 +393,17 @@ pub struct RebalanceDriver {
     active: usize,
     /// Oldest entry that might still be active (eviction scan cursor).
     evict_cursor: usize,
-    ledger: MigrationLedger,
-    ops: Vec<MigOp>,
+    /// Non-terminal entries behind `drain_cursor`: the drain flight
+    /// (`ledger_capacity` bounds this).
+    in_flight: usize,
+    /// Oldest entry that might still be in drain flight (abandon scan
+    /// cursor).
+    abandon_cursor: usize,
+    /// Every op from creation to completion, in creation (= per-channel
+    /// PSN) order.
+    ops: Outstanding<MigOp>,
+    /// Recycled buffer of ops one response completed.
+    completed: Vec<Entry<MigOp>>,
     channels: Vec<Channel>,
     /// Payload every zero-write slices: as long as the widest slot.
     zeros: Bytes,
@@ -440,7 +415,7 @@ pub struct RebalanceDriver {
     victim: u32,
     phase: Phase,
     replays: Vec<(DtaReport, ReportOrigin)>,
-    dice: u64,
+    faults: FaultInjector,
     stats: RebalanceStats,
 }
 
@@ -448,21 +423,22 @@ impl RebalanceDriver {
     /// New driver over the fleet's (uniform) collector memory geometry and
     /// its migration connections, `(collector, requester QP, params)` as
     /// `CmRequester::complete` returned them — one per KW / CMS service.
-    /// A `None` layout disables fencing for that primitive.
+    /// A `None` layout disables fencing for that primitive; `seed` seeds
+    /// the fault injector.
     pub fn new(
         config: RebalanceConfig,
+        seed: u64,
         kw: Option<KwLayout>,
         cms: Option<CmsLayout>,
         qps: Vec<MigrationQp>,
     ) -> Self {
-        let seed = config.seed;
         let channels: Vec<Channel> = qps
             .into_iter()
             .map(|(collector, qp, params)| Channel { collector, qp, params })
             .collect();
         let widest = channels.iter().map(|ch| ch.params.slot_bytes).max().unwrap_or(0);
         RebalanceDriver {
-            ledger: MigrationLedger::new(config.ledger_capacity),
+            faults: FaultInjector::new(config.faults, seed),
             config,
             kw,
             cms,
@@ -471,7 +447,12 @@ impl RebalanceDriver {
             index: HashMap::new(),
             active: 0,
             evict_cursor: 0,
-            ops: Vec::new(),
+            in_flight: 0,
+            abandon_cursor: 0,
+            // Ops are never evicted: each must complete for its channel's
+            // PSN stream to advance.
+            ops: Outstanding::new(usize::MAX),
+            completed: Vec::new(),
             channels,
             zeros: Bytes::from(vec![0; widest as usize]),
             arm_cursor: 0,
@@ -480,17 +461,8 @@ impl RebalanceDriver {
             victim: u32::MAX,
             phase: Phase::Fencing,
             replays: Vec::new(),
-            dice: seed,
             stats: RebalanceStats::default(),
         }
-    }
-
-    fn roll(&mut self, chance: f64) -> bool {
-        if chance <= 0.0 {
-            return false;
-        }
-        let r = (splitmix64(&mut self.dice) >> 11) as f64 / (1u64 << 53) as f64;
-        r < chance
     }
 
     /// The channel to `collector`'s `primitive` store.
@@ -512,7 +484,6 @@ impl RebalanceDriver {
         let deferred = std::mem::take(&mut e.deferred);
         self.stats.deferred_flushed += deferred.len() as u64;
         self.replays.extend(deferred);
-        self.active -= 1;
         self.stats.skipped += 1;
         match reason {
             SkipReason::FenceEvicted => self.stats.fence_evicted += 1,
@@ -520,7 +491,23 @@ impl RebalanceDriver {
             SkipReason::Mismatch => self.stats.skipped_mismatch += 1,
             SkipReason::Abandoned => self.stats.abandoned += 1,
         }
-        self.ledger.remove(id);
+        self.settle(id);
+    }
+
+    /// Whether entry `id` still has ops in the window: those of its current
+    /// phase (arm reads, drain reads, or transfers and zero-writes), since
+    /// each phase starts only once the previous one's ops have completed.
+    fn ops_pending(&self, id: u32) -> bool {
+        self.ops.iter().any(|op| op.item.entry == id)
+    }
+
+    /// Entry `id` went terminal: it leaves the active fence and, if the
+    /// drain pass started it, the drain flight.
+    fn settle(&mut self, id: u32) {
+        self.active -= 1;
+        if (id as usize) < self.drain_cursor {
+            self.in_flight -= 1;
+        }
     }
 
     /// Record a reroute: `key` (primary-owned by the dead victim) was
@@ -548,15 +535,8 @@ impl RebalanceDriver {
         let digests = self.scratch.digests(key.as_bytes(), redundancy as usize);
         debug_assert_eq!(digests.checksum, checksum);
         if self.active >= self.config.fence_capacity {
-            // Evict the oldest still-active entry; cursor is monotone, so
-            // the scan is amortized O(1).
-            while self.evict_cursor < self.entries.len() {
-                let victim_id = self.evict_cursor as u32;
-                self.evict_cursor += 1;
-                if !self.entries[victim_id as usize].state.terminal() {
-                    self.skip_entry(victim_id, SkipReason::FenceEvicted);
-                    break;
-                }
+            if let Some(oldest) = oldest_live(&self.entries, &mut self.evict_cursor) {
+                self.skip_entry(oldest, SkipReason::FenceEvicted);
             }
         }
         let id = self.entries.len() as u32;
@@ -593,10 +573,6 @@ impl RebalanceDriver {
             vas,
             baseline: vec![0; width],
             drained: vec![0; width],
-            arm_pending: 0,
-            read_pending: 0,
-            adds_pending: 0,
-            zeroes_pending: 0,
             deferred: Vec::new(),
         });
         self.index.insert(slot, id);
@@ -664,56 +640,11 @@ impl RebalanceDriver {
         }
     }
 
-    /// Create an op on `channel`, stamped with the channel QP's next PSN.
-    /// `arg` is the FETCH_ADD operand (transfers only).
-    fn push_op(
-        &mut self,
-        channel: u32,
-        purpose: OpPurpose,
-        va: u64,
-        arg: u64,
-        entry: u32,
-        slot: u16,
-    ) {
-        let psn = self.channels[channel as usize].qp.next_send_psn();
-        self.ops.push(MigOp {
-            channel,
-            psn,
-            va,
-            arg,
-            entry,
-            slot,
-            purpose,
-            done: false,
-            due_at_ns: 0,
-            ever_sent: false,
-        });
-    }
-
-    /// The request `op` stands for: the verb its purpose implies, on the
-    /// channel's slot at `op.va`.
-    fn request(&self, op: &MigOp) -> RocePacket {
-        let ch = &self.channels[op.channel as usize];
-        let (dest, rkey, len) = (ch.qp.dest_qpn, ch.params.rkey, ch.params.slot_bytes);
-        let reth = Reth { va: op.va, rkey, dma_len: len };
-        let mut pkt = match op.purpose {
-            OpPurpose::Arm | OpPurpose::Drain => RocePacket::read_request(dest, op.psn, reth),
-            OpPurpose::Transfer => RocePacket::fetch_add(dest, op.psn, op.va, rkey, op.arg),
-            OpPurpose::Zero => {
-                RocePacket::write(dest, op.psn, reth, self.zeros.slice(..len as usize))
-            }
-        };
-        // Solicit an immediate ACK: migration completion must not wait out
-        // the service-QP coalescing window (a READ's response is its ACK).
-        pkt.bth.solicited = !op.purpose.reads();
-        pkt
-    }
-
     /// Advance the state machine and collect `(collector, request)` pairs
     /// for the collector link: arm reads for fenced INC entries (once
     /// rejoined), new drain reads (once draining, `drain_batch` per pump,
-    /// ledger-bounded), and every due (re)send — all dice-faulted per
-    /// [`MigrationFaults`].
+    /// `ledger_capacity`-bounded), and every due (re)send, each through the
+    /// fault injector.
     pub fn pump(&mut self, now_ns: u64, out: &mut Vec<(u32, RocePacket)>) {
         if self.phase == Phase::Released {
             return;
@@ -730,13 +661,12 @@ impl RebalanceDriver {
                 }
                 // One baseline read per slot: a kill can split a report's
                 // per-slot packet train, leaving non-uniform baselines.
-                let vas = e.vas.clone();
-                let channel = self.channel(self.victim, MigPrimitive::KeyIncrement);
-                let e = &mut self.entries[id as usize];
+                let ch = self.channel(self.victim, MigPrimitive::KeyIncrement);
+                let (e, ch) = (&mut self.entries[id as usize], &mut self.channels[ch as usize]);
                 e.state = EntryState::AwaitArm;
-                e.arm_pending = vas.len() as u32;
-                for (j, &va) in vas.iter().enumerate() {
-                    self.push_op(channel, OpPurpose::Arm, va, 0, id, j as u16);
+                for (j, &va) in e.vas.iter().enumerate() {
+                    let op = MigOp { va, arg: 0, entry: id, slot: j as u16, purpose: OpPurpose::Arm };
+                    push_op(&mut self.ops, ch, op);
                 }
                 started += 1;
             }
@@ -756,27 +686,31 @@ impl RebalanceDriver {
                     self.drain_cursor += 1;
                     continue;
                 }
-                self.drain_cursor += 1;
-                if let Some(evicted) = self.ledger.record(id) {
-                    self.skip_entry(evicted, SkipReason::Abandoned);
+                if self.in_flight >= self.config.ledger_capacity {
+                    // Abandon the oldest entry in flight; its sent ops
+                    // still retransmit to completion.
+                    if let Some(oldest) = oldest_live(&self.entries, &mut self.abandon_cursor) {
+                        self.skip_entry(oldest, SkipReason::Abandoned);
+                    }
                 }
+                self.in_flight += 1;
+                self.drain_cursor += 1;
                 let e = &self.entries[id as usize];
-                let channel = self.channel(e.source, e.primitive);
+                let ch = self.channel(e.source, e.primitive);
+                let (e, ch) = (&mut self.entries[id as usize], &mut self.channels[ch as usize]);
+                e.state = EntryState::Reading;
+                let purpose = OpPurpose::Drain;
                 match e.primitive {
                     MigPrimitive::KeyWrite => {
                         let kw = self.kw.expect("KW entry without KW layout");
                         let va = kw.slot_va_from_digest(e.slots[0]);
-                        self.entries[id as usize].state = EntryState::Reading;
-                        self.push_op(channel, OpPurpose::Drain, va, 0, id, 0);
+                        push_op(&mut self.ops, ch, MigOp { va, arg: 0, entry: id, slot: 0, purpose });
                     }
                     MigPrimitive::KeyIncrement => {
                         // One drain read per slot, mirroring the arm pass.
-                        let vas = e.vas.clone();
-                        let e = &mut self.entries[id as usize];
-                        e.state = EntryState::Reading;
-                        e.read_pending = vas.len() as u32;
-                        for (j, &va) in vas.iter().enumerate() {
-                            self.push_op(channel, OpPurpose::Drain, va, 0, id, j as u16);
+                        for (j, &va) in e.vas.iter().enumerate() {
+                            let op = MigOp { va, arg: 0, entry: id, slot: j as u16, purpose };
+                            push_op(&mut self.ops, ch, op);
                         }
                     }
                 }
@@ -784,44 +718,35 @@ impl RebalanceDriver {
             }
         }
         // Send pass: everything due, in creation (= per-channel PSN) order.
-        let batch_start = out.len();
-        for i in 0..self.ops.len() {
-            let op = &self.ops[i];
-            if op.done || now_ns < op.due_at_ns {
+        // A reordered request is held back behind the next one emitted.
+        let mut held = None;
+        for op in self.ops.iter_mut() {
+            if now_ns < op.due_ns {
                 continue;
             }
-            let emit = (self.channels[op.channel as usize].collector, self.request(op));
+            op.due_ns = now_ns + self.config.retry_ns;
+            let ch = self.channels.iter().find(|ch| ch.qp.qpn == op.qpn).expect("op on a channel");
+            let emit = (ch.collector, ch.request(op.psn, &op.item, &self.zeros));
             self.stats.ops_sent += 1;
-            if op.ever_sent {
-                self.stats.retransmits += 1;
-            }
-            let dropped = self.roll(self.config.faults.drop_chance);
-            if dropped {
-                self.stats.injected_drops += 1;
-            } else {
-                if self.roll(self.config.faults.duplicate_chance) {
-                    self.stats.injected_dups += 1;
-                    out.push(emit.clone());
-                }
-                out.push(emit);
-            }
-            let op = &mut self.ops[i];
-            op.ever_sent = true;
-            op.due_at_ns = now_ns + self.config.retry_ns;
-        }
-        // Reorder pass over this pump's batch.
-        if self.config.faults.reorder_chance > 0.0 {
-            for i in (batch_start + 1)..out.len() {
-                if self.roll(self.config.faults.reorder_chance) {
-                    out.swap(i - 1, i);
-                    self.stats.injected_reorders += 1;
+            match self.faults.verdict(0, 0).0 {
+                Verdict::Drop => {}
+                Verdict::Reorder => out.extend(held.replace(emit)),
+                verdict => {
+                    if verdict == Verdict::Duplicate {
+                        out.push(emit.clone());
+                    }
+                    out.push(emit);
+                    out.extend(held.take());
                 }
             }
         }
-    }
-
-    fn find_op(&self, channel: u32, psn: u32) -> Option<usize> {
-        self.ops.iter().position(|op| op.channel == channel && op.psn == psn && !op.done)
+        out.extend(held);
+        // Every op is first sent at the pump after its creation, so past a
+        // send pass each send beyond the first per op is a resend.
+        self.stats.retransmits = self.stats.ops_sent - self.ops.recorded;
+        self.stats.injected_drops = self.faults.dropped;
+        self.stats.injected_dups = self.faults.duplicated;
+        self.stats.injected_reorders = self.faults.reordered;
     }
 
     /// A RoCE response on a migration QP: READ data, a cumulative ACK, or a
@@ -842,17 +767,17 @@ impl RebalanceDriver {
 
     /// A READ response landed (arm or drain data).
     fn on_read_response(&mut self, channel: u32, psn: u32, data: &[u8]) {
-        let Some(i) = self.find_op(channel, psn) else {
+        let ch = &self.channels[channel as usize];
+        let len = ch.params.slot_bytes as usize;
+        if data.len() < len {
+            return; // short: the op stays outstanding and its retry timer resends it
+        }
+        let Some(op) = self.ops.take_psn(ch.qp.qpn, psn) else {
             return; // stale or duplicate response
         };
-        self.ops[i].done = true;
         self.stats.ops_completed += 1;
-        let (entry_id, purpose, slot) =
-            (self.ops[i].entry, self.ops[i].purpose, self.ops[i].slot as usize);
-        let len = self.channels[channel as usize].params.slot_bytes as usize;
-        if data.len() < len {
-            return; // malformed; retry timer will not fire (op done) — treat as lost entry
-        }
+        let MigOp { entry: entry_id, purpose, slot, .. } = op.item;
+        let slot = slot as usize;
         let state = self.entries[entry_id as usize].state;
         if state.terminal() {
             return; // abandoned mid-flight; ignore, no double count
@@ -863,12 +788,11 @@ impl RebalanceDriver {
                     return;
                 }
                 let v_stale = u64::from_be_bytes(data[..8].try_into().unwrap());
-                let e = &mut self.entries[entry_id as usize];
-                e.baseline[slot] = v_stale;
-                e.arm_pending -= 1;
-                if e.arm_pending > 0 {
+                self.entries[entry_id as usize].baseline[slot] = v_stale;
+                if self.ops_pending(entry_id) {
                     return; // more baselines in flight
                 }
+                let e = &mut self.entries[entry_id as usize];
                 e.state = EntryState::Armed;
                 self.stats.armed += 1;
                 // Every baseline captured: release the held live reports.
@@ -884,10 +808,8 @@ impl RebalanceDriver {
                     MigPrimitive::KeyWrite => self.on_kw_drain_data(entry_id, &data[..len]),
                     MigPrimitive::KeyIncrement => {
                         let x = u64::from_be_bytes(data[..8].try_into().unwrap());
-                        let e = &mut self.entries[entry_id as usize];
-                        e.drained[slot] = x;
-                        e.read_pending -= 1;
-                        if e.read_pending == 0 {
+                        self.entries[entry_id as usize].drained[slot] = x;
+                        if !self.ops_pending(entry_id) {
                             self.inc_transfer(entry_id);
                         }
                     }
@@ -900,117 +822,92 @@ impl RebalanceDriver {
     }
 
     fn on_kw_drain_data(&mut self, entry_id: u32, data: &[u8]) {
-        let (checksum, key, redundancy, source, slots) = {
-            let e = &self.entries[entry_id as usize];
-            (e.checksum, e.key, e.redundancy, e.source, e.slots.clone())
-        };
+        let e = &self.entries[entry_id as usize];
         if data.iter().all(|&b| b == 0) {
             self.skip_entry(entry_id, SkipReason::Empty);
             return;
         }
-        if data[..4] != checksum.to_be_bytes() {
+        if data[..4] != e.checksum.to_be_bytes() {
             self.skip_entry(entry_id, SkipReason::Mismatch);
             return;
         }
         let value = data[4..].to_vec();
         self.replays.push((
-            DtaReport::key_write(0, key, redundancy, value),
+            DtaReport::key_write(0, e.key, e.redundancy, value),
             ReportOrigin::default(),
         ));
         self.stats.replays += 1;
         let kw = self.kw.expect("KW entry without KW layout");
-        let channel = self.channel(source, MigPrimitive::KeyWrite);
-        for &digest in &slots {
+        let ch = self.channel(e.source, MigPrimitive::KeyWrite);
+        let (e, ch) = (&mut self.entries[entry_id as usize], &mut self.channels[ch as usize]);
+        for &digest in &e.slots {
             let va = kw.slot_va_from_digest(digest);
-            self.push_op(channel, OpPurpose::Zero, va, 0, entry_id, 0);
+            let op = MigOp { va, arg: 0, entry: entry_id, slot: 0, purpose: OpPurpose::Zero };
+            push_op(&mut self.ops, ch, op);
         }
-        let e = &mut self.entries[entry_id as usize];
-        e.zeroes_pending = e.redundancy as u32;
         e.state = EntryState::Zeroing;
     }
 
     /// Every drain read landed: issue the per-slot delta FETCH_ADDs to the
     /// victim and the per-slot zero-writes to the fallback owner.
     fn inc_transfer(&mut self, entry_id: u32) {
-        let (vas, baseline, drained, source) = {
-            let e = &self.entries[entry_id as usize];
-            (e.vas.clone(), e.baseline.clone(), e.drained.clone(), e.source)
-        };
-        if drained.iter().all(|&x| x == 0) {
+        let e = &self.entries[entry_id as usize];
+        if e.drained.iter().all(|&x| x == 0) {
             // Nothing ever landed at the fallback (or a prior migration
             // already moved it): nothing to transfer, nothing to zero.
             self.skip_entry(entry_id, SkipReason::Empty);
             return;
         }
         let to_victim = self.channel(self.victim, MigPrimitive::KeyIncrement);
-        let to_source = self.channel(source, MigPrimitive::KeyIncrement);
-        let mut adds = 0u32;
-        for (j, &va) in vas.iter().enumerate() {
+        let to_source = self.channel(e.source, MigPrimitive::KeyIncrement);
+        let e = &mut self.entries[entry_id as usize];
+        for (j, &va) in e.vas.iter().enumerate() {
+            let (entry, slot) = (entry_id, j as u16);
             // See the module docs: delta[j] = x[j] - v_stale[j] absorbs the
             // fail-time double-replay and lost in-flight packets per slot.
-            let delta = drained[j].wrapping_sub(baseline[j]);
+            let delta = e.drained[j].wrapping_sub(e.baseline[j]);
             if delta != 0 {
-                self.push_op(to_victim, OpPurpose::Transfer, va, delta, entry_id, j as u16);
-                adds += 1;
+                let op = MigOp { va, arg: delta, entry, slot, purpose: OpPurpose::Transfer };
+                push_op(&mut self.ops, &mut self.channels[to_victim as usize], op);
+                self.stats.transfer_adds += 1;
             }
-            self.push_op(to_source, OpPurpose::Zero, va, 0, entry_id, j as u16);
+            let op = MigOp { va, arg: 0, entry, slot, purpose: OpPurpose::Zero };
+            push_op(&mut self.ops, &mut self.channels[to_source as usize], op);
         }
-        self.stats.transfer_adds += adds as u64;
-        let e = &mut self.entries[entry_id as usize];
-        e.adds_pending = adds;
-        e.zeroes_pending = vas.len() as u32;
         e.state = EntryState::Zeroing;
     }
 
     /// A cumulative ACK landed on a migration channel: completes every
-    /// outstanding zero-write and delta FETCH_ADD with `psn <= ack` on
-    /// that channel (the responder PSN-orders execution, so an ACK proves
-    /// all before it). READs still require their data and never complete
-    /// here.
+    /// outstanding zero-write and delta FETCH_ADD it covers on that channel
+    /// (the responder PSN-orders execution, so an ACK proves all before
+    /// it). READs still require their data and never complete here.
     fn on_ack(&mut self, channel: u32, ack_psn: u32) {
-        for i in 0..self.ops.len() {
-            let (entry_id, purpose) = {
-                let op = &self.ops[i];
-                if op.done
-                    || op.channel != channel
-                    || op.purpose.reads()
-                    || op.psn > ack_psn
-                {
-                    continue;
-                }
-                (op.entry, op.purpose)
-            };
-            self.ops[i].done = true;
+        self.ops.ack(self.channels[channel as usize].qp.qpn, ack_psn);
+        let mut completed = std::mem::take(&mut self.completed);
+        self.ops.take(|op| op.acked && !op.item.purpose.reads(), &mut completed);
+        for op in completed.drain(..) {
             self.stats.ops_completed += 1;
-            let e = &mut self.entries[entry_id as usize];
-            if purpose == OpPurpose::Zero {
-                e.zeroes_pending = e.zeroes_pending.saturating_sub(1);
-            } else {
-                e.adds_pending = e.adds_pending.saturating_sub(1);
-            }
-            if e.zeroes_pending == 0 && e.adds_pending == 0 && e.state == EntryState::Zeroing {
-                e.state = EntryState::Done;
-                self.active -= 1;
+            let id = op.item.entry;
+            if self.entries[id as usize].state == EntryState::Zeroing && !self.ops_pending(id) {
+                self.entries[id as usize].state = EntryState::Done;
                 self.stats.transferred += 1;
-                self.ledger.remove(entry_id);
+                self.settle(id);
             }
         }
+        self.completed = completed;
     }
 
     /// A NAK landed: go-back-N, unless the channel's requester QP counts it
     /// as a predicted repeat ([`QueuePair::stale_nak`]). Every undone op on
-    /// the channel with `psn >= expected` is due for resend (original PSNs
-    /// — the send pass re-emits them in order).
+    /// the channel from `expected` on is due for resend (original PSNs —
+    /// the send pass re-emits them in order).
     fn on_nak(&mut self, channel: u32, expected: u32) {
-        if self.channels[channel as usize].qp.stale_nak(expected) {
+        let qp = &mut self.channels[channel as usize].qp;
+        if qp.stale_nak(expected) {
             return;
         }
         self.stats.naks += 1;
-        for op in &mut self.ops {
-            if !op.done && op.channel == channel && op.psn >= expected {
-                op.due_at_ns = 0;
-            }
-        }
+        self.ops.rewind(qp.qpn, expected);
     }
 
     /// Move accumulated DTA replays (drained state, flushed deferrals)
@@ -1025,7 +922,7 @@ impl RebalanceDriver {
         self.phase == Phase::Draining
             && self.active == 0
             && self.replays.is_empty()
-            && self.ops.iter().all(|op| op.done)
+            && self.ops.len() == 0
     }
 
     /// Retire the fence at the release epoch bump.
@@ -1041,6 +938,7 @@ impl RebalanceDriver {
     pub fn finish(&mut self) -> RebalanceStats {
         self.stats.resident = self.entries.iter().filter(|e| !e.state.terminal()).count() as u64;
         debug_assert!(self.stats.closes(), "rebalance closure violated: {:?}", self.stats);
+        debug_assert!(self.ops.closes(), "migration op window leaked: {:?}", self.ops);
         self.stats
     }
 }
@@ -1056,10 +954,11 @@ mod tests {
         )
     }
 
-    /// A driver with KW and CMS channels to collectors 0..3. The channels
-    /// are loopbacks — each requester QP names itself as the responder —
-    /// so a test answers a request on the QPN the request carries.
-    fn driver(config: RebalanceConfig) -> RebalanceDriver {
+    /// A driver with KW and CMS channels to collectors 0..3, its fault
+    /// injector seeded with `seed`. The channels are loopbacks — each
+    /// requester QP names itself as the responder — so a test answers a
+    /// request on the QPN the request carries.
+    fn seeded(config: RebalanceConfig, seed: u64) -> RebalanceDriver {
         let (kw, cms) = layouts();
         let mut qps = Vec::new();
         for collector in 0..3u32 {
@@ -1084,7 +983,11 @@ mod tests {
                 qps.push((collector, qp, params));
             }
         }
-        RebalanceDriver::new(config, Some(kw), Some(cms), qps)
+        RebalanceDriver::new(config, seed, Some(kw), Some(cms), qps)
+    }
+
+    fn driver(config: RebalanceConfig) -> RebalanceDriver {
+        seeded(config, 0)
     }
 
     fn key(n: u8) -> TelemetryKey {
@@ -1347,6 +1250,64 @@ mod tests {
     }
 
     #[test]
+    fn a_short_read_response_leaves_the_op_to_the_retry_timer() {
+        let mut d = driver(RebalanceConfig { retry_ns: 500, ..Default::default() });
+        let csums = fence_n(&mut d, MigPrimitive::KeyWrite, 1, 1);
+        d.on_rejoin(0);
+        d.start_drain(3);
+        let mut out = Vec::new();
+        d.pump(1_000, &mut out);
+        let read = out[0].1.clone();
+        d.on_response(&read_reply(&read, &[1, 2, 3]));
+        assert_eq!(d.stats.ops_completed, 0, "a short response completes nothing");
+        out.clear();
+        d.pump(1_500, &mut out);
+        assert_eq!(psns(&out), [read.bth.psn], "the retry timer resends the read");
+        assert_eq!(d.stats.retransmits, 1);
+        let mut data = csums[0].to_be_bytes().to_vec();
+        data.extend_from_slice(&[5, 6, 7, 8]);
+        d.on_response(&read_reply(&read, &data));
+        d.take_replays(&mut Vec::new());
+        out.clear();
+        d.pump(2_000, &mut out);
+        let last = *psns(&out).iter().max().unwrap();
+        d.on_response(&RocePacket::ack(out[0].1.bth.dest_qp, last));
+        assert!(d.release_ready());
+        let stats = d.finish();
+        assert_eq!((stats.transferred, stats.resident), (1, 0));
+    }
+
+    #[test]
+    fn a_released_driver_holds_no_outstanding_op() {
+        let mut d = driver(RebalanceConfig::default());
+        let k = key(4);
+        let csum = checksum_of(&mut d, &k);
+        d.fence_record(MigPrimitive::KeyIncrement, &k, csum, 1, 2);
+        d.on_rejoin(0);
+        d.start_drain(3);
+        let mut out = Vec::new();
+        d.pump(100, &mut out); // the arm read
+        d.on_response(&read_reply(&out[0].1, &5u64.to_be_bytes()));
+        out.clear();
+        d.pump(200, &mut out); // the drain read
+        d.on_response(&read_reply(&out[0].1, &9u64.to_be_bytes()));
+        out.clear();
+        d.pump(300, &mut out); // the delta FETCH_ADD and the zero-write
+        assert_eq!(out.len(), 2);
+        for (_, p) in &out {
+            d.on_response(&RocePacket::ack(p.bth.dest_qp, p.bth.psn));
+        }
+        assert!(d.release_ready());
+        d.mark_released(4);
+        assert_eq!(d.ops.len(), 0);
+        assert_eq!(d.ops.retired, d.ops.recorded);
+        assert!(d.ops.closes());
+        out.clear();
+        d.pump(1_000_000, &mut out);
+        assert!(out.is_empty(), "a released driver sends nothing");
+    }
+
+    #[test]
     fn ledger_eviction_abandons_but_still_closes() {
         let mut d = driver(RebalanceConfig {
             ledger_capacity: 1,
@@ -1384,12 +1345,9 @@ mod tests {
     #[test]
     fn dice_are_deterministic_per_seed() {
         let run = |seed: u64| {
-            let mut d = driver(RebalanceConfig {
-                faults: MigrationFaults { drop_chance: 0.5, duplicate_chance: 0.3, reorder_chance: 0.3 },
-                seed,
-                retry_ns: 100,
-                ..Default::default()
-            });
+            let faults = FaultConfig::unreliable(0.5, 0.3, 0.3);
+            let config = RebalanceConfig { faults, retry_ns: 100, ..Default::default() };
+            let mut d = seeded(config, seed);
             fence_n(&mut d, MigPrimitive::KeyWrite, 8, 1);
             d.on_rejoin(0);
             d.start_drain(3);

@@ -13,11 +13,8 @@ use dta::rdma::mr::{MemoryRegion, MrAccess};
 /// sizes (CRC is linear, so the low-bit projections of consecutive ids can
 /// collapse into a small subspace); real telemetry keys are flow tuples
 /// without that structure, which the scramble emulates.
-fn scramble(i: u64) -> u64 {
-    let mut z = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+fn scramble(mut i: u64) -> u64 {
+    dta::net::splitmix64(&mut i)
 }
 
 /// Empirical success rate of the real byte-level store at load `alpha`.
