@@ -181,11 +181,15 @@ impl Link {
             // Serializer idle: everything queued has left.
             self.occupancy = 0;
         } else {
-            // Approximate: bytes still to serialize.
+            // Approximate: bytes still to serialize. The product fits a
+            // `u64` unless the backlog is long and the link fast (about
+            // 0.18 s at 100 Gb/s); only then is it taken in `u128`.
             let remaining_ns = self.free_at - now;
-            let remaining_bytes =
-                (remaining_ns as u128 * self.config.bandwidth_bps as u128 / 8 / 1_000_000_000)
-                    as usize;
+            let bps = self.config.bandwidth_bps;
+            let remaining_bytes = match remaining_ns.checked_mul(bps) {
+                Some(bits_ns) => (bits_ns / 8 / 1_000_000_000) as usize,
+                None => (remaining_ns as u128 * bps as u128 / 8 / 1_000_000_000) as usize,
+            };
             self.occupancy = self.occupancy.min(remaining_bytes);
         }
         if let QueueDiscipline::Lossless { xon_bytes, .. } = self.config.discipline {
@@ -261,6 +265,23 @@ mod tests {
         // Long after everything drained, the next enqueue releases pause.
         l.enqueue(SimTime::from_millis(100), 1500);
         assert!(!l.is_paused());
+    }
+
+    #[test]
+    fn backlogs_past_a_u64_product_drain_exactly() {
+        // Two 1.5 GB frames at 400 Gb/s queue 60 ms of backlog: ns x bps
+        // (2.4e19) overflows a u64, and exactly 3 GB must still be queued.
+        let cap = 3_000_000_000 + 1500;
+        let mut l = Link::new(LinkConfig {
+            bandwidth_bps: crate::time::GBPS_400,
+            queue_bytes: cap,
+            ..LinkConfig::dc_100g()
+        });
+        for bytes in [1_500_000_000, 1_500_000_000, 1500] {
+            assert!(matches!(l.enqueue(SimTime::ZERO, bytes), EnqueueOutcome::Delivered(_)));
+        }
+        assert_eq!(l.occupancy, cap);
+        assert_eq!(l.enqueue(SimTime::ZERO, 1), EnqueueOutcome::Dropped);
     }
 
     #[test]

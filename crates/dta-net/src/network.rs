@@ -262,11 +262,7 @@ impl Network {
     /// Returns the number of events processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut processed = 0;
-        while let Some(t) = self.events.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let (t, ev) = self.events.pop().expect("peeked event vanished");
+        while let Some((t, ev)) = self.events.pop_until(deadline) {
             self.now = t;
             self.dispatch(ev);
             processed += 1;

@@ -120,9 +120,13 @@ impl<E> HeapEventQueue<E> {
         self.heap.pop().map(|Reverse((t, _, EventSlot(e)))| (t, e))
     }
 
-    /// Timestamp of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((t, _, _))| *t)
+    /// Remove and return the earliest event if it is due by `deadline`.
+    pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
+        let Reverse((t, _, _)) = self.heap.peek()?;
+        if *t > deadline {
+            return None;
+        }
+        self.pop()
     }
 
     /// Number of pending events.
@@ -153,15 +157,20 @@ const LEVELS: usize = 4;
 /// the heap (`64^4` ns ≈ 16.8 ms — far beyond any link or pacing delay).
 const HORIZON: u64 = 1 << (SLOT_BITS * LEVELS as u32);
 
-type Entry<E> = (u64, u64, E);
+/// A wheel, far-heap or batch entry: `(time, seq, slab index)`. 24 bytes
+/// whatever `E` is, so cascades, heap sifts and batch copies move keys,
+/// and each event is written once into the slab and read once out of it.
+type Key = (u64, u64, u32);
 
-struct Level<E> {
+const _: () = assert!(std::mem::size_of::<Key>() == 24);
+
+struct Level {
     /// Bit `s` set iff `slots[s]` is non-empty.
     occupied: u64,
-    slots: Box<[Vec<Entry<E>>; SLOTS]>,
+    slots: Box<[Vec<Key>; SLOTS]>,
 }
 
-impl<E> Level<E> {
+impl Level {
     fn new() -> Self {
         Level { occupied: 0, slots: Box::new(std::array::from_fn(|_| Vec::new())) }
     }
@@ -185,16 +194,23 @@ fn bits_from(x: u64, lo: u32) -> u64 {
 /// deterministic. Events pushed at or before the last popped time are
 /// delivered immediately-next in `(time, seq)` order, again matching the
 /// heap.
+///
+/// Every buffer keeps its capacity: slot vectors, the batch being served,
+/// the far heap, the slab and its free list only grow, so a queue that
+/// has run a schedule once runs it again without allocating.
 pub struct EventQueue<E> {
-    levels: [Level<E>; LEVELS],
-    far: BinaryHeap<Reverse<(u64, u64, EventSlot<E>)>>,
+    levels: [Level; LEVELS],
+    far: BinaryHeap<Reverse<Key>>,
     /// Wheel cursor: never exceeds the position of any pending event, and
     /// all wheel entries were placed at a delta `< HORIZON` from it.
     cur: u64,
     /// The level-0 slot currently being served, sorted by **descending**
     /// `(time, seq)` so `pop` is a `Vec::pop` from the back.
-    draining: Vec<Entry<E>>,
-    len: usize,
+    draining: Vec<Key>,
+    /// The pending events, at their keys' slab indices; a popped event
+    /// leaves `None`, and its index on `free` for the next push.
+    slab: Vec<Option<E>>,
+    free: Vec<u32>,
     seq: u64,
 }
 
@@ -206,7 +222,8 @@ impl<E> EventQueue<E> {
             far: BinaryHeap::new(),
             cur: 0,
             draining: Vec::new(),
-            len: 0,
+            slab: Vec::new(),
+            free: Vec::new(),
             seq: 0,
         }
     }
@@ -215,60 +232,72 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: SimTime, event: E) {
         let (t, seq) = (at.0, self.seq);
         self.seq += 1;
-        self.len += 1;
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                self.slab[idx as usize] = Some(event);
+                idx
+            }
+            None => {
+                let idx = u32::try_from(self.slab.len()).expect("under 2^32 pending events");
+                self.slab.push(Some(event));
+                idx
+            }
+        };
         // An event due no later than the tail of the batch being served
         // must pop from inside that batch to preserve (time, seq) order.
         if let Some(&(lt, lseq, _)) = self.draining.first() {
             if (t, seq) < (lt, lseq) {
                 let i = self.draining.partition_point(|&(et, eseq, _)| (et, eseq) > (t, seq));
-                self.draining.insert(i, (t, seq, event));
+                self.draining.insert(i, (t, seq, idx));
                 return;
             }
         }
-        self.place(t, seq, event);
+        self.place(t, seq, idx);
     }
 
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if !self.prepare() {
-            return None;
-        }
-        let (t, _, e) = self.draining.pop().expect("prepare guaranteed an entry");
-        self.len -= 1;
-        Some((SimTime(t), e))
+        self.pop_until(SimTime(u64::MAX))
     }
 
-    /// Timestamp of the earliest event without removing it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    /// Remove and return the earliest event if it is due by `deadline`.
+    pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
         if !self.prepare() {
             return None;
         }
-        self.draining.last().map(|&(t, _, _)| SimTime(t))
+        let &(t, _, idx) = self.draining.last().expect("prepare guaranteed an entry");
+        if t > deadline.0 {
+            return None;
+        }
+        self.draining.pop();
+        let event = self.slab[idx as usize].take().expect("a queued key names a stored event");
+        self.free.push(idx);
+        Some((SimTime(t), event))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.slab.len() - self.free.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// Route one entry to its wheel slot (or the far heap) by its delta
-    /// from the cursor. Entries due at or before the cursor are filed under
+    /// Route one key to its wheel slot (or the far heap) by its delta
+    /// from the cursor. Keys due at or before the cursor are filed under
     /// the cursor's own slot; the sort in `prepare` restores exact order.
-    fn place(&mut self, t: u64, seq: u64, event: E) {
+    fn place(&mut self, t: u64, seq: u64, idx: u32) {
         let t_eff = t.max(self.cur);
         let delta = t_eff - self.cur;
         if delta >= HORIZON {
-            self.far.push(Reverse((t, seq, EventSlot(event))));
+            self.far.push(Reverse((t, seq, idx)));
             return;
         }
         let lvl = ((64 - (delta | 1).leading_zeros() - 1) / SLOT_BITS) as usize;
         let slot = ((t_eff >> (SLOT_BITS * lvl as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.levels[lvl].slots[slot].push((t, seq, event));
+        self.levels[lvl].slots[slot].push((t, seq, idx));
         self.levels[lvl].occupied |= 1 << slot;
     }
 
@@ -322,24 +351,23 @@ impl<E> EventQueue<E> {
                 // the wheel first so equal-time entries interleave by seq.
                 (w, Some(ft)) if w.is_none_or(|(pos, _, _)| ft <= pos) => {
                     self.cur = self.cur.max(ft);
-                    while let Some(Reverse((t, _, _))) = self.far.peek() {
-                        if *t >= self.cur + HORIZON {
+                    while let Some(&Reverse((t, seq, idx))) = self.far.peek() {
+                        if t >= self.cur + HORIZON {
                             break;
                         }
-                        let Reverse((t, seq, EventSlot(e))) =
-                            self.far.pop().expect("peeked entry vanished");
-                        self.place(t, seq, e);
+                        self.far.pop();
+                        self.place(t, seq, idx);
                     }
                 }
                 (Some((pos, 0, slot)), _) => {
                     self.cur = pos;
+                    // Serve from the back: copy the (almost always already
+                    // seq-ordered) slot in reverse, then repair the rare
+                    // out-of-order batch (clamped past-time pushes). Both
+                    // vectors keep their capacity.
                     let l0 = &mut self.levels[0];
-                    std::mem::swap(&mut self.draining, &mut l0.slots[slot]);
+                    self.draining.extend(l0.slots[slot].drain(..).rev());
                     l0.occupied &= !(1 << slot);
-                    // Serve from the back: reverse the (almost always
-                    // already seq-ordered) slot, then repair the rare
-                    // out-of-order batch (clamped past-time pushes).
-                    self.draining.reverse();
                     if self
                         .draining
                         .windows(2)
@@ -351,13 +379,17 @@ impl<E> EventQueue<E> {
                 }
                 (Some((pos, lvl, slot)), _) => {
                     // Cascade: redistribute the slot one or more levels
-                    // down, relative to the advanced cursor.
+                    // down, relative to the advanced cursor. Keys are
+                    // `Copy`, so they are re-placed by index and the slot
+                    // keeps its capacity.
                     self.cur = pos;
-                    let entries = std::mem::take(&mut self.levels[lvl].slots[slot]);
                     self.levels[lvl].occupied &= !(1 << slot);
-                    for (t, seq, e) in entries {
-                        self.place(t, seq, e);
+                    let n = self.levels[lvl].slots[slot].len();
+                    for i in 0..n {
+                        let (t, seq, idx) = self.levels[lvl].slots[slot][i];
+                        self.place(t, seq, idx);
                     }
+                    self.levels[lvl].slots[slot].drain(..n);
                 }
                 (None, Some(_)) => unreachable!("covered by the far-merge arm's guard"),
             }
@@ -374,7 +406,7 @@ impl<E> Default for EventQueue<E> {
 impl<E> core::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("len", &self.len)
+            .field("len", &self.len())
             .field("cur", &self.cur)
             .field("seq", &self.seq)
             .field("far", &self.far.len())
@@ -423,11 +455,19 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_remove() {
+    fn pop_until_leaves_later_events() {
         let mut q = EventQueue::new();
-        q.push(SimTime(7), ());
-        assert_eq!(q.peek_time(), Some(SimTime(7)));
-        assert_eq!(q.len(), 1);
+        q.push(SimTime(7), "a");
+        q.push(SimTime(9), "b");
+        assert_eq!(q.pop_until(SimTime(6)), None);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop_until(SimTime(8)), Some((SimTime(7), "a")));
+        assert_eq!(q.pop_until(SimTime(8)), None);
+        // A push below the prepared batch still pops first.
+        q.push(SimTime(8), "c");
+        assert_eq!(q.pop_until(SimTime(9)), Some((SimTime(8), "c")));
+        assert_eq!(q.pop_until(SimTime(9)), Some((SimTime(9), "b")));
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -500,10 +540,9 @@ mod tests {
                 wheel.push(SimTime(at), i);
                 heap.push(SimTime(at), i);
             } else {
-                assert_eq!(wheel.peek_time(), heap.peek_time(), "peek diverged (seed {seed})");
-                let w = wheel.pop();
-                let h = heap.pop();
-                assert_eq!(w, h, "pop diverged (seed {seed})");
+                let deadline = SimTime(now + rng.gen_range(0..2 * spread));
+                let w = wheel.pop_until(deadline);
+                assert_eq!(w, heap.pop_until(deadline), "pop diverged (seed {seed})");
                 now = w.map(|(t, _)| t.0).unwrap_or(now);
             }
             assert_eq!(wheel.len(), heap.len());

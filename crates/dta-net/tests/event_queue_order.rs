@@ -2,9 +2,10 @@
 //! `(time, seq)` sequence the original [`HeapEventQueue`] (BinaryHeap with
 //! FIFO tie-break) produces, under arbitrary interleaved push/pop
 //! schedules — including same-time bursts, level-boundary deltas, horizon
-//! overflows into the far heap, and pushes at or before already-popped
-//! times. This is the reproducibility contract of the engine rewrite: any
-//! divergence would silently reorder a simulation.
+//! overflows into the far heap, pushes at or before already-popped times,
+//! and `pop_until` with deadlines before, at and past the next event. This
+//! is the reproducibility contract of the engine rewrite: any divergence
+//! would silently reorder a simulation.
 
 use dta_net::{EventQueue, HeapEventQueue, SimTime};
 use proptest::prelude::*;
@@ -18,11 +19,14 @@ enum Op {
     PushAt(u64),
     /// Pop once and advance `now` to the popped time.
     Pop,
+    /// Pop once if an event is due by `now + delta`, and advance `now` to
+    /// the popped time.
+    PopUntil(u64),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     // Deltas biased to straddle every wheel level and the far horizon;
-    // repeated `Pop` entries weight the (unweighted) union toward pops.
+    // repeated pop entries weight the (unweighted) union toward pops.
     let ahead = prop_oneof![
         Just(0u64),
         1u64..64,
@@ -33,12 +37,16 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         ((1u64 << 24) - 10)..((1u64 << 24) + 10),
         (1u64 << 25)..(1u64 << 26),
     ];
+    // Deadlines from "now" (often before the next event) to past the far
+    // horizon.
+    let deadline = || prop_oneof![Just(0u64), 0u64..64, 0u64..5000, 0u64..(1 << 25)];
     prop_oneof![
         ahead.prop_map(Op::PushAhead),
         (0u64..(1 << 26)).prop_map(Op::PushAt),
         Just(Op::Pop),
         Just(Op::Pop),
-        Just(Op::Pop),
+        deadline().prop_map(Op::PopUntil),
+        deadline().prop_map(Op::PopUntil),
     ]
 }
 
@@ -59,10 +67,18 @@ proptest! {
                     heap.push(SimTime(*t), i);
                 }
                 Op::Pop => {
-                    prop_assert_eq!(wheel.peek_time(), heap.peek_time());
                     let w = wheel.pop();
                     prop_assert_eq!(w, heap.pop());
                     if let Some((t, _)) = w {
+                        now = t.0;
+                    }
+                }
+                Op::PopUntil(d) => {
+                    let deadline = SimTime(now + d);
+                    let w = wheel.pop_until(deadline);
+                    prop_assert_eq!(w, heap.pop_until(deadline));
+                    if let Some((t, _)) = w {
+                        prop_assert!(t <= deadline);
                         now = t.0;
                     }
                 }

@@ -23,6 +23,37 @@ use std::sync::{Arc, Mutex};
 /// it straddles a 4KB boundary (rare: slots are tens of bytes).
 pub(crate) const STRIPE_BYTES: usize = 4096;
 const STRIPE_SHIFT: u32 = STRIPE_BYTES.trailing_zeros();
+/// Dirt is tracked per 64-byte line: a stripe's 64 lines are one `u64`
+/// bitmap, so a slot-sized write dirties one or two lines, not 4 KiB.
+const LINE_BYTES: usize = STRIPE_BYTES / 64;
+const LINE_SHIFT: u32 = LINE_BYTES.trailing_zeros();
+
+/// The line bitmap of a non-empty access of `len` bytes at offset `within`
+/// of one stripe (`within + len <= STRIPE_BYTES`).
+#[inline]
+fn line_mask(within: usize, len: usize) -> u64 {
+    let first = within >> LINE_SHIFT;
+    let last = (within + len - 1) >> LINE_SHIFT;
+    (u64::MAX << first) & (u64::MAX >> (63 - last))
+}
+
+/// The byte ranges `[start, end)` of the runs of set bits in `lines`, the
+/// line bitmap of stripe `stripe`, clipped to a region of `len` bytes (the
+/// last line of a ragged region is short). Ascending.
+fn line_runs(stripe: usize, mut lines: u64, len: usize) -> impl Iterator<Item = (usize, usize)> {
+    let base = stripe * STRIPE_BYTES;
+    std::iter::from_fn(move || {
+        if lines == 0 {
+            return None;
+        }
+        let first = lines.trailing_zeros();
+        let run = (lines >> first).trailing_ones();
+        lines &= !((u64::MAX >> (64 - run)) << first);
+        let start = base + ((first as usize) << LINE_SHIFT);
+        let end = base + (((first + run) as usize) << LINE_SHIFT);
+        Some((start, end.min(len)))
+    })
+}
 
 /// Errors when executing an RDMA op against registered memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,17 +119,12 @@ pub struct MrStats {
 #[derive(Default)]
 struct StripeMeta {
     writes: u64,
-    bytes_written: u64,
+    /// Bit `l` is set once a WRITE or FETCH_ADD touched line `l` of the
+    /// stripe. A clear line is still all-zero, so snapshots and recycling
+    /// skip it, and a stripe is dirty exactly when this is non-zero.
+    lines: u64,
     /// FETCH_ADD operations executed.
     atomics: u64,
-}
-
-impl StripeMeta {
-    /// Whether any WRITE or atomic ever landed here. A stripe without one
-    /// is still all-zero, so snapshots and recycling skip it.
-    fn dirty(&self) -> bool {
-        self.writes | self.bytes_written | self.atomics != 0
-    }
 }
 
 /// A minimal spin rwlock specialized for stripe access: slot-sized
@@ -209,7 +235,7 @@ impl Drop for Stripes {
 /// Region registration patterns repeat (every simulated collector sizes
 /// its stores the same way), and glibc's adaptive mmap threshold turns a
 /// repeated multi-MB `alloc_zeroed` into an explicit memset. Recycled
-/// buffers are re-zeroed **dirty stripes only** on return, so a mostly
+/// buffers are re-zeroed **dirty lines only** on return, so a mostly
 /// clean region costs almost nothing to recycle. The pool is bounded;
 /// overflow buffers just drop.
 fn stripe_pool() -> &'static Mutex<Vec<PooledBytes>> {
@@ -271,19 +297,19 @@ impl Stripes {
         r
     }
 
-    /// Return the backing to the pool, zeroed. Only dirty stripes are
-    /// wiped (clean ones are zero by invariant).
+    /// Return the backing to the pool, zeroed. Only dirty lines are wiped
+    /// (clean ones are zero by invariant).
     fn recycle(&mut self) {
         if self.data.is_empty() {
             return;
         }
         for i in 0..self.locks.len() {
             // SAFETY: `&mut self` in drop — no other access possible.
-            if unsafe { &*self.locks[i].meta.get() }.dirty() {
-                let (s, e) = self.range(i);
+            let lines = unsafe { &*self.locks[i].meta.get() }.lines;
+            for (s, e) in line_runs(i, lines, self.len) {
                 // SAFETY: same exclusivity as the meta read above (`&mut
-                // self` in drop), and the slice covers only stripe `i`'s
-                // range of the shared allocation.
+                // self` in drop), and `line_runs` keeps the slice inside
+                // stripe `i`'s range of the shared allocation.
                 unsafe {
                     std::slice::from_raw_parts_mut(self.data[s..e].as_ptr() as *mut u8, e - s)
                         .fill(0);
@@ -417,7 +443,7 @@ impl MemoryRegion {
             self.mem.with_write(stripe, |buf, m| {
                 buf[within..within + data.len()].copy_from_slice(data);
                 m.writes += 1;
-                m.bytes_written += data.len() as u64;
+                m.lines |= line_mask(within, data.len());
             });
         } else {
             self.write_spanning(off, data);
@@ -440,7 +466,7 @@ impl MemoryRegion {
                 if first {
                     m.writes += 1;
                 }
-                m.bytes_written += take as u64;
+                m.lines |= line_mask(within, take);
             });
             first = false;
             src = &src[take..];
@@ -489,6 +515,7 @@ impl MemoryRegion {
             let old = u64::from_be_bytes(word.as_ref().try_into().unwrap());
             word.copy_from_slice(&old.wrapping_add(add).to_be_bytes());
             m.atomics += 1;
+            m.lines |= line_mask(within, 8);
             old
         }))
     }
@@ -526,20 +553,20 @@ impl MemoryRegion {
         Ok(out)
     }
 
-    /// Copy the whole region out into a [`SnapshotBuf`]: dirty stripes
-    /// memcpy under their read locks; clean stripes are never read *or*
-    /// written, because the destination comes from the same zeroed-buffer
-    /// pool the stripes themselves recycle through. The cost is
-    /// proportional to the bytes the run dirtied, not the region size —
-    /// and the buffer returns to the pool when the snapshot drops. This is
-    /// what the scenario harness snapshots collector memory with.
+    /// Copy the whole region out into a [`SnapshotBuf`]: each stripe's
+    /// runs of dirty lines memcpy under its read lock; clean lines are
+    /// never read *or* written, because the destination comes from the
+    /// same zeroed-buffer pool the stripes themselves recycle through. The
+    /// copy is proportional to the lines the run dirtied, not the region
+    /// size — and the buffer returns to the pool when the snapshot drops.
+    /// This is what the scenario harness snapshots collector memory with.
     pub fn snapshot(&self) -> SnapshotBuf {
         let mut out = SnapshotBuf::zeroed(self.len());
         for i in 0..self.mem.locks.len() {
             let (s, _) = self.mem.range(i);
             self.mem.with_read(i, |buf, m| {
-                if m.dirty() {
-                    out.write_range(s, buf);
+                for (start, end) in line_runs(i, m.lines, self.len()) {
+                    out.write_range(start, &buf[start - s..end - s]);
                 }
             });
         }
@@ -556,8 +583,19 @@ impl MemoryRegion {
 pub struct SnapshotBuf {
     data: Box<[UnsafeCell<u8>]>,
     len: usize,
-    /// `(start, end)` byte ranges written (re-zeroed on drop).
-    written: Vec<(u32, u32)>,
+    /// Byte ranges `[start, end)` that may be non-zero (re-zeroed on
+    /// drop): ascending, and neither overlapping nor touching. `usize`
+    /// offsets, so every region length is representable.
+    written: Vec<(usize, usize)>,
+}
+
+/// Append `[start, end)` to an ascending range list, merging it into the
+/// last range when the two overlap or touch.
+fn push_range(ranges: &mut Vec<(usize, usize)>, start: usize, end: usize) {
+    match ranges.last_mut() {
+        Some(last) if start <= last.1 => last.1 = last.1.max(end),
+        _ => ranges.push((start, end)),
+    }
 }
 
 impl SnapshotBuf {
@@ -580,16 +618,17 @@ impl SnapshotBuf {
         SnapshotBuf { data, len, written: Vec::new() }
     }
 
-    /// Copy `src` into the image at byte offset `start`.
+    /// Copy `src` into the image at byte offset `start`, which must not be
+    /// below the end of any range already written.
     fn write_range(&mut self, start: usize, src: &[u8]) {
         let end = start + src.len();
-        debug_assert!(end <= self.len);
-        // SAFETY: the buffer is exclusively owned; the range is in bounds.
+        // SAFETY: the buffer is exclusively owned; the slice index bounds
+        // the range.
         unsafe {
             std::slice::from_raw_parts_mut(self.data[start..end].as_ptr() as *mut u8, src.len())
                 .copy_from_slice(src);
         }
-        self.written.push((start as u32, end as u32));
+        push_range(&mut self.written, start, end);
     }
 
     /// OR `other`'s written ranges into this image.
@@ -599,9 +638,10 @@ impl SnapshotBuf {
     /// disjoint key pools), OR-ing the per-collector images is a union of
     /// the written bytes, and the merged image is comparable byte-for-byte
     /// against a single-image run. Bytes outside `other`'s written ranges
-    /// are zero by the pool invariant, so only those ranges are visited
-    /// (and recorded here, which keeps drop and clone proportional to the
-    /// dirty bytes too). Panics if the lengths differ.
+    /// are zero by the pool invariant, so only those ranges are visited,
+    /// and this image's ranges become the union of both lists (which keeps
+    /// drop and clone proportional to the dirty lines too). Panics if the
+    /// lengths differ.
     pub fn or_with(&mut self, other: &SnapshotBuf) {
         assert_eq!(other.len, self.len, "cannot OR differently sized region images");
         // SAFETY: the buffer is exclusively owned; plain-byte writes.
@@ -610,12 +650,17 @@ impl SnapshotBuf {
         };
         let src = other.as_bytes();
         for &(s, e) in &other.written {
-            let range = s as usize..e as usize;
-            for (d, &b) in dst[range.clone()].iter_mut().zip(&src[range]) {
+            for (d, &b) in dst[s..e].iter_mut().zip(&src[s..e]) {
                 *d |= b;
             }
         }
-        self.written.extend_from_slice(&other.written);
+        // Two ascending runs: the stable sort merges them in one pass.
+        let mut both = [&self.written[..], &other.written[..]].concat();
+        both.sort();
+        self.written.clear();
+        for (s, e) in both {
+            push_range(&mut self.written, s, e);
+        }
     }
 
     /// The full image bytes.
@@ -637,11 +682,8 @@ impl Drop for SnapshotBuf {
         for &(s, e) in &self.written {
             // SAFETY: exclusive ownership in drop.
             unsafe {
-                std::slice::from_raw_parts_mut(
-                    self.data[s as usize..e as usize].as_ptr() as *mut u8,
-                    (e - s) as usize,
-                )
-                .fill(0);
+                std::slice::from_raw_parts_mut(self.data[s..e].as_ptr() as *mut u8, e - s)
+                    .fill(0);
             }
         }
         let data = std::mem::take(&mut self.data);
@@ -660,7 +702,7 @@ impl Clone for SnapshotBuf {
     fn clone(&self) -> Self {
         let mut out = SnapshotBuf::zeroed(self.len);
         for &(s, e) in &self.written {
-            out.write_range(s as usize, &self.as_bytes()[s as usize..e as usize]);
+            out.write_range(s, &self.as_bytes()[s..e]);
         }
         out
     }
@@ -769,8 +811,45 @@ mod tests {
         mr.read_into(0x1010, &mut got).unwrap();
         assert_eq!(got, [1, 2, 3, 4]);
         assert_eq!(mr.writes(), 1);
-        assert_eq!(mr.sum_stripes(|m| m.bytes_written), 4);
+        assert_eq!(mr.snapshot().written, [(0, 64)], "one dirty line");
         assert_eq!(mr.stats().local_reads.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn line_ranges_past_4_gib_are_exact() {
+        // Pure range arithmetic, no region: a 6 GiB one would not fit here.
+        // As `u32` byte offsets these wrapped, and a dropped snapshot
+        // re-zeroed the wrong bytes.
+        let base = 5usize << 30;
+        let stripe = base / STRIPE_BYTES;
+        let len = base + 2 * STRIPE_BYTES - 100;
+        let lines = 0b1011 | 1 << 63;
+        let runs: Vec<_> = line_runs(stripe, lines, len).collect();
+        assert_eq!(
+            runs,
+            [(base, base + 128), (base + 192, base + 256), (base + 4032, base + 4096)]
+        );
+        // The last stripe is ragged: its last line ends at the region's end.
+        let tail: Vec<_> = line_runs(stripe + 1, 0b1 | 0b11 << 61, len).collect();
+        let next = base + STRIPE_BYTES;
+        assert_eq!(tail, [(next, next + 64), (next + 3904, len)]);
+        // A run that ends a stripe merges with one that starts the next.
+        let mut merged = Vec::new();
+        for (s, e) in runs.into_iter().chain(tail) {
+            push_range(&mut merged, s, e);
+        }
+        assert_eq!(
+            merged,
+            [
+                (base, base + 128),
+                (base + 192, base + 256),
+                (base + 4032, next + 64),
+                (next + 3904, len),
+            ]
+        );
+        assert_eq!(line_mask(4032, 64), 1 << 63);
+        assert_eq!(line_mask(60, 8), 0b11);
+        assert_eq!(line_mask(0, STRIPE_BYTES), u64::MAX);
     }
 
     #[test]
@@ -787,41 +866,101 @@ mod tests {
         assert_eq!(&*merged, &*both.snapshot());
     }
 
-    /// Three stripes and a ragged tail; no other test pools this length.
-    const OR_LEN: usize = STRIPE_BYTES * 3 + 123;
+    /// Three stripes and a tail that ends inside a line but on an 8-byte
+    /// boundary, so a FETCH_ADD can end exactly at the region's end; no
+    /// other test pools this length.
+    const OR_LEN: usize = STRIPE_BYTES * 3 + 120;
+
+    /// The byte ranges, in `SnapshotBuf::written` form, of the lines that
+    /// the `(into_a, atomic, at, len, byte)` ops which `pick` keeps (by
+    /// `into_a`) dirtied.
+    fn dirty_line_ranges(
+        ops: &[(bool, bool, usize, usize, u8)],
+        pick: impl Fn(bool) -> bool,
+    ) -> Vec<(usize, usize)> {
+        let mut dirty = vec![false; OR_LEN.div_ceil(LINE_BYTES)];
+        for &(_, _, at, len, _) in ops.iter().filter(|op| pick(op.0)) {
+            dirty[at / LINE_BYTES..=(at + len - 1) / LINE_BYTES].fill(true);
+        }
+        let mut ranges = Vec::new();
+        for (line, _) in dirty.iter().enumerate().filter(|(_, d)| **d) {
+            push_range(&mut ranges, line * LINE_BYTES, ((line + 1) * LINE_BYTES).min(OR_LEN));
+        }
+        ranges
+    }
 
     proptest::proptest! {
-        /// The range-based merge against the byte-wise OR it replaced, on
-        /// random sparse images — and pool hygiene after it: a merged
-        /// buffer records ranges it did not write itself, so its drop must
-        /// still hand a fully zeroed buffer back to `stripe_pool` (a dirty
-        /// one would silently corrupt a later run's region or snapshot).
+        /// Snapshots, the range-based merge and recycling at line
+        /// granularity, on random sparse WRITEs and FETCH_ADDs into two
+        /// regions — some straddling lines and stripes, some ending at the
+        /// region's end. A snapshot must equal a `peek` of the whole
+        /// region and record exactly the dirty lines; the merge must equal
+        /// the byte-wise OR; and once the regions and images drop, the
+        /// pool must hand back only zeroed buffers (a dirty one would
+        /// silently corrupt a later run's region or snapshot).
         #[test]
-        fn or_with_equals_bytewise_or_and_recycles_zeroed(
-            writes in proptest::collection::vec(
-                (proptest::prelude::any::<bool>(), 0usize..OR_LEN - 16, 1usize..16, 1u8..255),
+        fn snapshots_track_dirty_lines_and_recycle_zeroed(
+            ops in proptest::collection::vec(
+                (
+                    proptest::prelude::any::<bool>(),
+                    proptest::prelude::any::<bool>(),
+                    proptest::prop_oneof![0usize..OR_LEN, OR_LEN - 300..OR_LEN],
+                    proptest::prop_oneof![1usize..16, 1usize..300],
+                    1u8..255,
+                ),
                 0..40,
             ),
         ) {
-            let a = MemoryRegion::new(0, OR_LEN, 1, MrAccess::WRITE);
-            let b = MemoryRegion::new(0, OR_LEN, 1, MrAccess::WRITE);
-            for &(into_a, at, len, byte) in &writes {
+            let a = MemoryRegion::new(0, OR_LEN, 1, MrAccess::ATOMIC);
+            let b = MemoryRegion::new(0, OR_LEN, 1, MrAccess::ATOMIC);
+            // Clamp every op into the region (an 8-aligned word for an
+            // atomic), so the clamped ones end exactly at its end.
+            let ops: Vec<_> = ops
+                .into_iter()
+                .map(|(into_a, atomic, at, len, byte)| {
+                    if atomic {
+                        (into_a, atomic, at.min(OR_LEN - 8) / 8 * 8, 8, byte)
+                    } else {
+                        (into_a, atomic, at.min(OR_LEN - len), len, byte)
+                    }
+                })
+                .collect();
+            for &(into_a, atomic, at, len, byte) in &ops {
                 let region = if into_a { &a } else { &b };
-                region.write(at as u64, &vec![byte; len]).unwrap();
+                if atomic {
+                    region.fetch_add(at as u64, u64::from(byte)).unwrap();
+                } else {
+                    region.write(at as u64, &vec![byte; len]).unwrap();
+                }
             }
             let (sa, sb) = (a.snapshot(), b.snapshot());
+            for (region, snap, is_a) in [(&a, &sa, true), (&b, &sb, false)] {
+                proptest::prop_assert_eq!(snap.as_bytes(), &region.peek(0, OR_LEN).unwrap()[..]);
+                let lines = dirty_line_ranges(&ops, |into_a| into_a == is_a);
+                proptest::prop_assert_eq!(snap.written, lines);
+            }
             let expected: Vec<u8> = sa.iter().zip(sb.iter()).map(|(x, y)| x | y).collect();
             let mut merged = sa.clone();
             merged.or_with(&sb);
             proptest::prop_assert_eq!(merged.as_bytes(), &expected[..]);
             let copy = merged.clone();
             proptest::prop_assert_eq!(copy.as_bytes(), &expected[..]);
+            proptest::prop_assert_eq!(copy.written, dirty_line_ranges(&ops, |_| true));
 
             // Six buffers of this (test-private) length go back to the pool;
-            // hold as many fresh ones at once so each is a distinct buffer.
+            // hold as many fresh regions and images at once so each is a
+            // distinct buffer.
             drop((a, b, sa, sb, merged, copy));
-            let fresh: Vec<SnapshotBuf> = (0..6).map(|_| SnapshotBuf::zeroed(OR_LEN)).collect();
-            for buf in &fresh {
+            let regions: Vec<MemoryRegion> =
+                (0..3).map(|_| MemoryRegion::new(0, OR_LEN, 1, MrAccess::WRITE)).collect();
+            let images: Vec<SnapshotBuf> = (0..3).map(|_| SnapshotBuf::zeroed(OR_LEN)).collect();
+            for region in &regions {
+                proptest::prop_assert!(
+                    region.peek(0, OR_LEN).unwrap().iter().all(|&x| x == 0),
+                    "dirty region backing in the zeroed pool"
+                );
+            }
+            for buf in &images {
                 proptest::prop_assert!(buf.iter().all(|&x| x == 0), "dirty buffer in the zeroed pool");
             }
         }
@@ -951,18 +1090,15 @@ mod tests {
     fn registry_indexes_many_regions() {
         // Lookup must stay exact however many regions there are: register
         // several hundred with awkward (clustered and wide-spread) rkeys,
-        // then find every one and miss on neighbours.
+        // then find every one and miss on neighbours. The regions are
+        // empty: 512 real backings would fill the process-wide zeroed pool,
+        // and a full pool drops what other tests return to it unchecked.
         let mut reg = MemoryRegistry::new();
         let rkeys: Vec<u32> = (0..512u32)
             .map(|i| if i % 2 == 0 { i * 2 } else { 0x8000_0000 | (i * 3) })
             .collect();
         for (i, &rk) in rkeys.iter().enumerate() {
-            reg.register(MemoryRegion::new(
-                (i as u64) << 16,
-                64,
-                rk,
-                MrAccess::WRITE,
-            ));
+            reg.register(MemoryRegion::new((i as u64) << 16, 0, rk, MrAccess::WRITE));
         }
         assert_eq!(reg.len(), 512);
         for (i, &rk) in rkeys.iter().enumerate() {
@@ -972,8 +1108,13 @@ mod tests {
         for missing in [1u32, 5, 0x7FFF_FFFF, u32::MAX] {
             assert!(reg.lookup(missing).is_none(), "phantom hit for {missing:#x}");
         }
-        // And the registered regions execute.
-        assert!(reg.write(rkeys[300], (300u64) << 16, &[1, 2, 3]).is_ok());
+        // And the registered regions execute: an empty write fits only at
+        // its own region's base address.
+        assert!(reg.write(rkeys[300], 300u64 << 16, &[]).is_ok());
+        assert!(matches!(
+            reg.write(rkeys[300], (300u64 << 16) + 1, &[]),
+            Err(MrError::OutOfBounds { .. })
+        ));
     }
 
     #[test]

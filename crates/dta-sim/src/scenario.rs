@@ -169,7 +169,7 @@ fn link_seed(seed: u64, from: NodeId, to: NodeId) -> u64 {
 /// Panics if the spec fails [`ScenarioSpec::validate`].
 pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
     spec.validate().unwrap_or_else(|e| panic!("invalid scenario spec: {e}"));
-    let workload = generate(spec);
+    let mut workload = generate(spec);
 
     // --- Fabric -----------------------------------------------------------
     let ft = FatTree::new(spec.fat_tree_k);
@@ -342,7 +342,9 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
             node
         })
         .collect();
-    for (r, stream) in workload.streams.iter().enumerate() {
+    // Each stream moves into its lane; the audit below needs only the
+    // workload's ledger.
+    for (r, stream) in std::mem::take(&mut workload.streams).into_iter().enumerate() {
         let (host, _) = placements[r % hosts_used];
         let lane = (r / hosts_used) as u32;
         max_ticks =
@@ -357,7 +359,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
             collector_ip: COLLECTOR_IP,
             src_port: 5000,
         });
-        fleet_nodes[r % hosts_used].add_lane(reporter, stream.clone());
+        fleet_nodes[r % hosts_used].add_lane(reporter, stream);
     }
     for (node, &(host, _)) in fleet_nodes.into_iter().zip(&placements) {
         net.add_node(host, Box::new(node));

@@ -6,12 +6,11 @@
 //! used, and how much was sent where) the post-run query phase audits
 //! against.
 
-use std::collections::HashSet;
-
 use dta_collector::layout::{KwLayout, PostcardLayout};
 use bytes::Bytes;
 use dta_core::{DtaFlags, DtaReport, PrimitiveHeader, TelemetryKey};
 use dta_hash::family::slot_of;
+use dta_hash::polynomials::MAX_REDUNDANCY;
 use dta_hash::{Crc32, CrcParams, HashFamily};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,7 +61,8 @@ pub struct Workload {
 /// id base. With filtering on, no two keys returned share any of their
 /// `family` store slots (over `slots`) nor a postcard-cache row (over
 /// `cache_rows`, when nonzero) — the precondition for byte-comparing
-/// single-threaded and sharded runs.
+/// single-threaded and sharded runs. Used slots and rows are bitmaps, so a
+/// candidate costs its hashes and a few bit tests, never an allocation.
 struct KeyPool {
     next_id: u64,
     family: HashFamily,
@@ -70,13 +70,30 @@ struct KeyPool {
     slots: u64,
     cache_rows: usize,
     crc: Crc32,
-    used_slots: HashSet<u64>,
-    used_rows: HashSet<usize>,
+    /// Bit `s` is set once a returned key holds store slot `s` (empty
+    /// without the filter).
+    used_slots: Vec<u64>,
+    /// Bit `r` is set once a returned key holds cache row `r`.
+    used_rows: Vec<u64>,
     filter: bool,
+}
+
+fn bit(bits: &[u64], i: usize) -> bool {
+    bits[i / 64] >> (i % 64) & 1 == 1
+}
+
+fn set_bit(bits: &mut [u64], i: usize) {
+    bits[i / 64] |= 1 << (i % 64);
+}
+
+fn ones(bits: &[u64]) -> u32 {
+    bits.iter().map(|w| w.count_ones()).sum()
 }
 
 impl KeyPool {
     fn new(base: u64, redundancy: usize, slots: u64, cache_rows: usize, filter: bool) -> Self {
+        // `slot_of` maps into `0..slots` (to 0 for an empty table).
+        let bitmap = |n: usize| if filter { vec![0u64; n / 64 + 1] } else { Vec::new() };
         KeyPool {
             next_id: base,
             family: HashFamily::new(redundancy.max(1)),
@@ -84,8 +101,8 @@ impl KeyPool {
             slots,
             cache_rows,
             crc: Crc32::new(CrcParams::IEEE),
-            used_slots: HashSet::new(),
-            used_rows: HashSet::new(),
+            used_slots: bitmap(slots as usize),
+            used_rows: bitmap(cache_rows),
             filter,
         }
     }
@@ -105,8 +122,8 @@ impl KeyPool {
                  ({} slots / {} cache rows already used): shrink the key \
                  pools or grow the store",
                 rejected,
-                self.used_slots.len(),
-                self.used_rows.len(),
+                ones(&self.used_slots),
+                ones(&self.used_rows),
             );
             rejected += 1;
             let k = TelemetryKey::from_u64(self.next_id);
@@ -114,10 +131,14 @@ impl KeyPool {
             if !self.filter {
                 return k;
             }
-            let key_slots: Vec<u64> = (0..self.redundancy)
-                .map(|i| slot_of(self.family.hash(i, k.as_bytes()), self.slots))
-                .collect();
-            if key_slots.iter().any(|s| self.used_slots.contains(s)) {
+            let mut key_slots = [0usize; MAX_REDUNDANCY];
+            let key_slots = &mut key_slots[..self.redundancy];
+            for (i, s) in key_slots.iter_mut().enumerate() {
+                *s = slot_of(self.family.hash(i, k.as_bytes()), self.slots) as usize;
+            }
+            // A key's own slots may coincide; only other keys' slots
+            // reject it.
+            if key_slots.iter().any(|&s| bit(&self.used_slots, s)) {
                 continue;
             }
             // The postcard cache indexes rows by IEEE CRC32 of the key —
@@ -126,12 +147,14 @@ impl KeyPool {
             let row = (self.cache_rows > 0)
                 .then(|| self.crc.compute(k.as_bytes()) as usize % self.cache_rows);
             if let Some(row) = row {
-                if self.used_rows.contains(&row) {
+                if bit(&self.used_rows, row) {
                     continue;
                 }
-                self.used_rows.insert(row);
+                set_bit(&mut self.used_rows, row);
             }
-            self.used_slots.extend(key_slots);
+            for &s in key_slots.iter() {
+                set_bit(&mut self.used_slots, s);
+            }
             return k;
         }
     }
@@ -321,6 +344,7 @@ pub fn generate(spec: &ScenarioSpec) -> Workload {
 mod tests {
     use super::*;
     use crate::spec::TrafficMix;
+    use std::collections::HashSet;
 
     #[test]
     fn generation_is_deterministic() {
@@ -422,6 +446,68 @@ mod tests {
             ..ScenarioSpec::default()
         });
         assert_eq!(unfiltered.inc_used, w.inc_used, "filter changed a collision-free draw");
+    }
+
+    /// The set-based filter the pool's bitmaps replaced: a candidate is
+    /// rejected by a slot another key holds or a row another flow holds.
+    fn reference_draw(
+        base: u64,
+        redundancy: usize,
+        slots: u64,
+        cache_rows: usize,
+        n: usize,
+    ) -> Vec<TelemetryKey> {
+        let family = HashFamily::new(redundancy);
+        let crc = Crc32::new(CrcParams::IEEE);
+        let (mut used_slots, mut used_rows) = (HashSet::new(), HashSet::new());
+        let mut out = Vec::new();
+        for id in base.. {
+            if out.len() == n {
+                break;
+            }
+            let k = TelemetryKey::from_u64(id);
+            let key_slots: Vec<u64> = (0..redundancy)
+                .map(|i| slot_of(family.hash(i, k.as_bytes()), slots))
+                .collect();
+            if key_slots.iter().any(|s| used_slots.contains(s)) {
+                continue;
+            }
+            if cache_rows > 0
+                && !used_rows.insert(crc.compute(k.as_bytes()) as usize % cache_rows)
+            {
+                continue;
+            }
+            used_slots.extend(key_slots);
+            out.push(k);
+        }
+        out
+    }
+
+    #[test]
+    fn bitmap_pool_draws_the_set_filters_keys() {
+        // Crowded slots and rows, so that rejections (by a slot, or by a
+        // row after the slots passed) change which keys come next.
+        let cases = [
+            (8, 64, 0, 4),
+            (1, 128, 24, 20),
+            (2, 96, 24, 16),
+            (1, 77, 0, 60),
+            (8, 4096, 0, 100),
+            (1, 1 << 17, 300, 200),
+        ];
+        for (redundancy, slots, cache_rows, n) in cases {
+            let drawn = KeyPool::new(1 << 40, redundancy, slots, cache_rows, true).take(n);
+            assert_eq!(drawn, reference_draw(1 << 40, redundancy, slots, cache_rows, n));
+        }
+        // The first case holds a key whose own slots coincide: accepted,
+        // as by the set filter.
+        let family = HashFamily::new(8);
+        let drawn = KeyPool::new(1 << 40, 8, 64, 0, true).take(4);
+        assert!(drawn.iter().any(|k| {
+            let own: HashSet<u64> =
+                (0..8).map(|i| slot_of(family.hash(i, k.as_bytes()), 64)).collect();
+            own.len() < 8
+        }));
     }
 
     #[test]
