@@ -45,8 +45,8 @@ pub trait SlotSource {
     fn read_slot(&self, va: u64, dst: &mut [u8]) -> bool;
 }
 
-/// Live reads: stripe-locked copies out of the shared region, counted as
-/// query-side memory accesses (one per slot, as before the engine).
+/// Live reads: stripe-locked copies out of the shared region. The query's
+/// [`QueryResponse::probes`] counts them; the region does not.
 impl SlotSource for MemoryRegion {
     fn read_slot(&self, va: u64, dst: &mut [u8]) -> bool {
         self.read_into(va, dst).is_ok()
@@ -67,11 +67,11 @@ pub struct SnapshotView<'a> {
 
 impl SlotSource for SnapshotView<'_> {
     fn read_slot(&self, va: u64, dst: &mut [u8]) -> bool {
-        let Some(off) = va.checked_sub(self.base_va) else {
-            return false;
-        };
-        let off = off as usize;
-        match self.bytes.get(off..off + dst.len()) {
+        let range = va
+            .checked_sub(self.base_va)
+            .and_then(|off| usize::try_from(off).ok())
+            .and_then(|start| Some(start..start.checked_add(dst.len())?));
+        match range.and_then(|range| self.bytes.get(range)) {
             Some(src) => {
                 dst.copy_from_slice(src);
                 true
@@ -474,5 +474,8 @@ mod tests {
         assert!(!view.read_slot(0x50, &mut buf), "below base");
         assert!(!view.read_slot(0x10c, &mut buf), "past end");
         assert!(view.read_slot(0x108, &mut buf));
+        // The end address overflows: rejected, not a panic or a wrap.
+        let at_zero = SnapshotView { base_va: 0, bytes: &[0u8; 16] };
+        assert!(!at_zero.read_slot(u64::MAX, &mut buf), "end past u64::MAX");
     }
 }

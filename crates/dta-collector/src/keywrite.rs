@@ -6,8 +6,10 @@
 //! checksum and take a plurality vote among matching slots.
 
 use dta_core::TelemetryKey;
+use dta_hash::polynomials::MAX_REDUNDANCY;
 use dta_hash::{Checksummer, HashFamily};
 use dta_rdma::mr::MemoryRegion;
+use dta_rdma::packet::IMAGE_BYTES;
 
 use crate::engine::SlotSource;
 use crate::layout::KwLayout;
@@ -64,6 +66,12 @@ impl KeyWriteStore {
         assert!(
             region.len() as u64 >= layout.region_len(),
             "region smaller than layout"
+        );
+        assert!(
+            layout.value_bytes <= KwLayout::MAX_VALUE_BYTES,
+            "Key-Write value width {} B exceeds {} B: a slot must fit one {IMAGE_BYTES}-byte line",
+            layout.value_bytes,
+            KwLayout::MAX_VALUE_BYTES
         );
         KeyWriteStore {
             layout,
@@ -128,6 +136,10 @@ impl KeyWriteStore {
         self.query_inner(src, key, redundancy, policy)
     }
 
+    /// Algorithm 2 in place: the `n` slot images are read into one stack
+    /// array, packed so that the checksum-matching ones come first, and the
+    /// vote compares their values where they lie. Only a `Found` value is
+    /// copied out.
     fn query_inner(
         &self,
         src: &dyn SlotSource,
@@ -135,44 +147,61 @@ impl KeyWriteStore {
         redundancy: usize,
         policy: QueryPolicy,
     ) -> QueryOutcome {
-        let want = self.csum.checksum32(key.as_bytes());
-        let w = self.layout.value_bytes as usize;
-        let n = redundancy.min(self.family.len());
-        let mut candidates: Vec<(Vec<u8>, u8)> = Vec::with_capacity(n);
-        let mut slot = vec![0u8; 4 + w];
-        for i in 0..n {
+        let want = self.csum.checksum32(key.as_bytes()).to_be_bytes();
+        let width = self.layout.slot_bytes() as usize;
+        let mut images = [[0u8; IMAGE_BYTES]; MAX_REDUNDANCY];
+        let mut matching = 0;
+        for i in 0..redundancy.min(self.family.len()) {
+            // A slot whose checksum does not match is overwritten by the next.
+            let image = &mut images[matching][..width];
             let va = self.layout.slot_va(&self.family, i, key);
-            assert!(src.read_slot(va, &mut slot), "slot within source");
-            let got = u32::from_be_bytes(slot[0..4].try_into().unwrap());
-            if got == want {
-                let value = slot[4..].to_vec();
-                match candidates.iter_mut().find(|(v, _)| *v == value) {
-                    Some((_, count)) => *count += 1,
-                    None => candidates.push((value, 1)),
-                }
+            assert!(src.read_slot(va, image), "slot within source");
+            if image[..4] == want {
+                matching += 1;
             }
         }
-
-        if candidates.is_empty() {
+        if matching == 0 {
             return QueryOutcome::NotFound;
         }
-        match policy {
-            QueryPolicy::FirstMatch => QueryOutcome::Found(candidates.swap_remove(0).0),
-            QueryPolicy::Plurality => {
-                candidates.sort_by_key(|c| std::cmp::Reverse(c.1));
-                if candidates.len() > 1 && candidates[0].1 == candidates[1].1 {
-                    QueryOutcome::Ambiguous
-                } else {
-                    QueryOutcome::Found(candidates.swap_remove(0).0)
+        let mut values: [&[u8]; MAX_REDUNDANCY] = [&[]; MAX_REDUNDANCY];
+        for (value, image) in values.iter_mut().zip(&images[..matching]) {
+            *value = &image[4..width];
+        }
+        match vote(&values[..matching], policy) {
+            Some(winner) => QueryOutcome::Found(values[winner].to_vec()),
+            None => QueryOutcome::Ambiguous,
+        }
+    }
+}
+
+/// The index in `values` (the checksum-matching slot values, in slot
+/// order; not empty) of the value `policy` picks, or `None` when the
+/// policy finds them ambiguous. Apart from `FirstMatch` the outcome counts
+/// a multiset, so it does not depend on slot order.
+fn vote(values: &[&[u8]], policy: QueryPolicy) -> Option<usize> {
+    // Each distinct value once, at its first occurrence, with its count.
+    let distinct = (0..values.len())
+        .filter(|&i| !values[..i].contains(&values[i]))
+        .map(|i| (i, values.iter().filter(|v| **v == values[i]).count()));
+    match policy {
+        QueryPolicy::FirstMatch => Some(0),
+        QueryPolicy::Plurality => {
+            let mut best: Option<(usize, usize)> = None;
+            let mut tied = false;
+            for (i, count) in distinct {
+                match best {
+                    Some((_, top)) if count < top => {}
+                    Some((_, top)) if count == top => tied = true,
+                    _ => (best, tied) = (Some((i, count)), false),
                 }
             }
-            QueryPolicy::Consensus(t) => {
-                candidates.retain(|(_, c)| *c >= t);
-                match candidates.len() {
-                    0 => QueryOutcome::Ambiguous,
-                    1 => QueryOutcome::Found(candidates.swap_remove(0).0),
-                    _ => QueryOutcome::Ambiguous,
-                }
+            best.filter(|_| !tied).map(|(i, _)| i)
+        }
+        QueryPolicy::Consensus(t) => {
+            let mut agreed = distinct.filter(|&(_, count)| count >= usize::from(t));
+            match (agreed.next(), agreed.next()) {
+                (Some((i, _)), None) => Some(i),
+                _ => None,
             }
         }
     }
@@ -181,6 +210,7 @@ impl KeyWriteStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::SnapshotView;
     use dta_rdma::mr::MrAccess;
 
     fn store(slots: u64, value_bytes: u32) -> KeyWriteStore {
@@ -292,6 +322,116 @@ mod tests {
         // unless a checksum collision occurred (2^-32 per slot).
         if let QueryOutcome::Found(v) = s.query(&k, 2, QueryPolicy::Plurality) {
             assert_ne!(v, vec![7; 4], "ghost value survived a full overwrite");
+        }
+    }
+
+    /// The vote as it ran before it ran in place, kept as the naive
+    /// reference: every matching value is copied into a `Vec` and counted
+    /// in a `Vec` of candidates.
+    fn naive_query(
+        s: &KeyWriteStore,
+        src: &dyn SlotSource,
+        key: &TelemetryKey,
+        redundancy: usize,
+        policy: QueryPolicy,
+    ) -> QueryOutcome {
+        let want = s.csum.checksum32(key.as_bytes());
+        let w = s.layout.value_bytes as usize;
+        let n = redundancy.min(s.family.len());
+        let mut candidates: Vec<(Vec<u8>, u8)> = Vec::with_capacity(n);
+        let mut slot = vec![0u8; 4 + w];
+        for i in 0..n {
+            let va = s.layout.slot_va(&s.family, i, key);
+            assert!(src.read_slot(va, &mut slot), "slot within source");
+            let got = u32::from_be_bytes(slot[0..4].try_into().unwrap());
+            if got == want {
+                let value = slot[4..].to_vec();
+                match candidates.iter_mut().find(|(v, _)| *v == value) {
+                    Some((_, count)) => *count += 1,
+                    None => candidates.push((value, 1)),
+                }
+            }
+        }
+
+        if candidates.is_empty() {
+            return QueryOutcome::NotFound;
+        }
+        match policy {
+            QueryPolicy::FirstMatch => QueryOutcome::Found(candidates.swap_remove(0).0),
+            QueryPolicy::Plurality => {
+                candidates.sort_by_key(|c| std::cmp::Reverse(c.1));
+                if candidates.len() > 1 && candidates[0].1 == candidates[1].1 {
+                    QueryOutcome::Ambiguous
+                } else {
+                    QueryOutcome::Found(candidates.swap_remove(0).0)
+                }
+            }
+            QueryPolicy::Consensus(t) => {
+                candidates.retain(|(_, c)| *c >= t);
+                match candidates.len() {
+                    0 => QueryOutcome::Ambiguous,
+                    1 => QueryOutcome::Found(candidates.swap_remove(0).0),
+                    _ => QueryOutcome::Ambiguous,
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "value width 61 B exceeds 60 B")]
+    fn a_slot_wider_than_one_line_is_refused() {
+        store(16, KwLayout::MAX_VALUE_BYTES + 1);
+    }
+
+    proptest::proptest! {
+        /// The in-place vote against the naive one, both reading the live
+        /// region and a snapshot of it. Each of the key's `n` slots holds
+        /// a matching checksum and one of three values that differ only in
+        /// their last byte (so duplicates and ties are common), or a wrong
+        /// checksum; slots may coincide in the 16-slot table. Every policy
+        /// is asked, `Consensus(0..=n + 1)` included, at a redundancy that
+        /// may exceed the family.
+        #[test]
+        fn in_place_vote_equals_the_naive_vote(
+            n in 1usize..=MAX_REDUNDANCY,
+            width in 1u32..=KwLayout::MAX_VALUE_BYTES,
+            key in proptest::prelude::any::<u64>(),
+            images in proptest::collection::vec(
+                (0u8..4, 0u8..3, proptest::prelude::any::<u32>()),
+                MAX_REDUNDANCY..=MAX_REDUNDANCY,
+            ),
+            redundancy in 1usize..=MAX_REDUNDANCY + 1,
+        ) {
+            let layout = KwLayout { base_va: 0x2000, slots: 16, value_bytes: width };
+            let region =
+                MemoryRegion::new(layout.base_va, layout.region_len() as usize, 1, MrAccess::WRITE);
+            let s = KeyWriteStore::new(layout, region, n);
+            let key = TelemetryKey::from_u64(key);
+            let want = s.csum.checksum32(key.as_bytes());
+            for (i, &(kind, pick, noise)) in images.iter().take(n).enumerate() {
+                let checksum = if kind == 0 { want ^ (noise | 1) } else { want };
+                let mut image = checksum.to_be_bytes().to_vec();
+                image.resize(4 + width as usize, 0xA0);
+                *image.last_mut().unwrap() = pick;
+                s.region().write(layout.slot_va(&s.family, i, &key), &image).unwrap();
+            }
+            let snap = s.region().snapshot();
+            let view = SnapshotView { base_va: layout.base_va, bytes: snap.as_bytes() };
+            let consensus = (0..=n as u8 + 1).map(QueryPolicy::Consensus);
+            let policies = [QueryPolicy::FirstMatch, QueryPolicy::Plurality];
+            for policy in policies.into_iter().chain(consensus) {
+                let naive = naive_query(&s, s.region(), &key, redundancy, policy);
+                let naive_snapshot = naive_query(&s, &view, &key, redundancy, policy);
+                proptest::prop_assert_eq!(&naive_snapshot, &naive);
+                let live = s.query(&key, redundancy, policy);
+                proptest::prop_assert_eq!(&live, &naive, "{:?} live", policy);
+                proptest::prop_assert_eq!(
+                    &s.query_from(&view, &key, redundancy, policy),
+                    &naive,
+                    "{:?} snapshot",
+                    policy
+                );
+            }
         }
     }
 }

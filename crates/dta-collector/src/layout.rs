@@ -8,6 +8,7 @@
 
 use dta_core::TelemetryKey;
 use dta_hash::HashFamily;
+use dta_rdma::packet::IMAGE_BYTES;
 
 /// Geometry of a Key-Write region: `slots` slots of `4 + value_bytes` each
 /// (32-bit checksum concatenated with the value, §5.2: "a concatenated 4B
@@ -26,6 +27,10 @@ pub struct KwLayout {
 impl KwLayout {
     /// Checksum width in bytes.
     pub const CSUM_BYTES: u32 = 4;
+
+    /// The widest value a store takes: a slot is at most one
+    /// [`IMAGE_BYTES`] cache line, so a query reads it onto the stack.
+    pub const MAX_VALUE_BYTES: u32 = IMAGE_BYTES as u32 - Self::CSUM_BYTES;
 
     /// Slot stride in bytes.
     pub fn slot_bytes(&self) -> u32 {
@@ -81,6 +86,10 @@ impl PostcardLayout {
     /// Bytes per hop slot (fixed 32-bit payloads as on the Tofino
     /// prototype).
     pub const SLOT_BYTES: u32 = 4;
+
+    /// The hop bound a store takes: a chunk's hop slots fill at most one
+    /// [`IMAGE_BYTES`] cache line, so a query decodes it on the stack.
+    pub const MAX_HOPS: u8 = (IMAGE_BYTES / Self::SLOT_BYTES as usize) as u8;
 
     /// Chunk stride in bytes: `B * 4` padded up to the next power of two
     /// (bitshift-based address multiplication on the ASIC).

@@ -5,11 +5,10 @@
 //! hashes the value set `V` into `b`-bit strings — no per-slot key checksum
 //! is needed, and querying a full path costs one random memory access.
 
-use std::collections::HashMap;
-
 use dta_core::TelemetryKey;
 use dta_hash::{checksum_b_from, checksum_state, Crc32, CrcParams, HashFamily};
 use dta_rdma::mr::MemoryRegion;
+use dta_rdma::packet::IMAGE_BYTES;
 
 use crate::engine::SlotSource;
 use crate::layout::PostcardLayout;
@@ -31,7 +30,12 @@ pub struct ValueCodec {
 /// Both directions of `g`, computed once per universe.
 #[derive(Debug)]
 struct CodecTables {
-    decode: HashMap<u32, Option<u32>>,
+    /// `(g(v), v)` for the first value of the universe with each code other
+    /// than `g(⊔)`, open-addressed: a code probes linearly from the slot its
+    /// own low bits name (CRC outputs need no hasher). A power-of-two
+    /// number of slots, at most 7/8 full; empty slots hold `(blank, 0)`,
+    /// the one code no entry has.
+    decode: Box<[(u32, u32)]>,
     /// `g(v)` at index `v` for the dense universe `0..n` of
     /// [`ValueCodec::switch_ids`] (empty for any other), so encoding a
     /// switch id is a load, not a CRC pass.
@@ -65,13 +69,22 @@ impl ValueCodec {
         let engine = Crc32::new(CrcParams::CASTAGNOLI);
         let g = |v: Option<u32>| mask_to(bits, crc_encode(&engine, v));
         let blank = g(None);
-        let mut decode = HashMap::new();
-        decode.insert(blank, None);
-        for v in values {
-            // First writer wins on g-collisions; with b=32 and |V| <= 2^18
-            // the collision probability is ~2^-14 per pair and the analysis
-            // accounts for it as a wrong-output term.
-            decode.entry(g(Some(v))).or_insert(Some(v));
+        // First writer wins on g-collisions, ⊔ before every value; with b=32
+        // and |V| <= 2^18 the collision probability is ~2^-14 per pair and
+        // the analysis accounts for it as a wrong-output term. The sort is
+        // stable, so the first writer of a code stays first.
+        let mut entries: Vec<(u32, u32)> = values.into_iter().map(|v| (g(Some(v)), v)).collect();
+        entries.sort_by_key(|&(code, _)| code);
+        entries.dedup_by_key(|&mut (code, _)| code);
+        entries.retain(|&(code, _)| code != blank);
+        let slots = (entries.len() * 8 / 7 + 1).next_power_of_two();
+        let mut decode = vec![(blank, 0); slots].into_boxed_slice();
+        for (code, v) in entries {
+            let mut i = code as usize & (slots - 1);
+            while decode[i].0 != blank {
+                i = (i + 1) & (slots - 1);
+            }
+            decode[i] = (code, v);
         }
         let encode = (0..dense).map(|v| g(Some(v))).collect();
         let tables = std::sync::Arc::new(CodecTables { decode, encode, blank });
@@ -110,9 +123,23 @@ impl ValueCodec {
         }
     }
 
-    /// Reverse lookup: the `v` with `g(v) == code`, if any.
-    pub fn decode(&self, code: u32) -> Option<&Option<u32>> {
-        self.tables.decode.get(&code)
+    /// Reverse lookup: `Some(v)` for the `v` with `g(v) == code` (`None`
+    /// for ⊔), or `None` when `code` is no codeword.
+    #[inline]
+    pub fn decode(&self, code: u32) -> Option<Option<u32>> {
+        let CodecTables { decode, blank, .. } = &*self.tables;
+        if code == *blank {
+            return Some(None);
+        }
+        let mask = decode.len() - 1;
+        let mut i = code as usize & mask;
+        loop {
+            match decode[i] {
+                (c, v) if c == code => return Some(Some(v)),
+                (c, _) if c == *blank => return None,
+                _ => i = (i + 1) & mask,
+            }
+        }
     }
 
     /// Mask a word to the codec's `b` bits.
@@ -190,6 +217,12 @@ impl PostcardStore {
     ) -> Self {
         assert!(region.len() as u64 >= layout.region_len());
         assert_eq!(layout.slot_bits, codec.bits(), "layout/codec bit width mismatch");
+        assert!(
+            layout.hops <= PostcardLayout::MAX_HOPS,
+            "Postcarding hop bound {} exceeds {}: a chunk must fit one {IMAGE_BYTES}-byte line",
+            layout.hops,
+            PostcardLayout::MAX_HOPS
+        );
         PostcardStore { layout, region, family: HashFamily::new(max_redundancy), codec }
     }
 
@@ -249,33 +282,38 @@ impl PostcardStore {
         redundancy.min(self.family.len()) as u32
     }
 
-    /// Attempt to decode redundancy copy `n` of `key`'s chunk. Returns the
-    /// path when the chunk holds valid information for this key.
-    fn decode_chunk(&self, src: &dyn SlotSource, key: &TelemetryKey, n: usize) -> Option<Vec<u32>> {
+    /// Decode redundancy copy `n` of `key`'s chunk against the key's hop
+    /// checksums (one per hop). Returns the path length, the path written
+    /// to the front of `path`, when the chunk holds valid information for
+    /// this key.
+    fn decode_chunk(
+        &self,
+        src: &dyn SlotSource,
+        key: &TelemetryKey,
+        n: usize,
+        checksums: &[u32],
+        path: &mut [u32; MAX_HOPS],
+    ) -> Option<usize> {
         let va = self.layout.chunk_va(&self.family, n, key);
-        let mut raw = vec![0u8; (self.layout.hops as usize) * PostcardLayout::SLOT_BYTES as usize];
-        assert!(src.read_slot(va, &mut raw), "chunk within source");
-        let mut values = Vec::with_capacity(self.layout.hops as usize);
+        let mut raw = [0u8; IMAGE_BYTES];
+        let raw = &mut raw[..checksums.len() * PostcardLayout::SLOT_BYTES as usize];
+        assert!(src.read_slot(va, raw), "chunk within source");
+        let mut len = 0;
         let mut blank_seen = false;
-        let checksum = hop_checksums(key, self.layout.slot_bits);
-        for hop in 0..self.layout.hops {
-            let off = hop as usize * 4;
-            let word =
-                self.codec.mask(u32::from_be_bytes(raw[off..off + 4].try_into().unwrap()));
-            let g = word ^ checksum(hop);
-            match self.codec.decode(g) {
+        for (word, checksum) in raw.as_chunks::<4>().0.iter().zip(checksums) {
+            let word = self.codec.mask(u32::from_be_bytes(*word));
+            match self.codec.decode(word ^ checksum) {
+                // Value after a blank: not a valid prefix encoding.
+                Some(Some(_)) if blank_seen => return None,
                 Some(Some(v)) => {
-                    if blank_seen {
-                        // Value after a blank: not a valid prefix encoding.
-                        return None;
-                    }
-                    values.push(*v);
+                    path[len] = v;
+                    len += 1;
                 }
                 Some(None) => blank_seen = true,
                 None => return None, // not a valid codeword for this key
             }
         }
-        Some(values)
+        Some(len)
     }
 
     /// Query the path for `key` (§4's decoding rule): output a path only if
@@ -285,34 +323,49 @@ impl PostcardStore {
     }
 
     /// [`PostcardStore::query`] reading chunks from `src` instead of the
-    /// live region — the same decode over a snapshot image.
+    /// live region — the same decode over a snapshot image. The key is
+    /// walked once for all `B` hop checksums, chunks decode on the stack,
+    /// and only a `Found` path is copied out.
     pub fn query_from(
         &self,
         src: &dyn SlotSource,
         key: &TelemetryKey,
         redundancy: usize,
     ) -> PostcardQueryOutcome {
-        let n = redundancy.min(self.family.len());
-        let mut winner: Option<Vec<u32>> = None;
-        for i in 0..n {
-            if let Some(path) = self.decode_chunk(src, key, i) {
+        let hops = usize::from(self.layout.hops);
+        let mut checksums = [0u32; MAX_HOPS];
+        let checksum = hop_checksums(key, self.layout.slot_bits);
+        for (hop, c) in (0..).zip(&mut checksums[..hops]) {
+            *c = checksum(hop);
+        }
+        let mut chunk = [0u32; MAX_HOPS];
+        let mut winner: Option<([u32; MAX_HOPS], usize)> = None;
+        for i in 0..redundancy.min(self.family.len()) {
+            if let Some(len) = self.decode_chunk(src, key, i, &checksums[..hops], &mut chunk) {
                 match &winner {
-                    Some(w) if *w != path => return PostcardQueryOutcome::Ambiguous,
-                    _ => winner = Some(path),
+                    Some((path, n)) if path[..*n] != chunk[..len] => {
+                        return PostcardQueryOutcome::Ambiguous
+                    }
+                    _ => winner = Some((chunk, len)),
                 }
             }
         }
         match winner {
-            Some(path) => PostcardQueryOutcome::Found(path),
+            Some((path, len)) => PostcardQueryOutcome::Found(path[..len].to_vec()),
             None => PostcardQueryOutcome::NotFound,
         }
     }
 }
 
+/// The widest chunk a query decodes, in hops.
+const MAX_HOPS: usize = PostcardLayout::MAX_HOPS as usize;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::SnapshotView;
     use dta_rdma::mr::MrAccess;
+    use std::collections::{BTreeMap, HashMap};
 
     fn store(chunks: u64, bits: u32) -> PostcardStore {
         let layout = PostcardLayout { base_va: 0, chunks, hops: 5, slot_bits: bits };
@@ -446,9 +499,9 @@ mod tests {
     fn codec_decode_inverts_encode() {
         let codec = ValueCodec::switch_ids(4096, 32);
         for v in [0u32, 1, 17, 4095] {
-            assert_eq!(codec.decode(codec.encode(Some(v))), Some(&Some(v)));
+            assert_eq!(codec.decode(codec.encode(Some(v))), Some(Some(v)));
         }
-        assert_eq!(codec.decode(codec.encode(None)), Some(&None));
+        assert_eq!(codec.decode(codec.encode(None)), Some(None));
     }
 
     #[test]
@@ -466,5 +519,177 @@ mod tests {
         let va = s.layout().chunk_va(&fam, 0, &k);
         s.region().write(va, &img).unwrap();
         assert_eq!(s.query(&k, 1), PostcardQueryOutcome::NotFound);
+    }
+
+    #[test]
+    #[should_panic(expected = "hop bound 17 exceeds 16")]
+    fn a_chunk_wider_than_one_line_is_refused() {
+        let layout = PostcardLayout { base_va: 0, chunks: 4, hops: 17, slot_bits: 32 };
+        let region = MemoryRegion::new(0, layout.region_len() as usize, 1, MrAccess::WRITE);
+        PostcardStore::new(layout, region, ValueCodec::switch_ids(16, 32), 1);
+    }
+
+    /// The decode map as it was before the open-addressed table, kept as
+    /// the naive reference: ⊔ first, then first writer wins.
+    fn naive_decode_map(codec: &ValueCodec, universe: u32) -> HashMap<u32, Option<u32>> {
+        let mut decode = HashMap::new();
+        decode.insert(codec.encode(None), None);
+        for v in 0..universe {
+            decode.entry(codec.encode(Some(v))).or_insert(Some(v));
+        }
+        decode
+    }
+
+    /// The chunk decode as it ran before it ran on the stack: a `Vec` per
+    /// chunk, the key re-walked per chunk, a map lookup per hop.
+    fn naive_query(
+        s: &PostcardStore,
+        decode: &HashMap<u32, Option<u32>>,
+        src: &dyn SlotSource,
+        key: &TelemetryKey,
+        redundancy: usize,
+    ) -> PostcardQueryOutcome {
+        let decode_chunk = |n| {
+            let va = s.layout.chunk_va(&s.family, n, key);
+            let mut raw = vec![0u8; (s.layout.hops as usize) * PostcardLayout::SLOT_BYTES as usize];
+            assert!(src.read_slot(va, &mut raw), "chunk within source");
+            let mut values = Vec::with_capacity(s.layout.hops as usize);
+            let mut blank_seen = false;
+            let checksum = hop_checksums(key, s.layout.slot_bits);
+            for hop in 0..s.layout.hops {
+                let off = hop as usize * 4;
+                let word = s.codec.mask(u32::from_be_bytes(raw[off..off + 4].try_into().unwrap()));
+                match decode.get(&(word ^ checksum(hop))) {
+                    Some(Some(v)) => {
+                        if blank_seen {
+                            return None;
+                        }
+                        values.push(*v);
+                    }
+                    Some(None) => blank_seen = true,
+                    None => return None,
+                }
+            }
+            Some(values)
+        };
+        let mut winner: Option<Vec<u32>> = None;
+        for i in 0..redundancy.min(s.family.len()) {
+            if let Some(path) = decode_chunk(i) {
+                match &winner {
+                    Some(w) if *w != path => return PostcardQueryOutcome::Ambiguous,
+                    _ => winner = Some(path),
+                }
+            }
+        }
+        match winner {
+            Some(path) => PostcardQueryOutcome::Found(path),
+            None => PostcardQueryOutcome::NotFound,
+        }
+    }
+
+    /// The open-addressed table against a first-writer-wins `BTreeMap` with
+    /// ⊔ inserted first, over every 8-bit code, where 4096 values collide
+    /// on 256 codes and some value's code is g(⊔); at 16 and 32 bits over
+    /// every value's code and codes next to them. The table is no larger
+    /// than the `HashMap` it replaced.
+    #[test]
+    fn decode_table_is_first_writer_wins_with_blank_first() {
+        let universe = 4096;
+        for bits in [8, 16, 32] {
+            let codec = ValueCodec::switch_ids(universe, bits);
+            let blank = codec.encode(None);
+            let mut reference = BTreeMap::from([(blank, None)]);
+            for v in 0..universe {
+                reference.entry(codec.encode(Some(v))).or_insert(Some(v));
+            }
+            let probes: Vec<u32> = if bits == 8 {
+                assert!(
+                    (0..universe).any(|v| codec.encode(Some(v)) == blank),
+                    "some value's 8-bit code must equal g(⊔)"
+                );
+                (0..256).collect()
+            } else {
+                let codes = (0..universe).map(|v| codec.encode(Some(v)));
+                codes.flat_map(|c| [c, c ^ 1]).collect()
+            };
+            for code in probes {
+                let want = reference.get(&code).copied();
+                assert_eq!(codec.decode(code), want, "code {code:#x}, {bits} bits");
+            }
+            let map = naive_decode_map(&codec, universe);
+            let table_bytes = std::mem::size_of_val(&*codec.tables.decode);
+            let map_bytes = map.capacity() * std::mem::size_of::<(u32, Option<u32>)>();
+            assert!(table_bytes <= map_bytes, "{bits} bits: {table_bytes} B > map's {map_bytes} B");
+        }
+    }
+
+    proptest::proptest! {
+        /// The stack decode against the naive one, both reading the live
+        /// region and a snapshot of it, at 8, 16 and 32-bit slots and 1 to
+        /// 16 hops. Each of the key's chunks holds one of two shared paths
+        /// (so chunks agree or disagree), a fresh path, a valid prefix with
+        /// a value after a blank, arbitrary words, or nothing written.
+        #[test]
+        fn stack_decode_equals_the_naive_decode(
+            bits in 0usize..3,
+            hops in 1u8..=PostcardLayout::MAX_HOPS,
+            universe in 1u32..300,
+            n in 1usize..=8,
+            key in proptest::prelude::any::<u64>(),
+            chunks in proptest::collection::vec(
+                (
+                    0u8..6,
+                    0usize..=16,
+                    proptest::collection::vec(proptest::prelude::any::<u32>(), 16..=16),
+                ),
+                8..=8,
+            ),
+            redundancy in 1usize..=9,
+        ) {
+            let bits = [8, 16, 32][bits];
+            let layout = PostcardLayout { base_va: 0x4000, chunks: 8, hops, slot_bits: bits };
+            let region =
+                MemoryRegion::new(layout.base_va, layout.region_len() as usize, 1, MrAccess::WRITE);
+            let s = PostcardStore::new(layout, region, ValueCodec::switch_ids(universe, bits), n);
+            let key = TelemetryKey::from_u64(key);
+            let checksum = hop_checksums(&key, bits);
+            let hops = usize::from(hops);
+            // A path over the universe: `len` values, then ⊔.
+            let path = |len: usize, seeds: &[u32]| -> Vec<Option<u32>> {
+                (0..hops).map(|h| (h < len).then(|| seeds[h] % universe)).collect()
+            };
+            let shared = [path(hops, &chunks[0].2), path(hops / 2, &chunks[1].2)];
+            for (i, (kind, len, seeds)) in chunks.iter().take(n).enumerate() {
+                let values = match kind {
+                    0 | 1 => shared[usize::from(*kind)].clone(),
+                    2 => path(*len, seeds),
+                    3 => {
+                        // ⊔ at hop `b`, then a value.
+                        let b = len % hops;
+                        let mut p = path(b, seeds);
+                        if let Some(after) = p.get_mut(b + 1) {
+                            *after = Some(seeds[b + 1] % universe);
+                        }
+                        p
+                    }
+                    4 => Vec::new(),
+                    _ => continue,
+                };
+                let words: Vec<u32> = if values.is_empty() {
+                    seeds[..hops].to_vec() // arbitrary words
+                } else {
+                    (0..).zip(&values).map(|(h, v)| checksum(h) ^ s.codec.encode(*v)).collect()
+                };
+                let image: Vec<u8> = words.iter().flat_map(|w| w.to_be_bytes()).collect();
+                s.region().write(layout.chunk_va(&s.family, i, &key), &image).unwrap();
+            }
+            let snap = s.region().snapshot();
+            let view = SnapshotView { base_va: layout.base_va, bytes: snap.as_bytes() };
+            let decode = naive_decode_map(&s.codec, universe);
+            let naive = naive_query(&s, &decode, s.region(), &key, redundancy);
+            proptest::prop_assert_eq!(&naive_query(&s, &decode, &view, &key, redundancy), &naive);
+            proptest::prop_assert_eq!(&s.query(&key, redundancy), &naive, "live");
+            proptest::prop_assert_eq!(&s.query_from(&view, &key, redundancy), &naive, "snapshot");
+        }
     }
 }

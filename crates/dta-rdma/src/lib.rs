@@ -31,7 +31,7 @@ pub mod segment;
 pub mod verbs;
 
 pub use cm::{CmEvent, CmManager, ConnectionParams};
-pub use mr::{MemoryRegion, MemoryRegistry, MrError, MrStats, SnapshotBuf};
+pub use mr::{MemoryRegion, MemoryRegistry, MrError, SnapshotBuf};
 pub use nic::{NicConfig, NicPerfModel, RdmaNic, RxOutcome};
 pub use packet::{AtomicEth, Bth, ImmDt, Opcode, Reth, RocePacket, ROCE_UDP_PORT};
 pub use qp::{QpError, QpState, QueuePair};

@@ -15,7 +15,7 @@
 //! allocation-free: [`MemoryRegion::read_into`] copies into a caller buffer.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Stripe width in bytes. Power of two so stripe index and offset are a
@@ -104,18 +104,9 @@ impl MrAccess {
     pub const ATOMIC: MrAccess = MrAccess { remote_write: true, remote_atomic: true };
 }
 
-/// Query-side counters. Write/atomic instruction counts live inside the
-/// stripes (updated under the stripe lock those ops already hold) and are
-/// summed on demand — the write hot path performs no region-global atomic
-/// RMW at all.
-#[derive(Debug, Default)]
-pub struct MrStats {
-    /// Local read operations (collector-side queries).
-    pub local_reads: AtomicU64,
-}
-
-/// The counters a stripe lock serializes alongside its bytes (cheaper
-/// than region-global atomics).
+/// The counters a stripe lock serializes alongside its bytes: the
+/// write/atomic instruction counts are summed on demand, so no access —
+/// WRITE, FETCH_ADD or query read — touches a region-global atomic.
 #[derive(Default)]
 struct StripeMeta {
     writes: u64,
@@ -354,7 +345,6 @@ pub struct MemoryRegion {
     pub rkey: u32,
     access: MrAccess,
     mem: Arc<Stripes>,
-    stats: Arc<MrStats>,
 }
 
 impl core::fmt::Debug for MemoryRegion {
@@ -371,13 +361,7 @@ impl core::fmt::Debug for MemoryRegion {
 impl MemoryRegion {
     /// Register `len` zeroed bytes at `base_va` with the given key/access.
     pub fn new(base_va: u64, len: usize, rkey: u32, access: MrAccess) -> Self {
-        MemoryRegion {
-            base_va,
-            rkey,
-            access,
-            mem: Arc::new(Stripes::new(len)),
-            stats: Arc::new(MrStats::default()),
-        }
+        MemoryRegion { base_va, rkey, access, mem: Arc::new(Stripes::new(len)) }
     }
 
     /// Region length in bytes.
@@ -388,11 +372,6 @@ impl MemoryRegion {
     /// Whether the region is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Counter handle.
-    pub fn stats(&self) -> &MrStats {
-        &self.stats
     }
 
     fn offset(&self, va: u64, len: usize) -> Result<usize, MrError> {
@@ -521,16 +500,9 @@ impl MemoryRegion {
     }
 
     /// Copy `dst.len()` bytes at `va` into a caller-provided buffer — the
-    /// allocation-free read used by every query path. Not an RDMA op;
-    /// counted (on success) as one query-side memory access. Use
-    /// [`MemoryRegion::peek`] for diagnostics.
+    /// allocation-free read used by every query path. Not an RDMA op and
+    /// not counted: a query's reads are its `QueryResponse::probes`.
     pub fn read_into(&self, va: u64, dst: &mut [u8]) -> Result<(), MrError> {
-        self.copy_out(va, dst)?;
-        self.stats.local_reads.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    fn copy_out(&self, va: u64, dst: &mut [u8]) -> Result<(), MrError> {
         let mut off = self.offset(va, dst.len())?;
         let mut out = dst;
         while !out.is_empty() {
@@ -545,11 +517,12 @@ impl MemoryRegion {
         Ok(())
     }
 
-    /// Read without counting (test/diagnostic use).
+    /// [`MemoryRegion::read_into`] into a fresh `Vec` (READ responses,
+    /// tests and diagnostics).
     pub fn peek(&self, va: u64, len: usize) -> Result<Vec<u8>, MrError> {
         self.offset(va, len)?; // bound the request before allocating for it
         let mut out = vec![0u8; len];
-        self.copy_out(va, &mut out)?;
+        self.read_into(va, &mut out)?;
         Ok(out)
     }
 
@@ -812,7 +785,6 @@ mod tests {
         assert_eq!(got, [1, 2, 3, 4]);
         assert_eq!(mr.writes(), 1);
         assert_eq!(mr.snapshot().written, [(0, 64)], "one dirty line");
-        assert_eq!(mr.stats().local_reads.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -705,12 +705,7 @@ mod tests {
     /// bytes and counters, NIC counters, queued completions.
     fn observed(mut nic: RdmaNic) -> impl PartialEq + std::fmt::Debug {
         let region = nic.memory.lookup(0xAB).unwrap();
-        let mem = (
-            region.snapshot().to_vec(),
-            region.writes(),
-            region.memory_instructions(),
-            region.stats().local_reads.load(std::sync::atomic::Ordering::Relaxed),
-        );
+        let mem = (region.snapshot().to_vec(), region.writes(), region.memory_instructions());
         let completions: Vec<_> = std::iter::from_fn(|| nic.poll_completion()).collect();
         (mem, format!("{:?}", nic.stats), completions)
     }

@@ -22,7 +22,8 @@ const ICRC_LEN: usize = 4;
 
 /// The widest WRITE payload a pooled frame holds, and the width of the
 /// translator's image pool: a Key-Write slot, a Postcarding chunk, an
-/// Append batch of `16 × 4 B`.
+/// Append batch of `16 × 4 B`. One cache line, and the bound on the slot
+/// and chunk images a collector query reads onto its stack.
 pub const IMAGE_BYTES: usize = 64;
 
 /// Buffer width of a pooled RoCE frame: Eth/IPv4/UDP, BTH, RETH, immediate

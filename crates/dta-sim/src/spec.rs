@@ -8,7 +8,7 @@
 //! synthesis and per-link fault injectors, and the only clock is the
 //! simulated one.
 
-use dta_collector::ServiceConfig;
+use dta_collector::{KwLayout, PostcardLayout, ServiceConfig};
 use dta_hash::polynomials::MAX_REDUNDANCY;
 use dta_net::{FaultConfig, LinkConfig};
 use dta_reporter::RetransmitPolicy;
@@ -518,6 +518,21 @@ impl ScenarioSpec {
                 "translator.postcard_hops ({}) must equal service.postcard_hops ({}): \
                  both ends share one chunk stride",
                 self.translator.postcard_hops, self.service.postcard_hops
+            ));
+        }
+        // A query reads a slot or chunk onto its stack: one 64-byte line.
+        if self.service.kw_value_bytes > KwLayout::MAX_VALUE_BYTES {
+            return Err(format!(
+                "service.kw_value_bytes must be <= {}, got {}",
+                KwLayout::MAX_VALUE_BYTES,
+                self.service.kw_value_bytes
+            ));
+        }
+        if self.service.postcard_hops > PostcardLayout::MAX_HOPS {
+            return Err(format!(
+                "service.postcard_hops must be <= {}, got {}",
+                PostcardLayout::MAX_HOPS,
+                self.service.postcard_hops
             ));
         }
         if self.translator.append_batch == 0 {

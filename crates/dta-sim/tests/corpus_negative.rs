@@ -35,6 +35,8 @@ const EXPECTATIONS: &[(&str, &[&str])] = &[
     ("append_batch_zero.toml", &["translator.append_batch"]),
     ("mtu_zero.toml", &["translator.mtu must be >= 1"]),
     ("fault_chance_overflow.toml", &["faults.fabric.drop_chance", "[0, 1]"]),
+    ("kw_value_bytes_overflow.toml", &["service.kw_value_bytes must be <= 60, got 61"]),
+    ("postcard_hops_overflow.toml", &["service.postcard_hops must be <= 16, got 17"]),
     ("sweep_chance_overflow.toml", &["invalid sweep cell [drop=2.0]"]),
 ];
 
