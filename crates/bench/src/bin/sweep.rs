@@ -25,7 +25,8 @@
 use std::path::PathBuf;
 use std::process::exit;
 
-use dta_analysis::sweep::{mc_keywrite_check, FileCoverage, SweepSummary, Violation};
+use dta_analysis::sweep::{kw_audit_vs_bound, FileCoverage, SweepSummary, Violation};
+use dta_collector::KwLayout;
 use dta_net::splitmix64;
 use dta_sim::{load_dir, load_file, memory_fingerprint, run_scenario, Cell, CorpusDoc};
 
@@ -269,22 +270,15 @@ fn sweep_file(doc: &CorpusDoc, sample: Option<u64>, seed: u64) -> FileCoverage {
                 ),
             }
         }
-        if inv.kw_audit_vs_montecarlo {
+        if inv.kw_audit_vs_bound {
             cov.checks += 1;
             let audited = r.queries.kw_found + r.queries.kw_ambiguous + r.queries.kw_missing;
-            let spec = &cell.spec;
-            let slots = spec.service.kw_bytes / (4 + spec.service.kw_value_bytes as u64);
+            let service = &cell.spec.service;
+            let slots = KwLayout::with_capacity(0, service.kw_bytes, service.kw_value_bytes).slots;
             let observed = if audited == 0 { 1.0 } else { r.queries.kw_found as f64 / audited as f64 };
-            match mc_keywrite_check(slots, spec.traffic.kw_redundancy as u32, audited, observed, spec.seed)
-            {
-                Some(c) if !c.ok => fail(
-                    "kw_audit_vs_montecarlo",
-                    format!(
-                        "observed {:.4} vs predicted {:.4} (alpha {:.5}, {} keys)",
-                        c.observed, c.predicted, c.alpha, audited
-                    ),
-                ),
-                _ => {}
+            let redundancy = u32::from(cell.spec.traffic.kw_redundancy);
+            if let Some(detail) = kw_audit_vs_bound(slots, redundancy, audited, observed) {
+                fail("kw_audit_vs_bound", detail);
             }
         }
         if inv.cross_mode_memory_equal {

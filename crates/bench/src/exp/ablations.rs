@@ -3,22 +3,23 @@
 //! These go beyond the paper's figures: each table isolates one design
 //! decision the paper makes and quantifies the alternative.
 
+use std::cell::Cell;
+
 use dta_analysis::keywrite::kw_wrong_return_bound;
-use dta_analysis::montecarlo::simulate_keywrite;
 use dta_analysis::postcarding::kw_vs_postcarding_wrong_output;
 use dta_analysis::resources::{translator_footprint, TranslatorFeatures};
 use dta_analysis::table::{fmt_pct, fmt_rate};
 use dta_analysis::Table;
-use dta_collector::layout::KwLayout;
-use dta_collector::{KeyWriteStore, QueryPolicy};
-use dta_core::TelemetryKey;
-use dta_rdma::mr::{MemoryRegion, MrAccess};
+use dta_collector::QueryPolicy;
+use dta_net::splitmix64;
 use dta_rdma::nic::{NicConfig, NicPerfModel};
 
+use super::analysis::{kw_window, window};
 use super::system::append_wire_bytes;
 
 /// Ablation 1: Key-Write query policy (Appendix A.5 discusses plurality vs
-/// consensus). Measured on the real byte-level store.
+/// consensus). Measured on the real store; at each load every policy reads
+/// the same writes.
 pub fn ablation_query_policy(quick: bool) -> Table {
     let trials = if quick { 150 } else { 600 };
     let slots: u64 = 1 << 12;
@@ -28,33 +29,42 @@ pub fn ablation_query_policy(quick: bool) -> Table {
     );
     for alpha in [0.1, 0.5, 1.0] {
         let mut row = vec![format!("{alpha:.1}")];
+        let age = (alpha * slots as f64).round() as u64;
         for policy in [QueryPolicy::FirstMatch, QueryPolicy::Plurality, QueryPolicy::Consensus(2)] {
-            let mut found = 0u32;
-            for trial in 0..trials {
-                let layout = KwLayout { base_va: 0, slots, value_bytes: 4 };
-                let region =
-                    MemoryRegion::new(0, layout.region_len() as usize, 1, MrAccess::WRITE);
-                let store = KeyWriteStore::new(layout, region, 4);
-                let victim = TelemetryKey::from_u64(u64::MAX - trial as u64);
-                store.insert_direct(&victim, &[7; 4], 4);
-                let others = (alpha * slots as f64) as u64;
-                for i in 0..others {
-                    let k = TelemetryKey::from_u64(trial as u64 * others + i);
-                    store.insert_direct(&k, &[1; 4], 4);
-                }
-                if let dta_collector::QueryOutcome::Found(v) =
-                    store.query(&victim, 4, policy)
-                {
-                    if v == vec![7; 4] {
-                        found += 1;
-                    }
-                }
-            }
-            row.push(fmt_pct(found as f64 / trials as f64));
+            row.push(fmt_pct(kw_window(slots, 4, 4, age, trials, policy, 0xA).found));
         }
         t.row(&row);
     }
     t
+}
+
+/// Wrong-return rate of Plurality at N=2 and α=1.0 over an abstract
+/// 1024-slot table of `(b-bit checksum, writer)` pairs, in the sliding
+/// window `kw_window` runs. The real store's checksum is 32 bits wide, so
+/// this is the one loop that can vary `b`.
+fn checksum_width_wrong_rate(b: u32, trials: u64, seed: u64) -> f64 {
+    const SLOTS: u64 = 1 << 10;
+    // Key x's checksum and its two slots, all drawn from x.
+    let place = |mut x: u64| -> (u32, [usize; 2]) {
+        let checksum = (splitmix64(&mut x) >> (64 - b)) as u32;
+        (checksum, [0; 2].map(|_| (splitmix64(&mut x) % SLOTS) as usize))
+    };
+    let table = vec![Cell::new((0u32, u64::MAX)); SLOTS as usize];
+    let write = |x| {
+        let (checksum, slots) = place(x);
+        for s in slots {
+            table[s].set((checksum, x));
+        }
+    };
+    let judge = |victim| {
+        let (checksum, slots) = place(victim);
+        let [first, second] = slots.map(|s| Some(table[s].get()).filter(|e| e.0 == checksum));
+        match (first, second) {
+            (Some(u), Some(v)) if u.1 != v.1 => None, // a tie: empty
+            (u, v) => u.or(v).map(|(_, writer)| writer == victim),
+        }
+    };
+    window(SLOTS, trials, seed, write, judge).wrong
 }
 
 /// Ablation 2: checksum width `b` — the memory/accuracy trade of A.5.
@@ -65,11 +75,10 @@ pub fn ablation_checksum_width(quick: bool) -> Table {
         &["b [bits]", "Analytic bound", "Monte-Carlo wrong", "Slot overhead"],
     );
     for b in [4u32, 8, 16, 32] {
-        let mc = simulate_keywrite(1 << 10, 2, b, 1.0, trials, 0xB + b as u64);
         t.row(&[
             b.to_string(),
             format!("{:.2e}", kw_wrong_return_bound(2, b, 1.0)),
-            format!("{:.2e}", mc.wrong_rate()),
+            format!("{:.2e}", checksum_width_wrong_rate(b, trials, 0xB + u64::from(b))),
             format!("+{}B", b.div_ceil(8)),
         ]);
     }
@@ -139,6 +148,18 @@ mod tests {
             let parse = |s: &str| s.trim_end_matches('%').parse::<f64>().unwrap();
             assert!(parse(cells[3]) <= parse(cells[1]) + 8.0, "consensus should not find more: {line}");
         }
+    }
+
+    #[test]
+    fn plurality_at_full_load_tracks_the_closed_form() {
+        // The keys must be scrambled: under a linear CRC sequential ids
+        // spread evenly over the slots, and then none survives α = 1.0.
+        let csv = ablation_query_policy(true).to_csv();
+        let row = csv.lines().find(|l| l.starts_with("1.0,")).unwrap();
+        let plurality: f64 = row.split(',').nth(2).unwrap().trim_end_matches('%').parse().unwrap();
+        let bound = 100.0 * dta_analysis::keywrite::kw_success_rate(4, 32, 1.0);
+        assert!(plurality > 2.0, "Plurality at α=1.0 found nothing: {row}");
+        assert!((plurality - bound).abs() <= 5.0, "Plurality {plurality}% vs closed form {bound:.1}%");
     }
 
     #[test]

@@ -49,9 +49,9 @@ pub enum ExperimentId {
     F15,
     /// Figure 16a/16b: Append polling rate and breakdown.
     F16,
-    /// Appendix A.5: Key-Write bounds vs Monte Carlo.
+    /// Appendix A.5: Key-Write bounds vs the measured store.
     A5,
-    /// Appendix A.6: Postcarding bounds.
+    /// Appendix A.6: Postcarding bounds vs the measured store.
     A6,
     /// Ablation studies (DESIGN.md §6): query policies, checksum width,
     /// postcard encoding, batch tradeoff.
@@ -145,7 +145,7 @@ pub fn run_experiment(id: ExperimentId, quick: bool) -> Vec<Table> {
         ExperimentId::F15 => vec![primitives::figure15()],
         ExperimentId::F16 => primitives::figure16(quick),
         ExperimentId::A5 => vec![analysis::appendix_a5(quick)],
-        ExperimentId::A6 => vec![analysis::appendix_a6()],
+        ExperimentId::A6 => vec![analysis::appendix_a6(quick)],
         ExperimentId::Ablations => vec![
             ablations::ablation_query_policy(quick),
             ablations::ablation_checksum_width(quick),

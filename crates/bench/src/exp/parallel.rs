@@ -32,15 +32,6 @@ impl ParallelRunStats {
     pub fn rate(&self) -> f64 {
         self.queries as f64 / self.elapsed.as_secs_f64().max(1e-12)
     }
-
-    /// Fraction of queries that found a value.
-    pub fn success_rate(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.found as f64 / self.queries as f64
-        }
-    }
 }
 
 /// Query `keys` against `store` using `cores` threads (Figure 11a harness).

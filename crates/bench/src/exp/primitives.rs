@@ -2,7 +2,6 @@
 
 use std::hint::black_box;
 
-use dta_analysis::montecarlo::{simulate_keywrite, simulate_keywrite_aging};
 use dta_analysis::table::{fmt_pct, fmt_rate};
 use dta_analysis::Table;
 use dta_collector::layout::{AppendLayout, KwLayout};
@@ -13,6 +12,7 @@ use dta_rdma::mr::{MemoryRegion, MrAccess};
 use dta_rdma::nic::{NicConfig, NicPerfModel};
 use dta_translator::PostcardCache;
 
+use super::analysis::kw_window;
 use super::parallel::{parallel_append_poll, parallel_kw_query};
 use super::system::{append_wire_bytes, kw_wire_bytes, postcard_wire_bytes};
 
@@ -112,26 +112,29 @@ pub fn figure11(quick: bool) -> Vec<Table> {
     vec![rate_table, bd_table]
 }
 
-/// Figure 12: query success rate vs load factor for N ∈ {1,2,4,8}.
+/// Figure 12: query success rate vs load factor for N ∈ {1,2,4,8},
+/// measured on the real store.
 pub fn figure12(quick: bool) -> Table {
     let trials = if quick { 400 } else { 2_000 };
-    let slots = if quick { 1 << 12 } else { 1 << 14 };
+    let slots: u64 = if quick { 1 << 12 } else { 1 << 14 };
     let mut t = Table::new(
         "Figure 12 — Query success rate vs load factor",
         &["α", "N=1", "N=2", "N=4", "N=8"],
     );
     for alpha in [0.1, 0.2, 0.4, 0.6, 0.8, 1.0] {
         let mut row = vec![format!("{alpha:.1}")];
-        for n in [1u32, 2, 4, 8] {
-            let mc = simulate_keywrite(slots, n, 32, alpha, trials, 42 + n as u64);
-            row.push(fmt_pct(mc.success_rate()));
+        let age = (alpha * slots as f64).round() as u64;
+        for n in [1usize, 2, 4, 8] {
+            let acc = kw_window(slots, n, 4, age, trials, QueryPolicy::Plurality, 42 + n as u64);
+            row.push(fmt_pct(acc.found));
         }
         t.row(&row);
     }
     t
 }
 
-/// Figure 13: data longevity — queryability vs age for various store sizes.
+/// Figure 13: data longevity — queryability vs age for various store sizes,
+/// measured on the real store.
 pub fn figure13(quick: bool) -> Table {
     // Paper: 1/3/5/10/30 GiB stores, ages up to 100M newer flows, 24B slots
     // (20B path + 4B csum). Scale by 4096: slot counts and ages shrink
@@ -147,8 +150,8 @@ pub fn figure13(quick: bool) -> Table {
         let age = age_m * 1_000_000 / SCALE;
         let mut row = vec![format!("{age_m}M")];
         for g in [1u64, 3, 5, 10, 30] {
-            let rate = simulate_keywrite_aging(gib(g), 2, age, trials, 7 + g);
-            row.push(fmt_pct(rate));
+            let acc = kw_window(gib(g), 2, 20, age, trials, QueryPolicy::Plurality, 7 + g);
+            row.push(fmt_pct(acc.found));
         }
         t.row(&row);
     }
@@ -321,6 +324,33 @@ mod tests {
     fn figure12_success_falls_with_load_and_rises_with_n_at_low_load() {
         let t = figure12(true);
         assert_eq!(t.len(), 6);
+    }
+
+    #[test]
+    fn success_rate_falls_with_age() {
+        let t = figure13(true);
+        let rows: Vec<Vec<f64>> = t
+            .to_csv()
+            .lines()
+            .skip(1)
+            .map(|l| l.split(',').skip(1).map(|c| c.trim_end_matches('%').parse().unwrap()).collect())
+            .collect();
+        // A column queries the same keys at every age, and an older key's
+        // slots saw a superset of the overwrites, so success never rises.
+        for (younger, older) in rows.iter().zip(&rows[1..]) {
+            for (y, o) in younger.iter().zip(older) {
+                assert!(o <= y, "success rose with age: {y}% -> {o}%\n{}", t.to_csv());
+            }
+        }
+        // A bigger store sees a lower load at the same age; one point of
+        // slack covers the trial noise between two stores.
+        for row in &rows {
+            for pair in row.windows(2) {
+                assert!(pair[1] >= pair[0] - 1.0, "a bigger store lost: {row:?}");
+            }
+        }
+        assert!(rows[0][0] > rows[5][0], "fresh must beat aged: {}", t.to_csv());
+        assert!(rows[0][4] > 95.0, "fresh data should be queryable: {:?}", rows[0]);
     }
 
     #[test]

@@ -4,21 +4,21 @@
 //!   equations (1)–(4) of the paper (Appendix A.5).
 //! * [`postcarding`] — the Postcarding bounds, equations (5)–(8)
 //!   (Appendix A.6).
-//! * [`montecarlo`] — fast abstract simulators that validate the bounds
-//!   empirically (used by tests and the A.5/A.6 repro experiments).
 //! * [`cpu`] — the CPU-collector cycle/memory model (MultiLog, Cuckoo, BTrDB,
 //!   INTCollector) behind Figures 2, 3 and 7a.
 //! * [`cost`] — the Figure 3 collection-cost model (cores vs network size).
 //! * [`resources`] — the Tofino resource tables behind Figure 9 (reporter
 //!   footprints) and Table 3 (translator footprint, Append batching).
 //! * [`table`] — markdown/CSV table emission for the `repro` harness.
-//! * [`sweep`] — corpus-sweep coverage aggregation + the Monte-Carlo
-//!   cross-check behind the `sweep` binary's coverage report.
+//! * [`sweep`] — corpus-sweep coverage aggregation + the closed-form
+//!   Key-Write audit check behind the `sweep` binary's coverage report.
+//!
+//! The bounds are measured against the real stores by the A.5/A.6
+//! experiments in `dta-bench` (`exp::analysis`), not by a model here.
 
 pub mod cost;
 pub mod cpu;
 pub mod keywrite;
-pub mod montecarlo;
 pub mod postcarding;
 pub mod resources;
 pub mod sweep;

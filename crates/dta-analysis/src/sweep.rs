@@ -3,13 +3,13 @@
 //! The `sweep` binary (`crates/bench/src/bin/sweep.rs`) expands every
 //! corpus file's grid, runs the cells, and checks the file's declared
 //! invariants; this module holds the shared result model — per-file
-//! coverage, violations, the machine-readable JSON report — and the
-//! Monte-Carlo cross-check that ties an observed Key-Write audit back to
-//! the abstract-store prediction of [`crate::montecarlo`].
+//! coverage, violations, the machine-readable JSON report — and the check
+//! that ties an observed Key-Write audit back to the Appendix A.5 closed
+//! form [`kw_success_rate`] at the same load.
 //!
 //! The JSON renderer is hand-rolled — the build environment has no serde.
 
-use crate::montecarlo::simulate_keywrite;
+use crate::keywrite::kw_success_rate;
 
 /// One invariant failure on one cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -164,54 +164,30 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// Result of a Monte-Carlo Key-Write cross-check.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct McCheck {
-    /// Audit success rate the scenario observed.
-    pub observed: f64,
-    /// Success rate the abstract-store simulation predicts at this load.
-    pub predicted: f64,
-    /// Slot count the simulation ran at (scaled down from the real store).
-    pub slots: u64,
-    /// Load factor `keys_written / real_slots` (preserved by the scaling).
-    pub alpha: f64,
-    /// Whether observed is within `slack` of predicted.
-    pub ok: bool,
-}
+/// Tolerance on `observed - predicted`: a scenario audits a few hundred
+/// keys, so this is a sanity band, not a confidence interval.
+const BOUND_SLACK: f64 = 0.05;
 
-/// Tolerance on `observed - predicted`: the simulation is only a few
-/// hundred trials and the scenario's hash family is not the simulator's
-/// uniform one, so this is a sanity band, not a confidence interval.
-const MC_SLACK: f64 = 0.05;
-
-/// Cross-check an observed Key-Write audit against the Appendix A.5
-/// abstract store: at load `alpha = keys_written / real_slots`, the
-/// plurality-vote success rate predicted by [`simulate_keywrite`] must be
-/// within [`MC_SLACK`] of what the scenario measured.
-///
-/// The simulation preserves `alpha` but caps the table at 16 Ki slots so a
-/// per-cell check stays sub-millisecond; returns `None` when the scenario
-/// wrote no Key-Write keys (nothing to check).
-pub fn mc_keywrite_check(
-    real_slots: u64,
+/// Check an observed Key-Write audit against the Appendix A.5 closed form:
+/// at load `alpha = keys_written / slots` the success rate
+/// [`kw_success_rate`] predicts must be within [`BOUND_SLACK`] of the
+/// `observed` one. Returns the violation's detail, or `None` when the audit
+/// is within the band or the scenario wrote no Key-Write keys.
+pub fn kw_audit_vs_bound(
+    slots: u64,
     redundancy: u32,
     keys_written: u64,
-    observed_success: f64,
-    seed: u64,
-) -> Option<McCheck> {
-    if keys_written == 0 || real_slots == 0 {
+    observed: f64,
+) -> Option<String> {
+    if keys_written == 0 || slots == 0 {
         return None;
     }
-    let alpha = keys_written as f64 / real_slots as f64;
-    let slots = real_slots.min(16 * 1024);
-    let mc = simulate_keywrite(slots, redundancy.max(1), 32, alpha, 300, seed);
-    let predicted = mc.success_rate();
-    Some(McCheck {
-        observed: observed_success,
-        predicted,
-        slots,
-        alpha,
-        ok: (observed_success - predicted).abs() <= MC_SLACK,
+    let alpha = keys_written as f64 / slots as f64;
+    let predicted = kw_success_rate(redundancy.max(1), 32, alpha);
+    ((observed - predicted).abs() > BOUND_SLACK).then(|| {
+        format!(
+            "observed {observed:.4} vs predicted {predicted:.4} (alpha {alpha:.5}, {keys_written} keys)"
+        )
     })
 }
 
@@ -264,22 +240,20 @@ mod tests {
     }
 
     #[test]
-    fn mc_check_agrees_at_light_load() {
+    fn bound_check_agrees_at_light_load() {
         // 256 keys in 128 Ki slots, N=2: success is essentially certain,
         // and a clean audit (observed 1.0) must pass.
-        let c = mc_keywrite_check(1 << 17, 2, 256, 1.0, 42).unwrap();
-        assert!(c.predicted > 0.99, "predicted {}", c.predicted);
-        assert!(c.ok);
-        assert!((c.alpha - 256.0 / 131072.0).abs() < 1e-12);
-        assert_eq!(c.slots, 16 * 1024);
+        let predicted = kw_success_rate(2, 32, 256.0 / 131072.0);
+        assert!(predicted > 0.99, "predicted {predicted}");
+        assert_eq!(kw_audit_vs_bound(1 << 17, 2, 256, 1.0), None);
     }
 
     #[test]
-    fn mc_check_flags_implausible_audits() {
+    fn bound_check_flags_implausible_audits() {
         // Claiming a 50% audit at a load where ~100% must succeed fails.
-        let c = mc_keywrite_check(1 << 17, 2, 256, 0.5, 42).unwrap();
-        assert!(!c.ok);
+        let detail = kw_audit_vs_bound(1 << 17, 2, 256, 0.5).expect("a violation");
+        assert_eq!(detail, "observed 0.5000 vs predicted 1.0000 (alpha 0.00195, 256 keys)");
         // And nothing written means nothing to check.
-        assert!(mc_keywrite_check(1 << 17, 2, 0, 1.0, 42).is_none());
+        assert_eq!(kw_audit_vs_bound(1 << 17, 2, 0, 1.0), None);
     }
 }

@@ -1,96 +1,9 @@
-//! Cross-validation: the byte-level stores, the abstract Monte-Carlo
-//! simulators, and the closed-form bounds must all tell the same story.
+//! Counter consistency across the translator, the RDMA NIC and the
+//! collector under a mixed four-primitive load. (The accuracy of the
+//! stores against the closed-form bounds is measured beside the A.5/A.6
+//! experiments in `dta-bench`.)
 
-use dta::analysis::keywrite::kw_success_rate;
-use dta::analysis::montecarlo::simulate_keywrite;
-use dta::collector::layout::KwLayout;
-use dta::collector::{KeyWriteStore, QueryPolicy};
 use dta::core::TelemetryKey;
-use dta::rdma::mr::{MemoryRegion, MrAccess};
-
-/// Scramble an index into a pseudo-random key id (splitmix64). Sequential
-/// ids are adversarial for CRC-based slot indexing at power-of-two table
-/// sizes (CRC is linear, so the low-bit projections of consecutive ids can
-/// collapse into a small subspace); real telemetry keys are flow tuples
-/// without that structure, which the scramble emulates.
-fn scramble(mut i: u64) -> u64 {
-    dta::net::splitmix64(&mut i)
-}
-
-/// Empirical success rate of the real byte-level store at load `alpha`.
-fn byte_level_success(slots: u64, n: usize, alpha: f64, victims: u64, seed: u64) -> f64 {
-    let layout = KwLayout { base_va: 0, slots, value_bytes: 4 };
-    let region = MemoryRegion::new(0, layout.region_len() as usize, 1, MrAccess::WRITE);
-    let store = KeyWriteStore::new(layout, region, 8);
-    // Write `victims` victim keys, then `alpha * slots` fresh keys.
-    for v in 0..victims {
-        store.insert_direct(&TelemetryKey::from_u64(scramble(v)), &[0xAA; 4], n);
-    }
-    let others = (alpha * slots as f64) as u64;
-    for i in 0..others {
-        store.insert_direct(
-            &TelemetryKey::from_u64(scramble((1 << 40) + seed * (1 << 32) + i)),
-            &[0x55; 4],
-            n,
-        );
-    }
-    let mut found = 0u64;
-    for v in 0..victims {
-        if let dta::collector::QueryOutcome::Found(val) =
-            store.query(&TelemetryKey::from_u64(scramble(v)), n, QueryPolicy::Plurality)
-        {
-            assert_eq!(val, vec![0xAA; 4], "byte-level store returned a wrong value");
-            found += 1;
-        }
-    }
-    found as f64 / victims as f64
-}
-
-#[test]
-fn byte_level_matches_monte_carlo_and_bound() {
-    // Moderate load, N=2: all three estimates of the success rate must
-    // agree within Monte-Carlo noise.
-    let alpha = 0.2;
-    let slots = 1 << 13;
-    let real = byte_level_success(slots, 2, alpha, 800, 1);
-    let mc = simulate_keywrite(slots, 2, 32, alpha, 1_500, 2).success_rate();
-    let bound = kw_success_rate(2, 32, alpha);
-    assert!(
-        (real - mc).abs() < 0.06,
-        "byte-level {real:.3} vs Monte-Carlo {mc:.3}"
-    );
-    assert!(
-        (real - bound).abs() < 0.08,
-        "byte-level {real:.3} vs analytic {bound:.3}"
-    );
-}
-
-#[test]
-fn byte_level_redundancy_ordering_matches_theory() {
-    // At α = 0.1 theory says success(N=4) > success(N=2) > success(N=1).
-    let alpha = 0.1;
-    let slots = 1 << 13;
-    let s1 = byte_level_success(slots, 1, alpha, 600, 10);
-    let s2 = byte_level_success(slots, 2, alpha, 600, 11);
-    let s4 = byte_level_success(slots, 4, alpha, 600, 12);
-    assert!(s2 > s1 - 0.02, "N=2 {s2:.3} should beat N=1 {s1:.3}");
-    assert!(s4 > s2 - 0.02, "N=4 {s4:.3} should beat N=2 {s2:.3}");
-    assert!(s4 > 0.95, "N=4 at α=0.1 should be near-perfect: {s4:.3}");
-}
-
-#[test]
-fn byte_level_tracks_figure12_curve() {
-    // Sweep α and compare against the closed-form success curve for N=2.
-    let slots = 1 << 12;
-    for alpha in [0.1, 0.4, 0.8] {
-        let real = byte_level_success(slots, 2, alpha, 400, 42);
-        let bound = kw_success_rate(2, 32, alpha);
-        assert!(
-            (real - bound).abs() < 0.12,
-            "α={alpha}: byte-level {real:.3} vs analytic {bound:.3}"
-        );
-    }
-}
 
 #[test]
 fn stress_all_primitives_counter_consistency() {
