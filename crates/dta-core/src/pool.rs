@@ -1,7 +1,9 @@
-//! The recycling buffer pool (DPDK-mempool style) every wire-path buffer
-//! comes from: the translator's slot/chunk/batch images, each reporter's
-//! frames, and the RoCE frames of the translator's link and the collector
-//! node.
+//! The recycling buffer pool (DPDK-mempool style) every wide wire-path
+//! buffer comes from: the translator's chunk/batch images and Key-Write
+//! slot images past [`Bytes::INLINE_CAP`], each reporter's frames, and the
+//! RoCE frames of the translator's link and the collector node. A build of
+//! at most [`Bytes::INLINE_CAP`] bytes is an inline handle and never
+//! touches the pool.
 //!
 //! Every owner — a translator (and so every shard of a sharded one), a
 //! reporter, a link, a collector node — owns its pool outright: buffers
@@ -15,13 +17,15 @@ use bytes::Bytes;
 
 /// A recycling pool of shared buffers of one width.
 ///
-/// `build` hands out a zero-copy [`Bytes`] view of a pooled buffer when the
-/// next buffer in rotation is no longer referenced by any handle. When it
-/// still is, the ring grows by a fresh buffer, up to its depth; at depth the
-/// fresh buffer replaces the busy one in the rotation (graceful degradation
-/// when a consumer retains buffers indefinitely — never corruption). In the
-/// steady state — build, consume, drop — a warm pool performs no heap
-/// allocation for buffers up to its width.
+/// `build` hands out an inline [`Bytes`] up to [`Bytes::INLINE_CAP`] bytes
+/// (its clones are plain copies), and past that a zero-copy view of a
+/// pooled buffer when the next buffer in rotation is no longer referenced
+/// by any handle. When it still is, the ring grows by a fresh buffer, up to
+/// its depth; at depth the fresh buffer replaces the busy one in the
+/// rotation (graceful degradation when a consumer retains buffers
+/// indefinitely — never corruption). In the steady state — build, consume,
+/// drop — a warm pool performs no heap allocation for buffers up to its
+/// width.
 #[derive(Debug)]
 pub struct ImagePool {
     width: usize,
@@ -46,11 +50,25 @@ impl ImagePool {
     }
 
     /// Produce a `len`-byte buffer, letting `fill` write it into zeroed
-    /// bytes. The handle returned is the only one made: `N` replicas of it
+    /// bytes. Up to [`Bytes::INLINE_CAP`] bytes the buffer is built on the
+    /// stack and returned inline: no pool ring, no reference count. Past
+    /// that, the handle returned is the only one made: `N` replicas of it
     /// cost `N` refcount bumps in all. A buffer wider than the pool's width
     /// is one exact-size allocation ([`build_exact`]).
     #[inline]
     pub fn build(&mut self, len: usize, fill: impl FnOnce(&mut [u8])) -> Bytes {
+        if len <= Bytes::INLINE_CAP {
+            let mut buf = [0u8; Bytes::INLINE_CAP];
+            fill(&mut buf[..len]);
+            return Bytes::from_inline(buf, len);
+        }
+        self.build_pooled(len, fill)
+    }
+
+    /// [`ImagePool::build`] past the inline width. Out of line, so `fill`
+    /// has one call site in `build` and inlines into the inline arm.
+    #[inline(never)]
+    fn build_pooled(&mut self, len: usize, fill: impl FnOnce(&mut [u8])) -> Bytes {
         if len > self.width {
             return build_exact(len, fill);
         }
@@ -114,13 +132,23 @@ fn zeroed(len: usize) -> Arc<[u8]> {
 mod tests {
     use super::*;
 
+    /// 32 bytes derived from `i`: wider than [`Bytes::INLINE_CAP`], so a
+    /// build of it takes the pooled arm.
+    fn wide(i: u64) -> [u8; 32] {
+        let mut out = [0u8; 32];
+        for word in out.chunks_exact_mut(8) {
+            word.copy_from_slice(&i.to_be_bytes());
+        }
+        out
+    }
+
     #[test]
     fn steady_state_recycles_after_warm_up() {
         let mut pool = ImagePool::new(64, 1024);
         for round in 0..3u64 {
             for i in 0..500u64 {
-                let img = pool.copy(&i.to_be_bytes());
-                assert_eq!(&img[..], &i.to_be_bytes());
+                let img = pool.copy(&wide(i));
+                assert_eq!(&img[..], &wide(i));
             }
             assert_eq!(pool.recycled + pool.allocated, (round + 1) * 500);
             assert_eq!(pool.allocated, 1, "one buffer in flight at a time needs one buffer");
@@ -134,18 +162,18 @@ mod tests {
         // allocations (never corruption): retained buffers must keep their
         // contents even after the pool index wraps.
         let depth = 64;
-        let mut pool = ImagePool::new(8, depth);
+        let mut pool = ImagePool::new(32, depth);
         let total = depth + 100;
-        let retained: Vec<Bytes> = (0..total as u32).map(|i| pool.copy(&i.to_be_bytes())).collect();
+        let retained: Vec<Bytes> = (0..total as u64).map(|i| pool.copy(&wide(i))).collect();
         assert_eq!(pool.allocated, total as u64, "every buffer is still referenced");
         assert_eq!(pool.ring.len(), depth);
         for (i, img) in retained.iter().enumerate() {
-            assert_eq!(&img[..], &(i as u32).to_be_bytes(), "buffer {i} clobbered by pool reuse");
+            assert_eq!(&img[..], &wide(i as u64), "buffer {i} clobbered by pool reuse");
         }
         // Once the consumer lets go, the ring recycles without growing.
         drop(retained);
-        for i in 0..2 * depth as u32 {
-            pool.copy(&i.to_be_bytes());
+        for i in 0..2 * depth as u64 {
+            pool.copy(&wide(i));
         }
         assert_eq!(pool.allocated, total as u64);
         assert_eq!(pool.ring.len(), depth);
@@ -198,11 +226,38 @@ mod tests {
     }
 
     #[test]
+    fn inline_builds_never_touch_the_ring() {
+        let mut pool = ImagePool::new(64, 4);
+        let held: Vec<Bytes> =
+            (0..=Bytes::INLINE_CAP).map(|len| pool.build(len, |buf| buf.fill(len as u8))).collect();
+        for (len, img) in held.iter().enumerate() {
+            assert_eq!(&img[..], &vec![len as u8; len][..]);
+        }
+        assert!(pool.ring.is_empty(), "a build of at most 16 B is inline");
+        assert_eq!((pool.recycled, pool.allocated), (0, 0));
+        // One byte more takes the pooled arm.
+        let pooled = pool.build(Bytes::INLINE_CAP + 1, |buf| buf.fill(1));
+        assert_eq!(&pooled[..], &[1u8; Bytes::INLINE_CAP + 1]);
+        assert_eq!((pool.ring.len(), pool.allocated), (1, 1));
+    }
+
+    #[test]
     fn recycled_buffers_are_zeroed_before_fill() {
-        let mut pool = ImagePool::new(8, 1);
+        let mut pool = ImagePool::new(32, 1);
+        drop(pool.build(32, |buf| buf.fill(0xFF)));
+        let img = pool.build(32, |buf| buf[0] = 1);
+        let mut want = [0u8; 32];
+        want[0] = 1;
+        assert_eq!(&img[..], &want);
+        assert_eq!(pool.recycled, 1);
+    }
+
+    #[test]
+    fn inline_builds_are_zeroed_before_fill() {
+        let mut pool = ImagePool::new(32, 1);
         drop(pool.build(8, |buf| buf.fill(0xFF)));
         let img = pool.build(8, |buf| buf[0] = 1);
         assert_eq!(&img[..], &[1, 0, 0, 0, 0, 0, 0, 0]);
-        assert_eq!(pool.recycled, 1);
+        assert_eq!(pool.recycled, 0);
     }
 }

@@ -74,6 +74,10 @@ pub struct DtaReport {
     pub payload: Bytes,
 }
 
+// Reports move by value through workload vectors and shard rings: a field
+// or a `Bytes` that grows widens every one of them, so the width is pinned.
+const _: () = assert!(std::mem::size_of::<DtaReport>() == 88);
+
 impl DtaReport {
     /// Build a Key-Write report.
     pub fn key_write(seq: u32, key: TelemetryKey, redundancy: u8, data: impl Into<Bytes>) -> Self {

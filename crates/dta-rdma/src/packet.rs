@@ -266,6 +266,11 @@ pub struct RocePacket {
     pub payload: Bytes,
 }
 
+// Packets move by value into every translator output vector and NIC burst:
+// a field or a `Bytes` that grows widens every one of them, so the width is
+// pinned.
+const _: () = assert!(std::mem::size_of::<RocePacket>() == 128);
+
 impl RocePacket {
     /// A WRITE Only packet.
     pub fn write(dest_qp: u32, psn: u32, reth: Reth, payload: Bytes) -> Self {

@@ -1,5 +1,6 @@
 //! DESIGN.md hot-path rule 2, checked: once warm, `Translator::process_batch`
-//! allocates nothing for any of the four primitives.
+//! allocates nothing for any of the four primitives, and a Key-Write slot
+//! image small enough to ride inline never reaches the image pool.
 //!
 //! The counting allocator needs a test binary of its own, and counts per
 //! thread, so whatever the test harness does on its other threads is not
@@ -138,4 +139,37 @@ fn warm_process_batch_allocates_nothing_for_any_primitive() {
         "warm images must come from the pool \
          ({recycled} recycled, {fresh} fresh, {warm_fresh} at warm-up)"
     );
+}
+
+#[test]
+fn inline_key_write_allocates_nothing_and_never_builds_from_the_pool() {
+    // A 4 B value makes an 8 B slot image, carried inline: each of the N
+    // replicas copies it, so neither the allocator nor the image pool sees
+    // a Key-Write report at any redundancy once the output vector is warm.
+    let mut svc = CollectorService::new(ServiceConfig::default());
+    let mut tr = Translator::new(TranslatorConfig::default());
+    let req = CmRequester::new(1, 0);
+    let reply = svc.handle_cm(&req.request(SERVICE_KW));
+    let (qp, params) = req.complete(&reply).expect("service enabled by default");
+    tr.connect(SERVICE_KW, qp, params);
+
+    let mut out = TranslatorOutput::default();
+    for n in [2u8, 4, 8] {
+        let reports: Vec<DtaReport> = (0..256u32)
+            .map(|i| {
+                DtaReport::key_write(i, TelemetryKey::from_u64(u64::from(i)), n, vec![i as u8; 4])
+            })
+            .collect();
+        // Warm the output vector to this redundancy's packet count.
+        tr.process_batch(0, &reports, &mut out);
+        out.clear();
+        let before = allocations();
+        tr.process_batch(0, &reports, &mut out);
+        let emitted = out.packets.len();
+        out.clear();
+        let allocated = allocations() - before;
+        assert_eq!(emitted, 256 * usize::from(n));
+        assert_eq!(allocated, 0, "N={n}: {allocated} allocations over 256 reports");
+    }
+    assert_eq!(tr.image_pool_stats(), (0, 0), "an inline slot image reached the pool");
 }
