@@ -10,8 +10,13 @@
 //! recycle within one owner's build→consume→drop loop and are never shared
 //! across threads, so the hot path stays allocation-free without a
 //! synchronized free-list.
+//!
+//! The large zeroed tables a scenario run builds once and drops at its end
+//! (region stripes and snapshots, key-digest scratches, postcard-cache
+//! rows) recycle across runs through a process-wide [`Recycler`] instead.
 
-use std::sync::Arc;
+use std::cell::UnsafeCell;
+use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 
@@ -126,6 +131,70 @@ pub fn build_exact(len: usize, fill: impl FnOnce(&mut [u8])) -> Bytes {
 /// `len` zero bytes behind one allocation (header and bytes together).
 fn zeroed(len: usize) -> Arc<[u8]> {
     std::iter::repeat_n(0, len).collect()
+}
+
+/// Types for which the all-zero bit pattern is a valid value, so a table
+/// of them can come from one zeroed allocation.
+///
+/// # Safety
+/// An implementor must be valid, and mean what its table owner calls
+/// "empty", when every byte of it is zero.
+pub unsafe trait Zeroable {}
+
+// SAFETY: every bit pattern is a valid integer.
+unsafe impl Zeroable for u8 {}
+// SAFETY: as above.
+unsafe impl Zeroable for u64 {}
+// SAFETY: `UnsafeCell<T>` has `T`'s in-memory representation.
+unsafe impl<T: Zeroable> Zeroable for UnsafeCell<T> {}
+
+/// A bounded, process-wide free list of zeroed tables of one type.
+///
+/// A table type declares one `static` recycler; a table is taken from it
+/// at construction and given back, re-zeroed by its owner, on drop.
+/// Region registration and translator construction repeat the same sizes
+/// run after run, and glibc's adaptive mmap threshold turns a repeated
+/// multi-MB zeroed allocation into an explicit memset, so a recycled table
+/// costs only what its owner wrote into it. Past `cap` pooled tables, a
+/// given-back table is freed.
+#[derive(Debug)]
+pub struct Recycler<T> {
+    cap: usize,
+    free: Mutex<Vec<Box<[T]>>>,
+}
+
+impl<T: Zeroable> Recycler<T> {
+    /// An empty recycler that keeps at most `cap` tables.
+    pub const fn new(cap: usize) -> Self {
+        Recycler { cap, free: Mutex::new(Vec::new()) }
+    }
+
+    /// An all-zero table of `len` elements: a pooled one of that length,
+    /// or else one zeroed allocation (untouched zero pages, no memset).
+    pub fn take_zeroed(&self, len: usize) -> Box<[T]> {
+        let pooled = self.free.lock().ok().and_then(|mut free| {
+            let at = free.iter().position(|t| t.len() == len)?;
+            Some(free.swap_remove(at))
+        });
+        // SAFETY: `T: Zeroable`, so the zeroed slice is fully initialized.
+        pooled.unwrap_or_else(|| unsafe { Box::new_zeroed_slice(len).assume_init() })
+    }
+
+    /// Take back `table`, which the caller has re-zeroed. The free list
+    /// reserves its cap on the first give, so a give allocates nothing
+    /// after that; at the cap the table is freed instead.
+    pub fn give(&self, table: Box<[T]>) {
+        if table.is_empty() {
+            return;
+        }
+        if let Ok(mut free) = self.free.lock() {
+            let len = free.len();
+            if len < self.cap {
+                free.reserve_exact(self.cap - len);
+                free.push(table);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -259,5 +328,47 @@ mod tests {
         let img = pool.build(8, |buf| buf[0] = 1);
         assert_eq!(&img[..], &[1, 0, 0, 0, 0, 0, 0, 0]);
         assert_eq!(pool.recycled, 0);
+    }
+
+    #[test]
+    fn recycler_never_mixes_lengths_or_types() {
+        let bytes: Recycler<u8> = Recycler::new(8);
+        let words: Recycler<u64> = Recycler::new(8);
+        let (mut short, long) = (bytes.take_zeroed(8), bytes.take_zeroed(16));
+        short.fill(0xFF);
+        short.fill(0); // the owner re-zeroes before giving back
+        let (short_at, long_at) = (short.as_ptr(), long.as_ptr());
+        bytes.give(short);
+        bytes.give(long);
+        // A u64 table of the u8 tables' lengths is not one of them.
+        let other = words.take_zeroed(8);
+        assert!(other.iter().all(|w| *w == 0));
+        assert!(!std::ptr::eq(other.as_ptr().cast::<u8>(), short_at));
+        // Each length gets its own table back, whatever the order.
+        let long = bytes.take_zeroed(16);
+        let short = bytes.take_zeroed(8);
+        assert_eq!((long.as_ptr(), long.len()), (long_at, 16));
+        assert_eq!((short.as_ptr(), short.len()), (short_at, 8));
+        assert!(long.iter().chain(short.iter()).all(|b| *b == 0));
+        // A third length is a fresh table: nothing pooled has it.
+        assert_eq!(bytes.take_zeroed(32).len(), 32);
+        assert!(bytes.free.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn recycler_frees_a_give_at_its_cap() {
+        let pool: Recycler<u64> = Recycler::new(2);
+        let tables: Vec<Box<[u64]>> = (0..3).map(|_| pool.take_zeroed(4)).collect();
+        let at: Vec<*const u64> = tables.iter().map(|t| t.as_ptr()).collect();
+        for table in tables {
+            pool.give(table);
+        }
+        assert_eq!(pool.free.lock().unwrap().len(), 2, "the third give is past the cap");
+        let kept: Vec<Box<[u64]>> = (0..2).map(|_| pool.take_zeroed(4)).collect();
+        let kept: Vec<*const u64> = kept.iter().map(|t| t.as_ptr()).collect();
+        assert!(kept.contains(&at[0]) && kept.contains(&at[1]));
+        // An empty table is never pooled.
+        pool.give(Box::new([]));
+        assert!(pool.free.lock().unwrap().is_empty());
     }
 }

@@ -33,9 +33,9 @@ pub const CHECKSUM_PARAMS: CrcParams = CrcParams {
     xor_out: 0xA5A5_A5A5,
 };
 
-/// Maximum redundancy level supported by the hash family (the paper evaluates
-/// up to `N = 8` in Figure 12).
-pub const MAX_REDUNDANCY: usize = 8;
+/// Maximum redundancy level supported by the hash family: the wire
+/// decoder's bound, [`dta_core::MAX_REDUNDANCY`], as an index width.
+pub const MAX_REDUNDANCY: usize = dta_core::MAX_REDUNDANCY as usize;
 
 #[cfg(test)]
 mod tests {

@@ -12,6 +12,8 @@
 //! *raw* digests, so one entry serves any slot-table size and any
 //! redundancy up to the digests it has computed.
 
+use dta_core::pool::{Recycler, Zeroable};
+
 use crate::crc::Crc32;
 use crate::family::HashFamily;
 use crate::polynomials::{CHECKSUM_PARAMS, MAX_REDUNDANCY};
@@ -40,12 +42,22 @@ struct Entry {
 
 /// The empty entry every slot starts as — deliberately the all-zero bit
 /// pattern (`valid: false`), which is what lets [`KeyScratch::new`] take
-/// its table from one zeroed allocation.
+/// its table from a [`Recycler`].
 const EMPTY: Entry = Entry {
     key: [0; KEY_BYTES],
     digests: KeyDigests { checksum: 0, slots: [0; MAX_REDUNDANCY], computed: 0 },
     valid: false,
 };
+
+// SAFETY: `Entry` is integers, integer arrays and a `bool`, and its
+// all-zero bit pattern is `EMPTY`.
+unsafe impl Zeroable for Entry {}
+
+/// Scratch tables, recycled across translator constructions (a default
+/// table is ~1MB, and every scenario run builds one per translator).
+static ENTRIES: Recycler<Entry> = Recycler::new(32);
+/// The scratch tables' per-set MRU bytes.
+static MRU: Recycler<u8> = Recycler::new(32);
 
 /// Hit/miss counters for the scratch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -69,29 +81,19 @@ pub struct ScratchStats {
 pub struct KeyScratch {
     family: HashFamily,
     csum: Crc32,
-    entries: Vec<Entry>,
+    entries: Box<[Entry]>,
     /// MRU way per set (bit-per-set would do; a byte keeps the code plain).
-    mru: Vec<u8>,
+    mru: Box<[u8]>,
     set_mask: usize,
     /// Journal of entry indexes ever installed, so drop can recycle the
     /// table after zeroing only what was written (the table is ~1MB; a
     /// full wipe per translator construction is real time at fleet scale).
+    /// It stops one entry past [`KeyScratch::journal_cap`], which marks it
+    /// overflowed: drop then wipes the whole table.
     touched: Vec<u32>,
-    touched_overflow: bool,
     /// Hit/miss counters.
     pub stats: ScratchStats,
 }
-
-/// Recycling pool for scratch tables (keyed by entry count).
-#[allow(clippy::type_complexity)] // pooled pair, not worth a named struct
-fn scratch_pool() -> &'static std::sync::Mutex<Vec<(Vec<Entry>, Vec<u8>)>> {
-    static POOL: std::sync::OnceLock<std::sync::Mutex<Vec<(Vec<Entry>, Vec<u8>)>>> =
-        std::sync::OnceLock::new();
-    POOL.get_or_init(|| std::sync::Mutex::new(Vec::new()))
-}
-
-/// Pooled scratch-table cap (buffers, not bytes).
-const SCRATCH_POOL_MAX: usize = 32;
 
 impl KeyScratch {
     /// Scratch with `entries` slots (rounded up to a power of two, min 32,
@@ -99,29 +101,13 @@ impl KeyScratch {
     pub fn new(entries: usize, family_n: usize) -> Self {
         let n = entries.next_power_of_two().max(32);
         let sets = n / 2;
-        let pooled = scratch_pool().lock().ok().and_then(|mut pool| {
-            pool.iter()
-                .position(|(e, _)| e.len() == n)
-                .map(|i| pool.swap_remove(i))
-        });
-        let (entries, mru) = pooled.unwrap_or_else(|| {
-            // SAFETY: `Entry` is valid as the all-zero bit pattern (`EMPTY`
-            // is exactly that, `valid: false`), so the table can come from
-            // one zeroed allocation instead of an element-wise ~1MB fill
-            // per translator construction.
-            (
-                unsafe { Box::<[Entry]>::new_zeroed_slice(n).assume_init() }.into_vec(),
-                vec![0u8; sets],
-            )
-        });
         KeyScratch {
             family: HashFamily::new(family_n),
             csum: Crc32::new(CHECKSUM_PARAMS),
-            entries,
-            mru,
+            entries: ENTRIES.take_zeroed(n),
+            mru: MRU.take_zeroed(sets),
             set_mask: sets - 1,
             touched: Vec::new(),
-            touched_overflow: false,
             stats: ScratchStats::default(),
         }
     }
@@ -203,13 +189,9 @@ impl KeyScratch {
             d.slots[i] = self.family.hash(i, key);
         }
         let victim = 1 - self.mru[set] as usize;
-        if !self.entries[base + victim].valid {
+        if !self.entries[base + victim].valid && self.touched.len() <= self.journal_cap() {
             // First install in this slot: journal it for zero-on-drop.
-            if self.touched_overflow || self.touched.len() >= self.journal_cap() {
-                self.touched_overflow = true;
-            } else {
-                self.touched.push((base + victim) as u32);
-            }
+            self.touched.push((base + victim) as u32);
         }
         self.entries[base + victim] = Entry { key: *key, digests: d, valid: true };
         self.mru[set] = victim as u8;
@@ -241,10 +223,7 @@ impl KeyScratch {
 
 impl Drop for KeyScratch {
     fn drop(&mut self) {
-        if self.entries.is_empty() {
-            return;
-        }
-        if self.touched_overflow {
+        if self.touched.len() > self.journal_cap() {
             self.entries.fill(EMPTY);
         } else {
             for &idx in &self.touched {
@@ -252,11 +231,8 @@ impl Drop for KeyScratch {
             }
         }
         self.mru.fill(0);
-        if let Ok(mut pool) = scratch_pool().lock() {
-            if pool.len() < SCRATCH_POOL_MAX {
-                pool.push((std::mem::take(&mut self.entries), std::mem::take(&mut self.mru)));
-            }
-        }
+        ENTRIES.give(std::mem::take(&mut self.entries));
+        MRU.give(std::mem::take(&mut self.mru));
     }
 }
 
@@ -383,6 +359,35 @@ mod tests {
         let resident =
             |s: &KeyScratch| -> Vec<_> { s.entries.iter().map(|e| (e.valid, e.key)).collect() };
         assert_eq!(resident(&plain), resident(&hinted), "a hint changed an eviction");
+    }
+
+    #[test]
+    fn dropped_tables_come_back_empty() {
+        // Two sizes no other test builds, so the next scratch of each size
+        // takes back the very table the dropped one held: 100 keys into
+        // 2048 entries stay within the journal (cap 256), 1000 keys into
+        // 1024 entries overflow it (cap 128) and take the full wipe.
+        for (entries, keys, overflows) in [(2048usize, 100u64, false), (1024, 1000, true)] {
+            let mut s = KeyScratch::new(entries, 2);
+            for v in 0..keys {
+                s.digests(&key(v), 2);
+            }
+            assert_eq!(s.touched.len() > s.journal_cap(), overflows, "{entries} entries");
+            assert!(s.mru.iter().any(|&way| way != 0));
+            let (table, mru) = (s.entries.as_ptr(), s.mru.as_ptr());
+            drop(s);
+            let recycled = KeyScratch::new(entries, 2);
+            assert_eq!((recycled.entries.as_ptr(), recycled.mru.as_ptr()), (table, mru));
+            for (i, e) in recycled.entries.iter().enumerate() {
+                let d = &e.digests;
+                assert!(
+                    !e.valid && e.key == [0; KEY_BYTES] && d.checksum == 0,
+                    "{entries} entries: entry {i} came back written"
+                );
+                assert_eq!((d.slots, d.computed), ([0; MAX_REDUNDANCY], 0));
+            }
+            assert!(recycled.mru.iter().all(|&way| way == 0));
+        }
     }
 
     #[test]

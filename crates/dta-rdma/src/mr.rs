@@ -16,7 +16,9 @@
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use dta_core::pool::Recycler;
 
 /// Stripe width in bytes. Power of two so stripe index and offset are a
 /// shift and a mask. 4KB keeps a slot access inside one stripe except when
@@ -221,47 +223,17 @@ impl Drop for Stripes {
     }
 }
 
-/// Process-wide recycling pool of zeroed stripe backings, keyed by length.
-///
-/// Region registration patterns repeat (every simulated collector sizes
-/// its stores the same way), and glibc's adaptive mmap threshold turns a
-/// repeated multi-MB `alloc_zeroed` into an explicit memset. Recycled
-/// buffers are re-zeroed **dirty lines only** on return, so a mostly
-/// clean region costs almost nothing to recycle. The pool is bounded;
-/// overflow buffers just drop.
-fn stripe_pool() -> &'static Mutex<Vec<PooledBytes>> {
-    static POOL: std::sync::OnceLock<Mutex<Vec<PooledBytes>>> = std::sync::OnceLock::new();
-    POOL.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// One recyclable zeroed backing allocation.
-type PooledBytes = Box<[UnsafeCell<u8>]>;
-
-/// Upper bound on pooled buffers (a workstation-scale cap, not a tuning
-/// knob: 32 default-sized collectors' worth).
-const STRIPE_POOL_MAX: usize = 128;
+/// The zeroed backings of region stripes and snapshots, one recycler for
+/// both, so a snapshot can reuse a region-sized buffer. Every simulated
+/// collector sizes its stores the same way, and a backing is re-zeroed
+/// **dirty lines only** on return, so a mostly clean region costs almost
+/// nothing to recycle. The cap is 32 default-sized collectors' worth.
+static BACKINGS: Recycler<UnsafeCell<u8>> = Recycler::new(128);
 
 impl Stripes {
     fn new(len: usize) -> Self {
         let n = len.div_ceil(STRIPE_BYTES);
-        let pooled = stripe_pool()
-            .lock()
-            .ok()
-            .and_then(|mut pool| {
-                pool.iter()
-                    .position(|b| b.len() == len)
-                    .map(|i| pool.swap_remove(i))
-            });
-        let data = pooled.unwrap_or_else(|| {
-            let mut v = std::mem::ManuallyDrop::new(vec![0u8; len]);
-            // SAFETY: UnsafeCell<u8> is repr(transparent) over u8 (same
-            // size and alignment); `vec![0u8; len]` allocates capacity ==
-            // len, so no reallocation hides behind into_boxed_slice.
-            unsafe {
-                Vec::from_raw_parts(v.as_mut_ptr() as *mut UnsafeCell<u8>, v.len(), v.capacity())
-            }
-            .into_boxed_slice()
-        });
+        let data = BACKINGS.take_zeroed(len);
         Stripes { len, data, locks: (0..n).map(|_| StripeLock::new()).collect() }
     }
 
@@ -288,12 +260,9 @@ impl Stripes {
         r
     }
 
-    /// Return the backing to the pool, zeroed. Only dirty lines are wiped
-    /// (clean ones are zero by invariant).
+    /// Return the backing to the recycler, zeroed. Only dirty lines are
+    /// wiped (clean ones are zero by invariant).
     fn recycle(&mut self) {
-        if self.data.is_empty() {
-            return;
-        }
         for i in 0..self.locks.len() {
             // SAFETY: `&mut self` in drop — no other access possible.
             let lines = unsafe { &*self.locks[i].meta.get() }.lines;
@@ -307,12 +276,7 @@ impl Stripes {
                 }
             }
         }
-        let data = std::mem::take(&mut self.data);
-        if let Ok(mut pool) = stripe_pool().lock() {
-            if pool.len() < STRIPE_POOL_MAX {
-                pool.push(data);
-            }
-        }
+        BACKINGS.give(std::mem::take(&mut self.data));
     }
 
     #[inline]
@@ -529,9 +493,9 @@ impl MemoryRegion {
     /// Copy the whole region out into a [`SnapshotBuf`]: each stripe's
     /// runs of dirty lines memcpy under its read lock; clean lines are
     /// never read *or* written, because the destination comes from the
-    /// same zeroed-buffer pool the stripes themselves recycle through. The
+    /// same zeroed-buffer recycler the stripes themselves return to. The
     /// copy is proportional to the lines the run dirtied, not the region
-    /// size — and the buffer returns to the pool when the snapshot drops.
+    /// size — and the buffer goes back when the snapshot drops.
     /// This is what the scenario harness snapshots collector memory with.
     pub fn snapshot(&self) -> SnapshotBuf {
         let mut out = SnapshotBuf::zeroed(self.len());
@@ -549,10 +513,11 @@ impl MemoryRegion {
 
 /// An owned byte image of a region, produced by [`MemoryRegion::snapshot`].
 ///
-/// Backed by the same process-wide zeroed-buffer pool the stripe stores
-/// recycle through: acquisition is pool-pop (no allocation, no memset for
-/// the clean majority of a region), and drop re-zeros only the ranges that
-/// were written before returning the buffer. Dereferences to `&[u8]`.
+/// Backed by the same process-wide zeroed-buffer recycler the stripe
+/// stores return to: acquisition is a free-list pop (no allocation, no
+/// memset for the clean majority of a region), and drop re-zeros only the
+/// ranges that were written before returning the buffer. Dereferences to
+/// `&[u8]`.
 pub struct SnapshotBuf {
     data: Box<[UnsafeCell<u8>]>,
     len: usize,
@@ -572,23 +537,9 @@ fn push_range(ranges: &mut Vec<(usize, usize)>, start: usize, end: usize) {
 }
 
 impl SnapshotBuf {
-    /// An all-zero image of `len` bytes (pooled when possible).
+    /// An all-zero image of `len` bytes (recycled when possible).
     fn zeroed(len: usize) -> Self {
-        let pooled = stripe_pool().lock().ok().and_then(|mut pool| {
-            pool.iter()
-                .position(|b| b.len() == len)
-                .map(|i| pool.swap_remove(i))
-        });
-        let data = pooled.unwrap_or_else(|| {
-            let mut v = std::mem::ManuallyDrop::new(vec![0u8; len]);
-            // SAFETY: UnsafeCell<u8> is repr(transparent) over u8; the
-            // vec! allocation has capacity == len.
-            unsafe {
-                Vec::from_raw_parts(v.as_mut_ptr() as *mut UnsafeCell<u8>, v.len(), v.capacity())
-            }
-            .into_boxed_slice()
-        });
-        SnapshotBuf { data, len, written: Vec::new() }
+        SnapshotBuf { data: BACKINGS.take_zeroed(len), len, written: Vec::new() }
     }
 
     /// Copy `src` into the image at byte offset `start`, which must not be
@@ -659,15 +610,7 @@ impl Drop for SnapshotBuf {
                     .fill(0);
             }
         }
-        let data = std::mem::take(&mut self.data);
-        if data.is_empty() {
-            return;
-        }
-        if let Ok(mut pool) = stripe_pool().lock() {
-            if pool.len() < STRIPE_POOL_MAX {
-                pool.push(data);
-            }
-        }
+        BACKINGS.give(std::mem::take(&mut self.data));
     }
 }
 

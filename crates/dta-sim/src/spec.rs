@@ -12,7 +12,7 @@ use dta_collector::{KwLayout, PostcardLayout, ServiceConfig};
 use dta_hash::polynomials::MAX_REDUNDANCY;
 use dta_net::{FaultConfig, LinkConfig};
 use dta_reporter::RetransmitPolicy;
-use dta_translator::{RateLimiterConfig, RebalanceConfig, TranslatorConfig};
+use dta_translator::{PostcardCache, RateLimiterConfig, RebalanceConfig, TranslatorConfig};
 
 /// Which translator pipeline fronts the collector's ToR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -533,6 +533,14 @@ impl ScenarioSpec {
                 "service.postcard_hops must be <= {}, got {}",
                 PostcardLayout::MAX_HOPS,
                 self.service.postcard_hops
+            ));
+        }
+        // The translator's aggregation cache holds fewer hops per row.
+        if self.translator.postcard_hops > PostcardCache::MAX_HOPS {
+            return Err(format!(
+                "translator.postcard_hops must be <= {} (the postcard cache's row), got {}",
+                PostcardCache::MAX_HOPS,
+                self.translator.postcard_hops
             ));
         }
         if self.translator.append_batch == 0 {

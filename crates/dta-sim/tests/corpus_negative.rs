@@ -37,6 +37,7 @@ const EXPECTATIONS: &[(&str, &[&str])] = &[
     ("fault_chance_overflow.toml", &["faults.fabric.drop_chance", "[0, 1]"]),
     ("kw_value_bytes_overflow.toml", &["service.kw_value_bytes must be <= 60, got 61"]),
     ("postcard_hops_overflow.toml", &["service.postcard_hops must be <= 16, got 17"]),
+    ("postcard_hops_cache_overflow.toml", &["translator.postcard_hops must be <= 8", "got 9"]),
     ("sweep_chance_overflow.toml", &["invalid sweep cell [drop=2.0]"]),
 ];
 

@@ -78,7 +78,6 @@ const FAILOVER_SALT: u32 = 0xFA11_0E55;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CollectorRoutingTable {
     alive: Vec<bool>,
-    entry_epoch: Vec<u64>,
     epoch: u64,
 }
 
@@ -86,11 +85,7 @@ impl CollectorRoutingTable {
     /// Table over `n` collectors, all alive, epoch 0.
     pub fn new(n: u32) -> Self {
         assert!(n > 0, "a fleet needs at least one collector");
-        CollectorRoutingTable {
-            alive: vec![true; n as usize],
-            entry_epoch: vec![0; n as usize],
-            epoch: 0,
-        }
+        CollectorRoutingTable { alive: vec![true; n as usize], epoch: 0 }
     }
 
     /// Fleet size (alive or dead).
@@ -131,7 +126,6 @@ impl CollectorRoutingTable {
         assert!(self.alive_count() > 1, "cannot kill the last live collector");
         self.alive[c as usize] = false;
         self.epoch += 1;
-        self.entry_epoch[c as usize] = self.epoch;
         true
     }
 
@@ -142,7 +136,6 @@ impl CollectorRoutingTable {
         }
         self.alive[c as usize] = true;
         self.epoch += 1;
-        self.entry_epoch[c as usize] = self.epoch;
         true
     }
 
@@ -833,8 +826,6 @@ mod tests {
         assert!(table.mark_dead(2));
         assert!(!table.mark_dead(2), "second kill is a no-op");
         assert_eq!(table.epoch(), 1);
-        assert_eq!(table.entry_epoch[2], 1);
-        assert_eq!(table.entry_epoch[0], 0, "unaffected entries keep their stamp");
 
         let mut moved = [0u64; 4];
         for csum in 0..40_000u32 {
@@ -866,7 +857,6 @@ mod tests {
         assert!(table.mark_alive(1));
         assert!(!table.mark_alive(1));
         assert_eq!(table.epoch(), 2);
-        assert_eq!(table.entry_epoch[1], 2);
         let part = Partitioner::new(3);
         for csum in 0..10_000u32 {
             assert_eq!(table.owner_checksum(csum), part.route_checksum(csum));

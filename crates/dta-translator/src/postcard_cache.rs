@@ -10,11 +10,12 @@
 //! (collision-forced) emissions produce partial paths; Figure 14 counts them
 //! as failures.
 
+use dta_core::pool::{Recycler, Zeroable};
 use dta_core::TelemetryKey;
 use dta_hash::{Crc32, CrcParams};
 
 /// Maximum hop bound supported by a cache row.
-const MAX_HOPS: usize = 8;
+const MAX_HOPS: usize = PostcardCache::MAX_HOPS as usize;
 
 /// One cached row: the flow id tag, its per-hop encoded words, and progress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,6 +33,17 @@ impl Default for Row {
         Row { key: TelemetryKey([0; 16]), words: [0; MAX_HOPS], present: 0, path_len: 0 }
     }
 }
+
+// SAFETY: `Row` is integers and integer arrays, for which every bit
+// pattern is valid, and its default is the all-zero one (zero key, zero
+// words, nothing present).
+unsafe impl Zeroable for Row {}
+
+/// Row storage, recycled across caches: a scenario run builds translator
+/// caches measured in MBs.
+static ROWS: Recycler<Row> = Recycler::new(32);
+/// The caches' occupancy bitmaps.
+static OCCUPIED: Recycler<u64> = Recycler::new(32);
 
 impl Row {
     fn emission(&self, complete: bool) -> CacheEmission {
@@ -80,47 +92,25 @@ pub struct CacheStats {
 /// The SRAM postcard cache.
 #[derive(Debug)]
 pub struct PostcardCache {
-    rows: Vec<Row>,
+    rows: Box<[Row]>,
     /// Occupancy bitmap: bit `idx % 64` of word `idx / 64` is set while row
-    /// `idx` holds an in-flight flow.
-    occupied: Vec<u64>,
+    /// `idx` holds an in-flight flow. A row is non-zero exactly while its
+    /// bit is set (`insert` and `flush` keep that), so drop re-zeroes the
+    /// storage by walking the set bits.
+    occupied: Box<[u64]>,
     /// Number of set bits in `occupied`, so the timer path can return
     /// without looking at the bitmap when nothing is staged.
     live: usize,
-    /// Journal of row indexes that ever became occupied, so drop can
-    /// return the row storage to the recycling pool after zeroing only the
-    /// rows a run actually touched. Allocated at [`journal_cap`] up front
-    /// (it never regrows on the report path); when it fills, it is
-    /// abandoned and drop falls back to a full wipe.
-    touched: Vec<u32>,
-    touched_overflow: bool,
     index: Crc32,
     hops: u8,
     /// Counters.
     pub stats: CacheStats,
 }
 
-/// Recycling pool for row/occupancy storage (keyed by row count). A
-/// scenario run builds translator caches measured in MBs; repeated
-/// zeroed allocations of that size degrade to explicit memsets once
-/// glibc's adaptive mmap threshold rises.
-#[allow(clippy::type_complexity)] // pooled pair, not worth a named struct
-fn row_pool() -> &'static std::sync::Mutex<Vec<(Vec<Row>, Vec<u64>)>> {
-    static POOL: std::sync::OnceLock<std::sync::Mutex<Vec<(Vec<Row>, Vec<u64>)>>> =
-        std::sync::OnceLock::new();
-    POOL.get_or_init(|| std::sync::Mutex::new(Vec::new()))
-}
-
-/// Pooled cache-storage cap (buffers, not bytes).
-const ROW_POOL_MAX: usize = 32;
-
-/// Journal bound for a cache of `slots` rows: past this, zero-on-drop
-/// degrades to a full wipe.
-fn journal_cap(slots: usize) -> usize {
-    (slots / 8).max(64)
-}
-
 impl PostcardCache {
+    /// Maximum hop bound a cache row holds.
+    pub const MAX_HOPS: u8 = 8;
+
     /// Cache with `slots` rows for paths of up to `hops` hops.
     ///
     /// # Panics
@@ -128,29 +118,10 @@ impl PostcardCache {
     pub fn new(slots: usize, hops: u8) -> Self {
         assert!(slots > 0, "cache must have at least one row");
         assert!((hops as usize) <= MAX_HOPS, "hop bound {hops} exceeds {MAX_HOPS}");
-        let pooled = row_pool().lock().ok().and_then(|mut pool| {
-            pool.iter()
-                .position(|(cells, _)| cells.len() == slots)
-                .map(|i| pool.swap_remove(i))
-        });
-        let (rows, occupied) = pooled.unwrap_or_else(|| {
-            // One zeroed allocation maps untouched zero pages, where an
-            // element-wise `vec![Row::default(); slots]` writes every byte —
-            // real milliseconds for SRAM-scale caches rebuilt per scenario
-            // run.
-            // SAFETY: `Row` is integers and integer arrays, for which every
-            // bit pattern is valid, and its default is the all-zero one (zero
-            // key, zero words, nothing present): the zeroed slice is fully
-            // initialized.
-            let rows = unsafe { Box::<[Row]>::new_zeroed_slice(slots).assume_init() }.into_vec();
-            (rows, vec![0; slots.div_ceil(64)])
-        });
         PostcardCache {
-            rows,
-            occupied,
+            rows: ROWS.take_zeroed(slots),
+            occupied: OCCUPIED.take_zeroed(slots.div_ceil(64)),
             live: 0,
-            touched: Vec::with_capacity(journal_cap(slots)),
-            touched_overflow: false,
             index: Crc32::new(CrcParams::IEEE),
             hops,
             stats: CacheStats::default(),
@@ -228,7 +199,7 @@ impl PostcardCache {
         self.stats.early_emissions += u64::from(evicted.is_some());
         self.stats.complete_emissions += u64::from(completed.is_some());
         // An eviction hands the row from one flow to the next: it stays
-        // occupied (and journaled). Otherwise the bit follows the row.
+        // occupied. Otherwise the bit follows the row.
         match (was_occupied, completed.is_some()) {
             (false, false) => {
                 self.occupied[idx / 64] |= bit;
@@ -240,13 +211,6 @@ impl PostcardCache {
             }
             (false, true) | (true, false) => {}
         }
-        if !was_occupied {
-            if self.touched.len() < self.touched.capacity() {
-                self.touched.push(idx as u32);
-            } else {
-                self.touched_overflow = true;
-            }
-        }
         [evicted, completed]
     }
 
@@ -254,46 +218,36 @@ impl PostcardCache {
     /// order. All flushed rows count as early emissions. An empty cache
     /// costs one comparison; otherwise the walk is O(slots/64 + occupied).
     pub fn flush(&mut self) -> Vec<CacheEmission> {
-        if self.live == 0 {
-            return Vec::new();
-        }
         let mut out = Vec::with_capacity(self.live);
+        self.take_occupied(|row| out.push(row.emission(false)));
+        self.stats.early_emissions += out.len() as u64;
+        out
+    }
+
+    /// Take every occupied row in ascending row order, leaving it zero and
+    /// its bit clear. An empty cache costs one comparison.
+    fn take_occupied(&mut self, mut each: impl FnMut(Row)) {
+        if self.live == 0 {
+            return;
+        }
         for w in 0..self.occupied.len() {
             let mut bits = std::mem::take(&mut self.occupied[w]);
             while bits != 0 {
                 let idx = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                self.stats.early_emissions += 1;
-                out.push(std::mem::take(&mut self.rows[idx]).emission(false));
+                each(std::mem::take(&mut self.rows[idx]));
             }
         }
         self.live = 0;
-        out
     }
 }
 
 impl Drop for PostcardCache {
     fn drop(&mut self) {
-        // Re-zero only the rows this cache ever occupied (rows written
-        // back to `Row::default()` are zero already; re-zeroing them is an
-        // idempotent handful of bytes), then recycle the storage.
-        let mut cells = std::mem::take(&mut self.rows);
-        if cells.is_empty() {
-            return;
-        }
-        if self.touched_overflow {
-            cells.fill(Row::default());
-        } else {
-            for &idx in &self.touched {
-                cells[idx as usize] = Row::default();
-            }
-        }
-        self.occupied.fill(0);
-        if let Ok(mut pool) = row_pool().lock() {
-            if pool.len() < ROW_POOL_MAX {
-                pool.push((cells, std::mem::take(&mut self.occupied)));
-            }
-        }
+        // Every row outside the occupancy bitmap is zero already.
+        self.take_occupied(|_| {});
+        ROWS.give(std::mem::take(&mut self.rows));
+        OCCUPIED.give(std::mem::take(&mut self.occupied));
     }
 }
 
@@ -571,7 +525,7 @@ mod tests {
                 prop_assert_eq!(cache.live, model.occupied.iter().filter(|o| **o).count());
             }
             // Dropped with rows still staged; the storage the next cache of
-            // this size takes from `row_pool` must come back empty.
+            // this size takes from the `ROWS` recycler must come back empty.
             drop(cache);
             let mut recycled = PostcardCache::new(SLOTS, 5);
             prop_assert_eq!(recycled.live, 0);

@@ -1086,6 +1086,41 @@ mod tests {
     }
 
     #[test]
+    fn kw_double_writes_stop_once_zeroing_starts() {
+        // A live Key-Write report for a fenced key is also written to the
+        // fallback owner while the entry is `Armed` or `Reading`, and each
+        // such answer is counted; from `Zeroing` on, a late copy could land
+        // after the zero-write, so there is none.
+        let mut d = driver(RebalanceConfig::default());
+        let k = key(9);
+        let csum = checksum_of(&mut d, &k);
+        assert_eq!(d.double_write_target(csum), None, "an unfenced key has no second owner");
+        d.fence_record(MigPrimitive::KeyWrite, &k, csum, 2, 1);
+        assert_eq!(d.entries[0].state, EntryState::Armed);
+        assert_eq!(d.double_write_target(csum), Some(1));
+        d.on_rejoin(0);
+        d.start_drain(3);
+        let mut out = Vec::new();
+        d.pump(1_000, &mut out);
+        assert_eq!(d.entries[0].state, EntryState::Reading);
+        assert_eq!(d.double_write_target(csum), Some(1));
+        assert_eq!(d.stats.double_writes, 2);
+
+        let mut data = csum.to_be_bytes().to_vec();
+        data.extend_from_slice(&0xAABB_CCDDu32.to_be_bytes());
+        d.on_response(&read_reply(&out[0].1, &data));
+        assert_eq!(d.entries[0].state, EntryState::Zeroing);
+        assert_eq!(d.double_write_target(csum), None);
+        out.clear();
+        d.pump(2_000, &mut out);
+        let last = out.iter().map(|(_, p)| p.bth.psn).max().unwrap();
+        d.on_response(&RocePacket::ack(out[0].1.bth.dest_qp, last));
+        assert_eq!(d.entries[0].state, EntryState::Done);
+        assert_eq!(d.double_write_target(csum), None);
+        assert_eq!(d.stats.double_writes, 2, "a refused double-write is not counted");
+    }
+
+    #[test]
     fn kw_drain_skips_empty_and_foreign_slots() {
         let mut d = driver(RebalanceConfig::default());
         let csums = fence_n(&mut d, MigPrimitive::KeyWrite, 2, 1);
