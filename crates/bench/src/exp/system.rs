@@ -11,7 +11,7 @@ use dta_collector::service::ServiceConfig;
 use dta_core::{DtaReport, TelemetryKey};
 use dta_rdma::nic::{NicConfig, NicPerfModel};
 use dta_rdma::verbs::RdmaOp;
-use dta_telemetry::marple::{MarpleFlowletSizes, MarpleLossyFlows, MarpleTcpTimeouts};
+use dta_telemetry::marple::{MarpleLossyFlows, MarpleTcpTimeouts};
 use dta_telemetry::traces::{TraceConfig, TraceGenerator};
 use dta_telemetry::{ReportRateModel, TABLE2_INTEGRATIONS};
 use dta_translator::TranslatorConfig;
@@ -86,13 +86,11 @@ pub fn figure7b(quick: bool) -> Table {
     let mut gen = TraceGenerator::new(TraceConfig::default());
     let mut lossy = MarpleLossyFlows::new(0.01, 0, 0.02, 128, 7);
     let mut timeouts = MarpleTcpTimeouts::new(1.0 / 500.0, 1, 8);
-    let mut flowlets = MarpleFlowletSizes::new(500_000, 10, 8);
-    let (mut n_lossy, mut n_timeout, mut n_flowlet) = (0u64, 0u64, 0u64);
+    let (mut n_lossy, mut n_timeout) = (0u64, 0u64);
     for _ in 0..n {
         let p = gen.next_packet();
         n_lossy += lossy.on_packet(&p).is_some() as u64;
         n_timeout += timeouts.on_packet(&p).is_some() as u64;
-        n_flowlet += flowlets.on_packet(&p).is_some() as u64;
     }
     let model = ReportRateModel::default();
     let pps = model.packets_per_sec();
@@ -101,12 +99,10 @@ pub fn figure7b(quick: bool) -> Table {
     // The synthetic trace reproduces the Benson traces' flow-size and
     // popularity structure but not their exact burst timing, which is what
     // sets the flowlet-eviction rate; for that query we use the calibrated
-    // Table 1 rate (the generators above still exercise the full report
-    // path for correctness).
+    // Table 1 rate.
     let flowlet_rate = model.reports_per_sec(
         dta_telemetry::MonitoringSystem::MarpleFlowletSizes,
     );
-    let _ = n_flowlet;
 
     let cpu = CpuModel::default();
     let nic = NicPerfModel::new(NicConfig::bluefield2());

@@ -7,7 +7,8 @@
 //! A.5, A.6 and the query-policy ablation — are pinned beside them: they
 //! measure the real stores with keys drawn from a fixed seed, so they are a
 //! pure function of the hash family, the slot images and the vote, and move
-//! only when one of those does.
+//! only when one of those does. The `--quick` Figure 7b counts two Marple
+//! queries over the fixed-seed synthetic trace, so it is pinned the same way.
 
 use dta_bench::exp::ablations::{
     ablation_batch_tradeoff, ablation_postcard_encoding, ablation_query_policy,
@@ -24,6 +25,7 @@ fn analytic_figures_are_pinned() {
         ExperimentId::F3,
         ExperimentId::T2,
         ExperimentId::F7a,
+        ExperimentId::F7b,
         ExperimentId::F9,
         ExperimentId::T3,
         ExperimentId::F12,

@@ -1,11 +1,12 @@
 //! Corpus-sweep coverage aggregation.
 //!
-//! The `sweep` binary (`crates/bench/src/bin/sweep.rs`) expands every
-//! corpus file's grid, runs the cells, and checks the file's declared
-//! invariants; this module holds the shared result model — per-file
-//! coverage, violations, the machine-readable JSON report — and the check
-//! that ties an observed Key-Write audit back to the Appendix A.5 closed
-//! form [`kw_success_rate`] at the same load.
+//! `dta_bench::invariants::check_file` expands a corpus file's grid, runs
+//! every cell, and checks the file's declared invariants; the `sweep`
+//! binary and the root `tests/corpus.rs` both call it. This module holds
+//! the result model it fills — per-file coverage, violations, the
+//! machine-readable JSON report — and the check that ties an observed
+//! Key-Write audit back to the Appendix A.5 closed form
+//! [`kw_success_rate`] at the same load.
 //!
 //! The JSON renderer is hand-rolled — the build environment has no serde.
 
@@ -29,11 +30,9 @@ pub struct Violation {
 pub struct FileCoverage {
     /// Corpus file name.
     pub file: String,
-    /// Cells the file's grid expands to.
+    /// Cells the file's grid expands to (every one is run).
     pub cells_total: u64,
-    /// Cells actually run (== `cells_total` unless sampled down).
-    pub cells_run: u64,
-    /// Scenario executions (> `cells_run` when `bit_reproducible` doubles
+    /// Scenario executions (> `cells_total` when `bit_reproducible` doubles
     /// runs).
     pub runs: u64,
     /// `(axis, distinct values covered)` in declaration order.
@@ -46,14 +45,9 @@ pub struct FileCoverage {
     pub violations: Vec<Violation>,
 }
 
-/// A whole sweep: every file's coverage plus the sampling parameters, so
-/// a CI artifact is self-describing and reproducible.
+/// A whole sweep: every file's coverage.
 #[derive(Debug, Clone, Default)]
 pub struct SweepSummary {
-    /// Sampling seed (0 when unsampled).
-    pub seed: u64,
-    /// `--sample N` cap per file, if any.
-    pub sample: Option<u64>,
     /// Per-file coverage, corpus order.
     pub files: Vec<FileCoverage>,
 }
@@ -61,7 +55,7 @@ pub struct SweepSummary {
 impl SweepSummary {
     /// Total cells run across the corpus.
     pub fn cells_run(&self) -> u64 {
-        self.files.iter().map(|f| f.cells_run).sum()
+        self.files.iter().map(|f| f.cells_total).sum()
     }
 
     /// Total scenario executions across the corpus.
@@ -88,12 +82,7 @@ impl SweepSummary {
     pub fn render_json(&self) -> String {
         use std::fmt::Write;
         let mut s = String::new();
-        s.push_str("{\n  \"schema\": \"dta-sweep/coverage-v1\",\n");
-        writeln!(s, "  \"seed\": {},", self.seed).unwrap();
-        match self.sample {
-            Some(n) => writeln!(s, "  \"sample\": {n},").unwrap(),
-            None => s.push_str("  \"sample\": null,\n"),
-        }
+        s.push_str("{\n  \"schema\": \"dta-sweep/coverage-v2\",\n");
         writeln!(s, "  \"cells_run\": {},", self.cells_run()).unwrap();
         writeln!(s, "  \"runs\": {},", self.runs()).unwrap();
         writeln!(s, "  \"checks\": {},", self.checks()).unwrap();
@@ -103,7 +92,8 @@ impl SweepSummary {
             s.push_str("    {\n");
             writeln!(s, "      \"file\": {},", json_str(&f.file)).unwrap();
             writeln!(s, "      \"cells_total\": {},", f.cells_total).unwrap();
-            writeln!(s, "      \"cells_run\": {},", f.cells_run).unwrap();
+            // Every cell runs; the key keeps each file entry as v1 wrote it.
+            writeln!(s, "      \"cells_run\": {},", f.cells_total).unwrap();
             writeln!(s, "      \"runs\": {},", f.runs).unwrap();
             write!(s, "      \"axes\": {{").unwrap();
             for (j, (axis, n)) in f.axes.iter().enumerate() {
@@ -201,23 +191,20 @@ mod tests {
         assert!(s.ok());
         assert_eq!(s.cells_run(), 0);
         let json = s.render_json();
-        assert!(json.contains("\"schema\": \"dta-sweep/coverage-v1\""));
+        assert!(json.contains("\"schema\": \"dta-sweep/coverage-v2\""));
         assert!(json.contains("\"violations\": 0"));
     }
 
     #[test]
     fn json_report_carries_files_axes_and_violations() {
         let s = SweepSummary {
-            seed: 7,
-            sample: Some(4),
             files: vec![FileCoverage {
                 file: "scenarios/smoke.toml".into(),
                 cells_total: 9,
-                cells_run: 4,
-                runs: 8,
+                runs: 18,
                 axes: vec![("seed".into(), 3), ("mode".into(), 3)],
                 invariants: vec!["bit_reproducible".into()],
-                checks: 4,
+                checks: 9,
                 violations: vec![Violation {
                     file: "scenarios/smoke.toml".into(),
                     cell: "seed=1,mode=single".into(),
@@ -228,7 +215,7 @@ mod tests {
         };
         assert!(!s.ok());
         let json = s.render_json();
-        assert!(json.contains("\"sample\": 4"));
+        assert!(json.contains("\"cells_run\": 9"));
         assert!(json.contains("\"seed\": 3, \"mode\": 3"));
         assert!(json.contains("\"cell\": \"seed=1,mode=single\""));
         assert!(json.contains("\"violations\": 1"));

@@ -14,9 +14,10 @@
 //! * an optional **`[sweep]` grid** — per-axis value lists (seed, mode,
 //!   victim, kill time, fault rates) whose cartesian product expands into
 //!   many concrete cells;
-//! * an optional **`[invariants]` set** — per-file assertions the `sweep`
-//!   runner enforces on every cell (bit-reproducibility, cross-mode memory
-//!   equality, ledger closure, `fanout_lookups == 0`, ...).
+//! * an optional **`[invariants]` set** — per-file [`Invariant`]s checked
+//!   on every cell (bit-reproducibility, cross-mode memory equality, ledger
+//!   closure, `fanout_lookups == 0`, ...) by `dta_bench::invariants`, which
+//!   the `sweep` bin and the root `tests/corpus.rs` both call.
 //!
 //! The parser is hand-rolled (the build environment has no crates.io) and
 //! *strict*: unknown sections or keys, type mismatches, and
@@ -89,65 +90,88 @@ impl Value {
     }
 }
 
-/// The invariant assertions a corpus file opts into; the `sweep` runner
-/// enforces each enabled one on every cell (or cell group) and counts it
-/// in the coverage report.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct InvariantSet {
+/// Declares [`Invariant`] and its [`Invariant::ALL`] table from one list of
+/// `Variant = "name"` rows, so a row's variant, doc and `[invariants]` key
+/// are written once.
+macro_rules! invariants {
+    ($($(#[doc = $doc:literal])+ $variant:ident = $name:literal,)+) => {
+        /// One assertion a corpus file can declare under `[invariants]`.
+        /// `dta_bench::invariants::check_file` holds each one's check, in a
+        /// `match` with one arm per variant.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Invariant {
+            $($(#[doc = $doc])+ $variant,)+
+        }
+
+        impl Invariant {
+            /// Every invariant with its `[invariants]` key, in declaration
+            /// order (the order the coverage report lists them in).
+            pub const ALL: &'static [(Invariant, &'static str)] =
+                &[$((Invariant::$variant, $name),)+];
+        }
+    };
+}
+
+invariants! {
     /// Run each cell twice; the [`crate::ScenarioReport`]s and collector
     /// memory must be byte-identical.
-    pub bit_reproducible: bool,
+    BitReproducible = "bit_reproducible",
     /// Cells differing only in the `mode` axis must leave byte-identical
     /// collector memory. Requires a `mode` sweep axis with >= 2 values.
-    pub cross_mode_memory_equal: bool,
+    CrossModeMemoryEqual = "cross_mode_memory_equal",
     /// `reports_unsent == 0`: the emission window covered the schedule.
-    pub no_unsent: bool,
+    NoUnsent = "no_unsent",
     /// `net.dropped == 0` and zero injected drops — for clean-fabric files.
-    pub no_fabric_drops: bool,
+    NoFabricDrops = "no_fabric_drops",
     /// Every bounded ledger closes: the reporter retransmit window
     /// ([`dta_reporter::RetxStats::ledger_closes`]), the failover replay
     /// ledger, and the rebalance migration ledger.
-    pub ledger_closure: bool,
+    LedgerClosure = "ledger_closure",
     /// `queries.fanout_lookups == 0`: every key queried back from its
     /// routed owner (the post-rebalance single-owner property).
-    pub fanout_lookups_zero: bool,
+    FanoutLookupsZero = "fanout_lookups_zero",
     /// `kw_missing == 0 && kw_ambiguous == 0`: every written Key-Write key
     /// queried back unambiguously.
-    pub kw_audit_clean: bool,
+    KwAuditClean = "kw_audit_clean",
     /// `query.answered > 0`: a [`crate::QueryPlan`] cell actually served
     /// queries during the write phase (guards against a start/stop window
     /// that misses every epoch).
-    pub queries_answered: bool,
+    QueriesAnswered = "queries_answered",
     /// Check the observed Key-Write audit success rate against the
     /// Appendix A.5 closed form `dta_analysis::keywrite::kw_success_rate`
     /// at the same load (slots, redundancy, keys written).
-    pub kw_audit_vs_bound: bool,
+    KwAuditVsBound = "kw_audit_vs_bound",
 }
 
+// `InvariantSet` keeps one bit per row in a `u16`, indexed by discriminant
+// (`invariants!` lists `ALL` in variant order).
+const _: () = assert!(Invariant::ALL.len() <= 16);
+
+impl Invariant {
+    /// The invariant's `[invariants]` key.
+    pub fn name(self) -> &'static str {
+        Self::ALL[self as usize].1
+    }
+}
+
+/// The invariants a corpus file opts into: one bit per [`Invariant`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct InvariantSet(u16);
+
 impl InvariantSet {
-    /// Names of the enabled invariants, in declaration order.
-    pub fn enabled(&self) -> Vec<&'static str> {
-        let mut out = Vec::new();
-        let mut push = |on: bool, name| {
-            if on {
-                out.push(name);
-            }
-        };
-        push(self.bit_reproducible, "bit_reproducible");
-        push(self.cross_mode_memory_equal, "cross_mode_memory_equal");
-        push(self.no_unsent, "no_unsent");
-        push(self.no_fabric_drops, "no_fabric_drops");
-        push(self.ledger_closure, "ledger_closure");
-        push(self.fanout_lookups_zero, "fanout_lookups_zero");
-        push(self.kw_audit_clean, "kw_audit_clean");
-        push(self.queries_answered, "queries_answered");
-        push(self.kw_audit_vs_bound, "kw_audit_vs_bound");
-        out
+    /// Whether `inv` is enabled.
+    pub fn contains(self, inv: Invariant) -> bool {
+        self.0 & (1 << inv as u16) != 0
+    }
+
+    /// The enabled invariants, in declaration order.
+    pub fn enabled(self) -> impl Iterator<Item = Invariant> {
+        Invariant::ALL.iter().map(|&(inv, _)| inv).filter(move |&inv| self.contains(inv))
     }
 
     /// Whether any invariant is enabled.
-    pub fn any(&self) -> bool {
-        !self.enabled().is_empty()
+    pub fn any(self) -> bool {
+        self.enabled().next().is_some()
     }
 }
 
@@ -286,7 +310,7 @@ pub struct CorpusDoc {
     pub spec: ScenarioSpec,
     /// Sweep axes in declaration order (empty = single-cell file).
     pub sweep: Vec<Axis>,
-    /// Per-file assertions the sweep runner enforces.
+    /// Per-file assertions every cell is checked against.
     pub invariants: InvariantSet,
 }
 
@@ -317,46 +341,6 @@ impl CorpusDoc {
             out.push(Cell { spec, coords });
         }
         out
-    }
-
-    /// A deterministic 1-cell-per-mode smoke selection: the first grid
-    /// cell for each distinct `mode`-axis value (every other axis at its
-    /// first value), or the base spec when the file has no mode axis.
-    /// This is what the corpus conformance test runs.
-    pub fn smoke_cells(&self) -> Vec<Cell> {
-        let modes = self
-            .sweep
-            .iter()
-            .find_map(|a| match a {
-                Axis::Mode(m) => Some(m.len()),
-                _ => None,
-            })
-            .unwrap_or(1);
-        let cells = self.cells();
-        (0..modes)
-            .map(|want| {
-                cells
-                    .iter()
-                    .find(|c| {
-                        c.coords
-                            .iter()
-                            .find(|(a, _)| *a == "mode")
-                            .is_none_or(|(_, v)| {
-                                let label = self
-                                    .sweep
-                                    .iter()
-                                    .find_map(|a| match a {
-                                        Axis::Mode(m) => Some(mode_label(m[want])),
-                                        _ => None,
-                                    })
-                                    .unwrap();
-                                *v == label
-                            })
-                    })
-                    .expect("grid is non-empty")
-                    .clone()
-            })
-            .collect()
     }
 }
 
@@ -941,18 +925,12 @@ pub fn parse_str(file: &str, text: &str) -> Result<CorpusDoc, ParseError> {
             }
             "invariants" => {
                 let on = bool::read(it).map_err(|m| err(file, it.line, m))?;
-                match it.key.as_str() {
-                    "bit_reproducible" => invariants.bit_reproducible = on,
-                    "cross_mode_memory_equal" => invariants.cross_mode_memory_equal = on,
-                    "no_unsent" => invariants.no_unsent = on,
-                    "no_fabric_drops" => invariants.no_fabric_drops = on,
-                    "ledger_closure" => invariants.ledger_closure = on,
-                    "fanout_lookups_zero" => invariants.fanout_lookups_zero = on,
-                    "kw_audit_clean" => invariants.kw_audit_clean = on,
-                    "queries_answered" => invariants.queries_answered = on,
-                    "kw_audit_vs_bound" => invariants.kw_audit_vs_bound = on,
-                    _ => return unknown(),
-                }
+                let Some(&(inv, _)) = Invariant::ALL.iter().find(|(_, name)| *name == it.key)
+                else {
+                    return unknown();
+                };
+                let bit = 1 << inv as u16;
+                invariants.0 = if on { invariants.0 | bit } else { invariants.0 & !bit };
             }
             s if keys().any(|k| k.section == s) => return unknown(),
             _ => {
@@ -1043,7 +1021,7 @@ pub fn parse_str(file: &str, text: &str) -> Result<CorpusDoc, ParseError> {
             ));
         }
     }
-    if invariants.cross_mode_memory_equal {
+    if invariants.contains(Invariant::CrossModeMemoryEqual) {
         let modes = sweep.iter().find_map(|a| match a {
             Axis::Mode(m) => Some(m.len()),
             _ => None,
@@ -1078,7 +1056,7 @@ pub fn load_str(file: &str, text: &str) -> Result<CorpusDoc, ParseError> {
 
 /// The checked-in `scenarios/<name>.toml` files the suites and benches run
 /// by name, embedded at build time. The files are the only source of
-/// these deployments; `corpus_suite` validates every one of them.
+/// these deployments; the root `tests/corpus.rs` runs every one of them.
 const PRESETS: [(&str, &str); 6] = [
     ("smoke", include_str!("../../../scenarios/smoke.toml")),
     ("congested", include_str!("../../../scenarios/congested.toml")),
@@ -1204,11 +1182,18 @@ mod tests {
         assert_eq!(cells[1].spec.seed, 1);
         assert_eq!(cells[1].spec.mode, TranslatorMode::Sharded { shards: 4 });
         assert_eq!(cells[3].mode_group_id(), "seed=2");
-        // Smoke cells: one per mode value, all other axes at first value.
-        let smoke = doc.smoke_cells();
-        assert_eq!(smoke.len(), 2);
-        assert_eq!(smoke[0].id(), "seed=1,mode=single");
-        assert_eq!(smoke[1].id(), "seed=1,mode=sharded4");
+    }
+
+    #[test]
+    fn every_invariant_parses_by_its_name_alone() {
+        let modes = "[sweep]\nmode = [\"single\", \"sharded2\"]\n[invariants]\n";
+        for &(inv, name) in Invariant::ALL {
+            assert_eq!(inv.name(), name);
+            let doc = parse_str("i.toml", &format!("{modes}{name} = true\n")).unwrap();
+            assert_eq!(doc.invariants.enabled().collect::<Vec<_>>(), [inv]);
+            let doc = parse_str("i.toml", &format!("{modes}{name} = true\n{name} = false\n"));
+            assert!(!doc.unwrap().invariants.any());
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod traffic;
 
 pub use corpus::{
     load_dir, load_file, load_str, mode_label, parse_mode_label, parse_str, render_spec, Axis,
-    Cell, CorpusDoc, InvariantSet, ParseError,
+    Cell, CorpusDoc, Invariant, InvariantSet, ParseError,
 };
 
 pub use query::{CollectorReaders, LatencyHistogram, QueryService, QueryStats};
