@@ -53,7 +53,7 @@ impl AppendReader {
     /// [`AppendReader::poll`] reading the entry from `src` instead of the
     /// live region — the same tail advance over a snapshot image (the tail
     /// is reader state, so progress carries across epochs).
-    pub fn poll_from(&mut self, src: &dyn SlotSource, list: u32) -> Vec<u8> {
+    pub fn poll_from<S: SlotSource + ?Sized>(&mut self, src: &S, list: u32) -> Vec<u8> {
         poll_at(&self.layout, &mut self.tails, src, list)
     }
 
@@ -66,7 +66,12 @@ impl AppendReader {
 /// Algorithm 4 against any [`SlotSource`]: read at the tail, advance, wrap.
 /// Free-standing so [`AppendReader::poll`] can pass its own region while
 /// mutably borrowing its tails.
-fn poll_at(layout: &AppendLayout, tails: &mut [u64], src: &dyn SlotSource, list: u32) -> Vec<u8> {
+fn poll_at<S: SlotSource + ?Sized>(
+    layout: &AppendLayout,
+    tails: &mut [u64],
+    src: &S,
+    list: u32,
+) -> Vec<u8> {
     let tail = &mut tails[list as usize];
     let va = layout.base_va + list as u64 * layout.list_bytes() + *tail * layout.entry_bytes as u64;
     let mut data = vec![0u8; layout.entry_bytes as usize];

@@ -60,7 +60,12 @@ impl KeyIncrementStore {
 
     /// [`KeyIncrementStore::query`] reading counters from `src` instead of
     /// the live region — the same min over a snapshot image.
-    pub fn query_from(&self, src: &dyn SlotSource, key: &TelemetryKey, redundancy: usize) -> u64 {
+    pub fn query_from<S: SlotSource + ?Sized>(
+        &self,
+        src: &S,
+        key: &TelemetryKey,
+        redundancy: usize,
+    ) -> u64 {
         (0..redundancy.min(self.family.len()))
             .map(|n| {
                 let va = self.layout.slot_va(&self.family, n, key);

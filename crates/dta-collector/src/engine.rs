@@ -190,9 +190,9 @@ fn unavailable() -> QueryResponse {
 // One helper per primitive, each reading via `src`; both engine types match
 // a request once and call the helper with the store's own bytes.
 
-fn kw_query(
+fn kw_query<S: SlotSource + ?Sized>(
     s: &KeyWriteStore,
-    src: &dyn SlotSource,
+    src: &S,
     key: &TelemetryKey,
     redundancy: usize,
     policy: QueryPolicy,
@@ -203,9 +203,9 @@ fn kw_query(
     )
 }
 
-fn postcard_query(
+fn postcard_query<S: SlotSource + ?Sized>(
     s: &PostcardStore,
-    src: &dyn SlotSource,
+    src: &S,
     key: &TelemetryKey,
     redundancy: usize,
 ) -> QueryResponse {
@@ -229,9 +229,9 @@ fn append_poll(r: &mut AppendReader, snap: Option<&SnapshotView<'_>>, list: u32)
     QueryResponse::local(QueryResult::Append(entry), 1)
 }
 
-fn increment_query(
+fn increment_query<S: SlotSource + ?Sized>(
     s: &KeyIncrementStore,
-    src: &dyn SlotSource,
+    src: &S,
     key: &TelemetryKey,
     redundancy: usize,
 ) -> QueryResponse {

@@ -126,9 +126,9 @@ impl KeyWriteStore {
 
     /// [`KeyWriteStore::query`] reading slot bytes from `src` instead of
     /// the live region — the same vote logic over a snapshot image.
-    pub fn query_from(
+    pub fn query_from<S: SlotSource + ?Sized>(
         &self,
-        src: &dyn SlotSource,
+        src: &S,
         key: &TelemetryKey,
         redundancy: usize,
         policy: QueryPolicy,
@@ -140,9 +140,9 @@ impl KeyWriteStore {
     /// array, packed so that the checksum-matching ones come first, and the
     /// vote compares their values where they lie. Only a `Found` value is
     /// copied out.
-    fn query_inner(
+    fn query_inner<S: SlotSource + ?Sized>(
         &self,
-        src: &dyn SlotSource,
+        src: &S,
         key: &TelemetryKey,
         redundancy: usize,
         policy: QueryPolicy,
@@ -328,9 +328,9 @@ mod tests {
     /// The vote as it ran before it ran in place, kept as the naive
     /// reference: every matching value is copied into a `Vec` and counted
     /// in a `Vec` of candidates.
-    fn naive_query(
+    fn naive_query<S: SlotSource + ?Sized>(
         s: &KeyWriteStore,
-        src: &dyn SlotSource,
+        src: &S,
         key: &TelemetryKey,
         redundancy: usize,
         policy: QueryPolicy,

@@ -54,8 +54,11 @@ impl CollectorNode {
 }
 
 impl NetNode for CollectorNode {
+    /// Both decodes consume the frame they are handed: the node keeps only
+    /// the sender's node and address, copied out first.
     fn receive(&mut self, _now: SimTime, packet: Packet, out: &mut Vec<Emission>) {
-        let Ok(udp) = UdpPacket::decode(packet.payload.clone()) else {
+        let from = packet.src;
+        let Ok(udp) = UdpPacket::decode(packet.payload) else {
             self.stats.dropped += 1;
             return;
         };
@@ -63,19 +66,20 @@ impl NetNode for CollectorNode {
             self.stats.dropped += 1;
             return;
         }
-        let Ok(roce) = RocePacket::decode(udp.payload.clone()) else {
+        let from_ip = udp.ip.src;
+        let Ok(roce) = RocePacket::decode(udp.payload) else {
             self.stats.dropped += 1;
             return;
         };
         match self.service.nic_ingress(&roce) {
             RxOutcome::Executed(Some(ack)) => {
                 self.stats.executed += 1;
-                out.push(self.respond(packet.src, udp.ip.src, &ack));
+                out.push(self.respond(from, from_ip, &ack));
             }
             RxOutcome::Executed(None) => self.stats.executed += 1,
             RxOutcome::Nak(nak) => {
                 self.stats.naks += 1;
-                out.push(self.respond(packet.src, udp.ip.src, &nak));
+                out.push(self.respond(from, from_ip, &nak));
             }
             RxOutcome::DuplicateDropped | RxOutcome::Error(_) => self.stats.dropped += 1,
         }

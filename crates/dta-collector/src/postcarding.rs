@@ -286,9 +286,9 @@ impl PostcardStore {
     /// checksums (one per hop). Returns the path length, the path written
     /// to the front of `path`, when the chunk holds valid information for
     /// this key.
-    fn decode_chunk(
+    fn decode_chunk<S: SlotSource + ?Sized>(
         &self,
-        src: &dyn SlotSource,
+        src: &S,
         key: &TelemetryKey,
         n: usize,
         checksums: &[u32],
@@ -326,9 +326,9 @@ impl PostcardStore {
     /// live region — the same decode over a snapshot image. The key is
     /// walked once for all `B` hop checksums, chunks decode on the stack,
     /// and only a `Found` path is copied out.
-    pub fn query_from(
+    pub fn query_from<S: SlotSource + ?Sized>(
         &self,
-        src: &dyn SlotSource,
+        src: &S,
         key: &TelemetryKey,
         redundancy: usize,
     ) -> PostcardQueryOutcome {
@@ -542,10 +542,10 @@ mod tests {
 
     /// The chunk decode as it ran before it ran on the stack: a `Vec` per
     /// chunk, the key re-walked per chunk, a map lookup per hop.
-    fn naive_query(
+    fn naive_query<S: SlotSource + ?Sized>(
         s: &PostcardStore,
         decode: &HashMap<u32, Option<u32>>,
-        src: &dyn SlotSource,
+        src: &S,
         key: &TelemetryKey,
         redundancy: usize,
     ) -> PostcardQueryOutcome {

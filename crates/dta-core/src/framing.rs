@@ -78,6 +78,10 @@ impl Ipv4Header {
     pub const LEN: usize = 20;
     /// Protocol number for UDP.
     const PROTO_UDP: u8 = 17;
+    /// First header byte: version 4, IHL 5.
+    const VERSION_IHL: u8 = 0x45;
+    /// Flags and fragment offset: DF, no fragmentation.
+    const FLAGS_DF: u16 = 0x4000;
 
     /// UDP packet between two addresses carrying `payload_len` bytes of UDP
     /// (header included).
@@ -93,28 +97,37 @@ impl Ipv4Header {
         }
     }
 
-    /// RFC 1071 header checksum over the encoded header.
+    /// RFC 1071 header checksum: the one's-complement sum of the encoded
+    /// header's ten 16-bit words, taken straight from the fields (the
+    /// checksum word itself counts as zero). It runs once per encoded and
+    /// decoded frame, so nothing is serialized for it.
     pub fn checksum(&self) -> u16 {
-        let b = self.wire_bytes(0);
-        let mut sum = 0u32;
-        for i in (0..Self::LEN).step_by(2) {
-            sum += u16::from_be_bytes([b[i], b[i + 1]]) as u32;
-        }
+        let words = [
+            u32::from(Self::VERSION_IHL) << 8 | u32::from(self.tos),
+            u32::from(self.total_len),
+            u32::from(self.ident),
+            u32::from(Self::FLAGS_DF),
+            u32::from(self.ttl) << 8 | u32::from(self.proto),
+            self.src >> 16,
+            self.src & 0xFFFF,
+            self.dst >> 16,
+            self.dst & 0xFFFF,
+        ];
+        let mut sum: u32 = words.iter().sum();
         while sum >> 16 != 0 {
             sum = (sum & 0xFFFF) + (sum >> 16);
         }
         !(sum as u16)
     }
 
-    /// The encoded header with `csum` in the checksum field — on the stack,
-    /// because the checksum pass runs once per encoded and decoded packet.
+    /// The encoded header with `csum` in the checksum field.
     fn wire_bytes(&self, csum: u16) -> [u8; Self::LEN] {
         let mut b = [0u8; Self::LEN];
-        b[0] = 0x45; // version 4, IHL 5
+        b[0] = Self::VERSION_IHL;
         b[1] = self.tos;
         b[2..4].copy_from_slice(&self.total_len.to_be_bytes());
         b[4..6].copy_from_slice(&self.ident.to_be_bytes());
-        b[6..8].copy_from_slice(&0x4000u16.to_be_bytes()); // DF, no fragmentation
+        b[6..8].copy_from_slice(&Self::FLAGS_DF.to_be_bytes());
         b[8] = self.ttl;
         b[9] = self.proto;
         b[10..12].copy_from_slice(&csum.to_be_bytes());
@@ -136,7 +149,7 @@ impl Ipv4Header {
         // One read of the whole header; the fields come out of the copy.
         let mut b = [0u8; Self::LEN];
         buf.copy_to_slice(&mut b);
-        if b[0] != 0x45 {
+        if b[0] != Self::VERSION_IHL {
             return Err(ReportError::BadVersion(b[0]));
         }
         let be16 = |i: usize| u16::from_be_bytes([b[i], b[i + 1]]);
@@ -264,16 +277,29 @@ impl UdpPacket {
         })
     }
 
-    /// Deserialize a whole packet. Zero-copy: the payload is `buf`'s own
-    /// view, trimmed to the datagram.
+    /// The UDP destination port of the encoded frame `frame`, read in
+    /// place without decoding or checking anything (`None` when the frame
+    /// is too short to carry one): what a node that forwards some frames
+    /// whole and decodes the rest looks at first.
+    pub fn peek_dst_port(frame: &[u8]) -> Option<u16> {
+        const AT: usize = EthHeader::LEN + Ipv4Header::LEN + 2;
+        let port = frame.get(AT..)?.first_chunk::<2>()?;
+        Some(u16::from_be_bytes(*port))
+    }
+
+    /// Deserialize a whole packet. The headers parse from one slice view
+    /// of `buf`; the payload is `buf` itself, narrowed once to the
+    /// datagram (zero-copy, and no second handle).
     pub fn decode(mut buf: Bytes) -> Result<Self, ReportError> {
-        let eth = EthHeader::decode(&mut buf)?;
-        let ip = Ipv4Header::decode(&mut buf)?;
-        let udp = UdpHeader::decode(&mut buf)?;
+        let mut view: &[u8] = &buf;
+        let eth = EthHeader::decode(&mut view)?;
+        let ip = Ipv4Header::decode(&mut view)?;
+        let udp = UdpHeader::decode(&mut view)?;
         let payload_len = (udp.len as usize).saturating_sub(UdpHeader::LEN);
-        if buf.remaining() < payload_len {
-            return Err(ReportError::Truncated { need: payload_len, have: buf.remaining() });
+        if view.len() < payload_len {
+            return Err(ReportError::Truncated { need: payload_len, have: view.len() });
         }
+        buf.advance(UDP_FRAME_OVERHEAD);
         buf.truncate(payload_len);
         Ok(UdpPacket { eth, ip, udp, payload: buf })
     }
@@ -316,6 +342,42 @@ mod tests {
         let mut buf = BytesMut::new();
         ip.encode(&mut buf);
         assert_eq!(&buf[8..12], &[0x40, 0x11, 0xB8, 0x61]);
+    }
+
+    /// The checksum taken from the fields is RFC 1071 over the encoded
+    /// header's words, for headers with every field varied (a seeded walk).
+    #[test]
+    fn field_checksum_equals_the_sum_over_encoded_words() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..4096 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let ip = Ipv4Header {
+                tos: x as u8,
+                total_len: (x >> 8) as u16,
+                ident: (x >> 24) as u16,
+                ttl: (x >> 40) as u8,
+                proto: (x >> 48) as u8,
+                src: (x >> 13) as u32,
+                dst: (x >> 29) as u32,
+            };
+            let b = ip.wire_bytes(0);
+            let mut sum: u32 =
+                b.chunks_exact(2).map(|w| u32::from(u16::from_be_bytes([w[0], w[1]]))).sum();
+            while sum >> 16 != 0 {
+                sum = (sum & 0xFFFF) + (sum >> 16);
+            }
+            assert_eq!(ip.checksum(), !(sum as u16), "{ip:?}");
+        }
+    }
+
+    #[test]
+    fn peek_dst_port_reads_the_encoded_port() {
+        let frame = UdpPacket::frame(1, 5555, 2, 40080, Bytes::from_static(b"dta")).encode();
+        assert_eq!(UdpPacket::peek_dst_port(&frame), Some(40080));
+        assert_eq!(UdpPacket::peek_dst_port(&frame[..UDP_FRAME_OVERHEAD - 4]), Some(40080));
+        assert_eq!(UdpPacket::peek_dst_port(&frame[..UDP_FRAME_OVERHEAD - 5]), None);
     }
 
     /// Any one flipped byte of a field the decoder checks reads as a

@@ -1,6 +1,6 @@
 //! Complete DTA reports: header + sub-header + telemetry payload.
 
-use bytes::{BufMut, Bytes};
+use bytes::{Buf, BufMut, Bytes};
 
 use crate::header::{DtaFlags, DtaHeader, DtaOpcode};
 use crate::key::TelemetryKey;
@@ -159,14 +159,18 @@ impl DtaReport {
         Ok(build_exact(len, |mut buf| self.put(&mut buf)))
     }
 
-    /// Deserialize a report from a UDP payload. Zero-copy: the payload is
-    /// what is left of `buf`'s own view.
+    /// Deserialize a report from a UDP payload. The headers parse from one
+    /// slice view of `buf`; the payload is what is left of `buf` itself
+    /// (zero-copy, and no second handle).
     pub fn decode(mut buf: Bytes) -> Result<Self, ReportError> {
-        let header = DtaHeader::decode(&mut buf)?;
-        let primitive = PrimitiveHeader::decode(header.opcode, &mut buf)?;
-        if buf.len() > MAX_TELEMETRY_PAYLOAD {
-            return Err(ReportError::PayloadTooLarge(buf.len()));
+        let mut view: &[u8] = &buf;
+        let header = DtaHeader::decode(&mut view)?;
+        let primitive = PrimitiveHeader::decode(header.opcode, &mut view)?;
+        let payload_len = view.len();
+        if payload_len > MAX_TELEMETRY_PAYLOAD {
+            return Err(ReportError::PayloadTooLarge(payload_len));
         }
+        buf.advance(buf.len() - payload_len);
         Ok(DtaReport { header, primitive, payload: buf })
     }
 }

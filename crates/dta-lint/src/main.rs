@@ -20,6 +20,17 @@ RULES: D3 (static mut outside tests), C1 (closure identities no test
        and prints every unreferenced name under its crate's count.
 ";
 
+/// The value after a valued flag: `None` when it is missing or is itself a
+/// flag, which is a usage error before anything runs or is written.
+fn value_of(args: &mut impl Iterator<Item = String>) -> Option<PathBuf> {
+    args.next().filter(|v| !v.starts_with("--")).map(PathBuf::from)
+}
+
+fn usage_error(msg: &str) -> ExitCode {
+    eprintln!("dta-lint: error: {msg}\n\n{USAGE}");
+    ExitCode::from(2)
+}
+
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut report: Option<PathBuf> = None;
@@ -29,16 +40,19 @@ fn main() -> ExitCode {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--check" => check = true,
-            "--root" => root = PathBuf::from(args.next().unwrap_or_default()),
-            "--report" => report = Some(PathBuf::from(args.next().unwrap_or_default())),
+            "--root" => match value_of(&mut args) {
+                Some(v) => root = v,
+                None => return usage_error("`--root` needs a directory"),
+            },
+            "--report" => match value_of(&mut args) {
+                Some(v) => report = Some(v),
+                None => return usage_error("`--report` needs a file"),
+            },
             "-h" | "--help" => {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
-            other => {
-                eprintln!("dta-lint: error: unknown argument `{other}`\n\n{USAGE}");
-                return ExitCode::from(2);
-            }
+            other => return usage_error(&format!("unknown argument `{other}`")),
         }
     }
 

@@ -483,33 +483,37 @@ impl RocePacket {
         icrc.copy_from_slice(&icrc32(body).to_be_bytes());
     }
 
-    /// Deserialize and verify the ICRC. Zero-copy: the payload is the
-    /// tail of `buf`'s own view.
+    /// Deserialize and verify the ICRC. The headers parse from one slice
+    /// view of `buf`; the payload is `buf` itself, narrowed once to the
+    /// bytes between the headers and the ICRC (zero-copy, and no second
+    /// handle).
     pub fn decode(mut buf: Bytes) -> Result<Self, ReportError> {
         if buf.len() < Bth::LEN + ICRC_LEN {
             return Err(ReportError::Truncated { need: Bth::LEN + ICRC_LEN, have: buf.len() });
         }
         let body_len = buf.len() - ICRC_LEN;
-        let (body, icrc) = buf.split_at(body_len);
-        if icrc32(body) != u32::from_be_bytes(icrc.try_into().expect("ICRC_LEN bytes")) {
+        let (mut view, icrc) = buf.split_at(body_len);
+        if icrc32(view) != u32::from_be_bytes(icrc.try_into().expect("ICRC_LEN bytes")) {
             return Err(ReportError::BadChecksum);
         }
-        buf.truncate(body_len);
-        let bth = Bth::decode(&mut buf)?;
-        let reth = if bth.opcode.has_reth() { Some(Reth::decode(&mut buf)?) } else { None };
+        let bth = Bth::decode(&mut view)?;
+        let reth = if bth.opcode.has_reth() { Some(Reth::decode(&mut view)?) } else { None };
         let atomic = if bth.opcode.has_atomic_eth() {
-            Some(AtomicEth::decode(&mut buf)?)
+            Some(AtomicEth::decode(&mut view)?)
         } else {
             None
         };
         let imm = if bth.opcode.has_imm() {
-            if buf.remaining() < ImmDt::LEN {
-                return Err(ReportError::Truncated { need: ImmDt::LEN, have: buf.remaining() });
+            if view.remaining() < ImmDt::LEN {
+                return Err(ReportError::Truncated { need: ImmDt::LEN, have: view.remaining() });
             }
-            Some(ImmDt(buf.get_u32()))
+            Some(ImmDt(view.get_u32()))
         } else {
             None
         };
+        let payload_len = view.len();
+        buf.truncate(body_len);
+        buf.advance(body_len - payload_len);
         Ok(RocePacket { bth, reth, atomic, imm, payload: buf })
     }
 }

@@ -192,9 +192,10 @@ impl RetxWindow {
 /// (the destination IP selects the fleet lane it answers), else stray.
 /// The translator always emits NACKs from [`dta_core::DTA_NACK_PORT`];
 /// checking it keeps stray user traffic whose payload happens to start
-/// `DNAK` from triggering a spurious retransmission.
-fn decode_inbound(packet: &Packet) -> Option<(u32, u32)> {
-    let udp = UdpPacket::decode(packet.payload.clone()).ok()?;
+/// `DNAK` from triggering a spurious retransmission. The packet is
+/// consumed: its frame is decoded by move.
+fn decode_inbound(packet: Packet) -> Option<(u32, u32)> {
+    let udp = UdpPacket::decode(packet.payload).ok()?;
     if udp.udp.src_port != dta_core::DTA_NACK_PORT {
         return None;
     }
@@ -292,7 +293,7 @@ impl ReporterFleetNode {
 impl NetNode for ReporterFleetNode {
     fn receive(&mut self, _now: SimTime, packet: Packet, out: &mut Vec<Emission>) {
         self.received += 1;
-        let Some((dst_ip, seq)) = decode_inbound(&packet) else {
+        let Some((dst_ip, seq)) = decode_inbound(packet) else {
             self.retx_stats.stray_received += 1;
             return;
         };
