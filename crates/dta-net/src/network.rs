@@ -255,76 +255,88 @@ impl Network {
 
     /// Inject a packet from `origin` at the current time.
     pub fn send_from(&mut self, origin: NodeId, packet: Packet) {
-        self.transmit_hop(origin, packet);
+        let idx = self.events.insert(Event::Arrive { at_node: origin, packet });
+        self.transmit(origin, idx);
     }
 
     /// Process events until the queue is empty or `deadline` passes.
     /// Returns the number of events processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let mut processed = 0;
-        while let Some((t, ev)) = self.events.pop_until(deadline) {
-            self.now = t;
-            self.dispatch(ev);
-            processed += 1;
-        }
+        let processed = self.run(deadline);
         self.now = self.now.max(deadline);
         processed
     }
 
     /// Run to quiescence (no pending events).
     pub fn run_to_idle(&mut self) -> u64 {
+        self.run(SimTime(u64::MAX))
+    }
+
+    /// The one event loop: serve every event due by `deadline`, each from
+    /// the queue slot it was popped from.
+    fn run(&mut self, deadline: SimTime) -> u64 {
         let mut processed = 0;
-        while let Some((t, ev)) = self.events.pop() {
+        while let Some((t, idx)) = self.events.pop_slot_until(deadline) {
             self.now = t;
-            self.dispatch(ev);
+            self.dispatch(idx);
             processed += 1;
         }
         processed
     }
 
-    fn dispatch(&mut self, ev: Event) {
-        match ev {
-            Event::Arrive { at_node, packet } => self.arrive(at_node, packet),
-            Event::Tick { node, period_ns } => {
-                let mut out = std::mem::take(&mut self.scratch);
-                let keep = match self.nodes.get_mut(node.0 as usize) {
-                    Some(NodeState::Occupied(slot)) => slot.node.tick(self.now, &mut out),
-                    Some(NodeState::Removed) => {
-                        self.scratch = out;
-                        return; // stop rescheduling
-                    }
-                    _ => true,
-                };
-                for e in out.drain(..) {
-                    self.schedule_emission(node, e);
-                }
-                self.scratch = out;
-                if keep {
-                    self.events.push(self.now + period_ns, Event::Tick { node, period_ns });
-                }
+    /// Serve the event in the held queue slot `idx`. A packet that only
+    /// transits its node re-queues in place as its arrival at the next hop;
+    /// only deliveries, interceptions and losses take the event out.
+    fn dispatch(&mut self, idx: u32) {
+        let (at_node, is_final) = match *self.events.slot_mut(idx) {
+            Event::Arrive { at_node, ref packet } => (at_node, packet.dst == at_node),
+            Event::Tick { node, period_ns } => return self.tick(idx, node, period_ns),
+        };
+        match self.nodes.get(at_node.0 as usize) {
+            Some(NodeState::Removed) => {
+                // Links and injectors outlive their node; anything they
+                // deliver here is loss, not a delivery to a ghost.
+                self.events.take(idx);
+                self.stats.dropped += 1;
+            }
+            Some(NodeState::Occupied(slot)) if is_final || slot.intercepting => {
+                self.receive(at_node, idx, is_final);
+            }
+            // Vacant: final packets sink as delivered.
+            Some(NodeState::Vacant) | None if is_final => self.receive(at_node, idx, is_final),
+            _ => {
+                self.stats.forwarded += 1;
+                self.transmit(at_node, idx);
             }
         }
     }
 
-    /// A packet's last bit reached `at_node`: deliver, intercept, forward —
-    /// or sink it (counted dropped) when the node was removed.
-    fn arrive(&mut self, at_node: NodeId, packet: Packet) {
-        let is_final = packet.dst == at_node;
-        let receive = match self.nodes.get(at_node.0 as usize) {
-            Some(NodeState::Removed) => {
-                // Bugfix: links and injectors outlive their node; anything
-                // they deliver here is loss, not a delivery to a ghost.
-                self.stats.dropped += 1;
-                return;
-            }
-            Some(NodeState::Occupied(slot)) => is_final || slot.intercepting,
-            _ => is_final, // vacant: final packets sink as delivered
+    /// Tick `node` from the held slot `idx`, which re-queues in place one
+    /// period on unless the series ends.
+    fn tick(&mut self, idx: u32, node: NodeId, period_ns: u64) {
+        let mut out = std::mem::take(&mut self.scratch);
+        let keep = match self.nodes.get_mut(node.0 as usize) {
+            Some(NodeState::Occupied(slot)) => slot.node.tick(self.now, &mut out),
+            Some(NodeState::Removed) => false, // stop rescheduling
+            _ => true,
         };
-        if !receive {
-            self.stats.forwarded += 1;
-            self.transmit_hop(at_node, packet);
-            return;
+        for e in out.drain(..) {
+            self.schedule_emission(node, e);
         }
+        self.scratch = out;
+        if keep {
+            self.events.reschedule(idx, self.now + period_ns);
+        } else {
+            self.events.take(idx);
+        }
+    }
+
+    /// Hand the packet in the held slot `idx` to `at_node`: delivered when
+    /// `is_final`, intercepted otherwise. A node without behaviour sinks it.
+    fn receive(&mut self, at_node: NodeId, idx: u32, is_final: bool) {
+        let Event::Arrive { packet, .. } = self.events.take(idx) else {
+            unreachable!("receive is only called on an arrival");
+        };
         if is_final {
             self.stats.delivered += 1;
         } else {
@@ -333,7 +345,7 @@ impl Network {
         let mut out = std::mem::take(&mut self.scratch);
         if let Some(NodeState::Occupied(slot)) = self.nodes.get_mut(at_node.0 as usize) {
             slot.node.receive(self.now, packet, &mut out);
-        } // else: destination without behaviour: sink
+        }
         for e in out.drain(..) {
             self.schedule_emission(at_node, e);
         }
@@ -342,80 +354,76 @@ impl Network {
 
     fn schedule_emission(&mut self, from: NodeId, emission: Emission) {
         if emission.delay_ns == 0 {
-            self.transmit_hop(from, emission.packet);
+            self.send_from(from, emission.packet);
         } else {
             // Model node-internal delay by re-arriving at self later; use a
-            // direct event so no link is consumed.
-            let at = self.now + emission.delay_ns;
-            // Packets delayed inside a node resume the normal path after.
-            self.events.push(
-                at,
-                Event::Arrive { at_node: from, packet: reroute_marker(emission.packet) },
-            );
+            // direct event so no link is consumed. Packets delayed inside a
+            // node resume the normal path after.
+            let mut packet = emission.packet;
+            packet.priority |= INTERNAL_MARK;
+            self.events.push(self.now + emission.delay_ns, Event::Arrive { at_node: from, packet });
         }
     }
 
-    /// Put `packet` on the egress link of `from` toward its next hop.
-    fn transmit_hop(&mut self, from: NodeId, packet: Packet) {
+    /// Put the packet in the held arrival slot `idx` on the egress link of
+    /// `from` toward its next hop: route, fault, enqueue. The slot
+    /// re-queues as the packet's arrival at the next hop, or is freed when
+    /// the packet is lost. New emissions and transits both come here.
+    fn transmit(&mut self, from: NodeId, idx: u32) {
         if !self.route_ready {
             self.build_route();
         }
-        let packet = clear_marker(packet);
+        let Event::Arrive { at_node, packet } = self.events.slot_mut(idx) else {
+            unreachable!("transmit is only called on an arrival");
+        };
+        packet.priority &= !INTERNAL_MARK;
         let n = self.routing.len() as usize;
         let (f, d) = (from.0 as usize, packet.dst.0 as usize);
         let li = if f < n && d < n { self.route[f * n + d] } else { NO_ROUTE };
         if li == NO_ROUTE {
+            self.events.take(idx);
             self.stats.dropped += 1;
             return;
         }
         let li = li as usize;
-        let next = NodeId(self.link_to[li]);
+        *at_node = NodeId(self.link_to[li]);
         // Fault injection first (models the wire), then queueing.
-        let mut packet = packet;
         let verdict = match &mut self.faults[li] {
-            Some(inj) => inj.apply(&mut packet),
+            Some(inj) => inj.apply(packet),
             None => Verdict::Deliver,
         };
+        let link = &mut self.links[li];
+        let wire_len = packet.wire_len();
+        let mut extra = 0;
         match verdict {
             Verdict::Deliver => {}
             Verdict::Duplicate => {
                 // Two back-to-back serializations of the same frame; the
-                // copy consumes link capacity like any packet and is not
-                // re-faulted.
-                let link = &mut self.links[li];
-                for copy in [packet.clone(), packet] {
-                    match link.enqueue(self.now, copy.wire_len()) {
-                        EnqueueOutcome::Delivered(t) => {
-                            self.events.push(t, Event::Arrive { at_node: next, packet: copy });
-                        }
-                        EnqueueOutcome::Dropped => self.stats.dropped += 1,
-                    }
+                // copy goes first, consumes link capacity like any packet
+                // and is not re-faulted.
+                let copy = Event::Arrive { at_node: *at_node, packet: packet.clone() };
+                match link.enqueue(self.now, wire_len) {
+                    EnqueueOutcome::Delivered(t) => self.events.push(t, copy),
+                    EnqueueOutcome::Dropped => self.stats.dropped += 1,
                 }
-                return;
             }
             Verdict::Reorder => {
                 // Penalize with one extra MTU serialization worth of
                 // delay so a later packet can overtake it.
-                let link = &mut self.links[li];
-                let extra = SimTime::tx_time(1500, link.config().bandwidth_bps) * 2;
-                match link.enqueue(self.now, packet.wire_len()) {
-                    EnqueueOutcome::Delivered(t) => {
-                        self.events.push(t + extra, Event::Arrive { at_node: next, packet });
-                    }
-                    EnqueueOutcome::Dropped => self.stats.dropped += 1,
-                }
-                return;
+                extra = SimTime::tx_time(1500, link.config().bandwidth_bps) * 2;
             }
             Verdict::Drop => {
+                self.events.take(idx);
                 self.stats.dropped += 1;
                 return;
             }
         }
-        match self.links[li].enqueue(self.now, packet.wire_len()) {
-            EnqueueOutcome::Delivered(t) => {
-                self.events.push(t, Event::Arrive { at_node: next, packet });
+        match link.enqueue(self.now, wire_len) {
+            EnqueueOutcome::Delivered(t) => self.events.reschedule(idx, t + extra),
+            EnqueueOutcome::Dropped => {
+                self.events.take(idx);
+                self.stats.dropped += 1;
             }
-            EnqueueOutcome::Dropped => self.stats.dropped += 1,
         }
     }
 }
@@ -423,16 +431,6 @@ impl Network {
 /// Marker priority bit used to tag node-internal re-deliveries so that an
 /// intercepting node does not re-intercept its own delayed output.
 const INTERNAL_MARK: u8 = 0x80;
-
-fn reroute_marker(mut p: Packet) -> Packet {
-    p.priority |= INTERNAL_MARK;
-    p
-}
-
-fn clear_marker(mut p: Packet) -> Packet {
-    p.priority &= !INTERNAL_MARK;
-    p
-}
 
 #[cfg(test)]
 mod tests {
@@ -504,6 +502,83 @@ mod tests {
         assert_eq!(net.fault_totals().duplicated, 10);
         // Both copies consumed link capacity on both hops.
         assert_eq!(net.link_totals().transmitted, 40);
+    }
+
+    /// Records `(arrival ns, first payload byte)` of every packet it
+    /// receives.
+    #[derive(Default)]
+    struct Recorder(Vec<(u64, u8)>);
+
+    impl NetNode for Recorder {
+        fn receive(&mut self, now: SimTime, packet: Packet, _out: &mut Vec<Emission>) {
+            self.0.push((now.as_nanos(), packet.payload[0]));
+        }
+    }
+
+    fn recorded(net: &mut Network, id: NodeId) -> Vec<(u64, u8)> {
+        let node: Box<dyn std::any::Any> = net.remove_node(id).expect("a recorder");
+        node.downcast::<Recorder>().expect("a recorder").0
+    }
+
+    #[test]
+    fn transit_faults_requeue_in_place() {
+        // Faults sit on the two links out of the transit node 1, so every
+        // verdict lands on a packet served from the slot it arrived in.
+        let mut net = line3();
+        net.add_node(NodeId(0), Box::<Recorder>::default());
+        net.add_node(NodeId(2), Box::<Recorder>::default());
+        // 1 -> 2 duplicates every packet and drops those over 100 B.
+        let dup = crate::FaultConfig {
+            duplicate_chance: 1.0,
+            size_limit: Some(100),
+            ..crate::FaultConfig::none()
+        };
+        net.add_faults(NodeId(1), NodeId(2), FaultInjector::new(dup, 5));
+        // 1 -> 0 reorders the first of two packets (this seed's draws).
+        let reorder = crate::FaultConfig { reorder_chance: 0.5, ..crate::FaultConfig::none() };
+        net.add_faults(NodeId(1), NodeId(0), FaultInjector::new(reorder, 3));
+        let pkt = |src: u32, dst: u32, tag: u8, len: usize| {
+            Packet::new(NodeId(src), NodeId(dst), Bytes::from(vec![tag; len]))
+        };
+        // 64 B serializes in 6 ns at 100 Gb/s, 200 B in 16 ns; every link
+        // adds 1000 ns. a, b and c reach node 1 at 1006, 1022 and 1028 ns;
+        // d and e at 1006 and 1012 ns.
+        net.send_from(NodeId(0), pkt(0, 2, b'a', 64));
+        net.send_from(NodeId(0), pkt(0, 2, b'b', 200));
+        net.send_from(NodeId(0), pkt(0, 2, b'c', 64));
+        net.send_from(NodeId(2), pkt(2, 0, b'd', 64));
+        net.send_from(NodeId(2), pkt(2, 0, b'e', 64));
+        net.run_to_idle();
+        assert!(net.events.is_empty());
+
+        // Each duplicate's copy takes the first serialization slot, the
+        // original the next; b is dropped by the size limit.
+        assert_eq!(
+            recorded(&mut net, NodeId(2)),
+            vec![(2012, b'a'), (2018, b'a'), (2034, b'c'), (2040, b'c')]
+        );
+        // d is held back two MTU serializations (240 ns) and e overtakes it.
+        assert_eq!(recorded(&mut net, NodeId(0)), vec![(2018, b'e'), (2252, b'd')]);
+        assert_eq!(
+            net.stats,
+            NetworkStats { delivered: 6, forwarded: 5, dropped: 1, intercepted: 0 }
+        );
+        assert_eq!(
+            net.fault_totals(),
+            crate::FaultTotals { dropped: 1, corrupted: 0, reordered: 1, duplicated: 2 }
+        );
+        // 0->1 carries a, b, c; 1->2 both copies of a and c; 2->1 and
+        // 1->0 carry d and e.
+        assert_eq!(
+            net.link_totals(),
+            crate::LinkStats {
+                enqueued: 11,
+                dropped: 0,
+                transmitted: 11,
+                bytes_tx: 64 + 200 + 64 + 4 * 64 + 2 * 64 + 2 * 64,
+                pauses: 0,
+            }
+        );
     }
 
     #[test]

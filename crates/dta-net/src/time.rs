@@ -1,7 +1,7 @@
 //! Simulated time and the event queue.
 //!
 //! The queue is the engine's hottest structure: every packet hop and node
-//! tick passes through one push and one pop. [`EventQueue`] is a 4-level
+//! tick passes through it once. [`EventQueue`] is a 4-level
 //! hierarchical timing wheel (64 slots per level, 1ns granularity at level
 //! 0) with a binary-heap fallback for events beyond the ~16.8ms wheel
 //! horizon. Push and pop are O(1) amortized against the old all-heap
@@ -11,6 +11,12 @@
 //! simulations replay exactly. [`HeapEventQueue`] preserves the original
 //! heap implementation as the ordering oracle the property tests compare
 //! against.
+//!
+//! Beside `push`/`pop`, a slot API lets an event stay where it is stored:
+//! [`EventQueue::pop_slot_until`] unqueues a due event and leaves it in the
+//! slab, [`EventQueue::slot_mut`] rewrites it, and
+//! [`EventQueue::reschedule`] queues the same slot again (the engine's
+//! transit hops and ticks) — the order of a pop followed by a push.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -207,8 +213,8 @@ pub struct EventQueue<E> {
     /// The level-0 slot currently being served, sorted by **descending**
     /// `(time, seq)` so `pop` is a `Vec::pop` from the back.
     draining: Vec<Key>,
-    /// The pending events, at their keys' slab indices; a popped event
-    /// leaves `None`, and its index on `free` for the next push.
+    /// The pending and held events, at their keys' slab indices; a taken
+    /// event leaves `None`, and its index on `free` for the next insert.
     slab: Vec<Option<E>>,
     free: Vec<u32>,
     seq: u64,
@@ -230,9 +236,15 @@ impl<E> EventQueue<E> {
 
     /// Schedule `event` at `at`.
     pub fn push(&mut self, at: SimTime, event: E) {
-        let (t, seq) = (at.0, self.seq);
-        self.seq += 1;
-        let idx = match self.free.pop() {
+        let idx = self.insert(event);
+        self.reschedule(idx, at);
+    }
+
+    /// Store `event` in the slab without scheduling it and return its
+    /// index, held as a popped slot is: the caller `reschedule`s or `take`s
+    /// it.
+    pub fn insert(&mut self, event: E) -> u32 {
+        match self.free.pop() {
             Some(idx) => {
                 self.slab[idx as usize] = Some(event);
                 idx
@@ -242,7 +254,16 @@ impl<E> EventQueue<E> {
                 self.slab.push(Some(event));
                 idx
             }
-        };
+        }
+    }
+
+    /// Schedule the held slot `idx` at `at` under a fresh insertion
+    /// sequence number: exactly the order a `take` followed by a `push` of
+    /// the same event gives, without moving the event.
+    pub fn reschedule(&mut self, idx: u32, at: SimTime) {
+        debug_assert!(self.slab[idx as usize].is_some(), "reschedule of a free slot");
+        let (t, seq) = (at.0, self.seq);
+        self.seq += 1;
         // An event due no later than the tail of the batch being served
         // must pop from inside that batch to preserve (time, seq) order.
         if let Some(&(lt, lseq, _)) = self.draining.first() {
@@ -262,6 +283,15 @@ impl<E> EventQueue<E> {
 
     /// Remove and return the earliest event if it is due by `deadline`.
     pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
+        let (t, idx) = self.pop_slot_until(deadline)?;
+        Some((t, self.take(idx)))
+    }
+
+    /// Unqueue the earliest event if it is due by `deadline` and return its
+    /// time and slab index, leaving the event in the slab: the slot is held
+    /// until the caller `reschedule`s or `take`s it, and reads or rewrites
+    /// it through `slot_mut` meanwhile. A held slot counts in `len`.
+    pub fn pop_slot_until(&mut self, deadline: SimTime) -> Option<(SimTime, u32)> {
         if !self.prepare() {
             return None;
         }
@@ -270,9 +300,19 @@ impl<E> EventQueue<E> {
             return None;
         }
         self.draining.pop();
-        let event = self.slab[idx as usize].take().expect("a queued key names a stored event");
+        Some((SimTime(t), idx))
+    }
+
+    /// The event in the held slot `idx`.
+    pub fn slot_mut(&mut self, idx: u32) -> &mut E {
+        self.slab[idx as usize].as_mut().expect("a held slot names a stored event")
+    }
+
+    /// Move the event out of the held slot `idx` and free the slot.
+    pub fn take(&mut self, idx: u32) -> E {
+        let event = self.slab[idx as usize].take().expect("a held slot names a stored event");
         self.free.push(idx);
-        Some((SimTime(t), event))
+        event
     }
 
     /// Number of pending events.

@@ -2,7 +2,9 @@
 //! allocating: slot vectors keep their capacity through cascades and
 //! serves, and events live in a slab whose freed indices are reused, so
 //! the wheel's memory is sized by the most events ever in flight, not by
-//! the events ever pushed.
+//! the events ever pushed. A slot popped and rescheduled in place (the
+//! engine's transit hop) moves only its key, so a warm schedule of
+//! reschedules allocates nothing either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -67,6 +69,9 @@ enum Op {
     PushAt(u64),
     /// Pop once if an event is due by `now + delta`.
     PopUntil(u64),
+    /// Pop a slot if an event is due by `now + delta`, and reschedule it
+    /// `ahead` past its time.
+    PopReschedule(u64, u64),
 }
 
 /// Rounds start this far apart: a multiple of the wheel's 2^24 ns span, so
@@ -89,6 +94,13 @@ fn run_round(q: &mut EventQueue<usize>, ops: &[Op], base: u64) -> usize {
                 if let Some((t, _)) = q.pop_until(SimTime(now + d)) {
                     now = t.0;
                     popped += 1;
+                }
+            }
+            Op::PopReschedule(d, ahead) => {
+                if let Some((t, idx)) = q.pop_slot_until(SimTime(now + d)) {
+                    now = t.0;
+                    *q.slot_mut(idx) = i;
+                    q.reschedule(idx, SimTime(now + ahead));
                 }
             }
         }
@@ -114,11 +126,35 @@ fn warm_event_queue_reruns_a_schedule_without_allocating() {
             _ => Op::PopUntil(rng.gen_range(0..20_000)),
         })
         .collect();
+    assert_warm_reruns_allocate_nothing(&ops);
+}
+
+#[test]
+fn warm_event_queue_reschedules_in_place_without_allocating() {
+    // The engine's mix: most popped slots re-queue one hop on (a link's
+    // serialization plus latency), some leave, and new events arrive.
+    let mut rng = StdRng::seed_from_u64(11);
+    let ops: Vec<Op> = (0..20_000)
+        .map(|_| match rng.gen_range(0..10) {
+            0 => Op::PushAhead(0),
+            1 | 2 => Op::PushAhead(rng.gen_range(1..5_000)),
+            3 => Op::PushAt(rng.gen_range(0..(1 << 22))),
+            4 => Op::PopUntil(rng.gen_range(0..20_000)),
+            5 => Op::PopReschedule(rng.gen_range(0..20_000), rng.gen_range(5_000..(1 << 25))),
+            _ => Op::PopReschedule(rng.gen_range(0..20_000), rng.gen_range(0..2_000)),
+        })
+        .collect();
+    assert_warm_reruns_allocate_nothing(&ops);
+}
+
+/// Run `ops` once cold, then three more rounds, each of which must pop as
+/// many events as the cold round and allocate nothing.
+fn assert_warm_reruns_allocate_nothing(ops: &[Op]) {
     let mut q = EventQueue::new();
-    let cold = run_round(&mut q, &ops, 0);
+    let cold = run_round(&mut q, ops, 0);
     for round in 1..4 {
         let before = allocations();
-        let popped = run_round(&mut q, &ops, round * ROUND_NS);
+        let popped = run_round(&mut q, ops, round * ROUND_NS);
         let allocs = allocations() - before;
         assert_eq!(popped, cold, "round {round} ran a different schedule");
         assert_eq!(allocs, 0, "round {round} of a schedule the queue has run allocated");

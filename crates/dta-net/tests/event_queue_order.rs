@@ -6,6 +6,12 @@
 //! and `pop_until` with deadlines before, at and past the next event. This
 //! is the reproducibility contract of the engine rewrite: any divergence
 //! would silently reorder a simulation.
+//!
+//! The engine serves a transit hop from the slot it popped: the event is
+//! rewritten in place and `reschedule`d, sometimes after pushing a
+//! duplicate. The oracle models that as what it replaces, a pop followed by
+//! the pushes and then a push of the rewritten event, so the slot API must
+//! give the same order as taking the event out and pushing it back.
 
 use dta_net::{EventQueue, HeapEventQueue, SimTime};
 use proptest::prelude::*;
@@ -22,12 +28,21 @@ enum Op {
     /// Pop once if an event is due by `now + delta`, and advance `now` to
     /// the popped time.
     PopUntil(u64),
+    /// Pop a slot if an event is due by `now + deadline`, advance `now` to
+    /// its time, rewrite its event, push `copies` events at `now + ahead`,
+    /// then reschedule the slot at `now + ahead` (the engine's transit and
+    /// Duplicate arms). The oracle pops, pushes the copies, then pushes the
+    /// rewritten event.
+    PopReschedule { deadline: u64, ahead: u64, copies: u8 },
+    /// Pop a slot if an event is due by `now + deadline` and take its event
+    /// out (the engine's delivery and loss arms); the oracle pops.
+    PopTake(u64),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     // Deltas biased to straddle every wheel level and the far horizon;
     // repeated pop entries weight the (unweighted) union toward pops.
-    let ahead = prop_oneof![
+    let ahead = || prop_oneof![
         Just(0u64),
         1u64..64,
         60u64..70,
@@ -40,13 +55,20 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     // Deadlines from "now" (often before the next event) to past the far
     // horizon.
     let deadline = || prop_oneof![Just(0u64), 0u64..64, 0u64..5000, 0u64..(1 << 25)];
+    let reschedule = || {
+        (deadline(), ahead(), 0u8..3)
+            .prop_map(|(deadline, ahead, copies)| Op::PopReschedule { deadline, ahead, copies })
+    };
     prop_oneof![
-        ahead.prop_map(Op::PushAhead),
+        ahead().prop_map(Op::PushAhead),
         (0u64..(1 << 26)).prop_map(Op::PushAt),
         Just(Op::Pop),
         Just(Op::Pop),
         deadline().prop_map(Op::PopUntil),
         deadline().prop_map(Op::PopUntil),
+        reschedule(),
+        reschedule(),
+        deadline().prop_map(Op::PopTake),
     ]
 }
 
@@ -79,6 +101,34 @@ proptest! {
                     prop_assert_eq!(w, heap.pop_until(deadline));
                     if let Some((t, _)) = w {
                         prop_assert!(t <= deadline);
+                        now = t.0;
+                    }
+                }
+                Op::PopReschedule { deadline, ahead, copies } => {
+                    let deadline = SimTime(now + deadline);
+                    let held = wheel.pop_slot_until(deadline);
+                    let h = heap.pop_until(deadline);
+                    prop_assert_eq!(held.map(|(t, _)| t), h.map(|(t, _)| t));
+                    if let (Some((t, idx)), Some((_, event))) = (held, h) {
+                        prop_assert!(t <= deadline);
+                        prop_assert_eq!(*wheel.slot_mut(idx), event);
+                        now = t.0;
+                        let at = SimTime(now + ahead);
+                        for c in 0..usize::from(*copies) {
+                            let copy = 1_000_000 * (c + 1) + i;
+                            wheel.push(at, copy);
+                            heap.push(at, copy);
+                        }
+                        *wheel.slot_mut(idx) = i;
+                        wheel.reschedule(idx, at);
+                        heap.push(at, i);
+                    }
+                }
+                Op::PopTake(d) => {
+                    let deadline = SimTime(now + d);
+                    let w = wheel.pop_slot_until(deadline).map(|(t, idx)| (t, wheel.take(idx)));
+                    prop_assert_eq!(w, heap.pop_until(deadline));
+                    if let Some((t, _)) = w {
                         now = t.0;
                     }
                 }

@@ -223,9 +223,11 @@ pub fn generate(spec: &ScenarioSpec) -> Workload {
     };
 
     // Every Key-Write value and Append entry lands in one arena, in
-    // generation order; each report's payload becomes its slice of it
-    // once the arena is complete (one allocation per workload, not two per
-    // report).
+    // generation order; once the arena is complete each report's payload
+    // becomes an inline copy of its piece, or a slice of the arena when
+    // the piece is wider than a `Bytes` holds inline (one allocation per
+    // workload, not two per report, and no shared handle for small
+    // values).
     let kw_width = (spec.service.kw_value_bytes as usize).max(1);
     let append_width = (spec.service.append_entry_bytes as usize).max(1);
     let ops = spec.reporters as usize * spec.ops_per_reporter as usize;
@@ -322,8 +324,13 @@ pub fn generate(spec: &ScenarioSpec) -> Workload {
             PrimitiveHeader::Append(_) => append_width,
             PrimitiveHeader::KeyIncrement(_) | PrimitiveHeader::Postcarding(_) => continue,
         };
-        report.payload = arena.slice(at..at + width);
+        let piece = at..at + width;
         at += width;
+        report.payload = if width <= Bytes::INLINE_CAP {
+            Bytes::copy_from_slice(&arena[piece])
+        } else {
+            arena.slice(piece)
+        };
     }
     debug_assert_eq!(at, arena.len());
 
@@ -541,18 +548,31 @@ mod tests {
     }
 
     #[test]
-    fn payloads_are_slices_of_one_arena() {
-        let w = generate(&ScenarioSpec::default());
-        let payloads: Vec<&Bytes> = w
-            .streams
-            .iter()
-            .flatten()
-            .filter(|r| !r.payload.is_empty())
-            .map(|r| &r.payload)
-            .collect();
-        assert_eq!(payloads.len() as u64, w.counts.key_write + w.counts.append);
-        // Consecutive slices of one buffer, in stream order.
-        for pair in payloads.windows(2) {
+    fn payloads_are_inline_or_slices_of_one_arena() {
+        let payloads = |spec: &ScenarioSpec| {
+            let w = generate(spec);
+            let payloads: Vec<Bytes> = w
+                .streams
+                .iter()
+                .flatten()
+                .filter(|r| !r.payload.is_empty())
+                .map(|r| r.payload.clone())
+                .collect();
+            assert_eq!(payloads.len() as u64, w.counts.key_write + w.counts.append);
+            payloads
+        };
+        // 4 B values fit the handle: every payload is an inline copy.
+        for p in &payloads(&ScenarioSpec::default()) {
+            let at = std::ptr::from_ref(p) as usize;
+            assert!((at..at + std::mem::size_of::<Bytes>()).contains(&(p.as_ptr() as usize)));
+        }
+        // 20 B values do not: consecutive slices of one buffer, in stream
+        // order.
+        let mut wide = ScenarioSpec::default();
+        wide.service.kw_value_bytes = 20;
+        wide.service.append_entry_bytes = 20;
+        for pair in payloads(&wide).windows(2) {
+            assert_eq!(pair[0].len(), 20);
             assert_eq!(pair[0].as_ptr() as usize + pair[0].len(), pair[1].as_ptr() as usize);
         }
     }
